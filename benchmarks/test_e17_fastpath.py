@@ -2,8 +2,8 @@
 
 The data-plane simulator's reference executor walks the IR tree with
 isinstance dispatch on every packet. FlexPath compiles each program
-version once into a closure tree (plus indexed table lookup and an
-optional flow micro-cache) and must (a) run the E2 workload — base
+version once into a closure tree (plus indexed table lookup and the
+per-device flow memo, run here through its single-packet entry) and must (a) run the E2 workload — base
 infrastructure with the firewall delta applied, realistic rules — at
 least **3x faster** in packets/second, and (b) produce **byte-identical
 outcomes**: verdicts, fields, metadata, digests, op counts, map state,
@@ -116,9 +116,8 @@ def run_experiment() -> dict:
     # -- throughput: interpreted vs compiled (full program) --------------
     interp = ProgramInstance(program)
     realistic_rules(interp)
-    compiled = ProgramInstance(program)
+    compiled = ProgramInstance(program, fastpath=True)
     realistic_rules(compiled)
-    compiled.enable_fastpath()
 
     _bench(interp, packets[:500])  # warm both paths (index/closure build)
     _bench(compiled, packets[:500])
@@ -127,14 +126,13 @@ def run_experiment() -> dict:
     interp_pps = max(_bench(interp, packets) for _ in range(2))
     compiled_pps = max(_bench(compiled, packets) for _ in range(2))
 
-    # -- compiled + flow cache on the stateless hosted slice -------------
+    # -- compiled + flow memo on the stateless hosted slice --------------
     # (the whole program writes flow_counts, so whole-program caching is
     # statically rejected; a device hosting only the stateless tables —
     # the paper's disaggregation story — caches its slice.)
     hosted = {"acl", "fw_block", "l2", "l3", "ttl_guard"}
-    sliced = ProgramInstance(program, hosted_elements=set(hosted))
+    sliced = ProgramInstance(program, hosted_elements=set(hosted), fastpath=True)
     realistic_rules(sliced)
-    sliced.enable_fastpath()
     cache = fastpath.FlowCache()
     _bench(sliced, packets[:500], cache=cache)
     cached_pps = _bench(sliced, packets, cache=cache)
@@ -168,7 +166,7 @@ def test_e17_fastpath(benchmark):
                 results["divergences"],
             ],
             [
-                "FlexPath + flow cache (stateless slice)",
+                "FlexPath + flow memo (stateless slice)",
                 fmt(results["compiled_cached_pps"], 4),
                 f"{results['speedup_cached']:.2f}x",
                 f"hit rate {results['cache_stats']['hit_rate']:.0%}",

@@ -1,7 +1,6 @@
 """Flow-cacheability analysis for the FlexPath fast path.
 
-A program's per-packet outcome can be served from a flow micro-cache
-only if re-executing it on an identical input packet is guaranteed to
+A program's per-packet outcome can be served from the flow memo only if re-executing it on an identical input packet is guaranteed to
 produce the identical outcome *and* leave no per-packet state behind.
 The dataflow pass (:mod:`repro.analysis.dataflow`) gives us the sound
 over-approximation to decide that statically:
@@ -18,11 +17,11 @@ over-approximation to decide that statically:
 The *cache key* must cover every input the program can observe: all
 header fields it reads **or writes** (a replayed post-state is only
 valid for packets that agree on the initial value of written locations
-too), every metadata key it touches, the parser's select fields, and
-per-header presence bits (visibility semantics make an absent header
-observable). Meters are intentionally absent here — they are runtime
-attachments, and the fast path bypasses the cache whenever any applied
-table carries one.
+too), every metadata key it touches, and the parser's select fields;
+the memo adds the packet's set of present fields itself (visibility
+semantics make an absent header observable). Meters are intentionally
+absent here — they are runtime attachments, and the fast path bypasses
+the cache whenever any applied table carries one.
 """
 
 from __future__ import annotations
@@ -44,8 +43,6 @@ class CacheabilityDecision:
     key_fields: tuple[tuple[str, str], ...]
     #: metadata keys the cache key must include.
     key_meta: tuple[str, ...]
-    #: declared header names (presence bits participate in the key).
-    headers: tuple[str, ...]
     #: maps the program reads — their mutation counters join the
     #: validity token so control-plane writes invalidate the cache.
     read_maps: tuple[str, ...]
@@ -62,6 +59,15 @@ class CacheabilityDecision:
             "read_maps": list(self.read_maps),
             "applied_tables": list(self.applied_tables),
         }
+
+
+def stateless_slice(program: ir.Program) -> set[str]:
+    """The hosted elements a cache-friendly device would run: every
+    applied element that writes no map."""
+    info = analyze(program)
+    return {
+        name for name in info.applied if not info.element_access(name).map_writes
+    }
 
 
 def decide(
@@ -104,7 +110,6 @@ def decide(
         reasons=tuple(reasons),
         key_fields=tuple(sorted(field_keys)),
         key_meta=tuple(sorted(meta_keys)),
-        headers=tuple(h.name for h in program.headers),
         read_maps=tuple(sorted(access.map_reads)),
         applied_tables=applied_tables,
     )

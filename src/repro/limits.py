@@ -27,6 +27,10 @@ MAX_MAP_ENTRIES = 16_000_000
 #: programs; the interpreter stops recirculating at exactly this depth.
 RECIRCULATION_CAP = 4
 
+#: Entries one device's flow memo (:class:`repro.simulator.fastpath.FlowCache`)
+#: holds before FIFO eviction.
+FLOW_MEMO_CAPACITY = 4096
+
 #: One control-channel round trip for a dRPC-equivalent operation done
 #: in software (device -> controller -> device), and the controller's
 #: per-operation software handling time.

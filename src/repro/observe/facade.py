@@ -17,7 +17,7 @@ disabled, execute identical instruction streams through the data plane.
 
 from __future__ import annotations
 
-from repro.observe.metrics import MetricsRegistry
+from repro.observe.metrics import MetricsRegistry, export_device_counters
 from repro.observe.profile import Profiler
 from repro.observe.trace import PacketTrace, Tracer
 
@@ -163,21 +163,8 @@ class Observer:
             return
         for name in sorted(controller.devices):
             device = controller.devices[name]
+            export_device_counters(registry, name, device)
             stats = device.stats
-            for version in sorted(stats.per_version):
-                registry.counter(
-                    "flexnet_device_packets_total",
-                    help="packets processed per device and program version",
-                    device=name,
-                    version=version,
-                ).set(stats.per_version[version])
-            registry.counter(
-                "flexnet_device_dropped_total", device=name
-            ).set(stats.dropped_by_program)
-            registry.counter("flexnet_device_ops_total", device=name).set(stats.total_ops)
-            registry.counter(
-                "flexnet_device_queue_drops_total", device=name
-            ).set(stats.queue_drops)
             registry.gauge(
                 "flexnet_device_queue_depth_max", device=name
             ).set(stats.max_queue_depth)
@@ -186,48 +173,6 @@ class Observer:
             ).set(stats.reconfigurations)
             registry.counter("flexnet_device_crashes_total", device=name).set(stats.crashes)
             registry.counter("flexnet_device_restarts_total", device=name).set(stats.restarts)
-            cache = device.flow_cache
-            if cache is not None:
-                registry.counter("flexnet_flowcache_hits_total", device=name).set(
-                    cache.stats.hits
-                )
-                registry.counter("flexnet_flowcache_misses_total", device=name).set(
-                    cache.stats.misses
-                )
-                registry.counter("flexnet_flowcache_bypasses_total", device=name).set(
-                    cache.stats.bypasses
-                )
-                registry.counter(
-                    "flexnet_flowcache_invalidations_total", device=name
-                ).set(cache.stats.invalidations)
-                registry.counter(
-                    "flexnet_flowcache_entries_dropped_total", device=name
-                ).set(cache.stats.entries_dropped)
-                registry.gauge("flexnet_flowcache_entries", device=name).set(len(cache))
-            batch_stats = device.batch_stats()
-            if batch_stats is not None:
-                registry.counter(
-                    "flexnet_batch_packets_total",
-                    help="packets routed through the FlexBatch backend",
-                    device=name,
-                ).set(batch_stats.packets)
-                registry.counter(
-                    "flexnet_batch_batches_total", device=name
-                ).set(batch_stats.batches)
-                registry.counter(
-                    "flexnet_batch_memo_hits_total", device=name
-                ).set(batch_stats.memo_hits)
-                registry.counter(
-                    "flexnet_batch_fallback_packets_total", device=name
-                ).set(batch_stats.fallback_packets)
-                registry.gauge(
-                    "flexnet_batch_occupancy",
-                    help="mean packets per batch",
-                    device=name,
-                ).set(batch_stats.occupancy)
-                registry.gauge(
-                    "flexnet_batch_max_batch_size", device=name
-                ).set(batch_stats.max_batch_size)
             instance = device.active_instance
             if instance is not None:
                 for table_name in sorted(instance.rules):

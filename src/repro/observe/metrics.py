@@ -280,3 +280,37 @@ class MetricsRegistry:
 
     def to_json(self, indent: int | None = 2) -> str:
         return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
+
+
+def export_device_counters(registry: MetricsRegistry, name: str, device) -> None:
+    """Mirror one device's packet and flow-memo counters into
+    ``registry`` — the block the single-process Observer and every
+    FlexScale shard both export, so merged fleet output is
+    indistinguishable from a single-process scrape."""
+    stats = device.stats
+    for version in sorted(stats.per_version):
+        registry.counter(
+            "flexnet_device_packets_total",
+            help="packets processed per device and program version",
+            device=name,
+            version=version,
+        ).set(stats.per_version[version])
+    registry.counter("flexnet_device_dropped_total", device=name).set(
+        stats.dropped_by_program
+    )
+    registry.counter("flexnet_device_ops_total", device=name).set(stats.total_ops)
+    registry.counter("flexnet_device_queue_drops_total", device=name).set(
+        stats.queue_drops
+    )
+    cache = device.flow_cache
+    if cache is not None:
+        memo = cache.stats
+        for family, value in (
+            ("hits", memo.hits),
+            ("misses", memo.misses),
+            ("bypasses", memo.bypasses),
+            ("invalidations", memo.invalidations),
+            ("entries_dropped", memo.entries_dropped),
+        ):
+            registry.counter(f"flexnet_flowcache_{family}_total", device=name).set(value)
+        registry.gauge("flexnet_flowcache_entries", device=name).set(len(cache))

@@ -24,10 +24,36 @@ from dataclasses import dataclass, field
 
 from repro.errors import ReconfigError
 from repro.lang.ir import Program
+from repro.simulator.fastpath import FlowCache
 from repro.simulator.packet import Packet
 from repro.simulator.pipeline_exec import ProgramInstance
 from repro.targets.base import Target
 from repro.util import stable_hash
+
+
+@dataclass(frozen=True)
+class EngineConfig:
+    """How a fleet executes its programs — the one value
+    :meth:`repro.core.flexnet.FlexNet.engine` pushes down to every
+    device. Three reachable states, each the reference arm the next is
+    differentially checked against: the interpreter, compiled closures
+    (``fastpath``), and compiled closures behind the per-device flow
+    memo (``memo``, which implies ``fastpath``)."""
+
+    fastpath: bool = False
+    memo: bool = False
+
+    def __post_init__(self) -> None:
+        if self.memo and not self.fastpath:
+            object.__setattr__(self, "fastpath", True)
+
+    def summary(self) -> str:
+        if not self.fastpath:
+            return "engine: interpreter"
+        return "engine: compiled" + (" + flow memo" if self.memo else "")
+
+    def to_dict(self) -> dict:
+        return {"fastpath": self.fastpath, "batch": self.memo}
 
 
 @dataclass
@@ -75,7 +101,13 @@ class _Transition:
 class DeviceRuntime:
     """One device on the network; see module docstring."""
 
-    def __init__(self, name: str, target: Target, queue_capacity_packets: int = 4096):
+    def __init__(
+        self,
+        name: str,
+        target: Target,
+        queue_capacity_packets: int = 4096,
+        engine: EngineConfig = EngineConfig(),
+    ):
         self.name = name
         self.target = target
         self.stats = DeviceStats()
@@ -88,14 +120,8 @@ class DeviceRuntime:
         self._crashed = False
         #: single-server queue state: when the "pipeline" frees up.
         self._busy_until_s = 0.0
-        #: FlexPath: compile installed programs to closures instead of
-        #: interpreting them, and optionally serve repeat flows of
-        #: provably cacheable programs from a flow micro-cache.
-        self._fastpath = False
         self._flow_cache = None
-        #: FlexBatch: route settled-active packets through the batched
-        #: backend (memo/closure tiers) instead of the flow cache.
-        self._batching = False
+        self.engine = engine
         #: FlexScope: set by :meth:`repro.observe.Observer.enable` only;
         #: ``None`` keeps the packet path observation-free (one attribute
         #: load per packet, nothing else).
@@ -124,93 +150,25 @@ class DeviceRuntime:
         self.fencing_epoch = epoch
         return True
 
-    # -- FlexPath ----------------------------------------------------------------
+    # -- execution engine ---------------------------------------------------------
 
-    def enable_fastpath(
-        self, flow_cache: bool = True, cache_capacity: int = 4096, enabled: bool = True
-    ) -> None:
-        """Turn on FlexPath compiled execution for every current and
-        future program version on this device; with ``flow_cache``, also
-        attach a flow micro-cache (used only for program versions the
-        cacheability analysis admits, and bypassed mid-transition).
-        ``enabled=False`` reverts to interpreted execution, dropping the
-        compiled bodies and the cache (and FlexBatch, which rides on the
-        compiled path)."""
-        if not enabled:
-            self._fastpath = False
+    @property
+    def engine(self) -> EngineConfig:
+        return self._engine
+
+    @engine.setter
+    def engine(self, config: EngineConfig) -> None:
+        """Apply the fleet's engine configuration to every current and
+        future program version on this device; ``memo`` attaches the
+        flow memo (consulted only for program versions the cacheability
+        analysis admits, and bypassed mid-transition)."""
+        self._engine = config
+        if not config.memo:
             self._flow_cache = None
-            if self._batching:
-                self.enable_batching(False)
-            for instance in self._instances():
-                instance.enable_fastpath(False)
-            return
-        self._fastpath = True
-        if not flow_cache:
-            self._flow_cache = None
-        elif self._flow_cache is None or self._flow_cache.capacity != cache_capacity:
-            from repro.simulator.fastpath import FlowCache
-
-            self._flow_cache = FlowCache(cache_capacity)
+        elif self._flow_cache is None:
+            self._flow_cache = FlowCache()
         for instance in self._instances():
-            instance.enable_fastpath()
-
-    def enable_batching(self, enabled: bool = True) -> None:
-        """Turn on FlexBatch for every current and future program
-        version on this device (implies FlexPath). The normal packet
-        path then routes through each instance's batch executor — whose
-        memo tier subsumes the flow cache for cacheable programs — and
-        callers holding several packets can amortize further via
-        :meth:`ProgramInstance.process_batch`."""
-        self._batching = enabled
-        if enabled and not self._fastpath:
-            self.enable_fastpath()
-        for instance in self._instances():
-            instance.enable_batching(enabled)
-
-    def engine_status(self) -> dict:
-        """This device's execution-engine configuration, as reported by
-        :meth:`FlexNet.engine` into the fleet-wide ``EngineStatus``."""
-        cache = self._flow_cache
-        return {
-            "fastpath": self._fastpath,
-            "batch": self._batching,
-            "flow_cache": cache is not None,
-            "cache_capacity": cache.capacity if cache is not None else 0,
-        }
-
-    def reset_batch_window(self) -> None:
-        """FlexScale window boundary: flush every executor's batch state
-        so batching never spans a shard protocol window."""
-        for instance in self._instances():
-            executor = instance._batch_executor
-            if executor is not None:
-                executor.reset_window()
-
-    def batch_stats(self):
-        """Aggregate FlexBatch counters across this device's live
-        program versions (None when batching is off or nothing ran)."""
-        total = None
-        for instance in self._instances():
-            executor = instance._batch_executor
-            if executor is None:
-                continue
-            if total is None:
-                from repro.simulator.batch import BatchStats
-
-                total = BatchStats()
-            stats = executor.stats
-            total.batches += stats.batches
-            total.packets += stats.packets
-            total.groups += stats.groups
-            total.memo_hits += stats.memo_hits
-            total.memo_misses += stats.memo_misses
-            total.closure_packets += stats.closure_packets
-            total.fallback_packets += stats.fallback_packets
-            total.revoked_batches += stats.revoked_batches
-            total.revocations += stats.revocations
-            total.memo_entries_dropped += stats.memo_entries_dropped
-            total.max_batch_size = max(total.max_batch_size, stats.max_batch_size)
-        return total
+            instance.fastpath_enabled = config.fastpath
 
     @property
     def flow_cache(self):
@@ -223,17 +181,11 @@ class DeviceRuntime:
             yield self._transition.old
             yield self._transition.new
 
-    def _on_program_change(self, *instances: ProgramInstance) -> None:
-        """Hook run on every install/update/resolve: propagate fastpath
-        to the new version(s) and drop all cached flow outcomes (the
-        validity token would catch rule-level drift, but a program swap
-        can legitimately reset epochs, so invalidate wholesale)."""
-        if self._fastpath:
-            for instance in instances:
-                instance.enable_fastpath()
-        if self._batching:
-            for instance in instances:
-                instance.enable_batching()
+    def _on_program_change(self) -> None:
+        """Hook run on every install/update/resolve: drop all memoized
+        flow outcomes (the validity token would catch rule-level drift,
+        but a program swap can legitimately reset epochs, so invalidate
+        wholesale)."""
         if self._flow_cache is not None:
             self._flow_cache.clear()
 
@@ -249,9 +201,9 @@ class DeviceRuntime:
 
     def install(self, program: Program, hosted_elements: set[str] | None = None) -> None:
         """Cold install (device provisioning, before traffic)."""
-        self._active = ProgramInstance(program, hosted_elements)
+        self._active = ProgramInstance(program, hosted_elements, fastpath=self._engine.fastpath)
         self._transition = None
-        self._on_program_change(self._active)
+        self._on_program_change()
 
     def begin_hitless_update(
         self,
@@ -288,7 +240,7 @@ class DeviceRuntime:
                     f"device {self.name!r} already has a transition in flight "
                     f"(ends t={self._transition.end:.3f}, now t={now:.3f})"
                 )
-        new_instance = ProgramInstance(program, hosted_elements)
+        new_instance = ProgramInstance(program, hosted_elements, fastpath=self._engine.fastpath)
         self._share_state(self._active, new_instance)
         self._transition = _Transition(
             old=self._active,
@@ -298,7 +250,7 @@ class DeviceRuntime:
             flow_affine=flow_affine,
         )
         self.stats.reconfigurations += 1
-        self._on_program_change(new_instance)
+        self._on_program_change()
         return new_instance
 
     def begin_reflash(
@@ -315,11 +267,12 @@ class DeviceRuntime:
         model = self.target.reconfig
         downtime = model.drain_s + model.full_reflash_s + model.redeploy_s
         self._unavailable_until = max(self._unavailable_until, now) + downtime
-        self._active = ProgramInstance(program, hosted_elements)  # cold state
+        # cold state
+        self._active = ProgramInstance(program, hosted_elements, fastpath=self._engine.fastpath)
         self._transition = None
         self.stats.reconfigurations += 1
         self.stats.drain_windows += 1
-        self._on_program_change(self._active)
+        self._on_program_change()
         return self._unavailable_until
 
     @staticmethod
@@ -391,7 +344,7 @@ class DeviceRuntime:
             raise ReconfigError(f"device {self.name!r} has no transition to resolve")
         self._active = self._transition.new if to_new else self._transition.old
         self._transition = None
-        self._on_program_change(self._active)
+        self._on_program_change()
 
     def settle(self, now: float) -> None:
         """Finalize an elapsed (non-frozen) transition window without
@@ -432,12 +385,12 @@ class DeviceRuntime:
         self._busy_until_s = start + service_s
         queueing_delay_s = start - now
 
-        # FlexPath flow cache: only consulted for the settled active
-        # version (never mid-transition, where the old/new split must
-        # stay per-packet exact); falls through to normal execution for
-        # uncacheable programs or on miss-with-record.
-        # FlexScope sampling: a sampled packet skips the flow cache and
-        # runs through the interpreter with a frame collector attached
+        # Flow memo: only consulted for the settled active version (never
+        # mid-transition, where the old/new split must stay per-packet
+        # exact); falls through to normal execution for uncacheable
+        # programs.
+        # FlexScope sampling: a sampled packet skips the memo and runs
+        # through the interpreter with a frame collector attached
         # (FlexPath's differential-identity guarantee makes the outcome
         # byte-identical to the compiled path, so only this packet's
         # execution *route* changes — never its verdict or cost model).
@@ -445,15 +398,13 @@ class DeviceRuntime:
         trace = observer.begin_packet() if observer is not None else None
         result = None
         cache = self._flow_cache
-        if trace is None and self._transition is None and instance is self._active:
-            if instance.batching_enabled:
-                # FlexBatch route (same guard as the flow cache: settled
-                # active version only). Size-1 batches still hit the
-                # memo tier for cacheable programs, which is what the
-                # flow cache would have done.
-                result = instance.process_batch([packet], now)[0]
-            elif cache is not None:
-                result = cache.process(instance, packet, now)
+        if (
+            cache is not None
+            and trace is None
+            and self._transition is None
+            and instance is self._active
+        ):
+            result = cache.process(instance, packet, now)
         if result is None:
             if trace is None:
                 result = instance.process(packet, now)

@@ -44,7 +44,7 @@ import math
 from dataclasses import dataclass, field
 
 from repro.errors import SimulationError
-from repro.observe.metrics import MetricsRegistry
+from repro.observe.metrics import MetricsRegistry, export_device_counters
 from repro.simulator.engine import EventLoop
 from repro.simulator.metrics import LatencyStats, RunMetrics
 from repro.simulator.network import Network
@@ -224,12 +224,6 @@ class ShardEngine:
             self.loop.run_until(bound)
             self._clock = bound
             self.windows += 1
-            # FlexBatch invariant: batch state (the executor memo)
-            # amortizes within a protocol window but never across one —
-            # flushing here keeps the byte-identity argument purely
-            # per-window, like every other piece of shard state.
-            for device in self._devices.values():
-                device.reset_batch_window()
         return self._clock
 
     def guarantees_out(self) -> dict[int, Guarantee]:
@@ -277,47 +271,7 @@ class ShardEngine:
         single-process scrape), frozen for cross-process shipping."""
         registry = MetricsRegistry()
         for name in sorted(self._devices):
-            stats = self._devices[name].stats
-            for version in sorted(stats.per_version):
-                registry.counter(
-                    "flexnet_device_packets_total",
-                    help="packets processed per device and program version",
-                    device=name,
-                    version=version,
-                ).set(stats.per_version[version])
-            registry.counter(
-                "flexnet_device_dropped_total", device=name
-            ).set(stats.dropped_by_program)
-            registry.counter("flexnet_device_ops_total", device=name).set(
-                stats.total_ops
-            )
-            registry.counter(
-                "flexnet_device_queue_drops_total", device=name
-            ).set(stats.queue_drops)
-            batch_stats = self._devices[name].batch_stats()
-            if batch_stats is not None:
-                registry.counter(
-                    "flexnet_batch_packets_total",
-                    help="packets routed through the FlexBatch backend",
-                    device=name,
-                ).set(batch_stats.packets)
-                registry.counter(
-                    "flexnet_batch_batches_total", device=name
-                ).set(batch_stats.batches)
-                registry.counter(
-                    "flexnet_batch_memo_hits_total", device=name
-                ).set(batch_stats.memo_hits)
-                registry.counter(
-                    "flexnet_batch_fallback_packets_total", device=name
-                ).set(batch_stats.fallback_packets)
-                registry.gauge(
-                    "flexnet_batch_occupancy",
-                    help="mean packets per batch",
-                    device=name,
-                ).set(batch_stats.occupancy)
-                registry.gauge(
-                    "flexnet_batch_max_batch_size", device=name
-                ).set(batch_stats.max_batch_size)
+            export_device_counters(registry, name, self._devices[name])
         registry.counter(
             "flexnet_telemetry_digests_total",
             help="digest records ever ingested",

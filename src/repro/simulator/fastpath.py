@@ -17,26 +17,27 @@ preserving the interpreter's semantics *bit for bit*:
 * **header visibility, recirculation, digests, meters** — all modelled
   identically; the differential harness below enforces it.
 
-On top of compilation, a per-device **flow micro-cache**
-(:class:`FlowCache`) serves repeat packets of a flow without executing
-the program at all — but only for programs FlexCheck's cacheability
+On top of compilation, the per-device **flow memo**
+(:class:`FlowCache`) serves repeat packets of a flow — one at a time or
+a whole :class:`~repro.simulator.batch.PacketBatch` — without executing
+the program at all, but only for hosted slices FlexCheck's cacheability
 pass (:mod:`repro.analysis.cacheability`) proves stateless/read-only.
-Cached entries are validated against a token covering the program
-version, every applied table's mutation epoch, and every read map's
-mutation counter; any reconfiguration delta, rule insert/remove, meter
-attach/detach, or control-plane map write therefore invalidates the
-cache before a stale verdict can be served.
+Entries are validated against a token covering the program version,
+every applied table's mutation epoch, and every read map's mutation
+counter; any reconfiguration delta, rule insert/remove, meter
+attach/detach, or control-plane map write therefore flushes the memo
+before a stale verdict can be served.
 """
 
 from __future__ import annotations
 
 import copy
 import random
-from collections import OrderedDict
 from dataclasses import dataclass, field
 
 from repro.errors import SimulationError
 from repro.lang import ir
+from repro.limits import FLOW_MEMO_CAPACITY
 from repro.simulator.packet import Packet, Verdict, make_packet
 from repro.util import stable_hash
 
@@ -44,15 +45,10 @@ _MASK64 = (1 << 64) - 1
 _MASK128 = (1 << 128) - 1
 
 
-#: Sentinel distinguishing "table absent from the prematch dict" from a
-#: prematched miss whose table has no default action (a legitimate None).
-_NO_PREMATCH = object()
-
-
 class _Ctx:
     """Mutable per-packet execution context threaded through closures."""
 
-    __slots__ = ("packet", "fields", "meta", "scope", "visible", "now", "ops", "prematch")
+    __slots__ = ("packet", "fields", "meta", "scope", "visible", "now", "ops")
 
     def __init__(self) -> None:
         self.packet = None
@@ -62,10 +58,6 @@ class _Ctx:
         self.visible: set[str] = set()
         self.now = 0.0
         self.ops = 0
-        #: FlexBatch: resolved ``{table name: action call}`` for this
-        #: packet, pre-computed by a vectorized ``lookup_batch`` pass
-        #: (counters already applied there). None outside batched runs.
-        self.prematch = None
 
 
 def _touches_scope(node) -> bool:
@@ -598,21 +590,6 @@ class _Compiler:
             build_key = lambda ctx: tuple(fn(ctx) for fn in key_fns)  # noqa: E731
 
         def apply_table(ctx):
-            # FlexBatch prematch: a batched run may have resolved this
-            # table for the whole batch already (counters included), in
-            # which case the per-packet lookup is skipped entirely.
-            pre = ctx.prematch
-            if pre is not None:
-                action_call = pre.get(name, _NO_PREMATCH)
-                if action_call is not _NO_PREMATCH:
-                    if action_call is None:
-                        return
-                    param_names, body_fn, body_ops, needs_scope = actions[action_call.action]
-                    if needs_scope:
-                        ctx.scope = dict(zip(param_names, action_call.args))
-                    ctx.ops += body_ops
-                    body_fn(ctx)
-                    return
             # Inlined TableRules.lookup: the compiled key arity is
             # statically correct, so the per-call validation (and the
             # call frame) are skipped; semantics are otherwise identical.
@@ -710,16 +687,11 @@ class _Compiler:
 class CompiledProgram:
     """The FlexPath executable for one :class:`ProgramInstance`."""
 
-    __slots__ = ("version", "vet", "batch", "_parse", "_apply", "_apply_ops", "_ctx")
+    __slots__ = ("version", "_parse", "_apply", "_apply_ops", "_ctx")
 
     def __init__(self, instance):
         compiler = _Compiler(instance)
         self.version = instance.program.version
-        #: FlexVet classification of the hosted slice and the batch
-        #: admission verdict at compile time — the vectorized backend
-        #: and FlexScale partitioner read these off the artifact.
-        self.vet = instance.vet()
-        self.batch = batch_gate(instance)
         self._parse = compiler.parse()
         self._apply, self._apply_ops = compiler.steps(instance.program.apply)
         self._ctx = _Ctx()
@@ -734,7 +706,6 @@ class CompiledProgram:
         ctx.scope = {}
         ctx.now = now
         ctx.ops = 0
-        ctx.prematch = None
         parse = self._parse
         apply_fn = self._apply
         apply_ops = self._apply_ops
@@ -748,46 +719,6 @@ class CompiledProgram:
             parse(ctx)
             ctx.ops += apply_ops
             apply_fn(ctx)
-        if meta.get("drop_flag"):
-            packet.verdict = Verdict.DROP
-        return ExecutionResult(
-            ops=ctx.ops, version=self.version, recirculations=recirculations
-        )
-
-    def process_prematched(self, packet: Packet, now: float, prematch: dict):
-        """:meth:`process` with a FlexBatch prematch dict: tables the
-        batched backend already resolved (and counted) via
-        ``TableRules.lookup_batch`` skip their per-packet lookup. A
-        recirculation — only reachable here when the incoming packet
-        carries a pre-set ``_recirculate`` flag, since prematch is
-        disabled for programs that recirculate — drops the prematch for
-        the re-run, because field writes could change parse visibility
-        and therefore the keys the tables would observe."""
-        from repro.simulator.pipeline_exec import MAX_RECIRCULATIONS, ExecutionResult
-
-        ctx = self._ctx
-        ctx.packet = packet
-        ctx.fields = packet.fields
-        meta = ctx.meta = packet.meta
-        ctx.scope = {}
-        ctx.now = now
-        ctx.ops = 0
-        ctx.prematch = prematch
-        parse = self._parse
-        apply_fn = self._apply
-        apply_ops = self._apply_ops
-
-        parse(ctx)
-        ctx.ops += apply_ops
-        apply_fn(ctx)
-        recirculations = 0
-        while meta.pop("_recirculate", 0) and recirculations < MAX_RECIRCULATIONS:
-            recirculations += 1
-            ctx.prematch = None
-            parse(ctx)
-            ctx.ops += apply_ops
-            apply_fn(ctx)
-        ctx.prematch = None
         if meta.get("drop_flag"):
             packet.verdict = Verdict.DROP
         return ExecutionResult(
@@ -801,13 +732,17 @@ def compile_instance(instance) -> CompiledProgram:
 
 
 # ---------------------------------------------------------------------------
-# Flow micro-cache
+# Flow memo
 # ---------------------------------------------------------------------------
 
 
 @dataclass
 class _CachedOutcome:
-    """Replayable effect of one recorded run on one flow."""
+    """Replayable effect of one recorded run, pre-resolved for replay:
+    counter deltas are bound to their live ``hit_counts`` lists (valid
+    until the token moves, which flushes the memo), and one
+    ExecutionResult is shared by every replayed packet (results are
+    value-compared, never mutated)."""
 
     fields_post: dict
     fields_absent: tuple
@@ -815,44 +750,81 @@ class _CachedOutcome:
     meta_absent: tuple
     verdict: Verdict
     digests: tuple
-    ops: int
-    version: int
-    recirculations: int
-    #: per-table ((rule index, hit delta), ...) and miss-count delta, so
-    #: P4Runtime direct counters stay exact under cache hits.
-    counters: tuple
+    #: ((hit_counts, rule index, delta), ...) and ((rules, miss delta),
+    #: ...), so P4Runtime direct counters stay exact under memo hits.
+    hit_ops: tuple
+    miss_ops: tuple
+    result: object
+    #: no absent keys or digests: replay takes the shorter loop.
+    simple: bool = field(init=False)
 
-    def replay(self, packet: Packet, instance):
-        from repro.simulator.pipeline_exec import ExecutionResult
+    def __post_init__(self) -> None:
+        self.simple = not (self.fields_absent or self.meta_absent or self.digests)
 
-        fields = packet.fields
-        for key, value in self.fields_post.items():
-            fields[key] = value
-        for key in self.fields_absent:
-            fields.pop(key, None)
-        meta = packet.meta
-        for key, value in self.meta_post.items():
-            meta[key] = value
-        for key in self.meta_absent:
-            meta.pop(key, None)
-        packet.verdict = self.verdict
-        if self.digests:
-            packet.digests.extend(self.digests)
-        rules_by_name = instance.rules
-        for table_name, hit_deltas, miss_delta in self.counters:
-            rules = rules_by_name.get(table_name)
-            if rules is None:
-                continue
-            for position, delta in hit_deltas:
-                rules.hit_counts[position] += delta
-            rules.miss_count += miss_delta
-        return ExecutionResult(
-            ops=self.ops, version=self.version, recirculations=self.recirculations
-        )
+    def replay(self, packets) -> None:
+        """Scatter the outcome over ``packets`` (flow-mates of the
+        recorded one), applying the counter deltas once with the
+        group's multiplicity."""
+        fields_post = self.fields_post
+        meta_post = self.meta_post
+        verdict = self.verdict
+        if self.simple:
+            for packet in packets:
+                packet.fields.update(fields_post)
+                packet.meta.update(meta_post)
+                packet.verdict = verdict
+        else:
+            fields_absent = self.fields_absent
+            meta_absent = self.meta_absent
+            digests = self.digests
+            for packet in packets:
+                fields = packet.fields
+                fields.update(fields_post)
+                for absent in fields_absent:
+                    fields.pop(absent, None)
+                meta = packet.meta
+                meta.update(meta_post)
+                for absent in meta_absent:
+                    meta.pop(absent, None)
+                packet.verdict = verdict
+                if digests:
+                    packet.digests.extend(digests)
+        count = len(packets)
+        for hit_counts, position, delta in self.hit_ops:
+            hit_counts[position] += delta * count
+        for rules, delta in self.miss_ops:
+            rules.miss_count += delta * count
+
+
+def _compile_obs_key(decision):
+    """Codegen the per-packet observation-key function (the FlexPath
+    trick applied to key extraction: one specialized function instead
+    of a generic loop over key descriptors).
+
+    The key is ``(tuple(packet.fields), observed field values…, meta
+    values…)``. The leading ordered field-key tuple determines the set
+    of present fields — and with it every header-presence bit the
+    parser observes — so packets sharing a key are indistinguishable to
+    the hosted slice and the memoized outcome replays bit-exactly.
+    """
+    lines = ["def obs_key(p):", "    f = p.fields", "    g = f.get"]
+    if decision.key_meta:
+        lines.append("    m = p.meta.get")
+    parts = ["tuple(f)"]
+    namespace: dict = {}
+    for index, key in enumerate(decision.key_fields):
+        namespace[f"F{index}"] = key
+        parts.append(f"g(F{index}, 0)")
+    for index, key in enumerate(decision.key_meta):
+        namespace[f"M{index}"] = key
+        parts.append(f"m(M{index}, 0)")
+    lines.append("    return (" + ", ".join(parts) + ")")
+    exec("\n".join(lines), namespace)  # noqa: S102 - static codegen, no packet data
+    return namespace["obs_key"]
 
 
 class _CacheBinding:
-    """Per-instance cache plumbing: the static cacheability decision,
+    """Per-instance memo plumbing: the static cacheability decision,
     key extraction, validity token, and outcome capture."""
 
     def __init__(self, instance):
@@ -861,14 +833,14 @@ class _CacheBinding:
         self.instance = instance
         self.decision = decide(instance.program, instance.hosted_elements)
         self.cacheable = self.decision.cacheable
+        self.key = _compile_obs_key(self.decision) if self.cacheable else None
         self._field_keys = self.decision.key_fields
         self._meta_keys = self.decision.key_meta
-        self._headers = self.decision.headers
         self._tables = self.decision.applied_tables
         self._maps = self.decision.read_maps
 
     def token(self):
-        """Current validity token, or None when the cache must be
+        """Current validity token, or None when the memo must be
         bypassed entirely (a meter makes outcomes stateful)."""
         instance = self.instance
         rules_by_name = instance.rules
@@ -888,41 +860,29 @@ class _CacheBinding:
                 map_counts.append(state.mutation_count)
         return (instance.version, tuple(table_epochs), tuple(map_counts))
 
-    def key(self, packet: Packet):
-        fields = packet.fields
-        meta = packet.meta
-        present = {key[0] for key in fields}
-        return (
-            tuple(fields.get(key, 0) for key in self._field_keys),
-            tuple(meta.get(key, 0) for key in self._meta_keys),
-            tuple(header in present for header in self._headers),
-        )
-
-    def record(self, packet: Packet, now: float):
+    def record(self, packet: Packet, now: float) -> _CachedOutcome:
         """Run the packet through the real path, capturing a replayable
         outcome for subsequent flow-mates."""
         instance = self.instance
         rules_by_name = instance.rules
-        before = {
-            name: (list(rules_by_name[name].hit_counts), rules_by_name[name].miss_count)
-            for name in self._tables
-            if name in rules_by_name
-        }
+        before = [
+            (rules, list(rules.hit_counts), rules.miss_count)
+            for rules in map(rules_by_name.get, self._tables)
+            if rules is not None
+        ]
         digests_before = len(packet.digests)
 
         result = instance.process(packet, now)
 
-        counters = []
-        for name, (hits_before, miss_before) in before.items():
-            rules = rules_by_name[name]
-            hit_deltas = tuple(
-                (position, after - hits_before[position])
-                for position, after in enumerate(rules.hit_counts)
-                if after != hits_before[position]
-            )
-            miss_delta = rules.miss_count - miss_before
-            if hit_deltas or miss_delta:
-                counters.append((name, hit_deltas, miss_delta))
+        hit_ops = []
+        miss_ops = []
+        for rules, hits_before, miss_before in before:
+            hit_counts = rules.hit_counts
+            for position, after in enumerate(hit_counts):
+                if after != hits_before[position]:
+                    hit_ops.append((hit_counts, position, after - hits_before[position]))
+            if rules.miss_count != miss_before:
+                miss_ops.append((rules, rules.miss_count - miss_before))
 
         fields = packet.fields
         fields_post = {}
@@ -940,19 +900,17 @@ class _CacheBinding:
                 meta_post[key] = meta[key]
             else:
                 meta_absent.append(key)
-        outcome = _CachedOutcome(
+        return _CachedOutcome(
             fields_post=fields_post,
             fields_absent=tuple(fields_absent),
             meta_post=meta_post,
             meta_absent=tuple(meta_absent),
             verdict=packet.verdict,
             digests=tuple(packet.digests[digests_before:]),
-            ops=result.ops,
-            version=result.version,
-            recirculations=result.recirculations,
-            counters=tuple(counters),
+            hit_ops=tuple(hit_ops),
+            miss_ops=tuple(miss_ops),
+            result=result,
         )
-        return outcome, result
 
 
 @dataclass
@@ -992,21 +950,25 @@ class FlowCacheStats:
 
 
 class FlowCache:
-    """A per-device flow micro-cache over cacheable program versions.
+    """The per-device flow memo over cacheable program versions.
 
     Entries are keyed by the packet values the program can observe (per
     the cacheability decision) and validated against an epoch token; a
     token change drops every entry at once, so no reconfiguration can
-    leave a stale verdict behind.
+    leave a stale verdict behind. Eviction is FIFO. :meth:`process`
+    serves one packet, :meth:`process_batch` a whole
+    :class:`~repro.simulator.batch.PacketBatch`; both share the store,
+    the key function and the replay.
     """
 
-    def __init__(self, capacity: int = 4096):
+    def __init__(self, capacity: int = FLOW_MEMO_CAPACITY):
         if capacity <= 0:
             raise SimulationError("flow cache capacity must be positive")
         self.capacity = capacity
         self.stats = FlowCacheStats()
-        self._entries: OrderedDict = OrderedDict()
+        self._entries: dict = {}
         self._token = None
+        self._binding = None
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -1015,25 +977,20 @@ class FlowCache:
         self._entries.clear()
         self._token = None
 
-    @staticmethod
-    def _binding(instance) -> _CacheBinding:
-        binding = getattr(instance, "_flow_cache_binding", None)
-        if binding is None:
-            binding = _CacheBinding(instance)
-            instance._flow_cache_binding = binding  # noqa: SLF001
-        return binding
-
-    def process(self, instance, packet: Packet, now: float):
-        """Serve ``packet`` from the cache if possible; returns the
-        :class:`ExecutionResult`, or None when the caller must run the
-        normal path itself (uncacheable program)."""
-        binding = self._binding(instance)
+    def _admit(self, instance):
+        """The binding for ``instance`` once its slice is cacheable and
+        its token is live (entries validated against it); None when the
+        caller must run the normal path."""
+        binding = self._binding
+        if binding is None or binding.instance is not instance:
+            # Entries hold counter references into the previous
+            # instance's tables, so a new instance starts cold.
+            binding = self._binding = _CacheBinding(instance)
+            self.clear()
         if not binding.cacheable:
-            self.stats.bypasses += 1
             return None
         token = binding.token()
         if token is None:
-            self.stats.bypasses += 1
             return None
         if token != self._token:
             if self._token is not None and self._entries:
@@ -1041,68 +998,69 @@ class FlowCache:
                 self.stats.entries_dropped += len(self._entries)
             self._entries.clear()
             self._token = token
+        return binding
+
+    def _record(self, binding, key, packet: Packet, now: float) -> _CachedOutcome:
+        self.stats.misses += 1
+        entry = binding.record(packet, now)
+        entries = self._entries
+        if len(entries) >= self.capacity:
+            del entries[next(iter(entries))]
+        entries[key] = entry
+        return entry
+
+    def process(self, instance, packet: Packet, now: float):
+        """Serve ``packet`` from the memo if possible; returns the
+        :class:`ExecutionResult`, or None when the caller must run the
+        normal path itself (uncacheable slice, or a meter attached)."""
+        binding = self._admit(instance)
+        if binding is None:
+            self.stats.bypasses += 1
+            return None
         key = binding.key(packet)
         entry = self._entries.get(key)
-        if entry is not None:
-            self.stats.hits += 1
-            self._entries.move_to_end(key)
-            return entry.replay(packet, instance)
-        self.stats.misses += 1
-        outcome, result = binding.record(packet, now)
-        if len(self._entries) >= self.capacity:
-            self._entries.popitem(last=False)
-        self._entries[key] = outcome
-        return result
+        if entry is None:
+            return self._record(binding, key, packet, now).result
+        self.stats.hits += 1
+        entry.replay((packet,))
+        return entry.result
 
-
-# ---------------------------------------------------------------------------
-# Batch admission (FlexVet gate for the future vectorized backend)
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class BatchAdmission:
-    """Whether one instance may execute packets in reordered batches.
-
-    The static half is FlexVet's ``batch_safe`` verdict (every
-    data-plane map per-flow with a common partition field). The live
-    half re-checks runtime attachments the IR cannot see: a meter on
-    any hosted table makes outcomes depend on aggregate arrival order,
-    which batching would reorder — the same disqualifier that makes
-    :class:`FlowCache` bypass metered programs.
-    """
-
-    admitted: bool
-    #: fields a batched backend may partition/group by (empty for a
-    #: stateless program — any grouping works).
-    flow_key: tuple[str, ...]
-    reasons: tuple[str, ...]
-
-    def to_dict(self) -> dict:
-        return {
-            "admitted": self.admitted,
-            "flow_key": list(self.flow_key),
-            "reasons": list(self.reasons),
-        }
-
-
-def batch_gate(instance) -> BatchAdmission:
-    """Admission decision for batched execution of ``instance``."""
-    report = instance.vet()
-    reasons = list(report.batch_reasons)
-    hosted_tables = {e.name for e in report.elements if e.kind == "table"}
-    for name in sorted(hosted_tables):
-        rules = instance.rules.get(name)
-        if rules is not None and rules.meter is not None:
-            reasons.append(
-                f"table {name!r} carries a meter (rate state observes "
-                f"aggregate arrival order)"
-            )
-    return BatchAdmission(
-        admitted=not reasons,
-        flow_key=report.flow_key if not reasons else (),
-        reasons=tuple(reasons),
-    )
+    def process_batch(self, instance, batch) -> list:
+        """Run one batch; returns per-packet ExecutionResults aligned
+        with ``batch.packets``. Packets are grouped by observation key,
+        one representative per unseen key executes while its outcome is
+        recorded, and the rest receive the replay with the group's
+        multiplicity — sound because an admitted slice is stateless, so
+        outcomes are a pure function of the key and any cross-group
+        execution order is bit-exact. A bypassed batch runs packet by
+        packet through the normal path."""
+        packets = batch.packets
+        times = batch.times
+        binding = self._admit(instance)
+        if binding is None:
+            self.stats.bypasses += len(packets)
+            process = instance.process
+            return [process(packet, times[i]) for i, packet in enumerate(packets)]
+        entries = self._entries
+        results: list = []
+        groups: dict = {}
+        for i, key in enumerate(map(binding.key, packets)):
+            group = groups.get(key)
+            if group is None:
+                entry = entries.get(key)
+                if entry is None:
+                    entry = self._record(binding, key, packets[i], times[i])
+                    groups[key] = group = (entry, [])
+                else:
+                    groups[key] = group = (entry, [packets[i]])
+            else:
+                group[1].append(packets[i])
+            results.append(group[0].result)
+        for entry, mates in groups.values():
+            if mates:
+                self.stats.hits += len(mates)
+                entry.replay(mates)
+        return results
 
 
 # ---------------------------------------------------------------------------
@@ -1134,6 +1092,56 @@ class DifferentialReport:
     @property
     def ok(self) -> bool:
         return not self.divergences
+
+    def compare_packet(self, index: int, left, right, ref_result, result) -> None:
+        """Record every observable difference between one packet's
+        reference run (``left``) and its run under test (``right``)."""
+        self.packets += 1
+        checks = (
+            ("verdict", left.verdict, right.verdict),
+            ("fields", left.fields, right.fields),
+            ("meta", left.meta, right.meta),
+            ("digests", left.digests, right.digests),
+            ("ops", ref_result.ops, result.ops),
+            ("recirculations", ref_result.recirculations, result.recirculations),
+            ("version", ref_result.version, result.version),
+        )
+        for kind, expected, actual in checks:
+            if expected != actual:
+                self.divergences.append(
+                    Divergence(index, kind, copy.deepcopy(expected), copy.deepcopy(actual))
+                )
+
+    def compare_end_state(self, reference, other) -> None:
+        """Record end-of-run differences in map state and table
+        counters between two instances."""
+        for map_name in reference.maps.names():
+            ref_state = dict(reference.maps.state(map_name).items())
+            other_state = dict(other.maps.state(map_name).items())
+            if ref_state != other_state:
+                self.divergences.append(
+                    Divergence(-1, f"map:{map_name}", ref_state, other_state)
+                )
+        for table_name, ref_rules in reference.rules.items():
+            other_rules = other.rules[table_name]
+            if ref_rules.hit_counts != other_rules.hit_counts:
+                self.divergences.append(
+                    Divergence(
+                        -1,
+                        f"hit_counts:{table_name}",
+                        list(ref_rules.hit_counts),
+                        list(other_rules.hit_counts),
+                    )
+                )
+            if ref_rules.miss_count != other_rules.miss_count:
+                self.divergences.append(
+                    Divergence(
+                        -1,
+                        f"miss_count:{table_name}",
+                        ref_rules.miss_count,
+                        other_rules.miss_count,
+                    )
+                )
 
 
 def seeded_corpus(count: int, seed: int = 2024) -> list[Packet]:
@@ -1226,8 +1234,7 @@ def differential_check(
     from repro.simulator.pipeline_exec import ProgramInstance
 
     reference = ProgramInstance(program, hosted_elements)
-    fast = ProgramInstance(program, hosted_elements)
-    fast.enable_fastpath()
+    fast = ProgramInstance(program, hosted_elements, fastpath=True)
     if setup is not None:
         setup(reference)
         setup(fast)
@@ -1241,44 +1248,6 @@ def differential_check(
         now = index * now_step
         ref_result = reference.process(left, now)
         fast_result = fast.process(right, now)
-        report.packets += 1
-        checks = (
-            ("verdict", left.verdict, right.verdict),
-            ("fields", left.fields, right.fields),
-            ("meta", left.meta, right.meta),
-            ("digests", left.digests, right.digests),
-            ("ops", ref_result.ops, fast_result.ops),
-            ("recirculations", ref_result.recirculations, fast_result.recirculations),
-            ("version", ref_result.version, fast_result.version),
-        )
-        for kind, expected, actual in checks:
-            if expected != actual:
-                report.divergences.append(
-                    Divergence(index, kind, copy.deepcopy(expected), copy.deepcopy(actual))
-                )
-
-    for map_name in reference.maps.names():
-        ref_state = dict(reference.maps.state(map_name).items())
-        fast_state = dict(fast.maps.state(map_name).items())
-        if ref_state != fast_state:
-            report.divergences.append(
-                Divergence(-1, f"map:{map_name}", ref_state, fast_state)
-            )
-    for table_name, ref_rules in reference.rules.items():
-        fast_rules = fast.rules[table_name]
-        if ref_rules.hit_counts != fast_rules.hit_counts:
-            report.divergences.append(
-                Divergence(
-                    -1,
-                    f"hit_counts:{table_name}",
-                    list(ref_rules.hit_counts),
-                    list(fast_rules.hit_counts),
-                )
-            )
-        if ref_rules.miss_count != fast_rules.miss_count:
-            report.divergences.append(
-                Divergence(
-                    -1, f"miss_count:{table_name}", ref_rules.miss_count, fast_rules.miss_count
-                )
-            )
+        report.compare_packet(index, left, right, ref_result, fast_result)
+    report.compare_end_state(reference, fast)
     return report

@@ -42,7 +42,12 @@ class ExecutionResult:
 class ProgramInstance:
     """One program version's runtime state on one device."""
 
-    def __init__(self, program: ir.Program, hosted_elements: set[str] | None = None):
+    def __init__(
+        self,
+        program: ir.Program,
+        hosted_elements: set[str] | None = None,
+        fastpath: bool = False,
+    ):
         self.program = program
         #: None hosts the whole program; otherwise only these elements
         #: execute here (the rest run on other devices of the slice).
@@ -51,17 +56,12 @@ class ProgramInstance:
             table.name: TableRules(table) for table in program.tables
         }
         self.maps = MapSet(program.maps)
-        #: FlexPath: when enabled, packets execute through the compiled
+        #: FlexPath: when set, packets execute through the compiled
         #: closure tree instead of the tree-walking interpreter. The
         #: compiled artifact is built lazily on the first packet (after
         #: any state sharing/adoption has re-bound rules and maps).
-        self.fastpath_enabled = False
+        self.fastpath_enabled = fastpath
         self._compiled = None
-        #: FlexBatch: when enabled, :meth:`process_batch` routes through
-        #: the batched backend (which itself falls back per packet when
-        #: the FlexVet gate refuses admission). Implies FlexPath.
-        self.batching_enabled = False
-        self._batch_executor = None
         #: FlexVet: lazily computed parallelism classification of the
         #: hosted slice (see :meth:`vet`).
         self._vet = None
@@ -72,9 +72,8 @@ class ProgramInstance:
 
     def vet(self):
         """The FlexVet :class:`~repro.analysis.vet.VetReport` for the
-        slice this instance hosts — the static parallelism contract a
-        batched backend or FlexScale partitioner consults at install
-        time. Computed once per instance (the program is immutable)."""
+        slice this instance hosts — the static parallelism contract the
+        FlexScale partitioner consults at install time. Computed once per instance (the program is immutable)."""
         if self._vet is None:
             from repro.analysis.vet import vet
 
@@ -98,49 +97,6 @@ class ProgramInstance:
             self.rules[name].adopt_from(old_rules)
 
     # -- execution ------------------------------------------------------------
-
-    def enable_fastpath(self, enabled: bool = True) -> None:
-        """Toggle FlexPath compiled execution for this instance."""
-        self.fastpath_enabled = enabled
-        if not enabled:
-            self._compiled = None
-
-    def enable_batching(self, enabled: bool = True) -> None:
-        """Toggle FlexBatch batched execution for this instance.
-
-        Batching rides on the compiled fast path, so enabling it also
-        enables FlexPath; disabling it leaves FlexPath as-is."""
-        self.batching_enabled = enabled
-        if enabled:
-            self.fastpath_enabled = True
-        else:
-            self._batch_executor = None
-
-    def batch_executor(self):
-        """The lazily built FlexBatch executor for this instance (built
-        on first use, after state sharing/adoption, like the compile)."""
-        if self._batch_executor is None:
-            from repro.simulator.batch import BatchExecutor
-
-            self._batch_executor = BatchExecutor(self)
-        return self._batch_executor
-
-    def process_batch(self, batch, now: float = 0.0) -> list[ExecutionResult]:
-        """Execute a batch of packets; accepts a
-        :class:`~repro.simulator.batch.PacketBatch` or a plain packet
-        list (wrapped with a uniform ``now``). Falls back to per-packet
-        processing when batching is disabled, so callers need not
-        branch."""
-        from repro.simulator.batch import PacketBatch
-
-        if not isinstance(batch, PacketBatch):
-            batch = PacketBatch(batch, now=now)
-        if not self.batching_enabled:
-            return [
-                self.process(packet, batch.times[index])
-                for index, packet in enumerate(batch.packets)
-            ]
-        return self.batch_executor().execute(batch)
 
     def process(self, packet: Packet, now: float = 0.0, trace=None) -> ExecutionResult:
         # FlexScope: a sampled packet (``trace`` is a PacketTrace) always

@@ -311,59 +311,6 @@ class TableRules:
         self.miss_count += 1
         return self.definition.default_action
 
-    def lookup_batch(self, key_batch) -> list[ActionCall | None]:
-        """Batched lookup (FlexBatch): resolve many key tuples at once.
-
-        Semantically identical to calling :meth:`lookup` once per key —
-        same resolved actions (default action on miss) and the same
-        hit/miss counter totals — but resolved per *unique* key: an
-        exact-index gather serves all-exact tables, and only residual
-        unique keys (tables without an exact index) take the
-        rank-ordered predicate scan. Counters are bumped once per
-        unique key with that key's multiplicity, which is exact because
-        counter increments commute.
-        """
-        if not key_batch:
-            return []
-        width = len(self.definition.keys)
-        multiplicity: dict[tuple[int, ...], int] = {}
-        for key_values in key_batch:
-            if len(key_values) != width:
-                raise TableError(
-                    f"table {self.definition.name!r} has {width} keys; "
-                    f"lookup provides {len(key_values)} values"
-                )
-            multiplicity[key_values] = multiplicity.get(key_values, 0) + 1
-        default = self.definition.default_action
-        resolved: dict[tuple[int, ...], ActionCall | None] = {}
-        if self._all_exact:
-            index = self._exact_index
-            if index is None:
-                index = self._build_exact_index()
-            for key_values, count in multiplicity.items():
-                hit = index.get(key_values)
-                if hit is not None:
-                    action, position = hit
-                    self.hit_counts[position] += count
-                    resolved[key_values] = action
-                else:
-                    self.miss_count += count
-                    resolved[key_values] = default
-        else:
-            ordered = self._ordered
-            if ordered is None:
-                ordered = self._build_ordered()
-            for key_values, count in multiplicity.items():
-                for predicate, action, position in ordered:
-                    if predicate(key_values):
-                        self.hit_counts[position] += count
-                        resolved[key_values] = action
-                        break
-                else:
-                    self.miss_count += count
-                    resolved[key_values] = default
-        return [resolved[key_values] for key_values in key_batch]
-
 
 def exact(value: int) -> ExactMatch:
     return ExactMatch(value=value)

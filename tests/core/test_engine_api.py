@@ -1,143 +1,153 @@
-"""The unified execution-engine verb: ``net.engine(...)`` is the one
-way to configure FlexPath/FlexBatch/flow-cache fleet-wide, the old
-toggles survive only as DeprecationWarning shims, and no in-repo caller
-uses them anymore (grep guard)."""
+"""The one execution-engine verb: ``net.engine(fastpath=, batch=)`` sets
+an immutable ``EngineConfig`` that the controller holds and every
+current and future device runs under."""
 
-import re
-import warnings
-from pathlib import Path
+import inspect
+import json
 
 import pytest
 
 from repro.apps import base_infrastructure
-from repro.core.flexnet import EngineStatus, FlexNet
+from repro.apps.base import standard_builder
+from repro.core.flexnet import FlexNet
+from repro.runtime.device import EngineConfig
+from repro.simulator.packet import reset_packet_ids
 
-REPO_ROOT = Path(__file__).resolve().parents[2]
 
-
-def make_net():
+def make_net(program=None):
     net = FlexNet.standard()
-    net.install(base_infrastructure())
+    net.install(program or base_infrastructure())
     return net
 
 
-class TestEngineVerb:
-    def test_bare_call_is_a_pure_status_read(self):
-        net = make_net()
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            status = net.engine()
-        assert isinstance(status, EngineStatus)
-        assert status.devices > 0
-        assert not status.fastpath and not status.batch
-        # Reading did not configure anything.
-        assert net.engine().to_dict() == status.to_dict()
-
-    def test_fastpath_on_then_off(self):
-        net = make_net()
-        on = net.engine(fastpath=True)
-        assert on.fastpath and on.fastpath_devices == on.devices
-        assert on.flow_cache_devices == on.devices
-        assert on.cache_capacity == 4096
-        off = net.engine(fastpath=False)
-        assert not off.fastpath and off.fastpath_devices == 0
-        assert off.flow_cache_devices == 0 and off.cache_capacity == 0
-
-    def test_batch_implies_fastpath(self):
-        net = make_net()
-        status = net.engine(batch=True)
-        assert status.batch and status.fastpath
-
-    def test_fastpath_off_drags_batching_down(self):
-        net = make_net()
-        net.engine(batch=True)
-        status = net.engine(fastpath=False)
-        assert not status.batch and status.batch_devices == 0
-
-    def test_flow_cache_tuning(self):
-        net = make_net()
-        sized = net.engine(fastpath=True, cache_capacity=512)
-        assert sized.cache_capacity == 512
-        bare = net.engine(fastpath=True, flow_cache=False)
-        assert bare.fastpath and bare.flow_cache_devices == 0
-
-    def test_engine_config_survives_traffic(self):
-        net = make_net()
-        net.engine(batch=True)
-        report = net.run_traffic(rate_pps=500, duration_s=0.2, extra_time_s=1.0)
-        assert report.metrics.delivered > 0
-        assert net.engine().batch
+def stateless_program():
+    """L2/L3/ACL/TTL forwarding with no map: memo-admitted whole."""
+    return standard_builder("forward").build()
 
 
-class TestEngineStatusReportable:
-    def test_summary_full_fleet(self):
-        status = EngineStatus(
-            devices=3,
-            fastpath_devices=3,
-            batch_devices=0,
-            flow_cache_devices=3,
-            cache_capacity=4096,
-        )
-        assert status.summary() == (
-            "engine [3 device(s)]: fastpath on, batch off, flow-cache on cap=4096"
-        )
+class TestEngineConfig:
+    def test_default_is_the_interpreter(self):
+        config = EngineConfig()
+        assert not config.fastpath and not config.memo
+        assert config.summary() == "engine: interpreter"
 
-    def test_summary_partial_fleet_shows_counts(self):
-        status = EngineStatus(devices=2, fastpath_devices=1, flow_cache_devices=1,
-                              cache_capacity=4096)
-        assert not status.fastpath  # partial is not "on"
-        assert "fastpath on (1/2 device(s))" in status.summary()
+    def test_memo_implies_fastpath(self):
+        config = EngineConfig(memo=True)
+        assert config.fastpath and config.memo
+        assert config.summary() == "engine: compiled + flow memo"
+        assert EngineConfig(fastpath=True).summary() == "engine: compiled"
+
+    def test_is_immutable(self):
+        with pytest.raises(AttributeError):
+            EngineConfig().fastpath = True
 
     def test_to_dict_shape(self):
-        data = EngineStatus(devices=1, fastpath_devices=1).to_dict()
-        assert data == {
-            "devices": 1,
-            "fastpath": True,
-            "batch": False,
-            "fastpath_devices": 1,
-            "batch_devices": 0,
-            "flow_cache_devices": 0,
-            "cache_capacity": 0,
-        }
+        assert EngineConfig(fastpath=True).to_dict() == {"fastpath": True, "batch": False}
+        assert EngineConfig(memo=True).to_dict() == {"fastpath": True, "batch": True}
 
 
-class TestDeprecationShims:
-    def test_enable_fastpath_warns_and_delegates(self):
-        net = make_net()
-        with pytest.warns(DeprecationWarning, match="engine\\(fastpath=True"):
-            net.enable_fastpath(cache_capacity=256)
-        status = net.engine()
-        assert status.fastpath and status.cache_capacity == 256
-
-    def test_enable_batching_warns_and_delegates(self):
-        net = make_net()
-        with pytest.warns(DeprecationWarning, match="engine\\(batch=True"):
-            net.enable_batching()
-        assert net.engine().batch
-
-    def test_scale_batch_kwarg_warns(self):
-        net = make_net()
-        with pytest.warns(DeprecationWarning, match="scale\\(batch=True\\) is deprecated"):
-            net.scale(shards=2, backend="inline", rate_pps=200, duration_s=0.2, batch=True)
-        assert net.engine().batch
-
-    def test_no_in_repo_caller_uses_the_deprecated_verbs(self):
-        """Everything shipped calls ``engine(...)``; the old spellings
-        survive only in their definitions, their migration docs, and the
-        shim tests above."""
-        pattern = re.compile(
-            r"(net|flexnet|ref_net)\.enable_(fastpath|batching)\(|\.scale\([^)]*batch=True"
+class TestEngineVerb:
+    def test_takes_exactly_fastpath_and_batch(self):
+        parameters = inspect.signature(FlexNet.engine).parameters
+        assert list(parameters) == ["self", "fastpath", "batch"]
+        assert all(
+            parameters[name].kind is inspect.Parameter.KEYWORD_ONLY
+            for name in ("fastpath", "batch")
         )
-        allowed = {
-            REPO_ROOT / "src" / "repro" / "core" / "flexnet.py",
-            REPO_ROOT / "tests" / "core" / "test_engine_api.py",
-        }
-        offenders = []
-        for root in ("src", "examples", "benchmarks", "tests"):
-            for path in sorted((REPO_ROOT / root).rglob("*.py")):
-                if path in allowed:
-                    continue
-                for number, line in enumerate(path.read_text().splitlines(), 1):
-                    if pattern.search(line):
-                        offenders.append(f"{path.relative_to(REPO_ROOT)}:{number}")
-        assert not offenders, offenders
+
+    def test_bare_call_is_a_pure_read(self):
+        net = make_net()
+        config = net.engine()
+        assert config == EngineConfig()
+        assert net.engine() is config
+        for device in net.controller.devices.values():
+            assert device.flow_cache is None
+
+    def test_fastpath_and_batch_both_mean_compiled_plus_memo(self):
+        assert make_net().engine(fastpath=True) == EngineConfig(memo=True)
+        assert make_net().engine(batch=True) == EngineConfig(memo=True)
+
+    def test_compiled_only(self):
+        net = make_net()
+        assert net.engine(fastpath=True, batch=False) == EngineConfig(fastpath=True)
+        for device in net.controller.devices.values():
+            assert device.active_instance.fastpath_enabled
+            assert device.flow_cache is None
+
+    def test_batch_off_leaves_fastpath_as_is(self):
+        net = make_net()
+        net.engine(batch=True)
+        assert net.engine(batch=False) == EngineConfig(fastpath=True)
+        assert make_net().engine(batch=False) == EngineConfig()
+
+    def test_fastpath_off_drags_the_memo_down(self):
+        net = make_net()
+        net.engine(batch=True)
+        assert net.engine(fastpath=False) == EngineConfig()
+        for device in net.controller.devices.values():
+            assert not device.active_instance.fastpath_enabled
+            assert device.flow_cache is None
+
+    def test_config_reaches_every_device_and_survives_traffic(self):
+        net = make_net()
+        config = net.engine(batch=True)
+        for device in net.controller.devices.values():
+            assert device.engine is config
+            assert device.active_instance.fastpath_enabled
+            assert device.flow_cache is not None
+        report = net.run_traffic(rate_pps=500, duration_s=0.2, extra_time_s=1.0)
+        assert report.metrics.delivered > 0
+        assert net.engine() is config
+
+    def test_device_added_after_engine_inherits_the_config(self):
+        """Regression: a device added after ``engine(...)`` used to run
+        the interpreter silently (the partial-fleet state)."""
+        net = FlexNet()
+        net.add_host("h1")
+        net.add_smartnic("nic1")
+        net.engine(fastpath=True)
+        net.add_switch("sw1")
+        net.add_smartnic("nic2")
+        net.add_host("h2")
+        for a, b in [("h1", "nic1"), ("nic1", "sw1"), ("sw1", "nic2"), ("nic2", "h2")]:
+            net.connect(a, b, 2e-6)
+        net.build_datapath("h1", "h2")
+        net.install(base_infrastructure())
+        late = net.device("sw1")
+        assert late.active_instance.fastpath_enabled
+        assert late.flow_cache is not None
+        assert late.engine == net.engine()
+
+
+class TestMemoSpellingsAgree:
+    def test_fastpath_and_batch_runs_are_identical(self):
+        """``engine(fastpath=True)`` and ``engine(batch=True)`` are one
+        state: identical reports *and* identical memo counters."""
+
+        def arm(**engine):
+            reset_packet_ids()
+            net = make_net(stateless_program())
+            net.engine(**engine)
+            report = net.run_traffic(rate_pps=2000, duration_s=0.2, extra_time_s=1.0)
+            stats = {
+                name: device.flow_cache.stats.to_dict()
+                for name, device in sorted(net.controller.devices.items())
+            }
+            return json.dumps(report.to_dict(), sort_keys=True), stats
+
+        fast_report, fast_stats = arm(fastpath=True)
+        batch_report, batch_stats = arm(batch=True)
+        assert fast_report == batch_report
+        assert fast_stats == batch_stats
+        assert sum(stats["hits"] for stats in fast_stats.values()) > 0
+
+    def test_memo_matches_the_interpreter(self):
+        def arm(**engine):
+            reset_packet_ids()
+            net = make_net(stateless_program())
+            if engine:
+                net.engine(**engine)
+            report = net.run_traffic(rate_pps=2000, duration_s=0.2, extra_time_s=1.0)
+            return json.dumps(report.to_dict(), sort_keys=True)
+
+        assert arm() == arm(fastpath=True, batch=False) == arm(batch=True)

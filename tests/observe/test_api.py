@@ -1,5 +1,5 @@
 """The FlexScope-era FlexNet facade: outcome objects, keyword-only
-consistency, and the TrafficReport.digests deprecation."""
+consistency, and the Reportable traffic report."""
 
 from __future__ import annotations
 
@@ -60,14 +60,6 @@ class TestUpdateOutcome:
 
 
 class TestTrafficReportTelemetry:
-    def test_digests_property_is_deprecated_alias(self):
-        net = FlexNet.standard()
-        net.install(base_infrastructure())
-        report = net.run_traffic(rate_pps=100.0, duration_s=0.2)
-        with pytest.deprecated_call():
-            legacy = report.digests
-        assert legacy == report.telemetry.total_digests
-
     def test_report_is_reportable(self):
         net = FlexNet.standard()
         net.install(base_infrastructure())

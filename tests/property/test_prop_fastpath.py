@@ -31,8 +31,7 @@ PROGRAM, _ = apply_delta(base_infrastructure(), firewall_delta())
 
 def executors():
     interp = ProgramInstance(PROGRAM)
-    compiled = ProgramInstance(PROGRAM)
-    compiled.enable_fastpath()
+    compiled = ProgramInstance(PROGRAM, fastpath=True)
     for instance in (interp, compiled):
         instance.rules["l3"].insert(
             Rule(matches=(lpm(0x0A000000, 8),), action=ActionCall("dec_ttl", ()))

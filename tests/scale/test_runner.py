@@ -79,9 +79,9 @@ class TestDifferentialIdentity:
 
 
 class TestBatchedSharding:
-    """FlexBatch under FlexScale: batching amortizes within a protocol
-    window, never across one, so a batched sharded run stays
-    byte-identical to a batched unsharded reference."""
+    """The flow memo under FlexScale: memo replay is exact at any
+    boundary, so a sharded run with the memo on stays byte-identical to
+    the unsharded reference under the same engine."""
 
     def test_batched_two_shards_byte_identical(self):
         net, workload = _arm()
@@ -104,15 +104,15 @@ class TestBatchedSharding:
         )
         assert _canon(report.traffic_dict()) == expected
 
-    def test_batch_metrics_exported_when_batching(self):
+    def test_memo_metrics_exported_by_shards(self):
         net, workload = _arm()
         net.engine(batch=True)
         report = run_sharded(
             net, workload, 2, backend="inline", seed=11, drain_s=DRAIN_S
         )
         text = report.registry.to_prometheus()
-        assert "flexnet_batch_packets_total" in text
-        assert "flexnet_batch_batches_total" in text
+        assert "flexnet_flowcache_hits_total" in text
+        assert "flexnet_flowcache_bypasses_total" in text
 
 
 class TestDeterminism:

@@ -1,34 +1,22 @@
 """FlexPath tests: compiled execution is byte-identical to the
-interpreter, and the flow micro-cache never serves a stale verdict."""
+interpreter, and the cacheability analysis admits the right slices (the
+flow memo itself is covered in ``test_flow_cache.py``)."""
 
 import copy
 
 import pytest
 
-from repro.analysis.cacheability import decide
+from repro.analysis.cacheability import decide, stateless_slice
 from repro.analysis.corpus import bundled_programs
-from repro.analysis.dataflow import analyze
 from repro.apps import base_infrastructure, firewall_delta
-from repro.control.p4runtime import P4RuntimeClient
 from repro.lang.delta import apply_delta
 from repro.lang.ir import ActionCall
-from repro.runtime.device import DeviceRuntime
 from repro.simulator import fastpath
 from repro.simulator.packet import Verdict, make_packet
 from repro.simulator.pipeline_exec import ProgramInstance
-from repro.simulator.tables import Rule, exact, ternary
-from repro.targets import drmt_switch
+from repro.simulator.tables import Rule, ternary
 
 PROGRAMS = bundled_programs()
-
-
-def stateless_slice(program) -> set:
-    """The hosted elements a cache-friendly device would run: every
-    applied element that writes no map."""
-    info = analyze(program)
-    return {
-        name for name in info.applied if not info.element_access(name).map_writes
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -72,8 +60,7 @@ class TestDifferential:
         under both executors."""
         program = base_infrastructure()
         interp = ProgramInstance(program)
-        compiled = ProgramInstance(program)
-        compiled.enable_fastpath()
+        compiled = ProgramInstance(program, fastpath=True)
         for i, packet in enumerate(fastpath.seeded_corpus(60, seed=21)):
             a = interp.process(copy.deepcopy(packet), i * 1e-4)
             b = compiled.process(copy.deepcopy(packet), i * 1e-4)
@@ -99,40 +86,34 @@ class TestDifferential:
         builder.apply("bounce")
         program = builder.build()
         interp = ProgramInstance(program)
-        compiled = ProgramInstance(program)
-        compiled.enable_fastpath()
+        compiled = ProgramInstance(program, fastpath=True)
         a = interp.process(make_packet(1, 2), 0.0)
         b_ = compiled.process(make_packet(1, 2), 0.0)
         assert a.recirculations == b_.recirculations == 1
         assert a.ops == b_.ops
 
 
-class TestEnableDisable:
-    def test_disable_falls_back_to_interpreter(self):
-        program = base_infrastructure()
-        instance = ProgramInstance(program)
-        instance.enable_fastpath()
-        instance.process(make_packet(1, 2), 0.0)
-        assert instance._compiled is not None
-        instance.enable_fastpath(False)
-        assert instance._compiled is None
+class TestCompiledInstance:
+    def test_interpreter_by_default(self):
+        instance = ProgramInstance(base_infrastructure())
+        assert not instance.fastpath_enabled
         packet = make_packet(1, 2)
         instance.process(packet, 0.0)
+        assert instance._compiled is None
         assert packet.verdict is Verdict.FORWARD
 
     def test_compiled_artifact_reused_across_packets(self):
-        instance = ProgramInstance(base_infrastructure())
-        instance.enable_fastpath()
+        instance = ProgramInstance(base_infrastructure(), fastpath=True)
         instance.process(make_packet(1, 2), 0.0)
         artifact = instance._compiled
+        assert artifact is not None
         instance.process(make_packet(3, 4), 1e-4)
         assert instance._compiled is artifact
 
     def test_rules_inserted_after_compile_visible(self):
         """The compiled closures index the live rule stores — a rule
         inserted after the first packet must take effect."""
-        instance = ProgramInstance(base_infrastructure())
-        instance.enable_fastpath()
+        instance = ProgramInstance(base_infrastructure(), fastpath=True)
         packet = make_packet(0xDEAD, 2)
         instance.process(copy.deepcopy(packet), 0.0)
         instance.rules["acl"].insert(
@@ -176,189 +157,12 @@ class TestCacheability:
         assert any("fw_conns" in reason for reason in decision.reasons)
 
 
-# ---------------------------------------------------------------------------
-# Flow cache: correctness and invalidation
-# ---------------------------------------------------------------------------
-
-
-def cached_device(program=None, hosted=None):
-    program = program or base_infrastructure()
-    hosted = hosted if hosted is not None else stateless_slice(program)
-    device = DeviceRuntime("sw1", drmt_switch("sw1"))
-    device.install(program, hosted_elements=set(hosted))
-    device.enable_fastpath(flow_cache=True, cache_capacity=64)
-    return device
-
-
-class TestFlowCache:
-    def test_hits_and_identical_outcomes(self):
-        plain = DeviceRuntime("ref", drmt_switch("ref"))
-        plain.install(base_infrastructure(), hosted_elements=stateless_slice(
-            base_infrastructure()
-        ))
-        device = cached_device()
-        flows = [make_packet(i % 8, 100 + i % 8) for i in range(64)]
-        for i, packet in enumerate(flows):
-            mine, theirs = copy.deepcopy(packet), copy.deepcopy(packet)
-            device.process(mine, i * 1e-4)
-            plain.process(theirs, i * 1e-4)
-            assert mine.verdict is theirs.verdict
-            assert mine.fields == theirs.fields
-            assert mine.meta == theirs.meta
-        stats = device.flow_cache.stats
-        assert stats.hits > 0 and stats.bypasses == 0
-
-    def test_table_counters_replayed(self):
-        device = cached_device()
-        reference = DeviceRuntime("ref", drmt_switch("ref"))
-        reference.install(
-            base_infrastructure(),
-            hosted_elements=stateless_slice(base_infrastructure()),
-        )
-        for i in range(30):
-            packet = make_packet(i % 3, 50)
-            device.process(copy.deepcopy(packet), i * 1e-4)
-            reference.process(copy.deepcopy(packet), i * 1e-4)
-        mine = device.active_instance.rules["l3"]
-        theirs = reference.active_instance.rules["l3"]
-        assert mine.miss_count == theirs.miss_count
-        assert mine.hit_counts == theirs.hit_counts
-
-    def test_rule_insert_invalidates(self):
-        device = cached_device()
-        blocked = make_packet(0xBAD, 7)
-        device.process(copy.deepcopy(blocked), 0.0)
-        device.process(copy.deepcopy(blocked), 1e-4)  # cached now
-        assert device.flow_cache.stats.hits >= 1
-        client = P4RuntimeClient(device)
-        from repro.control.p4runtime import TableEntry
-
-        client.insert_entry(
-            TableEntry(
-                table="acl",
-                matches=(ternary(0xBAD, 0xFFFFFFFF), ternary(0, 0)),
-                action="drop",
-                priority=9,
-            )
-        )
-        after = copy.deepcopy(blocked)
-        device.process(after, 2e-4)
-        assert after.verdict is Verdict.DROP  # not the stale FORWARD
-        assert device.flow_cache.stats.invalidations >= 1
-
-    def test_rule_remove_invalidates(self):
-        device = cached_device()
-        rule = Rule(
-            matches=(ternary(0xBAD, 0xFFFFFFFF), ternary(0, 0)),
-            action=ActionCall("drop"),
-            priority=9,
-        )
-        device.active_instance.rules["acl"].insert(rule)
-        blocked = make_packet(0xBAD, 7)
-        device.process(copy.deepcopy(blocked), 0.0)
-        device.process(copy.deepcopy(blocked), 1e-4)
-        device.active_instance.rules["acl"].remove(rule)
-        after = copy.deepcopy(blocked)
-        device.process(after, 2e-4)
-        assert after.verdict is Verdict.FORWARD
-
-    def test_meter_set_forces_bypass_and_clear_resumes(self):
-        from repro.simulator.meters import Meter, MeterConfig
-
-        device = cached_device()
-        packet = make_packet(1, 2)
-        device.process(copy.deepcopy(packet), 0.0)
-        device.process(copy.deepcopy(packet), 1e-4)
-        hits_before = device.flow_cache.stats.hits
-        assert hits_before >= 1
-
-        table = device.active_instance.rules["acl"]
-        table.meter = Meter(MeterConfig(rate_pps=1000.0, burst_packets=10.0))
-        device.process(copy.deepcopy(packet), 2e-4)
-        assert device.flow_cache.stats.bypasses >= 1
-
-        table.meter = None  # detach: caching resumes
-        device.process(copy.deepcopy(packet), 3e-4)
-        device.process(copy.deepcopy(packet), 4e-4)
-        assert device.flow_cache.stats.hits > hits_before
-
-    def test_map_write_invalidates_via_mutation_counter(self):
-        """A control-plane write to a map the program *reads* must drop
-        cached outcomes (the map's mutation counter is in the token)."""
-        from repro.apps.base import standard_builder
-        from repro.lang import builder as b
-
-        builder = standard_builder("blocklist")
-        builder.map("blocked", keys=["ipv4.src"], value_type="u64", max_entries=64)
-        builder.function(
-            "check",
-            [
-                b.if_(
-                    b.binop("==", b.map_get("blocked", "ipv4.src"), 1),
-                    [b.call("mark_drop")],
-                )
-            ],
-        )
-        builder.apply("check")
-        program = builder.build()
-        assert decide(program).cacheable  # read-only: whole program caches
-
-        device = cached_device(program)
-        packet = make_packet(5, 2)
-        device.process(copy.deepcopy(packet), 0.0)
-        cached = copy.deepcopy(packet)
-        device.process(cached, 1e-4)
-        assert cached.verdict is Verdict.FORWARD
-        assert device.flow_cache.stats.hits >= 1
-
-        device.active_instance.maps.state("blocked").put((5,), 1)
-        after = copy.deepcopy(packet)
-        device.process(after, 2e-4)
-        assert after.verdict is Verdict.DROP  # not the stale FORWARD
-        assert device.flow_cache.stats.invalidations >= 1
-
-    def test_mid_run_reconfig_no_stale_verdicts(self):
-        program = base_infrastructure()
-        hosted = stateless_slice(program)
-        device = cached_device(program, hosted)
-        reference = DeviceRuntime("ref", drmt_switch("ref"))
-        reference.install(program, hosted_elements=set(hosted))
-
-        flows = [make_packet(i % 6, 40 + i % 6) for i in range(24)]
-        for i, packet in enumerate(flows):
-            device.process(copy.deepcopy(packet), i * 1e-4)
-            reference.process(copy.deepcopy(packet), i * 1e-4)
-
-        patched, _ = apply_delta(program, firewall_delta())
-        new_hosted = stateless_slice(patched)
-        device.begin_hitless_update(patched, now=1.0, duration_s=0.2,
-                                    hosted_elements=set(new_hosted))
-        reference.begin_hitless_update(patched, now=1.0, duration_s=0.2,
-                                       hosted_elements=set(new_hosted))
-
-        # During and after the window, cached and uncached agree packet
-        # for packet (the cache bypasses mid-transition, then re-keys).
-        for i, packet in enumerate(flows * 2):
-            now = 1.05 + i * 0.01
-            mine, theirs = copy.deepcopy(packet), copy.deepcopy(packet)
-            device.process(mine, now)
-            reference.process(theirs, now)
-            assert mine.verdict is theirs.verdict, (i, now)
-            assert mine.fields == theirs.fields
-            assert mine.meta == theirs.meta
-
-    def test_lru_eviction_bounded(self):
-        device = cached_device()
-        for i in range(200):
-            device.process(make_packet(i, i + 1), i * 1e-4)
-        assert len(device.flow_cache) <= 64
-
-
 class TestFlexNetFacade:
     def test_enable_fastpath_all_devices(self, flexnet):
         flexnet.engine(fastpath=True)
         for device in flexnet.controller.devices.values():
-            assert device._fastpath
+            assert device.engine.fastpath
+            assert device.active_instance.fastpath_enabled
         report = flexnet.run_traffic(rate_pps=500, duration_s=0.2)
         assert report.metrics.lost_by_infrastructure == 0
         assert report.metrics.delivered > 0

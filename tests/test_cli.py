@@ -215,7 +215,7 @@ class TestBench:
                      "--batch-size", "32"]) == 0
         out = capsys.readouterr().out
         assert "batched" in out
-        assert "gate admitted" in out
+        assert "memo admitted" in out
         assert "divergences : 0" in out
 
     def test_bench_batch_json(self, capsys):
@@ -226,8 +226,9 @@ class TestBench:
         assert payload["divergences"] == 0
         assert payload["batched_pps"] > 0
         assert payload["batch_admitted"] is True
-        # 120 measured packets plus the warm-up batch.
-        assert payload["batch_stats"]["packets"] >= 120
+        # 120 measured packets plus the warm-up one.
+        stats = payload["batch_stats"]
+        assert stats["hits"] + stats["misses"] >= 120 and stats["bypasses"] == 0
 
     def test_bench_pps_survives_zero_elapsed(self, capsys, monkeypatch):
         # Regression: on a fast machine a tiny corpus can finish inside
