@@ -12,6 +12,9 @@ tenant isolation, and resource feasibility. One entry point:
     >>> report = analysis.check(program, target=targets)  # + overcommit
     >>> report.ok, report.to_json()
 
+The control path analyses each program version once, into a
+:class:`ProgramFacts` record that travels from admission to commit.
+
 ``check`` never raises on findings — it returns a :class:`Report`; the
 admission pipeline (:meth:`repro.core.flexnet.FlexNet.admit`) turns
 ``report.errors`` into :class:`~repro.errors.AnalysisError`, and the
@@ -21,6 +24,7 @@ two-phase consistent path instead of rejecting them outright.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Sequence
 
 from repro.analysis.cacheability import CacheabilityDecision, decide as decide_cacheability
@@ -46,6 +50,7 @@ __all__ = [
     "DataflowInfo",
     "decide_cacheability",
     "Finding",
+    "ProgramFacts",
     "Report",
     "Severity",
     "StateClass",
@@ -59,6 +64,31 @@ __all__ = [
     "run_selfcheck",
     "vet",
 ]
+
+
+@dataclass(frozen=True)
+class ProgramFacts:
+    """The admission record of one program version: the validated
+    program, its :class:`~repro.lang.analyzer.Certificate` and its
+    :class:`DataflowInfo`, each computed once. Built at the admission
+    door and handed down to the race pass, placement and the
+    orchestrator; the controller keeps the live version's record, so
+    the next delta's race pass finds its old program already analysed.
+    """
+
+    program: ir.Program
+    certificate: Certificate
+    dataflow: DataflowInfo
+
+    @classmethod
+    def of(cls, program: "ir.Program | ProgramFacts") -> "ProgramFacts":
+        """Validate, certify and analyze ``program`` (a record passes
+        through untouched). Raises what validation and certification
+        raise."""
+        if isinstance(program, ProgramFacts):
+            return program
+        program = program.validate()
+        return cls(program, certify(program), analyze(program))
 
 
 def _as_targets(target) -> list[Target]:
@@ -80,7 +110,7 @@ def check(
     *,
     tenants: Sequence[tuple[TenantSpec, ir.Program]] = (),
     two_phase: bool = False,
-    certificate: Certificate | None = None,
+    facts: ProgramFacts | None = None,
 ) -> Report:
     """Run every applicable FlexCheck pass and return a :class:`Report`.
 
@@ -102,15 +132,19 @@ def check(
     two_phase:
         The proposed transition is already scheduled through the
         two-phase consistent path, downgrading race ERRORs to INFO.
-    certificate:
-        Reuse an existing Certificate instead of re-certifying (the
-        admission pipeline already holds one).
+    facts:
+        ``program``'s :class:`ProgramFacts` when the caller already
+        holds it (the admission pipeline does): nothing is validated,
+        analyzed or certified again.
     """
-    program = program.validate()
+    if facts is None:
+        program = program.validate()
+        dataflow = analyze(program)
+    else:
+        program, dataflow = facts.program, facts.dataflow
     findings: list[Finding] = []
     passes = ["dataflow", "lint"]
 
-    dataflow = analyze(program)
     findings.extend(check_lints(program, dataflow))
 
     if delta is not None:
@@ -133,8 +167,8 @@ def check(
     targets = _as_targets(target)
     if targets:
         passes.append("overcommit")
-        cert = certificate or certify(program)
-        findings.extend(check_overcommit(cert, targets))
+        certificate = facts.certificate if facts is not None else certify(program)
+        findings.extend(check_overcommit(certificate, targets))
 
     return Report(
         program_name=program.name,
@@ -145,20 +179,27 @@ def check(
 
 
 def check_changeset(
-    old_program: ir.Program,
-    new_program: ir.Program,
+    old: ProgramFacts,
+    new: ProgramFacts,
     changes: ChangeSet,
     *,
     two_phase: bool = False,
 ) -> Report:
     """Race-only analysis for callers that already applied their delta
-    (the controller's transition path)."""
+    and hold both versions' facts (the controller's transition path)."""
     findings = tuple(
-        check_reconfig(old_program, new_program, changes, two_phase=two_phase)
+        check_reconfig(
+            old.program,
+            new.program,
+            changes,
+            two_phase=two_phase,
+            old_dataflow=old.dataflow,
+            new_dataflow=new.dataflow,
+        )
     )
     return Report(
-        program_name=new_program.name,
-        program_version=new_program.version,
+        program_name=new.program.name,
+        program_version=new.program.version,
         findings=findings,
         passes_run=("race",),
     )

@@ -15,10 +15,10 @@ from repro.lang.delta import Delta, apply_delta
 from repro.lang.ir import Program
 
 
-def bundled_programs() -> list[tuple[str, Program]]:
-    """Every (label, validated program) the repo bundles."""
-    base = apps.base_infrastructure()
-    deltas: list[tuple[str, Delta]] = [
+def bundled_deltas() -> list[tuple[str, Delta]]:
+    """Every (label, delta) the repo bundles, each written against the
+    base infrastructure program."""
+    return [
         ("ddos:syn_monitor", apps.syn_monitor_delta()),
         ("ddos:syn_defense", apps.syn_defense_delta()),
         ("cc:dctcp", apps.dctcp_delta()),
@@ -34,8 +34,13 @@ def bundled_programs() -> list[tuple[str, Program]]:
             apps.query_delta(apps.QuerySpec(name="heavy_hitters", key_field="ipv4.src")),
         ),
     ]
+
+
+def bundled_programs() -> list[tuple[str, Program]]:
+    """Every (label, validated program) the repo bundles."""
+    base = apps.base_infrastructure()
     programs: list[tuple[str, Program]] = [("base", base)]
-    for label, delta in deltas:
+    for label, delta in bundled_deltas():
         patched, _ = apply_delta(base, delta)
         programs.append((label, patched))
     return programs

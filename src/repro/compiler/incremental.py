@@ -77,8 +77,13 @@ class IncrementalCompiler:
         network_slice: NetworkSlice,
         changes: ChangeSet | None = None,
         certificate: Certificate | None = None,
+        pinned: dict[str, str] | None = None,
     ) -> IncrementalResult:
-        """Compute the maximally-adjacent new plan and its reconfig steps."""
+        """Compute the maximally-adjacent new plan and its reconfig steps.
+
+        Every element the delta neither added nor removed stays pinned
+        to its device; ``pinned`` overrides individual pins (a
+        migration names the device its elements must land on)."""
         certificate = certificate or certify(new_program)
         changes = changes or diff_programs(old_plan.program, new_program)
 
@@ -87,6 +92,8 @@ class IncrementalCompiler:
             for element, device in old_plan.placement.items()
             if element not in changes.removed and element not in changes.added
         }
+        if pinned:
+            survivors.update(pinned)
         new_plan = self._engine.compile(
             new_program,
             certificate,

@@ -20,15 +20,15 @@ resources, and lets the compiler try again (§3.3's iterative loop).
 
 from __future__ import annotations
 
+from contextlib import ExitStack
 from dataclasses import dataclass, field
 
-from repro.analysis import check_changeset
+from repro.analysis import ProgramFacts, check_changeset
 from repro.analysis.report import Finding
 from repro.compiler.incremental import IncrementalCompiler, IncrementalResult, diff_programs
 from repro.compiler.placement import NetworkSlice, Objective, PlacementEngine
 from repro.compiler.plan import CompilationPlan
-from repro.errors import ControlPlaneError, FlexNetError, UnknownAppError
-from repro.lang.analyzer import Certificate, certify
+from repro.errors import ControlPlaneError, UnknownAppError
 from repro.lang.composition import Composer, TenantSpec
 from repro.lang.delta import (
     ChangeSet,
@@ -42,7 +42,7 @@ from repro.lang.ir import Program
 from repro.runtime.consistency import ConsistencyLevel
 from repro.runtime.device import DeviceRuntime, EngineConfig
 from repro.runtime.drpc import DrpcFabric, RpcRegistry
-from repro.runtime.reconfig import ReconfigOrchestrator, TransitionReport
+from repro.runtime.reconfig import ReconfigOrchestrator, TransitionReport, batched_window_s
 from repro.simulator.engine import EventLoop
 from repro.simulator.network import Network
 from repro.targets.base import Target
@@ -180,10 +180,10 @@ class FlexNetController:
         self.ha = None
 
         self._composer: Composer | None = None
-        self._base_program: Program | None = None
-        self._program: Program | None = None
-        self._certificate: Certificate | None = None
+        #: the live version: its plan and its admission record, adopted
+        #: together (``_facts.program is _plan.program``).
         self._plan: CompilationPlan | None = None
+        self._facts: ProgramFacts | None = None
         self._path: list[str] = []
         self._slice: NetworkSlice | None = None
         self._apps: dict[str, AppRecord] = {}
@@ -252,9 +252,9 @@ class FlexNetController:
 
     @property
     def program(self) -> Program:
-        if self._program is None:
+        if self._plan is None:
             raise ControlPlaneError("no program installed yet")
-        return self._program
+        return self._plan.program
 
     @property
     def plan(self) -> CompilationPlan:
@@ -269,16 +269,16 @@ class FlexNetController:
 
     # -- provisioning ---------------------------------------------------------------
 
-    def install_infrastructure(self, program: Program) -> CompilationPlan:
-        """Compile and cold-install the operator's base program."""
-        program = program.validate()
-        certificate = certify(program)
-        plan = self.engine.compile(program, certificate, self.slice(), gc_hook=self._gc_hook)
-        self._base_program = program
+    def install_infrastructure(self, program: Program | ProgramFacts) -> CompilationPlan:
+        """Compile and cold-install the operator's base program (given
+        as a program, or as the facts admission already computed)."""
+        facts = ProgramFacts.of(program)
+        program = facts.program
+        plan = self.engine.compile(
+            program, facts.certificate, self.slice(), gc_hook=self._gc_hook
+        )
         self._composer = Composer(program)
-        self._program = program
-        self._certificate = certificate
-        self._plan = plan
+        self._plan, self._facts = plan, facts
         self.orchestrator.install_plan(plan)
         uri = AppUri(owner="infrastructure", name="base")
         record = AppRecord(
@@ -294,7 +294,7 @@ class FlexNetController:
 
     def transition_to(
         self,
-        new_program: Program,
+        new_program: Program | ProgramFacts,
         changes: ChangeSet | None = None,
         consistency: ConsistencyLevel = ConsistencyLevel.PER_PACKET_PER_DEVICE,
         strict_analysis: bool = False,
@@ -305,16 +305,35 @@ class FlexNetController:
     ) -> TransitionOutcome:
         """Incrementally recompile to ``new_program`` and orchestrate the
         hitless runtime transition (see :meth:`_transition_to` for the
-        mechanics). With FlexScope enabled, the whole change runs inside
-        an "update" span (the orchestrator's transition/window spans nest
-        under it) and the outcome carries the span ids.
+        mechanics). ``new_program`` is a program — validated, certified
+        and analyzed here, once — or the :class:`ProgramFacts` the
+        caller's admission already computed. With FlexScope enabled, the
+        whole change runs inside an "update" span (the orchestrator's
+        transition/window spans nest under it) and the outcome carries
+        the span ids.
 
         ``epoch``/``dispatch_gate``/``delta_id`` are FlexHA's fencing
         hooks, threaded down to the orchestrator's device windows."""
+        facts = ProgramFacts.of(new_program)
         observer = self.observer
-        if observer is None:
-            return self._transition_to(
-                new_program,
+        outcome = span = None
+        with ExitStack() as observed:
+            if observer is not None:
+                span = observed.enter_context(
+                    observer.tracer.span(
+                        "update",
+                        "update",
+                        self.loop.now,
+                        end_time=lambda: (
+                            outcome.report.finished_at if outcome else self.loop.now
+                        ),
+                        to_version=facts.program.version,
+                        consistency=consistency.name,
+                    )
+                )
+                observed.enter_context(observer.profiler.phase("transition"))
+            outcome = self._transition_to(
+                facts,
                 changes,
                 consistency,
                 strict_analysis,
@@ -322,38 +341,14 @@ class FlexNetController:
                 dispatch_gate=dispatch_gate,
                 delta_id=delta_id,
             )
-        tracer = observer.tracer
-        span = tracer.start_span(
-            "update",
-            "update",
-            self.loop.now,
-            to_version=new_program.version,
-            consistency=consistency.name,
-        )
-        tracer._stack.append(span)
-        try:
-            with observer.profiler.phase("transition"):
-                outcome = self._transition_to(
-                    new_program,
-                    changes,
-                    consistency,
-                    strict_analysis,
-                    epoch=epoch,
-                    dispatch_gate=dispatch_gate,
-                    delta_id=delta_id,
+            if span is not None:
+                span.attrs.update(
+                    steps=outcome.report.steps_applied,
+                    forced_two_phase=outcome.forced_two_phase,
                 )
-        except FlexNetError:
-            tracer._stack.pop()
-            tracer.end_span(span, self.loop.now, status="error")
-            raise
-        tracer._stack.pop()
+        if observer is None:
+            return outcome
         report = outcome.report
-        tracer.end_span(
-            span,
-            report.finished_at,
-            steps=report.steps_applied,
-            forced_two_phase=outcome.forced_two_phase,
-        )
         outcome.span_id = span.span_id
         outcome.trace_id = span.parent_id if span.parent_id is not None else span.span_id
         metrics = observer.metrics
@@ -379,20 +374,18 @@ class FlexNetController:
 
     def _transition_to(
         self,
-        new_program: Program,
-        changes: ChangeSet | None = None,
-        consistency: ConsistencyLevel = ConsistencyLevel.PER_PACKET_PER_DEVICE,
-        strict_analysis: bool = False,
-        *,
-        epoch: int | None = None,
-        dispatch_gate=None,
-        delta_id: int | None = None,
+        facts: ProgramFacts,
+        changes: ChangeSet | None,
+        consistency: ConsistencyLevel,
+        strict_analysis: bool,
+        **fencing,
     ) -> TransitionOutcome:
-        """Incrementally recompile to ``new_program`` and orchestrate the
-        hitless runtime transition under the requested consistency.
+        """Incrementally recompile to ``facts.program`` and orchestrate
+        the hitless runtime transition under the requested consistency.
 
         Every transition first runs FlexCheck's reconfiguration-race pass
-        against the live program. Hazards under a per-device schedule are
+        against the live program, whose facts the controller kept from
+        its own admission. Hazards under a per-device schedule are
         *escalated*: the controller forces the transition through the
         two-phase consistent path (PER_PACKET_PATH epoch stamping plus
         swing-state migration of the flagged maps) so the change ships
@@ -401,7 +394,7 @@ class FlexNetController:
         """
         if self._plan is None:
             raise ControlPlaneError("install infrastructure before transitioning")
-        certificate = certify(new_program)
+        new_program = facts.program
         changes = changes or diff_programs(self._plan.program, new_program)
 
         race_findings: tuple[Finding, ...] = ()
@@ -413,7 +406,7 @@ class FlexNetController:
                 ConsistencyLevel.PER_FLOW,
             )
             race_report = check_changeset(
-                self.program, new_program, changes, two_phase=two_phase
+                self._facts, facts, changes, two_phase=two_phase
             )
             if race_report.errors:
                 if strict_analysis:
@@ -428,7 +421,7 @@ class FlexNetController:
                 consistency = ConsistencyLevel.PER_PACKET_PATH
                 forced_two_phase = True
                 race_report = check_changeset(
-                    self.program, new_program, changes, two_phase=True
+                    self._facts, facts, changes, two_phase=True
                 )
             race_findings = race_report.findings
             protected_maps = {
@@ -438,24 +431,13 @@ class FlexNetController:
                 and finding.code in ("RACE-MAP-RESIZE", "RACE-MAP-REMOVED")
             }
 
-        survivors = {
-            element: device
-            for element, device in self._plan.placement.items()
-            if element not in changes.removed and element not in changes.added
-        }
-        new_plan = self.engine.compile(
-            new_program,
-            certificate,
-            self.slice(),
-            pinned=survivors,
+        result = self.incremental.recompile(
+            self._plan, new_program, self.slice(), changes, facts.certificate
         )
-        reconfig = self.incremental.transition(self._plan, new_plan, self.slice(), changes)
-        result = IncrementalResult(new_plan=new_plan, reconfig=reconfig, changes=changes)
-
-        from repro.runtime.reconfig import batched_window_s
+        new_plan = result.new_plan
 
         per_device_steps: dict[str, list[float]] = {}
-        for step in reconfig.steps:
+        for step in result.reconfig.steps:
             per_device_steps.setdefault(step.device, []).append(step.cost_s)
         per_device_window = {
             device: batched_window_s(costs)
@@ -466,24 +448,15 @@ class FlexNetController:
         ] or [d for d in self.network.path("datapath") if d in set(new_plan.placement.values())]
         schedule = plan_schedule(consistency, updated_in_path, per_device_window)
 
-        report = self.orchestrator.apply(
-            reconfig,
-            new_plan,
-            old_plan=self._plan,
+        report = self._commit(
+            result,
+            facts,
             stagger=schedule.stagger,
             window_override=schedule.window_s,
             flow_affine=consistency is ConsistencyLevel.PER_FLOW,
             protected_maps=protected_maps or None,
-            epoch=epoch,
-            dispatch_gate=dispatch_gate,
-            delta_id=delta_id,
+            **fencing,
         )
-
-        self._program = new_program
-        self._certificate = certificate
-        self._plan = new_plan
-        for record in self._apps.values():
-            record.refresh_footprint(new_plan.placement)
         return TransitionOutcome(
             result=result,
             report=report,
@@ -492,6 +465,20 @@ class FlexNetController:
             race_findings=race_findings,
             forced_two_phase=forced_two_phase,
         )
+
+    def _commit(
+        self, result: IncrementalResult, facts: ProgramFacts, **apply_kwargs
+    ) -> TransitionReport:
+        """The one way a compiled version reaches the devices: schedule
+        its windows, then adopt plan and facts together and refresh
+        every app's footprint."""
+        report = self.orchestrator.apply(
+            result.reconfig, result.new_plan, old_plan=self._plan, **apply_kwargs
+        )
+        self._plan, self._facts = result.new_plan, facts
+        for record in self._apps.values():
+            record.refresh_footprint(result.new_plan.placement)
+        return report
 
     # -- app-level API (URI handles) ---------------------------------------------------
 
@@ -534,15 +521,16 @@ class FlexNetController:
         while True:
             attempts += 1
             new_program, changes = apply_delta(self.program, delta)
+            facts = ProgramFacts.of(new_program)
             try:
-                outcome = self.transition_to(new_program, changes, consistency)
+                outcome = self.transition_to(facts, changes, consistency)
                 break
             except PlacementError:
                 if not detoured and attempts > max_gc_rounds:
                     raise
                 if self._gc_once():
                     continue
-                if allow_detour and not detoured and self._try_detour(new_program):
+                if allow_detour and not detoured and self._try_detour(facts):
                     detoured = True
                     continue
                 raise
@@ -609,32 +597,26 @@ class FlexNetController:
         record = self.app(uri)
         if to_device not in self.devices:
             raise ControlPlaneError(f"unknown device {to_device!r}")
-        if self._plan is None:
-            raise ControlPlaneError("nothing deployed")
-        certificate = certify(self.program)
-        pins = dict(self._plan.placement)
-        for element in record.elements:
-            pins[element] = to_device
-        new_program = self.program.bump_version()
-        new_plan = self.engine.compile(new_program, certificate, self.slice(), pinned=pins)
+        facts = ProgramFacts.of(self.program.bump_version())
+        result = self.incremental.recompile(
+            self._plan,
+            facts.program,
+            self.slice(),
+            ChangeSet(modified=frozenset(record.elements), apply_changed=False),
+            facts.certificate,
+            pinned=dict.fromkeys(record.elements, to_device),
+        )
         misplaced = [
             element
             for element in record.elements
-            if new_plan.placement.get(element) != to_device
+            if result.new_plan.placement.get(element) != to_device
         ]
         if misplaced:
             raise ControlPlaneError(
                 f"cannot host {misplaced} of app {uri!r} on {to_device!r}"
             )
-        changes = ChangeSet(modified=frozenset(record.elements), apply_changed=False)
-        reconfig = self.incremental.transition(self._plan, new_plan, self.slice(), changes)
-        result = IncrementalResult(new_plan=new_plan, reconfig=reconfig, changes=changes)
-        report = self.orchestrator.apply(reconfig, new_plan, old_plan=self._plan)
-        self._program = new_program
-        self._plan = new_plan
+        report = self._commit(result, facts)
         record.generation += 1
-        for app_record in self._apps.values():
-            app_record.refresh_footprint(new_plan.placement)
         return TransitionOutcome(result=result, report=report)
 
     # -- tenants ----------------------------------------------------------------------
@@ -803,9 +785,9 @@ class FlexNetController:
 
     # -- routing/placement co-design ------------------------------------------------------
 
-    def _try_detour(self, new_program: Program) -> bool:
+    def _try_detour(self, facts: ProgramFacts) -> bool:
         """Find a loop-free detour route through an off-path runtime
-        programmable device on which ``new_program`` compiles; adopt it
+        programmable device on which ``facts.program`` compiles; adopt it
         and return True, or leave the route untouched and return False.
         """
         from repro.errors import PlacementError, UnknownDeviceError
@@ -813,7 +795,7 @@ class FlexNetController:
         if self._endpoints is None or self._plan is None:
             return False
         source, destination = self._endpoints
-        certificate = certify(new_program)
+        new_program = facts.program
         survivors = {
             element: device
             for element, device in self._plan.placement.items()
@@ -828,7 +810,7 @@ class FlexNetController:
                 path = self.topology.detour_path(source, destination, via)
                 candidate_slice = self.topology.slice_along(path)
                 self.engine.compile(
-                    new_program, certificate, candidate_slice, pinned=survivors
+                    new_program, facts.certificate, candidate_slice, pinned=survivors
                 )
             except (PlacementError, UnknownDeviceError):
                 continue
@@ -943,11 +925,6 @@ class FlexNetController:
             return False
         victim_uri = removable[0]
         record = self._apps[victim_uri]
-        survivors = {
-            element: device
-            for element, device in self._plan.placement.items()
-            if element not in record.elements
-        }
         ops = [
             RemoveElements(pattern=element)
             for element in sorted(record.elements)
@@ -959,19 +936,13 @@ class FlexNetController:
             return False
         delta = Delta(name=f"gc:{record.uri.name}", ops=tuple(ops))
         new_program, changes = apply_delta(self.program, delta)
-        certificate = certify(new_program)
-        new_plan = self.engine.compile(
-            new_program, certificate, self.slice(), pinned=survivors
+        facts = ProgramFacts.of(new_program)
+        result = self.incremental.recompile(
+            self._plan, facts.program, self.slice(), changes, facts.certificate
         )
-        reconfig = self.incremental.transition(self._plan, new_plan, self.slice(), changes)
-        self.orchestrator.apply(reconfig, new_plan, old_plan=self._plan)
-        self._program = new_program
-        self._certificate = certificate
-        self._plan = new_plan
+        self._commit(result, facts)
         del self._apps[victim_uri]
         self._last_gc_evicted.append(victim_uri)
-        for app_record in self._apps.values():
-            app_record.refresh_footprint(new_plan.placement)
         return True
 
     # -- reporting ---------------------------------------------------------------------

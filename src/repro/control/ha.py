@@ -438,18 +438,17 @@ class FlexHA:
             # intent (the journal's resume semantics).
             device.resolve_interrupted(to_new=True)
             action = "resolved"
-        intended = controller._program  # noqa: SLF001 - resync reads controller intent
-        # Only devices hosting elements of the current plan must serve
-        # the intended version; pass-through devices legitimately keep
-        # whatever was installed (they do not stamp packet versions).
-        hosting = (
-            set(controller.plan.placement.values())
-            if controller._plan is not None  # noqa: SLF001
-            else set()
-        )
+        try:
+            plan = controller.plan
+        except ControlPlaneError:
+            plan = None  # nothing installed yet: no intent to resync against
         if (
-            intended is not None
-            and name in hosting
+            plan is not None
+            # Only devices hosting elements of the current plan must
+            # serve the intended version; pass-through devices
+            # legitimately keep whatever was installed (they do not
+            # stamp packet versions).
+            and name in plan.placement.values()
             and not device.in_transition
             # A window already open or scheduled (e.g. by this same
             # apply batch, when the new leader just executed the pending
@@ -459,8 +458,8 @@ class FlexHA:
             version = (
                 device.active_program.version if device.active_program else None
             )
-            if version is not None and version < intended.version:
-                action = self._redrive(device, intended, version) or action
+            if version is not None and version < plan.program.version:
+                action = self._redrive(device, plan.program, version) or action
         if self.fencing:
             # Stamp the new epoch even on in-sync devices: from here on
             # any write the deposed leader still has in flight bounces.

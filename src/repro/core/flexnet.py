@@ -23,17 +23,17 @@ composer. Rejections raise before any device is touched.
 
 from __future__ import annotations
 
-from contextlib import nullcontext
+from contextlib import ExitStack
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
     from repro.cloud.admission import Ticket
 
+from repro import analysis
 from repro.compiler.plan import CompilationPlan
 from repro.control.controller import FlexNetController, TransitionOutcome
-from repro.errors import ControlPlaneError, FlexNetError
-from repro.lang.analyzer import Certificate, certify
+from repro.errors import AnalysisError, ControlPlaneError
 from repro.lang.composition import TenantSpec
 from repro.lang.delta import Delta, apply_delta
 from repro.lang.ir import Program
@@ -227,33 +227,31 @@ class FlexNet:
 
     # -- admission + programming -----------------------------------------------
 
-    def admit(self, program: Program, check_placement: bool = False) -> Certificate:
+    def admit(self, program: Program, check_placement: bool = False) -> analysis.ProgramFacts:
         """Certify a program for admission (raises AnalysisError if it
-        cannot be certified or FlexCheck finds blocking issues).
+        cannot be certified or FlexCheck finds blocking issues) and
+        return its :class:`~repro.analysis.ProgramFacts` — the one
+        analysis of this version, which :meth:`install` / :meth:`update`
+        hand on to the controller.
 
         The analyzer proves the *bounds* (ops, state); FlexCheck proves
         *behaviour* (data flow, lints, and — with ``check_placement`` —
         that the slice can physically host the program at all).
         """
-        from repro import analysis
-        from repro.errors import AnalysisError
-
-        certificate = certify(program.validate())
+        facts = analysis.ProgramFacts.of(program)
         target = self.controller.slice() if check_placement else None
-        report = analysis.check(program, target=target, certificate=certificate)
+        report = analysis.check(facts.program, target=target, facts=facts)
         if not report.ok:
             detail = "; ".join(f"{f.code}: {f.message}" for f in report.errors)
             raise AnalysisError(
                 f"program {program.name!r} rejected by FlexCheck: {detail}"
             )
-        return certificate
+        return facts
 
     def check(self, program: Program | None = None, delta: Delta | None = None):
         """Run FlexCheck against a program (default: the live one) and
         return the full :class:`~repro.analysis.report.Report` without
         raising — the introspection counterpart of :meth:`admit`."""
-        from repro import analysis
-
         subject = program if program is not None else self.controller.program
         try:
             target = self.controller.slice()
@@ -267,8 +265,6 @@ class FlexNet:
         parallelism classification (stateless / per-flow / cross-flow,
         batch safety, shard affinity) the FlexScale partitioner consults
         before forking any work."""
-        from repro import analysis
-
         subject = program if program is not None else self.controller.program
         if subject is None:
             raise ControlPlaneError("no program installed to vet")
@@ -281,28 +277,20 @@ class FlexNet:
         :class:`~repro.compiler.plan.CompilationPlan`, so plan-reading
         callers are unaffected)."""
         span = None
-        tracer = self.observe.tracer if self.observe.enabled else None
-        if tracer is not None:
-            span = tracer.start_span(
-                "install",
-                "install",
-                self.loop.now,
-                program=program.name,
-                version=program.version,
-            )
-            tracer._stack.append(span)
-        try:
-            with self.observe.profiler.phase("install") if self.observe.enabled else nullcontext():
-                self.admit(program, check_placement=True)
-                plan = self.controller.install_infrastructure(program)
-        except FlexNetError:
-            if tracer is not None:
-                tracer._stack.pop()
-                tracer.end_span(span, self.loop.now, status="error")
-            raise
-        if tracer is not None:
-            tracer._stack.pop()
-            tracer.end_span(span, self.loop.now)
+        with ExitStack() as observed:
+            if self.observe.enabled:
+                span = observed.enter_context(
+                    self.observe.tracer.span(
+                        "install",
+                        "install",
+                        lambda: self.loop.now,
+                        program=program.name,
+                        version=program.version,
+                    )
+                )
+                observed.enter_context(self.observe.profiler.phase("install"))
+            facts = self.admit(program, check_placement=True)
+            plan = self.controller.install_infrastructure(facts)
         self.datapath.program = self.controller.program
         self.datapath.plan = plan
         self.datapath.certificate = plan.certificate
@@ -327,9 +315,9 @@ class FlexNet:
         ``consistency`` and ``strict`` are keyword-only.
         """
         new_program, changes = apply_delta(self.controller.program, delta)
-        self.admit(new_program)
+        facts = self.admit(new_program)
         outcome = self.controller.transition_to(
-            new_program, changes, consistency, strict_analysis=strict
+            facts, changes, consistency, strict_analysis=strict
         )
         self._refresh()
         return outcome

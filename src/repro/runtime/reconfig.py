@@ -279,7 +279,7 @@ class ReconfigOrchestrator:
                 now + stagger.get(step.device, 0.0),
                 self._state_mover(
                     step.element, step.source_device, step.device, report,
-                    span=transition_span,
+                    old_plan or new_plan, new_plan, span=transition_span,
                 ),
             )
 
@@ -509,53 +509,36 @@ class ReconfigOrchestrator:
     def _state_mover(
         self,
         element: str,
-        source: str | None,
-        destination: str,
-        report: TransitionReport,
-        span=None,
-    ):
-        def move() -> None:
-            self._migrate_element_state(element, source, destination, report, span=span)
-
-        return move
-
-    # -- internals used by scheduled callbacks --------------------------------
-
-    def _migrate_element_state(
-        self,
-        element: str,
         source_name: str | None,
         dest_name: str,
         report: TransitionReport,
+        old_plan: CompilationPlan,
+        new_plan: CompilationPlan,
         span=None,
-    ) -> None:
-        if source_name is None:
-            return
-        source = self.device(source_name).active_instance
-        destination = self.device(dest_name).active_instance
-        if source is None or destination is None:
-            return
-        for map_name in source.maps.names():
-            if map_name not in destination.maps:
-                continue
-            if not self._element_touches_map(source.program, element, map_name):
-                continue
-            self._run_migration(
-                source.maps.state(map_name),
-                destination.maps.state(map_name),
-                report,
-                span=span,
-                label=map_name,
-            )
+    ):
+        def move() -> None:
+            if source_name is None:
+                return
+            source = self.device(source_name).active_instance
+            destination = self.device(dest_name).active_instance
+            if source is None or destination is None:
+                return
+            # The maps that travel are the element itself (a moved map)
+            # plus those its profile reads or writes, per the certificate
+            # of the plan the source instance runs.
+            plan = new_plan if source.version == new_plan.program.version else old_plan
+            profile = plan.certificate.profiles.get(element)
+            touched = {element}
+            if profile is not None:
+                touched.update(profile.map_reads, profile.map_writes)
+            for map_name in source.maps.names():
+                if map_name in touched and map_name in destination.maps:
+                    self._run_migration(
+                        source.maps.state(map_name),
+                        destination.maps.state(map_name),
+                        report,
+                        span=span,
+                        label=map_name,
+                    )
 
-    @staticmethod
-    def _element_touches_map(program: Program, element: str, map_name: str) -> bool:
-        if element == map_name:
-            return True
-        from repro.lang.analyzer import certify
-
-        certificate = certify(program)
-        if element not in certificate.profiles:
-            return False
-        profile = certificate.profiles[element]
-        return map_name in profile.map_reads or map_name in profile.map_writes
+        return move

@@ -26,40 +26,10 @@ ramps are all just scheduled callbacks.
 from __future__ import annotations
 
 import heapq
+import math
 from collections.abc import Callable
-from dataclasses import dataclass, field
 
 from repro.errors import SimulationError
-
-
-@dataclass
-class _Event:
-    time: float
-    sequence: int
-    callback: Callable[[], None] = field(compare=False)
-    cancelled: bool = field(default=False, compare=False)
-
-
-class EventHandle:
-    """Returned by :meth:`EventLoop.schedule`; allows cancellation."""
-
-    def __init__(self, event: _Event):
-        self._event = event
-
-    def cancel(self) -> None:
-        self._event.cancelled = True
-
-    @property
-    def time(self) -> float:
-        return self._event.time
-
-    @property
-    def sequence(self) -> int:
-        """The loop's insertion counter for this event — the tie-break
-        half of the ``(time, seq)`` ordering contract. FlexMend
-        checkpoints record it so re-scheduled events preserve their
-        original same-time ordering after a restore."""
-        return self._event.sequence
 
 
 class EventLoop:
@@ -70,33 +40,38 @@ class EventLoop:
     """
 
     def __init__(self):
-        #: heap of ``(time, seq, event)`` — the ordering key is spelled
-        #: out rather than derived from dataclass comparison so the
-        #: tie-break rule is part of the API, not an implementation
-        #: accident.
-        self._heap: list[tuple[float, int, _Event]] = []
+        #: heap of ``(time, seq, callback)`` — the ordering key is spelled
+        #: out so the tie-break rule is part of the API, not an
+        #: implementation accident; ``seq`` is unique, so callbacks are
+        #: never compared.
+        self._heap: list[tuple[float, int, Callable[[], None]]] = []
         self._sequence = 0
         self._now = 0.0
-        self._running = False
 
     @property
     def now(self) -> float:
         return self._now
 
-    def _push(self, time: float, callback: Callable[[], None]) -> EventHandle:
-        event = _Event(time=time, sequence=self._sequence, callback=callback)
-        self._sequence += 1
-        heapq.heappush(self._heap, (event.time, event.sequence, event))
-        return EventHandle(event)
+    def _push(self, time: float, callback: Callable[[], None]) -> int:
+        sequence = self._sequence
+        self._sequence = sequence + 1
+        heapq.heappush(self._heap, (time, sequence, callback))
+        return sequence
 
-    def schedule(self, delay: float, callback: Callable[[], None]) -> EventHandle:
-        """Schedule ``callback`` to run ``delay`` seconds from now."""
+    def schedule(self, delay: float, callback: Callable[[], None]) -> int:
+        """Schedule ``callback`` to run ``delay`` seconds from now.
+
+        Returns the event's sequence number — the tie-break half of the
+        ``(time, seq)`` ordering contract. FlexMend checkpoints record
+        it so re-scheduled events preserve their original same-time
+        ordering after a restore."""
         if delay < 0:
             raise SimulationError(f"cannot schedule {delay} s in the past")
         return self._push(self._now + delay, callback)
 
-    def schedule_at(self, time: float, callback: Callable[[], None]) -> EventHandle:
-        """Schedule ``callback`` at an absolute virtual time.
+    def schedule_at(self, time: float, callback: Callable[[], None]) -> int:
+        """Schedule ``callback`` at an absolute virtual time; returns the
+        event's sequence number, like :meth:`schedule`.
 
         The given timestamp is stored exactly (no relative-delay round
         trip), so cross-loop handoffs that carry absolute times stay
@@ -108,39 +83,27 @@ class EventLoop:
             )
         return self._push(time, callback)
 
+    def _drain(self, end_time: float) -> None:
+        heap = self._heap
+        while heap and heap[0][0] <= end_time:
+            self._now, _, callback = heapq.heappop(heap)
+            callback()
+
     def run_until(self, end_time: float) -> None:
         """Process events with time <= ``end_time``; advance the clock."""
         if end_time < self._now:
             raise SimulationError(
                 f"run_until({end_time}) is before current time {self._now}"
             )
-        self._running = True
-        try:
-            while self._heap and self._heap[0][0] <= end_time:
-                _, _, event = heapq.heappop(self._heap)
-                if event.cancelled:
-                    continue
-                self._now = event.time
-                event.callback()
-        finally:
-            self._running = False
+        self._drain(end_time)
         self._now = end_time
 
     def run(self) -> None:
         """Drain every pending event."""
-        self._running = True
-        try:
-            while self._heap:
-                _, _, event = heapq.heappop(self._heap)
-                if event.cancelled:
-                    continue
-                self._now = event.time
-                event.callback()
-        finally:
-            self._running = False
+        self._drain(math.inf)
 
     def pending(self) -> int:
-        return sum(1 for _, _, event in self._heap if not event.cancelled)
+        return len(self._heap)
 
     def restore_clock(self, now: float) -> None:
         """Reset the clock to an absolute time on an *empty* loop.

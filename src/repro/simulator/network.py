@@ -182,8 +182,8 @@ class Network:
             del self._inflight[token]
             self._arrive(packet, hops, index, metrics, on_done)
 
-        handle = self.loop.schedule_at(at_time, run)
-        self._inflight[token] = (at_time, handle.sequence, packet, hops, index)
+        sequence = self.loop.schedule_at(at_time, run)
+        self._inflight[token] = (at_time, sequence, packet, hops, index)
 
     def inflight_arrivals(self) -> list[tuple]:
         """Pending arrivals as plain ``(time, seq, packet, hops, index)``

@@ -7,12 +7,15 @@ import pytest
 from repro import analysis
 from repro.analysis.corpus import bundled_programs
 from repro.analysis.report import Finding, Report, Severity
-from repro.apps import base_infrastructure, syn_defense_delta
+from repro.apps import base_infrastructure, dctcp_delta, syn_defense_delta
 from repro.cli import main
 from repro.core.flexnet import FlexNet
 from repro.errors import AnalysisError
 from repro.lang.delta import parse_delta
 from repro.lang.printer import print_program
+from repro.scale.workload import e20_net
+
+from tests.conftest import assert_live_facts_fresh, five_hop_net
 
 SHRINK = """
 delta shrink {
@@ -110,6 +113,39 @@ class TestFlexNetIntegration:
         net.install(base_infrastructure())
         report = net.check(delta=parse_delta(SHRINK))
         assert not report.ok
+
+    @pytest.mark.parametrize("build", [five_hop_net, e20_net])
+    def test_one_analysis_per_program_version(self, build, walk_counts):
+        # The install and the update each certify and analyze their
+        # version once; the update's race pass reads the live program's
+        # dataflow from the record the install (or the previous update)
+        # left on the controller.
+        net = build()
+        assert (walk_counts["certify"], walk_counts["analyze"]) == (1, 1)
+        assert_live_facts_fresh(net.controller)
+        for delta in (dctcp_delta(), parse_delta(SHRINK)):  # safe, then escalating
+            walk_counts.clear()
+            outcome = net.update(delta)
+            assert (walk_counts["certify"], walk_counts["analyze"]) == (1, 1)
+            assert walk_counts["validate"] <= 2
+            assert_live_facts_fresh(net.controller)
+            net.loop.run_until(outcome.report.finished_at)
+        assert outcome.forced_two_phase
+
+    def test_blocking_lint_rejects_update_before_any_device_is_touched(self, monkeypatch):
+        # Every bundled lint is a WARNING; the facade's gate on
+        # ``report.errors`` is what would stop a blocking one.
+        blocker = Finding(code="LINT-BLOCKER", severity=Severity.ERROR,
+                          message="blocking", pass_name="lint")
+        net = five_hop_net()
+        live = net.program
+        monkeypatch.setattr(analysis, "check_lints", lambda program, dataflow: [blocker])
+        with pytest.raises(AnalysisError, match="rejected by FlexCheck: LINT-BLOCKER"):
+            net.update(syn_defense_delta())
+        assert net.program is live and net.loop.pending() == 0
+        assert all(
+            device.stats.reconfigurations == 0 for device in net.controller.devices.values()
+        )
 
 
 class TestCliCheck:

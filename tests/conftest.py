@@ -2,13 +2,18 @@
 
 from __future__ import annotations
 
+import collections
+import sys
+
 import pytest
 
+from repro.analysis import dataflow
 from repro.apps.base import base_infrastructure
 from repro.compiler.placement import NetworkSlice
 from repro.compiler.plan import DeviceSpec
 from repro.core.flexnet import FlexNet
-from repro.lang.analyzer import certify
+from repro.lang.analyzer import Analyzer, certify
+from repro.lang.ir import Program
 from repro.targets import drmt_switch, host, rmt_switch, smartnic
 
 
@@ -42,8 +47,49 @@ def make_standard_slice(switch="drmt"):
 
 
 @pytest.fixture
+def walk_counts(monkeypatch):
+    """A Counter of the whole-program walks made while the test runs:
+    ``validate`` (``Program.validate``), ``certify``
+    (``Analyzer.certify``) and ``analyze`` (``dataflow.analyze``, under
+    every module that imported it by name)."""
+    counts = collections.Counter()
+
+    def counted(name, function):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return function(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(Program, "validate", counted("validate", Program.validate))
+    monkeypatch.setattr(Analyzer, "certify", counted("certify", Analyzer.certify))
+    original = dataflow.analyze
+    analyze = counted("analyze", original)
+    for module in list(sys.modules.values()):
+        if getattr(module, "analyze", None) is original:
+            monkeypatch.setattr(module, "analyze", analyze)
+    return counts
+
+
+def assert_live_facts_fresh(controller):
+    """The controller's live admission record describes exactly the
+    program its plan runs — checked after every verb that commits."""
+    facts = controller._facts  # noqa: SLF001 - the invariant under test
+    assert facts.program is controller.program is controller.plan.program
+    assert facts.certificate is controller.plan.certificate
+    assert facts.dataflow.elements == dataflow.analyze(controller.program).elements
+
+
+@pytest.fixture
 def standard_slice():
     return make_standard_slice()
+
+
+def five_hop_net():
+    """The ``flexnet`` fixture as a factory, for tests that build several."""
+    net = FlexNet.standard()
+    net.install(base_infrastructure())
+    return net
 
 
 @pytest.fixture

@@ -2,15 +2,20 @@
 
 import pytest
 
+from repro.analysis import ProgramFacts
+from repro.analysis.corpus import bundled_deltas
 from repro.control.apps_api import AppSla
 from repro.control.controller import FlexNetController
-from repro.errors import ControlPlaneError, UnknownAppError
+from repro.errors import CompositionError, ControlPlaneError, FlexNetError, UnknownAppError
 from repro.lang.composition import Permission, TenantSpec
-from repro.lang.delta import parse_delta
+from repro.lang.delta import apply_delta, parse_delta
 from repro.lang.builder import ProgramBuilder
 from repro.lang import builder as b
 from repro.apps.base import STANDARD_HEADERS, base_infrastructure
+from repro.scale.workload import e20_net
 from repro.targets import drmt_switch, host, smartnic
+
+from tests.conftest import assert_live_facts_fresh, five_hop_net
 
 MONITOR_DELTA = """
 delta monitor {
@@ -22,6 +27,23 @@ delta monitor {
   insert hh_count after count_flow;
 }
 """
+
+
+TWO_MAP_DELTA = """
+delta pairs {
+  add map by_src { key: ipv4.src; value: u32; max_entries: 1024; }
+  add map by_dst { key: ipv4.dst; value: u32; max_entries: 1024; }
+  add func pair_count() {
+    let s: u32 = map_get(by_src, ipv4.src);
+    map_put(by_src, ipv4.src, s + 1);
+    let d: u32 = map_get(by_dst, ipv4.dst);
+    map_put(by_dst, ipv4.dst, d + 1);
+  }
+  insert pair_count after count_flow;
+}
+"""
+
+SHRINK = "delta shrink { resize map flow_counts 64; }"
 
 
 def make_controller():
@@ -69,6 +91,7 @@ class TestProvisioning:
     def test_program_and_plan_accessible(self, controller):
         assert controller.program.name == "infra"
         assert controller.plan.placement
+        assert_live_facts_fresh(controller)
 
     def test_endpoints_required_before_install(self):
         bare = FlexNetController()
@@ -84,6 +107,7 @@ class TestAppLifecycle:
         record = controller.app("flexnet://infrastructure/monitor")
         assert record.elements == {"hh", "hh_count"}
         assert outcome.result.reconfig.added_elements == 2
+        assert_live_facts_fresh(controller)
 
     def test_double_deploy_rejected(self, controller):
         controller.deploy_app("flexnet://infrastructure/monitor", parse_delta(MONITOR_DELTA))
@@ -100,12 +124,14 @@ class TestAppLifecycle:
         with pytest.raises(UnknownAppError):
             controller.app("flexnet://infrastructure/monitor")
         assert not controller.program.has_map("hh")
+        assert_live_facts_fresh(controller)
 
     def test_scale_app_resizes_maps(self, controller):
         controller.deploy_app("flexnet://infrastructure/monitor", parse_delta(MONITOR_DELTA))
         controller.loop.run_until(controller.loop.now + 2.0)
         controller.scale_app("flexnet://infrastructure/monitor", 4.0)
         assert controller.program.map("hh").max_entries == 4096
+        assert_live_facts_fresh(controller)
 
     def test_migrate_app_moves_elements(self, controller):
         controller.deploy_app("flexnet://infrastructure/monitor", parse_delta(MONITOR_DELTA))
@@ -114,6 +140,27 @@ class TestAppLifecycle:
         record = controller.app("flexnet://infrastructure/monitor")
         assert record.devices == ["nic2"]
         assert outcome.result.reconfig.moved_elements == 2
+        assert_live_facts_fresh(controller)
+
+    def test_state_migration_certifies_nothing(self, controller, walk_counts):
+        # Each moved element is matched against every map the two
+        # devices share; its profile comes from the plans' certificates,
+        # not from re-certifying the program inside the callback.
+        uri = "flexnet://infrastructure/pairs"
+        controller.deploy_app(uri, parse_delta(TWO_MAP_DELTA))
+        controller.loop.run_until(controller.loop.now + 2.0)
+        controller.migrate_app(uri, "nic2")  # nic2 now declares both maps
+        controller.loop.run_until(controller.loop.now + 2.0)
+        nic2 = controller.devices["nic2"]
+        nic2.settle(controller.loop.now)
+        nic2.active_instance.maps.state("by_src").put((10,), 7)
+        outcome = controller.migrate_app(uri, "sw1")
+        assert outcome.result.reconfig.moved_elements == 3
+        walk_counts.clear()
+        controller.loop.run_until(outcome.report.finished_at)
+        assert {m.map_name for m in outcome.report.migrations} == {"by_src", "by_dst"}
+        assert controller.devices["sw1"].staged_instance.maps.state("by_src").get((10,)) == 7
+        assert walk_counts["certify"] == 0
 
     def test_migrate_to_unknown_device_rejected(self, controller):
         controller.deploy_app("flexnet://infrastructure/monitor", parse_delta(MONITOR_DELTA))
@@ -128,6 +175,39 @@ class TestAppLifecycle:
             controller.scale_app("flexnet://x/y", 2.0)
 
 
+def observed(controller, argument, changes, strict):
+    """What one transition produced, in comparable form: its dict and
+    race findings, or the error it raised."""
+    try:
+        outcome = controller.transition_to(argument, changes, strict_analysis=strict)
+    except FlexNetError as exc:
+        return type(exc).__name__, str(exc)
+    return outcome.to_dict(), outcome.race_findings
+
+
+class TestTransitionAcceptsFacts:
+    @pytest.mark.parametrize("build", [five_hop_net, e20_net])
+    def test_program_and_facts_are_the_same_transition(self, build):
+        cases = [(delta, False) for _, delta in bundled_deltas()]
+        cases += [(parse_delta(SHRINK), False), (parse_delta(SHRINK), True)]
+        outcomes = []
+        for delta, strict in cases:
+            by_program, by_facts = build().controller, build().controller
+            try:
+                program, changes = apply_delta(by_program.program, delta)
+            except CompositionError:
+                continue  # already composed into the E20 program
+            seen = observed(by_program, program, changes, strict)
+            assert seen == observed(by_facts, ProgramFacts.of(program), changes, strict), delta.name
+            assert_live_facts_fresh(by_program)
+            assert_live_facts_fresh(by_facts)
+            outcomes.append(seen)
+        applied = [head for head, _ in outcomes if isinstance(head, dict)]
+        assert len(applied) >= 8
+        assert any(head["forced_two_phase"] for head in applied)  # the shrink escalates
+        assert "AnalysisError" in [head for head, _ in outcomes]  # and strict rejects it
+
+
 class TestTenantLifecycle:
     def spec(self, name="t1", vlan=100):
         return TenantSpec(name=name, vlan_id=vlan, permission=Permission())
@@ -138,6 +218,7 @@ class TestTenantLifecycle:
         record = controller.app("flexnet://t1/extension")
         assert "t1__hits" in record.elements
         assert controller.program.has_map("t1__hits")
+        assert_live_facts_fresh(controller)
 
     def test_evict_trims_program(self, controller):
         controller.admit_tenant(self.spec(), tenant_extension())
@@ -146,6 +227,7 @@ class TestTenantLifecycle:
         assert "t1" not in controller.tenant_names
         assert not controller.program.has_map("t1__hits")
         assert "t1__hits" in outcome.result.changes.removed
+        assert_live_facts_fresh(controller)
 
     def test_two_tenants_coexist(self, controller):
         controller.admit_tenant(self.spec("t1", 100), tenant_extension())
@@ -158,53 +240,50 @@ class TestTenantLifecycle:
             controller.evict_tenant("ghost")
 
 
+BIG_APP_DELTA = """
+delta {name} {{
+  add map {name} {{ key: ipv4.src, ipv4.dst; value: u64; max_entries: 120000; }}
+  add func {name}_touch() {{
+    let v: u64 = map_get({name}, ipv4.src, ipv4.dst);
+    map_put({name}, ipv4.src, ipv4.dst, v + 1);
+  }}
+  insert {name}_touch after count_flow;
+}}
+"""
+
+
 class TestGcLoop:
     def test_removable_app_evicted_under_pressure(self):
-        controller = make_controller()
-        # shrink the switch so pressure is realistic
-        controller.topology.device("sw1").target = drmt_switch(
-            "sw1", sram_mb=1.2, tcam_mb=0.2, processors=6, alus=12
+        # E6's slice: the only stateful-capable host is one small
+        # switch, so two big apps cannot coexist anywhere.
+        controller = FlexNetController()
+        controller.add_device("h1", host("h1", cores=1, memory_mb=1.0, kernel_maps=2))
+        controller.add_device(
+            "sw1", drmt_switch("sw1", sram_mb=3.0, tcam_mb=0.3, processors=12, alus=24)
         )
-        controller.devices["sw1"].target = controller.topology.device("sw1").target
+        controller.add_device("h2", host("h2", cores=1, memory_mb=1.0, kernel_maps=2))
+        controller.add_link("h1", "sw1")
+        controller.add_link("sw1", "h2")
+        controller.set_datapath_endpoints("h1", "h2")
         controller.install_infrastructure(
-            base_infrastructure(acl_size=256, l2_size=512, l3_size=512, flow_entries=2048)
-        )
-        # deploy a big removable app that eats the switch
-        big = parse_delta(
-            """
-            delta big {
-              add map cache { key: ipv4.src, ipv4.dst; value: u64; max_entries: 60000; }
-              add func cache_touch() {
-                let v: u64 = map_get(cache, ipv4.src, ipv4.dst);
-                map_put(cache, ipv4.src, ipv4.dst, v + 1);
-              }
-              insert cache_touch after count_flow;
-            }
-            """
+            base_infrastructure(acl_size=128, l2_size=256, l3_size=256, flow_entries=2048)
         )
         controller.deploy_app(
-            "flexnet://infrastructure/cache", big, sla=AppSla(removable=True)
+            "flexnet://infrastructure/cache",
+            parse_delta(BIG_APP_DELTA.format(name="cache")),
+            sla=AppSla(removable=True),
         )
         controller.loop.run_until(controller.loop.now + 2.0)
-        # now a second app needs room; GC should evict the cache app
-        needy = parse_delta(
-            """
-            delta needy {
-              add map need { key: ipv4.src, ipv4.dst; value: u64; max_entries: 60000; }
-              add func need_touch() {
-                let v: u64 = map_get(need, ipv4.src, ipv4.dst);
-                map_put(need, ipv4.src, ipv4.dst, v + 1);
-              }
-              insert need_touch after count_flow;
-            }
-            """
+        # a second app needs the room; GC evicts the cache app and the
+        # delta is replayed against the trimmed program
+        outcome = controller.deploy_app(
+            "flexnet://infrastructure/needy", parse_delta(BIG_APP_DELTA.format(name="need"))
         )
-        outcome = controller.deploy_app("flexnet://infrastructure/needy", needy)
-        assert outcome.compile_iterations >= 1
-        # Either it fit outright on another tier, or GC evicted the cache.
-        if outcome.gc_evicted:
-            assert "flexnet://infrastructure/cache" in outcome.gc_evicted
-            assert not controller.program.has_map("cache")
+        assert outcome.gc_evicted == ["flexnet://infrastructure/cache"]
+        assert outcome.compile_iterations == 2
+        assert not controller.program.has_map("cache")
+        assert controller.plan.placement["need"] == "sw1"
+        assert_live_facts_fresh(controller)
 
 
 class TestReporting:

@@ -7,6 +7,8 @@ from repro.faults import FaultInjector, FaultPlan
 from repro.runtime.consistency import ConsistencyLevel
 from repro.simulator.packet import reset_packet_ids
 
+from tests.conftest import assert_live_facts_fresh
+
 
 def make_ha_net(seed=42, fencing=True, node_count=3):
     reset_packet_ids()
@@ -37,6 +39,7 @@ class TestReplicatedUpdates:
         assert not ha.update_errors
         assert controller.program.version == 2
         assert controller.devices["sw1"].active_program.version == 2
+        assert_live_facts_fresh(controller)
         # The command is in the replicated log on every node.
         for node in ha.cluster.nodes.values():
             assert any(

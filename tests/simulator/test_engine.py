@@ -36,16 +36,24 @@ class TestScheduling:
         loop.run()
         assert order == ["t1-first", "t1-second", "t2-first", "t2-second"]
 
-    def test_tie_break_survives_schedule_at_and_cancellation(self):
+    def test_tie_break_survives_schedule_at(self):
         loop = EventLoop()
         order = []
-        loop.schedule_at(3.0, lambda: order.append("a"))
-        doomed = loop.schedule_at(3.0, lambda: order.append("cancelled"))
-        loop.schedule_at(3.0, lambda: order.append("b"))
-        doomed.cancel()
-        loop.schedule_at(3.0, lambda: order.append("c"))
+        first = loop.schedule_at(3.0, lambda: order.append("a"))
+        second = loop.schedule(3.0, lambda: order.append("b"))
+        third = loop.schedule_at(3.0, lambda: order.append("c"))
         loop.run()
         assert order == ["a", "b", "c"]
+        # the returned sequence numbers are the tie-break key itself
+        assert first < second < third
+
+    def test_pending_count(self):
+        loop = EventLoop()
+        loop.schedule(1.0, lambda: None)
+        loop.schedule(2.0, lambda: None)
+        assert loop.pending() == 2
+        loop.run_until(1.0)
+        assert loop.pending() == 1
 
     def test_now_advances_during_run(self):
         loop = EventLoop()
@@ -104,21 +112,3 @@ class TestRunUntil:
         loop.run_until(5.0)
         with pytest.raises(SimulationError):
             loop.run_until(1.0)
-
-
-class TestCancellation:
-    def test_cancelled_event_skipped(self):
-        loop = EventLoop()
-        seen = []
-        handle = loop.schedule(1.0, lambda: seen.append(1))
-        handle.cancel()
-        loop.run()
-        assert seen == []
-
-    def test_pending_count(self):
-        loop = EventLoop()
-        handle = loop.schedule(1.0, lambda: None)
-        loop.schedule(2.0, lambda: None)
-        assert loop.pending() == 2
-        handle.cancel()
-        assert loop.pending() == 1
