@@ -84,6 +84,16 @@ SCALE_RESULT_TIMEOUT_S = 300.0
 #: worker to exit after shutdown/poison before terminating it.
 SCALE_JOIN_TIMEOUT_S = 30.0
 
+#: FlexScale process backend: the interpreter switch interval inside a
+#: worker process. A worker's main thread computes windows while the
+#: queue feeder threads only ship frames; at CPython's default 5 ms a
+#: frame can wait out a whole window's advance for the GIL while the
+#: neighbor shard idles on it, so whether the fleet runs in parallel or
+#: in turns is a coin toss per round. 0.2 ms bounds that wait (~100
+#: rounds x 0.2 ms against x 5 ms); it costs nothing while no feeder
+#: has a frame to ship. Wall-clock pacing only.
+SCALE_WORKER_SWITCH_INTERVAL_S = 0.0002
+
 #: FlexMend supervision (sharded fault tolerance): how many times one
 #: shard may be respawned from its last checkpoint before the
 #: supervisor gives up and fails the run fast (poison pill broadcast).

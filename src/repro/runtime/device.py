@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from repro.errors import ReconfigError
 from repro.lang.ir import Program
 from repro.simulator.fastpath import FlowCache
-from repro.simulator.packet import Packet
+from repro.simulator.packet import FiveTuple, Packet, Verdict
 from repro.simulator.pipeline_exec import ProgramInstance
 from repro.targets.base import Target
 from repro.util import stable_hash
@@ -118,8 +118,13 @@ class DeviceRuntime:
         self._transition: _Transition | None = None
         self._unavailable_until = 0.0
         self._crashed = False
-        #: single-server queue state: when the "pipeline" frees up.
+        #: single-server queue state: when the "pipeline" frees up, and
+        #: the line-rate service slot (``target`` never changes).
         self._busy_until_s = 0.0
+        self._service_s = 1.0 / (target.performance.throughput_mpps * 1e6)
+        #: ops -> (energy nJ, latency s) as the performance model computes
+        #: them; a program yields only a handful of distinct op counts.
+        self._op_costs: dict[int, tuple[float, float]] = {}
         self._flow_cache = None
         self.engine = engine
         #: FlexScope: set by :meth:`repro.observe.Observer.enable` only;
@@ -364,72 +369,93 @@ class DeviceRuntime:
         return not self._crashed and now >= self._unavailable_until
 
     def process(self, packet: Packet, now: float) -> float:
-        instance = self._choose_instance(packet, now)
+        instance = self._active if self._transition is None else self._choose_instance(packet, now)
         if instance is None:
             return self.target.performance.base_latency_ns * 1e-9
 
         # Ingress queue: one packet per service slot at line rate. The
         # resulting depth is exposed to programs as ``meta.queue_depth``
         # (what ECN-marking CC functions read) and overflow tail-drops.
-        service_s = 1.0 / (self.target.performance.throughput_mpps * 1e6)
-        start = max(self._busy_until_s, now)
-        queue_depth = int((start - now) / service_s) if service_s > 0 else 0
-        packet.meta["queue_depth"] = queue_depth
-        self.stats.max_queue_depth = max(self.stats.max_queue_depth, queue_depth)
+        stats = self.stats
+        service_s = self._service_s
+        start = self._busy_until_s
+        if start < now:
+            start = now
+        meta = packet.meta
+        meta["queue_depth"] = queue_depth = int((start - now) / service_s)
+        if queue_depth > stats.max_queue_depth:
+            stats.max_queue_depth = queue_depth
         if queue_depth >= self.queue_capacity_packets:
-            from repro.simulator.packet import Verdict
-
             packet.verdict = Verdict.LOST
-            self.stats.queue_drops += 1
+            stats.queue_drops += 1
             return (start - now) + service_s
         self._busy_until_s = start + service_s
-        queueing_delay_s = start - now
 
-        # Flow memo: only consulted for the settled active version (never
-        # mid-transition, where the old/new split must stay per-packet
-        # exact); falls through to normal execution for uncacheable
-        # programs.
-        # FlexScope sampling: a sampled packet skips the memo and runs
-        # through the interpreter with a frame collector attached
+        # FlexScope sampling: a sampled packet skips the lane and the memo
+        # and runs through the interpreter with a frame collector attached
         # (FlexPath's differential-identity guarantee makes the outcome
         # byte-identical to the compiled path, so only this packet's
         # execution *route* changes — never its verdict or cost model).
         observer = self.observer
         trace = observer.begin_packet() if observer is not None else None
-        result = None
-        cache = self._flow_cache
+        lane = instance.lane
         if (
-            cache is not None
+            lane is not None
             and trace is None
-            and self._transition is None
-            and instance is self._active
+            and instance.fastpath_enabled
+            and "_recirculate" not in meta
         ):
-            result = cache.process(instance, packet, now)
-        if result is None:
-            if trace is None:
-                result = instance.process(packet, now)
-            else:
-                result = instance.process(packet, now, trace=trace)
-        # Pass-through devices (hosting no element of the program) do not
-        # participate in version consistency — a packet's "version" is
-        # defined by the elements that processed it. Hosting devices also
-        # stamp the version they used so a downstream device that is
-        # still mid-window honours the upstream decision (even after the
-        # upstream device's own window has closed).
-        if instance.hosted_elements is None or instance.hosted_elements:
-            packet.versions_seen[self.name] = result.version
-            packet.meta["_epoch"] = result.version
-        self.stats.processed += 1
-        self.stats.total_ops += result.ops
-        self.stats.per_version[result.version] = (
-            self.stats.per_version.get(result.version, 0) + 1
-        )
-        self.stats.energy_nj += self.target.performance.packet_energy_nj(result.ops)
-        if packet.meta.get("drop_flag"):
-            self.stats.dropped_by_program += 1
+            # Pass-through lane (compiled engine only, so every
+            # interpreter arm checks it): the slice hosts nothing, and
+            # nothing but the parse cost and the egress drop is left of it.
+            result = lane[1] if packet.has_header(lane[0]) else lane[2]
+            if meta.get("drop_flag"):
+                packet.verdict = Verdict.DROP
+        else:
+            # Flow memo: only consulted for the settled active version
+            # (never mid-transition, where the old/new split must stay
+            # per-packet exact); falls through to normal execution for
+            # uncacheable programs.
+            result = None
+            cache = self._flow_cache
+            if (
+                cache is not None
+                and trace is None
+                and self._transition is None
+                and instance is self._active
+            ):
+                result = cache.process(instance, packet, now)
+            if result is None:
+                if trace is None:
+                    result = instance.process(packet, now)
+                else:
+                    result = instance.process(packet, now, trace=trace)
+            # Pass-through devices (hosting no element of the program) do
+            # not participate in version consistency — a packet's
+            # "version" is defined by the elements that processed it.
+            # Hosting devices also stamp the version they used so a
+            # downstream device that is still mid-window honours the
+            # upstream decision (even after the upstream device's own
+            # window has closed).
+            if instance.hosted_elements is None or instance.hosted_elements:
+                packet.versions_seen[self.name] = meta["_epoch"] = result.version
+        ops = result.ops
+        costs = self._op_costs.get(ops)
+        if costs is None:
+            performance = self.target.performance
+            costs = self._op_costs[ops] = (
+                performance.packet_energy_nj(ops),
+                performance.packet_latency_ns(ops) * 1e-9,
+            )
+        stats.processed += 1
+        stats.total_ops += ops
+        stats.per_version[result.version] = stats.per_version.get(result.version, 0) + 1
+        stats.energy_nj += costs[0]
+        if meta.get("drop_flag"):
+            stats.dropped_by_program += 1
         if trace is not None:
             observer.record_packet(self.name, packet, result, trace, now)
-        return queueing_delay_s + self.target.performance.packet_latency_ns(result.ops) * 1e-9
+        return (start - now) + costs[1]
 
     def _choose_instance(self, packet: Packet, now: float) -> ProgramInstance | None:
         transition = self._transition
@@ -465,8 +491,6 @@ class DeviceRuntime:
         # on the packet for downstream devices.
         progress = (now - transition.start) / (transition.end - transition.start)
         if transition.flow_affine:
-            from repro.simulator.packet import FiveTuple
-
             flow = FiveTuple.of(packet)
             flow_key = (flow.src_ip, flow.dst_ip, flow.proto, flow.src_port, flow.dst_port)
             memoized = transition.flow_epochs.get(flow_key)

@@ -43,6 +43,7 @@ import copy
 import os
 import queue as queue_mod
 import random
+import sys
 import time
 import traceback
 from dataclasses import dataclass, field
@@ -610,7 +611,6 @@ def _worker_main(
     injections: list[tuple],
     end_time: float,
     inboxes: dict,
-    result_queue,
     events_queue,
     chaos: FaultPlan | None,
     checkpoint_every: int,
@@ -619,9 +619,10 @@ def _worker_main(
 ) -> None:
     """One forked worker: owns its shard's (copy-on-write) devices, runs
     the protocol in lock-step rounds over the sequenced transport,
-    heartbeats and checkpoints to the supervisor, ships a ShardResult,
-    then lingers to serve replay/NACK requests until the supervisor's
-    shutdown.
+    heartbeats and checkpoints to the supervisor, ships a ShardResult
+    (on the same queue, so it can never overtake or trail its own last
+    heartbeat), then lingers to serve replay/NACK requests until the
+    supervisor's shutdown.
 
     Round structure (mirrors ``step_inline``, which is what makes the
     round schedule — and therefore every regenerated frame after a
@@ -633,6 +634,13 @@ def _worker_main(
     inputs, exactly like an inline engine being stepped.
     """
     try:
+        # This process computes on its main thread while the mp queues'
+        # feeder threads only pickle and write frames. At the default
+        # 5 ms switch interval a frame put just before a window's
+        # advance sits out the whole advance waiting for the GIL, the
+        # neighbor idles, and the fleet flips between running in
+        # parallel and in turns depending on who blocked first.
+        sys.setswitchinterval(limits.SCALE_WORKER_SWITCH_INTERVAL_S)
         # CPU-seconds measurement only — it feeds the E20 capacity
         # metric (aggregate pps = packets / max shard CPU) and never
         # touches simulation state or any deterministic export, so the
@@ -780,7 +788,7 @@ def _worker_main(
             "deterministic": transport.stats.deterministic_dict(),
             "measured": transport.stats.measured_dict(),
         }
-        result_queue.put(("ok", shard_result))
+        events_queue.put(("ok", shard_result))
         # Linger: a crashed neighbor restoring from its checkpoint may
         # still need this shard's retained batches, so keep serving
         # NACK/replay frames until the supervisor's shutdown broadcast.
@@ -792,7 +800,7 @@ def _worker_main(
             if transport.ingest(frame) in ("poison", "shutdown"):
                 return
     except BaseException:  # noqa: BLE001 - shipped to the coordinator
-        result_queue.put(("error", shard_id, traceback.format_exc()))
+        events_queue.put(("error", shard_id, traceback.format_exc()))
         # Wait for the supervisor's poison/shutdown so neighbors can
         # still be served while it tears the fleet down.
         try:
@@ -898,7 +906,6 @@ class Supervisor:
         self.context = multiprocessing.get_context("fork")
         self.shards = plan.populated_shards
         self.inboxes = {shard: self.context.Queue() for shard in self.shards}
-        self.result_queue = self.context.Queue()
         self.events_queue = self.context.Queue()
         self.report = MendReport(checkpoint_every=checkpoint_every)
         self._procs: dict[int, object] = {}
@@ -921,7 +928,6 @@ class Supervisor:
                 self.per_shard.get(shard, []),
                 self.end_time,
                 self.inboxes,
-                self.result_queue,
                 self.events_queue,
                 self.chaos,
                 self.checkpoint_every,
@@ -936,7 +942,12 @@ class Supervisor:
         # simulation state — baselined in vet_baseline.json.
         self._last_hb[shard] = (time.monotonic(), 0)
 
-    def _drain_events(self) -> None:
+    def _drain_events(self, results: dict[int, ShardResult]) -> str | None:
+        """Wait one poll interval for an event, then take every event
+        already queued; returns an error string when a worker failed.
+        Results are events too: on a queue of their own they would be
+        seen at the next event or poll, whichever a race against the
+        sender's last heartbeat produced."""
         block = True
         while True:
             try:
@@ -948,7 +959,7 @@ class Supervisor:
                 else:
                     event = self.events_queue.get_nowait()
             except queue_mod.Empty:
-                return
+                return None
             kind = event[0]
             if kind == "hb":
                 _, shard, window = event
@@ -968,17 +979,10 @@ class Supervisor:
                     self.report.stalls_injected += 1
                 else:
                     self._pending_crash[shard] = window
-
-    def _drain_results(self, results: dict[int, ShardResult]) -> str | None:
-        while True:
-            try:
-                item = self.result_queue.get_nowait()
-            except queue_mod.Empty:
-                return None
-            if item[0] == "ok":
-                results[item[1].shard_id] = item[1]
+            elif kind == "ok":
+                results[event[1].shard_id] = event[1]
             else:
-                return f"shard {item[1]} failed:\n{item[2]}"
+                return f"shard {event[1]} failed:\n{event[2]}"
 
     def _handle_death(self, shard: int, exitcode: int | None) -> str | None:
         """Respawn a dead shard from its last checkpoint; returns an
@@ -1063,7 +1067,6 @@ class Supervisor:
                 worker.join()
         for queue in (
             *self.inboxes.values(),
-            self.result_queue,
             self.events_queue,
         ):
             queue.close()
@@ -1079,8 +1082,7 @@ class Supervisor:
         deadline = time.monotonic() + limits.SCALE_RESULT_TIMEOUT_S
         try:
             while len(results) < len(self.shards) and error is None:
-                self._drain_events()
-                error = self._drain_results(results)
+                error = self._drain_events(results)
                 if error is None:
                     error = self._check_workers(results)
                 if error is None and time.monotonic() > deadline:

@@ -25,8 +25,8 @@ ramps are all just scheduled callbacks.
 
 from __future__ import annotations
 
-import heapq
 import math
+from heapq import heappop, heappush
 from collections.abc import Callable
 
 from repro.errors import SimulationError
@@ -52,12 +52,6 @@ class EventLoop:
     def now(self) -> float:
         return self._now
 
-    def _push(self, time: float, callback: Callable[[], None]) -> int:
-        sequence = self._sequence
-        self._sequence = sequence + 1
-        heapq.heappush(self._heap, (time, sequence, callback))
-        return sequence
-
     def schedule(self, delay: float, callback: Callable[[], None]) -> int:
         """Schedule ``callback`` to run ``delay`` seconds from now.
 
@@ -67,7 +61,10 @@ class EventLoop:
         ordering after a restore."""
         if delay < 0:
             raise SimulationError(f"cannot schedule {delay} s in the past")
-        return self._push(self._now + delay, callback)
+        sequence = self._sequence
+        self._sequence = sequence + 1
+        heappush(self._heap, (self._now + delay, sequence, callback))
+        return sequence
 
     def schedule_at(self, time: float, callback: Callable[[], None]) -> int:
         """Schedule ``callback`` at an absolute virtual time; returns the
@@ -81,12 +78,15 @@ class EventLoop:
             raise SimulationError(
                 f"cannot schedule at {time} s, before current time {self._now} s"
             )
-        return self._push(time, callback)
+        sequence = self._sequence
+        self._sequence = sequence + 1
+        heappush(self._heap, (time, sequence, callback))
+        return sequence
 
     def _drain(self, end_time: float) -> None:
         heap = self._heap
         while heap and heap[0][0] <= end_time:
-            self._now, _, callback = heapq.heappop(heap)
+            self._now, _, callback = heappop(heap)
             callback()
 
     def run_until(self, end_time: float) -> None:

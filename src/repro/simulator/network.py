@@ -71,9 +71,8 @@ class Network:
         #: arrival, fully described by plain data. With tracking on,
         #: in-flight arrivals are registered until they execute, so a
         #: shard checkpoint can serialize the event loop's contents as
-        #: ``(time, seq, packet, hops, index)`` tuples.
-        self._inflight: dict[int, tuple] | None = {} if track_inflight else None
-        self._inflight_token = 0
+        #: ``(time, seq, packet, hops, index)`` tuples, keyed by flight.
+        self._inflight: dict[Callable, tuple] | None = {} if track_inflight else None
 
     def adopt_topology(self, other: "Network") -> None:
         """Copy link latencies and named paths from another network
@@ -137,9 +136,10 @@ class Network:
         on_done: Callable[[Packet], None] | None = None,
     ) -> None:
         """Send a packet along a path, starting at ``at_time``."""
-        hops = self.path(path) if isinstance(path, str) else list(path)
+        # A named path is shared, not copied: a flight only reads its hops.
+        hops = self._paths.get(path) if isinstance(path, str) else list(path)
         if not hops:
-            raise SimulationError("empty path")
+            raise SimulationError("empty path" if hops is not None else f"unknown path {path!r}")
         if metrics is not None:
             metrics.record_sent()
         if not self.owns(hops[0]):
@@ -170,20 +170,54 @@ class Network:
         metrics: RunMetrics | None,
         on_done: Callable[[Packet], None] | None,
     ) -> None:
-        if self._inflight is None:
-            self.loop.schedule_at(
-                at_time, lambda: self._arrive(packet, hops, index, metrics, on_done)
-            )
-            return
-        self._inflight_token += 1
-        token = self._inflight_token
+        """Put the packet in flight: one callable per packet, which runs
+        an arrival, advances its own ``index`` and re-schedules *itself*
+        for the next hop (so a hop allocates nothing and costs one
+        frame above the node). It drops its self-reference when it
+        finishes or hands off, so the refcount frees it with the packet."""
 
-        def run() -> None:
-            del self._inflight[token]
-            self._arrive(packet, hops, index, metrics, on_done)
+        def flight() -> None:
+            nonlocal index, flight
+            inflight = self._inflight
+            if inflight is not None:
+                del inflight[flight]
+            loop = self.loop
+            now = loop._now  # noqa: SLF001 - hot path (the ``now`` property is a frame)
+            name = hops[index]
+            node = self._nodes.get(name)
+            if node is None:
+                raise SimulationError(f"unknown node {name!r}")
+            if not node.available(now):
+                packet.verdict = Verdict.LOST
+            else:
+                processing_s = node.process(packet, now)
+                packet.path.append(name)
+                # A program drop or queue overflow goes no further.
+                if packet.verdict is Verdict.FORWARD:
+                    index += 1
+                    if index == len(hops):
+                        packet.delivered_at = now + processing_s
+                    else:
+                        link = self._links.get((name, hops[index]))
+                        if link is None:
+                            raise SimulationError(f"no link {name!r} -> {hops[index]!r}")
+                        arrival = now + (processing_s + link.latency_s)
+                        if self._owned is None or hops[index] in self._owned:
+                            sequence = loop.schedule_at(arrival, flight)
+                            if inflight is not None:
+                                inflight[flight] = (arrival, sequence, packet, hops, index)
+                        else:
+                            # Cross-shard handoff: ship the exact arrival
+                            # timestamp the local schedule would have used.
+                            flight = None
+                            self._on_handoff(packet, hops, index, arrival)
+                        return
+            flight = None
+            self._finish(packet, metrics, on_done)
 
-        sequence = self.loop.schedule_at(at_time, run)
-        self._inflight[token] = (at_time, sequence, packet, hops, index)
+        sequence = self.loop.schedule_at(at_time, flight)
+        if self._inflight is not None:
+            self._inflight[flight] = (at_time, sequence, packet, hops, index)
 
     def inflight_arrivals(self) -> list[tuple]:
         """Pending arrivals as plain ``(time, seq, packet, hops, index)``
@@ -194,40 +228,6 @@ class Network:
                 "inflight_arrivals requires track_inflight=True"
             )
         return sorted(self._inflight.values(), key=lambda item: (item[0], item[1]))
-
-    def _arrive(
-        self,
-        packet: Packet,
-        hops: list[str],
-        index: int,
-        metrics: RunMetrics | None,
-        on_done: Callable[[Packet], None] | None,
-    ) -> None:
-        now = self.loop.now
-        node = self.node(hops[index])
-        if not node.available(now):
-            packet.verdict = Verdict.LOST
-            self._finish(packet, metrics, on_done)
-            return
-        processing_s = node.process(packet, now)
-        packet.path.append(node.name)
-        if packet.verdict is not Verdict.FORWARD:
-            # program drop or queue overflow — the packet goes no further
-            self._finish(packet, metrics, on_done)
-            return
-        if index + 1 >= len(hops):
-            packet.delivered_at = now + processing_s
-            self._finish(packet, metrics, on_done)
-            return
-        hop_latency = processing_s + self.link_latency(hops[index], hops[index + 1])
-        if not self.owns(hops[index + 1]):
-            # Cross-shard handoff: ship the exact arrival timestamp the
-            # local schedule() call would have produced.
-            self._on_handoff(packet, hops, index + 1, now + hop_latency)
-            return
-        self._schedule_arrival(
-            now + hop_latency, packet, hops, index + 1, metrics, on_done
-        )
 
     def _finish(
         self,

@@ -105,7 +105,10 @@ class Packet:
         self.fields[(header, field_name)] = value
 
     def has_header(self, header: str) -> bool:
-        return any(key[0] == header for key in self.fields)
+        for key in self.fields:
+            if key[0] == header:
+                return True
+        return False
 
     @property
     def dropped(self) -> bool:

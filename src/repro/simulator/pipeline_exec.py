@@ -65,6 +65,21 @@ class ProgramInstance:
         #: FlexVet: lazily computed parallelism classification of the
         #: hosted slice (see :meth:`vet`).
         self._vet = None
+        #: Pass-through lane: a slice hosting *nothing* whose apply block
+        #: has no top-level ``if`` (a condition is evaluated and costed
+        #: even here) only parses, so its outcome is two-valued: ``(start
+        #: header, result with it, result without)``, each result shared
+        #: by every packet. None when the slice must really execute.
+        self.lane = None
+        if hosted_elements is not None and not hosted_elements and not any(
+            isinstance(step, ir.ApplyIf) for step in program.apply
+        ):
+            parser = program.parser
+            start, ops = (
+                (None, 0) if parser is None else (parser.start_header, 1 + len(parser.transitions))
+            )
+            version = program.version
+            self.lane = (start, ExecutionResult(ops, version), ExecutionResult(0, version))
 
     @property
     def version(self) -> int:

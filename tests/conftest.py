@@ -13,6 +13,7 @@ from repro.compiler.placement import NetworkSlice
 from repro.compiler.plan import DeviceSpec
 from repro.core.flexnet import FlexNet
 from repro.lang.analyzer import Analyzer, certify
+from repro.lang.delta import Delta, RemoveElements, apply_delta
 from repro.lang.ir import Program
 from repro.targets import drmt_switch, host, rmt_switch, smartnic
 
@@ -26,6 +27,21 @@ def base_program():
 @pytest.fixture
 def base_certificate(base_program):
     return certify(base_program)
+
+
+def forwarding_program() -> Program:
+    """The base program minus ``flow_counts``: ACL, L2, L3 and the TTL
+    guard with no map, so the flow memo admits it whole — and the device
+    that hosts it has something to execute (``standard_builder(...)
+    .build()`` alone has no table, which makes every device pass-through)."""
+    strip = Delta(
+        name="strip_flow_counts",
+        ops=(
+            RemoveElements(pattern="count_flow", kind="function"),
+            RemoveElements(pattern="flow_counts", kind="map"),
+        ),
+    )
+    return apply_delta(base_infrastructure(), strip)[0]
 
 
 def make_standard_slice(switch="drmt"):

@@ -194,10 +194,10 @@ class TestMemoCountersAreMonotonic:
         summed over *live* versions, so they fell when a transition
         retired one. The per-device memo's counters only ever grow."""
         from repro.apps import int_probe_delta
-        from repro.apps.base import standard_builder
+        from tests.conftest import forwarding_program
 
         net = FlexNet.standard()
-        net.install(standard_builder("forward").build())  # stateless: memo-admitted
+        net.install(forwarding_program())  # stateless: memo-admitted, hosted on sw1
         net.engine(batch=True)
         net.observe.enable(sample_every=0)
         scrapes = []

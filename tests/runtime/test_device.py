@@ -1,12 +1,24 @@
 """Device runtime tests: version transitions, state sharing, reflash."""
 
+import collections
+import copy
+import dataclasses
+
 import pytest
 
+from repro.analysis.corpus import bundled_programs
+from repro.apps.base import standard_builder
 from repro.errors import ReconfigError
+from repro.lang import builder as b
 from repro.lang.delta import apply_delta, parse_delta
-from repro.runtime.device import DeviceRuntime
+from repro.observe import Observer
+from repro.runtime.device import DeviceRuntime, EngineConfig
+from repro.simulator import fastpath
 from repro.simulator.packet import make_packet
+from repro.simulator.pipeline_exec import ProgramInstance
 from repro.targets import drmt_switch, rmt_switch
+
+PROGRAMS = bundled_programs()
 
 ADD_GUARD = """
 delta add_guard {
@@ -170,3 +182,164 @@ class TestReflash:
         assert device.busy_until(3.0) == 3.0
         device.begin_hitless_update(base_program.bump_version(), 3.0, 0.4)
         assert device.busy_until(3.0) == pytest.approx(3.4)
+
+
+def lane_corpus(recirculating=True):
+    """``seeded_corpus`` plus what it never generates: packets without
+    the start header, packets already marked for drop and (optionally)
+    packets arriving with a recirculation pending."""
+    packets = fastpath.seeded_corpus(120, seed=5)
+    for index, packet in enumerate(fastpath.seeded_corpus(30, seed=6)):
+        if index % 3 == 0:
+            packet.fields = {
+                key: value for key, value in packet.fields.items() if key[0] != "ethernet"
+            }
+        elif index % 3 == 1:
+            packet.meta["drop_flag"] = 1
+        elif recirculating:
+            packet.meta["_recirculate"] = 1
+        packets.append(packet)
+    return packets
+
+
+def arrival_time(device, index):
+    """Bursts of 12 at half a service slot, then a gap that drains the
+    queue: depth, queueing delay and overflow are all exercised."""
+    slot = 0.5 / (device.target.performance.throughput_mpps * 1e6)
+    return (index + 40 * (index // 12)) * slot
+
+
+def lane_arms(install, engine=EngineConfig(memo=True)):
+    """The same device twice, interpreter then compiled, with a short
+    queue so the corpus also tail-drops."""
+    arms = []
+    for config in (EngineConfig(), engine):
+        device = DeviceRuntime("d", drmt_switch("d"), queue_capacity_packets=4, engine=config)
+        install(device)
+        arms.append(device)
+    return arms
+
+
+def feed(device, packets):
+    """Everything one hop can change, per packet."""
+    out = []
+    for index, packet in enumerate(copy.deepcopy(packets)):
+        latency = device.process(packet, arrival_time(device, index))
+        out.append(
+            (packet.fields, packet.meta, packet.verdict, packet.digests,
+             packet.versions_seen, latency)
+        )
+    return out
+
+
+def assert_arms_agree(reference, lane, packets):
+    for index, (left, right) in enumerate(zip(feed(reference, packets), feed(lane, packets))):
+        assert left == right, index
+    # ``energy_nj`` included, with ``==``: the same floats in the same order.
+    assert dataclasses.asdict(reference.stats) == dataclasses.asdict(lane.stats)
+    assert reference.stats.queue_drops > 0 and reference.stats.max_queue_depth > 0
+
+
+def executor_calls(monkeypatch):
+    """A Counter of calls into the executor, keyed ``(entry, instance)``."""
+    calls = collections.Counter()
+
+    def counting(entry, original, instance_arg):
+        def wrapper(*args, **kwargs):
+            calls[entry, args[instance_arg]] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(
+        fastpath.FlowCache, "process", counting("memo", fastpath.FlowCache.process, 1)
+    )
+    monkeypatch.setattr(
+        ProgramInstance, "process", counting("instance", ProgramInstance.process, 0)
+    )
+    return calls
+
+
+def host_nothing(program):
+    return lambda device: device.install(program, hosted_elements=set())
+
+
+class TestPassThroughLane:
+    """A device that hosts no element of the program runs the queue
+    model and one of two precomputed results under the compiled engine.
+    The interpreter engine never takes the lane, which makes it the
+    reference every lane hop is checked against."""
+
+    @pytest.mark.parametrize("memo", [False, True], ids=["compiled", "memo"])
+    @pytest.mark.parametrize("label,program", PROGRAMS, ids=[label for label, _ in PROGRAMS])
+    def test_lane_matches_the_interpreter(self, label, program, memo):
+        engine = EngineConfig(fastpath=True, memo=memo)
+        reference, lane = lane_arms(host_nothing(program), engine)
+        assert lane.active_instance.lane is not None
+        # A pending recirculation leaves the lane for the normal route,
+        # and only the compiled one is exact there: a memo replay does
+        # not pop a ``_recirculate`` the packet *arrived* with (as at the
+        # parent; no hop emits one, the executor pops its own flag).
+        assert_arms_agree(reference, lane, lane_corpus(recirculating=not memo))
+        assert lane.stats.dropped_by_program > 0  # the pre-marked packets
+
+    def test_lane_hop_makes_no_call_into_the_executor(self, base_program, monkeypatch):
+        _, lane = lane_arms(host_nothing(base_program))
+        calls = executor_calls(monkeypatch)
+        feed(lane, lane_corpus(recirculating=False))
+        assert lane.stats.processed > 100
+        assert not calls
+        assert lane.flow_cache.stats == fastpath.FlowCacheStats()  # the memo never ticks
+        # A pending recirculation is the interpreter's to pop and re-run.
+        bounced = make_packet(1, 2)
+        bounced.meta["_recirculate"] = 1
+        lane.process(bounced, 1.0)
+        assert calls["memo", lane.active_instance] == 1
+        assert "_recirculate" not in bounced.meta
+
+    def test_interpreter_engine_never_takes_the_lane(self, base_program, monkeypatch):
+        reference, _ = lane_arms(host_nothing(base_program))
+        calls = executor_calls(monkeypatch)
+        feed(reference, lane_corpus())
+        assert calls["instance", reference.active_instance] == reference.stats.processed > 100
+
+    def test_top_level_if_reaches_the_executor(self, monkeypatch):
+        """A condition is evaluated and costed even on a device that
+        hosts neither branch, so such a slice is not lane-eligible."""
+        builder = standard_builder("guarded")
+        builder.function("mark", [b.assign("meta.marked", 1)])
+        builder.apply(builder.apply_if(b.binop("==", "ipv4.ttl", 0), ["mark"]))
+        program = builder.build()
+        reference, lane = lane_arms(host_nothing(program), EngineConfig(fastpath=True))
+        assert lane.active_instance.lane is None
+        calls = executor_calls(monkeypatch)
+        assert_arms_agree(reference, lane, lane_corpus())
+        assert calls["instance", lane.active_instance] == lane.stats.processed > 100
+        assert lane.stats.total_ops > 3 * lane.stats.processed  # parse + the condition
+
+    def test_sampled_packets_still_run_the_interpreter(self, base_program):
+        reference, lane = lane_arms(host_nothing(base_program))
+        for device in (reference, lane):
+            device.observer = Observer(sample_every=1)
+        assert_arms_agree(reference, lane, lane_corpus())  # sampled: no memo replay either
+        spans = lane.observer.tracer.to_dict()
+        assert spans == reference.observer.tracer.to_dict()
+        assert lane.observer.tracer.total_spans == lane.stats.processed
+        assert "parse" in lane.observer.tracer.render_tree()
+
+    def test_open_window_between_two_pass_through_versions(self, base_program, monkeypatch):
+        new_program, _ = apply_delta(base_program, parse_delta(ADD_GUARD))
+        packets = lane_corpus(recirculating=False)
+
+        def install(device):
+            device.install(base_program, hosted_elements=set())
+            window_s = 1.25 * arrival_time(device, len(packets))
+            device.begin_hitless_update(new_program, 0.0, window_s, hosted_elements=set())
+
+        reference, lane = lane_arms(install)
+        calls = executor_calls(monkeypatch)
+        assert_arms_agree(reference, lane, packets)
+        assert lane.in_transition
+        # Whichever of old/new the per-packet draw picked is the lane taken.
+        assert set(lane.stats.per_version) == {base_program.version, new_program.version}
+        assert not any(instance.fastpath_enabled for _, instance in calls)

@@ -14,6 +14,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import queue
+import sys
 import time
 
 import pytest
@@ -242,6 +243,26 @@ class TestEngineCheckpoint:
         run_inline({0: restored})
         assert _canon(restored.result().metrics.to_dict()) == expected
 
+    def test_mid_run_roundtrip_is_bit_identical(self):
+        """A checkpoint between two hops: the loop holds flights at
+        every index of their paths, not only freshly injected ones."""
+        baseline = _single_shard_engine()
+        run_inline({0: baseline})
+        expected = _canon(baseline.result().metrics.to_dict())
+
+        source = _single_shard_engine()
+        end_time, source.end_time = source.end_time, 0.002  # first window ends mid-run
+        source.advance()
+        source.end_time = end_time
+        ckpt = checkpoint_engine(source)
+        assert {index for *_, index in ckpt.inflight} > {0}  # some mid-path, some not yet sent
+        assert 0 < source.metrics.delivered < 80
+        restored = _single_shard_engine(inject=False)
+        restore_engine(restored, ckpt)
+        for engine in (source, restored):
+            run_inline({0: engine})
+            assert _canon(engine.result().metrics.to_dict()) == expected
+
     def test_checkpoint_serializes_injected_arrivals(self):
         engine = _single_shard_engine()
         ckpt = checkpoint_engine(engine)
@@ -369,6 +390,38 @@ class TestSupervisedRecovery:
             run_sharded(
                 net, workload, 2, backend="inline", drain_s=DRAIN_S, chaos=chaos
             )
+
+
+class TestSupervisorPacing:
+    """Wall-clock pacing of the process backend: none of it may decide
+    how long a fault-free run takes."""
+
+    def test_a_result_wakes_the_supervisor(self, monkeypatch):
+        # Results travel on the events queue, so the last one ends the
+        # run at once, however long the supervisor would otherwise sleep.
+        monkeypatch.setattr(limits, "MEND_POLL_INTERVAL_S", 8.0)
+        net, workload = _arm()
+        start = time.monotonic()
+        report = run_sharded(net, workload, 2, backend="process", seed=11, drain_s=DRAIN_S)
+        assert time.monotonic() - start < 6.0
+        assert _canon(report.traffic_dict()) == _reference_json()
+
+    def test_switch_interval_is_set_in_the_worker_only(self, monkeypatch):
+        result = ShardEngine.result
+
+        def spying_result(engine):
+            out = result(engine)
+            out.switch_interval_s = sys.getswitchinterval()  # pickled with the result
+            return out
+
+        monkeypatch.setattr(ShardEngine, "result", spying_result)
+        before = sys.getswitchinterval()
+        net, workload = _arm()
+        report = run_sharded(net, workload, 2, backend="process", seed=11, drain_s=DRAIN_S)
+        seen = [shard.switch_interval_s for shard in report.shard_results]
+        assert seen == [pytest.approx(limits.SCALE_WORKER_SWITCH_INTERVAL_S)] * 2
+        assert sys.getswitchinterval() == before
+        assert before > limits.SCALE_WORKER_SWITCH_INTERVAL_S
 
 
 class TestFailurePropagation:
