@@ -10,14 +10,15 @@ models, not the authors' testbed.
 
 from __future__ import annotations
 
+import json
 import pathlib
 
 from repro.core.flexnet import FlexNet
 from repro.apps.base import base_infrastructure
 
-#: The experiment tables are artifacts: in addition to stdout (visible
-#: with ``pytest -s``), every table is appended to this file so a plain
-#: ``pytest benchmarks/ --benchmark-only`` run still leaves a record.
+#: In addition to stdout (visible with ``pytest -s``), every table is
+#: appended to this untracked file so a plain ``pytest benchmarks/
+#: --benchmark-only`` run still leaves a local record.
 TABLES_PATH = pathlib.Path(__file__).resolve().parent.parent / "bench_tables.txt"
 _session_started = False
 
@@ -40,6 +41,20 @@ def print_table(title: str, headers: list[str], rows: list[list]) -> None:
     _session_started = True
     with open(TABLES_PATH, mode, encoding="utf-8") as handle:
         handle.write(text + "\n")
+
+
+def write_artifact(path: pathlib.Path, results: dict, measured: frozenset) -> None:
+    """Write a tracked ``BENCH_e*.json``: ``results`` without its
+    ``measured`` keys at any depth. Wall-clock and CPU rows go to the
+    printed table only, so the tracked file moves when behaviour does
+    and not on every run."""
+
+    def keep(value):
+        if isinstance(value, dict):
+            return {k: keep(v) for k, v in value.items() if k not in measured}
+        return value
+
+    path.write_text(json.dumps(keep(results), indent=2) + "\n", encoding="utf-8")
 
 
 def standard_net(**infra_kwargs) -> FlexNet:

@@ -2,25 +2,28 @@
 
 The data-plane simulator's reference executor walks the IR tree with
 isinstance dispatch on every packet. FlexPath compiles each program
-version once into a closure tree (plus indexed table lookup and the
-per-device flow memo, run here through its single-packet entry) and must (a) run the E2 workload — base
-infrastructure with the firewall delta applied, realistic rules — at
-least **3x faster** in packets/second, and (b) produce **byte-identical
-outcomes**: verdicts, fields, metadata, digests, op counts, map state,
-and table counters.
+version once into a closure tree (plus indexed table lookup) and must
+(a) run the E2 workload — base infrastructure with the firewall delta
+applied, realistic rules — at least **3x faster** in packets/second,
+and (b) produce **byte-identical outcomes**: verdicts, fields,
+metadata, digests, op counts, map state, and table counters. The
+per-device flow memo, driven through ``FlowCache.process`` as the
+device drives it, must (c) serve the program's stateless hosted slice
+at least **2x faster** than the compiled whole program with no bypass,
+and (d) stay byte-identical to the interpreter on that slice.
 
-The run writes ``BENCH_e17.json`` at the repo root (CI's bench-smoke
-reads it) in addition to the bench_tables.txt row.
+The pps rows go to stdout and the local bench_tables.txt; the tracked
+``BENCH_e17.json`` keeps the counts and divergences, which move only
+when behaviour does.
 """
 
 from __future__ import annotations
 
 import copy
-import json
 import pathlib
 import time
 
-from benchmarks.harness import fmt, print_table
+from benchmarks.harness import fmt, print_table, write_artifact
 
 from repro.apps import base_infrastructure, firewall_delta
 from repro.lang.delta import apply_delta
@@ -35,6 +38,12 @@ RESULT_PATH = pathlib.Path(__file__).resolve().parent.parent / "BENCH_e17.json"
 N_PACKETS = 4000
 N_FLOWS = 64
 TARGET_SPEEDUP = 3.0
+TARGET_MEMO_SPEEDUP = 2.0  # compiled + memo on the slice over compiled
+#: wall-clock rows: printed, never tracked.
+MEASURED = frozenset({
+    "interpreted_pps", "compiled_pps", "compiled_cached_pps",
+    "speedup_compiled", "speedup_cached", "speedup_memo_vs_compiled",
+})
 
 
 def e2_program():
@@ -109,43 +118,51 @@ def _bench(instance: ProgramInstance, packets: list, cache=None) -> float:
 def run_experiment() -> dict:
     program = e2_program()
     packets = e2_corpus()
+    # The whole program writes flow_counts, so whole-program caching is
+    # statically rejected; a device hosting only the stateless tables —
+    # the paper's disaggregation story — caches its slice.
+    hosted = {"acl", "fw_block", "l2", "l3", "ttl_guard"}
 
-    # -- differential: compiled outcomes byte-identical to interpreted --
+    # -- differential: both arms byte-identical to interpreted -----------
     diff = fastpath.differential_check(program, packets, setup=realistic_rules)
+    memo_diff = fastpath.differential_check(
+        program, packets, hosted_elements=set(hosted), setup=realistic_rules,
+        cache=fastpath.FlowCache(),
+    )
 
-    # -- throughput: interpreted vs compiled (full program) --------------
+    # -- throughput: interpreted vs compiled (full program) vs memo ------
     interp = ProgramInstance(program)
     realistic_rules(interp)
     compiled = ProgramInstance(program, fastpath=True)
     realistic_rules(compiled)
-
-    _bench(interp, packets[:500])  # warm both paths (index/closure build)
-    _bench(compiled, packets[:500])
-    # Best of two passes per executor: pps is noise-bounded from above,
-    # so the max is the better estimate of each executor's true rate.
-    interp_pps = max(_bench(interp, packets) for _ in range(2))
-    compiled_pps = max(_bench(compiled, packets) for _ in range(2))
-
-    # -- compiled + flow memo on the stateless hosted slice --------------
-    # (the whole program writes flow_counts, so whole-program caching is
-    # statically rejected; a device hosting only the stateless tables —
-    # the paper's disaggregation story — caches its slice.)
-    hosted = {"acl", "fw_block", "l2", "l3", "ttl_guard"}
     sliced = ProgramInstance(program, hosted_elements=set(hosted), fastpath=True)
     realistic_rules(sliced)
     cache = fastpath.FlowCache()
+
+    _bench(interp, packets[:500])  # warm every path (index/closure/key build)
+    _bench(compiled, packets[:500])
     _bench(sliced, packets[:500], cache=cache)
-    cached_pps = _bench(sliced, packets, cache=cache)
+    # Best of three passes per executor: pps is noise-bounded from above,
+    # so the max is the better estimate of each executor's true rate. The
+    # passes are interleaved so a drift in host speed hits every executor
+    # alike and cancels in the gated ratios.
+    interp_pps = compiled_pps = cached_pps = 0.0
+    for _ in range(3):
+        interp_pps = max(interp_pps, _bench(interp, packets))
+        compiled_pps = max(compiled_pps, _bench(compiled, packets))
+        cached_pps = max(cached_pps, _bench(sliced, packets, cache=cache))
 
     return {
         "packets": len(packets),
         "flows": N_FLOWS,
         "divergences": len(diff.divergences),
+        "memo_divergences": len(memo_diff.divergences),
         "interpreted_pps": interp_pps,
         "compiled_pps": compiled_pps,
         "compiled_cached_pps": cached_pps,
         "speedup_compiled": compiled_pps / interp_pps,
         "speedup_cached": cached_pps / interp_pps,
+        "speedup_memo_vs_compiled": cached_pps / compiled_pps,
         "cache_stats": cache.stats.to_dict(),
     }
 
@@ -168,15 +185,21 @@ def test_e17_fastpath(benchmark):
             [
                 "FlexPath + flow memo (stateless slice)",
                 fmt(results["compiled_cached_pps"], 4),
-                f"{results['speedup_cached']:.2f}x",
+                f"{results['speedup_cached']:.2f}x "
+                f"({results['speedup_memo_vs_compiled']:.2f}x compiled)",
+                f"{results['memo_divergences']}, "
                 f"hit rate {results['cache_stats']['hit_rate']:.0%}",
             ],
         ],
     )
 
-    RESULT_PATH.write_text(json.dumps(results, indent=2) + "\n", encoding="utf-8")
+    write_artifact(RESULT_PATH, results, MEASURED)
 
     assert results["divergences"] == 0
+    assert results["memo_divergences"] == 0
     assert results["speedup_compiled"] >= TARGET_SPEEDUP, results["speedup_compiled"]
+    assert results["speedup_memo_vs_compiled"] >= TARGET_MEMO_SPEEDUP, results[
+        "speedup_memo_vs_compiled"
+    ]
     assert results["cache_stats"]["hits"] > 0
     assert results["cache_stats"]["bypasses"] == 0

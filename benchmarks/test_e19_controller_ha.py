@@ -25,7 +25,8 @@ replicated controller mid-traffic:
 Byte-identical reports across same-seed runs are asserted for the
 crash scenario (the chaos-report reproducibility guarantee, extended to
 controller faults). The run writes ``BENCH_e19.json`` at the repo root
-(CI's bench-smoke reads it) in addition to the bench_tables.txt rows.
+(virtual-time and count fields only) in addition to the local
+bench_tables.txt rows.
 """
 
 from __future__ import annotations

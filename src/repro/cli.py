@@ -324,9 +324,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def cmd_bench(args: argparse.Namespace) -> int:
     """Benchmark the data-plane executor on one program: interpreted
-    packets/second, and with ``--fastpath`` the FlexPath compiled rate
-    plus a differential check that compiled outcomes are byte-identical.
-    Exits 1 if the differential check finds any divergence."""
+    packets/second, and with ``--fastpath`` the compiled rate and the
+    compiled + flow-memo rate on the program's stateless slice, each
+    with a differential check that its outcomes are byte-identical to
+    the interpreter's. Exits 1 if either check finds any divergence."""
     import copy
     import json as json_module
     import time
@@ -346,61 +347,53 @@ def cmd_bench(args: argparse.Namespace) -> int:
     def setup(instance: ProgramInstance) -> None:
         fastpath.seeded_rules(program, instance, seed=args.seed)
 
-    def measure(enable: bool) -> float:
-        instance = ProgramInstance(program, fastpath=enable)
+    def measure(instance: ProgramInstance, corpus: list, cache=None) -> float:
         setup(instance)
-        work = [copy.deepcopy(p) for p in packets]
-        instance.process(copy.deepcopy(packets[0]), 0.0)  # warm up
+        if cache is None:
+            run = instance.process
+        else:
+            def run(packet, now):
+                if cache.process(instance, packet, now) is None:
+                    instance.process(packet, now)
+        work = [copy.deepcopy(p) for p in corpus]
+        run(copy.deepcopy(corpus[0]), 0.0)  # warm up
         start = time.perf_counter()
         for i, packet in enumerate(work):
-            instance.process(packet, i * 1e-4)
+            run(packet, i * 1e-4)
         # Clamp: a tiny corpus on a fast machine can make the delta 0
         # at timer resolution, and pps must stay finite.
         return len(work) / max(time.perf_counter() - start, 1e-9)
 
-    interp_pps = measure(False)
+    interp_pps = measure(ProgramInstance(program), packets)
     results = {"program": program.name, "packets": len(packets),
                "interpreted_pps": interp_pps}
     divergences = []
-    if args.fastpath or args.batch:
+    if args.fastpath:
+        from repro.analysis.cacheability import stateless_slice
+
         report = fastpath.differential_check(program, packets, setup=setup)
         divergences = list(report.divergences)
-        compiled_pps = measure(True)
+        compiled_pps = measure(ProgramInstance(program, fastpath=True), packets)
+        # The flow memo serves stateless slices, so its row hosts what a
+        # cache-friendly device would. The corpus is all distinct flows
+        # (differential breadth); the memo is for repeating ones, so its
+        # arm is checked and timed over 64 of them tiled.
+        hosted = stateless_slice(program)
+        tiled = [packets[i % 64] for i in range(len(packets))]
+        memo_report = fastpath.differential_check(
+            program, tiled, hosted_elements=hosted, setup=setup,
+            cache=fastpath.FlowCache(),
+        )
+        divergences.extend(memo_report.divergences)
+        cache = fastpath.FlowCache()
+        cached_pps = measure(
+            ProgramInstance(program, hosted, fastpath=True), tiled, cache
+        )
         results["compiled_pps"] = compiled_pps
         results["speedup"] = compiled_pps / interp_pps
-        results["divergences"] = len(divergences)
-    if args.batch:
-        from repro.analysis.cacheability import stateless_slice
-        from repro.simulator.batch import PacketBatch, batched_differential
-
-        # The flow memo serves stateless slices, so --batch hosts what a
-        # cache-friendly device would.
-        hosted = stateless_slice(program)
-        batch_report = batched_differential(
-            program, packets, hosted_elements=hosted, setup=setup,
-            batch_size=args.batch_size,
-        )
-        divergences.extend(batch_report.divergences)
-        instance = ProgramInstance(program, hosted, fastpath=True)
-        setup(instance)
-        cache = fastpath.FlowCache()
-        cache.process(instance, copy.deepcopy(packets[0]), 0.0)  # warm up
-        # The corpus is all distinct flows (differential breadth); the
-        # memo is for repeating ones, so the timed pass tiles 64 of them.
-        work = [copy.deepcopy(packets[i % 64]) for i in range(len(packets))]
-        size = args.batch_size
-        start = time.perf_counter()
-        for offset in range(0, len(work), size):
-            chunk = work[offset : offset + size]
-            cache.process_batch(instance, PacketBatch(
-                chunk, times=[(offset + i) * 1e-4 for i in range(len(chunk))]
-            ))
-        batched_pps = len(work) / max(time.perf_counter() - start, 1e-9)
-        results["batched_pps"] = batched_pps
-        results["batch_speedup"] = batched_pps / results["compiled_pps"]
-        results["batch_size"] = size
-        results["batch_admitted"] = cache.stats.bypasses == 0
-        results["batch_stats"] = cache.stats.to_dict()
+        results["compiled_cached_pps"] = cached_pps
+        results["cached_speedup"] = cached_pps / compiled_pps
+        results["cache_stats"] = cache.stats.to_dict()
         results["divergences"] = len(divergences)
 
     if args.json:
@@ -408,16 +401,12 @@ def cmd_bench(args: argparse.Namespace) -> int:
     else:
         print(f"program     : {program.name!r} ({len(packets)} packets)")
         print(f"interpreted : {interp_pps:,.0f} pps")
-        if args.fastpath or args.batch:
-            print(f"compiled    : {results['compiled_pps']:,.0f} pps "
+        if args.fastpath:
+            print(f"compiled    : {compiled_pps:,.0f} pps "
                   f"({results['speedup']:.2f}x)")
-        if args.batch:
-            admitted = "admitted" if results["batch_admitted"] else "bypassed"
-            print(f"batched     : {results['batched_pps']:,.0f} pps "
-                  f"({results['batch_speedup']:.2f}x compiled, "
-                  f"batch={results['batch_size']}, memo {admitted})")
+            print(f"with memo   : {cached_pps:,.0f} pps "
+                  f"({results['cached_speedup']:.2f}x compiled, stateless slice)")
             print(f"  {cache.stats.summary()}")
-        if args.fastpath or args.batch:
             print(f"divergences : {len(divergences)}")
             for divergence in divergences:
                 print(f"  {divergence}")
@@ -740,8 +729,8 @@ def cmd_scale(args: argparse.Namespace) -> int:
         ref_net, ref_workload = fresh_arm()
         if args.batch:
             # Same engine on the reference arm: the comparison checks
-            # sharding, and E21's differential gate already pins
-            # memo == interpreter.
+            # sharding, and tests/property/test_prop_batch.py already
+            # pins memo == interpreter.
             ref_net.engine(batch=True)
         reference = reference_run(ref_net, ref_workload, drain_s=args.drain)
         identical = json_module.dumps(
@@ -957,11 +946,8 @@ def build_parser() -> argparse.ArgumentParser:
     bench_parser.add_argument("program", nargs="?", default=None,
                               help="FlexBPF program (default: base + firewall delta)")
     bench_parser.add_argument("--fastpath", action="store_true",
-                              help="also run FlexPath compiled and diff the outcomes")
-    bench_parser.add_argument("--batch", action="store_true",
-                              help="also run the flow memo's batch entry over the "
-                                   "program's stateless slice and diff the outcomes")
-    bench_parser.add_argument("--batch-size", type=int, default=64)
+                              help="also run FlexPath compiled, and compiled + flow "
+                                   "memo on the stateless slice, and diff the outcomes")
     bench_parser.add_argument("--packets", type=int, default=2000)
     bench_parser.add_argument("--seed", type=int, default=2024)
     bench_parser.set_defaults(func=cmd_bench)

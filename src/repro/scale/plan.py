@@ -23,12 +23,10 @@ Constraints, in order of application:
 
 The fused units are then balanced greedily (largest first, onto the
 least-loaded shard, all ties broken lexicographically) — deterministic
-by construction. Per-flow traffic is spread with
-``stable_digest(flow-key fields)`` (:meth:`ShardPlan.shard_for_flow`),
-the exact fields FlexVet proved safe to hash on, and each shard draws
-from an independent seeded RNG stream (:meth:`ShardPlan.shard_seed`,
-the FlexFault per-category-stream pattern) so no shard's randomness
-depends on another's schedule.
+by construction. Each shard draws from an independent seeded RNG
+stream (:meth:`ShardPlan.shard_seed`, the FlexFault
+per-category-stream pattern) so no shard's randomness depends on
+another's schedule.
 """
 
 from __future__ import annotations
@@ -85,8 +83,6 @@ class ShardPlan:
     units: tuple[tuple[str, ...], ...]
     #: human-readable co-location constraints that were applied.
     constraints: tuple[str, ...]
-    #: FlexVet's program-level partition fields ("" when no program).
-    flow_key: tuple[str, ...]
     #: min cross-shard link latency per directed shard pair — the
     #: conservative lookahead the handoff protocol advances by.
     lookahead_s: dict[tuple[int, int], float] = field(default_factory=dict)
@@ -111,11 +107,6 @@ class ShardPlan:
         """Independent per-shard RNG stream seed (FlexFault pattern)."""
         return stable_digest("flexscale-rng", self.seed, shard)
 
-    def shard_for_flow(self, *flow_values: int) -> int:
-        """Deterministically spread per-flow work across shards by
-        hashing the FlexVet-approved flow-key field values."""
-        return stable_digest("flexscale-flow", *flow_values) % self.shards
-
     def in_neighbors(self, shard: int) -> tuple[int, ...]:
         return tuple(
             sorted({src for (src, dst) in self.lookahead_s if dst == shard})
@@ -135,7 +126,6 @@ class ShardPlan:
             "assignment": dict(sorted(self.assignment.items())),
             "units": [list(unit) for unit in self.units],
             "constraints": list(self.constraints),
-            "flow_key": list(self.flow_key),
             "lookahead_s": {
                 f"{src}->{dst}": latency
                 for (src, dst), latency in sorted(self.lookahead_s.items())
@@ -146,7 +136,6 @@ class ShardPlan:
         lines = [
             f"flexscale plan: {len(self.assignment)} device(s) on "
             f"{len(self.populated_shards)}/{self.shards} shard(s)"
-            + (f", flow_key=({', '.join(self.flow_key)})" if self.flow_key else "")
         ]
         for shard in self.populated_shards:
             lines.append(f"  shard {shard}: {', '.join(self.devices_on(shard))}")
@@ -249,20 +238,11 @@ def plan_shards(
         if key not in lookahead or link.latency_s < lookahead[key]:
             lookahead[key] = link.latency_s
 
-    flow_key: tuple[str, ...] = ()
-    try:
-        from repro.analysis.vet import vet
-
-        flow_key = vet(controller.program).flow_key
-    except ControlPlaneError:  # no program installed yet
-        flow_key = ()
-
     return ShardPlan(
         shards=shards,
         seed=seed,
         assignment=assignment,
         units=tuple(sorted(units)),
         constraints=tuple(constraints),
-        flow_key=flow_key,
         lookahead_s=lookahead,
     )

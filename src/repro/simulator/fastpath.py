@@ -18,8 +18,7 @@ preserving the interpreter's semantics *bit for bit*:
   identically; the differential harness below enforces it.
 
 On top of compilation, the per-device **flow memo**
-(:class:`FlowCache`) serves repeat packets of a flow — one at a time or
-a whole :class:`~repro.simulator.batch.PacketBatch` — without executing
+(:class:`FlowCache`) serves repeat packets of a flow without executing
 the program at all, but only for hosted slices FlexCheck's cacheability
 pass (:mod:`repro.analysis.cacheability`) proves stateless/read-only.
 Entries are validated against a token covering the program version,
@@ -761,39 +760,24 @@ class _CachedOutcome:
     def __post_init__(self) -> None:
         self.simple = not (self.fields_absent or self.meta_absent or self.digests)
 
-    def replay(self, packets) -> None:
-        """Scatter the outcome over ``packets`` (flow-mates of the
-        recorded one), applying the counter deltas once with the
-        group's multiplicity."""
-        fields_post = self.fields_post
-        meta_post = self.meta_post
-        verdict = self.verdict
-        if self.simple:
-            for packet in packets:
-                packet.fields.update(fields_post)
-                packet.meta.update(meta_post)
-                packet.verdict = verdict
-        else:
-            fields_absent = self.fields_absent
-            meta_absent = self.meta_absent
-            digests = self.digests
-            for packet in packets:
-                fields = packet.fields
-                fields.update(fields_post)
-                for absent in fields_absent:
-                    fields.pop(absent, None)
-                meta = packet.meta
-                meta.update(meta_post)
-                for absent in meta_absent:
-                    meta.pop(absent, None)
-                packet.verdict = verdict
-                if digests:
-                    packet.digests.extend(digests)
-        count = len(packets)
+    def replay(self, packet: Packet) -> None:
+        """Apply the outcome to ``packet`` (a flow-mate of the recorded
+        one) and its counter deltas to the live tables."""
+        packet.fields.update(self.fields_post)
+        packet.meta.update(self.meta_post)
+        packet.verdict = self.verdict
+        if not self.simple:
+            fields = packet.fields
+            for absent in self.fields_absent:
+                fields.pop(absent, None)
+            meta = packet.meta
+            for absent in self.meta_absent:
+                meta.pop(absent, None)
+            packet.digests.extend(self.digests)
         for hit_counts, position, delta in self.hit_ops:
-            hit_counts[position] += delta * count
+            hit_counts[position] += delta
         for rules, delta in self.miss_ops:
-            rules.miss_count += delta * count
+            rules.miss_count += delta
 
 
 def _compile_obs_key(decision):
@@ -955,10 +939,7 @@ class FlowCache:
     Entries are keyed by the packet values the program can observe (per
     the cacheability decision) and validated against an epoch token; a
     token change drops every entry at once, so no reconfiguration can
-    leave a stale verdict behind. Eviction is FIFO. :meth:`process`
-    serves one packet, :meth:`process_batch` a whole
-    :class:`~repro.simulator.batch.PacketBatch`; both share the store,
-    the key function and the replay.
+    leave a stale verdict behind. Eviction is FIFO.
     """
 
     def __init__(self, capacity: int = FLOW_MEMO_CAPACITY):
@@ -1000,15 +981,6 @@ class FlowCache:
             self._token = token
         return binding
 
-    def _record(self, binding, key, packet: Packet, now: float) -> _CachedOutcome:
-        self.stats.misses += 1
-        entry = binding.record(packet, now)
-        entries = self._entries
-        if len(entries) >= self.capacity:
-            del entries[next(iter(entries))]
-        entries[key] = entry
-        return entry
-
     def process(self, instance, packet: Packet, now: float):
         """Serve ``packet`` from the memo if possible; returns the
         :class:`ExecutionResult`, or None when the caller must run the
@@ -1018,49 +990,18 @@ class FlowCache:
             self.stats.bypasses += 1
             return None
         key = binding.key(packet)
-        entry = self._entries.get(key)
-        if entry is None:
-            return self._record(binding, key, packet, now).result
-        self.stats.hits += 1
-        entry.replay((packet,))
-        return entry.result
-
-    def process_batch(self, instance, batch) -> list:
-        """Run one batch; returns per-packet ExecutionResults aligned
-        with ``batch.packets``. Packets are grouped by observation key,
-        one representative per unseen key executes while its outcome is
-        recorded, and the rest receive the replay with the group's
-        multiplicity — sound because an admitted slice is stateless, so
-        outcomes are a pure function of the key and any cross-group
-        execution order is bit-exact. A bypassed batch runs packet by
-        packet through the normal path."""
-        packets = batch.packets
-        times = batch.times
-        binding = self._admit(instance)
-        if binding is None:
-            self.stats.bypasses += len(packets)
-            process = instance.process
-            return [process(packet, times[i]) for i, packet in enumerate(packets)]
         entries = self._entries
-        results: list = []
-        groups: dict = {}
-        for i, key in enumerate(map(binding.key, packets)):
-            group = groups.get(key)
-            if group is None:
-                entry = entries.get(key)
-                if entry is None:
-                    entry = self._record(binding, key, packets[i], times[i])
-                    groups[key] = group = (entry, [])
-                else:
-                    groups[key] = group = (entry, [packets[i]])
-            else:
-                group[1].append(packets[i])
-            results.append(group[0].result)
-        for entry, mates in groups.values():
-            if mates:
-                self.stats.hits += len(mates)
-                entry.replay(mates)
-        return results
+        entry = entries.get(key)
+        if entry is None:
+            self.stats.misses += 1
+            entry = binding.record(packet, now)
+            if len(entries) >= self.capacity:
+                del entries[next(iter(entries))]
+            entries[key] = entry
+        else:
+            self.stats.hits += 1
+            entry.replay(packet)
+        return entry.result
 
 
 # ---------------------------------------------------------------------------
@@ -1226,11 +1167,18 @@ def differential_check(
     setup=None,
     now_step: float = 1e-4,
     max_divergences: int = 20,
+    mutate=None,
+    cache: FlowCache | None = None,
 ) -> DifferentialReport:
     """Run the interpreter and FlexPath side by side over ``packets``
     and report every observable difference: verdicts, header fields,
     metadata, digests, op counts, recirculations — and, at the end,
-    map state and table counters."""
+    map state and table counters. Handed a ``cache``, the arm under
+    test is compiled + memo, driven as ``DeviceRuntime.process`` drives
+    it: :meth:`FlowCache.process`, falling to the instance when that
+    returns None. ``mutate(reference, fast, index)`` — when given —
+    runs before each packet on both instances, which is how the flush
+    tests attach a meter or insert a rule mid-run."""
     from repro.simulator.pipeline_exec import ProgramInstance
 
     reference = ProgramInstance(program, hosted_elements)
@@ -1243,11 +1191,15 @@ def differential_check(
     for index, packet in enumerate(packets):
         if len(report.divergences) >= max_divergences:
             break
+        if mutate is not None:
+            mutate(reference, fast, index)
         left = copy.deepcopy(packet)
         right = copy.deepcopy(packet)
         now = index * now_step
         ref_result = reference.process(left, now)
-        fast_result = fast.process(right, now)
+        fast_result = None if cache is None else cache.process(fast, right, now)
+        if fast_result is None:
+            fast_result = fast.process(right, now)
         report.compare_packet(index, left, right, ref_result, fast_result)
     report.compare_end_state(reference, fast)
     return report

@@ -8,17 +8,21 @@ every bundled program the dynamics must be contained in the statics:
 * for a ``per_flow`` map, every runtime access key is built from the
   claimed partition fields of the packet being processed (the property
   a FlexScale shard relies on to own a slice of the field space);
-* every ``batch_safe=True`` program passes the FlexPath differential
-  check with zero divergences (compiled vs interpreted agreement is a
-  precondition for ever batching the compiled path).
+* every ``batch_safe=True`` program is reorder-safe across flow
+  groups: regrouping a run's packets by their ``flow_key`` values
+  changes no per-packet outcome and no end state.
 """
 
 from __future__ import annotations
+
+import copy
 
 import pytest
 
 from repro.analysis.corpus import bundled_programs
 from repro.analysis.vet import StateClass, vet
+from repro.apps.base import standard_builder
+from repro.lang import builder as b
 from repro.simulator import fastpath
 from repro.simulator.pipeline_exec import ProgramInstance
 
@@ -126,19 +130,72 @@ def test_per_flow_keys_are_the_claimed_partition_fields(label, program):
         assert checked, f"{label}: no per-flow accesses exercised"
 
 
+def reorder_divergences(program, key_fields):
+    """Run the interpreter over a tiled flow mix in arrival order and
+    again stably regrouped by the packets' ``key_fields`` values (each
+    packet keeping its own arrival time); returns the differential of
+    the two runs, per packet by index and in end state."""
+    # A few flows interleaved, so every flow-keyed map entry is touched
+    # repeatedly and regrouping moves almost every packet.
+    flows = fastpath.seeded_corpus(8, seed=21)
+    packets = [flows[i % len(flows)] for i in range(160)]
+    regrouped = sorted(
+        range(len(packets)),
+        key=lambda i: tuple(packets[i].fields.get(f, 0) for f in key_fields),
+    )  # stable: arrival order survives inside a flow group
+    assert regrouped != list(range(len(packets)))
+
+    def run(order):
+        instance = ProgramInstance(program)
+        fastpath.seeded_rules(program, instance, seed=17)
+        outcomes = {}
+        for index in order:
+            packet = copy.deepcopy(packets[index])
+            outcomes[index] = (packet, instance.process(packet, index * 1e-4))
+        return instance, outcomes
+
+    in_arrival, arrival = run(range(len(packets)))
+    in_groups, grouped = run(regrouped)
+    diff = fastpath.DifferentialReport()
+    for index in range(len(packets)):
+        diff.compare_packet(index, arrival[index][0], grouped[index][0],
+                            arrival[index][1], grouped[index][1])
+    diff.compare_end_state(in_arrival, in_groups)
+    assert diff.packets == len(packets)
+    return diff
+
+
 @pytest.mark.parametrize("label,program", PROGRAMS, ids=PROGRAM_IDS)
 def test_batch_safe_programs_pass_differential_check(label, program):
+    """The differential is arrival order against flow-group order, both
+    on the interpreter: the reordering ``batch_safe`` promises is safe."""
     report = vet(program)
     if not report.batch_safe:
         pytest.skip(f"{label} is not batch-safe")
-    packets = fastpath.seeded_corpus(150, seed=21)
+    assert report.flow_key, f"{label}: nothing to regroup by"
+    diff = reorder_divergences(program, [field_key(f) for f in report.flow_key])
+    assert not diff.divergences, "\n".join(str(d) for d in diff.divergences[:5])
 
-    def setup(instance):
-        fastpath.seeded_rules(program, instance, seed=17)
 
-    diff = fastpath.differential_check(program, packets, setup=setup)
-    assert diff.packets > 0
-    assert not diff.divergences, "\n".join(str(d) for d in diff.divergences)
+def test_reordering_a_cross_flow_program_is_caught():
+    """The control: a program FlexVet refuses (every packet stamps a
+    shared arrival counter into its metadata) fails the same property."""
+    builder = standard_builder("arrival_order")
+    builder.map("arrivals", keys=["ipv4.proto"], value_type="u64", max_entries=4)
+    bucket = b.hash_of("ipv4.src", modulus=1)
+    builder.function(
+        "stamp",
+        [
+            b.let("n", "u64", b.map_get("arrivals", bucket)),
+            b.map_put("arrivals", bucket, b.binop("+", "n", 1)),
+            b.assign("meta.arrival", "n"),
+        ],
+    )
+    builder.apply("stamp")
+    program = builder.build()
+    assert not vet(program).batch_safe
+    diff = reorder_divergences(program, [("ipv4", "src")])
+    assert {d.kind for d in diff.divergences} == {"meta"}
 
 
 def test_classifier_is_deterministic():

@@ -1,8 +1,8 @@
 """The one flow memo (``FlowCache``): capacity bound and FIFO exactness,
 token flushes (rule insert, map mutation, meter attach) and re-admission,
-bypass on uncacheable slices, counter exactness with group multiplicity,
-the single-packet and batch entries sharing one store — on a bare
-instance and through ``DeviceRuntime.process``."""
+bypass on uncacheable slices, counter exactness under repeated flows —
+through ``FlowCache.process`` on a bare instance, driven as the device
+drives it, and through ``DeviceRuntime.process``."""
 
 import copy
 
@@ -16,7 +16,6 @@ from repro.lang.delta import apply_delta
 from repro.lang.ir import ActionCall
 from repro.runtime.device import DeviceRuntime, EngineConfig
 from repro.simulator import fastpath
-from repro.simulator.batch import PacketBatch
 from repro.simulator.fastpath import FlowCache
 from repro.simulator.meters import Meter, MeterConfig
 from repro.simulator.packet import Verdict, make_packet
@@ -33,6 +32,19 @@ def sliced_instance(fast: bool = True) -> ProgramInstance:
     )
     fastpath.seeded_rules(program, instance, seed=5)
     return instance
+
+
+def drive(cache, instance, packets, times=None):
+    """Feed ``packets`` through the memo one at a time, falling to the
+    instance on a bypass, as ``DeviceRuntime.process`` does."""
+    results = []
+    for index, packet in enumerate(packets):
+        now = times[index] if times is not None else 0.0
+        result = cache.process(instance, packet, now)
+        if result is None:
+            result = instance.process(packet, now)
+        results.append(result)
+    return results
 
 
 def reference_run(packets, times):
@@ -54,22 +66,6 @@ def new_rule():
 
 
 # ---------------------------------------------------------------------------
-# PacketBatch
-# ---------------------------------------------------------------------------
-
-
-class TestPacketBatch:
-    def test_uniform_now_fills_times(self):
-        batch = PacketBatch([make_packet(1, 2), make_packet(3, 4, ttl=9)], now=0.5)
-        assert len(batch.packets) == 2
-        assert batch.times == [0.5, 0.5]
-
-    def test_times_length_mismatch_rejected(self):
-        with pytest.raises(SimulationError):
-            PacketBatch([make_packet(1, 2)], times=[0.0, 1.0])
-
-
-# ---------------------------------------------------------------------------
 # The memo on a bare instance
 # ---------------------------------------------------------------------------
 
@@ -80,27 +76,15 @@ class TestFlowCache:
             FlowCache(capacity=0)
 
     def test_batch_groups_and_hits(self):
+        """Flow-mates share one entry: the first records, the rest hit."""
         cache = FlowCache()
         packets = [make_packet(0x0A000001, 0x0A000002) for _ in range(8)]
-        results = cache.process_batch(sliced_instance(), PacketBatch(packets))
+        results = drive(cache, sliced_instance(), packets)
         assert len(results) == 8
         assert cache.stats.misses == 1  # one flow -> one observation key
         assert cache.stats.hits == 7
         assert cache.stats.bypasses == 0
         assert len(cache) == 1
-
-    def test_empty_batch(self):
-        assert FlowCache().process_batch(sliced_instance(), PacketBatch([])) == []
-
-    def test_entries_shared_between_process_and_process_batch(self):
-        cache = FlowCache()
-        instance = sliced_instance()
-        assert cache.process(instance, make_packet(1, 2), 0.0) is not None
-        assert cache.stats.misses == 1
-        cache.process_batch(instance, PacketBatch([make_packet(1, 2) for _ in range(3)]))
-        assert cache.stats.misses == 1 and cache.stats.hits == 3
-        cache.process(instance, make_packet(1, 2), 1e-3)
-        assert cache.stats.hits == 4
 
     def test_eviction_is_bounded_and_exact(self):
         cache = FlowCache(capacity=2)
@@ -110,7 +94,7 @@ class TestFlowCache:
         reference, ref_work, ref_results = reference_run(corpus, times)
 
         work = [copy.deepcopy(p) for p in corpus]
-        results = cache.process_batch(instance, PacketBatch(work, times=times))
+        results = drive(cache, instance, work, times)
         assert len(cache) <= 2  # never exceeds capacity
         assert cache.stats.misses > 2  # ...so it actually evicted
         for left, right, a, c in zip(ref_work, work, ref_results, results):
@@ -133,11 +117,16 @@ class TestFlowCache:
         assert cache.stats.misses == 4
 
     def test_counter_multiplicity_exact(self):
+        """``hit_counts`` / ``miss_count`` replay once per hit, so
+        interleaved repeats of two flows count as the interpreter does."""
         cache = FlowCache()
         instance = sliced_instance()
-        packets = [make_packet(0x0A000001, 0x0A000002) for _ in range(5)]
-        packets += [make_packet(0x0A000003, 0x0A000004) for _ in range(3)]
-        cache.process_batch(instance, PacketBatch(copy.deepcopy(packets)))
+        packets = [
+            make_packet(0x0A000001, 0x0A000002) if i % 3 else make_packet(0x0A000003, 0x0A000004)
+            for i in range(8)
+        ]
+        drive(cache, instance, copy.deepcopy(packets))
+        assert (cache.stats.misses, cache.stats.hits) == (2, 6)
         reference, _, _ = reference_run(packets, [0.0] * len(packets))
         assert_counters_equal(reference, instance)
 
@@ -149,11 +138,9 @@ class TestFlowCache:
         packet = make_packet(0x0A000001, 0x0A000002)
         assert cache.process(instance, copy.deepcopy(packet), 0.0) is None
         assert cache.stats.bypasses == 1
-        expected = reference.process(copy.deepcopy(packet), 0.0)
-        results = cache.process_batch(
-            instance, PacketBatch([copy.deepcopy(packet) for _ in range(3)])
-        )
-        assert [r.ops for r in results] == [expected.ops] * 3
+        expected = [reference.process(copy.deepcopy(packet), 0.0) for _ in range(3)]
+        results = drive(cache, instance, [copy.deepcopy(packet) for _ in range(3)])
+        assert [r.ops for r in results] == [r.ops for r in expected]
         assert cache.stats.bypasses == 4
         assert cache.stats.hits == cache.stats.misses == 0 and len(cache) == 0
 
@@ -166,7 +153,7 @@ class TestFlowCache:
         assert populated > 0
         assert cache.stats.invalidations == 0 and cache.stats.entries_dropped == 0
         instance.rules["l2"].insert(new_rule())
-        cache.process_batch(instance, PacketBatch([make_packet(1, 2) for _ in range(3)], now=1.0))
+        drive(cache, instance, [make_packet(1, 2) for _ in range(3)], [1.0] * 3)
         assert cache.stats.invalidations == 1
         assert cache.stats.entries_dropped == populated
         assert cache.stats.to_dict()["entries_dropped"] == populated
@@ -175,18 +162,16 @@ class TestFlowCache:
     def test_meter_attach_bypasses_and_detach_readmits(self):
         cache = FlowCache()
         instance = sliced_instance()
-        cache.process_batch(instance, PacketBatch([make_packet(1, 2)]))
+        assert cache.process(instance, make_packet(1, 2), 0.0) is not None
         assert cache.stats.bypasses == 0
         instance.rules["l2"].meter = Meter(
             MeterConfig(rate_pps=1000.0, burst_packets=10.0)
         )
-        results = cache.process_batch(
-            instance, PacketBatch([make_packet(1, 2), make_packet(3, 4)])
-        )
+        for packet in (make_packet(1, 2), make_packet(3, 4)):
+            assert cache.process(instance, packet, 0.0) is None
         assert cache.stats.bypasses == 2
-        assert all(r is not None for r in results)
         instance.rules["l2"].meter = None  # detach: the memo resumes
-        cache.process_batch(instance, PacketBatch([make_packet(1, 2) for _ in range(2)]))
+        drive(cache, instance, [make_packet(1, 2) for _ in range(2)])
         assert cache.stats.bypasses == 2
         assert cache.stats.hits >= 1
 
@@ -196,8 +181,8 @@ class TestFlowCache:
         cache = FlowCache()
         first, second = sliced_instance(), sliced_instance()
         packets = [make_packet(1, 2) for _ in range(3)]
-        cache.process_batch(first, PacketBatch(copy.deepcopy(packets)))
-        cache.process_batch(second, PacketBatch(copy.deepcopy(packets)))
+        drive(cache, first, copy.deepcopy(packets))
+        drive(cache, second, copy.deepcopy(packets))
         assert cache.stats.misses == 2 and cache.stats.invalidations == 0
         reference, _, _ = reference_run(packets, [0.0] * 3)
         assert_counters_equal(reference, first)

@@ -211,24 +211,32 @@ class TestBench:
         assert payload["compiled_pps"] > 0
 
     def test_bench_batch_diffs_clean(self, capsys):
-        assert main(["bench", "--batch", "--packets", "120",
-                     "--batch-size", "32"]) == 0
+        """The batch engine's row of ``--fastpath``: compiled + memo."""
+        assert main(["bench", "--fastpath", "--packets", "120"]) == 0
         out = capsys.readouterr().out
-        assert "batched" in out
-        assert "memo admitted" in out
+        assert "with memo" in out
+        assert "0 bypass(es)" in out
         assert "divergences : 0" in out
 
     def test_bench_batch_json(self, capsys):
         import json
 
-        assert main(["bench", "--batch", "--packets", "120", "--json"]) == 0
+        assert main(["bench", "--fastpath", "--packets", "120", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["divergences"] == 0
-        assert payload["batched_pps"] > 0
-        assert payload["batch_admitted"] is True
-        # 120 measured packets plus the warm-up one.
-        stats = payload["batch_stats"]
-        assert stats["hits"] + stats["misses"] >= 120 and stats["bypasses"] == 0
+        assert payload["compiled_cached_pps"] > 0
+        # 120 measured packets plus the warm-up one, over 64 tiled flows.
+        stats = payload["cache_stats"]
+        assert (stats["misses"], stats["hits"], stats["bypasses"]) == (64, 57, 0)
+
+    def test_bench_exits_1_when_the_memo_arm_diverges(self, capsys, monkeypatch):
+        from repro.simulator import fastpath
+
+        monkeypatch.setattr(
+            fastpath._CachedOutcome, "replay", lambda self, packet: None
+        )
+        assert main(["bench", "--fastpath", "--packets", "120"]) == 1
+        assert "diverged" in capsys.readouterr().out
 
     def test_bench_pps_survives_zero_elapsed(self, capsys, monkeypatch):
         # Regression: on a fast machine a tiny corpus can finish inside
