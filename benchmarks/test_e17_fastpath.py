@@ -1,16 +1,23 @@
 """E17 — FlexPath compiled fast path vs the tree-walking interpreter.
 
 The data-plane simulator's reference executor walks the IR tree with
-isinstance dispatch on every packet. FlexPath compiles each program
-version once into a closure tree (plus indexed table lookup) and must
+isinstance dispatch on every packet. FlexPath generates one Python
+function per program instance (plus indexed table lookup) and must
 (a) run the E2 workload — base infrastructure with the firewall delta
-applied, realistic rules — at least **3x faster** in packets/second,
-and (b) produce **byte-identical outcomes**: verdicts, fields,
-metadata, digests, op counts, map state, and table counters. The
-per-device flow memo, driven through ``FlowCache.process`` as the
+applied, realistic rules — at least **5x faster** in
+packets/second, and (b) produce **byte-identical outcomes**: verdicts,
+fields, metadata, digests, op counts, map state, and table counters.
+The per-device flow memo, driven through ``FlowCache.process`` as the
 device drives it, must (c) serve the program's stateless hosted slice
-at least **2x faster** than the compiled whole program with no bypass,
-and (d) stay byte-identical to the interpreter on that slice.
+with hits and no bypass, and (d) stay byte-identical to the
+interpreter on that slice. Its speed is reported like for like — memo
+on the slice over compiled on the *same* slice — and gated only at
+``TARGET_MEMO_SPEEDUP``, a value ten runs cleared (they read 0.98x to
+1.54x, median 1.24x; compiled read 6.65x to 12.04x the interpreter): a
+generated function over five stateless tables costs little more than
+the memo's own admit + token + key + replay, so the row can no longer
+carry a "2x" claim, only catch a memo that got dearer (ROADMAP item 2
+keeps the question of what the memo still earns end to end).
 
 The pps rows go to stdout and the local bench_tables.txt; the tracked
 ``BENCH_e17.json`` keeps the counts and divergences, which move only
@@ -37,11 +44,11 @@ RESULT_PATH = pathlib.Path(__file__).resolve().parent.parent / "BENCH_e17.json"
 
 N_PACKETS = 4000
 N_FLOWS = 64
-TARGET_SPEEDUP = 3.0
-TARGET_MEMO_SPEEDUP = 2.0  # compiled + memo on the slice over compiled
+TARGET_SPEEDUP = 5.0
+TARGET_MEMO_SPEEDUP = 0.8  # compiled + memo over compiled, both on the slice
 #: wall-clock rows: printed, never tracked.
 MEASURED = frozenset({
-    "interpreted_pps", "compiled_pps", "compiled_cached_pps",
+    "interpreted_pps", "compiled_pps", "compiled_slice_pps", "compiled_cached_pps",
     "speedup_compiled", "speedup_cached", "speedup_memo_vs_compiled",
 })
 
@@ -139,17 +146,19 @@ def run_experiment() -> dict:
     realistic_rules(sliced)
     cache = fastpath.FlowCache()
 
-    _bench(interp, packets[:500])  # warm every path (index/closure/key build)
+    _bench(interp, packets[:500])  # warm every path (index/codegen/key build)
     _bench(compiled, packets[:500])
+    _bench(sliced, packets[:500])
     _bench(sliced, packets[:500], cache=cache)
     # Best of three passes per executor: pps is noise-bounded from above,
     # so the max is the better estimate of each executor's true rate. The
     # passes are interleaved so a drift in host speed hits every executor
     # alike and cancels in the gated ratios.
-    interp_pps = compiled_pps = cached_pps = 0.0
+    interp_pps = compiled_pps = sliced_pps = cached_pps = 0.0
     for _ in range(3):
         interp_pps = max(interp_pps, _bench(interp, packets))
         compiled_pps = max(compiled_pps, _bench(compiled, packets))
+        sliced_pps = max(sliced_pps, _bench(sliced, packets))
         cached_pps = max(cached_pps, _bench(sliced, packets, cache=cache))
 
     return {
@@ -159,10 +168,11 @@ def run_experiment() -> dict:
         "memo_divergences": len(memo_diff.divergences),
         "interpreted_pps": interp_pps,
         "compiled_pps": compiled_pps,
+        "compiled_slice_pps": sliced_pps,
         "compiled_cached_pps": cached_pps,
         "speedup_compiled": compiled_pps / interp_pps,
         "speedup_cached": cached_pps / interp_pps,
-        "speedup_memo_vs_compiled": cached_pps / compiled_pps,
+        "speedup_memo_vs_compiled": cached_pps / sliced_pps,
         "cache_stats": cache.stats.to_dict(),
     }
 
@@ -183,10 +193,16 @@ def test_e17_fastpath(benchmark):
                 results["divergences"],
             ],
             [
+                "FlexPath compiled (stateless slice)",
+                fmt(results["compiled_slice_pps"], 4),
+                f"{results['compiled_slice_pps'] / results['interpreted_pps']:.2f}x",
+                "—",
+            ],
+            [
                 "FlexPath + flow memo (stateless slice)",
                 fmt(results["compiled_cached_pps"], 4),
                 f"{results['speedup_cached']:.2f}x "
-                f"({results['speedup_memo_vs_compiled']:.2f}x compiled)",
+                f"({results['speedup_memo_vs_compiled']:.2f}x compiled on the slice)",
                 f"{results['memo_divergences']}, "
                 f"hit rate {results['cache_stats']['hit_rate']:.0%}",
             ],

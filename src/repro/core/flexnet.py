@@ -551,7 +551,7 @@ class FlexNet:
 
         With no argument this is a pure read of the current
         :class:`~repro.runtime.device.EngineConfig`. ``fastpath`` selects
-        compiled closures over the interpreter; ``batch`` is the flow
+        the generated per-instance function over the interpreter; ``batch`` is the flow
         memo switch (it implies ``fastpath``) and, when not given,
         follows ``fastpath`` — so ``engine(fastpath=True)`` and
         ``engine(batch=True)`` both mean compiled + memo, and

@@ -54,6 +54,9 @@ class MapState:
         #: Monotonic count of mutations, used by migration protocols to
         #: detect concurrent writes during a copy phase.
         self.mutation_count = 0
+        #: off the frozen definition, for :meth:`put`
+        self._max_value = definition.value_type.max_value
+        self._max_entries = definition.max_entries
 
     @property
     def name(self) -> str:
@@ -75,16 +78,16 @@ class MapState:
 
     def put(self, key: Key, value: int) -> None:
         key = tuple(key)
-        truncated = self.definition.value_type.truncate(value)
-        if key not in self._entries and len(self._entries) >= self.definition.max_entries:
+        entries = self._entries
+        if key not in entries and len(entries) >= self._max_entries:
             if self.definition.persistence is Persistence.EPHEMERAL:
-                self._entries.popitem(last=False)  # LRU eviction
+                entries.popitem(last=False)  # LRU eviction
             else:
                 raise MapFullError(
-                    f"map {self.name!r} is full ({self.definition.max_entries} entries)"
+                    f"map {self.name!r} is full ({self._max_entries} entries)"
                 )
-        self._entries[key] = truncated
-        self._entries.move_to_end(key)
+        entries[key] = value & self._max_value  # hardware wraparound
+        entries.move_to_end(key)
         self.mutation_count += 1
 
     def delete(self, key: Key) -> bool:

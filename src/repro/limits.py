@@ -31,6 +31,13 @@ RECIRCULATION_CAP = 4
 #: holds before FIFO eviction.
 FLOW_MEMO_CAPACITY = 4096
 
+#: Distinct generated sources whose code objects one process keeps
+#: (:mod:`repro.simulator.fastpath`): instances with identical source
+#: share one ``compile()``. A fabric holds one source per distinct
+#: hosted slice per distinct program text, far below this; past it the
+#: least recently used is compiled again when next needed.
+FLEXPATH_CODE_MEMO_CAPACITY = 256
+
 #: One control-channel round trip for a dRPC-equivalent operation done
 #: in software (device -> controller -> device), and the controller's
 #: per-operation software handling time.

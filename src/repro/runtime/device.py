@@ -36,9 +36,10 @@ class EngineConfig:
     """How a fleet executes its programs — the one value
     :meth:`repro.core.flexnet.FlexNet.engine` pushes down to every
     device. Three reachable states, each the reference arm the next is
-    differentially checked against: the interpreter, compiled closures
-    (``fastpath``), and compiled closures behind the per-device flow
-    memo (``memo``, which implies ``fastpath``)."""
+    differentially checked against: the interpreter, one generated
+    function per program instance (``fastpath``), and that function
+    behind the per-device flow memo (``memo``, which implies
+    ``fastpath``)."""
 
     fastpath: bool = False
     memo: bool = False

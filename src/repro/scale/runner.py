@@ -7,7 +7,7 @@ protocol:
   stepped round-robin. Zero IPC; used by tests and property
   instrumentation (map-access recorders need to see the worker state).
 * ``process`` — one OS worker per populated shard, forked so device
-  objects and FlexPath closures are inherited without pickling;
+  objects and FlexPath's generated functions are inherited without pickling;
   handoffs and guarantees flow over per-shard ``multiprocessing``
   queues (sequenced by the FlexMend transport), results come back on a
   shared result queue as picklable

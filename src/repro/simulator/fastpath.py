@@ -2,20 +2,34 @@
 
 The reference interpreter (:mod:`repro.simulator.pipeline_exec`) walks
 the FlexBPF IR tree for every packet, paying an ``isinstance`` dispatch
-chain per node. FlexPath compiles a :class:`~repro.lang.ir.Program`
-once — at install / reconfiguration time, exactly when real runtime
-programmable targets rewrite their pipelines — into a tree of
-specialized Python closures, eliminating per-packet dispatch while
-preserving the interpreter's semantics *bit for bit*:
+chain per node. FlexPath turns one :class:`ProgramInstance` — once, on
+its first packet, exactly when real runtime programmable targets
+rewrite their pipelines — into the *source text of one Python function*
+``process(packet, now)`` and ``exec``s it (print
+``instance._compiled.source``), preserving the interpreter's semantics
+*bit for bit* (DESIGN §4e has the full account):
 
-* **exact ops accounting** — op costs are aggregated statically per
-  straight-line region and added in one ``ctx.ops += k`` per region;
-  only genuinely dynamic costs (taken branches, short-circuited
-  ``&&``/``||`` right operands, recirculation) are counted at runtime.
-  The compiled path reports the identical ``ExecutionResult.ops`` the
-  interpreter would, so latency/energy models are unchanged.
-* **header visibility, recirculation, digests, meters** — all modelled
-  identically; the differential harness below enforces it.
+* the parser is inlined and header visibility lives in locals that stay
+  fixed until the next parse; FlexBPF locals are Python locals, and a
+  read the generator cannot prove bound raises the interpreter's
+  ``unbound variable`` error; a table lookup is inlined over the live
+  ``instance.rules[name]`` and followed by an ``if`` / ``elif`` over the
+  table's actions with each body inlined; map state is indexed live per
+  packet and read and written through ``MapState``;
+* **exact ops accounting** — op costs are summed statically per
+  straight-line region and added in one ``ops += k`` per region; only
+  dynamic costs (a taken branch, a loop iteration, the action a lookup
+  selected, a short-circuited ``&&`` / ``||`` right operand,
+  recirculation) are counted where they arise, so the function reports
+  the identical ``ExecutionResult.ops`` and latency/energy models are
+  unchanged;
+* a suite nested deeper than Python compiles becomes a closure of
+  ``process``: there is no other executor to fall to.
+
+Identical source compiles once per process: what tells two instances
+apart (rule and map stores, version, program name) lives in the
+function's namespace, not its text, and the code object is memoized on
+the source string.
 
 On top of compilation, the per-device **flow memo**
 (:class:`FlowCache`) serves repeat packets of a flow without executing
@@ -31,698 +45,519 @@ before a stale verdict can be served.
 from __future__ import annotations
 
 import copy
+import functools
 import random
 from dataclasses import dataclass, field
 
 from repro.errors import SimulationError
 from repro.lang import ir
-from repro.limits import FLOW_MEMO_CAPACITY
+from repro.limits import FLEXPATH_CODE_MEMO_CAPACITY, FLOW_MEMO_CAPACITY, RECIRCULATION_CAP
 from repro.simulator.packet import Packet, Verdict, make_packet
+from repro.simulator.pipeline_exec import ExecutionResult, ProgramInstance
 from repro.util import stable_hash
 
 _MASK64 = (1 << 64) - 1
 _MASK128 = (1 << 128) - 1
 
+_INDENT = "    "
+#: Deepest indentation the generator nests a suite at before it spills
+#: it into a closure (its own lookup code nests three levels further).
+_MAX_DEPTH = 14
 
-class _Ctx:
-    """Mutable per-packet execution context threaded through closures."""
+#: ``TableRules.lookup`` inlined: the generated key arity is statically
+#: correct, so the per-call validation (and the call frame) are skipped;
+#: semantics are otherwise identical.
+_LOOKUP = """\
+call = None
+if rules._all_exact:
+    index = rules._exact_index
+    if index is None:
+        index = rules._build_exact_index()
+    hit = index.get(key)
+    if hit is not None:
+        call, position = hit
+        rules.hit_counts[position] += 1
+else:
+    ordered = rules._ordered
+    if ordered is None:
+        ordered = rules._build_ordered()
+    for predicate, action, position in ordered:
+        if predicate(key):
+            call = action
+            rules.hit_counts[position] += 1
+            break
+if call is None:
+    rules.miss_count += 1
+    call = rules.definition.default_action
+""".splitlines()
 
-    __slots__ = ("packet", "fields", "meta", "scope", "visible", "now", "ops")
+#: Operators whose FlexBPF semantics is not Python's infix operator of
+#: the same spelling: ``-`` saturates, ``/`` and ``%`` by zero give 0,
+#: shifts clamp at 64 (and ``<<`` at 128 bits).
+_BINOPS = {
+    ir.BinOpKind.SUB: "max({left} - {right}, 0)",
+    ir.BinOpKind.DIV: "div({left}, {right})",
+    ir.BinOpKind.MOD: "mod({left}, {right})",
+    ir.BinOpKind.SHL: f"(({{left}} << min({{right}}, 64)) & {_MASK128})",
+    ir.BinOpKind.SHR: "({left} >> min({right}, 64))",
+}
+#: What a primitive does with its arguments (all are evaluated, used or not).
+_PRIMITIVES = {
+    "mark_drop": "meta['drop_flag'] = 1",
+    "set_port": "meta['egress_port'] = {first}",
+    "set_queue": "meta['queue_id'] = {first}",
+    "emit_digest": "packet.digests.append((NAME, {args}))",
+    "clone": "meta['clones'] = mget('clones', 0) + 1",
+    "recirculate": "meta['_recirculate'] = 1",
+    "no_op": "",
+}
 
-    def __init__(self) -> None:
-        self.packet = None
-        self.fields = None
-        self.meta = None
-        self.scope: dict[str, int] = {}
-        self.visible: set[str] = set()
-        self.now = 0.0
-        self.ops = 0
+
+def _unbound(name: str):
+    raise SimulationError(f"unbound variable {name!r} at runtime")
 
 
-def _touches_scope(node) -> bool:
-    """Whether executing ``node`` could read or write local scope.
-
-    Bodies that provably never touch scope skip the per-invocation
-    scope-dict set-up entirely (the elision is unobservable)."""
-    if isinstance(node, (ir.VarRef, ir.Let)):
-        return True
-    if isinstance(node, (ir.Const, ir.FieldRef, ir.MetaRef)):
-        return False
-    if isinstance(node, ir.Assign):
-        return isinstance(node.target, ir.VarRef) or _touches_scope(node.value)
-    if isinstance(node, ir.MapGet):
-        return any(_touches_scope(part) for part in node.key)
-    if isinstance(node, ir.MapPut):
-        return any(_touches_scope(part) for part in node.key) or _touches_scope(node.value)
-    if isinstance(node, ir.MapDelete):
-        return any(_touches_scope(part) for part in node.key)
-    if isinstance(node, ir.HashExpr):
-        return any(_touches_scope(arg) for arg in node.args)
-    if isinstance(node, ir.UnOp):
-        return _touches_scope(node.operand)
-    if isinstance(node, ir.BinOp):
-        return _touches_scope(node.left) or _touches_scope(node.right)
-    if isinstance(node, ir.If):
-        return (
-            _touches_scope(node.condition)
-            or any(_touches_scope(s) for s in node.then_body)
-            or any(_touches_scope(s) for s in node.else_body)
-        )
-    if isinstance(node, ir.Repeat):
-        return any(_touches_scope(s) for s in node.body)
-    if isinstance(node, ir.PrimitiveCall):
-        return any(_touches_scope(arg) for arg in node.args)
-    return True  # unknown node: stay conservative
+#: What every generated function finds in its globals, whatever its instance.
+_NAMESPACE = {
+    "H": stable_hash,
+    "U": _unbound,
+    "div": lambda left, right: left // right if right else 0,
+    "mod": lambda left, right: left % right if right else 0,
+    "DROP": Verdict.DROP,
+    "Result": ExecutionResult,
+}
 
 
 def _is_bool(expr) -> bool:
     """Whether ``expr`` evaluates to a bool (everything else in the IR
-    evaluates to an exact int, given the storage invariants below)."""
+    evaluates to an exact int: every storage location is written
+    through a mask or an ``int()``)."""
     if isinstance(expr, ir.BinOp):
         return expr.kind in ir.COMPARISONS or expr.kind in ir.LOGICALS
     return isinstance(expr, ir.UnOp) and expr.op == "!"
 
 
-def _chain(fns):
-    """Fuse a statement/step list into one closure."""
-    if not fns:
-        return lambda ctx: None
-    if len(fns) == 1:
-        return fns[0]
-    if len(fns) == 2:
-        first, second = fns
-
-        def chain2(ctx):
-            first(ctx)
-            second(ctx)
-
-        return chain2
-    fns = tuple(fns)
-
-    def chain(ctx):
-        for fn in fns:
-            fn(ctx)
-
-    return chain
+def _indent(lines: list[str]) -> list[str]:
+    return [_INDENT + line for line in lines]
 
 
-class _Compiler:
-    """Compiles one :class:`ProgramInstance` into closures.
+def _charge(ops: int) -> list[str]:
+    return [f"ops += {ops}"] if ops else []
 
-    Bound dictionaries (``instance.rules``, ``instance.maps._states``)
-    are captured once but indexed *live* on every packet, so state
-    shared or re-bound across program versions by the device runtime
-    stays visible to compiled code.
+
+def _display(parts: list[str]) -> str:
+    """A tuple display: ``()``, ``(a,)``, ``(a, b)``."""
+    return f"({parts[0]},)" if len(parts) == 1 else f"({', '.join(parts)})"
+
+
+class _Generator:
+    """Emits the source of ``process`` for one :class:`ProgramInstance`.
+
+    Expression methods return ``(source, static ops)`` and statement
+    methods append lines and return their static ops: the caller owns
+    the region and charges the sum once. ``bound`` is the set of
+    FlexBPF locals assigned on every path to the point being generated.
     """
 
     def __init__(self, instance):
         self._instance = instance
-        self._program = instance.program
-        self._rules = instance.rules
-        self._states = instance.maps._states  # noqa: SLF001 - hot-path binding
-        self._actions = {
-            action.name: self._compile_action(action)
-            for action in self._program.actions
+        self._program = program = instance.program
+        parser = program.parser
+        parsed = (
+            [header.name for header in program.headers]
+            if parser is None
+            else parser.headers_extracted
+        )
+        #: header -> the Python local holding its visibility; a header
+        #: the parser can never extract has none and is never visible.
+        self._visible = {
+            header: self._ident("v", header, index) for index, header in enumerate(parsed)
         }
-
-    # -- expressions -------------------------------------------------------
-
-    def expr(self, expr: ir.Expr):
-        """Compile one expression; returns ``(fn, static_ops)`` where
-        ``fn`` adds only *dynamic* ops itself (short-circuit operands)."""
-        if isinstance(expr, ir.Const):
-            value = expr.value
-            return (lambda ctx: value), 0
-        if isinstance(expr, ir.VarRef):
-            name = expr.name
-
-            def var_fn(ctx):
-                try:
-                    return ctx.scope[name]
-                except KeyError:
-                    raise SimulationError(
-                        f"unbound variable {name!r} at runtime"
-                    ) from None
-
-            return var_fn, 0
-        if isinstance(expr, ir.FieldRef):
-            header = expr.header
-            key = (expr.header, expr.field)
-
-            def field_fn(ctx):
-                if header in ctx.visible:
-                    return ctx.fields.get(key, 0)
-                return 0
-
-            return field_fn, 1
-        if isinstance(expr, ir.MetaRef):
-            meta_key = expr.key
-            return (lambda ctx: ctx.meta.get(meta_key, 0)), 1
-        if isinstance(expr, ir.MapGet):
-            parts, parts_ops = self._key_parts(expr.key)
-            states = self._states
-            name = expr.map_name
-
-            build_key = self._tuple_builder(parts)
-
-            def map_get_fn(ctx):
-                map_key = build_key(ctx)
-                state = states.get(name)
-                if state is not None:
-                    return state.get(map_key)
-                return 0
-
-            return map_get_fn, 4 + parts_ops
-        if isinstance(expr, ir.HashExpr):
-            args, args_ops = self._key_parts(expr.args)
-            build_args = self._tuple_builder(args)
-            modulus = expr.modulus
-
-            def hash_fn(ctx):
-                return stable_hash(build_args(ctx)) % modulus
-
-            return hash_fn, 3 + args_ops
-        if isinstance(expr, ir.UnOp):
-            operand_fn, operand_ops = self.expr(expr.operand)
-            if expr.op == "!":
-                return (lambda ctx: not bool(operand_fn(ctx))), 1 + operand_ops
-            return (lambda ctx: ~operand_fn(ctx) & _MASK64), 1 + operand_ops
-        if isinstance(expr, ir.BinOp):
-            return self._binop(expr)
-        raise SimulationError(f"cannot compile {expr!r}")  # pragma: no cover
-
-    def _int_expr(self, expr: ir.Expr):
-        """Like :meth:`expr` but the closure returns an *exact int*.
-
-        Every storage location (scope, meta, fields, maps) is written
-        through a coercion (truncate/mask/``int()``), so non-bool
-        expressions are already exact ints and need no wrapper; only
-        bool-producing expressions get an ``int()``.
-        """
-        fn, ops = self.expr(expr)
-        if _is_bool(expr):
-            return (lambda ctx: int(fn(ctx))), ops
-        return fn, ops
-
-    def _key_parts(self, exprs):
-        compiled = [self._int_expr(part) for part in exprs]
-        return tuple(fn for fn, _ in compiled), sum(ops for _, ops in compiled)
+        self._locals: dict[str, str] = {}
+        #: names the scope being generated reads, and the subset read
+        #: where they may be unbound.
+        self._read: set[str] = set()
+        self._maybe: set[str] = set()
+        #: the bodies of ``deep_0`` …, the suites nested too deep to inline
+        self._closures: list[list[str]] = []
 
     @staticmethod
-    def _tuple_builder(fns):
-        """Build an int tuple from compiled part closures (specialized
-        for the common small arities)."""
-        if len(fns) == 1:
-            only = fns[0]
-            return lambda ctx: (only(ctx),)
-        if len(fns) == 2:
-            first, second = fns
-            return lambda ctx: (first(ctx), second(ctx))
-        return lambda ctx: tuple(fn(ctx) for fn in fns)
+    def _ident(prefix: str, name: str, index: int) -> str:
+        """A Python identifier for a FlexBPF name, which need not be one."""
+        plain = name.isascii() and name.isidentifier()
+        return f"{prefix}_{name}" if plain else f"{prefix}{index}"
 
-    def _binop(self, expr: ir.BinOp):
-        kind = expr.kind
-        left_fn, left_ops = self.expr(expr.left)
-        right_fn, right_ops = self.expr(expr.right)
-        if kind is ir.BinOpKind.LAND:
-            if not right_ops:
-                return (
-                    lambda ctx: bool(left_fn(ctx)) and bool(right_fn(ctx))
-                ), 1 + left_ops
+    def _local(self, name: str) -> str:
+        if name not in self._locals:
+            self._locals[name] = self._ident("x", name, len(self._locals))
+        return self._locals[name]
 
-            # The right operand's ops are charged only when evaluated,
-            # mirroring the interpreter's short-circuit accounting.
-            def land_fn(ctx):
-                if not bool(left_fn(ctx)):
-                    return False
-                ctx.ops += right_ops
-                return bool(right_fn(ctx))
+    # -- the function --------------------------------------------------------
 
-            return land_fn, 1 + left_ops
-        if kind is ir.BinOpKind.LOR:
-            if not right_ops:
-                return (
-                    lambda ctx: bool(left_fn(ctx)) or bool(right_fn(ctx))
-                ), 1 + left_ops
+    def source(self) -> str:
+        steps, ops = self._steps(self._program.apply, 2)
+        loop = [
+            *self._parse(),
+            *_charge(ops),
+            *steps,
+            f"if not (meta.pop('_recirculate', 0) and recirculations < {RECIRCULATION_CAP}):",
+            _INDENT + "break",
+            "recirculations += 1",
+        ]
+        body = [
+            "fields = packet.fields",
+            "fget = fields.get",
+            "meta = packet.meta",
+            "mget = meta.get",
+            "ops = recirculations = 0",
+        ]
+        if self._closures:
+            # A closure shares every FlexBPF local with ``process``, which
+            # must therefore bind each before the closure is defined.
+            shared = list(self._locals.values())
+            body.append(" = ".join([*shared, "None"]))
+            for index, suite in enumerate(self._closures):
+                body.append(f"def deep_{index}():")
+                body += _indent([f"nonlocal {', '.join(['ops', *shared])}", *suite])
+        body += [
+            "while True:",
+            *_indent(loop),
+            "if mget('drop_flag'):",
+            _INDENT + "packet.verdict = DROP",
+            "return Result(ops, VERSION, recirculations)",
+        ]
+        return "\n".join(["def process(packet, now=0.0):", *_indent(body), ""])
 
-            def lor_fn(ctx):
-                if bool(left_fn(ctx)):
-                    return True
-                ctx.ops += right_ops
-                return bool(right_fn(ctx))
+    def _parse(self) -> list[str]:
+        parser = self._program.parser
+        lines = ["present = {key[0] for key in fields}"]
+        if parser is None:
+            # No parser: every declared header the packet carries is visible.
+            return lines + [
+                f"{local} = {header!r} in present" for header, local in self._visible.items()
+            ]
+        found = [f"{self._visible[parser.start_header]} = True"]
+        found += _charge(1 + len(parser.transitions))
+        for transition in parser.transitions:
+            conditions = [f"{transition.next_header!r} in present"]
+            select = transition.select_field
+            if select is not None:
+                if select.header not in self._visible:
+                    continue
+                conditions.append(self._visible[select.header])
+                conditions.append(
+                    f"fget({(select.header, select.field)!r}, 0) == {transition.select_value!r}"
+                )
+            found += [
+                f"if {' and '.join(conditions)}:",
+                _INDENT + f"{self._visible[transition.next_header]} = True",
+            ]
+        return lines + [
+            " = ".join(self._visible.values()) + " = False",
+            f"if {parser.start_header!r} in present:",
+            *_indent(found),
+        ]
 
-            return lor_fn, 1 + left_ops
+    def _suite(self, build, depth: int) -> list[str]:
+        """The suite under a compound statement at ``depth``:
+        ``build(depth)`` returns its ``(lines, static ops)``, charged on
+        entry. Past ``_MAX_DEPTH`` the suite becomes a closure of
+        ``process`` and nesting starts over."""
+        if depth < _MAX_DEPTH:
+            lines, ops = build(depth + 1)
+            return _indent(_charge(ops) + lines) or [_INDENT + "pass"]
+        lines, ops = build(2)
+        self._closures.append(_charge(ops) + lines)
+        return [_INDENT + f"deep_{len(self._closures) - 1}()"]
 
-        # Bool operands behave identically to their int() coercion in
-        # every arithmetic/comparison operator (True == 1, False == 0),
-        # so the interpreter's _as_int is dropped wholesale here.
-        static = 1 + left_ops + right_ops
-        K = ir.BinOpKind
-        if kind is K.ADD:
-            fn = lambda ctx: left_fn(ctx) + right_fn(ctx)  # noqa: E731
-        elif kind is K.SUB:
-            # saturating subtraction, as the interpreter models it
-            fn = lambda ctx: max(left_fn(ctx) - right_fn(ctx), 0)  # noqa: E731
-        elif kind is K.MUL:
-            fn = lambda ctx: left_fn(ctx) * right_fn(ctx)  # noqa: E731
-        elif kind is K.DIV:
+    def _fresh_scope(self, build):
+        """Run ``build()`` in the fresh scope the interpreter gives a
+        function body, an action body and an apply-if condition (inside,
+        ``self._read`` is what the scope has read so far): returns the
+        lines that open the scope and what ``build`` returned."""
+        outer = self._read, self._maybe
+        self._read, self._maybe = set(), set()
+        result = build()
+        opening = [f"{self._local(name)} = None" for name in sorted(self._maybe)]
+        self._read, self._maybe = outer
+        return opening, result
 
-            def div_fn(ctx):
-                left = left_fn(ctx)
-                right = right_fn(ctx)
-                return left // right if right else 0
+    # -- apply steps ---------------------------------------------------------
 
-            fn = div_fn
-        elif kind is K.MOD:
-
-            def mod_fn(ctx):
-                left = left_fn(ctx)
-                right = right_fn(ctx)
-                return left % right if right else 0
-
-            fn = mod_fn
-        elif kind is K.AND:
-            fn = lambda ctx: left_fn(ctx) & right_fn(ctx)  # noqa: E731
-        elif kind is K.OR:
-            fn = lambda ctx: left_fn(ctx) | right_fn(ctx)  # noqa: E731
-        elif kind is K.XOR:
-            fn = lambda ctx: int(left_fn(ctx)) ^ int(right_fn(ctx))  # noqa: E731
-        elif kind is K.SHL:
-            fn = lambda ctx: (int(left_fn(ctx)) << min(int(right_fn(ctx)), 64)) & _MASK128  # noqa: E731
-        elif kind is K.SHR:
-            fn = lambda ctx: int(left_fn(ctx)) >> min(int(right_fn(ctx)), 64)  # noqa: E731
-        elif kind is K.EQ:
-            fn = lambda ctx: int(left_fn(ctx)) == int(right_fn(ctx))  # noqa: E731
-        elif kind is K.NE:
-            fn = lambda ctx: int(left_fn(ctx)) != int(right_fn(ctx))  # noqa: E731
-        elif kind is K.LT:
-            fn = lambda ctx: int(left_fn(ctx)) < int(right_fn(ctx))  # noqa: E731
-        elif kind is K.LE:
-            fn = lambda ctx: int(left_fn(ctx)) <= int(right_fn(ctx))  # noqa: E731
-        elif kind is K.GT:
-            fn = lambda ctx: int(left_fn(ctx)) > int(right_fn(ctx))  # noqa: E731
-        elif kind is K.GE:
-            fn = lambda ctx: int(left_fn(ctx)) >= int(right_fn(ctx))  # noqa: E731
-        else:  # pragma: no cover - exhaustiveness guard
-            raise SimulationError(f"unknown operator {kind}")
-        return fn, static
-
-    # -- statements --------------------------------------------------------
-
-    def body(self, body: tuple[ir.Stmt, ...]):
-        compiled = [self.stmt(stmt) for stmt in body]
-        return _chain([fn for fn, _ in compiled]), sum(ops for _, ops in compiled)
-
-    def stmt(self, stmt: ir.Stmt):
-        if isinstance(stmt, ir.Let):
-            # Let values are bits-typed (validated), so truncate's mask
-            # is the only coercion needed.
-            value_fn, value_ops = self._int_expr(stmt.value)
-            truncate = stmt.value_type.truncate
-            name = stmt.name
-
-            def let_fn(ctx):
-                ctx.scope[name] = truncate(value_fn(ctx))
-
-            return let_fn, 1 + value_ops
-        if isinstance(stmt, ir.Assign):
-            return self._assign(stmt)
-        if isinstance(stmt, ir.MapPut):
-            parts, parts_ops = self._key_parts(stmt.key)
-            build_key = self._tuple_builder(parts)
-            value_fn, value_ops = self._int_expr(stmt.value)
-            states = self._states
-            name = stmt.map_name
-
-            def put_fn(ctx):
-                map_key = build_key(ctx)
-                value = value_fn(ctx)
-                state = states.get(name)
-                if state is not None:
-                    state.put(map_key, value)
-
-            return put_fn, 4 + parts_ops + value_ops
-        if isinstance(stmt, ir.MapDelete):
-            parts, parts_ops = self._key_parts(stmt.key)
-            build_key = self._tuple_builder(parts)
-            states = self._states
-            name = stmt.map_name
-
-            def delete_fn(ctx):
-                map_key = build_key(ctx)
-                state = states.get(name)
-                if state is not None:
-                    state.delete(map_key)
-
-            return delete_fn, 4 + parts_ops
-        if isinstance(stmt, ir.If):
-            cond_fn, cond_ops = self.expr(stmt.condition)
-            then_fn, then_ops = self.body(stmt.then_body)
-            else_fn, else_ops = self.body(stmt.else_body)
-
-            def if_fn(ctx):
-                if cond_fn(ctx):
-                    ctx.ops += then_ops
-                    then_fn(ctx)
-                else:
-                    ctx.ops += else_ops
-                    else_fn(ctx)
-
-            return if_fn, 1 + cond_ops
-        if isinstance(stmt, ir.Repeat):
-            body_fn, body_ops = self.body(stmt.body)
-            count = stmt.count
-
-            def repeat_fn(ctx):
-                for _ in range(count):
-                    body_fn(ctx)
-
-            return repeat_fn, 1 + count * body_ops
-        if isinstance(stmt, ir.PrimitiveCall):
-            return self._primitive(stmt)
-        raise SimulationError(f"cannot compile {stmt!r}")  # pragma: no cover
-
-    def _assign(self, stmt: ir.Assign):
-        value_fn, value_ops = self._int_expr(stmt.value)
-        target = stmt.target
-        if isinstance(target, ir.VarRef):
-            name = target.name
-
-            def assign_var(ctx):
-                ctx.scope[name] = value_fn(ctx)
-
-            return assign_var, 1 + value_ops
-        if isinstance(target, ir.FieldRef):
-            header = target.header
-            key = (target.header, target.field)
-            mask = (1 << self._program.field_width(target)) - 1
-
-            def assign_field(ctx):
-                value = value_fn(ctx)
-                if header in ctx.visible:
-                    ctx.fields[key] = value & mask
-
-            return assign_field, 1 + value_ops
-        meta_key = target.key
-
-        def assign_meta(ctx):
-            ctx.meta[meta_key] = value_fn(ctx)
-
-        return assign_meta, 1 + value_ops
-
-    def _primitive(self, call: ir.PrimitiveCall):
-        arg_fns, args_ops = self._key_parts(call.args)
-        static = 1 + args_ops
-        name = call.name
-        if name == "mark_drop":
-
-            def mark_drop(ctx):
-                ctx.meta["drop_flag"] = 1
-
-            return mark_drop, static
-        if name == "set_port":
-            if len(arg_fns) == 1:
-                arg0 = arg_fns[0]
-                return (
-                    lambda ctx: ctx.meta.__setitem__("egress_port", arg0(ctx))
-                ), static
-
-            def set_port(ctx):
-                args = [fn(ctx) for fn in arg_fns]
-                ctx.meta["egress_port"] = args[0] if args else 0
-
-            return set_port, static
-        if name == "set_queue":
-            if len(arg_fns) == 1:
-                arg0 = arg_fns[0]
-                return (
-                    lambda ctx: ctx.meta.__setitem__("queue_id", arg0(ctx))
-                ), static
-
-            def set_queue(ctx):
-                args = [fn(ctx) for fn in arg_fns]
-                ctx.meta["queue_id"] = args[0] if args else 0
-
-            return set_queue, static
-        if name == "emit_digest":
-            program_name = self._program.name
-            build_args = self._tuple_builder(arg_fns) if arg_fns else (lambda ctx: ())
-
-            def emit_digest(ctx):
-                ctx.packet.digests.append((program_name, build_args(ctx)))
-
-            return emit_digest, static
-        if name == "clone":
-
-            def clone(ctx):
-                meta = ctx.meta
-                meta["clones"] = meta.get("clones", 0) + 1
-
-            return clone, static
-        if name == "recirculate":
-
-            def recirculate(ctx):
-                ctx.meta["_recirculate"] = 1
-
-            return recirculate, static
-        if name == "no_op":
-
-            def no_op(ctx):
-                for arg in arg_fns:
-                    arg(ctx)
-
-            return no_op, static
-        raise SimulationError(f"unknown primitive {name!r}")  # pragma: no cover
-
-    # -- actions and apply steps -------------------------------------------
-
-    def _compile_action(self, action: ir.ActionDef):
-        body_fn, body_ops = self.body(action.body)
-        param_names = tuple(name for name, _ in action.params)
-        needs_scope = any(_touches_scope(stmt) for stmt in action.body)
-        return param_names, body_fn, body_ops, needs_scope
-
-    def _field_read(self, ref: ir.FieldRef):
-        """A raw table-key read: visibility-masked, zero op cost."""
-        header = ref.header
-        key = (ref.header, ref.field)
-
-        def read(ctx):
-            if header in ctx.visible:
-                return ctx.fields.get(key, 0)
-            return 0
-
-        return read
-
-    def steps(self, steps: tuple[ir.ApplyStep, ...]):
-        fns = []
+    def _steps(self, steps, depth: int) -> tuple[list[str], int]:
+        lines: list[str] = []
         static = 0
         for step in steps:
+            # Hosting is immutable per instance: filter at generation time.
             if isinstance(step, ir.ApplyTable):
-                # Hosting is immutable per instance: filter at compile time.
-                if not self._instance.hosts(step.table):
-                    continue
-                fn, ops = self._apply_table(step.table)
+                if self._instance.hosts(step.table):
+                    lines += self._table(self._program.table(step.table), depth)
+                    static += 1
             elif isinstance(step, ir.ApplyFunction):
-                if not self._instance.hosts(step.function):
-                    continue
-                fn, ops = self._apply_function(step.function)
+                if self._instance.hosts(step.function):
+                    body = self._program.function(step.function).body
+                    opening, (body_lines, ops) = self._fresh_scope(
+                        lambda: self._stmts(body, set(), depth)
+                    )
+                    lines += opening + body_lines
+                    static += ops
             else:
-                fn, ops = self._apply_if(step)
-            fns.append(fn)
-            static += ops
-        return _chain(fns), static
-
-    def _apply_if(self, step: ir.ApplyIf):
-        cond_fn, cond_ops = self.expr(step.condition)
-        then_fn, then_ops = self.steps(step.then_steps)
-        else_fn, else_ops = self.steps(step.else_steps)
-
-        if _touches_scope(step.condition):
-            # Parity: the interpreter evaluates apply-if conditions in a
-            # fresh empty scope, never a leftover action scope.
-            def apply_if_scoped(ctx):
-                ctx.scope = {}
-                if cond_fn(ctx):
-                    ctx.ops += then_ops
-                    then_fn(ctx)
-                else:
-                    ctx.ops += else_ops
-                    else_fn(ctx)
-
-            return apply_if_scoped, 1 + cond_ops
-
-        def apply_if(ctx):
-            if cond_fn(ctx):
-                ctx.ops += then_ops
-                then_fn(ctx)
-            else:
-                ctx.ops += else_ops
-                else_fn(ctx)
-
-        return apply_if, 1 + cond_ops
-
-    def _apply_function(self, name: str):
-        body = self._program.function(name).body
-        body_fn, body_ops = self.body(body)
-        if not any(_touches_scope(stmt) for stmt in body):
-            return body_fn, body_ops
-
-        def apply_function(ctx):
-            ctx.scope = {}
-            body_fn(ctx)
-
-        return apply_function, body_ops
-
-    def _apply_table(self, name: str):
-        table = self._program.table(name)
-        key_fns = tuple(self._field_read(key.field) for key in table.keys)
-        rules_by_name = self._rules
-        actions = self._actions
-        if len(key_fns) == 1:
-            key0 = key_fns[0]
-            build_key = lambda ctx: (key0(ctx),)  # noqa: E731
-        elif len(key_fns) == 2:
-            key0, key1 = key_fns
-            build_key = lambda ctx: (key0(ctx), key1(ctx))  # noqa: E731
-        else:
-            build_key = lambda ctx: tuple(fn(ctx) for fn in key_fns)  # noqa: E731
-
-        def apply_table(ctx):
-            # Inlined TableRules.lookup: the compiled key arity is
-            # statically correct, so the per-call validation (and the
-            # call frame) are skipped; semantics are otherwise identical.
-            rules = rules_by_name[name]
-            key = build_key(ctx)
-            action_call = None
-            if rules._all_exact:
-                index = rules._exact_index
-                if index is None:
-                    index = rules._build_exact_index()
-                hit = index.get(key)
-                if hit is not None:
-                    action_call, position = hit
-                    rules.hit_counts[position] += 1
-            else:
-                ordered = rules._ordered
-                if ordered is None:
-                    ordered = rules._build_ordered()
-                for predicate, action, position in ordered:
-                    if predicate(key):
-                        action_call = action
-                        rules.hit_counts[position] += 1
-                        break
-            if action_call is None:
-                rules.miss_count += 1
-                action_call = rules.definition.default_action
-                if action_call is None:
-                    return
-            meter = rules._meter
-            if meter is not None:
-                ctx.meta["meter_color"] = meter.mark(ctx.now).value
-            param_names, body_fn, body_ops, needs_scope = actions[action_call.action]
-            if needs_scope:
-                ctx.scope = dict(zip(param_names, action_call.args))
-            ctx.ops += body_ops
-            body_fn(ctx)
-
-        return apply_table, 1
-
-    # -- parser ------------------------------------------------------------
-
-    def parse(self):
-        program = self._program
-        parser = program.parser
-        if parser is None:
-            declared = tuple(header.name for header in program.headers)
-
-            def parse_all(ctx):
-                visible = ctx.visible
-                visible.clear()
-                present = {key[0] for key in ctx.fields}
-                for name in declared:
-                    if name in present:
-                        visible.add(name)
-
-            return parse_all
-
-        start = parser.start_header
-        transitions = []
-        for transition in parser.transitions:
-            select = transition.select_field
-            transitions.append(
-                (
-                    transition.next_header,
-                    None if select is None else select.header,
-                    None if select is None else (select.header, select.field),
-                    transition.select_value,
+                opening, (condition, ops) = self._fresh_scope(
+                    lambda: self._expr(step.condition, set())
                 )
-            )
-        transitions = tuple(transitions)
-        parse_ops = 1 + len(transitions)
+                lines += [*opening, f"if {condition}:"]
+                lines += self._suite(lambda d: self._steps(step.then_steps, d), depth)
+                if step.else_steps:
+                    lines.append("else:")
+                    lines += self._suite(lambda d: self._steps(step.else_steps, d), depth)
+                static += 1 + ops
+        return lines, static
 
-        def parse(ctx):
-            visible = ctx.visible
-            visible.clear()
-            fields = ctx.fields
-            present = {key[0] for key in fields}
-            if start not in present:
-                return
-            visible.add(start)
-            ctx.ops += parse_ops
-            for next_header, select_header, select_key, select_value in transitions:
-                if next_header not in present:
-                    continue
-                if select_header is not None:
-                    if select_header not in visible:
-                        continue
-                    if fields.get(select_key, 0) != select_value:
-                        continue
-                visible.add(next_header)
+    def _field(self, ref: ir.FieldRef) -> str:
+        """A visibility-masked field read."""
+        visible = self._visible.get(ref.header)
+        if visible is None:
+            return "0"
+        return f"(fget({(ref.header, ref.field)!r}, 0) if {visible} else 0)"
 
-        return parse
+    def _table(self, table: ir.TableDef, depth: int) -> list[str]:
+        key = _display([self._field(key.field) for key in table.keys])
+        names = list(table.actions)
+        if table.default_action is not None:
+            names.append(table.default_action.action)
+        dispatch: list[str] = []
+        for name in dict.fromkeys(names):
+            action = self._program.action(name)
+            dispatch.append(f"{'elif' if dispatch else 'if'} name == {name!r}:")
+            dispatch += self._suite(lambda d: self._action(action, d), depth + 1)
+        stray = "raise KeyError(name)"
+        dispatch = [*dispatch, "else:", _INDENT + stray] if dispatch else [stray]
+        return [
+            f"rules = R[{table.name!r}]",
+            f"key = {key}",
+            *_LOOKUP,
+            "if call is not None:",
+            *_indent(
+                [
+                    "meter = rules._meter",
+                    "if meter is not None:",
+                    _INDENT + "meta['meter_color'] = meter.mark(now).value",
+                    "name = call.action",
+                    *dispatch,
+                ]
+            ),
+        ]
+
+    def _action(self, action: ir.ActionDef, depth: int) -> tuple[list[str], int]:
+        params = [name for name, _ in action.params]
+
+        def body():
+            lines, ops = self._stmts(action.body, set(params), depth)
+            return lines, ops, [i for i, name in enumerate(params) if name in self._read]
+
+        opening, (lines, ops, used) = self._fresh_scope(body)
+        if used:
+            # A rule carrying fewer args than its action reads leaves the
+            # parameter unbound, as the interpreter's zip() does.
+            short = tuple(params[min(i for i in used if i >= index)] for index in range(used[-1] + 1))
+            opening += [
+                "args = call.args",
+                f"if len(args) < {len(short)}:",
+                _INDENT + f"U({short!r}[len(args)])",
+                *(f"{self._local(params[index])} = args[{index}]" for index in used),
+            ]
+        return opening + lines, ops
+
+    # -- statements ----------------------------------------------------------
+
+    def _stmts(self, body, bound: set[str], depth: int) -> tuple[list[str], int]:
+        lines: list[str] = []
+        static = sum(self._stmt(stmt, bound, depth, lines) for stmt in body)
+        return lines, static
+
+    def _stmt(self, stmt, bound: set[str], depth: int, lines: list[str]) -> int:
+        if isinstance(stmt, ir.Let):
+            value, ops = self._int(stmt.value, bound)
+            lines.append(f"{self._local(stmt.name)} = {value} & {stmt.value_type.max_value}")
+            bound.add(stmt.name)
+            return 1 + ops
+        if isinstance(stmt, ir.Assign):
+            value, ops = self._int(stmt.value, bound)
+            target = stmt.target
+            if isinstance(target, ir.VarRef):
+                lines.append(f"{self._local(target.name)} = {value}")
+                bound.add(target.name)
+            elif isinstance(target, ir.MetaRef):
+                lines.append(f"meta[{target.key!r}] = {value}")
+            elif target.header not in self._visible:
+                lines.append(value)  # never written, still evaluated
+            else:
+                mask = (1 << self._program.field_width(target)) - 1
+                lines += [
+                    f"value = {value}",
+                    f"if {self._visible[target.header]}:",
+                    _INDENT + f"fields[{(target.header, target.field)!r}] = value & {mask}",
+                ]
+            return 1 + ops
+        if isinstance(stmt, ir.MapPut):
+            key, key_ops = self._tuple(stmt.key, bound)
+            value, value_ops = self._int(stmt.value, bound)
+            lines.append(self._map_call(stmt.map_name, "put", f"{key}, {value}"))
+            return 4 + key_ops + value_ops
+        if isinstance(stmt, ir.MapDelete):
+            key, key_ops = self._tuple(stmt.key, bound)
+            lines.append(self._map_call(stmt.map_name, "delete", key))
+            return 4 + key_ops
+        if isinstance(stmt, ir.If):
+            # Branches share the enclosing scope at run time; what is
+            # bound after the statement is what both bound.
+            condition, ops = self._expr(stmt.condition, bound)
+            then_bound, else_bound = set(bound), set(bound)
+            lines.append(f"if {condition}:")
+            lines += self._suite(lambda d: self._stmts(stmt.then_body, then_bound, d), depth)
+            if stmt.else_body:
+                lines.append("else:")
+                lines += self._suite(lambda d: self._stmts(stmt.else_body, else_bound, d), depth)
+            bound |= then_bound & else_bound
+            return 1 + ops
+        if isinstance(stmt, ir.Repeat):
+            body_bound = set(bound)
+            lines.append(f"for _ in range({stmt.count!r}):")
+            lines += self._suite(lambda d: self._stmts(stmt.body, body_bound, d), depth)
+            if stmt.count > 0:
+                bound |= body_bound
+            return 1
+        if isinstance(stmt, ir.PrimitiveCall):
+            return self._primitive(stmt, bound, lines)
+        raise SimulationError(f"cannot compile {stmt!r}")  # pragma: no cover
+
+    def _map_call(self, map_name: str, method: str, args: str) -> str:
+        """A statement calling ``MapState.<method>``; a map the program
+        never declared has no state, but its arguments are still
+        evaluated."""
+        if map_name in self._instance.maps:
+            return f"S[{map_name!r}].{method}({args})"
+        return f"({args})"
+
+    def _primitive(self, call: ir.PrimitiveCall, bound: set[str], lines: list[str]) -> int:
+        effect = _PRIMITIVES.get(call.name)
+        if effect is None:  # pragma: no cover - validator rejects unknown primitives
+            raise SimulationError(f"unknown primitive {call.name!r}")
+        parts, ops = self._ints(call.args, bound)
+        args = _display(parts)
+        first = "0" if not parts else parts[0] if len(parts) == 1 else f"{args}[0]"
+        if parts and "{" not in effect:
+            lines.append(args)  # unused, still evaluated
+        if effect:
+            lines.append(effect.format(first=first, args=args))
+        return 1 + ops
+
+    # -- expressions ---------------------------------------------------------
+
+    def _ints(self, exprs, bound: set[str]) -> tuple[list[str], int]:
+        parts = [self._int(part, bound) for part in exprs]
+        return [src for src, _ in parts], sum(ops for _, ops in parts)
+
+    def _tuple(self, exprs, bound: set[str]) -> tuple[str, int]:
+        """A tuple display of exact ints (a map key or hash input)."""
+        parts, ops = self._ints(exprs, bound)
+        return _display(parts), ops
+
+    def _int(self, expr, bound: set[str]) -> tuple[str, int]:
+        """Like :meth:`_expr`, for a context that stores or computes
+        with the value: only bool-producing expressions need the
+        interpreter's ``int()``."""
+        src, ops = self._expr(expr, bound)
+        return (f"int({src})" if _is_bool(expr) else src), ops
+
+    def _truth(self, expr, bound: set[str]) -> tuple[str, int]:
+        """Like :meth:`_expr`, for an ``&&`` / ``||`` operand, whose
+        value (not just its truth) is what the operator returns."""
+        src, ops = self._expr(expr, bound)
+        return (src if _is_bool(expr) else f"bool({src})"), ops
+
+    def _expr(self, expr, bound: set[str]) -> tuple[str, int]:
+        """``(source, static ops)``; the source is an atom or is
+        parenthesized, and adds its dynamic ops itself."""
+        if isinstance(expr, ir.Const):
+            return repr(expr.value), 0
+        if isinstance(expr, ir.VarRef):
+            name = expr.name
+            local = self._local(name)
+            self._read.add(name)
+            if name in bound:
+                return local, 0
+            self._maybe.add(name)
+            return f"({local} if {local} is not None else U({name!r}))", 0
+        if isinstance(expr, ir.FieldRef):
+            return self._field(expr), 1
+        if isinstance(expr, ir.MetaRef):
+            return f"mget({expr.key!r}, 0)", 1
+        if isinstance(expr, ir.MapGet):
+            key, ops = self._tuple(expr.key, bound)
+            if expr.map_name in self._instance.maps:
+                return f"S[{expr.map_name!r}].get({key})", 4 + ops
+            return f"({key}, 0)[1]", 4 + ops
+        if isinstance(expr, ir.HashExpr):
+            args, ops = self._tuple(expr.args, bound)
+            return f"(H({args}) % {expr.modulus!r})", 3 + ops
+        if isinstance(expr, ir.UnOp):
+            if expr.op == "!":
+                operand, ops = self._expr(expr.operand, bound)
+                return f"(not {operand})", 1 + ops
+            operand, ops = self._int(expr.operand, bound)
+            return f"(~{operand} & {_MASK64})", 1 + ops
+        if isinstance(expr, ir.BinOp):
+            return self._binop(expr, bound)
+        raise SimulationError(f"cannot compile {expr!r}")  # pragma: no cover
+
+    def _binop(self, expr: ir.BinOp, bound: set[str]) -> tuple[str, int]:
+        kind = expr.kind
+        if kind in ir.LOGICALS:
+            # The right operand's ops are charged only when it is
+            # evaluated, mirroring the interpreter's short-circuit
+            # accounting; ``ops + k`` is positive, so the walrus never
+            # decides the result.
+            left, left_ops = self._truth(expr.left, bound)
+            right, right_ops = self._truth(expr.right, bound)
+            if right_ops:
+                right = f"(ops := ops + {right_ops}) and {right}"
+            joiner = "and" if kind is ir.BinOpKind.LAND else "or"
+            return f"({left} {joiner} {right})", 1 + left_ops
+        left, left_ops = self._int(expr.left, bound)
+        right, right_ops = self._int(expr.right, bound)
+        template = _BINOPS.get(kind, f"({{left}} {kind.value} {{right}})")
+        return template.format(left=left, right=right), 1 + left_ops + right_ops
+
+
+@functools.lru_cache(maxsize=FLEXPATH_CODE_MEMO_CAPACITY)
+def _code(source: str):
+    """``compile()`` once per distinct source text per process."""
+    return compile(source, "<flexpath>", "exec")
 
 
 class CompiledProgram:
-    """The FlexPath executable for one :class:`ProgramInstance`."""
+    """The FlexPath executable for one :class:`ProgramInstance`:
+    ``process(packet, now)`` is the generated function, ``source`` the
+    text it was compiled from. What tells two instances with the same
+    text apart — their rule and map stores, the version they report and
+    the name their digests carry — is bound in the function's globals."""
 
-    __slots__ = ("version", "_parse", "_apply", "_apply_ops", "_ctx")
+    __slots__ = ("version", "source", "process")
 
     def __init__(self, instance):
-        compiler = _Compiler(instance)
-        self.version = instance.program.version
-        self._parse = compiler.parse()
-        self._apply, self._apply_ops = compiler.steps(instance.program.apply)
-        self._ctx = _Ctx()
-
-    def process(self, packet: Packet, now: float = 0.0):
-        from repro.simulator.pipeline_exec import MAX_RECIRCULATIONS, ExecutionResult
-
-        ctx = self._ctx
-        ctx.packet = packet
-        ctx.fields = packet.fields
-        meta = ctx.meta = packet.meta
-        ctx.scope = {}
-        ctx.now = now
-        ctx.ops = 0
-        parse = self._parse
-        apply_fn = self._apply
-        apply_ops = self._apply_ops
-
-        parse(ctx)
-        ctx.ops += apply_ops
-        apply_fn(ctx)
-        recirculations = 0
-        while meta.pop("_recirculate", 0) and recirculations < MAX_RECIRCULATIONS:
-            recirculations += 1
-            parse(ctx)
-            ctx.ops += apply_ops
-            apply_fn(ctx)
-        if meta.get("drop_flag"):
-            packet.verdict = Verdict.DROP
-        return ExecutionResult(
-            ops=ctx.ops, version=self.version, recirculations=recirculations
-        )
+        program = instance.program
+        self.version = program.version
+        self.source = _Generator(instance).source()
+        namespace = {
+            **_NAMESPACE,
+            "R": instance.rules,
+            "S": instance.maps._states,  # noqa: SLF001 - hot-path binding
+            "NAME": program.name,
+            "VERSION": program.version,
+        }
+        exec(_code(self.source), namespace)  # noqa: S102 - generated from the IR, no packet data
+        self.process = namespace["process"]
 
 
 def compile_instance(instance) -> CompiledProgram:
@@ -1179,8 +1014,6 @@ def differential_check(
     returns None. ``mutate(reference, fast, index)`` — when given —
     runs before each packet on both instances, which is how the flush
     tests attach a meter or insert a rule mid-run."""
-    from repro.simulator.pipeline_exec import ProgramInstance
-
     reference = ProgramInstance(program, hosted_elements)
     fast = ProgramInstance(program, hosted_elements, fastpath=True)
     if setup is not None:

@@ -56,10 +56,11 @@ class ProgramInstance:
             table.name: TableRules(table) for table in program.tables
         }
         self.maps = MapSet(program.maps)
-        #: FlexPath: when set, packets execute through the compiled
-        #: closure tree instead of the tree-walking interpreter. The
-        #: compiled artifact is built lazily on the first packet (after
-        #: any state sharing/adoption has re-bound rules and maps).
+        #: FlexPath: when set, packets execute through the function
+        #: generated for this instance instead of the tree-walking
+        #: interpreter. The compiled artifact is built lazily on the
+        #: first packet (after any state sharing/adoption has re-bound
+        #: rules and maps).
         self.fastpath_enabled = fastpath
         self._compiled = None
         #: FlexVet: lazily computed parallelism classification of the
@@ -118,7 +119,7 @@ class ProgramInstance:
         # runs through the interpreter, which narrates its execution into
         # the trace. FlexPath's differential-identity guarantee makes the
         # outcome identical to the compiled path, so sampling observes
-        # real behaviour without instrumenting the closures.
+        # real behaviour without instrumenting the generated code.
         if self.fastpath_enabled and trace is None:
             compiled = self._compiled
             if compiled is None:

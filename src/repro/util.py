@@ -9,8 +9,9 @@ _FNV_PRIME = 0x100000001B3
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 
 
-def _fnv64(data: bytes, value: int = _FNV_OFFSET) -> int:
-    """64-bit FNV-1a over ``data``, continuing from ``value``."""
+def _fnv64(data: bytes) -> int:
+    """64-bit FNV-1a over ``data``."""
+    value = _FNV_OFFSET
     for byte in data:
         value ^= byte
         value = (value * _FNV_PRIME) & _MASK64
@@ -29,6 +30,11 @@ def _avalanche(value: int) -> int:
     return value
 
 
+#: ``_FNV_PRIME ** k mod 2**64``: what ``k`` zero bytes do to an FNV-1a
+#: state (XOR with a zero byte is the identity, so each is one multiply).
+_ZERO_RUN = tuple(pow(_FNV_PRIME, k, 1 << 64) for k in range(17))
+
+
 def stable_hash(parts: tuple[int, ...]) -> int:
     """Deterministic 64-bit FNV-1a over a tuple of ints.
 
@@ -36,10 +42,21 @@ def stable_hash(parts: tuple[int, ...]) -> int:
     (sketches, ECMP, register indexing) must be reproducible across
     runs and across simulated devices, so everything hashes through
     this function.
+
+    Each part is hashed as its 16-byte little-endian encoding: its
+    significant bytes through the byte loop, the trailing zero run (12
+    bytes or more of a 32-bit field) as one multiplication.
     """
     value = _FNV_OFFSET
     for part in parts:
-        value = _fnv64(int(part).to_bytes(16, "little", signed=False), value)
+        part = int(part)
+        size = (part.bit_length() + 7) >> 3
+        if size > 16:
+            raise OverflowError("int too big to convert")
+        # to_bytes raises OverflowError for a negative part
+        for byte in part.to_bytes(size, "little", signed=False):
+            value = ((value ^ byte) * _FNV_PRIME) & _MASK64
+        value = (value * _ZERO_RUN[16 - size]) & _MASK64
     return _avalanche(value)
 
 

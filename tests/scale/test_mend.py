@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
 import queue
 import sys
 import time
@@ -33,6 +34,7 @@ from repro.scale import plan_shards, reference_run, run_sharded
 from repro.scale.mend import (
     MendTransport,
     WorkerFaultInjector,
+    _pin_to_own_cpu,
     checkpoint_engine,
     restore_engine,
     run_scale_chaos,
@@ -422,6 +424,53 @@ class TestSupervisorPacing:
         assert seen == [pytest.approx(limits.SCALE_WORKER_SWITCH_INTERVAL_S)] * 2
         assert sys.getswitchinterval() == before
         assert before > limits.SCALE_WORKER_SWITCH_INTERVAL_S
+
+    @pytest.mark.skipif(
+        not hasattr(os, "sched_setaffinity"), reason="no CPU affinity on this platform"
+    )
+    def test_each_worker_keeps_to_a_cpu_of_its_own(self, monkeypatch):
+        # Unpinned, pipe wake-ups stack both workers on one CPU for
+        # seconds at a time and the rounds run in turns.
+        result = ShardEngine.result
+
+        def spying_result(engine):
+            out = result(engine)
+            out.cpus = sorted(os.sched_getaffinity(0))  # pickled with the result
+            return out
+
+        monkeypatch.setattr(ShardEngine, "result", spying_result)
+        before = os.sched_getaffinity(0)
+        net, workload = _arm()
+        report = run_sharded(net, workload, 2, backend="process", seed=11, drain_s=DRAIN_S)
+        seen = [shard.cpus for shard in report.shard_results]
+        assert os.sched_getaffinity(0) == before
+        assert all(set(cpus) <= before for cpus in seen)
+        if len(before) > 1:
+            assert [len(cpus) for cpus in seen] == [1, 1]
+            assert seen[0] != seen[1]
+        else:
+            assert seen == [sorted(before)] * 2
+        assert _canon(report.traffic_dict()) == _reference_json()
+
+    @pytest.mark.skipif(
+        not hasattr(os, "sched_setaffinity"), reason="no CPU affinity on this platform"
+    )
+    def test_more_workers_than_cpus_share_them_evenly(self):
+        before = os.sched_getaffinity(0)
+        picked = []
+        try:
+            for slot in range(2 * len(before)):
+                _pin_to_own_cpu(slot)
+                picked.append(os.sched_getaffinity(0))
+                os.sched_setaffinity(0, before)
+        finally:
+            os.sched_setaffinity(0, before)
+        if len(before) == 1:
+            assert picked == [before] * 2
+        else:
+            assert all(len(cpus) == 1 for cpus in picked)
+            assert picked[: len(before)] == picked[len(before) :]
+            assert set().union(*picked[: len(before)]) == before
 
 
 class TestFailurePropagation:

@@ -110,8 +110,35 @@ class TestCompiledInstance:
         instance.process(make_packet(3, 4), 1e-4)
         assert instance._compiled is artifact
 
+    def test_identical_source_compiles_once(self):
+        """Version and program name live in the generated function's
+        namespace, not its text: two versions of one program (and two
+        devices hosting one slice) share a code object, and each still
+        reports its own version and signs its own digests."""
+        from repro.apps import int_probe_delta
+
+        program, _ = apply_delta(base_infrastructure(), int_probe_delta())
+        renamed = program.bump_version()
+        renamed = type(renamed)(**{**vars(renamed), "name": "renamed"})
+        first = ProgramInstance(program, fastpath=True)
+        second = ProgramInstance(renamed, fastpath=True)
+        sliced = ProgramInstance(program, hosted_elements={"acl"}, fastpath=True)
+        fastpath._code.cache_clear()
+        packets = [make_packet(1, 2) for _ in range(3)]
+        results = [
+            instance.process(packet, 0.0)
+            for instance, packet in zip((first, second, sliced), packets)
+        ]
+        assert first._compiled.source == second._compiled.source != sliced._compiled.source
+        assert first._compiled.process.__code__ is second._compiled.process.__code__
+        assert (fastpath._code.cache_info().misses, fastpath._code.cache_info().hits) == (2, 1)
+        assert [result.version for result in results] == [2, 3, 2]
+        assert second._compiled.version == 3
+        assert {name for name, _ in packets[0].digests} == {"infra"}
+        assert {name for name, _ in packets[1].digests} == {"renamed"}
+
     def test_rules_inserted_after_compile_visible(self):
-        """The compiled closures index the live rule stores — a rule
+        """The generated function indexes the live rule stores — a rule
         inserted after the first packet must take effect."""
         instance = ProgramInstance(base_infrastructure(), fastpath=True)
         packet = make_packet(0xDEAD, 2)

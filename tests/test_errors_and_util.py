@@ -1,9 +1,22 @@
 """Error hierarchy and shared-utility tests."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro import errors
-from repro.util import stable_digest, stable_hash
+from repro.util import _avalanche, stable_digest, stable_hash
+
+
+def sixteen_byte_loop(parts):
+    """``stable_hash`` as it is defined: FNV-1a over every byte of each
+    part's 16-byte little-endian encoding, then the finalizer."""
+    value = 0xCBF29CE484222325
+    for part in parts:
+        for byte in part.to_bytes(16, "little", signed=False):
+            value ^= byte
+            value = (value * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
+    return _avalanche(value)
 
 
 class TestErrorHierarchy:
@@ -57,6 +70,40 @@ class TestStableHash:
         FNV/avalanche refactor must keep it byte-identical forever."""
         assert stable_hash(()) == 17280346270528514342
         assert stable_hash((1, 2, 3)) == 6591469933116945010
+
+
+    @pytest.mark.parametrize(
+        "part",
+        [
+            0,
+            1,
+            2**32 - 1,
+            1 << 120,
+            2**128 - 1,
+            # interior zero bytes: only the *trailing* run may be folded
+            0x0100,
+            0xFF00000000FF,
+            0x01000000_00000000_00000000_00000001,
+            (1 << 64) + (1 << 8),
+        ],
+    )
+    def test_matches_the_sixteen_byte_loop_at_the_edges(self, part):
+        assert stable_hash((part,)) == sixteen_byte_loop((part,))
+        assert stable_hash((7, part, part)) == sixteen_byte_loop((7, part, part))
+
+    @given(st.lists(st.integers(min_value=0, max_value=2**128 - 1), max_size=5))
+    def test_matches_the_sixteen_byte_loop(self, parts):
+        assert stable_hash(tuple(parts)) == sixteen_byte_loop(parts)
+
+    @pytest.mark.parametrize("part", [-1, 2**128, -(2**130), 2**200])
+    def test_out_of_range_parts_overflow(self, part):
+        with pytest.raises(OverflowError):
+            sixteen_byte_loop((part,))
+        with pytest.raises(OverflowError):
+            stable_hash((1, part))
+
+    def test_bools_hash_as_their_ints(self):
+        assert stable_hash((True, False)) == stable_hash((1, 0))
 
 
 class TestStableDigest:
