@@ -10,8 +10,10 @@ models, not the authors' testbed.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import pathlib
+import time
 
 from repro.core.flexnet import FlexNet
 from repro.apps.base import base_infrastructure
@@ -55,6 +57,30 @@ def write_artifact(path: pathlib.Path, results: dict, measured: frozenset) -> No
         return value
 
     path.write_text(json.dumps(keep(results), indent=2) + "\n", encoding="utf-8")
+
+
+@contextlib.contextmanager
+def call_stats(owner, name: str):
+    """Count and time every call to ``owner.name`` made inside the
+    block: yields ``{"calls", "seconds"}`` (wall, inclusive), filled as
+    the calls happen. For the printed tables only."""
+    saved = vars(owner)[name]
+    original = getattr(owner, name)
+    stats = {"calls": 0, "seconds": 0.0}
+
+    def timed(*args, **kwargs):
+        start = time.perf_counter()
+        try:
+            return original(*args, **kwargs)
+        finally:
+            stats["calls"] += 1
+            stats["seconds"] += time.perf_counter() - start
+
+    setattr(owner, name, timed)
+    try:
+        yield stats
+    finally:
+        setattr(owner, name, saved)
 
 
 def standard_net(**infra_kwargs) -> FlexNet:

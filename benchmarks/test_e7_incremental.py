@@ -6,17 +6,20 @@ manner", minimizing "resource reallocation and shuffling" by finding
 small program edits, the incremental compiler moves (nearly) zero
 untouched elements, while a full from-scratch recompile reshuffles
 placements freely — more moved elements, more state migrations, longer
-transitions.
+transitions. E7b also prints how many ``Target.demand`` derivations each
+strategy's placement made (at most one per device and element per
+compile, pinned or not).
 """
 
 
-from benchmarks.harness import fmt, print_table
+from benchmarks.harness import call_stats, fmt, print_table
 
 from repro.apps.base import base_infrastructure
 from repro.compiler.incremental import IncrementalCompiler, full_recompile_plan
 from repro.compiler.placement import PlacementEngine
 from repro.lang.analyzer import certify
 from repro.lang.delta import apply_delta, parse_delta
+from repro.targets.base import Target
 
 
 EDIT_STREAM = [
@@ -70,8 +73,8 @@ def run_experiment():
 
     incremental_compiler = IncrementalCompiler(engine)
     totals = {
-        "incremental": {"moved": 0, "migrations": 0, "makespan": 0.0},
-        "full": {"moved": 0, "migrations": 0, "makespan": 0.0},
+        "incremental": {"moved": 0, "migrations": 0, "makespan": 0.0, "demand_calls": 0},
+        "full": {"moved": 0, "migrations": 0, "makespan": 0.0, "demand_calls": 0},
     }
     per_edit = []
 
@@ -79,10 +82,14 @@ def run_experiment():
         delta = parse_delta(text)
         new_program, changes = apply_delta(program, delta)
 
-        incremental = incremental_compiler.recompile(
-            plan, new_program, fresh_slice(), changes
-        )
-        full = full_recompile_plan(plan, new_program, fresh_slice(), engine)
+        with call_stats(Target, "demand") as demand:
+            incremental = incremental_compiler.recompile(
+                plan, new_program, fresh_slice(), changes
+            )
+        totals["incremental"]["demand_calls"] += demand["calls"]
+        with call_stats(Target, "demand") as demand:
+            full = full_recompile_plan(plan, new_program, fresh_slice(), engine)
+        totals["full"]["demand_calls"] += demand["calls"]
 
         for label, result in (("incremental", incremental), ("full", full)):
             totals[label]["moved"] += result.reconfig.moved_elements
@@ -119,16 +126,19 @@ def test_e7_incremental(benchmark):
     )
     print_table(
         "E7b: cumulative transition cost over the edit stream",
-        ["strategy", "moved elements", "state migrations", "makespan (s)"],
+        ["strategy", "moved elements", "state migrations", "makespan (s)",
+         "Target.demand calls"],
         [
             ["incremental (maximally adjacent)",
              totals["incremental"]["moved"],
              totals["incremental"]["migrations"],
-             fmt(totals["incremental"]["makespan"])],
+             fmt(totals["incremental"]["makespan"]),
+             totals["incremental"]["demand_calls"]],
             ["full recompilation",
              totals["full"]["moved"],
              totals["full"]["migrations"],
-             fmt(totals["full"]["makespan"])],
+             fmt(totals["full"]["makespan"]),
+             totals["full"]["demand_calls"]],
         ],
     )
     assert totals["incremental"]["moved"] == 0  # nothing untouched ever moves

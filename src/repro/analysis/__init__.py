@@ -37,7 +37,7 @@ from repro.analysis.report import Finding, Report, Severity
 from repro.analysis.selfcheck import AuditFinding, AuditReport, run_selfcheck
 from repro.analysis.vet import StateClass, VetReport, vet
 from repro.lang import ir
-from repro.lang.analyzer import Certificate, certify
+from repro.lang.analyzer import Certificate, ElementProfile, certify
 from repro.lang.composition import TenantSpec
 from repro.lang.delta import ChangeSet, Delta, apply_delta
 from repro.targets.base import Target
@@ -81,14 +81,39 @@ class ProgramFacts:
     dataflow: DataflowInfo
 
     @classmethod
-    def of(cls, program: "ir.Program | ProgramFacts") -> "ProgramFacts":
+    def of(
+        cls, program: "ir.Program | ProgramFacts", previous: "ProgramFacts | None" = None
+    ) -> "ProgramFacts":
         """Validate, certify and analyze ``program`` (a record passes
         through untouched). Raises what validation and certification
-        raise."""
+        raise.
+
+        ``previous`` is the record of an earlier version, usually the
+        live one. Every action, table, function and map that
+        ``program`` keeps from it unchanged — the same IR node, naming
+        headers, maps and actions that are the same objects in both
+        (:meth:`~repro.lang.ir.Program.unchanged_since`) — keeps its
+        type-check verdict, its :class:`~repro.lang.analyzer.
+        ElementProfile` and its :class:`AccessSet`; every other element
+        goes through the same per-element code as when there is nothing
+        to carry. What is a property of the whole program is worked out
+        on every version: unique names, parser and apply-block checks,
+        the packet-op and map-entry bounds, recirculation,
+        well-behavedness, and what the apply block reaches and reads.
+        """
         if isinstance(program, ProgramFacts):
             return program
-        program = program.validate()
-        return cls(program, certify(program), analyze(program))
+        profiles: dict[str, ElementProfile] = {}
+        accesses: dict[str, AccessSet] = {}
+        if previous is None:
+            program = program.validate()
+        else:
+            program = program.validate(previous.program)
+            for name in program.unchanged_since(previous.program):
+                profiles[name] = previous.certificate.profiles[name]
+                if name in previous.dataflow.elements:  # maps have no access set
+                    accesses[name] = previous.dataflow.elements[name]
+        return cls(program, certify(program, profiles), analyze(program, accesses))
 
 
 def _as_targets(target) -> list[Target]:

@@ -20,7 +20,9 @@ contained in the static sets — the property tests in
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
+from types import MappingProxyType
 
 from repro.lang import ir
 
@@ -283,15 +285,21 @@ def executed_slice(
     return executed, access
 
 
-def analyze(program: ir.Program) -> DataflowInfo:
-    """Compute access sets for every element of ``program``."""
+def analyze(
+    program: ir.Program, carried: Mapping[str, AccessSet] = MappingProxyType({})
+) -> DataflowInfo:
+    """Compute access sets for every element of ``program``. ``carried``
+    holds the sets of the elements an earlier version already analysed
+    and this one keeps unchanged
+    (:meth:`~repro.lang.ir.Program.unchanged_since`); what the apply
+    block reaches is worked out on every version."""
     elements: dict[str, AccessSet] = {}
     for action in program.actions:
-        elements[action.name] = access_of_action(action)
+        elements[action.name] = carried.get(action.name) or access_of_action(action)
     for table in program.tables:
-        elements[table.name] = access_of_table(program, table)
+        elements[table.name] = carried.get(table.name) or access_of_table(program, table)
     for function in program.functions:
-        elements[function.name] = access_of_body(function.body)
+        elements[function.name] = carried.get(function.name) or access_of_body(function.body)
     applied, apply_reads = _applied_elements(program)
     return DataflowInfo(
         program=program, elements=elements, applied=applied, apply_reads=apply_reads

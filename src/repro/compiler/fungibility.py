@@ -3,13 +3,21 @@
 Resource fungibility "varies across device architectures": RMT is
 fungible only within a pipeline stage, dRMT pools memory and compute,
 tiled architectures are fungible within a tile type, and NIC/FPGA/host
-resources are fully fungible. This module turns those rules into two
+resources are fully fungible. This module turns those rules into the
 operations placement needs:
 
 * :func:`device_feasible` — can this set of elements co-reside on this
   device at all? For RMT that includes solving the stage-assignment
   problem (:class:`StagePlanner`); for tiles it checks per-tile-type
-  budgets; for pooled/full classes it is plain vector arithmetic.
+  budgets; for pooled/full classes it is plain vector arithmetic. It
+  asks the question of a whole set from nothing, which is what E5-style
+  probes and the tests want.
+* :class:`Residency` — the same question asked incrementally, which is
+  what one placement attempt wants: it commits clusters to devices one
+  after another and asks, before each, whether a device can take one
+  more. It keeps a running total per device and derives each
+  (device, element) demand once, so a question costs what the candidate
+  cluster adds, not what the device already hosts.
 * :func:`fungibility_score` — a scalar in [0, 1] measuring how much of
   a device's nominally-free capacity is actually reachable by a new
   element, given fragmentation. This is what experiment E5 sweeps
@@ -18,6 +26,7 @@ operations placement needs:
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from repro.lang.analyzer import Certificate, ElementProfile
@@ -26,7 +35,7 @@ from repro.targets.base import FungibilityClass, Target
 from repro.targets.resources import ResourceVector
 from repro.targets.rmt import stage_capacity
 
-from repro.compiler.plan import StagePlan
+from repro.compiler.plan import DeviceSpec, StagePlan
 
 
 def ordered_elements(program: Program) -> list[str]:
@@ -235,7 +244,8 @@ def device_feasible(
 
     if target.fungibility is FungibilityClass.STAGE_LOCAL:
         conflicts = element_conflicts(program, certificate)
-        ordered = [e for e in ordered_elements(program) if e in set(element_names)]
+        resident = set(element_names)
+        ordered = [e for e in ordered_elements(program) if e in resident]
         plan = StagePlanner(target).plan(ordered, demands, conflicts)
         return plan if plan is not None else False
 
@@ -243,6 +253,88 @@ def device_feasible(
     # the demand model already expresses tile-typed needs in distinct
     # resource kinds (hash_tiles vs tcam_tiles vs pem_elems).
     return True
+
+
+class Residency:
+    """What one placement attempt has committed to each device of a
+    slice, and whether a device can take one more cluster.
+
+    ``feasible(spec, members)`` answers what ``device_feasible(
+    spec.target, committed + members, ..., already_used=spec.used)``
+    answers, from state kept up to date by :meth:`commit`:
+
+    * ``_total[device]`` starts at ``spec.used`` and is extended by each
+      committed member's demand in commit order. ``device_feasible``
+      sums ``used + d1 + ... + dn`` over the same list in the same
+      order, and adding a candidate cluster continues that sum, so both
+      reach the same floats by the same additions.
+    * each (device, element) demand and admission verdict is derived on
+      first use and kept for the attempt.
+    * a STAGE_LOCAL device still runs :class:`StagePlanner` over its
+      full resident set, but apply order and the conflict pairs are
+      properties of the program and are computed once.
+    """
+
+    def __init__(
+        self, program: Program, certificate: Certificate, devices: list[DeviceSpec]
+    ) -> None:
+        self._program = program
+        self._certificate = certificate
+        #: placeable elements in apply order (also the clustering order).
+        self.order = ordered_elements(program)
+        self._conflicts: set[tuple[str, str]] | None = None
+        #: element -> device name, in commit order.
+        self.placement: dict[str, str] = {}
+        #: device name -> members committed so far, in commit order.
+        self.members: dict[str, list[str]] = {d.name: [] for d in devices}
+        #: device name -> demand charged by this datapath alone.
+        self.demand: dict[str, ResourceVector] = {d.name: ResourceVector() for d in devices}
+        self._total: dict[str, ResourceVector] = {d.name: d.used for d in devices}
+        self._sized: dict[str, dict[str, tuple[ResourceVector, bool]]] = {
+            d.name: {} for d in devices
+        }
+
+    def sized(self, spec: DeviceSpec, element: str) -> tuple[ResourceVector, bool]:
+        """``element``'s demand on ``spec``'s target and whether the
+        target admits it at all."""
+        sized = self._sized[spec.name]
+        entry = sized.get(element)
+        if entry is None:
+            profile = self._certificate.profile(element)
+            demand = spec.target.demand(profile)
+            entry = sized[element] = (demand, spec.target.admits(profile, demand))
+        return entry
+
+    def feasible(self, spec: DeviceSpec, members: Sequence[str] = ()) -> StagePlan | bool:
+        """Can ``members`` join what ``spec`` already hosts? A
+        :class:`StagePlan` for stage-local devices, else True / False."""
+        total = self._total[spec.name]
+        for member in members:
+            demand, admitted = self.sized(spec, member)
+            if not admitted:
+                return False
+            total = total + demand
+        if not total.fits_within(spec.target.capacity):
+            return False
+        if spec.target.fungibility is not FungibilityClass.STAGE_LOCAL:
+            return True
+        if self._conflicts is None:
+            self._conflicts = element_conflicts(self._program, self._certificate)
+        resident = {*self.members[spec.name], *members}
+        ordered = [e for e in self.order if e in resident]
+        demands = {e: self.sized(spec, e)[0] for e in ordered}
+        plan = StagePlanner(spec.target).plan(ordered, demands, self._conflicts)
+        return plan if plan is not None else False
+
+    def commit(self, spec: DeviceSpec, members: Sequence[str]) -> None:
+        """Record ``members`` on ``spec`` (the caller found them
+        :meth:`feasible` there)."""
+        for member in members:
+            demand = self.sized(spec, member)[0]
+            self.placement[member] = spec.name
+            self.members[spec.name].append(member)
+            self.demand[spec.name] = self.demand[spec.name] + demand
+            self._total[spec.name] = self._total[spec.name] + demand
 
 
 def fungibility_score(

@@ -17,6 +17,18 @@ satisfy, in order of priority:
    rules of :mod:`repro.compiler.fungibility` (RMT stage planning,
    tile typing, pooled arithmetic).
 
+One attempt commits clusters to devices one after another, pinned ones
+first, and asks before each commit whether the device can take one
+more. All of those questions — a pin that may no longer fit, the
+candidate devices of a free cluster, the final RMT stage plans — go to
+one :class:`~repro.compiler.fungibility.Residency`, which keeps a
+running total per device and each (device, element) demand once, so an
+attempt costs what it places rather than, per question, everything
+already placed. An incremental recompile (every survivor pinned) is
+then one demand derivation and three vector additions per element (the
+question, then the two sums a commit extends), plus the search for
+whatever the delta added.
+
 On top of feasibility, the engine optimizes an :class:`Objective`
 (latency, energy, or balanced) — the "new operating point" runtime
 programmability opens for compilers — and, when a placement fails, it
@@ -37,7 +49,7 @@ from repro.lang.ir import Program
 from repro.targets.base import FungibilityClass
 from repro.targets.resources import ResourceVector
 
-from repro.compiler import fungibility
+from repro.compiler.fungibility import Residency
 from repro.compiler.plan import CompilationPlan, DeviceSpec, StagePlan
 from repro.compiler.state_encoding import select_encoding
 
@@ -59,15 +71,19 @@ class Objective:
 
 @dataclass
 class NetworkSlice:
-    """The physical slice a fungible datapath is compiled onto."""
+    """The physical slice a fungible datapath is compiled onto (its
+    device list is fixed at construction)."""
 
     devices: list[DeviceSpec]
 
+    def __post_init__(self) -> None:
+        self._by_name = {spec.name: spec for spec in self.devices}
+
     def device(self, name: str) -> DeviceSpec:
-        for spec in self.devices:
-            if spec.name == name:
-                return spec
-        raise PlacementError(f"slice has no device {name!r}")
+        spec = self._by_name.get(name)
+        if spec is None:
+            raise PlacementError(f"slice has no device {name!r}")
+        return spec
 
     @property
     def names(self) -> list[str]:
@@ -171,50 +187,35 @@ class PlacementEngine:
         notes: list[str],
         pinned: dict[str, str],
     ) -> CompilationPlan:
-        clusters = self._clusters(program, certificate)
-        committed: dict[str, list[str]] = {d.name: [] for d in network_slice.devices}
-        committed_demand: dict[str, ResourceVector] = {
-            d.name: ResourceVector() for d in network_slice.devices
-        }
-        placement: dict[str, str] = {}
-        floor = 0
-        index_by_name = {d.name: i for i, d in enumerate(network_slice.devices)}
-
-        def commit(cluster: _Cluster, device_index: int) -> None:
-            spec = network_slice.devices[device_index]
-            for member in cluster.members:
-                placement[member] = spec.name
-                committed[spec.name].append(member)
-                committed_demand[spec.name] = committed_demand[
-                    spec.name
-                ] + spec.target.demand(certificate.profile(member))
+        devices = network_slice.devices
+        residency = Residency(program, certificate, devices)
+        clusters = self._clusters(residency.order, certificate)
+        index_by_name = {d.name: i for i, d in enumerate(devices)}
 
         # Phase 1: pre-commit pinned clusters. Honouring pins *first* is
         # what "maximally adjacent" means — new/free clusters get the
         # leftover capacity and must not displace deployed elements.
         placed: set[int] = set()
         for position, cluster in enumerate(clusters):
-            device_index = self._pinned_choice(
-                cluster, pinned, index_by_name, certificate, program, network_slice, committed
-            )
+            device_index = self._pinned_choice(cluster, pinned, index_by_name, devices, residency)
             if device_index is not None:
-                commit(cluster, device_index)
+                residency.commit(devices[device_index], cluster.members)
                 placed.add(position)
 
         # Phase 2: place the remaining clusters in apply order under the
         # monotone path constraint.
+        floor = 0
         for position, cluster in enumerate(clusters):
             if position in placed:
                 continue
-            device_index = self._choose_device(
-                cluster, certificate, program, network_slice, committed, floor
-            )
+            device_index = self._choose_device(cluster, certificate, devices, residency, floor)
             if device_index is None:
-                raise self._placement_failure(cluster, certificate, network_slice, committed)
-            commit(cluster, device_index)
+                raise self._placement_failure(cluster, devices, residency)
+            residency.commit(devices[device_index], cluster.members)
             floor = device_index
 
-        stage_plans = self._stage_plans(program, certificate, network_slice, committed)
+        placement = residency.placement
+        stage_plans = self._stage_plans(devices, residency)
         encodings = {
             map_def.name: select_encoding(
                 map_def, network_slice.device(placement[map_def.name]).target
@@ -226,7 +227,7 @@ class PlacementEngine:
             certificate=certificate,
             placement=placement,
             encodings=encodings,
-            device_demand=committed_demand,
+            device_demand=residency.demand,
             stage_plans=stage_plans,
             notes=list(notes),
         )
@@ -235,8 +236,9 @@ class PlacementEngine:
 
     # -- clustering ---------------------------------------------------------
 
-    def _clusters(self, program: Program, certificate: Certificate) -> list[_Cluster]:
-        order = fungibility.ordered_elements(program)
+    def _clusters(self, order: list[str], certificate: Certificate) -> list[_Cluster]:
+        """Union-find over ``order`` (the program's placeable elements
+        in apply order): a map joins each of its accessors."""
         index_of = {name: i for i, name in enumerate(order)}
         parent: dict[str, str] = {name: name for name in order}
 
@@ -276,25 +278,15 @@ class PlacementEngine:
         cluster: _Cluster,
         pinned: dict[str, str],
         index_by_name: dict[str, int],
-        certificate: Certificate,
-        program: Program,
-        network_slice: NetworkSlice,
-        committed: dict[str, list[str]],
+        devices: list[DeviceSpec],
+        residency: Residency,
     ) -> int | None:
         """Honour a pin when the whole cluster agrees and still fits."""
         pinned_devices = {pinned[m] for m in cluster.members if m in pinned}
         if len(pinned_devices) != 1:
             return None
-        device_name = pinned_devices.pop()
-        if device_name not in index_by_name:
-            return None
-        index = index_by_name[device_name]
-        spec = network_slice.devices[index]
-        resident = committed[spec.name] + cluster.members
-        result = fungibility.device_feasible(
-            spec.target, resident, certificate, program, already_used=spec.used
-        )
-        if result is False or result is None:
+        index = index_by_name.get(pinned_devices.pop())
+        if index is None or residency.feasible(devices[index], cluster.members) is False:
             return None
         return index
 
@@ -302,20 +294,15 @@ class PlacementEngine:
         self,
         cluster: _Cluster,
         certificate: Certificate,
-        program: Program,
-        network_slice: NetworkSlice,
-        committed: dict[str, list[str]],
+        devices: list[DeviceSpec],
+        residency: Residency,
         floor: int,
     ) -> int | None:
-        feasible: list[int] = []
-        for index in range(floor, len(network_slice.devices)):
-            spec = network_slice.devices[index]
-            resident = committed[spec.name] + cluster.members
-            result = fungibility.device_feasible(
-                spec.target, resident, certificate, program, already_used=spec.used
-            )
-            if result is not False and result is not None:
-                feasible.append(index)
+        feasible = [
+            index
+            for index in range(floor, len(devices))
+            if residency.feasible(devices[index], cluster.members) is not False
+        ]
         if not feasible:
             return None
         if self.objective.kind is ObjectiveKind.BALANCED:
@@ -324,79 +311,41 @@ class PlacementEngine:
             tier_rank = {"switch": 0, "nic": 1, "host": 2}
             return min(
                 feasible,
-                key=lambda i: (
-                    tier_rank.get(network_slice.devices[i].target.tier, 3),
-                    i,
-                ),
+                key=lambda i: (tier_rank.get(devices[i].target.tier, 3), i),
             )
+        ops = sum(certificate.profile(m).max_ops for m in cluster.members)
         if self.objective.kind is ObjectiveKind.LATENCY:
-            return min(
-                feasible,
-                key=lambda i: self._cluster_latency_ns(cluster, certificate, network_slice, i),
-            )
+            return min(feasible, key=lambda i: ops * devices[i].target.performance.per_op_ns)
         # ENERGY: prefer low per-op energy, charge idle activation for
         # devices not yet hosting anything.
         return min(
             feasible,
-            key=lambda i: self._cluster_energy_score(
-                cluster, certificate, network_slice, committed, i
-            ),
+            key=lambda i: self._cluster_energy_score(ops, devices[i], residency),
         )
 
-    def _cluster_ops(self, cluster: _Cluster, certificate: Certificate) -> int:
-        return sum(certificate.profile(m).max_ops for m in cluster.members)
-
-    def _cluster_latency_ns(
-        self,
-        cluster: _Cluster,
-        certificate: Certificate,
-        network_slice: NetworkSlice,
-        index: int,
-    ) -> float:
-        performance = network_slice.devices[index].target.performance
-        return self._cluster_ops(cluster, certificate) * performance.per_op_ns
-
-    def _cluster_energy_score(
-        self,
-        cluster: _Cluster,
-        certificate: Certificate,
-        network_slice: NetworkSlice,
-        committed: dict[str, list[str]],
-        index: int,
-    ) -> float:
-        spec = network_slice.devices[index]
+    def _cluster_energy_score(self, ops: int, spec: DeviceSpec, residency: Residency) -> float:
         performance = spec.target.performance
-        dynamic = self._cluster_ops(cluster, certificate) * performance.per_op_nj
         activation = 0.0
-        if not committed[spec.name] and spec.used.is_zero():
+        if not residency.members[spec.name] and spec.used.is_zero():
             activation = performance.idle_power_w * self.objective.activation_weight
-        return dynamic + activation
+        return ops * performance.per_op_nj + activation
 
     # -- RMT stage plans ----------------------------------------------------------
 
     def _stage_plans(
-        self,
-        program: Program,
-        certificate: Certificate,
-        network_slice: NetworkSlice,
-        committed: dict[str, list[str]],
+        self, devices: list[DeviceSpec], residency: Residency
     ) -> dict[str, StagePlan]:
         plans: dict[str, StagePlan] = {}
-        for spec in network_slice.devices:
+        for spec in devices:
             if spec.target.fungibility is not FungibilityClass.STAGE_LOCAL:
                 continue
-            members = committed[spec.name]
-            if not members:
+            if not residency.members[spec.name]:
                 continue
             if self.profiler is not None:
                 with self.profiler.phase("binpack"):
-                    result = fungibility.device_feasible(
-                        spec.target, members, certificate, program, already_used=spec.used
-                    )
+                    result = residency.feasible(spec)
             else:
-                result = fungibility.device_feasible(
-                    spec.target, members, certificate, program, already_used=spec.used
-                )
+                result = residency.feasible(spec)
             if isinstance(result, StagePlan):
                 plans[spec.name] = result
         return plans
@@ -430,21 +379,16 @@ class PlacementEngine:
             )
 
     def _placement_failure(
-        self,
-        cluster: _Cluster,
-        certificate: Certificate,
-        network_slice: NetworkSlice,
-        committed: dict[str, list[str]],
+        self, cluster: _Cluster, devices: list[DeviceSpec], residency: Residency
     ) -> PlacementError:
         lines = [f"cannot place cluster {cluster.members}"]
-        for spec in network_slice.devices:
+        for spec in devices:
             demand = ResourceVector()
             admitted = True
             for member in cluster.members:
-                profile = certificate.profile(member)
-                if not spec.target.admits(profile):
-                    admitted = False
-                demand = demand + spec.target.demand(profile)
+                member_demand, member_admitted = residency.sized(spec, member)
+                admitted = admitted and member_admitted
+                demand = demand + member_demand
             deficit = demand.deficit_against(spec.free)
             reason = "not admitted" if not admitted else (f"deficit {deficit}" if deficit else "ok alone; conflicts with residents or path order")
             lines.append(f"  {spec.name} ({spec.target.arch}): {reason}")

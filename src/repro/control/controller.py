@@ -257,6 +257,13 @@ class FlexNetController:
         return self._plan.program
 
     @property
+    def facts(self) -> ProgramFacts | None:
+        """The live version's admission record (``None`` before the
+        first install): what the next version's analysis carries
+        unchanged elements over from."""
+        return self._facts
+
+    @property
     def plan(self) -> CompilationPlan:
         if self._plan is None:
             raise ControlPlaneError("no plan compiled yet")
@@ -272,7 +279,7 @@ class FlexNetController:
     def install_infrastructure(self, program: Program | ProgramFacts) -> CompilationPlan:
         """Compile and cold-install the operator's base program (given
         as a program, or as the facts admission already computed)."""
-        facts = ProgramFacts.of(program)
+        facts = ProgramFacts.of(program, previous=self._facts)
         program = facts.program
         plan = self.engine.compile(
             program, facts.certificate, self.slice(), gc_hook=self._gc_hook
@@ -306,7 +313,8 @@ class FlexNetController:
         """Incrementally recompile to ``new_program`` and orchestrate the
         hitless runtime transition (see :meth:`_transition_to` for the
         mechanics). ``new_program`` is a program — validated, certified
-        and analyzed here, once — or the :class:`ProgramFacts` the
+        and analyzed here, once, carrying over what it keeps unchanged
+        from the live version — or the :class:`ProgramFacts` the
         caller's admission already computed. With FlexScope enabled, the
         whole change runs inside an "update" span (the orchestrator's
         transition/window spans nest under it) and the outcome carries
@@ -314,7 +322,7 @@ class FlexNetController:
 
         ``epoch``/``dispatch_gate``/``delta_id`` are FlexHA's fencing
         hooks, threaded down to the orchestrator's device windows."""
-        facts = ProgramFacts.of(new_program)
+        facts = ProgramFacts.of(new_program, previous=self._facts)
         observer = self.observer
         outcome = span = None
         with ExitStack() as observed:
@@ -521,7 +529,7 @@ class FlexNetController:
         while True:
             attempts += 1
             new_program, changes = apply_delta(self.program, delta)
-            facts = ProgramFacts.of(new_program)
+            facts = ProgramFacts.of(new_program, previous=self._facts)
             try:
                 outcome = self.transition_to(facts, changes, consistency)
                 break
@@ -597,7 +605,7 @@ class FlexNetController:
         record = self.app(uri)
         if to_device not in self.devices:
             raise ControlPlaneError(f"unknown device {to_device!r}")
-        facts = ProgramFacts.of(self.program.bump_version())
+        facts = ProgramFacts.of(self.program.bump_version(), previous=self._facts)
         result = self.incremental.recompile(
             self._plan,
             facts.program,
@@ -936,7 +944,7 @@ class FlexNetController:
             return False
         delta = Delta(name=f"gc:{record.uri.name}", ops=tuple(ops))
         new_program, changes = apply_delta(self.program, delta)
-        facts = ProgramFacts.of(new_program)
+        facts = ProgramFacts.of(new_program, previous=self._facts)
         result = self.incremental.recompile(
             self._plan, facts.program, self.slice(), changes, facts.certificate
         )

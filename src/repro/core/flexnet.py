@@ -232,13 +232,14 @@ class FlexNet:
         cannot be certified or FlexCheck finds blocking issues) and
         return its :class:`~repro.analysis.ProgramFacts` — the one
         analysis of this version, which :meth:`install` / :meth:`update`
-        hand on to the controller.
+        hand on to the controller. Elements the program keeps unchanged
+        from the live version carry their facts over from its record.
 
         The analyzer proves the *bounds* (ops, state); FlexCheck proves
         *behaviour* (data flow, lints, and — with ``check_placement`` —
         that the slice can physically host the program at all).
         """
-        facts = analysis.ProgramFacts.of(program)
+        facts = analysis.ProgramFacts.of(program, previous=self.controller.facts)
         target = self.controller.slice() if check_placement else None
         report = analysis.check(facts.program, target=target, facts=facts)
         if not report.ok:
@@ -257,7 +258,9 @@ class FlexNet:
             target = self.controller.slice()
         except ControlPlaneError:
             target = None
-        return analysis.check(subject, delta=delta, target=target)
+        live = self.controller.facts
+        facts = live if live is not None and subject is live.program else None
+        return analysis.check(subject, delta=delta, target=target, facts=facts)
 
     def vet(self, program: Program | None = None):
         """Run FlexVet against a program (default: the live one) and

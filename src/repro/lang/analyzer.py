@@ -23,7 +23,9 @@ before a program or extension enters the network.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 from repro.errors import AnalysisError
 from repro.lang import ir
@@ -108,11 +110,20 @@ class Analyzer:
         self._max_packet_ops = max_packet_ops
         self._max_map_entries = max_map_entries
 
-    def certify(self, program: ir.Program) -> Certificate:
+    def certify(
+        self,
+        program: ir.Program,
+        carried: Mapping[str, ElementProfile] = MappingProxyType({}),
+    ) -> Certificate:
+        """Certify ``program``. ``carried`` holds the profiles of the
+        elements an earlier version already profiled and this one keeps
+        unchanged (:meth:`~repro.lang.ir.Program.unchanged_since`); the
+        rest are profiled here. The program-wide bounds below are
+        computed on every version."""
         profiles: dict[str, ElementProfile] = {}
 
         for map_def in program.maps:
-            profiles[map_def.name] = ElementProfile(
+            profiles[map_def.name] = carried.get(map_def.name) or ElementProfile(
                 name=map_def.name,
                 kind="map",
                 table_entries=map_def.max_entries,
@@ -121,24 +132,16 @@ class Analyzer:
             )
 
         for action in program.actions:
-            ops, reads, writes = self._body_cost(program, action.body)
-            profiles[action.name] = ElementProfile(
-                name=action.name,
-                kind="action",
-                max_ops=ops,
-                map_reads=tuple(sorted(reads)),
-                map_writes=tuple(sorted(writes)),
-                is_stateful=bool(reads or writes),
+            profiles[action.name] = carried.get(action.name) or self._body_profile(
+                program, action.name, "action", action.body
             )
 
         for table in program.tables:
-            action_ops = max(
-                (profiles[a].max_ops for a in table.actions), default=0
-            )
-            profiles[table.name] = ElementProfile(
+            profiles[table.name] = carried.get(table.name) or ElementProfile(
                 name=table.name,
                 kind="table",
-                max_ops=1 + action_ops,  # one lookup + worst action
+                # one lookup + worst action
+                max_ops=1 + max((profiles[a].max_ops for a in table.actions), default=0),
                 table_entries=table.size,
                 key_bits=program.table_key_bits(table),
                 is_ternary=table.is_ternary,
@@ -152,14 +155,8 @@ class Analyzer:
             )
 
         for function in program.functions:
-            ops, reads, writes = self._body_cost(program, function.body)
-            profiles[function.name] = ElementProfile(
-                name=function.name,
-                kind="function",
-                max_ops=ops,
-                map_reads=tuple(sorted(reads)),
-                map_writes=tuple(sorted(writes)),
-                is_stateful=bool(reads or writes),
+            profiles[function.name] = carried.get(function.name) or self._body_profile(
+                program, function.name, "function", function.body
             )
 
         max_packet_ops, recirculates = self._apply_cost(program, program.apply, profiles)
@@ -195,6 +192,19 @@ class Analyzer:
         )
 
     # -- cost computation ----------------------------------------------------
+
+    def _body_profile(
+        self, program: ir.Program, name: str, kind: str, body: tuple[ir.Stmt, ...]
+    ) -> ElementProfile:
+        ops, reads, writes = self._body_cost(program, body)
+        return ElementProfile(
+            name=name,
+            kind=kind,
+            max_ops=ops,
+            map_reads=tuple(sorted(reads)),
+            map_writes=tuple(sorted(writes)),
+            is_stateful=bool(reads or writes),
+        )
 
     def _apply_cost(
         self,
@@ -355,6 +365,8 @@ def _body_recirculates(body: tuple[ir.Stmt, ...]) -> bool:
     return False
 
 
-def certify(program: ir.Program) -> Certificate:
+def certify(
+    program: ir.Program, carried: Mapping[str, ElementProfile] = MappingProxyType({})
+) -> Certificate:
     """Convenience wrapper: certify with default admission bounds."""
-    return Analyzer().certify(program)
+    return Analyzer().certify(program, carried)

@@ -309,7 +309,9 @@ class Delta:
     owner: str = "infrastructure"
 
     def apply_to(self, program: ir.Program) -> tuple[ir.Program, ChangeSet]:
-        """Apply all ops; validate the result; bump the version.
+        """Apply all ops; validate the result; bump the version. What
+        the ops left untouched keeps the verdict it has in ``program``
+        (see :meth:`~repro.lang.ir.Program.validate`).
 
         On any failure (bad op, type error in the joint program) the
         original program is returned untouched via the raised exception —
@@ -320,7 +322,7 @@ class Delta:
         for op in self.ops:
             current, op_changes = op.apply(current)
             changes = changes.merge(op_changes)
-        current = current.bump_version().validate()
+        current = current.bump_version().validate(previous=program)
         return current, changes
 
 

@@ -20,12 +20,20 @@ Design notes
   produce *new* programs via :mod:`repro.lang.delta`, mirroring the
   paper's per-packet old-XOR-new consistency model (a packet holds a
   reference to exactly one immutable program version).
+* Because nothing is ever edited in place, a verdict about a node holds
+  for as long as the node does. ``Program.validate`` marks the instance
+  it passed, so a program is type-checked once however many doors it
+  goes through, and a new version re-checks only the elements that are
+  not its predecessor's own nodes resolving the same names to the same
+  objects (:meth:`Program.unchanged_since`).
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field, replace
+from functools import cached_property
+from typing import ClassVar
 
 from repro.errors import TypeCheckError
 from repro.lang.types import BitsType, BoolType, ValueType, require_bits, require_bool, unify
@@ -316,6 +324,11 @@ class MapDef:
     max_entries: int
     persistence: Persistence = Persistence.DURABLE
 
+    @cached_property
+    def referents(self) -> frozenset[tuple[str, str]]:
+        """``(kind, name)`` of every declaration this one names."""
+        return frozenset(("header", ref.header) for ref in self.key_fields)
+
     @property
     def key_bits(self) -> int:
         # Widths resolved against the program in Program.validate();
@@ -348,6 +361,11 @@ class ActionDef:
     params: tuple[tuple[str, BitsType], ...]
     body: tuple[Stmt, ...]
 
+    @cached_property
+    def referents(self) -> frozenset[tuple[str, str]]:
+        """``(kind, name)`` of every declaration this one names."""
+        return _named_in(self.body)
+
 
 @dataclass(frozen=True)
 class ActionCall:
@@ -365,6 +383,15 @@ class TableDef:
     size: int
     default_action: ActionCall | None = None
 
+    @cached_property
+    def referents(self) -> frozenset[tuple[str, str]]:
+        """``(kind, name)`` of every declaration this one names."""
+        named = {("header", key.field.header) for key in self.keys}
+        named.update(("action", name) for name in self.actions)
+        if self.default_action is not None:
+            named.add(("action", self.default_action.action))
+        return frozenset(named)
+
     @property
     def is_ternary(self) -> bool:
         return any(k.match_kind in (MatchKind.TERNARY, MatchKind.RANGE) for k in self.keys)
@@ -380,6 +407,60 @@ class FunctionDef:
 
     name: str
     body: tuple[Stmt, ...]
+
+    @cached_property
+    def referents(self) -> frozenset[tuple[str, str]]:
+        """``(kind, name)`` of every declaration this one names."""
+        return _named_in(self.body)
+
+
+def _named_in(body: tuple[Stmt, ...]) -> frozenset[tuple[str, str]]:
+    """Every header and map a body names — the lookups ``Program.
+    _check_stmt`` / ``type_of`` resolve for it, so a node kind added
+    there is added here."""
+    named: set[tuple[str, str]] = set()
+
+    def expr(node: Expr) -> None:
+        if isinstance(node, FieldRef):
+            named.add(("header", node.header))
+        elif isinstance(node, BinOp):
+            expr(node.left)
+            expr(node.right)
+        elif isinstance(node, UnOp):
+            expr(node.operand)
+        elif isinstance(node, MapGet):
+            named.add(("map", node.map_name))
+            for part in node.key:
+                expr(part)
+        elif isinstance(node, HashExpr):
+            for arg in node.args:
+                expr(arg)
+
+    def walk(stmts: tuple[Stmt, ...]) -> None:
+        for stmt in stmts:
+            if isinstance(stmt, Let):
+                expr(stmt.value)
+            elif isinstance(stmt, Assign):
+                expr(stmt.target)
+                expr(stmt.value)
+            elif isinstance(stmt, (MapPut, MapDelete)):
+                named.add(("map", stmt.map_name))
+                for part in stmt.key:
+                    expr(part)
+                if isinstance(stmt, MapPut):
+                    expr(stmt.value)
+            elif isinstance(stmt, If):
+                expr(stmt.condition)
+                walk(stmt.then_body)
+                walk(stmt.else_body)
+            elif isinstance(stmt, Repeat):
+                walk(stmt.body)
+            elif isinstance(stmt, PrimitiveCall):
+                for arg in stmt.args:
+                    expr(arg)
+
+    walk(body)
+    return frozenset(named)
 
 
 # -- apply block --------------------------------------------------------------
@@ -482,11 +563,22 @@ class Program:
 
     # -- validation --------------------------------------------------------
 
-    def validate(self) -> "Program":
+    #: set on the instance by a :meth:`validate` that passed.
+    #: ``dataclasses.replace`` builds a new instance without it.
+    _validated: ClassVar[bool] = False
+
+    def validate(self, previous: "Program | None" = None) -> "Program":
         """Resolve names and type-check every expression; returns self.
 
         Raises :class:`TypeCheckError` on the first inconsistency found.
+        A program that already passed returns at once. ``previous`` is
+        a validated earlier version: the elements this one carries over
+        from it unchanged (:meth:`unchanged_since`) keep their verdict;
+        the whole-program checks — unique names, parser, apply block —
+        always run.
         """
+        if self._validated:
+            return self
         _check_unique([h.name for h in self.headers], "header")
         _check_unique([m.name for m in self.maps], "map")
         _check_unique([a.name for a in self.actions], "action")
@@ -501,40 +593,93 @@ class Program:
                 if transition.select_field is not None:
                     self.field_width(transition.select_field)
 
+        checked: frozenset[str] = frozenset()
+        if previous is not None and previous._validated:
+            checked = self.unchanged_since(previous)
         for map_def in self.maps:
-            if map_def.max_entries <= 0:
-                raise TypeCheckError(f"map {map_def.name!r} needs positive max_entries")
-            for ref in map_def.key_fields:
-                self.field_width(ref)
-
+            if map_def.name not in checked:
+                self._check_map(map_def)
         for action in self.actions:
-            scope = {name: value_type for name, value_type in action.params}
-            for stmt in action.body:
-                if isinstance(stmt, (If, Repeat)):
-                    raise TypeCheckError(
-                        f"action {action.name!r} contains control flow; move it to a function"
-                    )
-                self._check_stmt(stmt, dict(scope))
-
+            if action.name not in checked:
+                self._check_action(action)
         for table in self.tables:
-            if table.size <= 0:
-                raise TypeCheckError(f"table {table.name!r} needs positive size")
-            if not table.keys and table.default_action is None:
-                raise TypeCheckError(f"table {table.name!r} is keyless with no default action")
-            for key in table.keys:
-                self.field_width(key.field)
-            for action_name in table.actions:
-                self.action(action_name)
-            if table.default_action is not None:
-                self._check_action_call(table.default_action, table.name)
-
+            if table.name not in checked:
+                self._check_table(table)
         for function in self.functions:
-            self._check_body(function.body, {})
+            if function.name not in checked:
+                self._check_body(function.body, {})
 
         self._check_apply(self.apply)
+        object.__setattr__(self, "_validated", True)
         return self
 
+    def unchanged_since(self, previous: "Program") -> frozenset[str]:
+        """Names of the maps, actions, tables and functions that are
+        ``previous``'s own nodes (object identity — deltas keep what
+        they do not touch by reference) *and* name only headers, maps
+        and actions that are the same objects in both versions.
+
+        Whatever was established about such an element in ``previous``
+        — its type-check verdict, its profile, its access set — is a
+        function of the node and those referents alone, so it holds
+        here. Expects unique names on both sides."""
+        changed: set[tuple[str, str]] = set()
+        for kind, ours, theirs in (
+            ("header", self.headers, previous.headers),
+            ("map", self.maps, previous.maps),
+            ("action", self.actions, previous.actions),
+        ):
+            if ours is not theirs:
+                after = {node.name: node for node in ours}
+                before = {node.name: node for node in theirs}
+                changed.update(
+                    (kind, name)
+                    for name in after.keys() | before.keys()
+                    if after.get(name) is not before.get(name)
+                )
+        unchanged: set[str] = set()
+        for ours, theirs in (
+            (self.maps, previous.maps),
+            (self.actions, previous.actions),
+            (self.tables, previous.tables),
+            (self.functions, previous.functions),
+        ):
+            known = {id(node) for node in theirs}
+            unchanged.update(
+                node.name
+                for node in ours
+                if id(node) in known and node.referents.isdisjoint(changed)
+            )
+        return frozenset(unchanged)
+
     # -- internal type checking -------------------------------------------
+
+    def _check_map(self, map_def: MapDef) -> None:
+        if map_def.max_entries <= 0:
+            raise TypeCheckError(f"map {map_def.name!r} needs positive max_entries")
+        for ref in map_def.key_fields:
+            self.field_width(ref)
+
+    def _check_action(self, action: ActionDef) -> None:
+        scope = {name: value_type for name, value_type in action.params}
+        for stmt in action.body:
+            if isinstance(stmt, (If, Repeat)):
+                raise TypeCheckError(
+                    f"action {action.name!r} contains control flow; move it to a function"
+                )
+            self._check_stmt(stmt, dict(scope))
+
+    def _check_table(self, table: TableDef) -> None:
+        if table.size <= 0:
+            raise TypeCheckError(f"table {table.name!r} needs positive size")
+        if not table.keys and table.default_action is None:
+            raise TypeCheckError(f"table {table.name!r} is keyless with no default action")
+        for key in table.keys:
+            self.field_width(key.field)
+        for action_name in table.actions:
+            self.action(action_name)
+        if table.default_action is not None:
+            self._check_action_call(table.default_action, table.name)
 
     def _check_action_call(self, call: ActionCall, context: str) -> None:
         action = self.action(call.action)

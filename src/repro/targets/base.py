@@ -129,16 +129,18 @@ class Target:
             return ResourceVector()  # actions ride along with their tables
         raise CompilationError(f"cannot compute demand for element kind {profile.kind!r}")
 
-    def admits(self, profile: ElementProfile) -> bool:
+    def admits(self, profile: ElementProfile, demand: ResourceVector | None = None) -> bool:
         """Whether this target can host the element at all (independent of
-        remaining capacity)."""
+        remaining capacity). ``demand`` is ``self.demand(profile)`` when
+        the caller already derived it."""
         if profile.kind == "function" and self.max_function_ops is not None:
             return profile.max_ops <= self.max_function_ops
-        try:
-            need = self.demand(profile)
-        except CompilationError:
-            return False
-        return need.fits_within(self.capacity)
+        if demand is None:
+            try:
+                demand = self.demand(profile)
+            except CompilationError:
+                return False
+        return demand.fits_within(self.capacity)
 
     def parser_state_demand(self, state_count: int) -> ResourceVector:
         if "parser_states" in self.capacity:

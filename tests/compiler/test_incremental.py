@@ -1,7 +1,13 @@
 """Incremental recompilation tests (E7 foundations)."""
 
+import collections
+
 import pytest
 
+from perf.workloads import COMPOSED_CYCLE, PROBE_CYCLE
+from repro import apps
+from repro.analysis.dataflow import analyze
+from repro.compiler import fungibility
 from repro.compiler.incremental import (
     IncrementalCompiler,
     diff_programs,
@@ -9,7 +15,11 @@ from repro.compiler.incremental import (
 )
 from repro.compiler.placement import PlacementEngine
 from repro.compiler.plan import StepKind
+from repro.core.flexnet import FlexNet
+from repro.lang import ir
 from repro.lang.delta import Delta, RemoveElements, SetTableSize, apply_delta, parse_delta
+from repro.scale import e20_net
+from repro.targets.base import Target
 
 from tests.conftest import make_standard_slice
 
@@ -130,3 +140,94 @@ class TestFullRecompileBaseline:
         )
         full = full_recompile_plan(plan, new_program, make_standard_slice())
         assert incremental.reconfig.moved_elements <= full.reconfig.moved_elements
+
+
+class TestAnUpdateCostsWhatItsDeltaTouches:
+    """Call counts over live ``net.update`` cycles: deterministic, so
+    they guard what a wall-clock figure cannot. (At the parent commit
+    the fabric cycle made 204 ``Target.demand`` calls and entered
+    ``_check_stmt`` 50 times per update.)"""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """``calls[name]`` lists the arguments of every call to the
+        wrapped functions."""
+        calls = collections.defaultdict(list)
+
+        def record(owner, name):
+            original = getattr(owner, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name].append(args)
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, wrapper)
+
+        record(Target, "demand")
+        record(ir.Program, "_check_stmt")
+        record(PlacementEngine, "_attempt")
+        record(fungibility, "element_conflicts")
+        return calls
+
+    def test_the_ledgers_cycle_on_the_fabric(self, calls):
+        net = e20_net(pods=4)
+        devices = len(net.controller.slice().devices)
+        deltas = [getattr(apps, name)() for name in COMPOSED_CYCLE]
+        statements = 0
+        for index in range(24):
+            old = net.controller.program
+            calls.clear()
+            net.update(deltas[index % len(deltas)])
+            new = net.controller.program
+
+            per_pair = collections.Counter(
+                (target.name, profile.name) for target, profile in calls["demand"]
+            )
+            assert max(per_pair.values()) == 1
+            assert len(per_pair) <= devices * len(new.element_names)
+
+            # Type-checked: what the delta added, or what names a map,
+            # action or header the delta replaced — found here from the
+            # access sets, not from the rule under test.
+            kept = {id(node) for node in (*old.headers, *old.maps, *old.actions, *old.functions)}
+            replaced = {
+                node.name
+                for node in (*new.headers, *new.maps, *new.actions)
+                if id(node) not in kept
+            }
+            access = analyze(new).elements
+            allowed: set[int] = set()
+            for node in (*new.actions, *new.functions):
+                named = access[node.name]
+                names = {
+                    *(ref.header for ref in named.field_reads | named.field_writes),
+                    *named.map_reads,
+                    *named.map_writes,
+                }
+                if id(node) not in kept or names & replaced:
+                    allowed |= _statement_ids(node.body)
+            entered = {id(stmt) for _, stmt, _ in calls["_check_stmt"]}
+            assert entered <= allowed
+            assert len(calls["_check_stmt"]) == len(entered)  # and each only once
+            statements += len(entered)
+        assert 0 < statements < 24 * 5
+
+    def test_conflicts_are_worked_out_once_per_attempt_on_a_stage_local_slice(self, calls):
+        # "rmt_static" is the stage-local pipeline; standard("rmt") models
+        # the runtime upgrade, whose stages pool.
+        net = FlexNet.standard("rmt_static")
+        net.install(apps.base_infrastructure())
+        calls.clear()
+        for name in PROBE_CYCLE:
+            net.update(getattr(apps, name)())
+            assert net.controller.plan.stage_plans
+        assert len(calls["_attempt"]) == len(calls["element_conflicts"]) == len(PROBE_CYCLE)
+
+
+def _statement_ids(body) -> set[int]:
+    ids: set[int] = set()
+    for stmt in body:
+        ids.add(id(stmt))
+        for nested in ("then_body", "else_body", "body"):
+            ids |= _statement_ids(getattr(stmt, nested, ()))
+    return ids
