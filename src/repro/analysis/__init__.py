@@ -27,7 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from repro.analysis.cacheability import CacheabilityDecision, decide as decide_cacheability
 from repro.analysis.dataflow import AccessSet, DataflowInfo, analyze
 from repro.analysis.interference import check_tenants
 from repro.analysis.lints import check_lints
@@ -46,9 +45,7 @@ __all__ = [
     "AccessSet",
     "AuditFinding",
     "AuditReport",
-    "CacheabilityDecision",
     "DataflowInfo",
-    "decide_cacheability",
     "Finding",
     "ProgramFacts",
     "Report",

@@ -263,8 +263,7 @@ def executed_slice(
     ``hosted_elements`` is the placement model's hosting set: a device
     hosts a subset of tables/functions (apply-if conditions always run).
     Hosting a table implies executing its actions. ``None`` hosts the
-    whole program. Shared by the cacheability and FlexVet passes so both
-    agree on what "this device runs" means.
+    whole program. This is what FlexVet means by "this device runs".
     """
     if hosted_elements is None:
         return set(info.applied), info.program_access

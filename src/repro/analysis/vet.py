@@ -9,9 +9,8 @@ every stage that touches one) a state class:
 
 * ``stateless`` — the map is never mutated from the data path (reads of
   control-plane-populated state are fine: such maps replicate to every
-  shard, with mutation counters invalidating caches exactly as the
-  FlexPath flow cache already does). Elements are stateless when they
-  touch no data-plane-mutated map at all.
+  shard). Elements are stateless when they touch no data-plane-mutated
+  map at all.
 * ``per_flow`` — every data-path access keys the map by the *same*
   tuple of packet header fields, and none of those fields is rewritten
   by the data path. Packets can then be partitioned by those fields:
@@ -34,8 +33,8 @@ From the per-map classes the pass derives:
   one common partition field (the ``flow_key``). A vectorized
   struct-of-arrays backend may then sub-batch by the flow key and
   process groups in any order, preserving order only within a group.
-  This generalizes :mod:`repro.analysis.cacheability` (cacheable ⇒
-  stateless ⇒ batch-safe with an empty flow key).
+  A slice that mutates no map is stateless, and batch-safe with an
+  empty flow key.
 * **shard-affinity** — data-plane-mutated maps co-accessed by one
   element must live on one shard; affinity groups are the connected
   components of that relation. A group is shardable when its members
@@ -346,8 +345,8 @@ class VetReport:
     maps: tuple[MapVet, ...]
     elements: tuple[ElementVet, ...]
     groups: tuple[AffinityGroup, ...]
-    #: True when no data-plane map mutation exists in the slice (the
-    #: cacheability precondition; trivially batch-safe).
+    #: True when no data-plane map mutation exists in the slice
+    #: (trivially batch-safe).
     stateless: bool
     batch_safe: bool
     batch_reasons: tuple[str, ...]

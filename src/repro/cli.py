@@ -324,10 +324,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def cmd_bench(args: argparse.Namespace) -> int:
     """Benchmark the data-plane executor on one program: interpreted
-    packets/second, and with ``--fastpath`` the compiled rate and the
-    compiled + flow-memo rate on the program's stateless slice, each
-    with a differential check that its outcomes are byte-identical to
-    the interpreter's. Exits 1 if either check finds any divergence."""
+    packets/second, and with ``--fastpath`` the compiled rate with a
+    differential check that its outcomes are byte-identical to the
+    interpreter's. Exits 1 if the check finds any divergence."""
     import copy
     import json as json_module
     import time
@@ -347,53 +346,27 @@ def cmd_bench(args: argparse.Namespace) -> int:
     def setup(instance: ProgramInstance) -> None:
         fastpath.seeded_rules(program, instance, seed=args.seed)
 
-    def measure(instance: ProgramInstance, corpus: list, cache=None) -> float:
+    def measure(instance: ProgramInstance) -> float:
         setup(instance)
-        if cache is None:
-            run = instance.process
-        else:
-            def run(packet, now):
-                if cache.process(instance, packet, now) is None:
-                    instance.process(packet, now)
-        work = [copy.deepcopy(p) for p in corpus]
-        run(copy.deepcopy(corpus[0]), 0.0)  # warm up
+        work = [copy.deepcopy(p) for p in packets]
+        instance.process(copy.deepcopy(packets[0]), 0.0)  # warm up
         start = time.perf_counter()
         for i, packet in enumerate(work):
-            run(packet, i * 1e-4)
+            instance.process(packet, i * 1e-4)
         # Clamp: a tiny corpus on a fast machine can make the delta 0
         # at timer resolution, and pps must stay finite.
         return len(work) / max(time.perf_counter() - start, 1e-9)
 
-    interp_pps = measure(ProgramInstance(program), packets)
+    interp_pps = measure(ProgramInstance(program))
     results = {"program": program.name, "packets": len(packets),
                "interpreted_pps": interp_pps}
     divergences = []
     if args.fastpath:
-        from repro.analysis.cacheability import stateless_slice
-
         report = fastpath.differential_check(program, packets, setup=setup)
         divergences = list(report.divergences)
-        compiled_pps = measure(ProgramInstance(program, fastpath=True), packets)
-        # The flow memo serves stateless slices, so its row hosts what a
-        # cache-friendly device would. The corpus is all distinct flows
-        # (differential breadth); the memo is for repeating ones, so its
-        # arm is checked and timed over 64 of them tiled.
-        hosted = stateless_slice(program)
-        tiled = [packets[i % 64] for i in range(len(packets))]
-        memo_report = fastpath.differential_check(
-            program, tiled, hosted_elements=hosted, setup=setup,
-            cache=fastpath.FlowCache(),
-        )
-        divergences.extend(memo_report.divergences)
-        cache = fastpath.FlowCache()
-        cached_pps = measure(
-            ProgramInstance(program, hosted, fastpath=True), tiled, cache
-        )
+        compiled_pps = measure(ProgramInstance(program, fastpath=True))
         results["compiled_pps"] = compiled_pps
         results["speedup"] = compiled_pps / interp_pps
-        results["compiled_cached_pps"] = cached_pps
-        results["cached_speedup"] = cached_pps / compiled_pps
-        results["cache_stats"] = cache.stats.to_dict()
         results["divergences"] = len(divergences)
 
     if args.json:
@@ -404,9 +377,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
         if args.fastpath:
             print(f"compiled    : {compiled_pps:,.0f} pps "
                   f"({results['speedup']:.2f}x)")
-            print(f"with memo   : {cached_pps:,.0f} pps "
-                  f"({results['cached_speedup']:.2f}x compiled, stateless slice)")
-            print(f"  {cache.stats.summary()}")
             print(f"divergences : {len(divergences)}")
             for divergence in divergences:
                 print(f"  {divergence}")
@@ -714,8 +684,6 @@ def cmd_scale(args: argparse.Namespace) -> int:
         return net, workload
 
     net, workload = fresh_arm()
-    if args.batch:
-        net.engine(batch=True)
     report = run_sharded(
         net,
         workload,
@@ -727,11 +695,6 @@ def cmd_scale(args: argparse.Namespace) -> int:
     divergences = None
     if args.differential:
         ref_net, ref_workload = fresh_arm()
-        if args.batch:
-            # Same engine on the reference arm: the comparison checks
-            # sharding, and tests/property/test_prop_batch.py already
-            # pins memo == interpreter.
-            ref_net.engine(batch=True)
         reference = reference_run(ref_net, ref_workload, drain_s=args.drain)
         identical = json_module.dumps(
             reference.to_dict(), sort_keys=True
@@ -946,8 +909,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench_parser.add_argument("program", nargs="?", default=None,
                               help="FlexBPF program (default: base + firewall delta)")
     bench_parser.add_argument("--fastpath", action="store_true",
-                              help="also run FlexPath compiled, and compiled + flow "
-                                   "memo on the stateless slice, and diff the outcomes")
+                              help="also run FlexPath compiled and diff the outcomes")
     bench_parser.add_argument("--packets", type=int, default=2000)
     bench_parser.add_argument("--seed", type=int, default=2024)
     bench_parser.set_defaults(func=cmd_bench)
@@ -1081,9 +1043,6 @@ def build_parser() -> argparse.ArgumentParser:
     scale_parser.add_argument("--differential", action="store_true",
                               help="byte-compare against the single-process "
                                    "engine (exit 1 on divergence)")
-    scale_parser.add_argument("--batch", action="store_true",
-                              help="run the devices with engine(batch=True) (both "
-                                   "arms under --differential)")
     scale_parser.set_defaults(func=cmd_scale)
 
     cloud_parser = subparsers.add_parser(

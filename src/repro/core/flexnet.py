@@ -554,20 +554,17 @@ class FlexNet:
 
         With no argument this is a pure read of the current
         :class:`~repro.runtime.device.EngineConfig`. ``fastpath`` selects
-        the generated per-instance function over the interpreter; ``batch`` is the flow
-        memo switch (it implies ``fastpath``) and, when not given,
-        follows ``fastpath`` — so ``engine(fastpath=True)`` and
-        ``engine(batch=True)`` both mean compiled + memo, and
-        ``engine(fastpath=True, batch=False)`` is compiled only. The
-        memo serves only slices the cacheability analysis admits, so
-        turning it on is always safe. The controller holds the value and
-        hands it to every current and future device.
+        the generated per-instance function over the interpreter.
+        ``batch=True`` is a second spelling of ``fastpath=True``, kept
+        one round for callers of the retired flow memo; it holds no
+        state and ``batch=False`` says nothing. The controller holds the
+        value and hands it to every current and future device.
         """
         controller = self.controller
-        if fastpath is not None or batch is not None:
-            if fastpath is None:
-                fastpath = batch or controller.engine_config.fastpath
-            config = EngineConfig(fastpath=fastpath, memo=fastpath if batch is None else batch)
+        if fastpath is None and batch:
+            fastpath = True
+        if fastpath is not None:
+            config = EngineConfig(fastpath=fastpath)
             controller.engine_config = config
             for device in controller.devices.values():
                 device.engine = config

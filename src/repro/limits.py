@@ -27,9 +27,9 @@ MAX_MAP_ENTRIES = 16_000_000
 #: programs; the interpreter stops recirculating at exactly this depth.
 RECIRCULATION_CAP = 4
 
-#: Entries one device's flow memo (:class:`repro.simulator.fastpath.FlowCache`)
-#: holds before FIFO eviction.
-FLOW_MEMO_CAPACITY = 4096
+#: Keys one non-exact table (:class:`repro.simulator.tables.TableRules`)
+#: remembers the decision for before the oldest is forgotten.
+TABLE_MEMO_CAPACITY = 4096
 
 #: Distinct generated sources whose code objects one process keeps
 #: (:mod:`repro.simulator.fastpath`): instances with identical source

@@ -8,11 +8,11 @@ same scenario export byte-identical text, which is what makes metric
 snapshots regression-testable.
 
 Hot paths never push here. Fast-moving sources (device stats, the
-FlexPath flow cache, the P4Runtime channel, dRPC stats) already keep
-their own cheap counters; the registry *pulls* them through registered
-collector callbacks at export time. Control-path sources (the
-scheduler, the recovery manager, transitions) push directly — they run
-a handful of times per scenario.
+P4Runtime channel, dRPC stats) already keep their own cheap counters;
+the registry *pulls* them through registered collector callbacks at
+export time. Control-path sources (the scheduler, the recovery
+manager, transitions) push directly — they run a handful of times per
+scenario.
 """
 
 from __future__ import annotations
@@ -283,10 +283,10 @@ class MetricsRegistry:
 
 
 def export_device_counters(registry: MetricsRegistry, name: str, device) -> None:
-    """Mirror one device's packet and flow-memo counters into
-    ``registry`` — the block the single-process Observer and every
-    FlexScale shard both export, so merged fleet output is
-    indistinguishable from a single-process scrape."""
+    """Mirror one device's packet counters into ``registry`` — the
+    block the single-process Observer and every FlexScale shard both
+    export, so merged fleet output is indistinguishable from a
+    single-process scrape."""
     stats = device.stats
     for version in sorted(stats.per_version):
         registry.counter(
@@ -302,15 +302,3 @@ def export_device_counters(registry: MetricsRegistry, name: str, device) -> None
     registry.counter("flexnet_device_queue_drops_total", device=name).set(
         stats.queue_drops
     )
-    cache = device.flow_cache
-    if cache is not None:
-        memo = cache.stats
-        for family, value in (
-            ("hits", memo.hits),
-            ("misses", memo.misses),
-            ("bypasses", memo.bypasses),
-            ("invalidations", memo.invalidations),
-            ("entries_dropped", memo.entries_dropped),
-        ):
-            registry.counter(f"flexnet_flowcache_{family}_total", device=name).set(value)
-        registry.gauge("flexnet_flowcache_entries", device=name).set(len(cache))

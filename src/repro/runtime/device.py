@@ -22,9 +22,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+# FlexPath is loaded with the device runtime, not by an instance's first
+# compiled packet: a forked shard worker then inherits the module
+# instead of importing it inside its first window.
+import repro.simulator.fastpath  # noqa: F401
 from repro.errors import ReconfigError
 from repro.lang.ir import Program
-from repro.simulator.fastpath import FlowCache
 from repro.simulator.packet import FiveTuple, Packet, Verdict
 from repro.simulator.pipeline_exec import ProgramInstance
 from repro.targets.base import Target
@@ -35,26 +38,17 @@ from repro.util import stable_hash
 class EngineConfig:
     """How a fleet executes its programs — the one value
     :meth:`repro.core.flexnet.FlexNet.engine` pushes down to every
-    device. Three reachable states, each the reference arm the next is
-    differentially checked against: the interpreter, one generated
-    function per program instance (``fastpath``), and that function
-    behind the per-device flow memo (``memo``, which implies
-    ``fastpath``)."""
+    device. Two states: the interpreter, which is the reference arm,
+    and one generated function per program instance (``fastpath``),
+    differentially checked against it."""
 
     fastpath: bool = False
-    memo: bool = False
-
-    def __post_init__(self) -> None:
-        if self.memo and not self.fastpath:
-            object.__setattr__(self, "fastpath", True)
 
     def summary(self) -> str:
-        if not self.fastpath:
-            return "engine: interpreter"
-        return "engine: compiled" + (" + flow memo" if self.memo else "")
+        return "engine: compiled" if self.fastpath else "engine: interpreter"
 
     def to_dict(self) -> dict:
-        return {"fastpath": self.fastpath, "batch": self.memo}
+        return {"fastpath": self.fastpath}
 
 
 @dataclass
@@ -126,7 +120,6 @@ class DeviceRuntime:
         #: ops -> (energy nJ, latency s) as the performance model computes
         #: them; a program yields only a handful of distinct op counts.
         self._op_costs: dict[int, tuple[float, float]] = {}
-        self._flow_cache = None
         self.engine = engine
         #: FlexScope: set by :meth:`repro.observe.Observer.enable` only;
         #: ``None`` keeps the packet path observation-free (one attribute
@@ -165,20 +158,10 @@ class DeviceRuntime:
     @engine.setter
     def engine(self, config: EngineConfig) -> None:
         """Apply the fleet's engine configuration to every current and
-        future program version on this device; ``memo`` attaches the
-        flow memo (consulted only for program versions the cacheability
-        analysis admits, and bypassed mid-transition)."""
+        future program version on this device."""
         self._engine = config
-        if not config.memo:
-            self._flow_cache = None
-        elif self._flow_cache is None:
-            self._flow_cache = FlowCache()
         for instance in self._instances():
             instance.fastpath_enabled = config.fastpath
-
-    @property
-    def flow_cache(self):
-        return self._flow_cache
 
     def _instances(self):
         if self._active is not None:
@@ -186,14 +169,6 @@ class DeviceRuntime:
         if self._transition is not None:
             yield self._transition.old
             yield self._transition.new
-
-    def _on_program_change(self) -> None:
-        """Hook run on every install/update/resolve: drop all memoized
-        flow outcomes (the validity token would catch rule-level drift,
-        but a program swap can legitimately reset epochs, so invalidate
-        wholesale)."""
-        if self._flow_cache is not None:
-            self._flow_cache.clear()
 
     # -- install / update -------------------------------------------------------
 
@@ -209,7 +184,6 @@ class DeviceRuntime:
         """Cold install (device provisioning, before traffic)."""
         self._active = ProgramInstance(program, hosted_elements, fastpath=self._engine.fastpath)
         self._transition = None
-        self._on_program_change()
 
     def begin_hitless_update(
         self,
@@ -256,7 +230,6 @@ class DeviceRuntime:
             flow_affine=flow_affine,
         )
         self.stats.reconfigurations += 1
-        self._on_program_change()
         return new_instance
 
     def begin_reflash(
@@ -278,7 +251,6 @@ class DeviceRuntime:
         self._transition = None
         self.stats.reconfigurations += 1
         self.stats.drain_windows += 1
-        self._on_program_change()
         return self._unavailable_until
 
     @staticmethod
@@ -350,7 +322,6 @@ class DeviceRuntime:
             raise ReconfigError(f"device {self.name!r} has no transition to resolve")
         self._active = self._transition.new if to_new else self._transition.old
         self._transition = None
-        self._on_program_change()
 
     def settle(self, now: float) -> None:
         """Finalize an elapsed (non-frozen) transition window without
@@ -392,8 +363,8 @@ class DeviceRuntime:
             return (start - now) + service_s
         self._busy_until_s = start + service_s
 
-        # FlexScope sampling: a sampled packet skips the lane and the memo
-        # and runs through the interpreter with a frame collector attached
+        # FlexScope sampling: a sampled packet skips the lane and runs
+        # through the interpreter with a frame collector attached
         # (FlexPath's differential-identity guarantee makes the outcome
         # byte-identical to the compiled path, so only this packet's
         # execution *route* changes — never its verdict or cost model).
@@ -413,24 +384,10 @@ class DeviceRuntime:
             if meta.get("drop_flag"):
                 packet.verdict = Verdict.DROP
         else:
-            # Flow memo: only consulted for the settled active version
-            # (never mid-transition, where the old/new split must stay
-            # per-packet exact); falls through to normal execution for
-            # uncacheable programs.
-            result = None
-            cache = self._flow_cache
-            if (
-                cache is not None
-                and trace is None
-                and self._transition is None
-                and instance is self._active
-            ):
-                result = cache.process(instance, packet, now)
-            if result is None:
-                if trace is None:
-                    result = instance.process(packet, now)
-                else:
-                    result = instance.process(packet, now, trace=trace)
+            if trace is None:
+                result = instance.process(packet, now)
+            else:
+                result = instance.process(packet, now, trace=trace)
             # Pass-through devices (hosting no element of the program) do
             # not participate in version consistency — a packet's
             # "version" is defined by the elements that processed it.

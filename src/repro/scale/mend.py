@@ -407,13 +407,15 @@ class MendTransport:
 class DeviceCheckpoint:
     """One device's mutable-during-run state as plain data. Rules are
     static during a scale run (reconfiguration is not supported under
-    sharding), so tables checkpoint only their counters/meter/epoch."""
+    sharding), so tables checkpoint only their counters and meter; the
+    decisions a table remembers are performance-only state, and a
+    restored shard decides again, to the same rules."""
 
     stats: object
     busy_until_s: float
     #: map name -> (entries, mutation_count, version)
     maps: dict[str, tuple]
-    #: table name -> (hit_counts, miss_count, epoch, meter)
+    #: table name -> (hit_counts, miss_count, meter)
     tables: dict[str, tuple]
 
 
@@ -477,7 +479,6 @@ def _checkpoint_device(name: str, device) -> DeviceCheckpoint:
             tables[table_name] = (
                 tuple(rules.hit_counts),
                 rules.miss_count,
-                rules.epoch,
                 copy.deepcopy(rules.meter),
             )
     return DeviceCheckpoint(
@@ -500,21 +501,11 @@ def _restore_device(device, ckpt: DeviceCheckpoint) -> None:
         state._entries.update(entries)  # noqa: SLF001
         state.mutation_count = mutation_count
         state._version = version  # noqa: SLF001
-    for name, (hit_counts, miss_count, epoch, meter) in ckpt.tables.items():
+    for name, (hit_counts, miss_count, meter) in ckpt.tables.items():
         rules = instance.rules[name]
         rules.hit_counts[:] = hit_counts
         rules.miss_count = miss_count
-        rules._meter = copy.deepcopy(meter)  # noqa: SLF001
-        # Setting _meter directly skips the setter's epoch bump; pin the
-        # checkpointed epoch explicitly (flow-cache entries from before
-        # the restore don't exist in a fresh fork anyway).
-        rules.epoch = epoch
-    cache = device.flow_cache
-    if cache is not None:
-        # Performance-only state: deliberately not checkpointed. A cold
-        # cache replays to identical verdicts (FlexPath's replayable-
-        # cache invariant), so clearing preserves bit-identity.
-        cache.clear()
+        rules.meter = copy.deepcopy(meter)
 
 
 def checkpoint_engine(engine: ShardEngine) -> EngineCheckpoint:

@@ -31,15 +31,13 @@ apart (rule and map stores, version, program name) lives in the
 function's namespace, not its text, and the code object is memoized on
 the source string.
 
-On top of compilation, the per-device **flow memo**
-(:class:`FlowCache`) serves repeat packets of a flow without executing
-the program at all, but only for hosted slices FlexCheck's cacheability
-pass (:mod:`repro.analysis.cacheability`) proves stateless/read-only.
-Entries are validated against a token covering the program version,
-every applied table's mutation epoch, and every read map's mutation
-counter; any reconfiguration delta, rule insert/remove, meter
-attach/detach, or control-plane map write therefore flushes the memo
-before a stale verdict can be served.
+The function holds no per-flow state of its own. What repeats per
+flow is the table decision, and the table keeps that: a non-exact
+:class:`~repro.simulator.tables.TableRules` remembers key → rule until
+its rules change, and the inlined lookup probes it before the scan and
+bumps the per-rule counter either way — the same steps in the
+interpreter's ``lookup`` and in the generated function, so there is
+nothing to replay and nothing to admit.
 """
 
 from __future__ import annotations
@@ -51,7 +49,7 @@ from dataclasses import dataclass, field
 
 from repro.errors import SimulationError
 from repro.lang import ir
-from repro.limits import FLEXPATH_CODE_MEMO_CAPACITY, FLOW_MEMO_CAPACITY, RECIRCULATION_CAP
+from repro.limits import FLEXPATH_CODE_MEMO_CAPACITY, RECIRCULATION_CAP
 from repro.simulator.packet import Packet, Verdict, make_packet
 from repro.simulator.pipeline_exec import ExecutionResult, ProgramInstance
 from repro.util import stable_hash
@@ -61,34 +59,29 @@ _MASK128 = (1 << 128) - 1
 
 _INDENT = "    "
 #: Deepest indentation the generator nests a suite at before it spills
-#: it into a closure (its own lookup code nests three levels further).
+#: it into a closure (its own lookup code nests two levels further).
 _MAX_DEPTH = 14
 
 #: ``TableRules.lookup`` inlined: the generated key arity is statically
 #: correct, so the per-call validation (and the call frame) are skipped;
-#: semantics are otherwise identical.
+#: semantics are otherwise identical, and a key a non-exact table has
+#: not decided yet goes through the same ``_decide`` as ``lookup``'s.
 _LOOKUP = """\
-call = None
 if rules._all_exact:
     index = rules._exact_index
     if index is None:
         index = rules._build_exact_index()
     hit = index.get(key)
-    if hit is not None:
-        call, position = hit
-        rules.hit_counts[position] += 1
 else:
-    ordered = rules._ordered
-    if ordered is None:
-        ordered = rules._build_ordered()
-    for predicate, action, position in ordered:
-        if predicate(key):
-            call = action
-            rules.hit_counts[position] += 1
-            break
-if call is None:
+    hit = rules._decided.get(key, False)
+    if hit is False:
+        hit = rules._decide(key)
+if hit is None:
     rules.miss_count += 1
     call = rules.definition.default_action
+else:
+    call, position = hit
+    rules.hit_counts[position] += 1
 """.splitlines()
 
 #: Operators whose FlexBPF semantics is not Python's infix operator of
@@ -339,7 +332,7 @@ class _Generator:
             "if call is not None:",
             *_indent(
                 [
-                    "meter = rules._meter",
+                    "meter = rules.meter",
                     "if meter is not None:",
                     _INDENT + "meta['meter_color'] = meter.mark(now).value",
                     "name = call.action",
@@ -566,280 +559,6 @@ def compile_instance(instance) -> CompiledProgram:
 
 
 # ---------------------------------------------------------------------------
-# Flow memo
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class _CachedOutcome:
-    """Replayable effect of one recorded run, pre-resolved for replay:
-    counter deltas are bound to their live ``hit_counts`` lists (valid
-    until the token moves, which flushes the memo), and one
-    ExecutionResult is shared by every replayed packet (results are
-    value-compared, never mutated)."""
-
-    fields_post: dict
-    fields_absent: tuple
-    meta_post: dict
-    meta_absent: tuple
-    verdict: Verdict
-    digests: tuple
-    #: ((hit_counts, rule index, delta), ...) and ((rules, miss delta),
-    #: ...), so P4Runtime direct counters stay exact under memo hits.
-    hit_ops: tuple
-    miss_ops: tuple
-    result: object
-    #: no absent keys or digests: replay takes the shorter loop.
-    simple: bool = field(init=False)
-
-    def __post_init__(self) -> None:
-        self.simple = not (self.fields_absent or self.meta_absent or self.digests)
-
-    def replay(self, packet: Packet) -> None:
-        """Apply the outcome to ``packet`` (a flow-mate of the recorded
-        one) and its counter deltas to the live tables."""
-        packet.fields.update(self.fields_post)
-        packet.meta.update(self.meta_post)
-        packet.verdict = self.verdict
-        if not self.simple:
-            fields = packet.fields
-            for absent in self.fields_absent:
-                fields.pop(absent, None)
-            meta = packet.meta
-            for absent in self.meta_absent:
-                meta.pop(absent, None)
-            packet.digests.extend(self.digests)
-        for hit_counts, position, delta in self.hit_ops:
-            hit_counts[position] += delta
-        for rules, delta in self.miss_ops:
-            rules.miss_count += delta
-
-
-def _compile_obs_key(decision):
-    """Codegen the per-packet observation-key function (the FlexPath
-    trick applied to key extraction: one specialized function instead
-    of a generic loop over key descriptors).
-
-    The key is ``(tuple(packet.fields), observed field values…, meta
-    values…)``. The leading ordered field-key tuple determines the set
-    of present fields — and with it every header-presence bit the
-    parser observes — so packets sharing a key are indistinguishable to
-    the hosted slice and the memoized outcome replays bit-exactly.
-    """
-    lines = ["def obs_key(p):", "    f = p.fields", "    g = f.get"]
-    if decision.key_meta:
-        lines.append("    m = p.meta.get")
-    parts = ["tuple(f)"]
-    namespace: dict = {}
-    for index, key in enumerate(decision.key_fields):
-        namespace[f"F{index}"] = key
-        parts.append(f"g(F{index}, 0)")
-    for index, key in enumerate(decision.key_meta):
-        namespace[f"M{index}"] = key
-        parts.append(f"m(M{index}, 0)")
-    lines.append("    return (" + ", ".join(parts) + ")")
-    exec("\n".join(lines), namespace)  # noqa: S102 - static codegen, no packet data
-    return namespace["obs_key"]
-
-
-class _CacheBinding:
-    """Per-instance memo plumbing: the static cacheability decision,
-    key extraction, validity token, and outcome capture."""
-
-    def __init__(self, instance):
-        from repro.analysis.cacheability import decide
-
-        self.instance = instance
-        self.decision = decide(instance.program, instance.hosted_elements)
-        self.cacheable = self.decision.cacheable
-        self.key = _compile_obs_key(self.decision) if self.cacheable else None
-        self._field_keys = self.decision.key_fields
-        self._meta_keys = self.decision.key_meta
-        self._tables = self.decision.applied_tables
-        self._maps = self.decision.read_maps
-
-    def token(self):
-        """Current validity token, or None when the memo must be
-        bypassed entirely (a meter makes outcomes stateful)."""
-        instance = self.instance
-        rules_by_name = instance.rules
-        table_epochs = []
-        for name in self._tables:
-            rules = rules_by_name.get(name)
-            if rules is None:
-                continue
-            if rules.meter is not None:
-                return None
-            table_epochs.append(rules.epoch)
-        states = instance.maps._states  # noqa: SLF001 - hot path
-        map_counts = []
-        for name in self._maps:
-            state = states.get(name)
-            if state is not None:
-                map_counts.append(state.mutation_count)
-        return (instance.version, tuple(table_epochs), tuple(map_counts))
-
-    def record(self, packet: Packet, now: float) -> _CachedOutcome:
-        """Run the packet through the real path, capturing a replayable
-        outcome for subsequent flow-mates."""
-        instance = self.instance
-        rules_by_name = instance.rules
-        before = [
-            (rules, list(rules.hit_counts), rules.miss_count)
-            for rules in map(rules_by_name.get, self._tables)
-            if rules is not None
-        ]
-        digests_before = len(packet.digests)
-
-        result = instance.process(packet, now)
-
-        hit_ops = []
-        miss_ops = []
-        for rules, hits_before, miss_before in before:
-            hit_counts = rules.hit_counts
-            for position, after in enumerate(hit_counts):
-                if after != hits_before[position]:
-                    hit_ops.append((hit_counts, position, after - hits_before[position]))
-            if rules.miss_count != miss_before:
-                miss_ops.append((rules, rules.miss_count - miss_before))
-
-        fields = packet.fields
-        fields_post = {}
-        fields_absent = []
-        for key in self._field_keys:
-            if key in fields:
-                fields_post[key] = fields[key]
-            else:
-                fields_absent.append(key)
-        meta = packet.meta
-        meta_post = {}
-        meta_absent = []
-        for key in self._meta_keys:
-            if key in meta:
-                meta_post[key] = meta[key]
-            else:
-                meta_absent.append(key)
-        return _CachedOutcome(
-            fields_post=fields_post,
-            fields_absent=tuple(fields_absent),
-            meta_post=meta_post,
-            meta_absent=tuple(meta_absent),
-            verdict=packet.verdict,
-            digests=tuple(packet.digests[digests_before:]),
-            hit_ops=tuple(hit_ops),
-            miss_ops=tuple(miss_ops),
-            result=result,
-        )
-
-
-@dataclass
-class FlowCacheStats:
-    hits: int = 0
-    misses: int = 0
-    bypasses: int = 0
-    #: token-change invalidation *events* (one per token move that found
-    #: a populated cache).
-    invalidations: int = 0
-    #: entries dropped across those invalidation events — a single token
-    #: move can flush thousands of flows, which the event count hides.
-    entries_dropped: int = 0
-
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
-    def to_dict(self) -> dict:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "bypasses": self.bypasses,
-            "invalidations": self.invalidations,
-            "entries_dropped": self.entries_dropped,
-            "hit_rate": self.hit_rate,
-        }
-
-    def summary(self) -> str:
-        return (
-            f"flow cache: {self.hits} hit(s) / {self.misses} miss(es) "
-            f"({self.hit_rate:.0%}), {self.bypasses} bypass(es), "
-            f"{self.invalidations} invalidation(s) dropping "
-            f"{self.entries_dropped} entr(ies)"
-        )
-
-
-class FlowCache:
-    """The per-device flow memo over cacheable program versions.
-
-    Entries are keyed by the packet values the program can observe (per
-    the cacheability decision) and validated against an epoch token; a
-    token change drops every entry at once, so no reconfiguration can
-    leave a stale verdict behind. Eviction is FIFO.
-    """
-
-    def __init__(self, capacity: int = FLOW_MEMO_CAPACITY):
-        if capacity <= 0:
-            raise SimulationError("flow cache capacity must be positive")
-        self.capacity = capacity
-        self.stats = FlowCacheStats()
-        self._entries: dict = {}
-        self._token = None
-        self._binding = None
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def clear(self) -> None:
-        self._entries.clear()
-        self._token = None
-
-    def _admit(self, instance):
-        """The binding for ``instance`` once its slice is cacheable and
-        its token is live (entries validated against it); None when the
-        caller must run the normal path."""
-        binding = self._binding
-        if binding is None or binding.instance is not instance:
-            # Entries hold counter references into the previous
-            # instance's tables, so a new instance starts cold.
-            binding = self._binding = _CacheBinding(instance)
-            self.clear()
-        if not binding.cacheable:
-            return None
-        token = binding.token()
-        if token is None:
-            return None
-        if token != self._token:
-            if self._token is not None and self._entries:
-                self.stats.invalidations += 1
-                self.stats.entries_dropped += len(self._entries)
-            self._entries.clear()
-            self._token = token
-        return binding
-
-    def process(self, instance, packet: Packet, now: float):
-        """Serve ``packet`` from the memo if possible; returns the
-        :class:`ExecutionResult`, or None when the caller must run the
-        normal path itself (uncacheable slice, or a meter attached)."""
-        binding = self._admit(instance)
-        if binding is None:
-            self.stats.bypasses += 1
-            return None
-        key = binding.key(packet)
-        entries = self._entries
-        entry = entries.get(key)
-        if entry is None:
-            self.stats.misses += 1
-            entry = binding.record(packet, now)
-            if len(entries) >= self.capacity:
-                del entries[next(iter(entries))]
-            entries[key] = entry
-        else:
-            self.stats.hits += 1
-            entry.replay(packet)
-        return entry.result
-
-
-# ---------------------------------------------------------------------------
 # Differential harness
 # ---------------------------------------------------------------------------
 
@@ -1003,17 +722,13 @@ def differential_check(
     now_step: float = 1e-4,
     max_divergences: int = 20,
     mutate=None,
-    cache: FlowCache | None = None,
 ) -> DifferentialReport:
     """Run the interpreter and FlexPath side by side over ``packets``
     and report every observable difference: verdicts, header fields,
     metadata, digests, op counts, recirculations — and, at the end,
-    map state and table counters. Handed a ``cache``, the arm under
-    test is compiled + memo, driven as ``DeviceRuntime.process`` drives
-    it: :meth:`FlowCache.process`, falling to the instance when that
-    returns None. ``mutate(reference, fast, index)`` — when given —
-    runs before each packet on both instances, which is how the flush
-    tests attach a meter or insert a rule mid-run."""
+    map state and table counters. ``mutate(reference, fast, index)`` —
+    when given — runs before each packet on both instances, which is
+    how the mid-run tests attach a meter or insert a rule."""
     reference = ProgramInstance(program, hosted_elements)
     fast = ProgramInstance(program, hosted_elements, fastpath=True)
     if setup is not None:
@@ -1030,9 +745,7 @@ def differential_check(
         right = copy.deepcopy(packet)
         now = index * now_step
         ref_result = reference.process(left, now)
-        fast_result = None if cache is None else cache.process(fast, right, now)
-        if fast_result is None:
-            fast_result = fast.process(right, now)
+        fast_result = fast.process(right, now)
         report.compare_packet(index, left, right, ref_result, fast_result)
     report.compare_end_state(reference, fast)
     return report

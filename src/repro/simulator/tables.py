@@ -9,10 +9,11 @@ range), priorities, and longest-prefix semantics.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.errors import FlexNetError
 from repro.lang.ir import ActionCall, MatchKind, TableDef
+from repro.limits import TABLE_MEMO_CAPACITY
 
 
 class TableError(FlexNetError):
@@ -141,9 +142,10 @@ class TableRules:
     resolve through a hash index; LPM/ternary/range tables scan rules
     pre-sorted by ``(priority, specificity, insertion order)`` and take
     the first match — both orders reproduce the linear-scan semantics
-    exactly. Indexes are invalidated on any rule mutation, and every
-    mutation (rules or meter) bumps :attr:`epoch`, which the FlexPath
-    flow cache uses to drop stale verdicts.
+    exactly — and remember what each key decided, so a flow pays the
+    scan once. A decision is a function of the key and the rules alone:
+    any rule mutation drops the indexes and the decisions with them,
+    and the per-rule counters are bumped per lookup, remembered or not.
     """
 
     def __init__(self, definition: TableDef):
@@ -155,18 +157,19 @@ class TableRules:
         self.miss_count = 0
         #: optional table meter (configured via P4Runtime); every rule
         #: hit is coloured through it.
-        self._meter = None
-        #: monotonic mutation counter (rules inserted/removed/cleared,
-        #: meter attached/detached) — the flow-cache invalidation epoch.
-        self.epoch = 0
+        self.meter = None
         self._all_exact = bool(definition.keys) and all(
             key.match_kind is MatchKind.EXACT for key in definition.keys
         )
         #: exact-key hash index: key tuple -> (action, rule index).
         self._exact_index: dict[tuple[int, ...], tuple[ActionCall, int]] | None = None
-        #: (compiled predicate, action, rule index) pre-sorted for
+        #: (compiled predicate, (action, rule index)) pre-sorted for
         #: first-match-wins.
         self._ordered: list | None = None
+        #: what a non-exact table has decided since its rules last
+        #: changed: key tuple -> (action, rule index), or None for a
+        #: miss. Oldest out past ``TABLE_MEMO_CAPACITY`` keys.
+        self._decided: dict[tuple[int, ...], tuple[ActionCall, int] | None] = {}
 
     def __len__(self) -> int:
         return len(self._rules)
@@ -175,19 +178,10 @@ class TableRules:
     def rules(self) -> list[Rule]:
         return list(self._rules)
 
-    @property
-    def meter(self):
-        return self._meter
-
-    @meter.setter
-    def meter(self, value) -> None:
-        self._meter = value
-        self.epoch += 1
-
     def _invalidate(self) -> None:
         self._exact_index = None
         self._ordered = None
-        self.epoch += 1
+        self._decided.clear()
 
     def insert(self, rule: Rule) -> None:
         if len(rule.matches) != len(self.definition.keys):
@@ -250,8 +244,8 @@ class TableRules:
             self.insert(rule)
             self.hit_counts[-1] = hits
         self.miss_count += previous.miss_count
-        if previous._meter is not None:
-            self.meter = previous._meter
+        if previous.meter is not None:
+            self.meter = previous.meter
 
     # -- lookup ------------------------------------------------------------
 
@@ -278,10 +272,27 @@ class TableRules:
             key=lambda pair: (-pair[0].priority, -pair[0].specificity, pair[1]),
         )
         ordered = [
-            (rule.compile_predicate(), rule.action, position) for rule, position in ranked
+            (rule.compile_predicate(), (rule.action, position)) for rule, position in ranked
         ]
         self._ordered = ordered
         return ordered
+
+    def _decide(self, key_values: tuple[int, ...]) -> tuple[ActionCall, int] | None:
+        """A key a non-exact table has not seen since its rules last
+        changed: scan for the first match and remember the outcome."""
+        ordered = self._ordered
+        if ordered is None:
+            ordered = self._build_ordered()
+        hit = None
+        for predicate, candidate in ordered:
+            if predicate(key_values):
+                hit = candidate
+                break
+        decided = self._decided
+        if len(decided) >= TABLE_MEMO_CAPACITY:
+            del decided[next(iter(decided))]
+        decided[key_values] = hit
+        return hit
 
     def lookup(self, key_values: tuple[int, ...]) -> ActionCall | None:
         """Find the matching rule with highest (priority, specificity);
@@ -296,20 +307,16 @@ class TableRules:
             if index is None:
                 index = self._build_exact_index()
             hit = index.get(key_values)
-            if hit is not None:
-                action, position = hit
-                self.hit_counts[position] += 1
-                return action
         else:
-            ordered = self._ordered
-            if ordered is None:
-                ordered = self._build_ordered()
-            for predicate, action, position in ordered:
-                if predicate(key_values):
-                    self.hit_counts[position] += 1
-                    return action
-        self.miss_count += 1
-        return self.definition.default_action
+            hit = self._decided.get(key_values, False)
+            if hit is False:
+                hit = self._decide(key_values)
+        if hit is None:
+            self.miss_count += 1
+            return self.definition.default_action
+        action, position = hit
+        self.hit_counts[position] += 1
+        return action
 
 
 def exact(value: int) -> ExactMatch:

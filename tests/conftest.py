@@ -31,9 +31,11 @@ def base_certificate(base_program):
 
 def forwarding_program() -> Program:
     """The base program minus ``flow_counts``: ACL, L2, L3 and the TTL
-    guard with no map, so the flow memo admits it whole — and the device
-    that hosts it has something to execute (``standard_builder(...)
-    .build()`` alone has no table, which makes every device pass-through)."""
+    guard with no map — a program that is all table lookups, two of
+    them ternary or LPM, so a repeat flow is served by what the tables
+    remember, and the device that hosts it has something to execute
+    (``standard_builder(...).build()`` alone has no table, which makes
+    every device pass-through)."""
     strip = Delta(
         name="strip_flow_counts",
         ops=(
@@ -42,6 +44,13 @@ def forwarding_program() -> Program:
         ),
     )
     return apply_delta(base_infrastructure(), strip)[0]
+
+
+def map_free_slice(program: Program) -> set[str]:
+    """What a device next to the stateful one would host: every applied
+    element that writes no map."""
+    info = dataflow.analyze(program)
+    return {name for name in info.applied if not info.element_access(name).map_writes}
 
 
 def make_standard_slice(switch="drmt"):

@@ -1,6 +1,7 @@
-"""The one execution-engine verb: ``net.engine(fastpath=, batch=)`` sets
-an immutable ``EngineConfig`` that the controller holds and every
-current and future device runs under."""
+"""The one execution-engine verb: ``net.engine(fastpath=)`` — with
+``batch=`` a second spelling kept one round — sets an immutable
+``EngineConfig`` that the controller holds and every current and future
+device runs under."""
 
 import dataclasses
 import inspect
@@ -11,6 +12,7 @@ import pytest
 from repro.apps import base_infrastructure
 from repro.core.flexnet import FlexNet
 from repro.runtime.device import EngineConfig
+from repro.simulator.fastpath import seeded_rules
 from repro.simulator.packet import reset_packet_ids
 from tests.conftest import forwarding_program
 
@@ -24,22 +26,18 @@ def make_net(program=None):
 class TestEngineConfig:
     def test_default_is_the_interpreter(self):
         config = EngineConfig()
-        assert not config.fastpath and not config.memo
+        assert not config.fastpath
         assert config.summary() == "engine: interpreter"
-
-    def test_memo_implies_fastpath(self):
-        config = EngineConfig(memo=True)
-        assert config.fastpath and config.memo
-        assert config.summary() == "engine: compiled + flow memo"
         assert EngineConfig(fastpath=True).summary() == "engine: compiled"
+        assert [f.name for f in dataclasses.fields(EngineConfig)] == ["fastpath"]
 
     def test_is_immutable(self):
         with pytest.raises(AttributeError):
             EngineConfig().fastpath = True
 
     def test_to_dict_shape(self):
-        assert EngineConfig(fastpath=True).to_dict() == {"fastpath": True, "batch": False}
-        assert EngineConfig(memo=True).to_dict() == {"fastpath": True, "batch": True}
+        assert EngineConfig(fastpath=True).to_dict() == {"fastpath": True}
+        assert EngineConfig().to_dict() == {"fastpath": False}
 
 
 class TestEngineVerb:
@@ -57,18 +55,19 @@ class TestEngineVerb:
         assert config == EngineConfig()
         assert net.engine() is config
         for device in net.controller.devices.values():
-            assert device.flow_cache is None
+            assert not device.active_instance.fastpath_enabled
 
     def test_fastpath_and_batch_both_mean_compiled_plus_memo(self):
-        assert make_net().engine(fastpath=True) == EngineConfig(memo=True)
-        assert make_net().engine(batch=True) == EngineConfig(memo=True)
+        """``batch=True`` is a second spelling of ``fastpath=True`` (the
+        id dates from when both also switched the flow memo on)."""
+        assert make_net().engine(fastpath=True) == EngineConfig(fastpath=True)
+        assert make_net().engine(batch=True) == EngineConfig(fastpath=True)
 
     def test_compiled_only(self):
         net = make_net()
         assert net.engine(fastpath=True, batch=False) == EngineConfig(fastpath=True)
         for device in net.controller.devices.values():
             assert device.active_instance.fastpath_enabled
-            assert device.flow_cache is None
 
     def test_batch_off_leaves_fastpath_as_is(self):
         net = make_net()
@@ -82,7 +81,6 @@ class TestEngineVerb:
         assert net.engine(fastpath=False) == EngineConfig()
         for device in net.controller.devices.values():
             assert not device.active_instance.fastpath_enabled
-            assert device.flow_cache is None
 
     def test_config_reaches_every_device_and_survives_traffic(self):
         net = make_net()
@@ -90,7 +88,6 @@ class TestEngineVerb:
         for device in net.controller.devices.values():
             assert device.engine is config
             assert device.active_instance.fastpath_enabled
-            assert device.flow_cache is not None
         report = net.run_traffic(rate_pps=500, duration_s=0.2, extra_time_s=1.0)
         assert report.metrics.delivered > 0
         assert net.engine() is config
@@ -111,46 +108,49 @@ class TestEngineVerb:
         net.install(base_infrastructure())
         late = net.device("sw1")
         assert late.active_instance.fastpath_enabled
-        assert late.flow_cache is not None
         assert late.engine == net.engine()
+
+
+def remembered_keys(net):
+    """Per device, per non-exact table: how many keys it has decided."""
+    return {
+        name: {
+            table: len(rules._decided)  # noqa: SLF001
+            for table, rules in device.active_instance.rules.items()
+        }
+        for name, device in sorted(net.controller.devices.items())
+    }
+
+
+def spelled_arm(**engine):
+    """One seeded run of the forwarding program, its tables populated
+    so repeat flows have rules to be remembered against."""
+    reset_packet_ids()
+    net = make_net(forwarding_program())
+    for device in net.controller.devices.values():
+        seeded_rules(device.active_program, device.active_instance, seed=5)
+    if engine:
+        net.engine(**engine)
+    report = net.run_traffic(rate_pps=2000, duration_s=0.2, extra_time_s=1.0)
+    # Device stats too (``energy_nj`` with ``==``): four of the five
+    # devices host nothing, so the compiled arms count their hops in the
+    # pass-through lane.
+    stats = {
+        name: dataclasses.asdict(device.stats)
+        for name, device in sorted(net.controller.devices.items())
+    }
+    return json.dumps(report.to_dict(), sort_keys=True), stats, remembered_keys(net)
 
 
 class TestMemoSpellingsAgree:
     def test_fastpath_and_batch_runs_are_identical(self):
         """``engine(fastpath=True)`` and ``engine(batch=True)`` are one
-        state: identical reports *and* identical memo counters."""
-
-        def arm(**engine):
-            reset_packet_ids()
-            net = make_net(forwarding_program())
-            net.engine(**engine)
-            report = net.run_traffic(rate_pps=2000, duration_s=0.2, extra_time_s=1.0)
-            stats = {
-                name: device.flow_cache.stats.to_dict()
-                for name, device in sorted(net.controller.devices.items())
-            }
-            return json.dumps(report.to_dict(), sort_keys=True), stats
-
-        fast_report, fast_stats = arm(fastpath=True)
-        batch_report, batch_stats = arm(batch=True)
-        assert fast_report == batch_report
-        assert fast_stats == batch_stats
-        assert sum(stats["hits"] for stats in fast_stats.values()) > 0
+        state: identical reports, device stats and table decisions."""
+        fast, batch = spelled_arm(fastpath=True), spelled_arm(batch=True)
+        assert fast == batch == spelled_arm(fastpath=True, batch=False)
+        assert sum(fast[2]["sw1"].values()) > 0  # sw1 hosts the tables
 
     def test_memo_matches_the_interpreter(self):
-        def arm(**engine):
-            reset_packet_ids()
-            net = make_net(forwarding_program())
-            if engine:
-                net.engine(**engine)
-            report = net.run_traffic(rate_pps=2000, duration_s=0.2, extra_time_s=1.0)
-            # Device stats too (``energy_nj`` with ``==``): four of the
-            # five devices host nothing, so the compiled arms count
-            # their hops in the pass-through lane.
-            stats = {
-                name: dataclasses.asdict(device.stats)
-                for name, device in sorted(net.controller.devices.items())
-            }
-            return json.dumps(report.to_dict(), sort_keys=True), stats
-
-        assert arm() == arm(fastpath=True, batch=False) == arm(batch=True)
+        """The interpreter's ``lookup`` and the generated function probe
+        the same decisions: same report, same stats, same keys kept."""
+        assert spelled_arm() == spelled_arm(fastpath=True)

@@ -186,37 +186,3 @@ class TestTelemetryEventFeed:
         net.controller.telemetry.ingest_event("crash", "sw1", 1.25)
         assert net.controller.telemetry.total_events == 1
         assert net.observe.tracer.total_events == 0
-
-
-class TestMemoCountersAreMonotonic:
-    def test_flowcache_hits_never_fall_across_a_hitless_update(self):
-        """Regression: the per-instance ``flexnet_batch_*_total`` families
-        summed over *live* versions, so they fell when a transition
-        retired one. The per-device memo's counters only ever grow."""
-        from repro.apps import int_probe_delta
-        from tests.conftest import forwarding_program
-
-        net = FlexNet.standard()
-        net.install(forwarding_program())  # stateless: memo-admitted, hosted on sw1
-        net.engine(batch=True)
-        net.observe.enable(sample_every=0)
-        scrapes = []
-
-        def scrape():
-            family = net.observe.metrics.to_dict()["flexnet_flowcache_hits_total"]
-            scrapes.append(
-                {series["labels"]["device"]: series["value"] for series in family["series"]}
-            )
-
-        delta = int_probe_delta()
-        net.schedule(0.5, lambda: net.update(delta))
-        for at_s in (0.2, 0.45, 0.55, 0.7, 1.2, 1.9):  # before, inside and after the window
-            net.schedule(at_s, scrape)
-        net.run_traffic(rate_pps=1000.0, duration_s=2.0)
-
-        assert net.device("sw1").stats.reconfigurations == 1
-        for earlier, later in zip(scrapes, scrapes[1:]):
-            for device, hits in earlier.items():
-                assert later[device] >= hits, (device, earlier, later)
-        assert scrapes[0]["sw1"] > 0  # served from the memo before the update...
-        assert scrapes[-1]["sw1"] > scrapes[2]["sw1"]  # ...and again after the window

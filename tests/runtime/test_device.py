@@ -14,9 +14,10 @@ from repro.lang.delta import apply_delta, parse_delta
 from repro.observe import Observer
 from repro.runtime.device import DeviceRuntime, EngineConfig
 from repro.simulator import fastpath
-from repro.simulator.packet import make_packet
+from repro.simulator.packet import Verdict, make_packet
 from repro.simulator.pipeline_exec import ProgramInstance
 from repro.targets import drmt_switch, rmt_switch
+from tests.conftest import forwarding_program
 
 PROGRAMS = bundled_programs()
 
@@ -186,8 +187,9 @@ class TestReflash:
 
 def lane_corpus(recirculating=True):
     """``seeded_corpus`` plus what it never generates: packets without
-    the start header, packets already marked for drop and (optionally)
-    packets arriving with a recirculation pending."""
+    the start header, packets already marked for drop and (unless a
+    test counts lane hops) packets arriving with a recirculation
+    pending."""
     packets = fastpath.seeded_corpus(120, seed=5)
     for index, packet in enumerate(fastpath.seeded_corpus(30, seed=6)):
         if index % 3 == 0:
@@ -209,13 +211,17 @@ def arrival_time(device, index):
     return (index + 40 * (index // 12)) * slot
 
 
-def lane_arms(install, engine=EngineConfig(memo=True)):
+def lane_arms(install, live_switch=False):
     """The same device twice, interpreter then compiled, with a short
-    queue so the corpus also tail-drops."""
+    queue so the corpus also tail-drops. ``live_switch`` builds the
+    second on the interpreter too and turns its engine over once the
+    program is installed."""
     arms = []
-    for config in (EngineConfig(), engine):
-        device = DeviceRuntime("d", drmt_switch("d"), queue_capacity_packets=4, engine=config)
+    for config in (EngineConfig(), EngineConfig(fastpath=True)):
+        built_as = EngineConfig() if live_switch else config
+        device = DeviceRuntime("d", drmt_switch("d"), queue_capacity_packets=4, engine=built_as)
         install(device)
+        device.engine = config
         arms.append(device)
     return arms
 
@@ -252,9 +258,6 @@ def executor_calls(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(
-        fastpath.FlowCache, "process", counting("memo", fastpath.FlowCache.process, 1)
-    )
-    monkeypatch.setattr(
         ProgramInstance, "process", counting("instance", ProgramInstance.process, 0)
     )
     return calls
@@ -270,18 +273,41 @@ class TestPassThroughLane:
     The interpreter engine never takes the lane, which makes it the
     reference every lane hop is checked against."""
 
-    @pytest.mark.parametrize("memo", [False, True], ids=["compiled", "memo"])
+    # The second id dates from the flow memo's arm; it now reaches the
+    # compiled engine by a live switch instead of at construction.
+    @pytest.mark.parametrize("live_switch", [False, True], ids=["compiled", "memo"])
     @pytest.mark.parametrize("label,program", PROGRAMS, ids=[label for label, _ in PROGRAMS])
-    def test_lane_matches_the_interpreter(self, label, program, memo):
-        engine = EngineConfig(fastpath=True, memo=memo)
-        reference, lane = lane_arms(host_nothing(program), engine)
+    def test_lane_matches_the_interpreter(self, label, program, live_switch):
+        reference, lane = lane_arms(host_nothing(program), live_switch)
         assert lane.active_instance.lane is not None
-        # A pending recirculation leaves the lane for the normal route,
-        # and only the compiled one is exact there: a memo replay does
-        # not pop a ``_recirculate`` the packet *arrived* with (as at the
-        # parent; no hop emits one, the executor pops its own flag).
-        assert_arms_agree(reference, lane, lane_corpus(recirculating=not memo))
+        # A pending recirculation leaves the lane for the generated
+        # function, which pops the flag as the interpreter does.
+        assert_arms_agree(reference, lane, lane_corpus())
         assert lane.stats.dropped_by_program > 0  # the pre-marked packets
+
+    @pytest.mark.parametrize("flag", ["_recirculate", "drop_flag"])
+    @pytest.mark.parametrize("hosted", [None, set()], ids=["hosting", "pass-through"])
+    def test_a_flag_the_packet_arrived_with(self, flag, hosted):
+        """Regression (ROADMAP 2(e), first counterexample): a hand-built
+        packet whose ``meta`` *arrives* carrying ``_recirculate`` or
+        ``drop_flag``, on a map-free program (the one shape the flow
+        memo served). The interpreter pops the one and drops on the
+        other; a memo replay did neither."""
+        program = forwarding_program()
+        reference, device = lane_arms(lambda d: d.install(program, hosted_elements=hosted))
+        for index in range(3):  # the same flow thrice: first sight, then remembered
+            outcomes = []
+            for arm in (reference, device):
+                packet = make_packet(0x0A000001, 0x0A000002)
+                packet.meta[flag] = 1
+                latency = arm.process(packet, index * 1e-3)
+                outcomes.append((packet.fields, packet.meta, packet.verdict, latency))
+            assert outcomes[0] == outcomes[1]
+            _, meta, verdict, _ = outcomes[1]
+            assert "_recirculate" not in meta
+            assert (verdict is Verdict.DROP) == (flag == "drop_flag")
+        assert dataclasses.asdict(reference.stats) == dataclasses.asdict(device.stats)
+        assert device.stats.dropped_by_program == (3 if flag == "drop_flag" else 0)
 
     def test_lane_hop_makes_no_call_into_the_executor(self, base_program, monkeypatch):
         _, lane = lane_arms(host_nothing(base_program))
@@ -289,12 +315,11 @@ class TestPassThroughLane:
         feed(lane, lane_corpus(recirculating=False))
         assert lane.stats.processed > 100
         assert not calls
-        assert lane.flow_cache.stats == fastpath.FlowCacheStats()  # the memo never ticks
-        # A pending recirculation is the interpreter's to pop and re-run.
+        # A pending recirculation is the executor's to pop and re-run.
         bounced = make_packet(1, 2)
         bounced.meta["_recirculate"] = 1
         lane.process(bounced, 1.0)
-        assert calls["memo", lane.active_instance] == 1
+        assert calls["instance", lane.active_instance] == 1
         assert "_recirculate" not in bounced.meta
 
     def test_interpreter_engine_never_takes_the_lane(self, base_program, monkeypatch):
@@ -310,7 +335,7 @@ class TestPassThroughLane:
         builder.function("mark", [b.assign("meta.marked", 1)])
         builder.apply(builder.apply_if(b.binop("==", "ipv4.ttl", 0), ["mark"]))
         program = builder.build()
-        reference, lane = lane_arms(host_nothing(program), EngineConfig(fastpath=True))
+        reference, lane = lane_arms(host_nothing(program))
         assert lane.active_instance.lane is None
         calls = executor_calls(monkeypatch)
         assert_arms_agree(reference, lane, lane_corpus())
@@ -321,7 +346,7 @@ class TestPassThroughLane:
         reference, lane = lane_arms(host_nothing(base_program))
         for device in (reference, lane):
             device.observer = Observer(sample_every=1)
-        assert_arms_agree(reference, lane, lane_corpus())  # sampled: no memo replay either
+        assert_arms_agree(reference, lane, lane_corpus())
         spans = lane.observer.tracer.to_dict()
         assert spans == reference.observer.tracer.to_dict()
         assert lane.observer.tracer.total_spans == lane.stats.processed

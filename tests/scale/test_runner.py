@@ -18,16 +18,21 @@ from repro.scale import plan_shards, reference_run, run_sharded
 from repro.scale.runner import build_engines
 from repro.scale.shard import run_inline
 from repro.scale.workload import e20_workload, pod_fabric
+from repro.simulator.fastpath import seeded_rules
 from repro.simulator.packet import reset_packet_ids
 
 DRAIN_S = 0.05
 
 
-def _arm(pods: int = 2):
-    """One experiment arm: fresh fabric + program + same-seed workload."""
+def _arm(pods: int = 2, seeded: bool = False):
+    """One experiment arm: fresh fabric + program + same-seed workload;
+    ``seeded`` populates every device's tables with the same rules."""
     reset_packet_ids()
     net = pod_fabric(pods)
     net.install(base_infrastructure())
+    if seeded:
+        for device in net.controller.devices.values():
+            seeded_rules(device.active_program, device.active_instance, seed=5)
     workload = e20_workload(250, rate_pps=20_000.0, seed=5)
     return net, workload
 
@@ -79,40 +84,37 @@ class TestDifferentialIdentity:
 
 
 class TestBatchedSharding:
-    """The flow memo under FlexScale: memo replay is exact at any
-    boundary, so a sharded run with the memo on stays byte-identical to
-    the unsharded reference under the same engine."""
+    """The compiled engine under FlexScale, tables populated so repeat
+    flows are answered from what each shard's tables remember (the ids
+    date from the flow memo): what a table remembers is exact at any
+    boundary, so a sharded run stays byte-identical to the unsharded
+    reference, compiled or interpreted."""
+
+    @staticmethod
+    def _sharded():
+        net, workload = _arm(seeded=True)
+        net.engine(fastpath=True)
+        report = run_sharded(net, workload, 2, backend="inline", seed=11, drain_s=DRAIN_S)
+        remembered = sum(
+            len(rules._decided)  # noqa: SLF001
+            for device in net.controller.devices.values()
+            for rules in device.active_instance.rules.values()
+        )
+        assert remembered > 0
+        return report
 
     def test_batched_two_shards_byte_identical(self):
-        net, workload = _arm()
-        net.engine(batch=True)
+        net, workload = _arm(seeded=True)
+        net.engine(fastpath=True)
         expected = _canon(reference_run(net, workload, drain_s=DRAIN_S).to_dict())
-        net, workload = _arm()
-        net.engine(batch=True)
-        report = run_sharded(
-            net, workload, 2, backend="inline", seed=11, drain_s=DRAIN_S
-        )
+        report = self._sharded()
         assert _canon(report.traffic_dict()) == expected
         assert report.handoffs > 0
 
     def test_batched_matches_unbatched_traffic(self):
-        expected = _reference_json()
-        net, workload = _arm()
-        net.engine(batch=True)
-        report = run_sharded(
-            net, workload, 2, backend="inline", seed=11, drain_s=DRAIN_S
-        )
-        assert _canon(report.traffic_dict()) == expected
-
-    def test_memo_metrics_exported_by_shards(self):
-        net, workload = _arm()
-        net.engine(batch=True)
-        report = run_sharded(
-            net, workload, 2, backend="inline", seed=11, drain_s=DRAIN_S
-        )
-        text = report.registry.to_prometheus()
-        assert "flexnet_flowcache_hits_total" in text
-        assert "flexnet_flowcache_bypasses_total" in text
+        net, workload = _arm(seeded=True)  # the interpreter, unsharded
+        expected = _canon(reference_run(net, workload, drain_s=DRAIN_S).to_dict())
+        assert _canon(self._sharded().traffic_dict()) == expected
 
 
 class TestDeterminism:

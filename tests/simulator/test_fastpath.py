@@ -1,13 +1,14 @@
 """FlexPath tests: compiled execution is byte-identical to the
-interpreter, and the cacheability analysis admits the right slices (the
-flow memo itself is covered in ``test_flow_cache.py``)."""
+interpreter, whole and on a hosted slice, and the dataflow pass says
+which slices write state (what a table remembers per key is covered in
+``test_flow_cache.py``)."""
 
 import copy
 
 import pytest
 
-from repro.analysis.cacheability import decide, stateless_slice
 from repro.analysis.corpus import bundled_programs
+from repro.analysis.dataflow import analyze, executed_slice
 from repro.apps import base_infrastructure, firewall_delta
 from repro.lang.delta import apply_delta
 from repro.lang.ir import ActionCall
@@ -15,6 +16,7 @@ from repro.simulator import fastpath
 from repro.simulator.packet import Verdict, make_packet
 from repro.simulator.pipeline_exec import ProgramInstance
 from repro.simulator.tables import Rule, ternary
+from tests.conftest import map_free_slice
 
 PROGRAMS = bundled_programs()
 
@@ -47,7 +49,7 @@ class TestDifferential:
 
     def test_hosted_slice_differential(self):
         program, _ = apply_delta(base_infrastructure(), firewall_delta())
-        hosted = stateless_slice(program)
+        hosted = map_free_slice(program)
         packets = fastpath.seeded_corpus(100, seed=3)
         report = fastpath.differential_check(
             program, packets, hosted_elements=hosted
@@ -156,32 +158,34 @@ class TestCompiledInstance:
 
 
 # ---------------------------------------------------------------------------
-# Cacheability analysis
+# Which slices write state
 # ---------------------------------------------------------------------------
 
 
+def map_writes(program, hosted=None):
+    _, access = executed_slice(program, analyze(program), hosted)
+    return access.map_writes
+
+
 class TestCacheability:
+    """The class name predates the flow memo's removal; what it pins is
+    the dataflow fact the hosted-slice tests pick their slice by."""
+
     def test_whole_program_with_map_write_rejected(self):
         program = base_infrastructure()  # count_flow writes flow_counts
-        decision = decide(program)
-        assert not decision.cacheable
-        assert any("flow_counts" in reason for reason in decision.reasons)
+        assert map_writes(program) == {"flow_counts"}
+        assert "count_flow" not in map_free_slice(program)
 
     def test_stateless_hosted_slice_cacheable(self):
         program, _ = apply_delta(base_infrastructure(), firewall_delta())
-        decision = decide(program, stateless_slice(program))
-        assert decision.cacheable
-        assert "acl" in decision.applied_tables
-        assert "fw_block" in decision.applied_tables
-        # written fields participate in the key (replay validity).
-        assert ("ipv4", "ttl") in decision.key_fields
+        hosted = map_free_slice(program)
+        assert {"acl", "fw_block", "l2", "l3", "ttl_guard"} <= hosted
+        assert not map_writes(program, hosted)
 
     def test_slice_including_map_writer_rejected(self):
         program, _ = apply_delta(base_infrastructure(), firewall_delta())
-        hosted = stateless_slice(program) | {"fw_track"}
-        decision = decide(program, hosted)
-        assert not decision.cacheable  # fw_track writes fw_conns
-        assert any("fw_conns" in reason for reason in decision.reasons)
+        hosted = map_free_slice(program) | {"fw_track"}
+        assert map_writes(program, hosted) == {"fw_conns"}
 
 
 class TestFlexNetFacade:

@@ -1,58 +1,50 @@
-"""The one flow memo (``FlowCache``): capacity bound and FIFO exactness,
-token flushes (rule insert, map mutation, meter attach) and re-admission,
-bypass on uncacheable slices, counter exactness under repeated flows —
-through ``FlowCache.process`` on a bare instance, driven as the device
-drives it, and through ``DeviceRuntime.process``."""
+"""What a non-exact table remembers per key (the file and class names
+predate the per-device flow memo's removal): one decision per flow,
+bounded and first-in-first-out, dropped by a mutation of that table's
+rules and by nothing else, with per-rule counters exact under repeated
+flows — on a bare instance, and behind ``DeviceRuntime.process`` under
+``EngineConfig(fastpath=True)`` against the interpreter device."""
 
 import copy
 
-import pytest
-
-from repro.analysis.cacheability import decide, stateless_slice
 from repro.apps import base_infrastructure, firewall_delta
 from repro.control.p4runtime import P4RuntimeClient, TableEntry
-from repro.errors import SimulationError
 from repro.lang.delta import apply_delta
 from repro.lang.ir import ActionCall
 from repro.runtime.device import DeviceRuntime, EngineConfig
-from repro.simulator import fastpath
-from repro.simulator.fastpath import FlowCache
-from repro.simulator.meters import Meter, MeterConfig
+from repro.simulator import fastpath, tables
 from repro.simulator.packet import Verdict, make_packet
 from repro.simulator.pipeline_exec import ProgramInstance
-from repro.simulator.tables import Rule, exact, ternary
+from repro.simulator.tables import Rule, ternary
 from repro.targets import drmt_switch
+from tests.conftest import map_free_slice
+
+#: the base program's tables that scan (``l2`` is exact: a hash index).
+SCANNING = ("acl", "l3")
 
 
 def sliced_instance(fast: bool = True) -> ProgramInstance:
-    """A cacheable hosted slice of the base program, seeded rules."""
+    """The map-free hosted slice of the base program, seeded rules."""
     program = base_infrastructure()
     instance = ProgramInstance(
-        program, hosted_elements=stateless_slice(program), fastpath=fast
+        program, hosted_elements=map_free_slice(program), fastpath=fast
     )
     fastpath.seeded_rules(program, instance, seed=5)
     return instance
 
 
-def drive(cache, instance, packets, times=None):
-    """Feed ``packets`` through the memo one at a time, falling to the
-    instance on a bypass, as ``DeviceRuntime.process`` does."""
-    results = []
-    for index, packet in enumerate(packets):
-        now = times[index] if times is not None else 0.0
-        result = cache.process(instance, packet, now)
-        if result is None:
-            result = instance.process(packet, now)
-        results.append(result)
-    return results
+def drive(instance, packets, times=None):
+    return [
+        instance.process(packet, times[index] if times is not None else 0.0)
+        for index, packet in enumerate(packets)
+    ]
 
 
 def reference_run(packets, times):
     """The interpreter's outcomes for ``packets`` on a fresh slice."""
     reference = sliced_instance(fast=False)
     work = [copy.deepcopy(p) for p in packets]
-    results = [reference.process(p, t) for p, t in zip(work, times)]
-    return reference, work, results
+    return reference, work, drive(reference, work, times)
 
 
 def assert_counters_equal(reference, instance):
@@ -61,42 +53,51 @@ def assert_counters_equal(reference, instance):
         assert rules.miss_count == instance.rules[name].miss_count, name
 
 
-def new_rule():
-    return Rule(matches=(exact(0xBEEF),), action=ActionCall("forward", (1,)))
+def remembered(instance, name):
+    return instance.rules[name]._decided  # noqa: SLF001 - the subject of this file
+
+
+def acl_key(packet):
+    return (packet.fields["ipv4", "src"], packet.fields["ipv4", "dst"])
+
+
+def acl_rule(src=0xBAD):
+    return Rule(
+        matches=(ternary(src, 0xFFFFFFFF), ternary(0, 0)),
+        action=ActionCall("drop"),
+        priority=9,
+    )
 
 
 # ---------------------------------------------------------------------------
-# The memo on a bare instance
+# On a bare instance
 # ---------------------------------------------------------------------------
 
 
 class TestFlowCache:
-    def test_capacity_must_be_positive(self):
-        with pytest.raises(SimulationError):
-            FlowCache(capacity=0)
-
     def test_batch_groups_and_hits(self):
-        """Flow-mates share one entry: the first records, the rest hit."""
-        cache = FlowCache()
+        """Flow-mates share one decision per table: the first scans,
+        the rest probe, and every one of them is counted."""
+        instance = sliced_instance()
         packets = [make_packet(0x0A000001, 0x0A000002) for _ in range(8)]
-        results = drive(cache, sliced_instance(), packets)
-        assert len(results) == 8
-        assert cache.stats.misses == 1  # one flow -> one observation key
-        assert cache.stats.hits == 7
-        assert cache.stats.bypasses == 0
-        assert len(cache) == 1
+        assert len(drive(instance, packets)) == 8
+        for name in SCANNING:
+            rules = instance.rules[name]
+            assert len(remembered(instance, name)) == 1, name
+            assert sum(rules.hit_counts) + rules.miss_count == 8, name
+        assert not remembered(instance, "l2")  # exact: the index answers
 
-    def test_eviction_is_bounded_and_exact(self):
-        cache = FlowCache(capacity=2)
+    def test_eviction_is_bounded_and_exact(self, monkeypatch):
+        monkeypatch.setattr(tables, "TABLE_MEMO_CAPACITY", 2)
         instance = sliced_instance()
         corpus = fastpath.seeded_corpus(40, seed=3)
         times = [i * 1e-4 for i in range(len(corpus))]
         reference, ref_work, ref_results = reference_run(corpus, times)
 
         work = [copy.deepcopy(p) for p in corpus]
-        results = drive(cache, instance, work, times)
-        assert len(cache) <= 2  # never exceeds capacity
-        assert cache.stats.misses > 2  # ...so it actually evicted
+        results = drive(instance, work, times)
+        for name in SCANNING:
+            assert len(remembered(instance, name)) == 2, name  # full, never past it
         for left, right, a, c in zip(ref_work, work, ref_results, results):
             assert left.verdict is right.verdict
             assert left.fields == right.fields
@@ -104,195 +105,148 @@ class TestFlowCache:
             assert a.ops == c.ops
         assert_counters_equal(reference, instance)
 
-    def test_eviction_is_fifo_not_lru(self):
-        cache = FlowCache(capacity=2)
+    def test_eviction_is_fifo_not_lru(self, monkeypatch):
+        monkeypatch.setattr(tables, "TABLE_MEMO_CAPACITY", 2)
         instance = sliced_instance()
         a, b, c = (make_packet(1, 2), make_packet(3, 4), make_packet(5, 6))
-        for i, packet in enumerate((a, b, a, c)):  # the hit on ``a`` must not refresh it
-            cache.process(instance, copy.deepcopy(packet), i * 1e-4)
-        assert (cache.stats.misses, cache.stats.hits) == (3, 1)
-        cache.process(instance, copy.deepcopy(b), 1e-3)  # survived: inserted after a
-        assert cache.stats.hits == 2
-        cache.process(instance, copy.deepcopy(a), 2e-3)  # evicted first-in
-        assert cache.stats.misses == 4
+        # The second look at ``a`` must not refresh it: first in, first out.
+        drive(instance, [copy.deepcopy(p) for p in (a, b, a, c)])
+        assert list(remembered(instance, "acl")) == [acl_key(b), acl_key(c)]
+        drive(instance, [copy.deepcopy(a)])  # decides again, pushing ``b`` out
+        assert list(remembered(instance, "acl")) == [acl_key(c), acl_key(a)]
 
     def test_counter_multiplicity_exact(self):
-        """``hit_counts`` / ``miss_count`` replay once per hit, so
+        """``hit_counts`` / ``miss_count`` move once per lookup, so
         interleaved repeats of two flows count as the interpreter does."""
-        cache = FlowCache()
         instance = sliced_instance()
         packets = [
             make_packet(0x0A000001, 0x0A000002) if i % 3 else make_packet(0x0A000003, 0x0A000004)
             for i in range(8)
         ]
-        drive(cache, instance, copy.deepcopy(packets))
-        assert (cache.stats.misses, cache.stats.hits) == (2, 6)
+        drive(instance, copy.deepcopy(packets))
+        assert len(remembered(instance, "acl")) == 2
         reference, _, _ = reference_run(packets, [0.0] * len(packets))
         assert_counters_equal(reference, instance)
 
-    def test_uncacheable_slice_is_bypassed(self):
-        program = base_infrastructure()  # whole program writes flow_counts
-        reference = ProgramInstance(program)
-        instance = ProgramInstance(program, fastpath=True)
-        cache = FlowCache()
-        packet = make_packet(0x0A000001, 0x0A000002)
-        assert cache.process(instance, copy.deepcopy(packet), 0.0) is None
-        assert cache.stats.bypasses == 1
-        expected = [reference.process(copy.deepcopy(packet), 0.0) for _ in range(3)]
-        results = drive(cache, instance, [copy.deepcopy(packet) for _ in range(3)])
-        assert [r.ops for r in results] == [r.ops for r in expected]
-        assert cache.stats.bypasses == 4
-        assert cache.stats.hits == cache.stats.misses == 0 and len(cache) == 0
-
     def test_rule_insert_flushes_and_counts_dropped_entries(self):
-        cache = FlowCache()
-        instance = sliced_instance()
-        for i in range(4):
-            cache.process(instance, make_packet(1, 2 + i), i * 1e-4)
-        populated = len(cache)
-        assert populated > 0
-        assert cache.stats.invalidations == 0 and cache.stats.entries_dropped == 0
-        instance.rules["l2"].insert(new_rule())
-        drive(cache, instance, [make_packet(1, 2) for _ in range(3)], [1.0] * 3)
-        assert cache.stats.invalidations == 1
-        assert cache.stats.entries_dropped == populated
-        assert cache.stats.to_dict()["entries_dropped"] == populated
-        assert cache.stats.hits == 2  # re-recorded once, then served again
-
-    def test_meter_attach_bypasses_and_detach_readmits(self):
-        cache = FlowCache()
-        instance = sliced_instance()
-        assert cache.process(instance, make_packet(1, 2), 0.0) is not None
-        assert cache.stats.bypasses == 0
-        instance.rules["l2"].meter = Meter(
-            MeterConfig(rate_pps=1000.0, burst_packets=10.0)
-        )
-        for packet in (make_packet(1, 2), make_packet(3, 4)):
-            assert cache.process(instance, packet, 0.0) is None
-        assert cache.stats.bypasses == 2
-        instance.rules["l2"].meter = None  # detach: the memo resumes
-        drive(cache, instance, [make_packet(1, 2) for _ in range(2)])
-        assert cache.stats.bypasses == 2
-        assert cache.stats.hits >= 1
+        """A rule mutation drops that table's decisions — all of them,
+        and no other table's — and the counters stay the interpreter's."""
+        instance, reference = sliced_instance(), sliced_instance(fast=False)
+        flows = [make_packet(1, 2 + i) for i in range(4)]
+        for arm in (instance, reference):
+            drive(arm, copy.deepcopy(flows))
+        assert len(remembered(instance, "acl")) == len(remembered(instance, "l3")) == 4
+        for arm in (instance, reference):
+            arm.rules["acl"].insert(acl_rule(src=1))
+        assert not remembered(instance, "acl")
+        assert len(remembered(instance, "l3")) == 4
+        for arm in (instance, reference):
+            after = [make_packet(1, 2) for _ in range(3)]
+            drive(arm, after, [1.0] * 3)
+            assert all(packet.verdict is Verdict.DROP for packet in after)
+        assert remembered(instance, "acl")[1, 2] == (ActionCall("drop"), len(instance.rules["acl"]) - 1)
+        assert_counters_equal(reference, instance)
 
     def test_new_instance_starts_cold(self):
-        """Entries hold counter references into one instance's tables;
-        a different instance (even of the same version) re-records."""
-        cache = FlowCache()
+        """Decisions live in the instance's own tables: a second
+        instance of the same version decides for itself."""
         first, second = sliced_instance(), sliced_instance()
         packets = [make_packet(1, 2) for _ in range(3)]
-        drive(cache, first, copy.deepcopy(packets))
-        drive(cache, second, copy.deepcopy(packets))
-        assert cache.stats.misses == 2 and cache.stats.invalidations == 0
+        drive(first, copy.deepcopy(packets))
+        assert remembered(first, "acl") and not remembered(second, "acl")
+        drive(second, copy.deepcopy(packets))
         reference, _, _ = reference_run(packets, [0.0] * 3)
         assert_counters_equal(reference, first)
         assert_counters_equal(reference, second)
 
 
 # ---------------------------------------------------------------------------
-# The memo behind DeviceRuntime.process
+# Behind DeviceRuntime.process
 # ---------------------------------------------------------------------------
 
 
-def device_for(name, program, hosted, engine=EngineConfig()):
+def device_for(name, program, hosted, engine):
     device = DeviceRuntime(name, drmt_switch(name), engine=engine)
     device.install(program, hosted_elements=set(hosted))
+    fastpath.seeded_rules(program, device.active_instance, seed=5)
     return device
 
 
-def cached_device(program=None, hosted=None):
+def device_pair(program=None, hosted=None):
+    """The same seeded slice on a compiled-engine device and on the
+    interpreter device it is checked against."""
     program = program or base_infrastructure()
-    hosted = hosted if hosted is not None else stateless_slice(program)
-    return device_for("sw1", program, hosted, EngineConfig(memo=True))
+    hosted = hosted if hosted is not None else map_free_slice(program)
+    return (
+        device_for("sw1", program, hosted, EngineConfig(fastpath=True)),
+        device_for("sw1", program, hosted, EngineConfig()),
+    )
 
 
-def plain_device(program=None, hosted=None):
-    program = program or base_infrastructure()
-    hosted = hosted if hosted is not None else stateless_slice(program)
-    return device_for("ref", program, hosted)
+def assert_same_hop(device, reference, packet, now):
+    mine, theirs = copy.deepcopy(packet), copy.deepcopy(packet)
+    assert device.process(mine, now) == reference.process(theirs, now)
+    assert mine.verdict is theirs.verdict, now
+    assert mine.fields == theirs.fields
+    assert mine.meta == theirs.meta
+    return mine
 
 
 class TestDeviceFlowCache:
     def test_hits_and_identical_outcomes(self):
-        plain = plain_device()
-        device = cached_device()
+        device, plain = device_pair()
         flows = [make_packet(i % 8, 100 + i % 8) for i in range(64)]
         for i, packet in enumerate(flows):
-            mine, theirs = copy.deepcopy(packet), copy.deepcopy(packet)
-            device.process(mine, i * 1e-4)
-            plain.process(theirs, i * 1e-4)
-            assert mine.verdict is theirs.verdict
-            assert mine.fields == theirs.fields
-            assert mine.meta == theirs.meta
-        stats = device.flow_cache.stats
-        assert stats.hits > 0 and stats.bypasses == 0
+            assert_same_hop(device, plain, packet, i * 1e-4)
+        assert len(remembered(device.active_instance, "acl")) == 8
+        assert not remembered(plain.active_instance, "l2")
         assert device.stats.total_ops == plain.stats.total_ops
 
     def test_table_counters_replayed(self):
-        device = cached_device()
-        reference = plain_device()
+        device, reference = device_pair()
         for i in range(30):
-            packet = make_packet(i % 3, 50)
-            device.process(copy.deepcopy(packet), i * 1e-4)
-            reference.process(copy.deepcopy(packet), i * 1e-4)
+            assert_same_hop(device, reference, make_packet(i % 3, 50), i * 1e-4)
         assert_counters_equal(reference.active_instance, device.active_instance)
+        acl = device.active_instance.rules["acl"]
+        assert sum(acl.hit_counts) + acl.miss_count == 30  # 3 decided, 27 remembered
+        assert len(remembered(device.active_instance, "acl")) == 3
 
     def test_rule_insert_invalidates(self):
-        device = cached_device()
+        device, reference = device_pair()
         blocked = make_packet(0xBAD, 7)
-        device.process(copy.deepcopy(blocked), 0.0)
-        device.process(copy.deepcopy(blocked), 1e-4)  # memoized now
-        assert device.flow_cache.stats.hits >= 1
-        P4RuntimeClient(device).insert_entry(
-            TableEntry(
-                table="acl",
-                matches=(ternary(0xBAD, 0xFFFFFFFF), ternary(0, 0)),
-                action="drop",
-                priority=9,
+        for now in (0.0, 1e-4):
+            assert assert_same_hop(device, reference, blocked, now).verdict is Verdict.FORWARD
+        assert acl_key(blocked) in remembered(device.active_instance, "acl")
+        for arm in (device, reference):
+            P4RuntimeClient(arm).insert_entry(
+                TableEntry(
+                    table="acl",
+                    matches=(ternary(0xBAD, 0xFFFFFFFF), ternary(0, 0)),
+                    action="drop",
+                    priority=9,
+                )
             )
-        )
-        after = copy.deepcopy(blocked)
-        device.process(after, 2e-4)
-        assert after.verdict is Verdict.DROP  # not the stale FORWARD
-        assert device.flow_cache.stats.invalidations >= 1
+        after = assert_same_hop(device, reference, blocked, 2e-4)
+        assert after.verdict is Verdict.DROP  # not the remembered FORWARD
 
     def test_rule_remove_invalidates(self):
-        device = cached_device()
-        rule = Rule(
-            matches=(ternary(0xBAD, 0xFFFFFFFF), ternary(0, 0)),
-            action=ActionCall("drop"),
-            priority=9,
-        )
-        device.active_instance.rules["acl"].insert(rule)
+        device, reference = device_pair()
+        rule = acl_rule()
+        for arm in (device, reference):
+            arm.active_instance.rules["acl"].insert(rule)
         blocked = make_packet(0xBAD, 7)
-        device.process(copy.deepcopy(blocked), 0.0)
-        device.process(copy.deepcopy(blocked), 1e-4)
-        device.active_instance.rules["acl"].remove(rule)
-        after = copy.deepcopy(blocked)
-        device.process(after, 2e-4)
+        for now in (0.0, 1e-4):
+            assert assert_same_hop(device, reference, blocked, now).verdict is Verdict.DROP
+        for arm in (device, reference):
+            assert arm.active_instance.rules["acl"].remove(rule)
+        after = assert_same_hop(device, reference, blocked, 2e-4)
         assert after.verdict is Verdict.FORWARD
-
-    def test_meter_set_forces_bypass_and_clear_resumes(self):
-        device = cached_device()
-        packet = make_packet(1, 2)
-        device.process(copy.deepcopy(packet), 0.0)
-        device.process(copy.deepcopy(packet), 1e-4)
-        hits_before = device.flow_cache.stats.hits
-        assert hits_before >= 1
-
-        table = device.active_instance.rules["acl"]
-        table.meter = Meter(MeterConfig(rate_pps=1000.0, burst_packets=10.0))
-        device.process(copy.deepcopy(packet), 2e-4)
-        assert device.flow_cache.stats.bypasses >= 1
-
-        table.meter = None  # detach: the memo resumes
-        device.process(copy.deepcopy(packet), 3e-4)
-        device.process(copy.deepcopy(packet), 4e-4)
-        assert device.flow_cache.stats.hits > hits_before
+        assert_counters_equal(reference.active_instance, device.active_instance)
 
     def test_map_write_invalidates_via_mutation_counter(self):
-        """A control-plane write to a map the program *reads* must drop
-        memoized outcomes (the map's mutation counter is in the token)."""
+        """A control-plane write to a map the program *reads* shows in
+        the very next verdict: tables remember rules, and nothing
+        remembers a map (its mutation counter still ticks per write)."""
         from repro.apps.base import standard_builder
         from repro.lang import builder as b
 
@@ -309,64 +263,51 @@ class TestDeviceFlowCache:
         )
         builder.apply("check")
         program = builder.build()
-        assert decide(program).cacheable  # read-only: whole program memoizes
 
-        device = cached_device(program)
+        device, reference = device_pair(program, hosted={"check"})
         packet = make_packet(5, 2)
-        device.process(copy.deepcopy(packet), 0.0)
-        cached = copy.deepcopy(packet)
-        device.process(cached, 1e-4)
-        assert cached.verdict is Verdict.FORWARD
-        assert device.flow_cache.stats.hits >= 1
-
-        device.active_instance.maps.state("blocked").put((5,), 1)
-        after = copy.deepcopy(packet)
-        device.process(after, 2e-4)
-        assert after.verdict is Verdict.DROP  # not the stale FORWARD
-        assert device.flow_cache.stats.invalidations >= 1
+        for now in (0.0, 1e-4):
+            assert assert_same_hop(device, reference, packet, now).verdict is Verdict.FORWARD
+        for arm in (device, reference):
+            state = arm.active_instance.maps.state("blocked")
+            writes = state.mutation_count
+            state.put((5,), 1)
+            assert state.mutation_count == writes + 1
+        after = assert_same_hop(device, reference, packet, 2e-4)
+        assert after.verdict is Verdict.DROP  # not a stale FORWARD
 
     def test_mid_run_reconfig_no_stale_verdicts(self):
         program = base_infrastructure()
-        hosted = stateless_slice(program)
-        device = cached_device(program, hosted)
-        reference = plain_device(program, hosted)
+        device, reference = device_pair(program)
 
         flows = [make_packet(i % 6, 40 + i % 6) for i in range(24)]
         for i, packet in enumerate(flows):
-            device.process(copy.deepcopy(packet), i * 1e-4)
-            reference.process(copy.deepcopy(packet), i * 1e-4)
+            assert_same_hop(device, reference, packet, i * 1e-4)
 
         patched, _ = apply_delta(program, firewall_delta())
-        new_hosted = stateless_slice(patched)
-        device.begin_hitless_update(patched, now=1.0, duration_s=0.2,
-                                    hosted_elements=set(new_hosted))
-        reference.begin_hitless_update(patched, now=1.0, duration_s=0.2,
-                                       hosted_elements=set(new_hosted))
-        assert len(device.flow_cache) == 0  # dropped wholesale on program change
+        new_hosted = map_free_slice(patched)
+        for arm in (device, reference):
+            arm.begin_hitless_update(patched, now=1.0, duration_s=0.2,
+                                     hosted_elements=set(new_hosted))
         assert device.staged_instance.fastpath_enabled
+        # Both versions run over one physical ``acl``: what it remembers
+        # depends on its rules alone, so the open window keeps it.
+        assert device.staged_instance.rules["acl"] is device.active_instance.rules["acl"]
+        assert len(remembered(device.staged_instance, "acl")) == 6
 
-        # During and after the window, memoized and plain agree packet
-        # for packet (the memo is bypassed mid-transition, then re-keys).
-        hits_at_update = device.flow_cache.stats.hits
+        # During and after the window the two devices agree packet for
+        # packet, the new version's ``fw_block`` included.
         for i, packet in enumerate(flows * 2):
-            now = 1.05 + i * 0.01
-            mine, theirs = copy.deepcopy(packet), copy.deepcopy(packet)
-            device.process(mine, now)
-            reference.process(theirs, now)
-            assert mine.verdict is theirs.verdict, (i, now)
-            assert mine.fields == theirs.fields
-            assert mine.meta == theirs.meta
-        assert device.flow_cache.stats.hits > hits_at_update
+            assert_same_hop(device, reference, packet, 1.05 + i * 0.01)
+        assert not device.in_transition
+        assert len(remembered(device.active_instance, "fw_block")) == 6
+        assert_counters_equal(reference.active_instance, device.active_instance)
 
     def test_engine_change_applies_to_live_instances(self):
-        device = plain_device()
-        assert device.flow_cache is None
+        _, device = device_pair()
         assert not device.active_instance.fastpath_enabled
-        device.engine = EngineConfig(memo=True)
-        assert device.active_instance.fastpath_enabled
-        assert device.flow_cache is not None
         device.engine = EngineConfig(fastpath=True)
-        assert device.active_instance.fastpath_enabled and device.flow_cache is None
+        assert device.active_instance.fastpath_enabled
         device.engine = EngineConfig()
         packet = make_packet(1, 2)
         device.process(packet, 0.0)  # back on the interpreter

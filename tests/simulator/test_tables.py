@@ -144,32 +144,70 @@ class TestMatchesKeyArity:
             rules.lookup((1,))
 
 
+#: ``table_def``'s default action, which a miss returns.
+MISS = ActionCall(action="allow")
+
+
 class TestEpoch:
-    def test_mutations_bump_epoch(self):
-        rules = TableRules(table_def())
-        start = rules.epoch
-        rule = Rule(matches=(exact(1),), action=ActionCall(action="deny"))
+    """What a non-exact table remembers, and what makes it forget (the
+    class and its ids predate the mutation epoch's removal)."""
+
+    @staticmethod
+    def decided_table():
+        rules = TableRules(table_def(kinds=("ternary",)))
+        rule = Rule(matches=(ternary(1, 0xFF),), action=ActionCall(action="deny"))
         rules.insert(rule)
-        assert rules.epoch == start + 1
+        assert rules.lookup((1,)) == rule.action and rules.lookup((9,)) == MISS
+        assert rules._decided == {(1,): (rule.action, 0), (9,): None}
+        return rules, rule
+
+    def test_mutations_bump_epoch(self):
+        """Insert, remove and clear each drop every decision."""
+        rules, rule = self.decided_table()
+        rules.insert(Rule(matches=(ternary(9, 0xFF),), action=ActionCall(action="deny")))
+        assert rules._decided == {}
+        assert rules.lookup((9,)) == ActionCall(action="deny")  # no longer the remembered miss
         rules.remove(rule)
-        assert rules.epoch == start + 2
+        assert rules._decided == {}
+        assert rules.lookup((1,)) == MISS and rules.lookup((9,)) != MISS
         rules.clear()
-        assert rules.epoch == start + 3
+        assert rules._decided == {}
+        assert rules.lookup((9,)) == MISS
+        assert (rules.hit_counts, rules.miss_count) == ([], 3)
 
     def test_meter_attach_detach_bumps_epoch(self):
+        """A meter colours hits; it decides nothing, so nothing is dropped."""
         from repro.simulator.meters import Meter, MeterConfig
 
-        rules = TableRules(table_def())
-        start = rules.epoch
+        rules, rule = self.decided_table()
+        before = dict(rules._decided)
         rules.meter = Meter(MeterConfig(rate_pps=10.0, burst_packets=5.0))
-        assert rules.epoch == start + 1
+        assert rules._decided == before and rules.lookup((1,)) == rule.action
         rules.meter = None
-        assert rules.epoch == start + 2
+        assert rules._decided == before and rules.lookup((9,)) == MISS
+        assert (rules.hit_counts, rules.miss_count) == ([2], 2)
 
     def test_lookup_does_not_bump_epoch(self):
-        rules = TableRules(table_def())
-        rules.insert(Rule(matches=(exact(1),), action=ActionCall(action="deny")))
-        start = rules.epoch
+        """A lookup adds its own key and leaves the others; an exact
+        table's index answers and nothing is remembered."""
+        rules, _ = self.decided_table()
         rules.lookup((1,))
-        rules.lookup((9,))
-        assert rules.epoch == start
+        rules.lookup((7,))
+        assert list(rules._decided) == [(1,), (9,), (7,)]
+        exact_rules = TableRules(table_def())
+        exact_rules.insert(Rule(matches=(exact(1),), action=ActionCall(action="deny")))
+        exact_rules.lookup((1,))
+        exact_rules.lookup((9,))
+        assert exact_rules._decided == {}
+
+    def test_decisions_are_bounded_first_in_first_out(self, monkeypatch):
+        from repro.simulator import tables
+
+        monkeypatch.setattr(tables, "TABLE_MEMO_CAPACITY", 3)
+        rules, rule = self.decided_table()
+        for value in (2, 1, 3):  # the repeat of 1 does not refresh it: 1 goes, not 9
+            rules.lookup((value,))
+        assert list(rules._decided) == [(9,), (2,), (3,)]
+        assert rules.lookup((1,)) == rule.action  # forgotten, decided again
+        assert list(rules._decided) == [(2,), (3,), (1,)]
+        assert (rules.hit_counts, rules.miss_count) == ([3], 3)
