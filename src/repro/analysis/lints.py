@@ -97,9 +97,7 @@ def check_lints(program: ir.Program, dataflow: DataflowInfo) -> list[Finding]:
     # -- unused actions ----------------------------------------------------
     listed: set[str] = set()
     for table in program.tables:
-        listed.update(table.actions)
-        if table.default_action is not None:
-            listed.add(table.default_action.action)
+        listed.update(table.invocable)
     for action in program.actions:
         if action.name not in listed:
             findings.append(

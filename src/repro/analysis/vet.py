@@ -232,10 +232,7 @@ def _collect_accesses(
     for table in program.tables:
         if table.name not in executed:
             continue
-        action_names = set(table.actions)
-        if table.default_action is not None:
-            action_names.add(table.default_action.action)
-        for action_name in sorted(action_names):
+        for action_name in sorted(table.invocable):
             action = program.action(action_name)
             env = {
                 param: (_OPAQUE, f"action argument {param!r}")

@@ -39,7 +39,7 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from repro.errors import ChannelError, ControlPlaneError, FlexNetError, StaleEpochError
-from repro.lang.composition import TenantSpec
+from repro.lang.composition import TenantSpec, shared_field_writes
 from repro.lang.ir import Program
 from repro.limits import (
     ADMISSION_CLASS_POLICIES,
@@ -306,9 +306,8 @@ class Coalescer:
         report = vet(extension)
         pinned = any(not group.shardable for group in report.groups)
         local = {h.name for h in extension.headers} - set(_STANDARD_HEADER_NAMES)
-        writes: set[str] = set()
-        _collect_shared_writes(extension, local, writes)
-        profile = (pinned, frozenset(writes))
+        writes = frozenset(str(ref) for ref in shared_field_writes(extension, local))
+        profile = (pinned, writes)
         self._vet_cache[id(extension)] = profile
         return profile
 
@@ -359,28 +358,6 @@ class Coalescer:
 
 
 _STANDARD_HEADER_NAMES = ("ethernet", "ipv4", "tcp")
-
-
-def _collect_shared_writes(program: Program, local_headers: set[str], sink: set[str]) -> None:
-    """Mirror of the composer's shared-field-write walk: fields of
-    non-tenant-local headers assigned anywhere in the extension."""
-    from repro.lang import ir
-
-    def walk(body) -> None:
-        for statement in body:
-            if isinstance(statement, ir.Assign) and isinstance(statement.target, ir.FieldRef):
-                if statement.target.header not in local_headers:
-                    sink.add(str(statement.target))
-            elif isinstance(statement, ir.If):
-                walk(statement.then_body)
-                walk(statement.else_body)
-            elif isinstance(statement, ir.Repeat):
-                walk(statement.body)
-
-    for action in program.actions:
-        walk(action.body)
-    for function in program.functions:
-        walk(function.body)
 
 
 @dataclass

@@ -30,7 +30,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 from repro.lang.analyzer import Certificate, ElementProfile
-from repro.lang.ir import ApplyFunction, ApplyStep, ApplyTable, Program
+from repro.lang.ir import ApplyFunction, ApplyStep, ApplyTable, FieldRef, Program
 from repro.targets.base import FungibilityClass, Target
 from repro.targets.resources import ResourceVector
 from repro.targets.rmt import stage_capacity
@@ -72,7 +72,7 @@ def ordered_elements(program: Program) -> list[str]:
 def element_conflicts(program: Program, certificate: Certificate) -> set[tuple[str, str]]:
     """Pairs of elements with a data dependency (same map, or write/read
     of the same header field), which RMT must separate into stages."""
-    touched_fields: dict[str, set[str]] = {}
+    touched_fields: dict[str, frozenset[FieldRef]] = {}
     touched_maps: dict[str, set[str]] = {}
 
     for name, profile in certificate.profiles.items():
@@ -80,13 +80,11 @@ def element_conflicts(program: Program, certificate: Certificate) -> set[tuple[s
             touched_maps[name] = set(profile.map_reads) | set(profile.map_writes)
 
     for table in program.tables:
-        fields = {str(key.field) for key in table.keys}
-        for action_name in table.actions:
-            fields |= _written_fields(program.action(action_name).body)
-        touched_fields[table.name] = fields
+        touched_fields[table.name] = frozenset(key.field for key in table.keys).union(
+            *(program.action(name).access.field_writes for name in table.invocable)
+        )
     for function in program.functions:
-        fields = _read_fields(function.body) | _written_fields(function.body)
-        touched_fields[function.name] = fields
+        touched_fields[function.name] = function.access.field_reads | function.access.field_writes
 
     names = sorted(touched_fields)
     conflicts: set[tuple[str, str]] = set()
@@ -97,59 +95,6 @@ def element_conflicts(program: Program, certificate: Certificate) -> set[tuple[s
             elif touched_maps.get(first, set()) & touched_maps.get(second, set()):
                 conflicts.add((first, second))
     return conflicts
-
-
-def _written_fields(body) -> set[str]:
-    from repro.lang import ir
-
-    fields: set[str] = set()
-    for stmt in body:
-        if isinstance(stmt, ir.Assign) and isinstance(stmt.target, ir.FieldRef):
-            fields.add(str(stmt.target))
-        elif isinstance(stmt, ir.If):
-            fields |= _written_fields(stmt.then_body)
-            fields |= _written_fields(stmt.else_body)
-        elif isinstance(stmt, ir.Repeat):
-            fields |= _written_fields(stmt.body)
-    return fields
-
-
-def _read_fields(body) -> set[str]:
-    from repro.lang import ir
-
-    fields: set[str] = set()
-
-    def walk_expr(expr) -> None:
-        if isinstance(expr, ir.FieldRef):
-            fields.add(str(expr))
-        elif isinstance(expr, ir.BinOp):
-            walk_expr(expr.left)
-            walk_expr(expr.right)
-        elif isinstance(expr, ir.UnOp):
-            walk_expr(expr.operand)
-        elif isinstance(expr, (ir.MapGet, ir.HashExpr)):
-            for part in expr.key if isinstance(expr, ir.MapGet) else expr.args:
-                walk_expr(part)
-
-    for stmt in body:
-        if isinstance(stmt, (ir.Let, ir.Assign)):
-            walk_expr(stmt.value)
-        elif isinstance(stmt, ir.MapPut):
-            for part in (*stmt.key, stmt.value):
-                walk_expr(part)
-        elif isinstance(stmt, ir.MapDelete):
-            for part in stmt.key:
-                walk_expr(part)
-        elif isinstance(stmt, ir.If):
-            walk_expr(stmt.condition)
-            fields.update(_read_fields(stmt.then_body))
-            fields.update(_read_fields(stmt.else_body))
-        elif isinstance(stmt, ir.Repeat):
-            fields.update(_read_fields(stmt.body))
-        elif isinstance(stmt, ir.PrimitiveCall):
-            for arg in stmt.args:
-                walk_expr(arg)
-    return fields
 
 
 # ---------------------------------------------------------------------------

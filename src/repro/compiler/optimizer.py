@@ -97,13 +97,10 @@ class TableMerger:
         """A merge is illegal when the first table's actions write fields
         the second table matches on (the combined lookup would read
         pre-modification values)."""
-        written: set[str] = set()
-        for action_name in first.actions:
-            for stmt in program.action(action_name).body:
-                if isinstance(stmt, ir.Assign) and isinstance(stmt.target, ir.FieldRef):
-                    written.add(str(stmt.target))
-        matched = {str(key.field) for key in second.keys}
-        return bool(written & matched)
+        matched = {key.field for key in second.keys}
+        return any(
+            program.action(name).access.field_writes & matched for name in first.invocable
+        )
 
     def evaluate(
         self, program: ir.Program, candidate: MergeCandidate, target: Target

@@ -484,7 +484,6 @@ class FlexNet:
         packets: list[TimedPacket] | None = None,
         seed: int = 2024,
         drain_s: float = 1.0,
-        colocate_below_s: float | None = None,
         chaos=None,
         checkpoint_every: int | None = None,
     ):
@@ -520,7 +519,6 @@ class FlexNet:
             backend=backend,
             seed=seed,
             drain_s=drain_s,
-            colocate_below_s=colocate_below_s,
             chaos=chaos,
             checkpoint_every=checkpoint_every,
         )

@@ -7,14 +7,22 @@ certification:
 
 * **Bounded execution** — every function/action body has a statically
   computable worst-case operation count (possible because the only loop
-  form is ``repeat <const>``); the per-packet bound is the sum over the
-  apply block.
+  form is ``repeat <const>``); a table costs one lookup plus the worst
+  action it may run (:attr:`~repro.lang.ir.TableDef.invocable` — its
+  default included, listed or not); the per-packet bound is the sum over
+  the apply block, times ``1 + RECIRCULATION_CAP`` when anything
+  applied recirculates.
 * **Well-behavedness** — no writes to parser-select fields after
   parsing, drop decisions are final, map footprints are declared, and
   recirculation depth is bounded.
 * **Resource profile** — per-element statistics (operation counts, map
   footprints, table sizes) that the compiler turns into per-target
   demand vectors.
+
+Only the cost model walks statements here. What a body reads and writes
+— its maps, whether it recirculates, whether it assigns a parser-select
+field — is read off the node's footprint
+(:attr:`~repro.lang.ir.ActionDef.access`).
 
 The analyzer returns a :class:`Certificate` — an immutable report that
 the admission pipeline (:class:`repro.core.flexnet.FlexNet`) checks
@@ -132,34 +140,26 @@ class Analyzer:
             )
 
         for action in program.actions:
-            profiles[action.name] = carried.get(action.name) or self._body_profile(
-                program, action.name, "action", action.body
-            )
+            profiles[action.name] = carried.get(action.name) or _body_profile(action, "action")
 
         for table in program.tables:
-            profiles[table.name] = carried.get(table.name) or ElementProfile(
-                name=table.name,
-                kind="table",
-                # one lookup + worst action
-                max_ops=1 + max((profiles[a].max_ops for a in table.actions), default=0),
-                table_entries=table.size,
-                key_bits=program.table_key_bits(table),
-                is_ternary=table.is_ternary,
-                is_stateful=any(profiles[a].is_stateful for a in table.actions),
-                map_reads=tuple(
-                    sorted({m for a in table.actions for m in profiles[a].map_reads})
-                ),
-                map_writes=tuple(
-                    sorted({m for a in table.actions for m in profiles[a].map_writes})
-                ),
+            profiles[table.name] = carried.get(table.name) or _table_profile(
+                program, table, profiles
             )
 
         for function in program.functions:
-            profiles[function.name] = carried.get(function.name) or self._body_profile(
-                program, function.name, "function", function.body
+            profiles[function.name] = carried.get(function.name) or _body_profile(
+                function, "function"
             )
 
-        max_packet_ops, recirculates = self._apply_cost(program, program.apply, profiles)
+        # Recirculation is a fact of each body's footprint; a table
+        # recirculates when an action it may run does.
+        by_action = {a.name for a in program.actions if _recirculates(a)}
+        recirculating = {f.name for f in program.functions if _recirculates(f)}
+        recirculating.update(
+            t.name for t in program.tables if not by_action.isdisjoint(t.invocable)
+        )
+        max_packet_ops, recirculates = _apply_cost(program.apply, profiles, recirculating)
         if program.parser is not None:
             max_packet_ops += program.parser.state_count
         if recirculates:
@@ -180,7 +180,7 @@ class Analyzer:
                 f"over the {self._max_map_entries} admission bound"
             )
 
-        self._check_well_behaved(program)
+        _check_well_behaved(program)
 
         return Certificate(
             program_name=program.name,
@@ -191,178 +191,131 @@ class Analyzer:
             profiles=profiles,
         )
 
-    # -- cost computation ----------------------------------------------------
 
-    def _body_profile(
-        self, program: ir.Program, name: str, kind: str, body: tuple[ir.Stmt, ...]
-    ) -> ElementProfile:
-        ops, reads, writes = self._body_cost(program, body)
-        return ElementProfile(
-            name=name,
-            kind=kind,
-            max_ops=ops,
-            map_reads=tuple(sorted(reads)),
-            map_writes=tuple(sorted(writes)),
-            is_stateful=bool(reads or writes),
+def _table_profile(
+    program: ir.Program, table: ir.TableDef, profiles: dict[str, ElementProfile]
+) -> ElementProfile:
+    """One lookup plus the worst action the table may run, and the
+    union of what those actions touch."""
+    invocable = [profiles[name] for name in table.invocable]
+    return ElementProfile(
+        name=table.name,
+        kind="table",
+        max_ops=1 + max((p.max_ops for p in invocable), default=0),
+        table_entries=table.size,
+        key_bits=program.table_key_bits(table),
+        is_ternary=table.is_ternary,
+        is_stateful=any(p.is_stateful for p in invocable),
+        map_reads=tuple(sorted({m for p in invocable for m in p.map_reads})),
+        map_writes=tuple(sorted({m for p in invocable for m in p.map_writes})),
+    )
+
+
+def _body_profile(node: ir.ActionDef | ir.FunctionDef, kind: str) -> ElementProfile:
+    """Worst-case op count from the cost model; the map footprint from
+    the node's own :attr:`~repro.lang.ir.ActionDef.access`."""
+    access = node.access
+    return ElementProfile(
+        name=node.name,
+        kind=kind,
+        max_ops=_body_cost(node.body),
+        map_reads=tuple(sorted(access.map_reads)),
+        map_writes=tuple(sorted(access.map_writes)),
+        is_stateful=bool(access.maps),
+    )
+
+
+def _recirculates(node: ir.ActionDef | ir.FunctionDef) -> bool:
+    return "_recirculate" in node.access.meta_writes
+
+
+def _apply_cost(
+    steps: tuple[ir.ApplyStep, ...],
+    profiles: dict[str, ElementProfile],
+    recirculating: set[str],
+) -> tuple[int, bool]:
+    """Worst-case ops of an apply block, and whether any element it
+    applies is in ``recirculating``."""
+    total = 0
+    recirculates = False
+    for step in steps:
+        if isinstance(step, ir.ApplyIf):
+            then_cost, then_recirc = _apply_cost(step.then_steps, profiles, recirculating)
+            else_cost, else_recirc = _apply_cost(step.else_steps, profiles, recirculating)
+            total += 1 + max(then_cost, else_cost)
+            recirculates |= then_recirc or else_recirc
+        else:
+            name = step.table if isinstance(step, ir.ApplyTable) else step.function
+            total += profiles[name].max_ops
+            recirculates |= name in recirculating
+    return total, recirculates
+
+
+# -- the cost model -----------------------------------------------------------
+
+
+def _body_cost(body: tuple[ir.Stmt, ...]) -> int:
+    """Worst-case op count of a body."""
+    return sum(_stmt_cost(stmt) for stmt in body)
+
+
+def _stmt_cost(stmt: ir.Stmt) -> int:
+    if isinstance(stmt, (ir.Let, ir.Assign)):
+        return 1 + _expr_cost(stmt.value)
+    if isinstance(stmt, ir.MapPut):
+        return 4 + sum(_expr_cost(part) for part in (*stmt.key, stmt.value))
+    if isinstance(stmt, ir.MapDelete):
+        return 4 + sum(_expr_cost(part) for part in stmt.key)
+    if isinstance(stmt, ir.If):
+        return (
+            1
+            + _expr_cost(stmt.condition)
+            + max(_body_cost(stmt.then_body), _body_cost(stmt.else_body))
         )
-
-    def _apply_cost(
-        self,
-        program: ir.Program,
-        steps: tuple[ir.ApplyStep, ...],
-        profiles: dict[str, ElementProfile],
-    ) -> tuple[int, bool]:
-        total = 0
-        recirculates = False
-        for step in steps:
-            if isinstance(step, ir.ApplyTable):
-                total += profiles[step.table].max_ops
-                recirculates |= self._table_recirculates(program, step.table)
-            elif isinstance(step, ir.ApplyFunction):
-                total += profiles[step.function].max_ops
-                recirculates |= _body_recirculates(program.function(step.function).body)
-            else:
-                then_cost, then_recirc = self._apply_cost(program, step.then_steps, profiles)
-                else_cost, else_recirc = self._apply_cost(program, step.else_steps, profiles)
-                total += 1 + max(then_cost, else_cost)
-                recirculates |= then_recirc or else_recirc
-        return total, recirculates
-
-    def _table_recirculates(self, program: ir.Program, table_name: str) -> bool:
-        table = program.table(table_name)
-        return any(_body_recirculates(program.action(a).body) for a in table.actions)
-
-    def _body_cost(
-        self, program: ir.Program, body: tuple[ir.Stmt, ...]
-    ) -> tuple[int, set[str], set[str]]:
-        """Worst-case op count plus the map read/write sets of a body."""
-        total = 0
-        reads: set[str] = set()
-        writes: set[str] = set()
-        for stmt in body:
-            cost, stmt_reads, stmt_writes = self._stmt_cost(program, stmt)
-            total += cost
-            reads |= stmt_reads
-            writes |= stmt_writes
-        return total, reads, writes
-
-    def _stmt_cost(self, program: ir.Program, stmt: ir.Stmt) -> tuple[int, set[str], set[str]]:
-        if isinstance(stmt, ir.Let):
-            cost, reads = self._expr_cost(stmt.value)
-            return 1 + cost, reads, set()
-        if isinstance(stmt, ir.Assign):
-            cost, reads = self._expr_cost(stmt.value)
-            return 1 + cost, reads, set()
-        if isinstance(stmt, ir.MapPut):
-            cost = 4
-            reads: set[str] = set()
-            for part in (*stmt.key, stmt.value):
-                part_cost, part_reads = self._expr_cost(part)
-                cost += part_cost
-                reads |= part_reads
-            return cost, reads, {stmt.map_name}
-        if isinstance(stmt, ir.MapDelete):
-            cost = 4
-            reads = set()
-            for part in stmt.key:
-                part_cost, part_reads = self._expr_cost(part)
-                cost += part_cost
-                reads |= part_reads
-            return cost, reads, {stmt.map_name}
-        if isinstance(stmt, ir.If):
-            cond_cost, cond_reads = self._expr_cost(stmt.condition)
-            then_cost, then_reads, then_writes = self._body_cost(program, stmt.then_body)
-            else_cost, else_reads, else_writes = self._body_cost(program, stmt.else_body)
-            return (
-                1 + cond_cost + max(then_cost, else_cost),
-                cond_reads | then_reads | else_reads,
-                then_writes | else_writes,
-            )
-        if isinstance(stmt, ir.Repeat):
-            body_cost, reads, writes = self._body_cost(program, stmt.body)
-            return 1 + stmt.count * body_cost, reads, writes
-        if isinstance(stmt, ir.PrimitiveCall):
-            cost = 2
-            reads = set()
-            for arg in stmt.args:
-                arg_cost, arg_reads = self._expr_cost(arg)
-                cost += arg_cost
-                reads |= arg_reads
-            return cost, reads, set()
-        raise AnalysisError(f"cannot cost statement {stmt!r}")  # pragma: no cover
-
-    def _expr_cost(self, expr: ir.Expr) -> tuple[int, set[str]]:
-        if isinstance(expr, ir.BinOp):
-            left_cost, left_reads = self._expr_cost(expr.left)
-            right_cost, right_reads = self._expr_cost(expr.right)
-            return 1 + left_cost + right_cost, left_reads | right_reads
-        if isinstance(expr, ir.UnOp):
-            cost, reads = self._expr_cost(expr.operand)
-            return 1 + cost, reads
-        if isinstance(expr, ir.MapGet):
-            cost = _EXPR_COST[ir.MapGet]
-            reads = {expr.map_name}
-            for part in expr.key:
-                part_cost, part_reads = self._expr_cost(part)
-                cost += part_cost
-                reads |= part_reads
-            return cost, reads
-        if isinstance(expr, ir.HashExpr):
-            cost = _EXPR_COST[ir.HashExpr]
-            reads: set[str] = set()
-            for arg in expr.args:
-                arg_cost, arg_reads = self._expr_cost(arg)
-                cost += arg_cost
-                reads |= arg_reads
-            return cost, reads
-        return _EXPR_COST.get(type(expr), 1), set()
-
-    # -- well-behavedness ------------------------------------------------------
-
-    def _check_well_behaved(self, program: ir.Program) -> None:
-        if program.parser is None:
-            return
-        select_fields = {
-            transition.select_field
-            for transition in program.parser.transitions
-            if transition.select_field is not None
-        }
-        if not select_fields:
-            return
-        for action in program.actions:
-            _forbid_select_writes(action.body, select_fields, f"action {action.name!r}")
-        for function in program.functions:
-            _forbid_select_writes(function.body, select_fields, f"function {function.name!r}")
+    if isinstance(stmt, ir.Repeat):
+        return 1 + stmt.count * _body_cost(stmt.body)
+    if isinstance(stmt, ir.PrimitiveCall):
+        return 2 + sum(_expr_cost(arg) for arg in stmt.args)
+    raise AnalysisError(f"cannot cost statement {stmt!r}")  # pragma: no cover
 
 
-def _forbid_select_writes(
-    body: tuple[ir.Stmt, ...], select_fields: set[ir.FieldRef], context: str
-) -> None:
-    for stmt in body:
-        if isinstance(stmt, ir.Assign) and isinstance(stmt.target, ir.FieldRef):
-            if stmt.target in select_fields:
+def _expr_cost(expr: ir.Expr) -> int:
+    if isinstance(expr, ir.BinOp):
+        return 1 + _expr_cost(expr.left) + _expr_cost(expr.right)
+    if isinstance(expr, ir.UnOp):
+        return 1 + _expr_cost(expr.operand)
+    if isinstance(expr, ir.MapGet):
+        return _EXPR_COST[ir.MapGet] + sum(_expr_cost(part) for part in expr.key)
+    if isinstance(expr, ir.HashExpr):
+        return _EXPR_COST[ir.HashExpr] + sum(_expr_cost(arg) for arg in expr.args)
+    return _EXPR_COST.get(type(expr), 1)
+
+
+# -- well-behavedness ---------------------------------------------------------
+
+
+def _check_well_behaved(program: ir.Program) -> None:
+    """No body writes a field the parser selects on (it would
+    desynchronize reparsing on recirculation). A body that writes
+    several names the first by ``str``."""
+    if program.parser is None:
+        return
+    select_fields = {
+        transition.select_field
+        for transition in program.parser.transitions
+        if transition.select_field is not None
+    }
+    if not select_fields:
+        return
+    for kind, nodes in (("action", program.actions), ("function", program.functions)):
+        for node in nodes:
+            written = node.access.field_writes & select_fields
+            if written:
                 raise AnalysisError(
-                    f"{context} writes parser-select field {stmt.target}; this would "
-                    "desynchronize reparsing on recirculation"
+                    f"{kind} {node.name!r} writes parser-select field "
+                    f"{min(written, key=str)}; this would desynchronize reparsing "
+                    "on recirculation"
                 )
-        elif isinstance(stmt, ir.If):
-            _forbid_select_writes(stmt.then_body, select_fields, context)
-            _forbid_select_writes(stmt.else_body, select_fields, context)
-        elif isinstance(stmt, ir.Repeat):
-            _forbid_select_writes(stmt.body, select_fields, context)
-
-
-def _body_recirculates(body: tuple[ir.Stmt, ...]) -> bool:
-    for stmt in body:
-        if isinstance(stmt, ir.PrimitiveCall) and stmt.name == "recirculate":
-            return True
-        if isinstance(stmt, ir.If) and (
-            _body_recirculates(stmt.then_body) or _body_recirculates(stmt.else_body)
-        ):
-            return True
-        if isinstance(stmt, ir.Repeat) and _body_recirculates(stmt.body):
-            return True
-    return False
 
 
 def certify(

@@ -20,12 +20,18 @@ admitted after access-control validation and isolated from each other
   the paper calls out).
 * **Conflict detection** — two extensions writing the same header field
   of shared headers is flagged; the composer refuses unless an explicit
-  priority order resolves it.
+  priority order resolves it. What a program writes to shared headers
+  is :func:`shared_field_writes`, a projection of its bodies'
+  footprints; FlexCloud's coalescer asks the same function.
+
+:func:`validate_extension` alone still walks statements: it reports the
+*first* violation in body order, which a set cannot.
 """
 
 from __future__ import annotations
 
 import fnmatch
+from collections.abc import Set
 from dataclasses import dataclass, field, replace
 
 from repro.errors import AccessControlError, CompositionError
@@ -87,37 +93,18 @@ class CompositionReport:
     conflicts: tuple[FieldConflict, ...]
 
 
-def _touches_maps(body: tuple[ir.Stmt, ...]) -> bool:
-    """True if the body reads or writes any map."""
-
-    def expr_touches(expression: ir.Expr) -> bool:
-        if isinstance(expression, ir.MapGet):
-            return True
-        if isinstance(expression, ir.BinOp):
-            return expr_touches(expression.left) or expr_touches(expression.right)
-        if isinstance(expression, ir.UnOp):
-            return expr_touches(expression.operand)
-        if isinstance(expression, ir.HashExpr):
-            return any(expr_touches(a) for a in expression.args)
-        return False
-
-    for statement in body:
-        if isinstance(statement, (ir.MapPut, ir.MapDelete)):
-            return True
-        if isinstance(statement, (ir.Let, ir.Assign)) and expr_touches(statement.value):
-            return True
-        if isinstance(statement, ir.If):
-            if expr_touches(statement.condition):
-                return True
-            if _touches_maps(statement.then_body) or _touches_maps(statement.else_body):
-                return True
-        if isinstance(statement, ir.Repeat) and _touches_maps(statement.body):
-            return True
-        if isinstance(statement, ir.PrimitiveCall) and any(
-            expr_touches(a) for a in statement.args
-        ):
-            return True
-    return False
+def shared_field_writes(
+    program: ir.Program, local_headers: Set[str] = frozenset()
+) -> frozenset[ir.FieldRef]:
+    """Header fields some action or function of ``program`` assigns,
+    leaving out the fields of ``local_headers`` (headers only this
+    program sees, which nobody else can conflict on)."""
+    return frozenset(
+        ref
+        for node in (*program.actions, *program.functions)
+        for ref in node.access.field_writes
+        if ref.header not in local_headers
+    )
 
 
 def _dedupe_functions(
@@ -298,7 +285,8 @@ def validate_extension(extension: ir.Program, tenant: TenantSpec, base: ir.Progr
                 check_body(statement.else_body, context)
             elif isinstance(statement, ir.Repeat):
                 check_body(statement.body, context)
-            for read in _map_reads_of(statement):
+            # Reads under a nested body passed in the recursion above.
+            for read in sorted(ir.access_of_body((statement,)).map_reads):
                 if read in local_maps:
                     continue
                 if read in base_maps and any(
@@ -314,39 +302,6 @@ def validate_extension(extension: ir.Program, tenant: TenantSpec, base: ir.Progr
         check_body(action.body, f"action {action.name!r}")
     for function in extension.functions:
         check_body(function.body, f"function {function.name!r}")
-
-
-def _map_reads_of(statement: ir.Stmt) -> set[str]:
-    reads: set[str] = set()
-
-    def walk_expr(expression: ir.Expr) -> None:
-        if isinstance(expression, ir.MapGet):
-            reads.add(expression.map_name)
-            for part in expression.key:
-                walk_expr(part)
-        elif isinstance(expression, ir.BinOp):
-            walk_expr(expression.left)
-            walk_expr(expression.right)
-        elif isinstance(expression, ir.UnOp):
-            walk_expr(expression.operand)
-        elif isinstance(expression, ir.HashExpr):
-            for arg in expression.args:
-                walk_expr(arg)
-
-    if isinstance(statement, (ir.Let, ir.Assign)):
-        walk_expr(statement.value)
-    elif isinstance(statement, ir.MapPut):
-        for part in (*statement.key, statement.value):
-            walk_expr(part)
-    elif isinstance(statement, ir.MapDelete):
-        for part in statement.key:
-            walk_expr(part)
-    elif isinstance(statement, ir.If):
-        walk_expr(statement.condition)
-    elif isinstance(statement, ir.PrimitiveCall):
-        for arg in statement.args:
-            walk_expr(arg)
-    return reads
 
 
 # ---------------------------------------------------------------------------
@@ -431,8 +386,9 @@ class Composer:
         parser = self._base.parser
 
         header_names = {h.name for h in headers}
-        field_writers: dict[ir.FieldRef, list[str]] = {}
-        self._collect_field_writes(self._base, "infrastructure", field_writers, set())
+        field_writers: dict[ir.FieldRef, set[str]] = {
+            ref: {"infrastructure"} for ref in shared_field_writes(self._base)
+        }
 
         for tenant_name in sorted(self._extensions):
             tenant, extension = self._extensions[tenant_name]
@@ -496,12 +452,13 @@ class Composer:
             tenant_local = {h.name for h in extension.headers} - {
                 h.name for h in self._base.headers
             }
-            self._collect_field_writes(extension, tenant.name, field_writers, tenant_local)
+            for ref in shared_field_writes(extension, tenant_local):
+                field_writers.setdefault(ref, set()).add(tenant.name)
 
         conflicts = tuple(
-            FieldConflict(field_ref=ref, writers=tuple(sorted(set(writers))))
+            FieldConflict(field_ref=ref, writers=tuple(sorted(writers)))
             for ref, writers in sorted(field_writers.items(), key=lambda kv: str(kv[0]))
-            if len({w for w in writers if w != "infrastructure"}) >= 2
+            if len(writers - {"infrastructure"}) >= 2
         )
         if conflicts:
             names = ", ".join(str(c.field_ref) for c in conflicts)
@@ -535,29 +492,6 @@ class Composer:
             conflicts=(),
         )
 
-    def _collect_field_writes(
-        self,
-        program: ir.Program,
-        owner: str,
-        sink: dict[ir.FieldRef, list[str]],
-        owner_local_headers: set[str],
-    ) -> None:
-        def walk(body: tuple[ir.Stmt, ...]) -> None:
-            for statement in body:
-                if isinstance(statement, ir.Assign) and isinstance(statement.target, ir.FieldRef):
-                    if statement.target.header not in owner_local_headers:
-                        sink.setdefault(statement.target, []).append(owner)
-                elif isinstance(statement, ir.If):
-                    walk(statement.then_body)
-                    walk(statement.else_body)
-                elif isinstance(statement, ir.Repeat):
-                    walk(statement.body)
-
-        for action in program.actions:
-            walk(action.body)
-        for function in program.functions:
-            walk(function.body)
-
     def _detect_shared_code(self) -> tuple[SharedCode, ...]:
         """Group structurally identical *stateless* tenant functions
         (same body ignoring the namespace prefix) as dedup candidates.
@@ -567,7 +501,7 @@ class Composer:
         by_shape: dict[str, list[str]] = {}
         for tenant_name, (_, extension) in sorted(self._extensions.items()):
             for function in extension.functions:
-                if _touches_maps(function.body):
+                if function.access.maps:
                     continue
                 shape = repr(function.body)
                 by_shape.setdefault(shape, []).append(_ns(tenant_name, function.name))

@@ -199,9 +199,9 @@ class RemoveElements(DeltaOp):
         functions = tuple(f for f in program.functions if f.name not in victims)
         maps = tuple(m for m in program.maps if m.name not in victims)
 
-        still_referenced = {a for t in tables for a in t.actions}
+        still_referenced = {a for t in tables for a in t.invocable}
         removed_table_actions = {
-            a for t in program.tables if t.name in victims for a in t.actions
+            a for t in program.tables if t.name in victims for a in t.invocable
         }
         orphaned = removed_table_actions - still_referenced
         actions = tuple(a for a in program.actions if a.name not in orphaned)

@@ -26,6 +26,14 @@ Design notes
   goes through, and a new version re-checks only the elements that are
   not its predecessor's own nodes resolving the same names to the same
   objects (:meth:`Program.unchanged_since`).
+* What a statement body reads, writes and names is derived in one place
+  (:class:`AccessSet`, collected by the one walk below) and kept on the
+  only nodes that own a body: ``ActionDef.access`` /
+  ``FunctionDef.access``. Every pass that asks a question of a body —
+  certification, data flow, composition, placement — reads a projection
+  of it, so a new statement or expression kind is taught to the
+  collector, not to each pass. Likewise "the actions a table may run"
+  is spelled once, :attr:`TableDef.invocable`.
 """
 
 from __future__ import annotations
@@ -245,6 +253,167 @@ Stmt = Let | Assign | MapPut | MapDelete | If | Repeat | PrimitiveCall
 
 
 # ---------------------------------------------------------------------------
+# Footprints
+# ---------------------------------------------------------------------------
+
+#: Metadata keys written by each datapath primitive, matching the keys
+#: the interpreter actually writes. ``emit_digest`` appends to the
+#: packet's digest list rather than metadata, so it is modelled as a
+#: write to the synthetic ``_digest`` key (``_``-prefixed keys are
+#: treated as non-shared state by the race pass).
+PRIMITIVE_META_WRITES: dict[str, tuple[str, ...]] = {
+    "mark_drop": ("drop_flag",),
+    "set_port": ("egress_port",),
+    "set_queue": ("queue_id",),
+    "emit_digest": ("_digest",),
+    "clone": ("clones",),
+    "recirculate": ("_recirculate",),
+    "no_op": (),
+}
+
+
+@dataclass(frozen=True)
+class AccessSet:
+    """Read/write footprint of one element (or a union of elements)."""
+
+    field_reads: frozenset[FieldRef] = frozenset()
+    field_writes: frozenset[FieldRef] = frozenset()
+    meta_reads: frozenset[str] = frozenset()
+    meta_writes: frozenset[str] = frozenset()
+    map_reads: frozenset[str] = frozenset()
+    map_writes: frozenset[str] = frozenset()
+
+    def __or__(self, other: "AccessSet") -> "AccessSet":
+        return AccessSet(
+            field_reads=self.field_reads | other.field_reads,
+            field_writes=self.field_writes | other.field_writes,
+            meta_reads=self.meta_reads | other.meta_reads,
+            meta_writes=self.meta_writes | other.meta_writes,
+            map_reads=self.map_reads | other.map_reads,
+            map_writes=self.map_writes | other.map_writes,
+        )
+
+    @property
+    def reads_anything(self) -> bool:
+        return bool(self.field_reads or self.meta_reads or self.map_reads)
+
+    @property
+    def writes_anything(self) -> bool:
+        return bool(self.field_writes or self.meta_writes or self.map_writes)
+
+    @property
+    def maps(self) -> frozenset[str]:
+        return self.map_reads | self.map_writes
+
+    def touches_map(self, map_name: str) -> bool:
+        return map_name in self.map_reads or map_name in self.map_writes
+
+    @property
+    def referents(self) -> frozenset[tuple[str, str]]:
+        """``(kind, name)`` of every header and map the footprint names
+        — the lookups ``Program._check_stmt`` / ``type_of`` resolve."""
+        named = {("header", ref.header) for ref in self.field_reads | self.field_writes}
+        named.update(("map", name) for name in self.maps)
+        return frozenset(named)
+
+    def to_dict(self) -> dict:
+        return {
+            "field_reads": sorted(str(f) for f in self.field_reads),
+            "field_writes": sorted(str(f) for f in self.field_writes),
+            "meta_reads": sorted(self.meta_reads),
+            "meta_writes": sorted(self.meta_writes),
+            "map_reads": sorted(self.map_reads),
+            "map_writes": sorted(self.map_writes),
+        }
+
+
+class _Collector:
+    """The one walk that says what a statement reads and writes: a
+    mutable accumulator of the six :class:`AccessSet` components. A
+    sound over-approximation — both branches of every ``If`` count."""
+
+    def __init__(self) -> None:
+        self.field_reads: set[FieldRef] = set()
+        self.field_writes: set[FieldRef] = set()
+        self.meta_reads: set[str] = set()
+        self.meta_writes: set[str] = set()
+        self.map_reads: set[str] = set()
+        self.map_writes: set[str] = set()
+
+    def freeze(self) -> AccessSet:
+        return AccessSet(
+            field_reads=frozenset(self.field_reads),
+            field_writes=frozenset(self.field_writes),
+            meta_reads=frozenset(self.meta_reads),
+            meta_writes=frozenset(self.meta_writes),
+            map_reads=frozenset(self.map_reads),
+            map_writes=frozenset(self.map_writes),
+        )
+
+    # -- expressions (always reads) ---------------------------------------
+
+    def expr(self, expr: Expr) -> None:
+        if isinstance(expr, FieldRef):
+            self.field_reads.add(expr)
+        elif isinstance(expr, MetaRef):
+            self.meta_reads.add(expr.key)
+        elif isinstance(expr, BinOp):
+            self.expr(expr.left)
+            self.expr(expr.right)
+        elif isinstance(expr, UnOp):
+            self.expr(expr.operand)
+        elif isinstance(expr, MapGet):
+            self.map_reads.add(expr.map_name)
+            for part in expr.key:
+                self.expr(part)
+        elif isinstance(expr, HashExpr):
+            for arg in expr.args:
+                self.expr(arg)
+        # Const / VarRef: no element-level data flow.
+
+    # -- statements --------------------------------------------------------
+
+    def stmt(self, stmt: Stmt) -> None:
+        if isinstance(stmt, Let):
+            self.expr(stmt.value)
+        elif isinstance(stmt, Assign):
+            self.expr(stmt.value)
+            if isinstance(stmt.target, FieldRef):
+                self.field_writes.add(stmt.target)
+            elif isinstance(stmt.target, MetaRef):
+                self.meta_writes.add(stmt.target.key)
+        elif isinstance(stmt, MapPut):
+            self.map_writes.add(stmt.map_name)
+            for part in stmt.key:
+                self.expr(part)
+            self.expr(stmt.value)
+        elif isinstance(stmt, MapDelete):
+            self.map_writes.add(stmt.map_name)
+            for part in stmt.key:
+                self.expr(part)
+        elif isinstance(stmt, If):
+            self.expr(stmt.condition)
+            self.body(stmt.then_body)
+            self.body(stmt.else_body)
+        elif isinstance(stmt, Repeat):
+            self.body(stmt.body)
+        elif isinstance(stmt, PrimitiveCall):
+            for arg in stmt.args:
+                self.expr(arg)
+            self.meta_writes.update(PRIMITIVE_META_WRITES.get(stmt.name, ()))
+
+    def body(self, body: tuple[Stmt, ...]) -> None:
+        for stmt in body:
+            self.stmt(stmt)
+
+
+def access_of_body(body: tuple[Stmt, ...]) -> AccessSet:
+    collector = _Collector()
+    collector.body(body)
+    return collector.freeze()
+
+
+# ---------------------------------------------------------------------------
 # Declarations
 # ---------------------------------------------------------------------------
 
@@ -362,9 +531,16 @@ class ActionDef:
     body: tuple[Stmt, ...]
 
     @cached_property
+    def access(self) -> AccessSet:
+        """The body's footprint. The node is frozen and the footprint a
+        function of the body alone, so whoever holds the node — a later
+        version, a composition, another program — holds this too."""
+        return access_of_body(self.body)
+
+    @cached_property
     def referents(self) -> frozenset[tuple[str, str]]:
         """``(kind, name)`` of every declaration this one names."""
-        return _named_in(self.body)
+        return self.access.referents
 
 
 @dataclass(frozen=True)
@@ -387,10 +563,17 @@ class TableDef:
     def referents(self) -> frozenset[tuple[str, str]]:
         """``(kind, name)`` of every declaration this one names."""
         named = {("header", key.field.header) for key in self.keys}
-        named.update(("action", name) for name in self.actions)
-        if self.default_action is not None:
-            named.add(("action", self.default_action.action))
+        named.update(("action", name) for name in self.invocable)
         return frozenset(named)
+
+    @property
+    def invocable(self) -> tuple[str, ...]:
+        """The actions this table may run: the listed ones, then a
+        default action that is not among them (it runs on every miss)."""
+        default = self.default_action
+        if default is None or default.action in self.actions:
+            return self.actions
+        return (*self.actions, default.action)
 
     @property
     def is_ternary(self) -> bool:
@@ -409,58 +592,16 @@ class FunctionDef:
     body: tuple[Stmt, ...]
 
     @cached_property
+    def access(self) -> AccessSet:
+        """The body's footprint. The node is frozen and the footprint a
+        function of the body alone, so whoever holds the node — a later
+        version, a composition, another program — holds this too."""
+        return access_of_body(self.body)
+
+    @cached_property
     def referents(self) -> frozenset[tuple[str, str]]:
         """``(kind, name)`` of every declaration this one names."""
-        return _named_in(self.body)
-
-
-def _named_in(body: tuple[Stmt, ...]) -> frozenset[tuple[str, str]]:
-    """Every header and map a body names — the lookups ``Program.
-    _check_stmt`` / ``type_of`` resolve for it, so a node kind added
-    there is added here."""
-    named: set[tuple[str, str]] = set()
-
-    def expr(node: Expr) -> None:
-        if isinstance(node, FieldRef):
-            named.add(("header", node.header))
-        elif isinstance(node, BinOp):
-            expr(node.left)
-            expr(node.right)
-        elif isinstance(node, UnOp):
-            expr(node.operand)
-        elif isinstance(node, MapGet):
-            named.add(("map", node.map_name))
-            for part in node.key:
-                expr(part)
-        elif isinstance(node, HashExpr):
-            for arg in node.args:
-                expr(arg)
-
-    def walk(stmts: tuple[Stmt, ...]) -> None:
-        for stmt in stmts:
-            if isinstance(stmt, Let):
-                expr(stmt.value)
-            elif isinstance(stmt, Assign):
-                expr(stmt.target)
-                expr(stmt.value)
-            elif isinstance(stmt, (MapPut, MapDelete)):
-                named.add(("map", stmt.map_name))
-                for part in stmt.key:
-                    expr(part)
-                if isinstance(stmt, MapPut):
-                    expr(stmt.value)
-            elif isinstance(stmt, If):
-                expr(stmt.condition)
-                walk(stmt.then_body)
-                walk(stmt.else_body)
-            elif isinstance(stmt, Repeat):
-                walk(stmt.body)
-            elif isinstance(stmt, PrimitiveCall):
-                for arg in stmt.args:
-                    expr(arg)
-
-    walk(body)
-    return frozenset(named)
+        return self.access.referents
 
 
 # -- apply block --------------------------------------------------------------

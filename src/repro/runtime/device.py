@@ -204,22 +204,18 @@ class DeviceRuntime:
             )
         if self._active is None:
             raise ReconfigError(f"device {self.name!r} has no active program to update")
+        # A previous window may have elapsed without traffic observing it.
+        self.settle(now)
         if self._transition is not None:
             if self._transition.frozen_progress is not None:
                 raise ReconfigError(
                     f"device {self.name!r} is stranded mid-delta (crashed during its "
                     f"transition window); recovery must resolve it first"
                 )
-            if now >= self._transition.end:
-                # The previous window elapsed without traffic observing its
-                # completion; finalize it now.
-                self._active = self._transition.new
-                self._transition = None
-            else:
-                raise ReconfigError(
-                    f"device {self.name!r} already has a transition in flight "
-                    f"(ends t={self._transition.end:.3f}, now t={now:.3f})"
-                )
+            raise ReconfigError(
+                f"device {self.name!r} already has a transition in flight "
+                f"(ends t={self._transition.end:.3f}, now t={now:.3f})"
+            )
         new_instance = ProgramInstance(program, hosted_elements, fastpath=self._engine.fastpath)
         self._share_state(self._active, new_instance)
         self._transition = _Transition(
@@ -285,17 +281,12 @@ class DeviceRuntime:
         partial-delta fault the reconfiguration journal repairs."""
         self._crashed = True
         self.stats.crashes += 1
+        # A window that had actually closed is finalized, not frozen.
+        self.settle(now)
         transition = self._transition
         if transition is not None and transition.frozen_progress is None:
-            if now >= transition.end:
-                # The window had actually closed; finalize instead of freezing.
-                self._active = transition.new
-                self._transition = None
-            else:
-                span = transition.end - transition.start
-                transition.frozen_progress = (
-                    (now - transition.start) / span if span > 0 else 0.0
-                )
+            span = transition.end - transition.start
+            transition.frozen_progress = (now - transition.start) / span if span > 0 else 0.0
 
     def restart(self, now: float) -> None:
         """Power the device back on. Without recovery, an interrupted
@@ -430,7 +421,8 @@ class DeviceRuntime:
             packet.meta["_epoch"] = chosen.version
             return chosen
         if now >= transition.end:
-            # Transition complete: retire the old version.
+            # Transition complete: retire the old version. The per-packet
+            # twin of :meth:`settle`, inline because mid-window hops are hot.
             self._active = transition.new
             self._transition = None
             return self._active

@@ -1213,7 +1213,6 @@ def run_scale_chaos(
     seed: int = 2024,
     drain_s: float = 1.0,
     checkpoint_every: int | None = None,
-    colocate_below_s: float | None = None,
     reference: bool = True,
 ) -> ScaleChaosReport:
     """Run the FlexMend differential: a chaos-armed sharded run against
@@ -1249,7 +1248,6 @@ def run_scale_chaos(
         backend="process",
         seed=seed,
         drain_s=drain_s,
-        colocate_below_s=colocate_below_s,
     )
     net, injections = arm()
     chaos_report = run_sharded(
@@ -1259,7 +1257,6 @@ def run_scale_chaos(
         backend="process",
         seed=seed,
         drain_s=drain_s,
-        colocate_below_s=colocate_below_s,
         chaos=chaos,
         checkpoint_every=checkpoint_every,
     )

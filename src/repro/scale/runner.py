@@ -269,7 +269,6 @@ def run_sharded(
     backend: str = "process",
     seed: int = 2024,
     drain_s: float = 1.0,
-    colocate_below_s: float | None = None,
     plan: ShardPlan | None = None,
     chaos: FaultPlan | None = None,
     checkpoint_every: int | None = None,
@@ -293,10 +292,7 @@ def run_sharded(
     ``0`` forces checkpointing off (worker death is then fatal).
     """
     if plan is None:
-        kwargs: dict = {"seed": seed}
-        if colocate_below_s is not None:
-            kwargs["colocate_below_s"] = colocate_below_s
-        plan = plan_shards(net.controller, shards, **kwargs)
+        plan = plan_shards(net.controller, shards, seed=seed)
     if backend == "inline":
         if chaos is not None:
             raise SimulationError(

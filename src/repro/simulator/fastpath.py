@@ -315,11 +315,8 @@ class _Generator:
 
     def _table(self, table: ir.TableDef, depth: int) -> list[str]:
         key = _display([self._field(key.field) for key in table.keys])
-        names = list(table.actions)
-        if table.default_action is not None:
-            names.append(table.default_action.action)
         dispatch: list[str] = []
-        for name in dict.fromkeys(names):
+        for name in dict.fromkeys(table.invocable):
             action = self._program.action(name)
             dispatch.append(f"{'elif' if dispatch else 'if'} name == {name!r}:")
             dispatch += self._suite(lambda d: self._action(action, d), depth + 1)

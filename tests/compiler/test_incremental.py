@@ -165,6 +165,7 @@ class TestAnUpdateCostsWhatItsDeltaTouches:
 
         record(Target, "demand")
         record(ir.Program, "_check_stmt")
+        record(ir._Collector, "stmt")  # noqa: SLF001 - the one footprint walk
         record(PlacementEngine, "_attempt")
         record(fungibility, "element_conflicts")
         return calls
@@ -174,6 +175,7 @@ class TestAnUpdateCostsWhatItsDeltaTouches:
         devices = len(net.controller.slice().devices)
         deltas = [getattr(apps, name)() for name in COMPOSED_CYCLE]
         statements = 0
+        collected: set[int] = set()
         for index in range(24):
             old = net.controller.program
             calls.clear()
@@ -210,7 +212,30 @@ class TestAnUpdateCostsWhatItsDeltaTouches:
             assert entered <= allowed
             assert len(calls["_check_stmt"]) == len(entered)  # and each only once
             statements += len(entered)
+
+            # Footprints: collected from the bodies the delta brought,
+            # once per node for as long as the node lives.
+            brought: set[int] = set()
+            for node in (*new.actions, *new.functions):
+                if id(node) not in kept:
+                    brought |= _statement_ids(node.body)
+            visited = [id(stmt) for _, stmt in calls["stmt"]]
+            assert set(visited) <= brought
+            assert len(visited) == len(set(visited)) and collected.isdisjoint(visited)
+            collected.update(visited)
         assert 0 < statements < 24 * 5
+        assert 0 < len(collected) < 24
+
+    def test_a_table_over_existing_actions_collects_nothing(self, calls, flexnet):
+        calls.clear()
+        flexnet.update(
+            parse_delta(
+                "delta guard { add table guard { key: ipv4.src; actions: drop, nop; "
+                "size: 128; default: nop; } insert guard before acl; }"
+            )
+        )
+        assert flexnet.controller.program.has_table("guard")
+        assert calls["stmt"] == [] and calls["_check_stmt"] == []
 
     def test_conflicts_are_worked_out_once_per_attempt_on_a_stage_local_slice(self, calls):
         # "rmt_static" is the stage-local pipeline; standard("rmt") models

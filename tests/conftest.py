@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import collections
+import dataclasses
 import sys
 
 import pytest
@@ -44,6 +45,19 @@ def forwarding_program() -> Program:
         ),
     )
     return apply_delta(base_infrastructure(), strip)[0]
+
+
+def ir_nodes(node):
+    """``node`` and every dataclass node under it, found by reflection
+    over the declared fields — so a node kind added to ``ir.py`` is
+    reached without being named here. The independent reference the
+    coverage and footprint tests hold hand-dispatched walkers to."""
+    yield node
+    for spec in dataclasses.fields(node):
+        value = getattr(node, spec.name)
+        for child in value if isinstance(value, tuple) else (value,):
+            if dataclasses.is_dataclass(child):
+                yield from ir_nodes(child)
 
 
 def map_free_slice(program: Program) -> set[str]:

@@ -1,11 +1,23 @@
 """Bounded-execution certification tests."""
 
+from dataclasses import replace
+
 import pytest
 
+from repro.analysis import ProgramFacts, vet
+from repro.apps.base import STANDARD_HEADERS, base_infrastructure, standard_builder
+from repro.compiler.fungibility import element_conflicts
+from repro.compiler.optimizer import MergeCandidate, TableMerger
+from repro.core.flexnet import FlexNet
 from repro.errors import AnalysisError
 from repro.lang import builder as b
+from repro.lang import ir
 from repro.lang.analyzer import Analyzer, certify
 from repro.lang.builder import ProgramBuilder
+from repro.lang.composition import TenantSpec
+from repro.limits import MAX_PACKET_OPS, RECIRCULATION_CAP
+from repro.simulator.packet import make_packet
+from repro.simulator.pipeline_exec import ProgramInstance
 
 
 def program_with_function(body, maps=()):
@@ -156,3 +168,93 @@ class TestWellBehavedness:
 
     def test_no_recirculation_by_default(self, base_certificate):
         assert not base_certificate.recirculates
+
+    def test_a_body_writing_two_select_fields_names_the_first_by_name(self):
+        program = standard_builder("t")
+        program.function("f", [b.assign("ipv4.proto", 6), b.assign("ethernet.ethertype", 0)])
+        program.apply("f")
+        with pytest.raises(AnalysisError, match="'f' writes parser-select field ethernet.ethertype;"):
+            certify(program.build())
+
+
+def acl_with_unlisted_default(statements: int = 1, recirculate: bool = True) -> ir.Program:
+    """``base_infrastructure()`` whose ``acl`` runs, on every miss, an
+    action it does not list: ``statements`` writes to ``flow_counts``
+    and (optionally) a recirculation."""
+    base = base_infrastructure()
+    body = (b.map_put("flow_counts", "ipv4.src", "ipv4.dst", 1),) * statements
+    if recirculate:
+        body += (b.call("recirculate"),)
+    acl = replace(base.table("acl"), default_action=ir.ActionCall("on_miss"))
+    assert "on_miss" not in acl.actions
+    return replace(
+        base,
+        actions=(*base.actions, ir.ActionDef("on_miss", (), body)),
+        tables=tuple(acl if t.name == "acl" else t for t in base.tables),
+    )
+
+
+class TestATablesDefaultActionIsOneItMayRun:
+    """The default runs on every miss whether or not ``actions`` lists
+    it, so the bound, the profile and recirculation count it. (At the
+    parent commit this program was certified ``recirculates=False``,
+    ``max_packet_ops=32``, ``acl`` stateless — and one packet ran 150
+    ops over 4 recirculations.)"""
+
+    def test_the_certificate_covers_what_a_miss_executes(self):
+        program = acl_with_unlisted_default()
+        certificate = certify(program)
+        assert certificate.recirculates
+        profile = certificate.profile("acl")
+        assert profile.map_writes == ("flow_counts",) and profile.is_stateful
+        assert profile.max_ops == 1 + certificate.profile("on_miss").max_ops
+
+        result = ProgramInstance(program).process(make_packet(1, 2))
+        assert result.recirculations == RECIRCULATION_CAP
+        assert 32 < result.ops <= certificate.max_packet_ops
+
+    def test_certificate_dataflow_and_vet_agree_on_the_table(self):
+        program = acl_with_unlisted_default()
+        facts = ProgramFacts.of(program)
+        assert facts.dataflow.element_access("acl").map_writes == {"flow_counts"}
+        assert set(facts.certificate.profile("acl").map_writes) == {"flow_counts"}
+        assert "acl" in vet(program).map_vet("flow_counts").writers
+
+    def test_placement_and_the_optimizer_see_its_field_writes(self):
+        base = base_infrastructure()
+        # an exact-match acl, so acl / l2 is a merge candidate ...
+        acl = replace(
+            base.table("acl"),
+            keys=(ir.TableKey(ir.FieldRef("ipv4", "src"), ir.MatchKind.EXACT),),
+        )
+        plain = replace(base, tables=tuple(acl if t.name == "acl" else t for t in base.tables))
+        assert MergeCandidate("acl", "l2") in TableMerger().candidates(plain)
+        assert ("acl", "l2") not in element_conflicts(plain, certify(plain))
+        # ... until its default rewrites what l2 matches on
+        acl = replace(acl, default_action=ir.ActionCall("rewrite"))
+        rewriting = replace(
+            plain,
+            actions=(*base.actions, ir.ActionDef("rewrite", (), (b.assign("ethernet.dst", 1),))),
+            tables=tuple(acl if t.name == "acl" else t for t in base.tables),
+        ).validate()
+        assert MergeCandidate("acl", "l2") not in TableMerger().candidates(rewriting)
+        assert ("acl", "l2") in element_conflicts(rewriting, certify(rewriting))
+
+    def test_a_default_past_the_bound_is_refused_at_the_door(self):
+        net = FlexNet.standard()
+        with pytest.raises(AnalysisError, match="exceeds admission bound"):
+            net.admit(acl_with_unlisted_default(statements=MAX_PACKET_OPS // 30))
+        # the same cost without the recirculation fits
+        net.admit(acl_with_unlisted_default(statements=MAX_PACKET_OPS // 30, recirculate=False))
+
+    def test_and_as_a_tenant_extension(self, flexnet):
+        extension = ProgramBuilder("ext", owner="t1")
+        for header, fields in STANDARD_HEADERS.items():
+            extension.header(header, **fields)
+        extension.map("hits", keys=["ipv4.src"], value_type="u64", max_entries=16)
+        extension.action("listed", [b.call("no_op")])
+        extension.action("on_miss", [b.map_put("hits", "ipv4.src", 1)] * (MAX_PACKET_OPS // 5))
+        extension.table("t", keys=["ipv4.src"], actions=["listed"], size=16, default="on_miss")
+        extension.apply("t")
+        with pytest.raises(AnalysisError, match="exceeds admission bound"):
+            flexnet.admit_tenant(TenantSpec("t1", vlan_id=7), extension.build())

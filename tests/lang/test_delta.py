@@ -1,5 +1,7 @@
 """Incremental-change DSL tests."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.errors import CompositionError
@@ -107,6 +109,26 @@ class TestOperations:
         new_program, changes = apply_delta(base_program, delta)
         assert changes.removed == frozenset({"l2", "l3"})
         assert not new_program.has_action("forward")
+
+    def test_an_action_a_kept_table_only_defaults_to_is_not_orphaned(self, base_program):
+        # acl defaults to dec_ttl without listing it; l3, which lists it, goes
+        acl = replace(base_program.table("acl"), default_action=ir.ActionCall("dec_ttl"))
+        program = replace(
+            base_program,
+            tables=tuple(acl if t.name == "acl" else t for t in base_program.tables),
+        )
+        delta = Delta(name="d", ops=(RemoveElements(pattern="l3", kind="table"),))
+        new_program, _ = apply_delta(program, delta)  # validated: the default resolves
+        assert new_program.has_action("dec_ttl")
+
+        # and when the table that only defaults to it goes, it goes too
+        unlisted_by_l3 = replace(program.table("l3"), actions=("forward", "nop"))
+        acl_only = replace(
+            program,
+            tables=tuple(unlisted_by_l3 if t.name == "l3" else t for t in program.tables),
+        )
+        delta = Delta(name="d", ops=(RemoveElements(pattern="acl", kind="table"),))
+        assert not apply_delta(acl_only, delta)[0].has_action("dec_ttl")
 
     def test_remove_no_match_rejected(self, base_program):
         delta = Delta(name="d", ops=(RemoveElements(pattern="zzz*"),))

@@ -34,6 +34,8 @@ from repro.simulator.packet import make_packet
 from repro.simulator.pipeline_exec import ProgramInstance
 from repro.simulator.tables import Rule, exact
 
+from tests.conftest import ir_nodes
+
 #: operand values that reach every clamp: zero divisors, shifts at and
 #: past 64, the 64-bit edge, and a value above it.
 EDGE_VALUES = (0, 1, 2, 3, 5, 63, 64, 65, 200, 255, 256, 1 << 32, (1 << 64) - 1, 1 << 70)
@@ -346,20 +348,17 @@ def test_differential(label, program, kwargs):
     assert report.packets >= 30
 
 
-def _walk(node, seen):
-    """Record the class of every IR node under ``node``, and the
+def _walk(root, seen):
+    """Record the class of every IR node under ``root``, and the
     operator / primitive it names."""
-    seen.add(type(node))
-    if isinstance(node, ir.BinOp):
-        seen.add(node.kind)
-    elif isinstance(node, ir.UnOp):
-        seen.add(("unop", node.op))
-    elif isinstance(node, ir.PrimitiveCall):
-        seen.add(("primitive", node.name))
-    for value in vars(node).values():
-        for child in value if isinstance(value, tuple) else (value,):
-            if hasattr(child, "__dataclass_fields__"):
-                _walk(child, seen)
+    for node in ir_nodes(root):
+        seen.add(type(node))
+        if isinstance(node, ir.BinOp):
+            seen.add(node.kind)
+        elif isinstance(node, ir.UnOp):
+            seen.add(("unop", node.op))
+        elif isinstance(node, ir.PrimitiveCall):
+            seen.add(("primitive", node.name))
 
 
 def test_every_ir_construct_is_covered():
