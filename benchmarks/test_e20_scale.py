@@ -16,15 +16,17 @@ Two claims are gated:
 * **Identity** — the 2-shard run's traffic report is byte-for-byte the
   single-process report (0 divergences). This is the conservative
   lookahead protocol doing its job, not a statistical comparison.
-* **Capacity** — at 4 shards the aggregate capacity (packets divided
-  by the *slowest shard's CPU seconds*) is at least 2x the
+* **Capacity bound** — at 4 shards the aggregate capacity (packets
+  divided by the *slowest shard's CPU seconds*) is at least 2x the
   single-process capacity. CPU seconds, not wall seconds: CI
-  containers (including this one) often pin a single core, where
-  perfectly parallel workers still serialize on the clock. Per-shard
-  CPU time measures the work each worker actually had to do — the
-  wall-clock speedup an N-core host would see — and both wall and CPU
-  numbers plus the visible core count are printed so nothing hides
-  behind the metric choice.
+  containers often pin a single core, where perfectly parallel workers
+  still serialize on the clock. Per-shard CPU time measures the work
+  each worker had to do and counts no coordination, so the gated
+  figure is an upper *bound* on what an N-core host could see, not
+  what this host delivered. What it delivered is the wall speed-up
+  column beside it (single-process wall ÷ arm wall, fork and merge
+  included): printed with the visible core count, never gated or
+  tracked, because it is a property of the host.
 
 The wall / CPU / capacity rows go to stdout and the local
 bench_tables.txt; the tracked ``BENCH_e20.json`` keeps the seeds,
@@ -59,6 +61,7 @@ MIN_SPEEDUP_4_SHARDS = 2.0
 MEASURED = frozenset({
     "host_cpu_count", "capacity_metric", "single_process", "wall_s",
     "max_shard_cpu_s", "aggregate_pps", "speedup_vs_single", "per_shard_cpu_s",
+    "wall_speedup_vs_single",
 })
 
 
@@ -105,6 +108,7 @@ def run_experiment() -> dict:
             "windows": report.windows,
             "handoffs": report.handoffs,
             "wall_s": round(wall_s, 3),
+            "wall_speedup_vs_single": round(single_wall_s / wall_s, 2),
             "max_shard_cpu_s": round(max_cpu_s, 3),
             "aggregate_pps": round(PACKETS / max_cpu_s, 1),
             "speedup_vs_single": round(PACKETS / max_cpu_s / single_pps, 2),
@@ -137,7 +141,8 @@ def test_e20_scale(benchmark):
     arms = results["sharded"]
 
     rows = [
-        ["single", "—", fmt(single["cpu_s"]), fmt(single["pps"], 4), "1.00x", "—"]
+        ["single", "—", fmt(single["cpu_s"]), fmt(single["pps"], 4), "1.00x",
+         "1.00x", "—"]
     ]
     for shards in SHARD_COUNTS:
         arm = arms[str(shards)]
@@ -148,6 +153,7 @@ def test_e20_scale(benchmark):
                 fmt(arm["max_shard_cpu_s"]),
                 fmt(arm["aggregate_pps"], 4),
                 f"{arm['speedup_vs_single']:.2f}x",
+                f"{arm['wall_speedup_vs_single']:.2f}x",
                 arm["handoffs"],
             ]
         )
@@ -156,7 +162,8 @@ def test_e20_scale(benchmark):
         f"({PACKETS} packets @ {RATE_PPS:.0f} pps, "
         f"{results['host_cpu_count']} host core(s); "
         f"capacity = packets / max shard CPU-s)",
-        ["arm", "divergences", "max cpu (s)", "capacity pps", "speedup", "handoffs"],
+        ["arm", "divergences", "max cpu (s)", "capacity pps", "capacity bound",
+         "wall speed-up", "handoffs"],
         rows,
     )
 
@@ -169,6 +176,7 @@ def test_e20_scale(benchmark):
     # The 4-shard plan actually uses 4 workers with real boundaries.
     assert arms["4"]["populated_shards"] == 4
     assert arms["4"]["handoffs"] > 0
-    # Capacity gate: 4 shards carry at least twice the single-process
+    # Capacity gate (a bound: CPU of the slowest shard, no
+    # coordination): 4 shards carry at least twice the single-process
     # load per CPU second.
     assert arms["4"]["speedup_vs_single"] >= MIN_SPEEDUP_4_SHARDS, arms["4"]

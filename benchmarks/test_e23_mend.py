@@ -4,8 +4,11 @@ E20 established that sharded execution reproduces the single-process
 traffic report byte-for-byte. This experiment holds that identity
 *through injected worker-process faults*: on the 4-pod composed
 pipeline at 4 shards, two workers are killed mid-run (``os._exit`` at a
-window boundary) while every shard also loses 10% and duplicates 5% of
-its handoff batches. The FlexMend supervisor restores the dead workers
+window boundary) while every shard also loses 10% and duplicates 20% of
+its handoff batches (frames exist only on the live edges of the run —
+one per shard of the forward chain — so a lower dup rate would leave
+the "dups fired" gate to a handful of draws). The FlexMend
+supervisor restores the dead workers
 from their windowed checkpoints, in-neighbors replay the sequenced
 handoff stream past the committed watermark, and the run completes.
 
@@ -52,7 +55,7 @@ CHAOS_SEED = 11
 DRAIN_S = 0.01
 CRASHES = (WorkerCrash(shard=0, window=6), WorkerCrash(shard=2, window=10))
 DROP_P = 0.10
-DUP_P = 0.05
+DUP_P = 0.20
 #: wall-clock rows: printed, never tracked.
 MEASURED = frozenset({"chaos_wall_s", "max_restart_wall_ms"})
 

@@ -18,7 +18,8 @@ giving up determinism. Three mechanisms compose (DESIGN.md §4l):
   watermark, so a restarted shard can replay its inbound stream
   exactly; the coordinator trims retention as checkpoints commit.
 * **A supervisor** — the coordinator detects death via process
-  sentinels and per-window heartbeats, respawns the shard from its
+  sentinels and heartbeats (one per round while chaos or checkpointing
+  is armed, one per poll interval otherwise), respawns the shard from its
   last checkpoint with bounded retries and exponential backoff
   (:mod:`repro.limits`), asks in-neighbors to replay, and broadcasts a
   poison pill for sub-second fail-fast teardown when a run cannot be
@@ -215,8 +216,10 @@ class MendTransport:
     The receive side is split into :meth:`ingest` (buffer frames as
     they arrive, in any order) and :meth:`release` (hand exactly the
     batches of one protocol *round* to the engine, per-source in seq
-    order). The worker advances in lock-step rounds — one frame per
-    edge per round, mirroring ``step_inline`` — so the engine's window
+    order). The worker advances in rounds — one frame per live edge per
+    round, mirroring ``step_inline``: round *r* of a shard consumes
+    frame *r* of every in-edge, so shards on a cycle of edges march in
+    lock-step and a forward chain pipelines — so the engine's window
     schedule is a pure function of delivered content, never of queue
     interleaving. That is what makes restart sound: a respawned worker
     re-executes the same rounds with the same inputs and regenerates
@@ -443,7 +446,7 @@ class EngineCheckpoint:
 class MendCheckpoint:
     """Everything a fresh fork needs to become the dead worker.
 
-    ``round`` is the lock-step protocol round the snapshot was taken in
+    ``round`` is the shard's protocol round the snapshot was taken in
     (post-advance, post-send, *pre-release* of that round's inputs) —
     a respawned worker resumes at the wait phase of exactly this round.
     Note ``round >= engine.window``: a round whose advance could not
@@ -629,7 +632,7 @@ def _worker_main(
     restore: MendCheckpoint | None,
 ) -> None:
     """One forked worker: owns its shard's (copy-on-write) devices, runs
-    the protocol in lock-step rounds over the sequenced transport,
+    the protocol in rounds over the sequenced transport,
     heartbeats and checkpoints to the supervisor, ships a ShardResult
     (on the same queue, so it can never overtake or trail its own last
     heartbeat), then lingers to serve replay/NACK requests until the
@@ -642,7 +645,10 @@ def _worker_main(
     in-neighbor's frame for this round arrived and release the whole
     round to the engine at once. A shard whose advance cannot progress
     still sends its (null-message) frame and consumes a round of
-    inputs, exactly like an inline engine being stepped.
+    inputs, exactly like an inline engine being stepped. Neighbors are
+    the live edges of the run (:meth:`ShardPlan.routed`): a shard no
+    route enters waits for nobody and runs ahead of the shards it
+    feeds, one lookahead per round.
     """
     try:
         _pin_to_own_cpu(plan.populated_shards.index(shard_id))
@@ -705,6 +711,14 @@ def _worker_main(
         # round: the snapshot was taken post-advance/post-send, before
         # that round's inputs were released.
         resuming = restore is not None
+        # An armed run heartbeats every round: the round of the last
+        # heartbeat is where a death with no fault event is accounted.
+        # Otherwise heartbeats only feed the stall detector, and one per
+        # supervisor poll is all it can see; the supervisor floats
+        # between the CPUs the workers are pinned to, and every event
+        # wakes it.
+        armed = injector is not None or checkpoint_every > 0
+        hb_due = 0.0
         while True:
             if not resuming:
                 round_no += 1
@@ -721,7 +735,11 @@ def _worker_main(
                     batch: list = list(outbox.get(dst, ()))
                     batch.append(guarantees[dst])
                     transport.send(dst, batch)
-                events_queue.put(("hb", shard_id, round_no))
+                # Wall-clock pacing only — baselined in vet_baseline.json.
+                now = time.monotonic()
+                if armed or now >= hb_due:
+                    events_queue.put(("hb", shard_id, round_no))
+                    hb_due = now + limits.MEND_POLL_INTERVAL_S
                 if injector is not None:
                     stalled = injector.stall_at(engine.windows)
                     if stalled is not None:
@@ -803,10 +821,12 @@ def _worker_main(
         events_queue.put(("ok", shard_result))
         # Linger: a crashed neighbor restoring from its checkpoint may
         # still need this shard's retained batches, so keep serving
-        # NACK/replay frames until the supervisor's shutdown broadcast.
+        # NACK/replay frames until the supervisor's shutdown broadcast —
+        # for as long as a run may last, since a shard that waits for
+        # nobody finishes well ahead of the shards it feeds.
         while True:
             try:
-                frame = inbox.get(timeout=limits.SCALE_JOIN_TIMEOUT_S)
+                frame = inbox.get(timeout=limits.SCALE_RESULT_TIMEOUT_S)
             except queue_mod.Empty:
                 return
             if transport.ingest(frame) in ("poison", "shutdown"):
@@ -954,13 +974,14 @@ class Supervisor:
         # simulation state — baselined in vet_baseline.json.
         self._last_hb[shard] = (time.monotonic(), 0)
 
-    def _drain_events(self, results: dict[int, ShardResult]) -> str | None:
-        """Wait one poll interval for an event, then take every event
-        already queued; returns an error string when a worker failed.
-        Results are events too: on a queue of their own they would be
-        seen at the next event or poll, whichever a race against the
-        sender's last heartbeat produced."""
-        block = True
+    def _drain_events(
+        self, results: dict[int, ShardResult], block: bool = True
+    ) -> str | None:
+        """Wait one poll interval for an event (``block``), then take
+        every event already queued; returns an error string when a
+        worker failed. Results are events too: on a queue of their own
+        they would be seen at the next event or poll, whichever a race
+        against the sender's last heartbeat produced."""
         while True:
             try:
                 if block:
@@ -1046,7 +1067,14 @@ class Supervisor:
                 continue
             if not worker.is_alive():
                 worker.join()
-                error = self._handle_death(shard, worker.exitcode)
+                # A worker flushes its fault event before an injected
+                # crash. Read it before accounting the death: one that
+                # lands while an earlier restart is backing off would
+                # otherwise go unrecorded, and the spec fire again in
+                # the respawned worker.
+                error = self._drain_events(
+                    results, block=False
+                ) or self._handle_death(shard, worker.exitcode)
                 if error is not None:
                     return error
                 continue
@@ -1118,6 +1146,9 @@ class Supervisor:
                 if result.mend is not None
             },
         }
+        # Shards that do not wait for each other die independently; the
+        # order their deaths were noticed in is wall-clock.
+        self.report.crashes.sort(key=lambda crash: (crash["window"], crash["shard"]))
         self.report.per_shard = {
             shard: result.mend["deterministic"]
             for shard, result in sorted(results.items())

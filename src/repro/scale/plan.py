@@ -31,7 +31,7 @@ another's schedule.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro.errors import ControlPlaneError, SimulationError
 from repro.limits import COLOCATE_LINK_LATENCY_S
@@ -84,7 +84,9 @@ class ShardPlan:
     #: human-readable co-location constraints that were applied.
     constraints: tuple[str, ...]
     #: min cross-shard link latency per directed shard pair — the
-    #: conservative lookahead the handoff protocol advances by.
+    #: conservative lookahead the handoff protocol advances by. The
+    #: planner lists every pair a link joins; the plan a run executes
+    #: keeps only the pairs its routes cross (:meth:`routed`).
     lookahead_s: dict[tuple[int, int], float] = field(default_factory=dict)
 
     def shard_of(self, device: str) -> int:
@@ -117,6 +119,29 @@ class ShardPlan:
             sorted({dst for (src, dst) in self.lookahead_s if src == shard})
         )
 
+    def routed(self, routes) -> "ShardPlan":
+        """This plan with ``lookahead_s`` narrowed to the *live* edges:
+        the directed shard pairs some hop list of ``routes`` crosses.
+
+        A packet follows the hop list fixed when it was injected, so a
+        shard pair no route crosses never carries a handoff and needs
+        no null messages either: a shard then waits only for the
+        shards that can send to it. The planner's edges say what a
+        crossing costs; these say which crossings a run can make."""
+        live = {
+            (self.shard_of(a), self.shard_of(b))
+            for hops in routes
+            for a, b in zip(hops, hops[1:])
+        }
+        return replace(
+            self,
+            lookahead_s={
+                pair: latency
+                for pair, latency in self.lookahead_s.items()
+                if pair in live
+            },
+        )
+
     # -- Reportable ---------------------------------------------------------
 
     def to_dict(self) -> dict:
@@ -141,7 +166,16 @@ class ShardPlan:
             lines.append(f"  shard {shard}: {', '.join(self.devices_on(shard))}")
         for constraint in self.constraints:
             lines.append(f"  co-located: {constraint}")
+        lines.extend(f"  edge {edge}" for edge in self.edges())
         return "\n".join(lines)
+
+    def edges(self) -> list[str]:
+        """The protocol edges with their lookahead, ``"0 -> 1  500 µs"``
+        each — on the plan of a run, the live ones (:meth:`routed`)."""
+        return [
+            f"{src} -> {dst}  {latency * 1e6:g} µs"
+            for (src, dst), latency in sorted(self.lookahead_s.items())
+        ]
 
 
 def _vet_constraints(controller, fused: _UnionFind, devices: list[str]) -> list[str]:

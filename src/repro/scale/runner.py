@@ -48,7 +48,10 @@ class ScaleReport:
 
     ``traffic`` (via :meth:`traffic_dict`) is the byte-identical
     section; ``sharding`` carries the protocol/shape diagnostics that
-    legitimately vary with the shard count.
+    legitimately vary with the shard count. ``plan`` is the plan the
+    run executed: its ``lookahead_s`` (and so
+    ``to_dict()["sharding"]["plan"]["lookahead_s"]``) lists only the
+    live edges, the shard pairs a route of the run crosses.
     """
 
     plan: ShardPlan
@@ -123,6 +126,7 @@ class ScaleReport:
             + self.metrics.summary().splitlines()[0],
             f"  windows {self.windows}, cross-shard handoffs {self.handoffs}, "
             f"digests {self.total_digests}",
+            "  edges " + (", ".join(self.plan.edges()) or "none"),
         ]
         for result in self.shard_results:
             lines.append(
@@ -147,16 +151,18 @@ def reference_run(net, injections: list[TimedPacket], drain_s: float = 1.0):
 
 def _assign_injections(
     net, plan: ShardPlan, injections: list[TimedPacket]
-) -> dict[int, list[tuple]]:
+) -> tuple[ShardPlan, dict[int, list[tuple]]]:
     """Resolve each injection's hop list and hand it to the shard that
-    owns the first hop."""
+    owns the first hop; returns the plan narrowed to the shard pairs
+    those hop lists cross (:meth:`ShardPlan.routed` — the protocol
+    edges of this run) beside the per-shard injections."""
     network = net.controller.network
     per_shard: dict[int, list[tuple]] = {shard: [] for shard in plan.populated_shards}
     hops = network.path("datapath")
     first_shard = plan.shard_of(hops[0])
     for timed in injections:
         per_shard[first_shard].append((timed.packet, hops, timed.time))
-    return per_shard
+    return plan.routed([hops] if injections else []), per_shard
 
 
 def _end_time(injections: list[TimedPacket], drain_s: float) -> float:
@@ -200,13 +206,9 @@ def _merge_results(
 # -- inline backend ---------------------------------------------------------
 
 
-def build_engines(
-    net, plan: ShardPlan, injections: list[TimedPacket], drain_s: float = 1.0
+def _engines(
+    net, plan: ShardPlan, per_shard: dict[int, list[tuple]], end_time: float
 ) -> dict[int, ShardEngine]:
-    """Instantiate one engine per populated shard over the net's live
-    device objects (inline backend; also used directly by tests that
-    need to instrument worker state before driving the protocol)."""
-    end_time = _end_time(injections, drain_s)
     devices = net.controller.devices
     engines = {
         shard: ShardEngine(
@@ -214,48 +216,22 @@ def build_engines(
         )
         for shard in plan.populated_shards
     }
-    for shard, items in _assign_injections(net, plan, injections).items():
+    for shard, items in per_shard.items():
         for packet, hops, at_time in items:
             engines[shard].inject(packet, hops, at_time)
     return engines
 
 
-def _run_inline_backend(
-    net, plan: ShardPlan, injections: list[TimedPacket], drain_s: float
-) -> ScaleReport:
-    engines = build_engines(net, plan, injections, drain_s=drain_s)
-    run_inline(engines)
-    results = [engine.result() for engine in engines.values()]
-    return _merge_results(plan, "inline", _end_time(injections, drain_s), results)
-
-
-# -- process backend --------------------------------------------------------
-
-
-def _run_process_backend(
-    net,
-    plan: ShardPlan,
-    injections: list[TimedPacket],
-    drain_s: float,
-    chaos: FaultPlan | None,
-    checkpoint_every: int | None,
-) -> ScaleReport:
-    """Spawn one worker per populated shard under the FlexMend
-    supervisor (:mod:`repro.scale.mend`), which owns fault injection,
-    windowed checkpoints, and deterministic restart."""
-    end_time = _end_time(injections, drain_s)
-    supervisor = Supervisor(
-        net,
-        plan,
-        _assign_injections(net, plan, injections),
-        end_time,
-        chaos=chaos,
-        checkpoint_every=checkpoint_every,
-    )
-    results, mend, registry = supervisor.run()
-    return _merge_results(
-        plan, "process", end_time, results, mend=mend, extra_registry=registry
-    )
+def build_engines(
+    net, plan: ShardPlan, injections: list[TimedPacket], drain_s: float = 1.0
+) -> dict[int, ShardEngine]:
+    """Instantiate one engine per populated shard over the net's live
+    device objects (inline backend; also used directly by tests that
+    need to instrument worker state before driving the protocol). The
+    engines run the plan narrowed to the routes of ``injections``, as
+    :func:`run_sharded` does for either backend."""
+    plan, per_shard = _assign_injections(net, plan, injections)
+    return _engines(net, plan, per_shard, _end_time(injections, drain_s))
 
 
 # -- entry point ------------------------------------------------------------
@@ -293,13 +269,20 @@ def run_sharded(
     """
     if plan is None:
         plan = plan_shards(net.controller, shards, seed=seed)
+    # One protocol for both backends: the edges are those the routes of
+    # this run cross, not every shard boundary a link happens to span.
+    plan, per_shard = _assign_injections(net, plan, injections)
+    end_time = _end_time(injections, drain_s)
     if backend == "inline":
         if chaos is not None:
             raise SimulationError(
                 "flexmend chaos requires the process backend (worker "
                 "crashes have no analogue inside one process)"
             )
-        return _run_inline_backend(net, plan, injections, drain_s)
+        engines = _engines(net, plan, per_shard, end_time)
+        run_inline(engines)
+        results = [engine.result() for engine in engines.values()]
+        return _merge_results(plan, "inline", end_time, results)
     if backend == "process":
         if multiprocessing.get_start_method(allow_none=False) != "fork" and (
             "fork" not in multiprocessing.get_all_start_methods()
@@ -309,7 +292,18 @@ def run_sharded(
                 "(device closures are inherited, not pickled); "
                 "use backend='inline' on this platform"
             )
-        return _run_process_backend(
-            net, plan, injections, drain_s, chaos, checkpoint_every
+        # The FlexMend supervisor (:mod:`repro.scale.mend`) owns the
+        # workers, fault injection, checkpoints and restart.
+        supervisor = Supervisor(
+            net,
+            plan,
+            per_shard,
+            end_time,
+            chaos=chaos,
+            checkpoint_every=checkpoint_every,
+        )
+        results, mend, registry = supervisor.run()
+        return _merge_results(
+            plan, "process", end_time, results, mend=mend, extra_registry=registry
         )
     raise SimulationError(f"unknown flexscale backend {backend!r}")

@@ -11,15 +11,31 @@ messages, no global barrier):
   computed by the exact float expression the single-process engine
   would have used (``now + (processing_s + link_latency)``), so no
   rounding can ever diverge.
+* The protocol's edges are the directed shard pairs some route of the
+  run crosses (:meth:`~repro.scale.plan.ShardPlan.routed`), not every
+  pair a link joins. That is exact because a packet follows the hop
+  list fixed when it was injected: a pair no hop list crosses never
+  carries a handoff, so there is nothing for a guarantee on it to
+  bound, and a handoff toward an undeclared edge raises instead of
+  being queued where no frame would carry it.
 * After advancing to virtual time *t*, a shard announces a
-  :class:`Guarantee` of ``t + lookahead`` to each neighbor, where
+  :class:`Guarantee` of ``t + lookahead`` on each out-edge, where
   ``lookahead`` is the minimum latency of any link crossing that shard
   boundary: every handoff it will ever send after the announcement
   arrives strictly later than the guarantee. Announcements double as
   null messages — they flow every window even when no packet crosses,
-  which is what makes progress deadlock-free on cyclic shard graphs.
-* A shard may therefore advance to ``min`` over its in-neighbors'
-  guarantees. Because the transport is FIFO per producer (a
+  which is what makes progress deadlock-free when the live edges form a
+  cycle (routes in both directions).
+* A shard may therefore advance to ``min`` over its in-edges'
+  guarantees, and waits only for shards that can send to it. "No
+  global barrier" means exactly this: on a cycle of edges every shard
+  is held one lookahead behind its neighbor and the fleet marches in
+  lock-step; on a one-way fabric the edges form a chain and the shards
+  pipeline, each running as far ahead of the next as its frames allow.
+  A shard with no in-edge has nothing to wait for and *paces itself*:
+  one lookahead per window, so that the shards it feeds get a frame —
+  and work — every round rather than one frame at the horizon.
+* Because the transport is FIFO per producer (a
   ``multiprocessing.Queue`` feeder thread is serial, and the inline
   backend delivers synchronously), every handoff with arrival ≤ g is
   already buffered when the announcement of g is handled — windows are
@@ -108,7 +124,7 @@ class ShardEngine:
     directly, the process backend feeds it messages drained from an
     ``mp.Queue``. Drivers repeatedly call :meth:`advance`, flush
     :meth:`take_outbox` / :meth:`guarantees_out` to neighbors, and
-    block for deliveries until :meth:`can_advance`.
+    deliver one frame per in-edge before the next round.
     """
 
     def __init__(
@@ -145,9 +161,12 @@ class ShardEngine:
         self.handoffs_out = 0
         self._clock = 0.0
         self._pending: list[Handoff] = []
-        self._outbox: dict[int, list[Handoff]] = {
-            dst: [] for dst in plan.out_neighbors(shard_id)
+        #: what this shard promises each out-edge past its clock.
+        self._lookahead: dict[int, float] = {
+            dst: max(plan.lookahead_s[(shard_id, dst)], MIN_LOOKAHEAD_S)
+            for dst in plan.out_neighbors(shard_id)
         }
+        self._outbox: dict[int, list[Handoff]] = {dst: [] for dst in self._lookahead}
         self._guarantee: dict[int, float] = {
             src: 0.0 for src in plan.in_neighbors(shard_id)
         }
@@ -167,7 +186,15 @@ class ShardEngine:
         dst = self.plan.shard_of(hops[index])
         if dst == self.shard_id:  # pragma: no cover - network owns this check
             raise SimulationError("handoff to own shard")
-        self._outbox.setdefault(dst, []).append(
+        if dst not in self._outbox:
+            # No frames flow on an undeclared edge: the packet would be
+            # lost, and ``dst`` never waits for this shard's guarantee.
+            raise SimulationError(
+                f"shard {self.shard_id}: handoff of packet {packet.packet_id} "
+                f"toward shard {dst} ({hops[index]!r}), which is not an "
+                f"out-edge of the plan (edges follow the routes of the run)"
+            )
+        self._outbox[dst].append(
             Handoff(
                 time=at_time,
                 packet=packet,
@@ -190,9 +217,6 @@ class ShardEngine:
             return math.inf
         return min(self._guarantee.values())
 
-    def can_advance(self) -> bool:
-        return min(self.safe_time(), self.end_time) > self._clock or self.finished()
-
     def deliver(self, message: Handoff | Guarantee) -> None:
         """Accept one in-message (any transport, FIFO per producer)."""
         if isinstance(message, Handoff):
@@ -205,7 +229,14 @@ class ShardEngine:
     def advance(self) -> float:
         """Run one window: integrate safe handoffs, process local events
         up to the window bound, and queue outgoing guarantees."""
-        bound = min(self.safe_time(), self.end_time)
+        bound = self.safe_time()
+        if not self._guarantee and self._lookahead:
+            # Nobody sends to this shard, so it has nothing to wait for
+            # and paces itself by what it promises: one lookahead per
+            # window, so the shards downstream get a frame (and work)
+            # every round instead of one frame at the horizon.
+            bound = self._clock + min(self._lookahead.values())
+        bound = min(bound, self.end_time)
         if bound > self._clock or self.windows == 0:
             ready = sorted(
                 (h for h in self._pending if h.time <= bound),
@@ -228,13 +259,10 @@ class ShardEngine:
 
     def guarantees_out(self) -> dict[int, Guarantee]:
         """Announcements for each out-neighbor after :meth:`advance`."""
-        out: dict[int, Guarantee] = {}
-        for dst in self.plan.out_neighbors(self.shard_id):
-            lookahead = max(
-                self.plan.lookahead_s[(self.shard_id, dst)], MIN_LOOKAHEAD_S
-            )
-            out[dst] = Guarantee(src_shard=self.shard_id, time=self._clock + lookahead)
-        return out
+        return {
+            dst: Guarantee(src_shard=self.shard_id, time=self._clock + lookahead)
+            for dst, lookahead in self._lookahead.items()
+        }
 
     def take_outbox(self) -> dict[int, list[Handoff]]:
         """Drain buffered out-handoffs (per destination shard)."""

@@ -6,7 +6,9 @@ planner real shard boundaries: *pods* of microsecond-linked devices
 links (the shard boundaries, and therefore the protocol lookahead).
 The datapath runs h1 → pod 0 → pod 1 → … → h2, so a sharded run
 pipelines: while pod 0's shard processes packet *k*, pod 1's shard is
-already carrying packet *k−1*.
+already carrying packet *k−1* — because the protocol's edges follow
+the routes (:meth:`~repro.scale.plan.ShardPlan.routed`), which all run
+one way here, no shard waits for a shard downstream of it.
 
 Workloads come from the seeded flow generators — distinct arrival
 timestamps per packet (strictly increasing Poisson arrivals), which

@@ -10,6 +10,11 @@ map's writer shard — the count must be exactly zero.
 Reads of never-written maps (replicated control state: rule tables the
 controller installs fleet-wide) are legitimately cross-shard and are
 not counted.
+
+Every bundled program runs over the one-way datapath (a forward chain
+of protocol edges); one more case sends a third of the packets back
+along the reverse hop list, so both edges are live and the shards run
+the cyclic, lock-step protocol.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ import pytest
 
 from repro.analysis.corpus import bundled_programs
 from repro.scale.plan import plan_shards
-from repro.scale.runner import build_engines
+from repro.scale.runner import _engines, build_engines
 from repro.scale.shard import run_inline
 from repro.scale.workload import e20_workload, pod_fabric
 from repro.simulator.packet import reset_packet_ids
@@ -57,8 +62,27 @@ class _Recorder:
         return len(self._state)
 
 
-@pytest.mark.parametrize("label,program", PROGRAMS, ids=PROGRAM_IDS)
-def test_no_runtime_cross_shard_map_access(label, program):
+def _two_way_engines(net, plan, workload, drain_s: float):
+    """Engines fed explicit hop lists, a third of them reversed — the
+    narrowed plan keeps both directions of the shard boundary."""
+    forward = net.controller.network.path("datapath")
+    backward = forward[::-1]
+    plan = plan.routed([forward, backward])
+    assert set(plan.lookahead_s) == {(0, 1), (1, 0)}
+    per_shard: dict = {shard: [] for shard in plan.populated_shards}
+    for index, timed in enumerate(workload):
+        hops = backward if index % 3 == 0 else forward
+        per_shard[plan.shard_of(hops[0])].append((timed.packet, hops, timed.time))
+    return _engines(net, plan, per_shard, workload[-1].time + drain_s)
+
+
+@pytest.mark.parametrize(
+    "label,program,build",
+    [(label, program, build_engines) for label, program in PROGRAMS]
+    + [("two-way:" + PROGRAMS[0][0], PROGRAMS[0][1], _two_way_engines)],
+    ids=[*PROGRAM_IDS, "two-way:" + PROGRAM_IDS[0]],
+)
+def test_no_runtime_cross_shard_map_access(label, program, build):
     reset_packet_ids()
     net = pod_fabric(2)
     net.install(program)
@@ -74,7 +98,7 @@ def test_no_runtime_cross_shard_map_access(label, program):
         for map_name in list(states):
             states[map_name] = _Recorder(states[map_name], device_name, log)
 
-    engines = build_engines(net, plan, workload, drain_s=0.05)
+    engines = build(net, plan, workload, 0.05)
     run_inline(engines)
     assert sum(engine.metrics.sent for engine in engines.values()) == 150
 

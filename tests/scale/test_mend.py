@@ -308,6 +308,30 @@ class TestSupervisedRecovery:
         assert report.mend.crashes == [{"shard": 0, "window": 3}]
         assert report.mend.checkpoints_committed > 0
 
+    def test_a_death_during_a_restart_backoff_is_accounted_once(self):
+        # Shards of a forward chain do not wait for the source, so the
+        # sink reaches its crash window while the supervisor is still
+        # backing off before respawning the source. Its fault event is
+        # read before its death is handled: each spec fires once.
+        expected = _reference_json(pods=4)
+        chaos = FaultPlan(
+            seed=11,
+            worker_crashes=(
+                WorkerCrash(shard=0, window=4),
+                WorkerCrash(shard=1, window=6),
+            ),
+        )
+        net, workload = _arm(pods=4)
+        report = run_sharded(
+            net, workload, 4, backend="process", seed=11, drain_s=DRAIN_S, chaos=chaos
+        )
+        assert _canon(report.traffic_dict()) == expected
+        assert report.mend.crashes == [
+            {"shard": 0, "window": 4},
+            {"shard": 1, "window": 6},
+        ]
+        assert report.mend.restarts == 2
+
     def test_handoff_loss_and_dup_recovery(self, monkeypatch):
         # Fast impatience so a dropped final frame re-NACKs quickly; the
         # forked workers inherit the patched value.

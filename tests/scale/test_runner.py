@@ -12,11 +12,15 @@ import json
 
 import pytest
 
+from repro import limits
 from repro.apps import base_infrastructure
 from repro.errors import SimulationError
+from repro.faults import FaultPlan, HandoffDrop, WorkerCrash
 from repro.scale import plan_shards, reference_run, run_sharded
-from repro.scale.runner import build_engines
+from repro.scale.mend import Supervisor
+from repro.scale.runner import _engines, _merge_results, build_engines
 from repro.scale.shard import run_inline
+from repro.simulator.metrics import RunMetrics
 from repro.scale.workload import e20_workload, pod_fabric
 from repro.simulator.fastpath import seeded_rules
 from repro.simulator.packet import reset_packet_ids
@@ -227,3 +231,187 @@ class TestFailureModes:
         total_out = sum(engine.handoffs_out for engine in engines.values())
         total_in = sum(engine.handoffs_in for engine in engines.values())
         assert total_out == total_in > 0
+
+
+class TestProtocolShape:
+    """The protocol edges of a run are the shard pairs its routes
+    cross: on the one-way fabric a forward chain, whose source paces
+    itself and waits for nobody."""
+
+    @pytest.mark.parametrize(
+        "shards,chain", [(2, {(0, 1)}), (4, {(0, 2), (2, 3), (3, 1)})]
+    )
+    def test_one_way_fabric_runs_a_forward_chain(self, shards, chain):
+        expected = _reference_json(pods=4)
+        net, workload = _arm(pods=4)
+        inline = run_sharded(
+            net, workload, shards, backend="inline", seed=11, drain_s=DRAIN_S
+        )
+        net, workload = _arm(pods=4)
+        process = run_sharded(
+            net, workload, shards, backend="process", seed=11, drain_s=DRAIN_S
+        )
+        for report in (inline, process):
+            assert set(report.plan.lookahead_s) == chain
+            assert _canon(report.traffic_dict()) == expected
+        # The planner's answer is untouched: every boundary link, both ways.
+        planned = plan_shards(net.controller, shards, seed=11).lookahead_s
+        assert set(planned) == chain | {(dst, src) for src, dst in chain}
+        assert inline.to_dict()["sharding"]["plan"]["lookahead_s"] == {
+            f"{src}->{dst}": 5e-4 for src, dst in sorted(chain)
+        }
+        windows = {result.shard_id: result.windows for result in inline.shard_results}
+        assert windows == {
+            result.shard_id: result.windows for result in process.shard_results
+        }
+        # One frame per live in-edge per round, none on the others: the
+        # source consumed nothing, and every other shard one frame for
+        # each round that opened a window (its first round, run on the
+        # initial zero guarantee, excepted).
+        source = 0
+        delivered = {
+            shard: counters["batches_delivered"]
+            for shard, counters in process.mend.per_shard.items()
+        }
+        assert delivered.pop(source) == 0
+        assert delivered == {
+            shard: windows[shard] - 1 for shard in windows if shard != source
+        }
+
+    def test_source_paces_itself_by_its_lookahead(self):
+        # A shard with no in-edge could run to the horizon in one window
+        # and feed its neighbor one frame at the end: still
+        # byte-identical, and a serial run.
+        net, workload = _arm()
+        plan = plan_shards(net.controller, 2, seed=11)
+        engines = build_engines(net, plan, workload, drain_s=DRAIN_S)
+        source = engines[0]
+        assert source.safe_time() == float("inf")
+        assert source.advance() == pytest.approx(5e-4)
+        assert source.guarantees_out()[1].time == pytest.approx(1e-3)
+        run_inline(engines)
+        assert source.windows >= source.end_time / 5e-4 - 1
+        assert engines[1].windows >= 2
+
+    def test_handoff_toward_an_undeclared_shard_raises(self):
+        net, workload = _arm()
+        plan = plan_shards(net.controller, 2, seed=11).routed([])
+        end_time = workload[-1].time + DRAIN_S
+        hops = net.controller.network.path("datapath")
+        per_shard = {0: [(timed.packet, hops, timed.time) for timed in workload]}
+        engines = _engines(net, plan, per_shard, end_time)
+        with pytest.raises(SimulationError, match="not an out-edge"):
+            run_inline(engines)
+
+    def test_summaries_print_the_live_edges(self):
+        net, workload = _arm()
+        report = run_sharded(
+            net, workload, 2, backend="inline", seed=11, drain_s=DRAIN_S
+        )
+        assert "  edges 0 -> 1  500 µs\n" in report.summary()
+        assert "  edge 0 -> 1  500 µs" in report.plan.summary()
+        assert "1 -> 0" not in report.plan.summary()
+
+
+class TestTwoWayRoutes:
+    """Routes in both directions keep both edges: the shard graph is a
+    cycle, every shard waits for its neighbor every round (the
+    lock-step run), and null messages are what keeps it from
+    deadlocking. ``run_sharded`` resolves only ``datapath``, so the
+    arms are built from explicit ``(packet, hops, time)`` triples."""
+
+    @staticmethod
+    def _arm():
+        net, workload = _arm()
+        forward = net.controller.network.path("datapath")
+        backward = forward[::-1]
+        triples = [
+            (timed.packet, backward if index % 3 == 0 else forward, timed.time)
+            for index, timed in enumerate(workload)
+        ]
+        return net, triples, workload[-1].time + DRAIN_S
+
+    @staticmethod
+    def _sharded(net, triples):
+        plan = plan_shards(net.controller, 2, seed=11).routed(
+            hops for _, hops, _ in triples
+        )
+        per_shard: dict = {shard: [] for shard in plan.populated_shards}
+        for triple in triples:
+            per_shard[plan.shard_of(triple[1][0])].append(triple)
+        return plan, per_shard
+
+    def _reference(self) -> str:
+        net, triples, end_time = self._arm()
+        metrics = RunMetrics()
+        digests = []
+        for packet, hops, at_time in triples:
+            net.controller.network.inject(
+                packet, hops, at_time, metrics, on_done=digests.append
+            )
+        net.controller.loop.run_until(end_time)
+        assert metrics.delivered == len(triples)
+        return _canon(
+            {
+                "metrics": metrics.to_dict(),
+                "telemetry": {
+                    "total_digests": sum(len(packet.digests) for packet in digests),
+                    "total_events": 0,
+                },
+            }
+        )
+
+    def _inline(self):
+        net, triples, end_time = self._arm()
+        plan, per_shard = self._sharded(net, triples)
+        engines = _engines(net, plan, per_shard, end_time)
+        run_inline(engines)
+        results = [engine.result() for engine in engines.values()]
+        return _merge_results(plan, "inline", end_time, results)
+
+    def _process(self, chaos=None):
+        net, triples, end_time = self._arm()
+        plan, per_shard = self._sharded(net, triples)
+        results, mend, _ = Supervisor(
+            net, plan, per_shard, end_time, chaos=chaos
+        ).run()
+        return _merge_results(plan, "process", end_time, results, mend=mend)
+
+    def test_both_directions_stay_live_and_lock_step(self):
+        inline = self._inline()
+        assert set(inline.plan.lookahead_s) == {(0, 1), (1, 0)}
+        assert all(result.handoffs_in > 0 for result in inline.shard_results)
+        assert all(result.handoffs_out > 0 for result in inline.shard_results)
+        # Each shard is held to its neighbor's guarantee: same windows.
+        assert len({result.windows for result in inline.shard_results}) == 1
+
+    def test_process_inline_and_single_process_agree(self):
+        expected = self._reference()
+        inline, process = self._inline(), self._process()
+        assert _canon(inline.traffic_dict()) == expected
+        assert _canon(process.traffic_dict()) == expected
+        assert [r.windows for r in inline.shard_results] == [
+            r.windows for r in process.shard_results
+        ]
+        assert all(
+            counters["batches_delivered"] > 0
+            for counters in process.mend.per_shard.values()
+        )
+
+    def test_crash_and_drops_on_a_cyclic_graph(self, monkeypatch):
+        monkeypatch.setattr(limits, "MEND_NACK_IMPATIENCE_S", 0.2)
+        chaos = FaultPlan(
+            seed=11,
+            worker_crashes=(WorkerCrash(shard=1, window=5),),
+            handoff_drops=tuple(
+                HandoffDrop(shard=shard, probability=0.2) for shard in range(2)
+            ),
+        )
+        report = self._process(chaos)
+        assert _canon(report.traffic_dict()) == self._reference()
+        assert report.mend.restarts == 1
+        assert report.mend.crashes == [{"shard": 1, "window": 5}]
+        assert all(
+            counters["fault_drops"] > 0
+            for counters in report.mend.per_shard.values()
+        )
