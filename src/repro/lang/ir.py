@@ -576,6 +576,12 @@ class TableDef:
         return (*self.actions, default.action)
 
     @property
+    def is_exact(self) -> bool:
+        """Every key exact-match (a keyless table is not): the table
+        resolves a lookup through a hash index, not a scan."""
+        return bool(self.keys) and all(k.match_kind is MatchKind.EXACT for k in self.keys)
+
+    @property
     def is_ternary(self) -> bool:
         return any(k.match_kind in (MatchKind.TERNARY, MatchKind.RANGE) for k in self.keys)
 

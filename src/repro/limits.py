@@ -38,6 +38,12 @@ TABLE_MEMO_CAPACITY = 4096
 #: least recently used is compiled again when next needed.
 FLEXPATH_CODE_MEMO_CAPACITY = 256
 
+#: Distinct hash inputs whose ``stable_hash`` one process keeps for the
+#: generated functions (:mod:`repro.simulator.fastpath`): a sketch row
+#: hashes the same ``(flow field, seed)`` tuple for every packet of a
+#: flow. Past it the least recently used input is hashed again.
+FLEXPATH_HASH_MEMO_CAPACITY = 4096
+
 #: One control-channel round trip for a dRPC-equivalent operation done
 #: in software (device -> controller -> device), and the controller's
 #: per-operation software handling time.

@@ -10,12 +10,15 @@ rewrite their pipelines — into the *source text of one Python function*
 *bit for bit* (DESIGN §4e has the full account):
 
 * the parser is inlined and header visibility lives in locals that stay
-  fixed until the next parse; FlexBPF locals are Python locals, and a
-  read the generator cannot prove bound raises the interpreter's
-  ``unbound variable`` error; a table lookup is inlined over the live
-  ``instance.rules[name]`` and followed by an ``if`` / ``elif`` over the
-  table's actions with each body inlined; map state is indexed live per
-  packet and read and written through ``MapState``;
+  fixed until the next parse; a header field no action or function
+  writes is read once per parse into a local, a written one at each
+  read; FlexBPF locals are Python locals, and a read the generator
+  cannot prove bound raises the interpreter's ``unbound variable``
+  error; a table lookup is inlined over the live ``instance.rules[name]``
+  — the hash index or the remembered scan, whichever the table's keys
+  call for, chosen here and not per packet — and followed by an ``if``
+  / ``elif`` over the table's actions with each body inlined; map state
+  is indexed live per packet and read and written through ``MapState``;
 * **exact ops accounting** — op costs are summed statically per
   straight-line region and added in one ``ops += k`` per region; only
   dynamic costs (a taken branch, a loop iteration, the action a lookup
@@ -29,7 +32,9 @@ rewrite their pipelines — into the *source text of one Python function*
 Identical source compiles once per process: what tells two instances
 apart (rule and map stores, version, program name) lives in the
 function's namespace, not its text, and the code object is memoized on
-the source string.
+the source string. Likewise every generated function hashes through one
+process-wide memo of ``stable_hash`` keyed on the input tuple, so a
+sketch row pays the hash once per flow, not once per packet.
 
 The function holds no per-flow state of its own. What repeats per
 flow is the table decision, and the table keeps that: a non-exact
@@ -49,7 +54,12 @@ from dataclasses import dataclass, field
 
 from repro.errors import SimulationError
 from repro.lang import ir
-from repro.limits import FLEXPATH_CODE_MEMO_CAPACITY, RECIRCULATION_CAP
+from repro.lang.composition import shared_field_writes
+from repro.limits import (
+    FLEXPATH_CODE_MEMO_CAPACITY,
+    FLEXPATH_HASH_MEMO_CAPACITY,
+    RECIRCULATION_CAP,
+)
 from repro.simulator.packet import Packet, Verdict, make_packet
 from repro.simulator.pipeline_exec import ExecutionResult, ProgramInstance
 from repro.util import stable_hash
@@ -62,27 +72,40 @@ _INDENT = "    "
 #: it into a closure (its own lookup code nests two levels further).
 _MAX_DEPTH = 14
 
-#: ``TableRules.lookup`` inlined: the generated key arity is statically
-#: correct, so the per-call validation (and the call frame) are skipped;
-#: semantics are otherwise identical, and a key a non-exact table has
-#: not decided yet goes through the same ``_decide`` as ``lookup``'s.
-_LOOKUP = """\
-if rules._all_exact:
-    index = rules._exact_index
-    if index is None:
-        index = rules._build_exact_index()
-    hit = index.get(key)
-else:
-    hit = rules._decided.get(key, False)
-    if hit is False:
-        hit = rules._decide(key)
+_COUNT_HIT = """\
 if hit is None:
     rules.miss_count += 1
     call = rules.definition.default_action
 else:
     call, position = hit
     rules.hit_counts[position] += 1
-""".splitlines()
+"""
+
+#: ``TableRules.lookup`` inlined, keyed by ``TableDef.is_exact``: the
+#: kind of lookup and the generated key arity are fixed per table, so
+#: the per-call kind test and arity validation (and the call frame) are
+#: skipped; semantics are otherwise identical, and a key a non-exact
+#: table has not decided yet goes through the same ``_decide`` as
+#: ``lookup``'s.
+_LOOKUP = {
+    True: (
+        """\
+index = rules._exact_index
+if index is None:
+    index = rules._build_exact_index()
+hit = index.get(key)
+"""
+        + _COUNT_HIT
+    ).splitlines(),
+    False: (
+        """\
+hit = rules._decided.get(key, False)
+if hit is False:
+    hit = rules._decide(key)
+"""
+        + _COUNT_HIT
+    ).splitlines(),
+}
 
 #: Operators whose FlexBPF semantics is not Python's infix operator of
 #: the same spelling: ``-`` saturates, ``/`` and ``%`` by zero give 0,
@@ -110,9 +133,16 @@ def _unbound(name: str):
     raise SimulationError(f"unbound variable {name!r} at runtime")
 
 
+#: ``stable_hash`` for the generated functions, remembered per input
+#: tuple and shared by every instance in the process: it is a pure
+#: function of its ints, and a sketch row hashes the same tuple for
+#: every packet of a flow. An input it refuses (a negative or over-wide
+#: part) raises every time, as nothing is remembered for it.
+_hash = functools.lru_cache(maxsize=FLEXPATH_HASH_MEMO_CAPACITY)(stable_hash)
+
 #: What every generated function finds in its globals, whatever its instance.
 _NAMESPACE = {
-    "H": stable_hash,
+    "H": _hash,
     "U": _unbound,
     "div": lambda left, right: left // right if right else 0,
     "mod": lambda left, right: left % right if right else 0,
@@ -166,6 +196,11 @@ class _Generator:
         self._visible = {
             header: self._ident("v", header, index) for index, header in enumerate(parsed)
         }
+        #: the header fields some action or function writes, read live;
+        #: any other holds its value for a whole pass, so it is read once
+        #: after the parse into the Python local ``_once`` names for it.
+        self._written = shared_field_writes(program)
+        self._once: dict[ir.FieldRef, str] = {}
         self._locals: dict[str, str] = {}
         #: names the scope being generated reads, and the subset read
         #: where they may be unbound.
@@ -191,6 +226,7 @@ class _Generator:
         steps, ops = self._steps(self._program.apply, 2)
         loop = [
             *self._parse(),
+            *(f"{local} = {self._live(ref)}" for ref, local in self._once.items()),
             *_charge(ops),
             *steps,
             f"if not (meta.pop('_recirculate', 0) and recirculations < {RECIRCULATION_CAP}):",
@@ -306,12 +342,24 @@ class _Generator:
                 static += 1 + ops
         return lines, static
 
+    def _live(self, ref: ir.FieldRef) -> str:
+        """A visibility-masked read of the field as the packet holds it now."""
+        return f"fget({(ref.header, ref.field)!r}, 0) if {self._visible[ref.header]} else 0"
+
     def _field(self, ref: ir.FieldRef) -> str:
-        """A visibility-masked field read."""
-        visible = self._visible.get(ref.header)
-        if visible is None:
+        """The field's value: 0 for a header never parsed, a live read
+        for a written field, else the local bound after the parse."""
+        if ref.header not in self._visible:
             return "0"
-        return f"(fget({(ref.header, ref.field)!r}, 0) if {visible} else 0)"
+        if ref in self._written:
+            return f"({self._live(ref)})"
+        local = self._once.get(ref)
+        if local is None:
+            local = self._ident("f", f"{ref.header}_{ref.field}", len(self._once))
+            if local in self._once.values():  # ("a_b", "c") against ("a", "b_c")
+                local = f"f{len(self._once)}"
+            self._once[ref] = local
+        return local
 
     def _table(self, table: ir.TableDef, depth: int) -> list[str]:
         key = _display([self._field(key.field) for key in table.keys])
@@ -325,7 +373,7 @@ class _Generator:
         return [
             f"rules = R[{table.name!r}]",
             f"key = {key}",
-            *_LOOKUP,
+            *_LOOKUP[table.is_exact],
             "if call is not None:",
             *_indent(
                 [

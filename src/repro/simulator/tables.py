@@ -158,9 +158,7 @@ class TableRules:
         #: optional table meter (configured via P4Runtime); every rule
         #: hit is coloured through it.
         self.meter = None
-        self._all_exact = bool(definition.keys) and all(
-            key.match_kind is MatchKind.EXACT for key in definition.keys
-        )
+        self._all_exact = definition.is_exact
         #: exact-key hash index: key tuple -> (action, rule index).
         self._exact_index: dict[tuple[int, ...], tuple[ActionCall, int]] | None = None
         #: (compiled predicate, (action, rule index)) pre-sorted for

@@ -6,9 +6,11 @@ interpreter for **every** bundled program — whole, where each of them
 writes state, and on its map-free hosted slice — at every flow mix from
 one flow repeated (all remembered) through a prime that never aligns
 with the run to 256 flows (mostly first sights), and past the number
-of keys a table remembers (FIFO eviction). A live change — a meter
-attaching or a rule inserted *between* packets — must also preserve
-bit-identity, the second dropping that table's decisions."""
+of keys a table remembers (FIFO eviction); a program that hashes
+answers a repeated input from the generated functions' hash memo. A
+live change — a meter attaching or a rule inserted *between* packets —
+must also preserve bit-identity, the second dropping that table's
+decisions."""
 
 import collections
 
@@ -16,13 +18,14 @@ import pytest
 
 from repro.analysis.corpus import bundled_programs
 from repro.apps import base_infrastructure
+from repro.lang import ir
 from repro.lang.ir import ActionCall
 from repro.limits import TABLE_MEMO_CAPACITY
 from repro.simulator import fastpath
 from repro.simulator.meters import Meter, MeterConfig
 from repro.simulator.packet import make_packet
 from repro.simulator.tables import Rule, ternary
-from tests.conftest import map_free_slice
+from tests.conftest import ir_nodes, map_free_slice
 from tests.runtime.test_device import executor_calls
 
 PROGRAMS = bundled_programs()
@@ -57,8 +60,12 @@ def scanning_tables(instance):
     return [
         rules
         for name, rules in instance.rules.items()
-        if instance.hosts(name) and not rules._all_exact  # noqa: SLF001
+        if instance.hosts(name) and not rules.definition.is_exact
     ]
+
+
+def hashes(program):
+    return any(isinstance(node, ir.HashExpr) for node in ir_nodes(program))
 
 
 @pytest.mark.parametrize("flows", FLOW_MIXES)
@@ -68,6 +75,7 @@ def scanning_tables(instance):
 def test_batched_matches_interpreter(label, program, flows):
     packets = tiled(fastpath.seeded_corpus(flows, seed=7), RUN_PACKETS)
     for hosted in (None, map_free_slice(program)):
+        hits = fastpath._hash.cache_info().hits  # noqa: SLF001
         arms = []
         assert_identical(
             fastpath.differential_check(
@@ -81,6 +89,12 @@ def test_batched_matches_interpreter(label, program, flows):
         for arm in arms:
             for rules in scanning_tables(arm):
                 assert len(rules._decided) <= flows  # noqa: SLF001
+        # ... and the generated function hashes a repeated input once:
+        # every mix repeats a flow, so a program that hashes must have
+        # answered some hash from the memo (the random corpus alone
+        # would only ever miss).
+        if hosted is None and hashes(program):
+            assert fastpath._hash.cache_info().hits > hits  # noqa: SLF001
 
 
 def test_batched_matches_interpreter_beyond_memo_capacity():

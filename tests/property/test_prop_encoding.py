@@ -1,10 +1,12 @@
 """Property-based tests for state encoding conversions and hashing."""
 
-from hypothesis import given
+import pytest
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from repro.compiler.state_encoding import ASSOCIATIVE, convert, decode, encode
 from repro.lang.maps import MapSnapshot
+from repro.simulator import fastpath
 from repro.targets.base import StateEncoding
 from repro.util import stable_hash
 
@@ -59,3 +61,40 @@ def test_stable_hash_low_bits_spread(values):
     entropy (the FNV-without-finalizer bug this guards against)."""
     buckets = {stable_hash((v,)) % 4 for v in values}
     assert len(buckets) >= 3
+
+
+#: The hash the generated functions call: ``stable_hash`` behind a memo.
+H = fastpath._NAMESPACE["H"]  # noqa: SLF001
+parts = st.one_of(st.booleans(), st.integers(min_value=0, max_value=2**128 - 1))
+
+
+@given(st.lists(parts, max_size=5))
+@example([0])
+@example([2**128 - 1, 0])
+@example([True, False, 1])
+def test_the_hash_memo_is_stable_hash(values):
+    key = tuple(values)
+    assert H(key) == stable_hash(key)
+    hits = H.cache_info().hits
+    assert H(key) == stable_hash(key)  # now answered from the memo
+    assert H.cache_info().hits == hits + 1
+
+
+@given(
+    st.lists(parts, max_size=3),
+    st.one_of(
+        st.integers(max_value=-1),
+        st.integers(min_value=2**128, max_value=2**136 - 1),  # a 17-byte part
+    ),
+    st.integers(min_value=0, max_value=3),
+)
+def test_the_hash_memo_refuses_what_stable_hash_refuses(values, bad, at):
+    """Nothing is remembered for an input that raises, so it raises on
+    every call: first sight, again, and next to a tuple the memo holds."""
+    H(tuple(values))
+    key = (*values[:at], bad, *values[at:])
+    for _ in range(2):
+        with pytest.raises(OverflowError):
+            H(key)
+    with pytest.raises(OverflowError):
+        stable_hash(key)

@@ -14,20 +14,13 @@ import random
 import pytest
 
 from repro.analysis.corpus import bundled_programs
-from repro.apps import (
-    base_infrastructure,
-    count_min_delta,
-    firewall_delta,
-    int_probe_delta,
-    rate_limit_delta,
-)
 from repro.apps.base import STANDARD_HEADERS, standard_builder
 from repro.errors import SimulationError
 from repro.lang import builder as b
 from repro.lang import ir
-from repro.lang.delta import apply_delta
 from repro.lang.maps import MapFullError
 from repro.limits import RECIRCULATION_CAP
+from repro.scale.workload import composed_program
 from repro.simulator import fastpath
 from repro.simulator.meters import Meter, MeterConfig
 from repro.simulator.packet import make_packet
@@ -295,13 +288,67 @@ def unvalidated_program():
     return builder.build(validate=False)
 
 
-def composed_program():
-    """The ledger's `fabric_stateful` program: base + firewall + INT +
-    count-min + rate-limit."""
-    program = base_infrastructure()
-    for delta in (firewall_delta(), int_probe_delta(), count_min_delta(), rate_limit_delta()):
-        program, _ = apply_delta(program, delta)
-    return program
+def rewrite_program():
+    """An action that reads a field, writes it and reads it again: a
+    written field is read live, never from the once-per-parse local."""
+    builder = standard_builder("rewrite")
+    builder.action(
+        "bump",
+        [
+            b.assign("meta.before", "ipv4.ttl"),
+            b.assign("ipv4.ttl", b.binop("+", "ipv4.ttl", "step")),
+            b.assign("meta.after", b.binop("+", "ipv4.ttl", "ipv4.src")),
+        ],
+        params=[("step", "u8")],
+    )
+    builder.table("bumps", keys=["ipv4.proto"], actions=["bump"], size=4, default=("bump", (7,)))
+    builder.apply("bumps")
+    return builder.build()
+
+
+def deep_read_program(depth):
+    """Fields nothing writes, read at the bottom of an ``If`` chain deep
+    enough to spill into ``deep_N`` closures, which read the locals
+    ``process`` bound after the parse."""
+    body = [b.assign("meta.src", "ipv4.src"), b.assign("meta.sport", "tcp.sport")]
+    for level in reversed(range(depth)):
+        body = [b.if_(b.binop(">", "meta.a", level), body)]
+    builder = standard_builder(f"deep_read_{depth}")
+    builder.function("descend", body)
+    builder.apply("descend")
+    return builder.build()
+
+
+def reparse_program():
+    """Each pass reports ``tcp.dport``, which nothing writes, and flips
+    ``ipv4.proto`` between 6 and 17: the re-parse shows or hides tcp, so
+    the once-per-parse read must follow it pass by pass."""
+    builder = standard_builder("reparse")
+    builder.function(
+        "report",
+        [
+            b.call("emit_digest", "tcp.dport", "meta.bounces"),
+            b.if_(
+                b.binop("<", "meta.bounces", "meta.limit"),
+                [b.assign("meta.bounces", b.binop("+", "meta.bounces", 1)), b.call("recirculate")],
+            ),
+            b.assign("ipv4.proto", b.binop("^", "ipv4.proto", 6 ^ 17)),
+        ],
+    )
+    builder.apply("report")
+    return builder.build()
+
+
+def keyless_program():
+    """A keyless table (not exact: it takes the remembered scan, whose
+    one key is ``()``) beside an exact one."""
+    builder = standard_builder("keyless")
+    builder.action("tag", [b.assign("meta.tag", "value")], params=[("value", "u16")])
+    builder.action("nop", [b.call("no_op")])
+    builder.table("stamp", keys=[], actions=["tag", "nop"], size=4, default="nop")
+    builder.table("dsts", keys=["ipv4.dst"], actions=["tag"], size=8)
+    builder.apply("stamp", "dsts")
+    return builder.build()
 
 
 def metered(program, table, rate_pps=2000.0, burst=3.0):
@@ -330,6 +377,13 @@ def _cases():
         packets=corpus(200, a=small),
         setup=lambda instance: fastpath.seeded_rules(branching, instance, seed=3))
     yield "unvalidated", unvalidated_program(), dict(packets=corpus(a=small, b=(0, 1, 9)))
+    yield "rewrite", rewrite_program(), dict(packets=corpus())
+    yield "deep_read", deep_read_program(40), dict(packets=corpus(a=range(0, 44)))
+    yield "reparse", reparse_program(), dict(
+        packets=corpus(bounces=(0,), limit=range(0, RECIRCULATION_CAP + 2)))
+    keyless = keyless_program()
+    yield "keyless", keyless, dict(
+        packets=corpus(), setup=lambda instance: fastpath.seeded_rules(keyless, instance, seed=4))
     yield "composed", composed, dict(packets=corpus(150), setup=metered(composed, "l3"))
     yield "hosted_subset", composed, dict(
         packets=corpus(150), hosted_elements={"acl", "count_flow", "fw_track", "cms_update"},
@@ -415,6 +469,20 @@ def test_the_hand_built_cases_reach_the_edges_they_name():
     assert packet.fields == before  # the write to tcp.flags went nowhere
     packet.meta["a"] = 0  # `meta.a > 2` false: the hash is not charged
     assert ProgramInstance(unvalidated_program()).process(packet).ops == result.ops - 5
+
+    packet = make_packet(1, 2, ttl=64)
+    ProgramInstance(rewrite_program()).process(packet)
+    assert packet.meta["before"] == 64 and packet.meta["after"] == 64 + 7 + 1
+
+    packet = make_packet(1, 2, dst_port=443)
+    packet.meta.update(bounces=0, limit=2)
+    ProgramInstance(reparse_program()).process(packet)
+    assert [args for _, args in packet.digests] == [(443, 0), (0, 1), (443, 2)]
+
+    packet = make_packet(1, 2)
+    packet.meta["a"] = 40
+    ProgramInstance(deep_read_program(40)).process(packet)
+    assert packet.meta["src"] == 1 and packet.meta["sport"] == 12345
 
 
 # ---------------------------------------------------------------------------
@@ -561,6 +629,43 @@ def test_over_deep_suites_become_closures_of_the_one_function(program):
     assert "def deep_0():" in source
     deepest = max((len(line) - len(line.lstrip())) // 4 for line in source.splitlines())
     assert deepest <= fastpath._MAX_DEPTH + 4
+
+
+# ---------------------------------------------------------------------------
+# Decided when the code is generated, not per packet
+# ---------------------------------------------------------------------------
+
+
+def source_of(program):
+    instance = ProgramInstance(program, fastpath=True)
+    instance.process(make_packet(1, 2), 0.0)
+    return instance._compiled.source
+
+
+def test_a_field_nothing_writes_is_read_once_per_parse():
+    """The `fabric_stateful` program reads `ipv4.src` eleven times; the
+    packet is read once per pass for each field no body writes, and a
+    written one (`ipv4.ttl`, by `dec_ttl`) is read where it is used."""
+    source = source_of(composed_program())
+    for field in (("ipv4", "src"), ("ipv4", "dst"), ("ethernet", "dst")):
+        assert source.count(f"fget({field!r}, 0)") == 1, field
+    assert source.count("fget(('ipv4', 'ttl'), 0)") == 3
+    assert "_all_exact" not in source
+
+
+def test_a_closure_reads_the_once_per_parse_local():
+    source = source_of(deep_read_program(40))
+    closures = source[source.index("def deep_0():") : source.index("while True:")]
+    assert "f_ipv4_src" in closures and "f_tcp_sport" in closures
+    assert "fget(" not in closures
+
+
+def test_the_lookup_kind_is_chosen_per_table_when_the_code_is_generated():
+    """A keyless table takes the remembered scan, an exact one the hash
+    index; neither carries the other's branch."""
+    stamp, dsts = source_of(keyless_program()).split("rules = R['dsts']")
+    assert "rules._decide(key)" in stamp and "_exact_index" not in stamp
+    assert "rules._exact_index" in dsts and "_decide" not in dsts
 
 
 def test_bundled_programs_are_walked_too():

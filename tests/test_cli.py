@@ -229,15 +229,13 @@ class TestBench:
         assert payload["divergences"] == 0 and payload["packets"] == 120
 
     def test_bench_exits_1_when_the_memo_arm_diverges(self, capsys, monkeypatch):
-        """The generated function's copy of the lookup, broken so that
-        it forgets every rule: the differential check must say so."""
+        """The generated function's copies of the lookup (hash index and
+        remembered scan), broken so that they forget every rule: the
+        differential check must say so."""
         from repro.simulator import fastpath
 
-        monkeypatch.setattr(
-            fastpath,
-            "_LOOKUP",
-            ["rules.miss_count += 1", "call = rules.definition.default_action"],
-        )
+        forget = ["rules.miss_count += 1", "call = rules.definition.default_action"]
+        monkeypatch.setattr(fastpath, "_LOOKUP", dict.fromkeys((True, False), forget))
         assert main(["bench", "--fastpath", "--packets", "120"]) == 1
         assert "diverged" in capsys.readouterr().out
 
