@@ -16,12 +16,12 @@ from __future__ import annotations
 
 from collections import defaultdict, deque
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.simulator.packet import Packet
 
 
-@dataclass(frozen=True)
-class DigestRecord:
+class DigestRecord(NamedTuple):
     time: float
     program: str
     values: tuple[int, ...]
@@ -63,16 +63,27 @@ class TelemetryCollector:
         self.observer = None
 
     def ingest_packet(self, packet: Packet, now: float) -> None:
-        for program, values in packet.digests:
-            self.ingest(DigestRecord(time=now, program=program, values=values))
+        """Ingest every digest ``packet`` carries, stamped ``now``: the
+        same buffer and count as one :meth:`ingest` per digest, with one
+        eviction and one cap for the lot."""
+        digests = packet.digests
+        if digests:
+            self._digests.extend(
+                [DigestRecord(now, program, values) for program, values in digests]
+            )
+            self.total_digests += len(digests)
+            self._bound(now)
 
     def ingest(self, record: DigestRecord) -> None:
         self._digests.append(record)
         self.total_digests += 1
+        self._bound(record.time)
+
+    def _bound(self, now: float) -> None:
         # Evict on ingest so a collector that is never queried cannot
         # grow without bound; digest times are monotone in practice
         # (they come from the event loop's clock).
-        self._evict(record.time)
+        self._evict(now)
         while len(self._digests) > self.max_records:
             self._digests.popleft()
 

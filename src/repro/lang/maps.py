@@ -118,18 +118,24 @@ class MapState:
         self._entries = OrderedDict(snapshot.entries)
         self.mutation_count += 1
 
-    def merge(self, snapshot: MapSnapshot, combine: str = "last_writer") -> None:
+    def merge(self, snapshot: MapSnapshot, combine: str = "last_writer") -> int:
         """Merge a snapshot into live state.
 
         ``combine='last_writer'`` overwrites existing keys;
         ``combine='sum'`` adds values (correct for counter-style maps such
-        as sketches, where both halves observed disjoint packets).
+        as sketches, where both halves observed disjoint packets). A full
+        durable map keeps what fits: returns how many entries it had no
+        room for.
         """
+        dropped = 0
         for key, value in snapshot.entries:
             if combine == "sum":
-                self.put(key, self.get(key) + value)
-            else:
+                value += self.get(key)
+            try:
                 self.put(key, value)
+            except MapFullError:
+                dropped += 1
+        return dropped
 
 
 class MapSet:

@@ -8,9 +8,11 @@ implements the paper's §2 reconfiguration semantics:
   staged alongside the old; during the transition window each packet is
   processed *entirely* by one version (old XOR new, chosen by a
   deterministic per-packet draw that shifts toward the new version as
-  the window progresses). Same-shape maps and tables are physically
-  shared between versions, so state survives — nothing is lost and no
-  packet is dropped.
+  the window progresses). Same-key maps and same-shape tables are
+  physically shared between versions, so state survives — nothing is
+  lost and no packet is dropped. A map the new version re-declares
+  (size, width, persistence) takes its own state at the cut-over,
+  filled with the shared one's entries.
 
 * **Reflash update** (compile-time baseline): the device drains (all
   packets during drain + reflash + redeploy are *lost*), and the new
@@ -28,6 +30,7 @@ from dataclasses import dataclass, field
 import repro.simulator.fastpath  # noqa: F401
 from repro.errors import ReconfigError
 from repro.lang.ir import Program
+from repro.lang.maps import MapState
 from repro.simulator.packet import FiveTuple, Packet, Verdict
 from repro.simulator.pipeline_exec import ProgramInstance
 from repro.targets.base import Target
@@ -91,6 +94,10 @@ class _Transition:
     #: was partially applied, the version-select state is corrupt, and
     #: the split freezes at this progress until recovery resolves it.
     frozen_progress: float | None = None
+    #: maps the new version re-declares under the same key (another
+    #: size, width or persistence), each with the state its declaration
+    #: made: the versions share the old state until the cut-over.
+    redeclared: list[tuple[str, MapState]] = field(default_factory=list)
 
 
 class DeviceRuntime:
@@ -217,13 +224,13 @@ class DeviceRuntime:
                 f"(ends t={self._transition.end:.3f}, now t={now:.3f})"
             )
         new_instance = ProgramInstance(program, hosted_elements, fastpath=self._engine.fastpath)
-        self._share_state(self._active, new_instance)
         self._transition = _Transition(
             old=self._active,
             new=new_instance,
             start=now,
             end=now + duration_s,
             flow_affine=flow_affine,
+            redeclared=self._share_state(self._active, new_instance),
         )
         self.stats.reconfigurations += 1
         return new_instance
@@ -250,13 +257,21 @@ class DeviceRuntime:
         return self._unavailable_until
 
     @staticmethod
-    def _share_state(old: ProgramInstance, new: ProgramInstance) -> None:
-        """Physically share same-shape maps and tables across versions —
-        the hardware keeps one copy, so both versions see one state."""
+    def _share_state(
+        old: ProgramInstance, new: ProgramInstance
+    ) -> list[tuple[str, MapState]]:
+        """Physically share same-key maps and same-shape tables across
+        versions — the hardware keeps one copy, so both versions see one
+        state and no write inside the window is lost. Returns the maps
+        the new version re-declares (size, width, persistence) with the
+        state each declaration made; :meth:`_cut_over` moves them there."""
+        redeclared = []
         for map_def in new.program.maps:
             if map_def.name in old.maps:
                 old_state = old.maps.state(map_def.name)
                 if old_state.definition.key_fields == map_def.key_fields:
+                    if old_state.definition != map_def:
+                        redeclared.append((map_def.name, new.maps.state(map_def.name)))
                     new.maps._states[map_def.name] = old_state  # noqa: SLF001 - deliberate sharing
         for table in new.program.tables:
             old_rules = old.rules.get(table.name)
@@ -270,6 +285,19 @@ class DeviceRuntime:
                 # plus their runtime artifacts (hit counters, miss count,
                 # meter) instead of restarting the table cold.
                 new.rules[table.name].adopt_from(old_rules)
+        return redeclared
+
+    def _cut_over(self, transition: _Transition) -> None:
+        """Retire the old version. A map the new version re-declares
+        leaves the shared state for its own, filled with what the shared
+        one holds: an ephemeral map shrunk below it evicts the least
+        recently used entries, a durable one keeps what fits."""
+        new = transition.new
+        for name, state in transition.redeclared:
+            state.merge(new.maps.state(name).snapshot())
+            new.maps._states[name] = state  # noqa: SLF001 - the cut-over's re-point
+        self._active = new
+        self._transition = None
 
     # -- crash / restart (FlexFault) --------------------------------------------
 
@@ -311,8 +339,11 @@ class DeviceRuntime:
         (rollback). Applied as one atomic transaction on restart."""
         if self._transition is None:
             raise ReconfigError(f"device {self.name!r} has no transition to resolve")
-        self._active = self._transition.new if to_new else self._transition.old
-        self._transition = None
+        if to_new:
+            self._cut_over(self._transition)
+        else:
+            self._active = self._transition.old
+            self._transition = None
 
     def settle(self, now: float) -> None:
         """Finalize an elapsed (non-frozen) transition window without
@@ -323,8 +354,7 @@ class DeviceRuntime:
             and transition.frozen_progress is None
             and now >= transition.end
         ):
-            self._active = transition.new
-            self._transition = None
+            self._cut_over(transition)
 
     # -- PacketProcessor protocol ---------------------------------------------------
 
@@ -422,9 +452,8 @@ class DeviceRuntime:
             return chosen
         if now >= transition.end:
             # Transition complete: retire the old version. The per-packet
-            # twin of :meth:`settle`, inline because mid-window hops are hot.
-            self._active = transition.new
-            self._transition = None
+            # twin of :meth:`settle`.
+            self._cut_over(transition)
             return self._active
         # Epoch stamping for path-wide consistency: if an upstream device
         # already bound this packet to a version we also hold, honour it.

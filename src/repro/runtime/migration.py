@@ -42,7 +42,8 @@ class MigrationReport:
     #: updates that landed on the source after its snapshot round but were
     #: never copied (control-plane loss); always 0 for data plane.
     updates_lost: int
-    #: entries dropped or aliased by an encoding conversion.
+    #: entries dropped or aliased on the way: by an encoding conversion,
+    #: or for want of room in a smaller durable destination.
     conversion_loss: int = 0
 
 
@@ -121,7 +122,9 @@ def data_plane_migration(
     transfer pass, writes are applied to both instances, so no update is
     lost and convergence is guaranteed in one round. If the encodings
     differ, state is converted through the logical representation and
-    any aliasing loss is reported.
+    any aliasing loss is reported, as is each entry a durable
+    destination has no room for (it is declared smaller than what the
+    source holds): the destination keeps what fits.
 
     ``injector`` is FlexFault's hook: an injected failure aborts the
     transfer before any entry lands (raising :class:`MigrationError`,
@@ -148,7 +151,7 @@ def data_plane_migration(
         )
         conversion_loss = max(report.entries_in - report.entries_out, 0)
         snapshot = converted
-    destination.merge(snapshot)
+    conversion_loss += destination.merge(snapshot)
 
     return MigrationReport(
         strategy="data_plane",

@@ -153,8 +153,8 @@ class ReconfigOrchestrator:
         by flow for PER_FLOW consistency. ``protected_maps`` names maps
         FlexCheck's race pass flagged: at each window start their state is
         swing-migrated into the staged version whenever physical sharing
-        was impossible (re-keyed/re-declared maps), so old-version
-        in-flight updates are not lost.
+        was impossible (a re-keyed map), so the staged version starts
+        from what the old one held when the window opened.
 
         FlexHA threading: ``epoch`` stamps every start command with the
         proposing leader's Raft term (devices reject stale epochs);
@@ -343,8 +343,9 @@ class ReconfigOrchestrator:
             if not protected_maps or old is None:
                 return
             # Swing-state migration for race-flagged maps whose physical
-            # state could not be shared across versions (re-keyed or
-            # re-declared): warm the staged copy so no update is lost.
+            # state could not be shared across versions (re-keyed): warm
+            # the staged copy. A re-declared map is shared until the
+            # cut-over, which carries its entries itself.
             for map_name in sorted(protected_maps):
                 if map_name not in old.maps or map_name not in staged.maps:
                     continue

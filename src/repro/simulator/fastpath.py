@@ -18,7 +18,9 @@ rewrite their pipelines — into the *source text of one Python function*
   — the hash index or the remembered scan, whichever the table's keys
   call for, chosen here and not per packet — and followed by an ``if``
   / ``elif`` over the table's actions with each body inlined; map state
-  is indexed live per packet and read and written through ``MapState``;
+  is indexed live per packet, a read is a dict ``get`` on its entries
+  and a write the dict store ``MapState.put`` makes — only a full map
+  calls ``put``, for its eviction or ``MapFullError``;
 * **exact ops accounting** — op costs are summed statically per
   straight-line region and added in one ``ops += k`` per region; only
   dynamic costs (a taken branch, a loop iteration, the action a lookup
@@ -106,6 +108,23 @@ if hit is False:
         + _COUNT_HIT
     ).splitlines(),
 }
+
+#: ``MapState.put`` inlined after ``state``, ``entries``, ``mkey`` and
+#: ``value`` are bound: a store to a present key or into a map with room
+#: is the dict op, and only a full map — LRU eviction or
+#: ``MapFullError`` — calls ``put``. The width and capacity are read off
+#: the live state.
+_PUT = """\
+if mkey in entries:
+    entries[mkey] = value & state._max_value
+    entries.move_to_end(mkey)
+    state.mutation_count += 1
+elif len(entries) < state._max_entries:
+    entries[mkey] = value & state._max_value
+    state.mutation_count += 1
+else:
+    state.put(mkey, value)
+""".splitlines()
 
 #: Operators whose FlexBPF semantics is not Python's infix operator of
 #: the same spelling: ``-`` saturates, ``/`` and ``%`` by zero give 0,
@@ -253,7 +272,12 @@ class _Generator:
             *_indent(loop),
             "if mget('drop_flag'):",
             _INDENT + "packet.verdict = DROP",
-            "return Result(ops, VERSION, recirculations)",
+            "if recirculations:",
+            _INDENT + "return Result(ops, VERSION, recirculations)",
+            "result = DONE.get(ops)",
+            "if result is None:",
+            _INDENT + "result = DONE[ops] = Result(ops, VERSION)",
+            "return result",
         ]
         return "\n".join(["def process(packet, now=0.0):", *_indent(body), ""])
 
@@ -440,11 +464,23 @@ class _Generator:
         if isinstance(stmt, ir.MapPut):
             key, key_ops = self._tuple(stmt.key, bound)
             value, value_ops = self._int(stmt.value, bound)
-            lines.append(self._map_call(stmt.map_name, "put", f"{key}, {value}"))
+            if stmt.map_name in self._instance.maps:
+                lines += [
+                    f"state = S[{stmt.map_name!r}]",
+                    "entries = state._entries",
+                    f"mkey = {key}",
+                    f"value = {value}",
+                    *_PUT,
+                ]
+            else:
+                lines.append(f"({key}, {value})")  # no state, still evaluated
             return 4 + key_ops + value_ops
         if isinstance(stmt, ir.MapDelete):
             key, key_ops = self._tuple(stmt.key, bound)
-            lines.append(self._map_call(stmt.map_name, "delete", key))
+            if stmt.map_name in self._instance.maps:
+                lines.append(f"S[{stmt.map_name!r}].delete({key})")
+            else:
+                lines.append(key)  # no state, still evaluated
             return 4 + key_ops
         if isinstance(stmt, ir.If):
             # Branches share the enclosing scope at run time; what is
@@ -468,14 +504,6 @@ class _Generator:
         if isinstance(stmt, ir.PrimitiveCall):
             return self._primitive(stmt, bound, lines)
         raise SimulationError(f"cannot compile {stmt!r}")  # pragma: no cover
-
-    def _map_call(self, map_name: str, method: str, args: str) -> str:
-        """A statement calling ``MapState.<method>``; a map the program
-        never declared has no state, but its arguments are still
-        evaluated."""
-        if map_name in self._instance.maps:
-            return f"S[{map_name!r}].{method}({args})"
-        return f"({args})"
 
     def _primitive(self, call: ir.PrimitiveCall, bound: set[str], lines: list[str]) -> int:
         effect = _PRIMITIVES.get(call.name)
@@ -534,7 +562,7 @@ class _Generator:
         if isinstance(expr, ir.MapGet):
             key, ops = self._tuple(expr.key, bound)
             if expr.map_name in self._instance.maps:
-                return f"S[{expr.map_name!r}].get({key})", 4 + ops
+                return f"S[{expr.map_name!r}]._entries.get({key}, 0)", 4 + ops
             return f"({key}, 0)[1]", 4 + ops
         if isinstance(expr, ir.HashExpr):
             args, ops = self._tuple(expr.args, bound)
@@ -579,7 +607,10 @@ class CompiledProgram:
     ``process(packet, now)`` is the generated function, ``source`` the
     text it was compiled from. What tells two instances with the same
     text apart — their rule and map stores, the version they report and
-    the name their digests carry — is bound in the function's globals."""
+    the name their digests carry — is bound in the function's globals,
+    as is ``DONE``: the one result per op count that a pass without
+    recirculation returns (nothing writes a result, as nothing writes
+    the pass-through lane's)."""
 
     __slots__ = ("version", "source", "process")
 
@@ -593,6 +624,7 @@ class CompiledProgram:
             "S": instance.maps._states,  # noqa: SLF001 - hot-path binding
             "NAME": program.name,
             "VERSION": program.version,
+            "DONE": {},
         }
         exec(_code(self.source), namespace)  # noqa: S102 - generated from the IR, no packet data
         self.process = namespace["process"]

@@ -124,9 +124,9 @@ class RunMetrics:
             self.dropped_by_program += 1
         else:
             self.lost_by_infrastructure += 1
-        for device, version in packet.versions_seen.items():
-            key = (device, version)
-            self.version_counts[key] = self.version_counts.get(key, 0) + 1
+        counts = self.version_counts
+        for pair in packet.versions_seen.items():
+            counts[pair] = counts.get(pair, 0) + 1
 
     @property
     def loss_rate(self) -> float:

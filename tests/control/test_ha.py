@@ -4,6 +4,7 @@ from repro.apps import base_infrastructure, firewall_delta
 from repro.control.ha import FlexHA
 from repro.core.flexnet import FlexNet
 from repro.faults import FaultInjector, FaultPlan
+from repro.lang.delta import apply_delta, parse_delta
 from repro.runtime.consistency import ConsistencyLevel
 from repro.simulator.packet import reset_packet_ids
 
@@ -196,3 +197,23 @@ class TestHealthResync:
         )
         controller.loop.run_until(4.0)  # must not raise
         assert controller.ha is None
+
+
+class TestRedrive:
+    def test_a_redriven_resize_keeps_the_map(self):
+        """The window a dead leader never dispatched is opened with no
+        migration: a map the intended version resizes keeps its entries."""
+        net, controller, ha = make_ha_net()
+        controller.loop.run_until(1.0)
+        device = controller.devices["sw1"]
+        device.active_instance.maps.state("flow_counts").put((1, 9), 7)
+        intended, _ = apply_delta(
+            controller.program, parse_delta("delta shrink { resize map flow_counts 1024; }")
+        )
+        assert ha._redrive(device, intended, device.active_program.version) is not None
+        controller.loop.run_until(2.0)
+        settle(controller)
+        state = device.active_instance.maps.state("flow_counts")
+        assert device.active_program.version == intended.version
+        assert state._max_entries == 1024
+        assert dict(state.items()) == {(1, 9): 7}

@@ -88,3 +88,42 @@ class TestBoundedMemory:
         assert len(collector.events) == 4096
         assert collector.events[-1].kind == "crash"
         assert collector.events[-1].device == "sw1"
+
+
+class TestIngestPacket:
+    """``ingest_packet`` is one ``ingest`` per digest, with one eviction
+    and one cap for the packet."""
+
+    @staticmethod
+    def arrivals():
+        """Packets of 0–5 digests at rising times (some with a
+        valueless digest), so the window and the cap both bite."""
+        for index in range(60):
+            packet = make_packet(1, 2)
+            packet.digests += [(f"p{d}", (index, d)[: d % 3]) for d in range(index % 6)]
+            yield packet, index * 0.07
+
+    @pytest.mark.parametrize("window_s, max_records", [(0.5, 100_000), (10.0, 7), (0.2, 4)])
+    def test_matches_a_per_record_loop(self, window_s, max_records):
+        batched = TelemetryCollector(window_s=window_s, max_records=max_records)
+        looped = TelemetryCollector(window_s=window_s, max_records=max_records)
+        for packet, now in self.arrivals():
+            batched.ingest_packet(packet, now)
+            for program, values in packet.digests:
+                looped.ingest(DigestRecord(time=now, program=program, values=values))
+            assert batched.total_digests == looped.total_digests
+            assert list(batched._digests) == list(looped._digests)
+        assert len(batched._digests) <= max_records
+
+    def test_a_packet_without_digests_evicts_nothing(self):
+        collector = TelemetryCollector(window_s=0.5)
+        collector.ingest(DigestRecord(time=0.0, program="p", values=(7,)))
+        collector.ingest_packet(make_packet(1, 2), now=9.0)
+        assert len(collector._digests) == 1 and collector.total_digests == 1
+
+    def test_record_fields_and_equality(self):
+        record = DigestRecord(time=0.5, program="p", values=(7, 8))
+        assert (record.time, record.program, record.values) == (0.5, "p", (7, 8))
+        assert record == DigestRecord(time=0.5, program="p", values=(7, 8))
+        assert record != DigestRecord(time=0.5, program="q", values=(7, 8))
+        assert hash(record) == hash(DigestRecord(time=0.5, program="p", values=(7, 8)))

@@ -1,12 +1,17 @@
-"""Property-based tests for map state: snapshots, merges, truncation."""
+"""Property-based tests for map state: snapshots, merges, truncation,
+and FlexPath's inlined map ops against ``MapState``."""
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.apps.base import standard_builder
 from repro.lang import builder as b
 from repro.lang.ir import MapDef, Persistence
-from repro.lang.maps import MapState
+from repro.lang.maps import MapFullError, MapState
 from repro.lang.types import BitsType
+from repro.simulator.packet import make_packet
+from repro.simulator.pipeline_exec import ProgramInstance
 
 keys = st.tuples(st.integers(min_value=0, max_value=2**32 - 1))
 values = st.integers(min_value=0, max_value=2**64 - 1)
@@ -91,3 +96,66 @@ def test_merge_sum_is_additive(first_entries, second_entries):
         expected[key] = expected.get(key, 0) + value
     first.merge(second.snapshot(), combine="sum")
     assert dict(first.items()) == {k: v for k, v in expected.items()}
+
+
+def tiny_map_program(persistence: str):
+    """One packet, one op on a 3-entry u8 map keyed by ``ipv4.src``:
+    ``meta.op`` 0 stores ``meta.val``, 1 adds it to what the key holds
+    (the ``put(k, get(k) + v)`` FlexPath builds the key for once), 2
+    deletes, and anything else reads into ``meta.out``."""
+    builder = standard_builder(f"tiny_{persistence}")
+    builder.map("m", keys=["ipv4.src"], value_type="u8", max_entries=3, persistence=persistence)
+
+    def op(code, then, otherwise):
+        return [b.if_(b.binop("==", "meta.op", code), then, otherwise)]
+
+    add = b.binop("+", b.map_get("m", "ipv4.src"), "meta.val")
+    builder.function(
+        "ops",
+        op(0, [b.map_put("m", "ipv4.src", "meta.val")],
+           op(1, [b.map_put("m", "ipv4.src", add)],
+              op(2, [b.map_delete("m", "ipv4.src")],
+                 [b.assign("meta.out", b.map_get("m", "ipv4.src"))]))),
+    )
+    builder.apply("ops")
+    return builder.build()
+
+
+TINY = {name: tiny_map_program(name) for name in ("durable", "ephemeral")}
+map_ops = st.lists(
+    st.tuples(
+        st.integers(min_value=0, max_value=3),
+        st.integers(min_value=1, max_value=6),
+        st.integers(min_value=0, max_value=300),
+    ),
+    max_size=40,
+)
+
+
+def run_ops(program, fast: bool, ops):
+    instance = ProgramInstance(program, fastpath=fast)
+    seen = []
+    for code, key, value in ops:
+        packet = make_packet(key, 9)
+        packet.meta.update(op=code, val=value)
+        try:
+            result = instance.process(packet, 0.0)
+        except MapFullError as error:
+            seen.append(str(error))
+        else:
+            seen.append((result.ops, packet.meta.get("out")))
+    return seen, instance.maps.state("m")
+
+
+@pytest.mark.parametrize("persistence", sorted(TINY))
+@given(ops=map_ops)
+def test_inline_map_ops_match_map_state(persistence, ops):
+    """Per packet the same outcome (a durable map's ``MapFullError`` on
+    the same packet, the same read), and afterwards the same entries in
+    the same LRU order — so an ephemeral map evicted the same victims —
+    and the same mutation count."""
+    reference, ref_state = run_ops(TINY[persistence], False, ops)
+    inline, state = run_ops(TINY[persistence], True, ops)
+    assert inline == reference
+    assert state.snapshot().entries == ref_state.snapshot().entries
+    assert state.mutation_count == ref_state.mutation_count

@@ -6,14 +6,19 @@ import dataclasses
 
 import pytest
 
+from repro import FlexNet
 from repro.analysis.corpus import bundled_programs
+from repro.apps import base_infrastructure
 from repro.apps.base import standard_builder
 from repro.errors import ReconfigError
 from repro.lang import builder as b
 from repro.lang.delta import apply_delta, parse_delta
+from repro.lang.maps import MapFullError
+from repro.lang.types import BitsType
 from repro.observe import Observer
 from repro.runtime.device import DeviceRuntime, EngineConfig
 from repro.simulator import fastpath
+from repro.simulator.flowgen import TimedPacket
 from repro.simulator.packet import Verdict, make_packet
 from repro.simulator.pipeline_exec import ProgramInstance
 from repro.targets import drmt_switch, rmt_switch
@@ -159,6 +164,117 @@ class TestHitlessUpdate:
             device.process(packet, 0.5)
             seen.add(packet.versions_seen["d"])
         assert len(seen) == 1  # whole flow cuts over together
+
+
+ENGINES = pytest.mark.parametrize("fast", [False, True], ids=["interpreter", "flexpath"])
+
+
+def redeclared(program, name, **changes):
+    maps = tuple(
+        dataclasses.replace(m, **changes) if m.name == name else m for m in program.maps
+    )
+    return dataclasses.replace(program, maps=maps).bump_version()
+
+
+class TestMapRedeclaredAcrossVersions:
+    """A map the new version re-declares (size, width, persistence)
+    under the same key is shared while the window is open, so neither
+    version's writes are lost, and takes its own state, with the shared
+    entries, at the cut-over: from there it enforces what it declares."""
+
+    @staticmethod
+    def counted(net, update):
+        """Count three flows twice, apply ``update``, step past its
+        window, count them twice more; the active ``flow_counts``."""
+
+        def flows():
+            start = net.controller.loop.now
+            return [TimedPacket(start + i * 1e-3, make_packet(1 + i % 3, 9)) for i in range(6)]
+
+        net.install(base_infrastructure())
+        net.run_traffic(packets=flows(), extra_time_s=0.1)
+        old = net.device("sw1").active_instance.maps.state("flow_counts")
+        outcome = update()
+        net.run_traffic(packets=[], extra_time_s=1.0)
+        net.run_traffic(packets=flows(), extra_time_s=2.0)
+        instance = net.device("sw1").active_instance
+        state = instance.maps.state("flow_counts")
+        assert instance.program.map("flow_counts").max_entries == 1024
+        assert state is not old and state._max_entries == 1024
+        return outcome, dict(state.items())
+
+    @ENGINES
+    def test_a_live_resize_takes_effect_and_carries_the_entries(self, fast):
+        net = FlexNet.standard()
+        net.engine(fastpath=fast)
+        outcome, counts = self.counted(
+            net, lambda: net.update(parse_delta("delta shrink { resize map flow_counts 1024; }"))
+        )
+        assert outcome.forced_two_phase  # RACE-MAP-RESIZE
+        assert counts == {(src, 9): 4 for src in (1, 2, 3)}
+
+    @ENGINES
+    def test_a_resize_that_rewrites_the_writer_carries_the_entries(self, fast):
+        """No element that touches the map survives the delta, so race
+        analysis flags nothing and no migration runs: the entries still
+        reach the resized map."""
+        net = FlexNet.standard()
+        net.engine(fastpath=fast)
+        delta = parse_delta(
+            """delta recount {
+              resize map flow_counts 1024;
+              remove func count_flow;
+              add func count_flow() {
+                let c: u64 = map_get(flow_counts, ipv4.src, ipv4.dst);
+                map_put(flow_counts, ipv4.src, ipv4.dst, (c + 2));
+              }
+              insert count_flow after l3;
+            }"""
+        )
+        outcome, counts = self.counted(net, lambda: net.update(delta))
+        assert not outcome.report.migrations
+        assert counts == {(src, 9): 2 + 4 for src in (1, 2, 3)}
+
+    @ENGINES
+    def test_writes_inside_the_window_reach_the_new_state(self, fast, base_program):
+        device = DeviceRuntime("d", drmt_switch("d"), engine=EngineConfig(fastpath=fast))
+        device.install(base_program)
+        device.process(make_packet(1, 9), 0.0)
+        new = device.begin_hitless_update(
+            redeclared(base_program, "flow_counts", max_entries=1024), 0.0, 1.0
+        )
+        versions = []
+        for step in range(1, 100):
+            packet = make_packet(1, 9)
+            device.process(packet, step / 100)
+            versions.append(packet.versions_seen["d"])
+        assert set(versions) == {base_program.version, new.program.version}
+        device.settle(1.0)
+        state = device.active_instance.maps.state("flow_counts")
+        assert state._max_entries == 1024 and state.get((1, 9)) == 100
+
+    @ENGINES
+    def test_a_shrunk_durable_map_fills_at_its_new_size(self, fast, base_program):
+        device = DeviceRuntime("d", drmt_switch("d"), engine=EngineConfig(fastpath=fast))
+        device.install(base_program)
+        device.begin_hitless_update(
+            redeclared(base_program, "flow_counts", max_entries=2), 0.0, 0.1
+        )
+        for src in (1, 2):
+            device.process(make_packet(src, 9), 1.0)
+        with pytest.raises(MapFullError, match="full \\(2 entries\\)"):
+            device.process(make_packet(3, 9), 1.0)
+
+    @ENGINES
+    def test_a_narrowed_value_wraps_at_its_new_width(self, fast, base_program):
+        device = DeviceRuntime("d", drmt_switch("d"), engine=EngineConfig(fastpath=fast))
+        device.install(base_program)
+        device.begin_hitless_update(
+            redeclared(base_program, "flow_counts", value_type=BitsType(8)), 0.0, 0.1
+        )
+        for _ in range(300):
+            device.process(make_packet(1, 9), 1.0)
+        assert device.active_instance.maps.state("flow_counts").get((1, 9)) == 300 & 0xFF
 
 
 class TestReflash:

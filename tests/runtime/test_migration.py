@@ -85,6 +85,15 @@ class TestDataPlane:
         assert len(destination) == 64
         assert destination.get((63,)) == 63
 
+    def test_a_shrunk_durable_destination_keeps_what_fits(self):
+        """A resize below what the source holds: the entries past the
+        new size are lost and counted, and the migration completes."""
+        destination = make_state(0, capacity=40)
+        report = data_plane_migration(make_state(64), destination)
+        assert len(destination) == 40
+        assert destination.get((39,)) == 39 and (40,) not in destination
+        assert report.conversion_loss == 24
+
     def test_cross_encoding_conversion_counted(self):
         report = data_plane_migration(
             make_state(3000),

@@ -10,6 +10,7 @@ map) run each arm on its own: both must raise the same error.
 """
 
 import random
+import re
 
 import pytest
 
@@ -651,6 +652,15 @@ def test_a_field_nothing_writes_is_read_once_per_parse():
         assert source.count(f"fget({field!r}, 0)") == 1, field
     assert source.count("fget(('ipv4', 'ttl'), 0)") == 3
     assert "_all_exact" not in source
+
+
+def test_a_map_op_is_a_dict_op():
+    """The `fabric_stateful` program's nine map ops: a read is a `get`
+    on the live entries, a write is the dict store, and `MapState.put`
+    is called only by the full-map fallback of each write."""
+    source = source_of(composed_program())
+    assert re.findall(r"S\[[^]]*\]\.(?:get|put)\(", source) == []
+    assert source.count(".put(") == source.count("state.put(mkey, value)") == 5
 
 
 def test_a_closure_reads_the_once_per_parse_local():
