@@ -8,9 +8,10 @@ window boundary) while every shard also loses 10% and duplicates 20% of
 its handoff batches (frames exist only on the live edges of the run —
 one per shard of the forward chain — so a lower dup rate would leave
 the "dups fired" gate to a handful of draws). The FlexMend
-supervisor restores the dead workers
-from their windowed checkpoints, in-neighbors replay the sequenced
-handoff stream past the committed watermark, and the run completes.
+supervisor forks each dead worker afresh from its own untouched net,
+in-neighbors replay the sequenced handoff stream from its first frame,
+the new worker re-executes every window up to the crash (re-sent
+frames are dropped as duplicates downstream), and the run completes.
 
 Three claims are gated:
 
@@ -147,7 +148,7 @@ def test_e23_mend(benchmark):
         [
             f"shard {crash['shard']}",
             f"window {crash['window']}",
-            "restored",
+            "re-executed",
         ]
         for crash in mend["crashes"]
     ]
@@ -173,8 +174,8 @@ def test_e23_mend(benchmark):
         {"shard": crash.shard, "window": crash.window} for crash in CRASHES
     ]
     assert mend["restarts"] == len(CRASHES)
-    assert mend["windows_replayed"] >= 0
-    assert mend["checkpoints_committed"] > 0
+    # Re-execution replays every window up to each crash.
+    assert mend["windows_replayed"] == sum(crash.window for crash in CRASHES)
     assert results["fault_drops"] > 0
     assert results["fault_dups"] > 0
     # Determinism gate: the same-seed repeat reproduced the full

@@ -35,7 +35,7 @@ and the write-ahead journal; with ``--controller`` the faults hit the
 replicated control plane instead (FlexHA: Raft leader crash, or a
 leader partition with ``--partition``); with ``--scale`` they hit the
 sharded process backend instead (FlexMend: seeded worker crashes and
-handoff drops/dups absorbed by checkpointed restart, differentially
+handoff drops/dups absorbed by re-executing the dead, differentially
 byte-compared against a fault-free run). ``ha status`` stands up the
 replicated controller, drives one committed update (optionally through
 a ``--failover``), and prints the FlexHA status. ``trace``/``metrics``/``profile`` run the
@@ -443,7 +443,6 @@ def _cmd_chaos_scale(args: argparse.Namespace) -> int:
         plan,
         seed=args.plan_seed,
         drain_s=args.drain,
-        checkpoint_every=args.checkpoint_every,
     )
     if args.json:
         print(json_module.dumps(report.to_dict(), indent=2))
@@ -999,9 +998,6 @@ def build_parser() -> argparse.ArgumentParser:
     chaos_parser.add_argument("--drain", type=float, default=0.05,
                               help="with --scale: quiet horizon after the "
                                    "last injection (s)")
-    chaos_parser.add_argument("--checkpoint-every", type=int, default=None,
-                              help="with --scale: checkpoint cadence in "
-                                   "protocol rounds (default: limits policy)")
     chaos_parser.set_defaults(func=cmd_chaos)
 
     ha_parser = subparsers.add_parser(

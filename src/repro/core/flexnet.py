@@ -485,7 +485,6 @@ class FlexNet:
         seed: int = 2024,
         drain_s: float = 1.0,
         chaos=None,
-        checkpoint_every: int | None = None,
     ):
         """Run traffic sharded across worker processes (FlexScale).
 
@@ -496,14 +495,13 @@ class FlexNet:
         is byte-identical to what :meth:`run_traffic` reports for the
         same workload. Like ``run_traffic`` this mutates device state.
 
-        ``chaos`` (a :class:`~repro.faults.plan.FaultPlan` with
-        FlexMend worker-fault specs) injects worker-process crashes,
-        stalls, and handoff drops/dups into the process backend; the
-        supervisor absorbs them via windowed checkpoints and the
-        traffic section stays byte-identical regardless.
-        ``checkpoint_every`` overrides the checkpoint cadence in
-        protocol rounds (default: on when chaos is armed, off
-        otherwise; ``0`` forces off).
+        Under the process backend any worker death is recovered: the
+        FlexMend supervisor forks the shard afresh and re-executes it
+        against its replayed inbound stream, and the traffic section
+        stays byte-identical. ``chaos`` (a
+        :class:`~repro.faults.plan.FaultPlan` with FlexMend worker-fault
+        specs) injects worker-process crashes, stalls, and handoff
+        drops/dups to exercise that.
 
         Workers inherit the fleet's :meth:`engine` configuration.
         """
@@ -520,7 +518,6 @@ class FlexNet:
             seed=seed,
             drain_s=drain_s,
             chaos=chaos,
-            checkpoint_every=checkpoint_every,
         )
 
     # -- convenience passthroughs ----------------------------------------------------

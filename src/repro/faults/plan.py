@@ -104,7 +104,7 @@ class MigrationFault:
 class WorkerCrash:
     """FlexMend: kill shard ``shard``'s worker process when its engine
     reaches protocol window ``window`` (after that window's outbound
-    flush). The supervisor respawns it from the last checkpoint; the
+    flush). The supervisor forks it afresh and re-executes it; the
     run's traffic report must stay byte-identical regardless."""
 
     shard: int

@@ -108,7 +108,7 @@ SCALE_JOIN_TIMEOUT_S = 30.0
 SCALE_WORKER_SWITCH_INTERVAL_S = 0.0002
 
 #: FlexMend supervision (sharded fault tolerance): how many times one
-#: shard may be respawned from its last checkpoint before the
+#: shard's worker may be re-forked and re-executed before the
 #: supervisor gives up and fails the run fast (poison pill broadcast).
 MEND_MAX_RESTARTS = 3
 
@@ -123,13 +123,6 @@ MEND_BACKOFF_FACTOR = 2.0
 #: (``WorkerStall`` or a real wedge) and is killed + respawned like a
 #: crash. Generous so CI scheduling jitter can never misfire it.
 MEND_HEARTBEAT_TIMEOUT_S = 60.0
-
-#: FlexMend checkpoint cadence: when checkpointing is armed, every
-#: worker snapshots its shard at window 0 (so restart is always
-#: possible) and then every this-many protocol windows. Checkpoints
-#: deepcopy live shard state, so the default run (no chaos) keeps them
-#: off entirely and pays nothing.
-MEND_CHECKPOINT_EVERY_WINDOWS = 8
 
 #: FlexMend supervisor poll period: how often the coordinator wakes to
 #: check process sentinels and heartbeat staleness while waiting for

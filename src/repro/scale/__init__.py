@@ -8,21 +8,19 @@ single-process engine. Placement is admission-gated by FlexVet's
 parallelism classification. See DESIGN.md §4i.
 
 FlexMend (:mod:`repro.scale.mend`, DESIGN.md §4l) makes the process
-backend fault-tolerant: windowed shard checkpoints, a sequenced
-replayable transport, and a supervisor that restarts dead workers from
-their last checkpoint — deterministically, so the traffic report stays
-byte-identical even under injected worker crashes (experiment E23).
+backend fault-tolerant: a sequenced replayable transport and a
+supervisor that re-forks a dead worker and re-executes it against its
+replayed inbound stream — deterministically, so the traffic report
+stays byte-identical even under injected worker crashes (experiment
+E23).
 """
 
 from repro.scale.mend import (
-    MendCheckpoint,
     MendReport,
     MendTransport,
     ScaleChaosReport,
     Supervisor,
     WorkerFaultInjector,
-    checkpoint_engine,
-    restore_engine,
     run_scale_chaos,
 )
 from repro.scale.plan import ShardPlan, plan_shards
@@ -33,7 +31,6 @@ from repro.scale.workload import e20_net, e20_workload, pod_fabric
 __all__ = [
     "Guarantee",
     "Handoff",
-    "MendCheckpoint",
     "MendReport",
     "MendTransport",
     "ScaleChaosReport",
@@ -43,13 +40,11 @@ __all__ = [
     "ShardResult",
     "Supervisor",
     "WorkerFaultInjector",
-    "checkpoint_engine",
     "e20_net",
     "e20_workload",
     "plan_shards",
     "pod_fabric",
     "reference_run",
-    "restore_engine",
     "run_scale_chaos",
     "run_sharded",
 ]

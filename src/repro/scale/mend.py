@@ -1,46 +1,39 @@
 """FlexMend: fault-tolerant sharded execution.
 
 The FlexScale process backend survives worker-process death without
-giving up determinism. Three mechanisms compose (DESIGN.md §4l):
+giving up determinism. Two mechanisms compose (DESIGN.md §4l):
 
-* **Windowed checkpoints** — at window boundaries a worker snapshots
-  its shard as plain data: device/map/table state, the event loop's
-  contents (every shard-loop event is a packet arrival, so the queue
-  serializes as ``(time, seq, packet, hops, index)`` tuples), the
-  clock, pending handoffs, and the transport's in/out watermarks.
 * **Sequenced transport with retention** — every handoff batch between
   a shard pair carries a per-edge sequence number. Receivers deliver
   in order, dedup by sequence (a batch seq identifies the producer
   window; handoffs inside it are identified by ``(packet_id,
   hop_index)`` — so the effective dedup key is
   ``(packet_id, hop_index, window)``), and NACK gaps. Senders retain
-  batches past the receiver's last *committed* (checkpointed)
-  watermark, so a restarted shard can replay its inbound stream
-  exactly; the coordinator trims retention as checkpoints commit.
+  every batch they send for the whole run, so a receiver's inbound
+  stream can always be replayed from its first frame.
 * **A supervisor** — the coordinator detects death via process
-  sentinels and heartbeats (one per round while chaos or checkpointing
-  is armed, one per poll interval otherwise), respawns the shard from its
-  last checkpoint with bounded retries and exponential backoff
-  (:mod:`repro.limits`), asks in-neighbors to replay, and broadcasts a
-  poison pill for sub-second fail-fast teardown when a run cannot be
-  saved.
+  sentinels and heartbeats (one per round while chaos is armed, one
+  per poll interval otherwise), forks a fresh worker for the dead shard
+  with bounded retries and exponential backoff (:mod:`repro.limits`),
+  asks its in-neighbors to replay, and broadcasts a poison pill for
+  sub-second fail-fast teardown when a run cannot be saved.
 
-Why replay is exact: a checkpoint at window *W* captures the shard
-*after* window *W*'s outbound flush, together with the transport's
-``expected`` watermark per in-edge. Everything the shard consumed
-through *W* is inside the snapshot; everything after is a batch with
-seq > ``expected``-1, which the sender still retains (trims never pass
-a committed watermark). Re-execution from *W* is deterministic — the
-event loop's ``(time, seq)`` contract is preserved by re-scheduling
-saved arrivals in canonical order — so the restarted shard re-sends
-byte-identical batches under the *same* seqs, which neighbors that
-already saw them drop as duplicates. The merged ``traffic`` section is
-therefore byte-identical to the fault-free run (experiment E23).
+Any worker death, injected by chaos or not, is recovered by
+re-execution, not restore. Why that is exact: a worker is a pure
+function of the net it forked from, the plan, its injections and its
+inbound frames, released round by round in sequence order. The
+supervisor's net is one no worker ever touched (each mutates its own
+copy-on-write image), so a fresh fork from it, fed the replayed
+stream, re-runs rounds 1..k identically and re-sends byte-identical
+batches under the *same* seqs, which neighbors that already saw them
+drop as duplicates. The merged ``traffic`` section is therefore
+byte-identical to the fault-free run (experiment E23). No device state
+is listed by hand, so none can be forgotten; the cost is replay time
+that grows with the window the worker died at.
 """
 
 from __future__ import annotations
 
-import copy
 import os
 import queue as queue_mod
 import random
@@ -53,12 +46,8 @@ from repro import limits
 from repro.errors import SimulationError
 from repro.faults.plan import FaultPlan
 from repro.observe.metrics import MetricsRegistry
-from repro.scale.shard import Guarantee, Handoff, ShardEngine, ShardResult
-from repro.simulator.packet import (
-    packet_id_state,
-    reset_packet_ids,
-    set_packet_id_state,
-)
+from repro.scale.shard import ShardEngine, ShardResult
+from repro.simulator.packet import reset_packet_ids
 from repro.util import stable_hash
 
 #: Exit code a worker uses for an *injected* crash (``os._exit`` at a
@@ -81,8 +70,8 @@ class WorkerFaultInjector:
     that set — it must survive the very process death it describes).
     Probabilistic draws use per-shard RNG streams seeded from
     ``stable_hash((seed, category, shard))`` so one shard's draws never
-    depend on another's, and the RNG state is checkpointed so a
-    restarted worker re-draws identically.
+    depend on another's, and a re-forked worker, starting its streams
+    from the seed again, re-draws identically.
     """
 
     def __init__(self, plan: FaultPlan, shard_id: int, fired: frozenset = frozenset()):
@@ -136,13 +125,6 @@ class WorkerFaultInjector:
     def dup_batch(self) -> bool:
         return bool(self.dup_p) and self._dup_rng.random() < self.dup_p
 
-    def getstate(self) -> tuple:
-        return (self._drop_rng.getstate(), self._dup_rng.getstate())
-
-    def setstate(self, state: tuple) -> None:
-        self._drop_rng.setstate(state[0])
-        self._dup_rng.setstate(state[1])
-
 
 # -- sequenced transport ----------------------------------------------------
 
@@ -154,7 +136,7 @@ class MendTransportStats:
     ``deterministic_dict`` fields are provably identical across
     same-seed runs (and equal to the fault-free run where applicable);
     recovery-path counters (dups dropped, NACKs, retransmits, replays)
-    depend on wall-clock races between trims, replays, and in-flight
+    depend on wall-clock races between deaths, replays, and in-flight
     sends, so like ``cpu_s`` they are measurement-only and excluded
     from every deterministic export.
     """
@@ -183,21 +165,6 @@ class MendTransportStats:
         }
 
 
-@dataclass
-class TransportCheckpoint:
-    """The transport half of a shard checkpoint: watermarks in both
-    directions plus the retention buffer (a restarted *sender* must
-    still be able to serve replays for seqs it sent before its own
-    checkpoint — re-execution only regenerates seqs after it)."""
-
-    sent_seq: dict[int, int]
-    expected: dict[int, int]
-    buffered: dict[int, dict[int, tuple]]
-    nacked: dict[int, frozenset]
-    retained: dict[int, dict[int, tuple]]
-    stats: MendTransportStats
-
-
 class MendTransport:
     """Per-edge sequenced, deduping, replayable framing over the shard
     inbox queues, with *round-gated release*.
@@ -207,10 +174,8 @@ class MendTransport:
     * ``("batch", src, seq, messages)`` — one round's handoffs +
       guarantee from ``src`` under per-edge sequence ``seq``.
     * ``("nack", requester, seq)`` — receiver is missing a seq; resend.
-    * ``("replay", requester, since)`` — supervisor-initiated: resend
-      every retained batch with seq > ``since`` to ``requester``.
-    * ``("trim", dst, upto)`` — supervisor: ``dst`` committed a
-      checkpoint; retention for it may drop seqs <= ``upto``.
+    * ``("replay", requester)`` — supervisor-initiated: ``requester``
+      was re-forked; resend every batch ever sent to it, from seq 1.
     * ``("poison",)`` / ``("shutdown",)`` — terminate now / all done.
 
     The receive side is split into :meth:`ingest` (buffer frames as
@@ -221,7 +186,7 @@ class MendTransport:
     frame *r* of every in-edge, so shards on a cycle of edges march in
     lock-step and a forward chain pipelines — so the engine's window
     schedule is a pure function of delivered content, never of queue
-    interleaving. That is what makes restart sound: a respawned worker
+    interleaving. That is what makes restart sound: a re-forked worker
     re-executes the same rounds with the same inputs and regenerates
     byte-identical frames under the same seqs, which neighbors that
     already consumed them drop as duplicates.
@@ -230,8 +195,8 @@ class MendTransport:
     missing seqs immediately, and the worker's wait loop re-NACKs
     after ``limits.MEND_NACK_IMPATIENCE_S`` (the dropped-final-frame
     case, where no later frame exists to reveal the gap). Senders
-    retain every batch until the supervisor's trim says the receiver
-    checkpointed past it.
+    retain every batch for the whole run: a receiver may be re-forked
+    at any round and then needs its stream from the first frame.
     """
 
     def __init__(
@@ -303,20 +268,10 @@ class MendTransport:
                 self.inboxes[requester].put(("batch", self.shard_id, seq, messages))
             return kind
         if kind == "replay":
-            _, requester, since = frame
+            _, requester = frame
             for seq, messages in sorted(self.retained.get(requester, {}).items()):
-                if seq > since:
-                    self.stats.replays_served += 1
-                    self.inboxes[requester].put(
-                        ("batch", self.shard_id, seq, messages)
-                    )
-            return kind
-        if kind == "trim":
-            _, dst, upto = frame
-            retained = self.retained.get(dst)
-            if retained:
-                for seq in [seq for seq in retained if seq <= upto]:
-                    del retained[seq]
+                self.stats.replays_served += 1
+                self.inboxes[requester].put(("batch", self.shard_id, seq, messages))
             return kind
         if kind in ("poison", "shutdown"):
             return kind
@@ -356,7 +311,7 @@ class MendTransport:
         ignores the one-shot ``nacked`` guard (a first NACK may have
         raced a death and been drained with the dead worker's inbox)
         and deliberately not one-at-a-time (a burst of losses — e.g. a
-        restored sender re-dropping the same seqs its restored RNG
+        re-forked sender re-dropping the same seqs its re-seeded RNG
         already dropped once — must recover in one tick, not one seq
         per tick)."""
         for src in needed:
@@ -369,223 +324,6 @@ class MendTransport:
                     continue
                 self.stats.nacks_sent += 1
                 self.inboxes[src].put(("nack", self.shard_id, seq))
-
-    # -- checkpoint ---------------------------------------------------------
-
-    def checkpoint(self) -> TransportCheckpoint:
-        return TransportCheckpoint(
-            sent_seq=dict(self.sent_seq),
-            expected={src: seq + 1 for src, seq in self.delivered.items()},
-            buffered={
-                src: dict(buffer) for src, buffer in self.buffered.items() if buffer
-            },
-            nacked={
-                src: frozenset(seqs) for src, seqs in self.nacked.items() if seqs
-            },
-            retained={
-                dst: dict(batches)
-                for dst, batches in self.retained.items()
-                if batches
-            },
-            stats=copy.deepcopy(self.stats),
-        )
-
-    def restore(self, ckpt: TransportCheckpoint) -> None:
-        self.sent_seq = dict(ckpt.sent_seq)
-        self.delivered = {src: seq - 1 for src, seq in ckpt.expected.items()}
-        for src in self.in_neighbors:
-            self.delivered.setdefault(src, 0)
-            self.buffered[src] = dict(ckpt.buffered.get(src, {}))
-            self.nacked[src] = set(ckpt.nacked.get(src, ()))
-        self.retained = {
-            dst: dict(batches) for dst, batches in ckpt.retained.items()
-        }
-        self.stats = copy.deepcopy(ckpt.stats)
-
-
-# -- shard checkpoints ------------------------------------------------------
-
-
-@dataclass
-class DeviceCheckpoint:
-    """One device's mutable-during-run state as plain data. Rules are
-    static during a scale run (reconfiguration is not supported under
-    sharding), so tables checkpoint only their counters and meter; the
-    decisions a table remembers are performance-only state, and a
-    restored shard decides again, to the same rules."""
-
-    stats: object
-    busy_until_s: float
-    #: map name -> (entries, mutation_count, version)
-    maps: dict[str, tuple]
-    #: table name -> (hit_counts, miss_count, meter)
-    tables: dict[str, tuple]
-
-
-@dataclass
-class EngineCheckpoint:
-    """A consistent cut of one :class:`ShardEngine` at a window
-    boundary: taken after the window's outbound flush, so the outbox is
-    empty and every other piece of state is captured below."""
-
-    shard_id: int
-    window: int
-    clock: float
-    metrics: object
-    digest_count: int
-    handoffs_in: int
-    handoffs_out: int
-    guarantee: dict[int, float]
-    pending: tuple[Handoff, ...]
-    #: event-loop contents as (time, seq, packet, hops, index) tuples.
-    inflight: tuple[tuple, ...]
-    devices: dict[str, DeviceCheckpoint]
-
-
-@dataclass
-class MendCheckpoint:
-    """Everything a fresh fork needs to become the dead worker.
-
-    ``round`` is the shard's protocol round the snapshot was taken in
-    (post-advance, post-send, *pre-release* of that round's inputs) —
-    a respawned worker resumes at the wait phase of exactly this round.
-    Note ``round >= engine.window``: a round whose advance could not
-    progress (guarantees unchanged) still sends null messages and
-    consumes a frame per edge, but does not open a new window.
-    """
-
-    round: int
-    engine: EngineCheckpoint
-    transport: TransportCheckpoint
-    injector_state: tuple | None
-    next_packet_id: int
-
-
-def _checkpoint_device(name: str, device) -> DeviceCheckpoint:
-    if device._transition is not None:  # noqa: SLF001 - platform-internal
-        raise SimulationError(
-            f"device {name!r} is mid-transition; FlexMend checkpoints "
-            "require settled devices (reconfiguration is not supported "
-            "under sharding)"
-        )
-    instance = device.active_instance
-    maps: dict[str, tuple] = {}
-    tables: dict[str, tuple] = {}
-    if instance is not None:
-        for state in instance.maps:
-            maps[state.name] = (
-                tuple(state._entries.items()),  # noqa: SLF001
-                state.mutation_count,
-                state._version,  # noqa: SLF001
-            )
-        for table_name, rules in instance.rules.items():
-            tables[table_name] = (
-                tuple(rules.hit_counts),
-                rules.miss_count,
-                copy.deepcopy(rules.meter),
-            )
-    return DeviceCheckpoint(
-        stats=copy.deepcopy(device.stats),
-        busy_until_s=device._busy_until_s,  # noqa: SLF001
-        maps=maps,
-        tables=tables,
-    )
-
-
-def _restore_device(device, ckpt: DeviceCheckpoint) -> None:
-    device.stats = copy.deepcopy(ckpt.stats)
-    device._busy_until_s = ckpt.busy_until_s  # noqa: SLF001
-    instance = device.active_instance
-    if instance is None:
-        return
-    for name, (entries, mutation_count, version) in ckpt.maps.items():
-        state = instance.maps.state(name)
-        state._entries.clear()  # noqa: SLF001
-        state._entries.update(entries)  # noqa: SLF001
-        state.mutation_count = mutation_count
-        state._version = version  # noqa: SLF001
-    for name, (hit_counts, miss_count, meter) in ckpt.tables.items():
-        rules = instance.rules[name]
-        rules.hit_counts[:] = hit_counts
-        rules.miss_count = miss_count
-        rules.meter = copy.deepcopy(meter)
-
-
-def checkpoint_engine(engine: ShardEngine) -> EngineCheckpoint:
-    """Snapshot a shard at a window boundary (outbox must be flushed)."""
-    if any(engine._outbox.values()):  # noqa: SLF001
-        raise SimulationError("checkpoint requires a flushed outbox")
-    inflight = tuple(
-        (at_time, seq, copy.deepcopy(packet), tuple(hops), index)
-        for at_time, seq, packet, hops, index in engine.network.inflight_arrivals()
-    )
-    return EngineCheckpoint(
-        shard_id=engine.shard_id,
-        window=engine.windows,
-        clock=engine.clock,
-        metrics=copy.deepcopy(engine.metrics),
-        digest_count=engine.digest_count,
-        handoffs_in=engine.handoffs_in,
-        handoffs_out=engine.handoffs_out,
-        guarantee=dict(engine._guarantee),  # noqa: SLF001
-        pending=copy.deepcopy(tuple(engine._pending)),  # noqa: SLF001
-        inflight=inflight,
-        devices={
-            name: _checkpoint_device(name, device)
-            for name, device in sorted(engine._devices.items())  # noqa: SLF001
-        },
-    )
-
-
-def restore_engine(engine: ShardEngine, ckpt: EngineCheckpoint) -> None:
-    """Rebuild a freshly constructed (un-injected) engine from a
-    checkpoint. Saved arrivals are re-scheduled in ``(time, seq)``
-    order, so fresh loop seqs reproduce the original same-time
-    tie-breaks and re-execution is bit-identical."""
-    if ckpt.shard_id != engine.shard_id:
-        raise SimulationError(
-            f"checkpoint of shard {ckpt.shard_id} cannot restore "
-            f"into shard {engine.shard_id}"
-        )
-    if engine.loop.pending() or engine.windows:
-        raise SimulationError("restore requires a fresh engine")
-    engine.loop.restore_clock(ckpt.clock)
-    engine._clock = ckpt.clock  # noqa: SLF001
-    engine.windows = ckpt.window
-    engine.metrics = copy.deepcopy(ckpt.metrics)
-    engine.digest_count = ckpt.digest_count
-    engine.handoffs_in = ckpt.handoffs_in
-    engine.handoffs_out = ckpt.handoffs_out
-    engine._guarantee = dict(ckpt.guarantee)  # noqa: SLF001
-    engine._pending = list(copy.deepcopy(ckpt.pending))  # noqa: SLF001
-    for name, device_ckpt in ckpt.devices.items():
-        _restore_device(engine._devices[name], device_ckpt)  # noqa: SLF001
-    for at_time, _seq, packet, hops, index in sorted(
-        ckpt.inflight, key=lambda item: (item[0], item[1])
-    ):
-        engine.network.receive(
-            copy.deepcopy(packet),
-            list(hops),
-            index,
-            at_time,
-            engine.metrics,
-            on_done=engine._on_done,  # noqa: SLF001
-        )
-
-
-def make_checkpoint(
-    round_no: int,
-    engine: ShardEngine,
-    transport: MendTransport,
-    injector: WorkerFaultInjector | None,
-) -> MendCheckpoint:
-    return MendCheckpoint(
-        round=round_no,
-        engine=checkpoint_engine(engine),
-        transport=transport.checkpoint(),
-        injector_state=injector.getstate() if injector is not None else None,
-        next_packet_id=packet_id_state(),
-    )
 
 
 # -- worker -----------------------------------------------------------------
@@ -627,20 +365,19 @@ def _worker_main(
     inboxes: dict,
     events_queue,
     chaos: FaultPlan | None,
-    checkpoint_every: int,
     fired_faults: frozenset,
-    restore: MendCheckpoint | None,
 ) -> None:
     """One forked worker: owns its shard's (copy-on-write) devices, runs
-    the protocol in rounds over the sequenced transport,
-    heartbeats and checkpoints to the supervisor, ships a ShardResult
-    (on the same queue, so it can never overtake or trail its own last
-    heartbeat), then lingers to serve replay/NACK requests until the
-    supervisor's shutdown.
+    the protocol in rounds over the sequenced transport from round 1,
+    heartbeats to the supervisor, ships a ShardResult (on the same
+    queue, so it can never overtake or trail its own last heartbeat),
+    then lingers to serve replay/NACK requests until the supervisor's
+    shutdown. A worker re-forked after a death runs exactly this, from
+    the same net, plan and injections.
 
     Round structure (mirrors ``step_inline``, which is what makes the
-    round schedule — and therefore every regenerated frame after a
-    restore — deterministic): advance one window, send exactly one
+    round schedule — and therefore every frame a re-forked worker
+    regenerates — deterministic): advance one window, send exactly one
     frame to every out-neighbor, then block until every still-needed
     in-neighbor's frame for this round arrived and release the whole
     round to the engine at once. A shard whose advance cannot progress
@@ -678,106 +415,64 @@ def _worker_main(
             net.controller.devices,
             end_time,
             topology=net.controller.network,
-            track_inflight=checkpoint_every > 0,
         )
-        if restore is not None:
-            restore_engine(engine, restore.engine)
-            transport.restore(restore.transport)
-            if injector is not None and restore.injector_state is not None:
-                injector.setstate(restore.injector_state)
-            set_packet_id_state(restore.next_packet_id)
-            round_no = restore.round
-        else:
-            # Packets created inside this worker (if any) get a per-shard
-            # id namespace so ids can never collide across shards.
-            reset_packet_ids(shard_id + 1)
-            for packet, hops, at_time in injections:
-                engine.inject(packet, hops, at_time)
-            round_no = 0
-            if checkpoint_every > 0:
-                # Genesis checkpoint ("round 0"): restart is possible
-                # from the very start even if the first crash lands
-                # before the first cadence checkpoint.
-                events_queue.put(
-                    (
-                        "ckpt",
-                        shard_id,
-                        0,
-                        make_checkpoint(0, engine, transport, injector),
-                    )
-                )
+        # Packets created inside this worker (if any) get a per-shard id
+        # namespace so ids can never collide across shards.
+        reset_packet_ids(shard_id + 1)
+        for packet, hops, at_time in injections:
+            engine.inject(packet, hops, at_time)
         inbox = inboxes[shard_id]
-        # A restored worker resumes at the wait phase of the checkpoint
-        # round: the snapshot was taken post-advance/post-send, before
-        # that round's inputs were released.
-        resuming = restore is not None
-        # An armed run heartbeats every round: the round of the last
+        # An armed run heartbeats every round: the window of the last
         # heartbeat is where a death with no fault event is accounted.
         # Otherwise heartbeats only feed the stall detector, and one per
         # supervisor poll is all it can see; the supervisor floats
         # between the CPUs the workers are pinned to, and every event
         # wakes it.
-        armed = injector is not None or checkpoint_every > 0
+        armed = injector is not None
         hb_due = 0.0
+        round_no = 0
         while True:
-            if not resuming:
-                round_no += 1
-                engine.advance()
-                outbox = engine.take_outbox()
-                guarantees = engine.guarantees_out()
-                # One frame per out-neighbor per round — the handoffs
-                # followed by the guarantee covering them. Handoffs stay
-                # in per-producer FIFO order (the window-completeness
-                # invariant) and the constant frame-per-edge-per-round
-                # rate is what lets sequence numbers double as round
-                # numbers.
-                for dst in sorted(guarantees):
-                    batch: list = list(outbox.get(dst, ()))
-                    batch.append(guarantees[dst])
-                    transport.send(dst, batch)
-                # Wall-clock pacing only — baselined in vet_baseline.json.
-                now = time.monotonic()
-                if armed or now >= hb_due:
-                    events_queue.put(("hb", shard_id, round_no))
-                    hb_due = now + limits.MEND_POLL_INTERVAL_S
-                if injector is not None:
-                    stalled = injector.stall_at(engine.windows)
-                    if stalled is not None:
-                        index, stall_s = stalled
-                        events_queue.put(
-                            ("fault", shard_id, "stall", index, engine.windows)
-                        )
-                        time.sleep(stall_s)
-                    crash_index = injector.crash_at(engine.windows)
-                    if crash_index is not None:
-                        events_queue.put(
-                            ("fault", shard_id, "crash", crash_index, engine.windows)
-                        )
-                        # Controlled death at a round boundary: flush
-                        # every queue feeder first so heartbeats/fault
-                        # events and this round's outbound batches
-                        # survive the exit, then die without running any
-                        # teardown handlers.
-                        _flush_queue(events_queue)
-                        for queue in inboxes.values():
-                            _flush_queue(queue)
-                        os._exit(MEND_CRASH_EXIT_CODE)
-                if (
-                    checkpoint_every > 0
-                    and round_no % checkpoint_every == 0
-                    and not engine.finished()
-                ):
+            round_no += 1
+            engine.advance()
+            outbox = engine.take_outbox()
+            guarantees = engine.guarantees_out()
+            # One frame per out-neighbor per round — the handoffs
+            # followed by the guarantee covering them. Handoffs stay in
+            # per-producer FIFO order (the window-completeness invariant)
+            # and the constant frame-per-edge-per-round rate is what
+            # lets sequence numbers double as round numbers.
+            for dst in sorted(guarantees):
+                batch: list = list(outbox.get(dst, ()))
+                batch.append(guarantees[dst])
+                transport.send(dst, batch)
+            # Wall-clock pacing only — baselined in vet_baseline.json.
+            now = time.monotonic()
+            if armed or now >= hb_due:
+                events_queue.put(("hb", shard_id, engine.windows))
+                hb_due = now + limits.MEND_POLL_INTERVAL_S
+            if injector is not None:
+                stalled = injector.stall_at(engine.windows)
+                if stalled is not None:
+                    index, stall_s = stalled
                     events_queue.put(
-                        (
-                            "ckpt",
-                            shard_id,
-                            engine.windows,
-                            make_checkpoint(round_no, engine, transport, injector),
-                        )
+                        ("fault", shard_id, "stall", index, engine.windows)
                     )
-                if engine.finished():
-                    break
-            resuming = False
+                    time.sleep(stall_s)
+                crash_index = injector.crash_at(engine.windows)
+                if crash_index is not None:
+                    events_queue.put(
+                        ("fault", shard_id, "crash", crash_index, engine.windows)
+                    )
+                    # Controlled death at a round boundary: flush every
+                    # queue feeder first so heartbeats/fault events and
+                    # this round's outbound batches survive the exit,
+                    # then die without running any teardown handlers.
+                    _flush_queue(events_queue)
+                    for queue in inboxes.values():
+                        _flush_queue(queue)
+                    os._exit(MEND_CRASH_EXIT_CODE)
+            if engine.finished():
+                break
             # An in-edge whose guarantee already covers the horizon will
             # never be waited on again — its shard may have finished and
             # stopped sending (deterministic: a function of released
@@ -819,8 +514,8 @@ def _worker_main(
             "measured": transport.stats.measured_dict(),
         }
         events_queue.put(("ok", shard_result))
-        # Linger: a crashed neighbor restoring from its checkpoint may
-        # still need this shard's retained batches, so keep serving
+        # Linger: a crashed neighbor re-executing from its fork needs
+        # every batch this shard retained for it, so keep serving
         # NACK/replay frames until the supervisor's shutdown broadcast —
         # for as long as a run may last, since a shard that waits for
         # nobody finishes well ahead of the shards it feeds.
@@ -854,37 +549,38 @@ class MendReport:
     :class:`~repro.scale.runner.ScaleReport`.
 
     ``to_dict`` carries only deterministic fields — crash sites,
-    restarts, replayed windows, committed checkpoints, per-shard
-    deterministic transport counters. Wall-clock restart latencies and
-    racy recovery counters (dup drops, NACKs, retransmits) live in
-    ``restart_wall_s`` / ``measured`` like ``cpu_s`` does: available
-    for measurement, excluded from every byte-compared export.
+    restarts, replayed windows, per-shard deterministic transport
+    counters. Wall-clock restart latencies and racy recovery counters
+    (dup drops, NACKs, retransmits) live in ``restart_wall_s`` /
+    ``measured`` like ``cpu_s`` does: available for measurement,
+    excluded from every byte-compared export.
     """
 
     supervised: bool = True
-    checkpoint_every: int = 0
     crashes: list[dict] = field(default_factory=list)
     stalls_injected: int = 0
     restarts: int = 0
     stall_kills: int = 0
     windows_replayed: int = 0
-    checkpoints_committed: int = 0
     per_shard: dict[int, dict] = field(default_factory=dict)
     #: measurement-only (wall clock): per-restart respawn latency.
     restart_wall_s: list[float] = field(default_factory=list)
     #: measurement-only: racy per-shard recovery counters + exit codes.
     measured: dict = field(default_factory=dict)
 
+    @property
+    def checkpoints_committed(self) -> int:
+        # Always 0. Only FlexLedger's frozen mend.checkpoints row reads it; ROADMAP item 1 drops both.
+        return 0
+
     def to_dict(self) -> dict:
         return {
             "supervised": self.supervised,
-            "checkpoint_every": self.checkpoint_every,
             "crashes": list(self.crashes),
             "stalls_injected": self.stalls_injected,
             "restarts": self.restarts,
             "stall_kills": self.stall_kills,
             "windows_replayed": self.windows_replayed,
-            "checkpoints_committed": self.checkpoints_committed,
             "per_shard": {
                 str(shard): dict(counters)
                 for shard, counters in sorted(self.per_shard.items())
@@ -894,8 +590,7 @@ class MendReport:
     def summary(self) -> str:
         lines = [
             f"flexmend: {len(self.crashes)} crash(es), {self.restarts} restart(s), "
-            f"{self.windows_replayed} window(s) replayed, "
-            f"{self.checkpoints_committed} checkpoint(s)"
+            f"{self.windows_replayed} window(s) replayed"
         ]
         for crash in self.crashes:
             lines.append(
@@ -909,9 +604,9 @@ class MendReport:
 
 class Supervisor:
     """The coordinator side of FlexMend: spawns one worker per populated
-    shard, watches sentinels + heartbeats, respawns the dead from their
-    last checkpoint (bounded retries, exponential backoff), trims
-    retention as checkpoints commit, and poisons the fleet for fast
+    shard, watches sentinels + heartbeats, re-forks the dead from this
+    process's net and has their in-neighbors replay to them (bounded
+    retries, exponential backoff), and poisons the fleet for fast
     teardown when a run cannot be saved."""
 
     def __init__(
@@ -921,7 +616,6 @@ class Supervisor:
         per_shard_injections: dict[int, list[tuple]],
         end_time: float,
         chaos: FaultPlan | None = None,
-        checkpoint_every: int | None = None,
     ):
         import multiprocessing
 
@@ -930,18 +624,12 @@ class Supervisor:
         self.per_shard = per_shard_injections
         self.end_time = end_time
         self.chaos = chaos
-        if checkpoint_every is None:
-            checkpoint_every = (
-                limits.MEND_CHECKPOINT_EVERY_WINDOWS if chaos is not None else 0
-            )
-        self.checkpoint_every = checkpoint_every
         self.context = multiprocessing.get_context("fork")
         self.shards = plan.populated_shards
         self.inboxes = {shard: self.context.Queue() for shard in self.shards}
         self.events_queue = self.context.Queue()
-        self.report = MendReport(checkpoint_every=checkpoint_every)
+        self.report = MendReport()
         self._procs: dict[int, object] = {}
-        self._checkpoints: dict[int, MendCheckpoint] = {}
         self._restarts: dict[int, int] = {shard: 0 for shard in self.shards}
         self._fired: set = set()
         self._pending_crash: dict[int, int] = {}
@@ -950,7 +638,7 @@ class Supervisor:
 
     # -- process lifecycle --------------------------------------------------
 
-    def _spawn(self, shard: int, restore: MendCheckpoint | None) -> None:
+    def _spawn(self, shard: int) -> None:
         worker = self.context.Process(
             target=_worker_main,
             args=(
@@ -962,9 +650,7 @@ class Supervisor:
                 self.inboxes,
                 self.events_queue,
                 self.chaos,
-                self.checkpoint_every,
                 frozenset(self._fired),
-                restore,
             ),
             name=f"flexscale-shard-{shard}",
         )
@@ -997,14 +683,6 @@ class Supervisor:
             if kind == "hb":
                 _, shard, window = event
                 self._last_hb[shard] = (time.monotonic(), window)
-            elif kind == "ckpt":
-                _, shard, window, checkpoint = event
-                self._checkpoints[shard] = checkpoint
-                self.report.checkpoints_committed += 1
-                # Retention behind the committed inbound watermark can
-                # never be replayed again — let senders trim it.
-                for src, expected in sorted(checkpoint.transport.expected.items()):
-                    self.inboxes[src].put(("trim", shard, expected - 1))
             elif kind == "fault":
                 _, shard, fault_kind, index, window = event
                 self._fired.add((fault_kind, index))
@@ -1018,16 +696,11 @@ class Supervisor:
                 return f"shard {event[1]} failed:\n{event[2]}"
 
     def _handle_death(self, shard: int, exitcode: int | None) -> str | None:
-        """Respawn a dead shard from its last checkpoint; returns an
-        error string when the run cannot be saved."""
+        """Fork a fresh worker for a dead shard from this process's net,
+        which no worker ever touched, and have every in-neighbor replay
+        what it sent the shard; returns an error string when the run
+        cannot be saved."""
         self._deaths.append({"shard": shard, "exitcode": exitcode})
-        checkpoint = self._checkpoints.get(shard)
-        if checkpoint is None:
-            return (
-                f"shard {shard} worker died (exit {exitcode}) with no "
-                "checkpoint to restore (checkpointing off or death before "
-                "the genesis checkpoint)"
-            )
         if self._restarts[shard] >= limits.MEND_MAX_RESTARTS:
             return (
                 f"shard {shard} exceeded the restart budget "
@@ -1035,9 +708,8 @@ class Supervisor:
             )
         crash_window = self._pending_crash.pop(shard, self._last_hb[shard][1])
         self.report.crashes.append({"shard": shard, "window": crash_window})
-        self.report.windows_replayed += max(
-            0, crash_window - checkpoint.engine.window
-        )
+        # The new worker re-runs every window up to the one it died at.
+        self.report.windows_replayed += crash_window
         backoff = limits.MEND_BACKOFF_BASE_S * (
             limits.MEND_BACKOFF_FACTOR ** self._restarts[shard]
         )
@@ -1045,18 +717,17 @@ class Supervisor:
         self._restarts[shard] += 1
         self.report.restarts += 1
         # The dead worker's inbox holds frames it never consumed —
-        # possibly mid-stream. Drop them all; replay re-sends everything
-        # past the checkpoint's inbound watermark in order.
+        # possibly mid-stream. Drop them all; replay re-sends every
+        # frame from the first, in order.
         while True:
             try:
                 self.inboxes[shard].get_nowait()
             except queue_mod.Empty:
                 break
         restart_started = time.monotonic()
-        self._spawn(shard, checkpoint)
+        self._spawn(shard)
         for src in sorted(self.plan.in_neighbors(shard)):
-            since = checkpoint.transport.expected.get(src, 1) - 1
-            self.inboxes[src].put(("replay", shard, since))
+            self.inboxes[src].put(("replay", shard))
         self.report.restart_wall_s.append(time.monotonic() - restart_started)
         return None
 
@@ -1081,7 +752,7 @@ class Supervisor:
             hb_at, _ = self._last_hb[shard]
             if now - hb_at > limits.MEND_HEARTBEAT_TIMEOUT_S:
                 # Presumed hung (WorkerStall chaos or a real wedge):
-                # kill and recover through the same checkpoint path.
+                # kill and recover through the same re-fork path.
                 worker.terminate()
                 worker.join()
                 self.report.stall_kills += 1
@@ -1116,7 +787,7 @@ class Supervisor:
 
     def run(self) -> tuple[list[ShardResult], MendReport, MetricsRegistry]:
         for shard in self.shards:
-            self._spawn(shard, None)
+            self._spawn(shard)
         results: dict[int, ShardResult] = {}
         error: str | None = None
         deadline = time.monotonic() + limits.SCALE_RESULT_TIMEOUT_S
@@ -1170,16 +841,12 @@ class Supervisor:
         ).set(len(self.report.crashes))
         registry.counter(
             "flexnet_mend_restarts_total",
-            help="checkpoint restores performed",
+            help="dead workers re-forked",
         ).set(self.report.restarts)
         registry.counter(
             "flexnet_mend_windows_replayed_total",
-            help="protocol windows re-executed after restores",
+            help="protocol windows re-executed by re-forked workers",
         ).set(self.report.windows_replayed)
-        registry.counter(
-            "flexnet_mend_checkpoints_total",
-            help="shard checkpoints committed to the supervisor",
-        ).set(self.report.checkpoints_committed)
         registry.counter(
             "flexnet_mend_stall_kills_total",
             help="workers killed for heartbeat staleness",
@@ -1243,7 +910,6 @@ def run_scale_chaos(
     *,
     seed: int = 2024,
     drain_s: float = 1.0,
-    checkpoint_every: int | None = None,
     reference: bool = True,
 ) -> ScaleChaosReport:
     """Run the FlexMend differential: a chaos-armed sharded run against
@@ -1289,7 +955,6 @@ def run_scale_chaos(
         seed=seed,
         drain_s=drain_s,
         chaos=chaos,
-        checkpoint_every=checkpoint_every,
     )
     divergences = []
     chaos_traffic = canon(chaos_report.traffic_dict())

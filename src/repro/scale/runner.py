@@ -13,9 +13,9 @@ protocol:
   shared result queue as picklable
   :class:`~repro.scale.shard.ShardResult` snapshots. The coordinator
   side is the FlexMend :class:`~repro.scale.mend.Supervisor`: it
-  watches process sentinels and heartbeats and — when chaos is armed
-  or checkpointing enabled — respawns dead workers from their last
-  windowed checkpoint (see :mod:`repro.scale.mend`).
+  watches process sentinels and heartbeats and recovers any dead
+  worker, chaos-injected or not, by forking it afresh and re-executing
+  it against its replayed inbound stream (see :mod:`repro.scale.mend`).
 
 Either way the coordinator merges per-shard :class:`RunMetrics`,
 telemetry digest counts, and frozen FlexScope registries into one
@@ -247,7 +247,6 @@ def run_sharded(
     drain_s: float = 1.0,
     plan: ShardPlan | None = None,
     chaos: FaultPlan | None = None,
-    checkpoint_every: int | None = None,
 ) -> ScaleReport:
     """Partition ``net`` and run ``injections`` across shards.
 
@@ -261,11 +260,8 @@ def run_sharded(
     ``chaos`` arms FlexMend worker-fault injection (``WorkerCrash`` /
     ``WorkerStall`` / ``HandoffDrop`` / ``HandoffDup`` specs from a
     :class:`~repro.faults.plan.FaultPlan`); process backend only.
-    ``checkpoint_every`` sets the checkpoint cadence in protocol
-    windows — ``None`` means "``limits.MEND_CHECKPOINT_EVERY_WINDOWS``
-    when chaos is armed, off otherwise" (checkpoints cost a deep copy
-    per shard per cadence, so fault-free capacity runs skip them), and
-    ``0`` forces checkpointing off (worker death is then fatal).
+    Under the process backend any worker death, injected or not, is
+    recovered by re-execution within ``limits.MEND_MAX_RESTARTS``.
     """
     if plan is None:
         plan = plan_shards(net.controller, shards, seed=seed)
@@ -293,15 +289,8 @@ def run_sharded(
                 "use backend='inline' on this platform"
             )
         # The FlexMend supervisor (:mod:`repro.scale.mend`) owns the
-        # workers, fault injection, checkpoints and restart.
-        supervisor = Supervisor(
-            net,
-            plan,
-            per_shard,
-            end_time,
-            chaos=chaos,
-            checkpoint_every=checkpoint_every,
-        )
+        # workers, fault injection and restart.
+        supervisor = Supervisor(net, plan, per_shard, end_time, chaos=chaos)
         results, mend, registry = supervisor.run()
         return _merge_results(
             plan, "process", end_time, results, mend=mend, extra_registry=registry

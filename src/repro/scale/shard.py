@@ -134,7 +134,6 @@ class ShardEngine:
         devices: dict,
         end_time: float,
         topology: Network | None = None,
-        track_inflight: bool = False,
     ):
         self.shard_id = shard_id
         self.plan = plan
@@ -145,7 +144,6 @@ class ShardEngine:
             loop=self.loop,
             owned=self.owned,
             on_handoff=self._handoff_out,
-            track_inflight=track_inflight,
         )
         if topology is not None:
             self.network.adopt_topology(topology)
@@ -275,21 +273,6 @@ class ShardEngine:
         """True once no event at or before the horizon can still exist
         anywhere upstream of this shard."""
         return self._clock >= self.end_time and self.safe_time() >= self.end_time
-
-    # -- FlexMend checkpoints ----------------------------------------------
-
-    def checkpoint(self):
-        """Snapshot this shard as plain data at a window boundary
-        (requires ``track_inflight=True``; see :mod:`repro.scale.mend`)."""
-        from repro.scale.mend import checkpoint_engine
-
-        return checkpoint_engine(self)
-
-    def restore(self, ckpt) -> None:
-        """Rebuild this (fresh, un-injected) engine from a checkpoint."""
-        from repro.scale.mend import restore_engine
-
-        restore_engine(self, ckpt)
 
     # -- result -------------------------------------------------------------
 

@@ -56,9 +56,7 @@ class EventLoop:
         """Schedule ``callback`` to run ``delay`` seconds from now.
 
         Returns the event's sequence number — the tie-break half of the
-        ``(time, seq)`` ordering contract. FlexMend checkpoints record
-        it so re-scheduled events preserve their original same-time
-        ordering after a restore."""
+        ``(time, seq)`` ordering contract."""
         if delay < 0:
             raise SimulationError(f"cannot schedule {delay} s in the past")
         sequence = self._sequence
@@ -104,18 +102,3 @@ class EventLoop:
 
     def pending(self) -> int:
         return len(self._heap)
-
-    def restore_clock(self, now: float) -> None:
-        """Reset the clock to an absolute time on an *empty* loop.
-
-        FlexMend restores a checkpointed shard by setting the clock to
-        the checkpoint's window bound and then re-scheduling the saved
-        events in their canonical ``(time, seq)`` order; restoring into
-        a loop that already holds events would interleave two seq
-        spaces, so it is refused.
-        """
-        if self.pending():
-            raise SimulationError(
-                f"restore_clock requires an empty loop ({self.pending()} pending)"
-            )
-        self._now = now

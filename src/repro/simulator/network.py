@@ -59,7 +59,6 @@ class Network:
         loop: EventLoop | None = None,
         owned: set[str] | None = None,
         on_handoff: Callable[[Packet, list[str], int, float], None] | None = None,
-        track_inflight: bool = False,
     ):
         self.loop = loop or EventLoop()
         self._nodes: dict[str, PacketProcessor] = {}
@@ -67,12 +66,6 @@ class Network:
         self._paths: dict[str, list[str]] = {}
         self._owned = set(owned) if owned is not None else None
         self._on_handoff = on_handoff
-        #: FlexMend: every event this network schedules is a packet
-        #: arrival, fully described by plain data. With tracking on,
-        #: in-flight arrivals are registered until they execute, so a
-        #: shard checkpoint can serialize the event loop's contents as
-        #: ``(time, seq, packet, hops, index)`` tuples, keyed by flight.
-        self._inflight: dict[Callable, tuple] | None = {} if track_inflight else None
 
     def adopt_topology(self, other: "Network") -> None:
         """Copy link latencies and named paths from another network
@@ -178,9 +171,6 @@ class Network:
 
         def flight() -> None:
             nonlocal index, flight
-            inflight = self._inflight
-            if inflight is not None:
-                del inflight[flight]
             loop = self.loop
             now = loop._now  # noqa: SLF001 - hot path (the ``now`` property is a frame)
             name = hops[index]
@@ -203,9 +193,7 @@ class Network:
                             raise SimulationError(f"no link {name!r} -> {hops[index]!r}")
                         arrival = now + (processing_s + link.latency_s)
                         if self._owned is None or hops[index] in self._owned:
-                            sequence = loop.schedule_at(arrival, flight)
-                            if inflight is not None:
-                                inflight[flight] = (arrival, sequence, packet, hops, index)
+                            loop.schedule_at(arrival, flight)
                         else:
                             # Cross-shard handoff: ship the exact arrival
                             # timestamp the local schedule would have used.
@@ -215,19 +203,7 @@ class Network:
             flight = None
             self._finish(packet, metrics, on_done)
 
-        sequence = self.loop.schedule_at(at_time, flight)
-        if self._inflight is not None:
-            self._inflight[flight] = (at_time, sequence, packet, hops, index)
-
-    def inflight_arrivals(self) -> list[tuple]:
-        """Pending arrivals as plain ``(time, seq, packet, hops, index)``
-        data, in the loop's canonical execution order. Only meaningful
-        with ``track_inflight=True`` (FlexMend checkpointing)."""
-        if self._inflight is None:
-            raise SimulationError(
-                "inflight_arrivals requires track_inflight=True"
-            )
-        return sorted(self._inflight.values(), key=lambda item: (item[0], item[1]))
+        self.loop.schedule_at(at_time, flight)
 
     def _finish(
         self,

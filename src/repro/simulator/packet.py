@@ -12,6 +12,7 @@ manner").
 from __future__ import annotations
 
 import enum
+import itertools
 from dataclasses import dataclass, field
 
 #: Packet ids are namespaced: the low bits hold a process-local counter
@@ -23,33 +24,7 @@ from dataclasses import dataclass, field
 PACKET_ID_SHARD_SHIFT = 48
 
 
-class _PacketIdCounter:
-    """``itertools.count`` with inspectable/settable state, so FlexMend
-    checkpoints can capture the allocator and a restarted shard worker
-    resumes id allocation exactly where the dead one left off."""
-
-    __slots__ = ("next_id",)
-
-    def __init__(self, start: int):
-        self.next_id = start
-
-    def __next__(self) -> int:
-        value = self.next_id
-        self.next_id = value + 1
-        return value
-
-
-_packet_ids = _PacketIdCounter(1)
-
-
-def packet_id_state() -> int:
-    """The next packet id this process would allocate (checkpointable)."""
-    return _packet_ids.next_id
-
-
-def set_packet_id_state(next_id: int) -> None:
-    """Resume allocation at ``next_id`` (FlexMend shard restore)."""
-    _packet_ids.next_id = next_id
+_packet_ids = itertools.count(1)
 
 
 def reset_packet_ids(shard: int = 0) -> None:
@@ -69,9 +44,10 @@ def reset_packet_ids(shard: int = 0) -> None:
     order — never on cross-shard interleaving. Ids stay unique within a
     run, which is all any consumer relies on.
     """
+    global _packet_ids
     if shard < 0:
         raise ValueError(f"shard namespace must be >= 0, got {shard}")
-    _packet_ids.next_id = (shard << PACKET_ID_SHARD_SHIFT) + 1
+    _packet_ids = itertools.count((shard << PACKET_ID_SHARD_SHIFT) + 1)
 
 
 class Verdict(enum.Enum):

@@ -1,17 +1,16 @@
-"""FlexMend tests: sequenced transport, shard checkpoints, supervised
-restart, and failure-path propagation.
+"""FlexMend tests: sequenced transport, supervised re-execution, and
+failure-path propagation.
 
 The load-bearing property mirrors E23: a process-backend run with
 injected worker faults must produce a ``traffic`` section byte-identical
 to the fault-free run and to the single-process reference. The unit
-layers below it (transport framing, checkpoint/restore) are tested
-in-process so a protocol regression points at the guilty mechanism, not
-just at a diverged end-to-end hash.
+layer below it (transport framing) is tested in-process so a protocol
+regression points at the guilty mechanism, not just at a diverged
+end-to-end hash.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import os
 import queue
@@ -30,16 +29,14 @@ from repro.faults import (
     WorkerCrash,
     WorkerStall,
 )
-from repro.scale import plan_shards, reference_run, run_sharded
+from repro.scale import reference_run, run_sharded
 from repro.scale.mend import (
     MendTransport,
     WorkerFaultInjector,
     _pin_to_own_cpu,
-    checkpoint_engine,
-    restore_engine,
     run_scale_chaos,
 )
-from repro.scale.shard import ShardEngine, run_inline
+from repro.scale.shard import ShardEngine
 from repro.scale.workload import e20_workload, pod_fabric
 from repro.simulator.packet import reset_packet_ids
 
@@ -169,120 +166,32 @@ class TestMendTransport:
         assert sender.stats.retransmits_served == 1
 
     def test_replay_resends_everything_past_watermark(self):
-        inboxes, sender, _ = _transports()
+        # The sender never trims and resends the whole stream: a
+        # re-forked receiver starts at watermark 0. A receiver further
+        # along keeps only what lies past its own watermark.
+        inboxes, sender, receiver = _transports()
         for payload in (["a"], ["b"], ["c"]):
             sender.send(1, payload)
             inboxes[1].get_nowait()
-        sender.ingest(("replay", 1, 1))
-        assert inboxes[1].get_nowait() == ("batch", 0, 2, ("b",))
-        assert inboxes[1].get_nowait() == ("batch", 0, 3, ("c",))
-        assert sender.stats.replays_served == 2
-
-    def test_trim_drops_retention_up_to_watermark(self):
-        inboxes, sender, _ = _transports()
-        for payload in (["a"], ["b"]):
-            sender.send(1, payload)
-            inboxes[1].get_nowait()
-        sender.ingest(("trim", 1, 1))
-        assert sender.retained[1] == {2: ("b",)}
-
-    def test_checkpoint_restore_preserves_watermarks(self):
-        inboxes, _, receiver = _transports()
-        receiver.ingest(("batch", 0, 1, ("a",)))
-        receiver.ingest(("batch", 0, 2, ("b",)))
-        receiver.release(2, lambda _message: None)
-        ckpt = receiver.checkpoint()
-        assert ckpt.expected == {0: 3}
-        restored = MendTransport(1, inboxes, in_neighbors=(0,))
-        restored.restore(ckpt)
-        assert restored.delivered == {0: 2}
-        restored.ingest(("batch", 0, 2, ("b",)))  # replayed history
-        assert restored.stats.duplicates_dropped == 1
+        sender.ingest(("replay", 1))
+        replayed = [inboxes[1].get_nowait() for _ in range(3)]
+        assert replayed == [
+            ("batch", 0, 1, ("a",)),
+            ("batch", 0, 2, ("b",)),
+            ("batch", 0, 3, ("c",)),
+        ]
+        assert sender.stats.replays_served == 3
+        receiver.ingest(replayed[0])
+        receiver.release(1, lambda _message: None)
+        for frame in replayed:
+            receiver.ingest(frame)
+        assert receiver.stats.duplicates_dropped == 1
+        assert sorted(receiver.buffered[0]) == [2, 3]
 
     def test_unknown_frame_kind_rejected(self):
         _, _, receiver = _transports()
         with pytest.raises(SimulationError):
             receiver.ingest(("gossip", 0, 1, ()))
-
-
-# -- shard checkpoints -------------------------------------------------------
-
-
-def _single_shard_engine(inject: bool = True) -> ShardEngine:
-    """A 1-shard engine over a fresh 2-pod fabric (tracked in-flight
-    arrivals, as the process workers run when checkpointing is armed)."""
-    net, workload = _arm(packets=80)
-    plan = plan_shards(net.controller, 1, seed=11)
-    end_time = max(timed.time for timed in workload) + DRAIN_S
-    engine = ShardEngine(
-        0,
-        plan,
-        net.controller.devices,
-        end_time,
-        topology=net.controller.network,
-        track_inflight=True,
-    )
-    if inject:
-        hops = net.controller.network.path("datapath")
-        for timed in workload:
-            engine.inject(timed.packet, hops, timed.time)
-    return engine
-
-
-class TestEngineCheckpoint:
-    def test_genesis_roundtrip_is_bit_identical(self):
-        # Arm A: run straight through.
-        baseline = _single_shard_engine()
-        run_inline({0: baseline})
-        expected = _canon(baseline.result().metrics.to_dict())
-
-        # Arm B: checkpoint post-inject, restore into a *fresh* engine
-        # (fresh fabric, fresh event loop), run the restored copy.
-        source = _single_shard_engine()
-        ckpt = checkpoint_engine(source)
-        restored = _single_shard_engine(inject=False)
-        restore_engine(restored, ckpt)
-        run_inline({0: restored})
-        assert _canon(restored.result().metrics.to_dict()) == expected
-
-    def test_mid_run_roundtrip_is_bit_identical(self):
-        """A checkpoint between two hops: the loop holds flights at
-        every index of their paths, not only freshly injected ones."""
-        baseline = _single_shard_engine()
-        run_inline({0: baseline})
-        expected = _canon(baseline.result().metrics.to_dict())
-
-        source = _single_shard_engine()
-        end_time, source.end_time = source.end_time, 0.002  # first window ends mid-run
-        source.advance()
-        source.end_time = end_time
-        ckpt = checkpoint_engine(source)
-        assert {index for *_, index in ckpt.inflight} > {0}  # some mid-path, some not yet sent
-        assert 0 < source.metrics.delivered < 80
-        restored = _single_shard_engine(inject=False)
-        restore_engine(restored, ckpt)
-        for engine in (source, restored):
-            run_inline({0: engine})
-            assert _canon(engine.result().metrics.to_dict()) == expected
-
-    def test_checkpoint_serializes_injected_arrivals(self):
-        engine = _single_shard_engine()
-        ckpt = checkpoint_engine(engine)
-        assert len(ckpt.inflight) == 80
-        times = [item[0] for item in ckpt.inflight]
-        assert times == sorted(times)
-
-    def test_restore_refuses_wrong_shard(self):
-        ckpt = checkpoint_engine(_single_shard_engine())
-        fresh = _single_shard_engine(inject=False)
-        with pytest.raises(SimulationError, match="shard"):
-            restore_engine(fresh, dataclasses.replace(ckpt, shard_id=5))
-
-    def test_restore_refuses_used_engine(self):
-        ckpt = checkpoint_engine(_single_shard_engine())
-        used = _single_shard_engine()  # has pending loop events
-        with pytest.raises(SimulationError, match="fresh"):
-            restore_engine(used, ckpt)
 
 
 # -- supervised recovery (process backend, end-to-end) -----------------------
@@ -306,7 +215,33 @@ class TestSupervisedRecovery:
         assert report.mend is not None
         assert report.mend.restarts == 1
         assert report.mend.crashes == [{"shard": 0, "window": 3}]
-        assert report.mend.checkpoints_committed > 0
+        # The re-forked worker re-ran every window up to the crash.
+        assert report.mend.windows_replayed == 3
+
+    @pytest.mark.parametrize("shard", [0, 1])
+    def test_a_death_without_chaos_is_recovered(self, monkeypatch, tmp_path, shard):
+        # No fault plan: the worker just exits at window 3 (shard 0
+        # sends on the only edge, shard 1 receives on it). The
+        # re-forked worker carries the same patch and finds the marker.
+        marker = tmp_path / "died"
+        advance = ShardEngine.advance
+
+        def dying_advance(engine):
+            if engine.shard_id == shard and engine.windows == 3 and not marker.exists():
+                marker.touch()
+                # Let the queue feeder threads finish their writes: a
+                # death mid-write would leave a frame torn and a queue
+                # lock held, which no recovery protocol can repair.
+                time.sleep(0.2)
+                os._exit(1)
+            return advance(engine)
+
+        monkeypatch.setattr(ShardEngine, "advance", dying_advance)
+        net, workload = _arm()
+        report = run_sharded(net, workload, 2, backend="process", seed=11, drain_s=DRAIN_S)
+        assert _canon(report.traffic_dict()) == _reference_json()
+        assert report.mend.restarts == 1
+        assert [crash["shard"] for crash in report.mend.crashes] == [shard]
 
     def test_a_death_during_a_restart_backoff_is_accounted_once(self):
         # Shards of a forward chain do not wait for the source, so the
@@ -388,6 +323,10 @@ class TestSupervisedRecovery:
         assert report.mend.stall_kills == 1
         assert report.mend.stalls_injected == 1
         assert report.mend.restarts == 1
+        # No fault notice for a stall kill: the death is accounted at the
+        # last heartbeat, and every heartbeat carries the engine's window.
+        assert report.mend.crashes == [{"shard": 0, "window": 3}]
+        assert report.mend.windows_replayed == 3
 
     def test_same_seed_chaos_reports_identical(self):
         chaos = FaultPlan(seed=11, worker_crashes=(WorkerCrash(shard=0, window=3),))
@@ -502,27 +441,11 @@ class TestFailurePropagation:
     traceback in the error, poison-pill teardown well under the old
     full-timeout hang."""
 
-    def test_death_without_checkpoint_is_fatal_and_fast(self):
-        chaos = FaultPlan(seed=11, worker_crashes=(WorkerCrash(shard=0, window=3),))
-        net, workload = _arm()
-        start = time.monotonic()
-        with pytest.raises(SimulationError, match="no checkpoint to restore"):
-            run_sharded(
-                net,
-                workload,
-                2,
-                backend="process",
-                seed=11,
-                drain_s=DRAIN_S,
-                chaos=chaos,
-                checkpoint_every=0,  # explicit opt-out
-            )
-        assert time.monotonic() - start < 20.0
-
     def test_restart_budget_exhaustion_is_fatal(self, monkeypatch):
         monkeypatch.setattr(limits, "MEND_MAX_RESTARTS", 0)
         chaos = FaultPlan(seed=11, worker_crashes=(WorkerCrash(shard=0, window=3),))
         net, workload = _arm()
+        start = time.monotonic()
         with pytest.raises(SimulationError, match="restart budget"):
             run_sharded(
                 net,
@@ -533,6 +456,7 @@ class TestFailurePropagation:
                 drain_s=DRAIN_S,
                 chaos=chaos,
             )
+        assert time.monotonic() - start < 20.0
 
     def test_worker_error_carries_shard_and_traceback(self):
         # drain_s too small leaves events past the horizon; the worker's

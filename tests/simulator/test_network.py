@@ -1,6 +1,5 @@
 """Network transport tests."""
 
-import copy
 import gc
 import weakref
 
@@ -231,43 +230,6 @@ class TestFlight:
         with pytest.raises(SimulationError, match="no link 'a' -> 'c'"):
             net.loop.run()
         assert packet.path == ["a"]
-
-    def test_untracked_network_refuses_inflight_arrivals(self):
-        with pytest.raises(SimulationError, match="track_inflight"):
-            three_hop_network().inflight_arrivals()
-
-    def test_tracked_arrivals_between_two_hops(self):
-        """FlexMend's view at a window boundary: the tuples, times and
-        sequence numbers the per-hop tracked transport listed (pinned
-        from it), and a ``receive``-restored copy finishes identically."""
-        net = three_hop_network(track_inflight=True)
-        packets = [make_packet(1, 2) for _ in range(3)]
-        for index, packet in enumerate(packets):
-            net.inject(packet, "p", index * 0.0005)
-        net.loop.run_until(0.0015)
-        hops = ["a", "b", "c"]
-        pending = net.inflight_arrivals()
-        assert pending == [
-            (0.001501, 4, packets[1], hops, 1),
-            (0.002001, 5, packets[2], hops, 1),
-            (0.0030020000000000003, 6, packets[0], hops, 2),
-        ]
-        assert pending[0][3] is pending[1][3]  # a named path is shared, not copied per packet
-
-        restored = three_hop_network(track_inflight=True)
-        restored.loop.restore_clock(0.0015)
-        copies = []
-        for at_time, _seq, packet, path, index in pending:
-            copies.append(copy.deepcopy(packet))
-            restored.receive(copies[-1], list(path), index, at_time)
-        assert [item[0] for item in restored.inflight_arrivals()] == [item[0] for item in pending]
-        net.loop.run()
-        restored.loop.run()
-        assert net.inflight_arrivals() == restored.inflight_arrivals() == []
-        assert [packets[1], packets[2], packets[0]] == copies  # path, delivered_at, verdict
-        assert [packet.delivered_at for packet in packets] == [
-            0.0030030000000000005, 0.003503, 0.0040030000000000005,
-        ]
 
 
 class TestMetrics:
