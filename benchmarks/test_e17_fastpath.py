@@ -167,9 +167,9 @@ def run_experiment() -> dict:
     return {
         "packets": len(packets),
         "flows": N_FLOWS,
-        "divergences": len(diff.divergences),
+        "divergences": len(diff),
         "populated_acl_rules": len(acl),
-        "populated_divergences": len(populated_diff.divergences),
+        "populated_divergences": len(populated_diff),
         "populated_keys_decided": len(acl._decided),  # noqa: SLF001
         "interpreted_pps": interp_pps,
         "compiled_pps": compiled_pps,

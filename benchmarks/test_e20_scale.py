@@ -37,14 +37,14 @@ check).
 
 from __future__ import annotations
 
-import json
 import os
 import pathlib
 import time
 
 from benchmarks.harness import fmt, print_table, write_artifact
 
-from repro.scale import e20_net, e20_workload, reference_run, run_sharded
+from repro.observe.report import divergences
+from repro.scale import e20_net, e20_workload, run_sharded
 from repro.simulator.packet import reset_packet_ids
 
 RESULT_PATH = pathlib.Path(__file__).resolve().parent.parent / "BENCH_e20.json"
@@ -73,18 +73,13 @@ def fresh_arm():
     return net, workload
 
 
-def canon(data: dict) -> str:
-    return json.dumps(data, sort_keys=True)
-
-
 def run_experiment() -> dict:
     net, workload = fresh_arm()
     wall_start = time.perf_counter()
     cpu_start = time.process_time()
-    reference = reference_run(net, workload, drain_s=DRAIN_S)
+    reference = net.run_traffic(packets=workload, extra_time_s=DRAIN_S).to_dict()
     single_cpu_s = time.process_time() - cpu_start
     single_wall_s = time.perf_counter() - wall_start
-    reference_json = canon(reference.to_dict())
     single_pps = PACKETS / single_cpu_s
 
     arms = {}
@@ -104,7 +99,7 @@ def run_experiment() -> dict:
         arms[shards] = {
             "shards": shards,
             "populated_shards": len(report.plan.populated_shards),
-            "divergences": 0 if canon(report.traffic_dict()) == reference_json else 1,
+            "divergences": len(divergences(reference, report.traffic_dict())),
             "windows": report.windows,
             "handoffs": report.handoffs,
             "wall_s": round(wall_s, 3),
@@ -170,7 +165,7 @@ def test_e20_scale(benchmark):
     write_artifact(RESULT_PATH, results, MEASURED)
 
     # Identity gate: every sharded arm reproduces the single-process
-    # traffic report byte-for-byte.
+    # traffic report exactly.
     for shards in SHARD_COUNTS:
         assert arms[str(shards)]["divergences"] == 0, f"{shards} shard(s) diverged"
     # The 4-shard plan actually uses 4 workers with real boundaries.

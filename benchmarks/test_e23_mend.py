@@ -13,11 +13,14 @@ in-neighbors replay the sequenced handoff stream from its first frame,
 the new worker re-executes every window up to the crash (re-sent
 frames are dropped as duplicates downstream), and the run completes.
 
+The three arms — the single-process reference, the fault-free sharded
+run and the chaos run — are built here, and both pairs are compared
+through the one oracle (:func:`repro.observe.report.divergences`).
 Three claims are gated:
 
 * **Identity through faults** — the chaos arm's traffic report is
-  byte-identical to the fault-free sharded arm *and* to the
-  single-process reference (0 divergences).
+  identical to the fault-free sharded arm's *and* to the
+  single-process reference's (0 divergences).
 * **The faults actually fired** — both crashes were absorbed (2
   restarts recorded with their windows), and drops/dups hit the
   transport (recovered via NACK/retransmit and sequence dedup).
@@ -29,19 +32,19 @@ Three claims are gated:
 The wall-clock rows go to stdout and the local bench_tables.txt; the
 tracked ``BENCH_e23.json`` keeps the seeds, fault sites, divergences and
 the deterministic mend report (CI's bench-smoke step also drives
-``flexnet chaos --scale``).
+``flexnet scale --worker-crash ... --differential``).
 """
 
 from __future__ import annotations
 
-import json
 import pathlib
 import time
 
-from benchmarks.harness import fmt, print_table, write_artifact
+from benchmarks.harness import print_table, write_artifact
 
 from repro.faults import FaultPlan, HandoffDrop, HandoffDup, WorkerCrash
-from repro.scale import e20_net, e20_workload, run_scale_chaos, run_sharded
+from repro.observe.report import divergences
+from repro.scale import e20_net, e20_workload, run_sharded
 from repro.simulator.packet import reset_packet_ids
 
 RESULT_PATH = pathlib.Path(__file__).resolve().parent.parent / "BENCH_e23.json"
@@ -74,45 +77,37 @@ def fault_plan() -> FaultPlan:
     )
 
 
-def make_net():
-    return e20_net(pods=PODS)
+def fresh_arm():
+    """Fresh fabric + same-seed workload; every arm starts identical."""
+    reset_packet_ids()
+    return e20_net(pods=PODS), e20_workload(PACKETS, rate_pps=RATE_PPS, seed=WORKLOAD_SEED)
 
 
-def make_workload():
-    return e20_workload(PACKETS, rate_pps=RATE_PPS, seed=WORKLOAD_SEED)
-
-
-def canon(data: dict) -> str:
-    return json.dumps(data, sort_keys=True)
+def sharded(chaos=None):
+    net, workload = fresh_arm()
+    return run_sharded(
+        net, workload, SHARDS, backend="process", seed=PLAN_SEED, drain_s=DRAIN_S, chaos=chaos
+    )
 
 
 def run_experiment() -> dict:
+    net, workload = fresh_arm()
+    reference = net.run_traffic(packets=workload, extra_time_s=DRAIN_S).to_dict()
+    fault_free = sharded().traffic_dict()
     wall_start = time.perf_counter()
-    outcome = run_scale_chaos(
-        make_net,
-        make_workload,
-        SHARDS,
-        fault_plan(),
-        seed=PLAN_SEED,
-        drain_s=DRAIN_S,
-    )
+    chaos = sharded(fault_plan())
     chaos_wall_s = time.perf_counter() - wall_start
+    found = [
+        f"chaos vs {arm}: {divergence}"
+        for arm, expected in (("fault-free sharded", fault_free), ("single-process", reference))
+        for divergence in divergences(expected, chaos.traffic_dict())
+    ]
 
     # Same-seed repeat of the chaos arm: the deterministic report —
-    # traffic, sharding, and the mend section — must be byte-identical.
-    reset_packet_ids()
-    repeat = run_sharded(
-        make_net(),
-        make_workload(),
-        SHARDS,
-        backend="process",
-        seed=PLAN_SEED,
-        drain_s=DRAIN_S,
-        chaos=fault_plan(),
-    )
-    repeat_identical = canon(repeat.to_dict()) == canon(outcome.chaos.to_dict())
+    # traffic, sharding, and the mend section — must be identical.
+    repeat_identical = not divergences(chaos.to_dict(), sharded(fault_plan()).to_dict())
 
-    mend = outcome.chaos.mend
+    mend = chaos.mend
     fault_drops = sum(
         counters["fault_drops"] for counters in mend.per_shard.values()
     )
@@ -127,8 +122,8 @@ def run_experiment() -> dict:
         "workload_seed": WORKLOAD_SEED,
         "plan_seed": PLAN_SEED,
         "chaos_seed": CHAOS_SEED,
-        "faults": list(outcome.fault_lines),
-        "divergences": list(outcome.divergences),
+        "faults": fault_plan().describe()[1:],  # [0] is the seed
+        "divergences": found,
         "repeat_report_identical": repeat_identical,
         "chaos_wall_s": round(chaos_wall_s, 3),
         "mend": mend.to_dict(),
@@ -166,8 +161,8 @@ def test_e23_mend(benchmark):
 
     write_artifact(RESULT_PATH, results, MEASURED)
 
-    # Identity gate: byte-identical to the fault-free sharded arm and
-    # to the single-process reference, through every injected fault.
+    # Identity gate: identical to the fault-free sharded arm and to the
+    # single-process reference, through every injected fault.
     assert results["divergences"] == []
     # The faults actually fired and were absorbed.
     assert mend["crashes"] == [

@@ -16,10 +16,11 @@ Usage (also ``python -m repro.cli``)::
     flexnet chaos    [program.fbpf] [--patch patch.delta] [--trace]
                      [--crash sw1@5.2] [--drop 0.01] [--no-recovery] [--json]
     flexnet chaos    --controller [--partition] [--nodes 3] [--no-fencing]
-    flexnet chaos    --scale [--shards 4] [--worker-crash 0@4] [--handoff-drop 0.2]
     flexnet ha       status [--nodes 3] [--failover] [--json]
     flexnet scale    [--shards 2] [--backend process|inline] [--pods 4]
-                     [--packets 2000] [--rate 20000] [--differential] [--json]
+                     [--packets 2000] [--rate 20000] [--worker-crash 0@4]
+                     [--handoff-drop 0.1] [--handoff-dup 0.05]
+                     [--differential] [--json]
     flexnet cloud    [--scenario flash-crowd] [--tenants 2000] [--seed 2026]
                      [--racks 4] [--shards 1] [--drop 0.0] [--no-coalesce] [--json]
     flexnet trace    program.fbpf [--patch patch.delta --at 0.5]
@@ -33,17 +34,16 @@ Everything runs against the standard host-NIC-switch-NIC-host slice.
 infrastructure + firewall delta) and reports consistency, convergence,
 and the write-ahead journal; with ``--controller`` the faults hit the
 replicated control plane instead (FlexHA: Raft leader crash, or a
-leader partition with ``--partition``); with ``--scale`` they hit the
-sharded process backend instead (FlexMend: seeded worker crashes and
-handoff drops/dups absorbed by re-executing the dead, differentially
-byte-compared against a fault-free run). ``ha status`` stands up the
+leader partition with ``--partition``). ``ha status`` stands up the
 replicated controller, drives one committed update (optionally through
 a ``--failover``), and prints the FlexHA status. ``trace``/``metrics``/``profile`` run the
 same scenario as ``simulate`` with FlexScope enabled and render the
 span tree, the Prometheus-text metric export, or the per-phase profile
 table. ``scale`` partitions the E20 pod fabric across worker processes
-(FlexScale) and, with ``--differential``, byte-compares the sharded
-traffic report against the single-process engine. ``cloud`` runs a
+(FlexScale), optionally under seeded worker crashes and handoff
+drops/dups that FlexMend absorbs by re-executing the dead, and with
+``--differential`` compares the sharded traffic report against the
+single-process engine, naming the first divergence. ``cloud`` runs a
 seeded FlexCloud tenant-churn scenario (flash crowd, diurnal cycle,
 DDoS defense, canary rollout) through the batched admission engine and
 exits nonzero on any isolation violation.
@@ -362,8 +362,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
                "interpreted_pps": interp_pps}
     divergences = []
     if args.fastpath:
-        report = fastpath.differential_check(program, packets, setup=setup)
-        divergences = list(report.divergences)
+        divergences = fastpath.differential_check(program, packets, setup=setup)
         compiled_pps = measure(ProgramInstance(program, fastpath=True))
         results["compiled_pps"] = compiled_pps
         results["speedup"] = compiled_pps / interp_pps
@@ -379,76 +378,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
                   f"({results['speedup']:.2f}x)")
             print(f"divergences : {len(divergences)}")
             for divergence in divergences:
-                print(f"  {divergence}")
+                print(f"  diverged at {divergence}")
     return 1 if divergences else 0
-
-
-def _cmd_chaos_scale(args: argparse.Namespace) -> int:
-    """FlexMend: chaos-armed sharded run differentially compared against
-    a fault-free sharded run and the single-process reference; exit 0
-    iff all three ``traffic`` sections are byte-identical."""
-    import json as json_module
-
-    from repro.apps import base_infrastructure
-    from repro.faults.plan import FaultPlan, HandoffDrop, HandoffDup, WorkerCrash
-    from repro.scale import pod_fabric, e20_workload, run_scale_chaos
-
-    crash_specs = (
-        args.worker_crash if args.worker_crash is not None else ["0@4", "1@6"]
-    )
-    worker_crashes = []
-    for spec in crash_specs:
-        if spec == "none":
-            continue
-        shard, _, window = spec.partition("@")
-        try:
-            worker_crashes.append(
-                WorkerCrash(shard=int(shard), window=int(window))
-            )
-        except ValueError:
-            print(
-                f"error: --worker-crash expects SHARD@WINDOW, got {spec!r}",
-                file=sys.stderr,
-            )
-            return 2
-    handoff_drops = tuple(
-        HandoffDrop(shard=shard, probability=args.handoff_drop)
-        for shard in range(args.shards)
-    ) if args.handoff_drop else ()
-    handoff_dups = tuple(
-        HandoffDup(shard=shard, probability=args.handoff_dup)
-        for shard in range(args.shards)
-    ) if args.handoff_dup else ()
-    plan = FaultPlan(
-        seed=args.seed,
-        worker_crashes=tuple(worker_crashes),
-        handoff_drops=handoff_drops,
-        handoff_dups=handoff_dups,
-    )
-
-    def make_net():
-        net = pod_fabric(args.pods)
-        net.install(base_infrastructure())
-        return net
-
-    rate = args.rate if args.rate is not None else 20_000.0
-
-    def make_workload():
-        return e20_workload(args.packets, rate_pps=rate, seed=args.seed)
-
-    report = run_scale_chaos(
-        make_net,
-        make_workload,
-        args.shards,
-        plan,
-        seed=args.plan_seed,
-        drain_s=args.drain,
-    )
-    if args.json:
-        print(json_module.dumps(report.to_dict(), indent=2))
-    else:
-        print(report.summary())
-    return 1 if report.divergences else 0
 
 
 def cmd_chaos(args: argparse.Namespace) -> int:
@@ -457,11 +388,6 @@ def cmd_chaos(args: argparse.Namespace) -> int:
     import json as json_module
 
     from repro.faults import ChannelFault, DeviceCrash, FaultPlan, run_chaos
-
-    if getattr(args, "scale", False):
-        return _cmd_chaos_scale(args)
-    if args.rate is None:
-        args.rate = 1000.0
 
     if args.program:
         program = parse_program(_read(args.program))
@@ -664,15 +590,44 @@ def cmd_ha(args: argparse.Namespace) -> int:
     return 0 if ok else 1
 
 
+def _worker_crash(spec: str):
+    """``--worker-crash SHARD@WINDOW`` as a FlexMend crash spec."""
+    from repro.faults.plan import WorkerCrash
+
+    shard, _, window = spec.partition("@")
+    try:
+        return WorkerCrash(shard=int(shard), window=int(window))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected SHARD@WINDOW, got {spec!r}") from None
+
+
 def cmd_scale(args: argparse.Namespace) -> int:
     """Run the E20 pod-fabric workload sharded across worker processes
-    (FlexScale). With ``--differential`` also run the single-process
-    reference on an identical fresh net/workload and byte-compare the
-    traffic reports; exit 1 on any divergence."""
+    (FlexScale), chaos-armed by any ``--worker-crash`` /
+    ``--handoff-drop`` / ``--handoff-dup`` (FlexMend). With
+    ``--differential`` also run the single-process reference on an
+    identical fresh net/workload and compare the traffic reports; exit 1
+    on any divergence, naming the first."""
     import json as json_module
 
-    from repro.scale import e20_net, e20_workload, reference_run, run_sharded
+    from repro.faults.plan import FaultPlan, HandoffDrop, HandoffDup
+    from repro.observe.report import divergences
+    from repro.scale import e20_net, e20_workload, run_sharded
     from repro.simulator.packet import reset_packet_ids
+
+    chaos = None
+    if args.worker_crash or args.handoff_drop or args.handoff_dup:
+        shards = range(args.shards)
+        chaos = FaultPlan(
+            seed=args.seed,
+            worker_crashes=tuple(args.worker_crash),
+            handoff_drops=tuple(
+                HandoffDrop(shard, args.handoff_drop) for shard in shards if args.handoff_drop
+            ),
+            handoff_dups=tuple(
+                HandoffDup(shard, args.handoff_dup) for shard in shards if args.handoff_dup
+            ),
+        )
 
     def fresh_arm():
         # Same seeds + a packet-id reset give both arms byte-identical
@@ -690,27 +645,28 @@ def cmd_scale(args: argparse.Namespace) -> int:
         backend=args.backend,
         seed=args.plan_seed,
         drain_s=args.drain,
+        chaos=chaos,
     )
-    divergences = None
+    found = None
     if args.differential:
         ref_net, ref_workload = fresh_arm()
-        reference = reference_run(ref_net, ref_workload, drain_s=args.drain)
-        identical = json_module.dumps(
-            reference.to_dict(), sort_keys=True
-        ) == json_module.dumps(report.traffic_dict(), sort_keys=True)
-        divergences = 0 if identical else 1
+        reference = ref_net.run_traffic(packets=ref_workload, extra_time_s=args.drain)
+        found = divergences(reference.to_dict(), report.traffic_dict())
 
     if args.json:
         payload = report.to_dict()
-        if divergences is not None:
-            payload["differential"] = {"divergences": divergences}
+        if found is not None:
+            payload["differential"] = {"divergences": [str(d) for d in found]}
         print(json_module.dumps(payload, indent=2))
     else:
         print(report.summary())
-        if divergences is not None:
-            verdict = "byte-identical" if divergences == 0 else "DIVERGED"
+        if chaos is not None:
+            for line in chaos.describe()[1:]:  # [0] is the seed
+                print(f"  fault: {line}")
+        if found is not None:
+            verdict = f"DIVERGED at {found[0]}" if found else "byte-identical"
             print(f"  differential vs single-process: {verdict}")
-    return 1 if divergences else 0
+    return 1 if found else 0
 
 
 def cmd_cloud(args: argparse.Namespace) -> int:
@@ -935,9 +891,7 @@ def build_parser() -> argparse.ArgumentParser:
                               help="control-channel delay probability")
     chaos_parser.add_argument("--delay", type=float, default=0.005,
                               help="control-channel delay seconds (with --delay-probability)")
-    chaos_parser.add_argument("--rate", type=float, default=None,
-                              help="traffic rate in pps (default 1000; "
-                                   "20000 with --scale)")
+    chaos_parser.add_argument("--rate", type=float, default=1000.0)
     chaos_parser.add_argument("--duration", type=float, default=10.0)
     chaos_parser.add_argument("--at", type=float, default=5.0,
                               help="virtual time to apply the patch")
@@ -972,32 +926,6 @@ def build_parser() -> argparse.ArgumentParser:
     chaos_parser.add_argument("--heal-after", type=float, default=3.0,
                               help="with --controller --partition: partition "
                                    "duration in seconds")
-    chaos_parser.add_argument("--scale", action="store_true",
-                              help="fault the sharded process backend instead "
-                                   "(FlexMend: worker crashes + handoff "
-                                   "drops/dups, differential vs fault-free)")
-    chaos_parser.add_argument("--shards", type=int, default=4,
-                              help="with --scale: worker shard count")
-    chaos_parser.add_argument("--pods", type=int, default=4,
-                              help="with --scale: pods in the E20 fabric")
-    chaos_parser.add_argument("--packets", type=int, default=600,
-                              help="with --scale: workload packet count")
-    chaos_parser.add_argument("--worker-crash", action="append", default=None,
-                              metavar="SHARD@WINDOW",
-                              help="with --scale: kill SHARD's worker at "
-                                   "protocol WINDOW (repeatable; default "
-                                   "0@4 and 1@6, 'none' to disable)")
-    chaos_parser.add_argument("--handoff-drop", type=float, default=0.0,
-                              help="with --scale: per-batch handoff drop "
-                                   "probability on every shard")
-    chaos_parser.add_argument("--handoff-dup", type=float, default=0.0,
-                              help="with --scale: per-batch handoff "
-                                   "duplication probability on every shard")
-    chaos_parser.add_argument("--plan-seed", type=int, default=11,
-                              help="with --scale: shard-plan seed")
-    chaos_parser.add_argument("--drain", type=float, default=0.05,
-                              help="with --scale: quiet horizon after the "
-                                   "last injection (s)")
     chaos_parser.set_defaults(func=cmd_chaos)
 
     ha_parser = subparsers.add_parser(
@@ -1031,14 +959,25 @@ def build_parser() -> argparse.ArgumentParser:
     scale_parser.add_argument("--rate", type=float, default=20000.0,
                               help="workload Poisson rate (pps)")
     scale_parser.add_argument("--seed", type=int, default=2024,
-                              help="workload seed")
+                              help="workload and fault-plan seed")
     scale_parser.add_argument("--plan-seed", type=int, default=11,
                               help="shard-plan seed")
     scale_parser.add_argument("--drain", type=float, default=0.5,
                               help="quiet horizon after the last injection (s)")
+    scale_parser.add_argument("--worker-crash", action="append", default=[],
+                              type=_worker_crash, metavar="SHARD@WINDOW",
+                              help="kill SHARD's worker at protocol WINDOW "
+                                   "(repeatable; FlexMend re-executes it)")
+    scale_parser.add_argument("--handoff-drop", type=float, default=0.0,
+                              help="per-batch handoff drop probability on "
+                                   "every shard")
+    scale_parser.add_argument("--handoff-dup", type=float, default=0.0,
+                              help="per-batch handoff duplication "
+                                   "probability on every shard")
     scale_parser.add_argument("--differential", action="store_true",
-                              help="byte-compare against the single-process "
-                                   "engine (exit 1 on divergence)")
+                              help="compare against the single-process "
+                                   "engine (exit 1 on divergence, naming "
+                                   "the first)")
     scale_parser.set_defaults(func=cmd_scale)
 
     cloud_parser = subparsers.add_parser(

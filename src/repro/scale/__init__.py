@@ -18,13 +18,11 @@ E23).
 from repro.scale.mend import (
     MendReport,
     MendTransport,
-    ScaleChaosReport,
     Supervisor,
     WorkerFaultInjector,
-    run_scale_chaos,
 )
 from repro.scale.plan import ShardPlan, plan_shards
-from repro.scale.runner import ScaleReport, reference_run, run_sharded
+from repro.scale.runner import ScaleReport, run_sharded
 from repro.scale.shard import Guarantee, Handoff, ShardEngine, ShardResult
 from repro.scale.workload import e20_net, e20_workload, pod_fabric
 
@@ -33,7 +31,6 @@ __all__ = [
     "Handoff",
     "MendReport",
     "MendTransport",
-    "ScaleChaosReport",
     "ScaleReport",
     "ShardEngine",
     "ShardPlan",
@@ -44,7 +41,5 @@ __all__ = [
     "e20_workload",
     "plan_shards",
     "pod_fabric",
-    "reference_run",
-    "run_scale_chaos",
     "run_sharded",
 ]

@@ -809,6 +809,20 @@ class Supervisor:
                 self._teardown(fast=False)
         if error is not None:
             raise SimulationError(f"flexscale process backend: {error}")
+        # A spec that never fired would pass for an absorbed fault.
+        if self.chaos is not None:
+            for kind, specs in (
+                ("crash", self.chaos.worker_crashes),
+                ("stall", self.chaos.worker_stalls),
+            ):
+                for index, spec in enumerate(specs):
+                    if (kind, index) in self._fired:
+                        continue
+                    if spec.shard in results:
+                        why = f"shard {spec.shard} finished at window {results[spec.shard].windows}"
+                    else:
+                        why = f"shard {spec.shard} holds no devices"
+                    raise SimulationError(f"flexmend: {spec} never fired: {why}")
         self.report.measured = {
             "deaths": self._deaths,
             "per_shard": {
@@ -854,123 +868,3 @@ class Supervisor:
         registry.detach_collectors()
         return registry
 
-
-# -- chaos harness ----------------------------------------------------------
-
-
-@dataclass
-class ScaleChaosReport:
-    """Three-arm differential outcome behind experiment E23 and
-    ``flexnet chaos --scale``: the chaos arm's ``traffic`` section must
-    be byte-identical to both the fault-free sharded arm and the
-    single-process reference. ``to_dict`` is deterministic — same seed,
-    same faults, byte-identical report across repeat runs."""
-
-    shards: int
-    fault_lines: tuple[str, ...]
-    chaos: object  # ScaleReport
-    baseline_traffic: dict
-    reference_traffic: dict | None
-    divergences: tuple[str, ...]
-
-    def to_dict(self) -> dict:
-        out = {
-            "shards": self.shards,
-            "faults": list(self.fault_lines),
-            "divergences": list(self.divergences),
-            "chaos": self.chaos.to_dict(),
-            "baseline_traffic": self.baseline_traffic,
-        }
-        if self.reference_traffic is not None:
-            out["reference_traffic"] = self.reference_traffic
-        return out
-
-    def summary(self) -> str:
-        verdict = (
-            "byte-identical across all arms"
-            if not self.divergences
-            else f"{len(self.divergences)} DIVERGENCE(S)"
-        )
-        lines = [
-            f"flexmend chaos [{self.shards} shard(s)]: {verdict}",
-            *(f"  fault: {line}" for line in self.fault_lines),
-        ]
-        mend = self.chaos.mend
-        if mend is not None:
-            lines.append(mend.summary())
-        lines.extend(f"  DIVERGED: {name}" for name in self.divergences)
-        return "\n".join(lines)
-
-
-def run_scale_chaos(
-    make_net,
-    make_workload,
-    shards: int,
-    chaos: FaultPlan,
-    *,
-    seed: int = 2024,
-    drain_s: float = 1.0,
-    reference: bool = True,
-) -> ScaleChaosReport:
-    """Run the FlexMend differential: a chaos-armed sharded run against
-    a fault-free sharded run and (optionally) the single-process
-    reference, comparing the deterministic ``traffic`` sections
-    byte-for-byte.
-
-    ``make_net`` / ``make_workload`` build a fresh net and injection
-    list per arm (runs mutate device state, so arms can never share a
-    net); each arm starts from a reset packet-id allocator like every
-    seeded scenario runner (:mod:`repro.faults.chaos` precedent).
-    """
-    import json
-
-    from repro.scale.runner import reference_run, run_sharded
-
-    def canon(traffic: dict) -> str:
-        return json.dumps(traffic, sort_keys=True)
-
-    def arm():
-        reset_packet_ids()
-        return make_net(), list(make_workload())
-
-    reference_traffic: dict | None = None
-    if reference:
-        net, injections = arm()
-        reference_traffic = reference_run(net, injections, drain_s).to_dict()
-    net, injections = arm()
-    baseline = run_sharded(
-        net,
-        injections,
-        shards,
-        backend="process",
-        seed=seed,
-        drain_s=drain_s,
-    )
-    net, injections = arm()
-    chaos_report = run_sharded(
-        net,
-        injections,
-        shards,
-        backend="process",
-        seed=seed,
-        drain_s=drain_s,
-        chaos=chaos,
-    )
-    divergences = []
-    chaos_traffic = canon(chaos_report.traffic_dict())
-    if chaos_traffic != canon(baseline.traffic_dict()):
-        divergences.append("chaos vs fault-free sharded")
-    if reference_traffic is not None and chaos_traffic != canon(reference_traffic):
-        divergences.append("chaos vs single-process reference")
-    return ScaleChaosReport(
-        shards=shards,
-        fault_lines=tuple(
-            line
-            for line in chaos.describe()
-            if line.startswith(("worker", "handoff"))
-        ),
-        chaos=chaos_report,
-        baseline_traffic=baseline.traffic_dict(),
-        reference_traffic=reference_traffic,
-        divergences=tuple(divergences),
-    )

@@ -140,15 +140,6 @@ class ScaleReport:
         return "\n".join(lines)
 
 
-def reference_run(net, injections: list[TimedPacket], drain_s: float = 1.0):
-    """The single-process control arm of the differential check: the
-    plain engine, the same digest accounting, no consistency checker —
-    returns the :class:`~repro.core.flexnet.TrafficReport` whose
-    ``to_dict()`` a sharded run's ``traffic_dict()`` must reproduce
-    byte-for-byte. Mutates device state; build a fresh net per arm."""
-    return net.run_traffic(packets=list(injections), extra_time_s=drain_s)
-
-
 def _assign_injections(
     net, plan: ShardPlan, injections: list[TimedPacket]
 ) -> tuple[ShardPlan, dict[int, list[tuple]]]:
@@ -259,7 +250,8 @@ def run_sharded(
 
     ``chaos`` arms FlexMend worker-fault injection (``WorkerCrash`` /
     ``WorkerStall`` / ``HandoffDrop`` / ``HandoffDup`` specs from a
-    :class:`~repro.faults.plan.FaultPlan`); process backend only.
+    :class:`~repro.faults.plan.FaultPlan`); process backend only. A
+    crash or stall spec that never fires raises ``SimulationError``.
     Under the process backend any worker death, injected or not, is
     recovered by re-execution within ``limits.MEND_MAX_RESTARTS``.
     """

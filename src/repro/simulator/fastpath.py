@@ -52,7 +52,6 @@ from __future__ import annotations
 import copy
 import functools
 import random
-from dataclasses import dataclass, field
 
 from repro.errors import SimulationError
 from repro.lang import ir
@@ -62,6 +61,7 @@ from repro.limits import (
     FLEXPATH_HASH_MEMO_CAPACITY,
     RECIRCULATION_CAP,
 )
+from repro.observe.report import Divergence, divergences
 from repro.simulator.packet import Packet, Verdict, make_packet
 from repro.simulator.pipeline_exec import ExecutionResult, ProgramInstance
 from repro.util import stable_hash
@@ -640,82 +640,6 @@ def compile_instance(instance) -> CompiledProgram:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Divergence:
-    """One observed difference between interpreter and FlexPath."""
-
-    packet_index: int
-    kind: str
-    interpreted: object
-    compiled: object
-
-    def __str__(self) -> str:
-        return (
-            f"packet {self.packet_index}: {self.kind} diverged "
-            f"(interpreter {self.interpreted!r} vs FlexPath {self.compiled!r})"
-        )
-
-
-@dataclass
-class DifferentialReport:
-    packets: int = 0
-    divergences: list[Divergence] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.divergences
-
-    def compare_packet(self, index: int, left, right, ref_result, result) -> None:
-        """Record every observable difference between one packet's
-        reference run (``left``) and its run under test (``right``)."""
-        self.packets += 1
-        checks = (
-            ("verdict", left.verdict, right.verdict),
-            ("fields", left.fields, right.fields),
-            ("meta", left.meta, right.meta),
-            ("digests", left.digests, right.digests),
-            ("ops", ref_result.ops, result.ops),
-            ("recirculations", ref_result.recirculations, result.recirculations),
-            ("version", ref_result.version, result.version),
-        )
-        for kind, expected, actual in checks:
-            if expected != actual:
-                self.divergences.append(
-                    Divergence(index, kind, copy.deepcopy(expected), copy.deepcopy(actual))
-                )
-
-    def compare_end_state(self, reference, other) -> None:
-        """Record end-of-run differences in map state and table
-        counters between two instances."""
-        for map_name in reference.maps.names():
-            ref_state = dict(reference.maps.state(map_name).items())
-            other_state = dict(other.maps.state(map_name).items())
-            if ref_state != other_state:
-                self.divergences.append(
-                    Divergence(-1, f"map:{map_name}", ref_state, other_state)
-                )
-        for table_name, ref_rules in reference.rules.items():
-            other_rules = other.rules[table_name]
-            if ref_rules.hit_counts != other_rules.hit_counts:
-                self.divergences.append(
-                    Divergence(
-                        -1,
-                        f"hit_counts:{table_name}",
-                        list(ref_rules.hit_counts),
-                        list(other_rules.hit_counts),
-                    )
-                )
-            if ref_rules.miss_count != other_rules.miss_count:
-                self.divergences.append(
-                    Divergence(
-                        -1,
-                        f"miss_count:{table_name}",
-                        ref_rules.miss_count,
-                        other_rules.miss_count,
-                    )
-                )
-
-
 def seeded_corpus(count: int, seed: int = 2024) -> list[Packet]:
     """A deterministic packet corpus exercising header visibility, field
     ranges, and metadata variation."""
@@ -791,19 +715,47 @@ def seeded_rules(program: ir.Program, instance, seed: int = 99, per_table: int =
             )
 
 
+def observation(instance, runs) -> dict:
+    """What ``instance`` showed over ``runs``, its ``(packet, result)``
+    pairs in order: per packet the verdict, fields, metadata, digests,
+    op count, recirculations and version; at the end every map's entries
+    and every table's per-rule and miss counters. Two arms are
+    equivalent when :func:`~repro.observe.report.divergences` finds
+    nothing between their observations."""
+    return {
+        "packets": [
+            {
+                "verdict": packet.verdict,
+                "fields": packet.fields,
+                "meta": packet.meta,
+                "digests": packet.digests,
+                "ops": result.ops,
+                "recirculations": result.recirculations,
+                "version": result.version,
+            }
+            for packet, result in runs
+        ],
+        "maps": {
+            name: dict(instance.maps.state(name).items())
+            for name in instance.maps.names()
+        },
+        "tables": {
+            name: {"hit_counts": list(rules.hit_counts), "miss_count": rules.miss_count}
+            for name, rules in instance.rules.items()
+        },
+    }
+
+
 def differential_check(
     program: ir.Program,
     packets: list[Packet],
     hosted_elements: set[str] | None = None,
     setup=None,
-    now_step: float = 1e-4,
-    max_divergences: int = 20,
     mutate=None,
-) -> DifferentialReport:
+) -> list[Divergence]:
     """Run the interpreter and FlexPath side by side over ``packets``
-    and report every observable difference: verdicts, header fields,
-    metadata, digests, op counts, recirculations — and, at the end,
-    map state and table counters. ``mutate(reference, fast, index)`` —
+    and return where FlexPath's :func:`observation` diverges from the
+    interpreter's (empty: none). ``mutate(reference, fast, index)`` —
     when given — runs before each packet on both instances, which is
     how the mid-run tests attach a meter or insert a rule."""
     reference = ProgramInstance(program, hosted_elements)
@@ -811,18 +763,11 @@ def differential_check(
     if setup is not None:
         setup(reference)
         setup(fast)
-
-    report = DifferentialReport()
+    arms = ((reference, []), (fast, []))
     for index, packet in enumerate(packets):
-        if len(report.divergences) >= max_divergences:
-            break
         if mutate is not None:
             mutate(reference, fast, index)
-        left = copy.deepcopy(packet)
-        right = copy.deepcopy(packet)
-        now = index * now_step
-        ref_result = reference.process(left, now)
-        fast_result = fast.process(right, now)
-        report.compare_packet(index, left, right, ref_result, fast_result)
-    report.compare_end_state(reference, fast)
-    return report
+        for instance, runs in arms:
+            work = copy.deepcopy(packet)
+            runs.append((work, instance.process(work, index * 1e-4)))
+    return divergences(*(observation(instance, runs) for instance, runs in arms))

@@ -51,8 +51,8 @@ def tiled(flows, count):
     return [flows[i % len(flows)] for i in range(count)]
 
 
-def assert_identical(report):
-    assert not report.divergences, "\n".join(str(d) for d in report.divergences[:5])
+def assert_identical(divergences):
+    assert not divergences, "\n".join(str(d) for d in divergences[:5])
 
 
 def scanning_tables(instance):
@@ -108,13 +108,13 @@ def test_batched_matches_interpreter_beyond_memo_capacity():
     ]
     packets = flows + flows[-25:] + flows[:25]
     arms = []
-    report = fastpath.differential_check(
+    found = fastpath.differential_check(
         program,
         packets,
         hosted_elements=map_free_slice(program),
         setup=seeded_setup(program, keep=arms),
     )
-    assert_identical(report)
+    assert_identical(found)
     for arm in arms:
         remembered = arm.rules["acl"]._decided  # noqa: SLF001
         assert len(remembered) == TABLE_MEMO_CAPACITY
@@ -134,13 +134,13 @@ def test_hosted_slice_memo_matches_interpreter():
         if not hosted:
             continue
         arms = []
-        report = fastpath.differential_check(
+        found = fastpath.differential_check(
             program,
             packets,
             hosted_elements=hosted,
             setup=seeded_setup(program, keep=arms),
         )
-        assert not report.divergences, (label, report.divergences[:5])
+        assert not found, (label, found[:5])
         for rules in scanning_tables(arms[1]):
             assert 0 < len(rules._decided) <= len(flows), label  # noqa: SLF001
 
@@ -160,14 +160,14 @@ def test_memo_arm_calls_only_the_two_entries_traffic_takes(monkeypatch):
                     MeterConfig(rate_pps=50.0, burst_packets=4.0)
                 )
 
-    report = fastpath.differential_check(
+    found = fastpath.differential_check(
         program,
         packets,
         hosted_elements=map_free_slice(program),
         setup=seeded_setup(program),
         mutate=mutate,
     )
-    assert_identical(report)
+    assert_identical(found)
     by_arm = collections.Counter()
     for (entry, instance), count in calls.items():
         by_arm[entry, instance.fastpath_enabled] += count
@@ -196,14 +196,14 @@ def test_meter_attach_mid_run_bypasses_and_stays_exact():
                 assert instance.rules["l3"]._decided == remembered  # noqa: SLF001
                 assert len(remembered) == len({p.fields["ipv4", "dst"] for p in flows})
 
-    report = fastpath.differential_check(
+    found = fastpath.differential_check(
         program,
         packets,
         hosted_elements=map_free_slice(program),
         setup=seeded_setup(program, keep=arms),
         mutate=mutate,
     )
-    assert_identical(report)
+    assert_identical(found)
     for arm in arms:
         meter = arm.rules["l3"].meter
         assert meter.green_count + meter.red_count > 0 and meter.red_count > 0
@@ -232,14 +232,14 @@ def test_rule_mutation_mid_run_flushes_memo_and_stays_exact():
                 )
                 assert not acl._decided  # noqa: SLF001
 
-    report = fastpath.differential_check(
+    found = fastpath.differential_check(
         program,
         packets,
         hosted_elements=map_free_slice(program),
         setup=seeded_setup(program, keep=arms),
         mutate=mutate,
     )
-    assert_identical(report)
+    assert_identical(found)
     for arm in arms:
         acl = arm.rules["acl"]
         assert len(acl._decided) == len(flows)  # noqa: SLF001 - decided again after the insert

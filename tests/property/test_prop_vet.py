@@ -23,6 +23,7 @@ from repro.analysis.corpus import bundled_programs
 from repro.analysis.vet import StateClass, vet
 from repro.apps.base import standard_builder
 from repro.lang import builder as b
+from repro.observe.report import divergences
 from repro.simulator import fastpath
 from repro.simulator.pipeline_exec import ProgramInstance
 
@@ -133,8 +134,9 @@ def test_per_flow_keys_are_the_claimed_partition_fields(label, program):
 def reorder_divergences(program, key_fields):
     """Run the interpreter over a tiled flow mix in arrival order and
     again stably regrouped by the packets' ``key_fields`` values (each
-    packet keeping its own arrival time); returns the differential of
-    the two runs, per packet by index and in end state."""
+    packet keeping its own arrival time); returns where the regrouped
+    run's observation, packets by index, diverges from the arrival
+    run's."""
     # A few flows interleaved, so every flow-keyed map entry is touched
     # repeatedly and regrouping moves almost every packet.
     flows = fastpath.seeded_corpus(8, seed=21)
@@ -145,24 +147,16 @@ def reorder_divergences(program, key_fields):
     )  # stable: arrival order survives inside a flow group
     assert regrouped != list(range(len(packets)))
 
-    def run(order):
+    def observed(order):
         instance = ProgramInstance(program)
         fastpath.seeded_rules(program, instance, seed=17)
         outcomes = {}
         for index in order:
             packet = copy.deepcopy(packets[index])
             outcomes[index] = (packet, instance.process(packet, index * 1e-4))
-        return instance, outcomes
+        return fastpath.observation(instance, [outcomes[i] for i in range(len(packets))])
 
-    in_arrival, arrival = run(range(len(packets)))
-    in_groups, grouped = run(regrouped)
-    diff = fastpath.DifferentialReport()
-    for index in range(len(packets)):
-        diff.compare_packet(index, arrival[index][0], grouped[index][0],
-                            arrival[index][1], grouped[index][1])
-    diff.compare_end_state(in_arrival, in_groups)
-    assert diff.packets == len(packets)
-    return diff
+    return divergences(observed(range(len(packets))), observed(regrouped))
 
 
 @pytest.mark.parametrize("label,program", PROGRAMS, ids=PROGRAM_IDS)
@@ -173,8 +167,8 @@ def test_batch_safe_programs_pass_differential_check(label, program):
     if not report.batch_safe:
         pytest.skip(f"{label} is not batch-safe")
     assert report.flow_key, f"{label}: nothing to regroup by"
-    diff = reorder_divergences(program, [field_key(f) for f in report.flow_key])
-    assert not diff.divergences, "\n".join(str(d) for d in diff.divergences[:5])
+    found = reorder_divergences(program, [field_key(f) for f in report.flow_key])
+    assert not found, "\n".join(str(d) for d in found[:5])
 
 
 def test_reordering_a_cross_flow_program_is_caught():
@@ -194,8 +188,9 @@ def test_reordering_a_cross_flow_program_is_caught():
     builder.apply("stamp")
     program = builder.build()
     assert not vet(program).batch_safe
-    diff = reorder_divergences(program, [("ipv4", "src")])
-    assert {d.kind for d in diff.divergences} == {"meta"}
+    found = reorder_divergences(program, [("ipv4", "src")])
+    assert found
+    assert {d.path.partition(".")[2] for d in found} == {"meta.arrival"}
 
 
 def test_classifier_is_deterministic():

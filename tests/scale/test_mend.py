@@ -2,8 +2,9 @@
 failure-path propagation.
 
 The load-bearing property mirrors E23: a process-backend run with
-injected worker faults must produce a ``traffic`` section byte-identical
-to the fault-free run and to the single-process reference. The unit
+injected worker faults must produce a ``traffic`` section identical to
+the single-process reference's, and a fault that never fired must fail
+the run rather than pass for one absorbed. The unit
 layer below it (transport framing) is tested in-process so a protocol
 regression points at the guilty mechanism, not just at a diverged
 end-to-end hash.
@@ -11,7 +12,6 @@ end-to-end hash.
 
 from __future__ import annotations
 
-import json
 import os
 import queue
 import sys
@@ -29,13 +29,9 @@ from repro.faults import (
     WorkerCrash,
     WorkerStall,
 )
-from repro.scale import reference_run, run_sharded
-from repro.scale.mend import (
-    MendTransport,
-    WorkerFaultInjector,
-    _pin_to_own_cpu,
-    run_scale_chaos,
-)
+from repro.observe.report import divergences
+from repro.scale import run_sharded
+from repro.scale.mend import MendTransport, WorkerFaultInjector, _pin_to_own_cpu
 from repro.scale.shard import ShardEngine
 from repro.scale.workload import e20_workload, pod_fabric
 from repro.simulator.packet import reset_packet_ids
@@ -51,13 +47,10 @@ def _arm(pods: int = 2, packets: int = 150):
     return net, workload
 
 
-def _canon(data: dict) -> str:
-    return json.dumps(data, sort_keys=True)
-
-
-def _reference_json(pods: int = 2, packets: int = 150) -> str:
+def _reference(pods: int = 2, packets: int = 150) -> dict:
+    """The single-process control arm's traffic report."""
     net, workload = _arm(pods, packets)
-    return _canon(reference_run(net, workload, drain_s=DRAIN_S).to_dict())
+    return net.run_traffic(packets=workload, extra_time_s=DRAIN_S).to_dict()
 
 
 # -- fault plan categories ---------------------------------------------------
@@ -199,7 +192,7 @@ class TestMendTransport:
 
 class TestSupervisedRecovery:
     def test_crash_recovery_is_byte_identical(self):
-        expected = _reference_json()
+        expected = _reference()
         chaos = FaultPlan(seed=11, worker_crashes=(WorkerCrash(shard=0, window=3),))
         net, workload = _arm()
         report = run_sharded(
@@ -211,7 +204,7 @@ class TestSupervisedRecovery:
             drain_s=DRAIN_S,
             chaos=chaos,
         )
-        assert _canon(report.traffic_dict()) == expected
+        assert divergences(expected, report.traffic_dict()) == []
         assert report.mend is not None
         assert report.mend.restarts == 1
         assert report.mend.crashes == [{"shard": 0, "window": 3}]
@@ -239,7 +232,7 @@ class TestSupervisedRecovery:
         monkeypatch.setattr(ShardEngine, "advance", dying_advance)
         net, workload = _arm()
         report = run_sharded(net, workload, 2, backend="process", seed=11, drain_s=DRAIN_S)
-        assert _canon(report.traffic_dict()) == _reference_json()
+        assert divergences(_reference(), report.traffic_dict()) == []
         assert report.mend.restarts == 1
         assert [crash["shard"] for crash in report.mend.crashes] == [shard]
 
@@ -248,7 +241,7 @@ class TestSupervisedRecovery:
         # sink reaches its crash window while the supervisor is still
         # backing off before respawning the source. Its fault event is
         # read before its death is handled: each spec fires once.
-        expected = _reference_json(pods=4)
+        expected = _reference(pods=4)
         chaos = FaultPlan(
             seed=11,
             worker_crashes=(
@@ -260,7 +253,7 @@ class TestSupervisedRecovery:
         report = run_sharded(
             net, workload, 4, backend="process", seed=11, drain_s=DRAIN_S, chaos=chaos
         )
-        assert _canon(report.traffic_dict()) == expected
+        assert divergences(expected, report.traffic_dict()) == []
         assert report.mend.crashes == [
             {"shard": 0, "window": 4},
             {"shard": 1, "window": 6},
@@ -271,7 +264,7 @@ class TestSupervisedRecovery:
         # Fast impatience so a dropped final frame re-NACKs quickly; the
         # forked workers inherit the patched value.
         monkeypatch.setattr(limits, "MEND_NACK_IMPATIENCE_S", 0.2)
-        expected = _reference_json()
+        expected = _reference()
         chaos = FaultPlan(
             seed=11,
             handoff_drops=tuple(
@@ -291,7 +284,7 @@ class TestSupervisedRecovery:
             drain_s=DRAIN_S,
             chaos=chaos,
         )
-        assert _canon(report.traffic_dict()) == expected
+        assert divergences(expected, report.traffic_dict()) == []
         drops = sum(
             counters["fault_drops"]
             for counters in report.mend.per_shard.values()
@@ -304,7 +297,7 @@ class TestSupervisedRecovery:
         # heartbeating and only the sleeping worker reads as stale.
         monkeypatch.setattr(limits, "MEND_HEARTBEAT_TIMEOUT_S", 2.0)
         monkeypatch.setattr(limits, "MEND_NACK_IMPATIENCE_S", 0.5)
-        expected = _reference_json()
+        expected = _reference()
         chaos = FaultPlan(
             seed=11,
             worker_stalls=(WorkerStall(shard=0, window=3, stall_s=30.0),),
@@ -319,7 +312,7 @@ class TestSupervisedRecovery:
             drain_s=DRAIN_S,
             chaos=chaos,
         )
-        assert _canon(report.traffic_dict()) == expected
+        assert divergences(expected, report.traffic_dict()) == []
         assert report.mend.stall_kills == 1
         assert report.mend.stalls_injected == 1
         assert report.mend.restarts == 1
@@ -345,8 +338,8 @@ class TestSupervisedRecovery:
                 )
             )
         # The full deterministic export — including the mend section —
-        # is byte-repeatable; wall-clock latencies live outside it.
-        assert _canon(reports[0].to_dict()) == _canon(reports[1].to_dict())
+        # is repeatable; wall-clock latencies live outside it.
+        assert divergences(reports[0].to_dict(), reports[1].to_dict()) == []
 
     def test_chaos_requires_process_backend(self):
         net, workload = _arm()
@@ -369,7 +362,7 @@ class TestSupervisorPacing:
         start = time.monotonic()
         report = run_sharded(net, workload, 2, backend="process", seed=11, drain_s=DRAIN_S)
         assert time.monotonic() - start < 6.0
-        assert _canon(report.traffic_dict()) == _reference_json()
+        assert divergences(_reference(), report.traffic_dict()) == []
 
     def test_switch_interval_is_set_in_the_worker_only(self, monkeypatch):
         result = ShardEngine.result
@@ -413,7 +406,7 @@ class TestSupervisorPacing:
             assert seen[0] != seen[1]
         else:
             assert seen == [sorted(before)] * 2
-        assert _canon(report.traffic_dict()) == _reference_json()
+        assert divergences(_reference(), report.traffic_dict()) == []
 
     @pytest.mark.skipif(
         not hasattr(os, "sched_setaffinity"), reason="no CPU affinity on this platform"
@@ -485,33 +478,31 @@ class TestFailurePropagation:
             )
         assert time.monotonic() - start < 15.0
 
+    @pytest.mark.parametrize(
+        "plan,why",
+        [
+            (FaultPlan(seed=11, worker_crashes=(WorkerCrash(shard=3, window=2),)),
+             "shard 3 holds no devices"),
+            (FaultPlan(seed=11, worker_crashes=(WorkerCrash(shard=0, window=10_000),)),
+             "shard 0 finished at window"),
+            (FaultPlan(seed=11, worker_stalls=(WorkerStall(shard=1, window=10_000),)),
+             "shard 1 finished at window"),
+        ],
+        ids=["unpopulated-shard", "crash-past-the-run", "stall-past-the-run"],
+    )
+    def test_a_fault_that_never_fired_fails_the_run(self, plan, why):
+        # Otherwise the run reads as a chaos run that absorbed its faults.
+        net, workload = _arm()
+        with pytest.raises(SimulationError, match=f"never fired: {why}"):
+            run_sharded(
+                net, workload, 2, backend="process", seed=11, drain_s=DRAIN_S, chaos=plan
+            )
 
-# -- harness + facade --------------------------------------------------------
+
+# -- facade ------------------------------------------------------------------
 
 
 class TestChaosHarness:
-    def test_run_scale_chaos_three_arms_agree(self):
-        chaos = FaultPlan(seed=11, worker_crashes=(WorkerCrash(shard=1, window=4),))
-
-        def make_net():
-            net = pod_fabric(2)
-            net.install(base_infrastructure())
-            return net
-
-        def make_workload():
-            return e20_workload(150, rate_pps=20_000.0, seed=5)
-
-        outcome = run_scale_chaos(
-            make_net, make_workload, 2, chaos, seed=11, drain_s=DRAIN_S
-        )
-        assert outcome.divergences == ()
-        assert outcome.fault_lines == ("worker crash shard 1 at window 4",)
-        assert outcome.chaos.mend.restarts == 1
-        data = outcome.to_dict()
-        assert data["divergences"] == []
-        assert data["chaos"]["mend"]["crashes"] == [{"shard": 1, "window": 4}]
-        assert "byte-identical" in outcome.summary()
-
     def test_facade_passes_chaos_through(self):
         reset_packet_ids()
         net = pod_fabric(2)

@@ -16,7 +16,8 @@ from repro import limits
 from repro.apps import base_infrastructure
 from repro.errors import SimulationError
 from repro.faults import FaultPlan, HandoffDrop, WorkerCrash
-from repro.scale import plan_shards, reference_run, run_sharded
+from repro.observe.report import divergences
+from repro.scale import plan_shards, run_sharded
 from repro.scale.mend import Supervisor
 from repro.scale.runner import _engines, _merge_results, build_engines
 from repro.scale.shard import run_inline
@@ -41,50 +42,49 @@ def _arm(pods: int = 2, seeded: bool = False):
     return net, workload
 
 
-def _canon(data: dict) -> str:
-    return json.dumps(data, sort_keys=True)
-
-
-def _reference_json(pods: int = 2) -> str:
-    net, workload = _arm(pods)
-    return _canon(reference_run(net, workload, drain_s=DRAIN_S).to_dict())
+def _reference(pods: int = 2, seeded: bool = False, fastpath: bool = False) -> dict:
+    """The single-process control arm's traffic report."""
+    net, workload = _arm(pods, seeded)
+    if fastpath:
+        net.engine(fastpath=True)
+    return net.run_traffic(packets=workload, extra_time_s=DRAIN_S).to_dict()
 
 
 class TestDifferentialIdentity:
     def test_inline_two_shards_byte_identical(self):
-        expected = _reference_json()
+        expected = _reference()
         net, workload = _arm()
         report = run_sharded(
             net, workload, 2, backend="inline", seed=11, drain_s=DRAIN_S
         )
-        assert _canon(report.traffic_dict()) == expected
+        assert divergences(expected, report.traffic_dict()) == []
         assert report.handoffs > 0  # the boundary was actually exercised
 
     def test_process_two_shards_byte_identical(self):
-        expected = _reference_json()
+        expected = _reference()
         net, workload = _arm()
         report = run_sharded(
             net, workload, 2, backend="process", seed=11, drain_s=DRAIN_S
         )
-        assert _canon(report.traffic_dict()) == expected
+        assert divergences(expected, report.traffic_dict()) == []
         assert report.backend == "process"
 
     def test_single_shard_byte_identical(self):
-        expected = _reference_json()
+        expected = _reference()
         net, workload = _arm()
         report = run_sharded(
             net, workload, 1, backend="inline", seed=11, drain_s=DRAIN_S
         )
-        assert _canon(report.traffic_dict()) == expected
+        assert divergences(expected, report.traffic_dict()) == []
         assert report.handoffs == 0
 
     def test_three_pods_three_shards_byte_identical(self):
-        expected = _reference_json(pods=3)
+        expected = _reference(pods=3)
         net, workload = _arm(pods=3)
         report = run_sharded(
             net, workload, 3, backend="inline", seed=11, drain_s=DRAIN_S
         )
-        assert _canon(report.traffic_dict()) == expected
+        assert divergences(expected, report.traffic_dict()) == []
 
 
 class TestBatchedSharding:
@@ -108,17 +108,14 @@ class TestBatchedSharding:
         return report
 
     def test_batched_two_shards_byte_identical(self):
-        net, workload = _arm(seeded=True)
-        net.engine(fastpath=True)
-        expected = _canon(reference_run(net, workload, drain_s=DRAIN_S).to_dict())
+        expected = _reference(seeded=True, fastpath=True)
         report = self._sharded()
-        assert _canon(report.traffic_dict()) == expected
+        assert divergences(expected, report.traffic_dict()) == []
         assert report.handoffs > 0
 
     def test_batched_matches_unbatched_traffic(self):
-        net, workload = _arm(seeded=True)  # the interpreter, unsharded
-        expected = _canon(reference_run(net, workload, drain_s=DRAIN_S).to_dict())
-        assert _canon(self._sharded().traffic_dict()) == expected
+        expected = _reference(seeded=True)  # the interpreter, unsharded
+        assert divergences(expected, self._sharded().traffic_dict()) == []
 
 
 class TestDeterminism:
@@ -131,7 +128,7 @@ class TestDeterminism:
                     net, workload, 2, backend="inline", seed=11, drain_s=DRAIN_S
                 )
             )
-        assert _canon(reports[0].to_dict()) == _canon(reports[1].to_dict())
+        assert divergences(reports[0].to_dict(), reports[1].to_dict()) == []
         assert (
             reports[0].registry.to_prometheus()
             == reports[1].registry.to_prometheus()
@@ -146,7 +143,7 @@ class TestDeterminism:
         process = run_sharded(
             net, workload, 2, backend="process", seed=11, drain_s=DRAIN_S
         )
-        assert _canon(inline.traffic_dict()) == _canon(process.traffic_dict())
+        assert divergences(inline.traffic_dict(), process.traffic_dict()) == []
 
         # Window/handoff cadence is a protocol diagnostic and may differ
         # between backends, and the FlexMend supervision families exist
@@ -193,7 +190,7 @@ class TestMergedObservability:
         assert report.max_shard_cpu_s is not None
         assert report.max_shard_cpu_s >= 0.0
         # Measurement-only: the deterministic export must not carry it.
-        assert "cpu" not in _canon(report.to_dict())
+        assert "cpu" not in json.dumps(report.to_dict())
 
 
 class TestFlexNetFacade:
@@ -242,7 +239,7 @@ class TestProtocolShape:
         "shards,chain", [(2, {(0, 1)}), (4, {(0, 2), (2, 3), (3, 1)})]
     )
     def test_one_way_fabric_runs_a_forward_chain(self, shards, chain):
-        expected = _reference_json(pods=4)
+        expected = _reference(pods=4)
         net, workload = _arm(pods=4)
         inline = run_sharded(
             net, workload, shards, backend="inline", seed=11, drain_s=DRAIN_S
@@ -253,7 +250,7 @@ class TestProtocolShape:
         )
         for report in (inline, process):
             assert set(report.plan.lookahead_s) == chain
-            assert _canon(report.traffic_dict()) == expected
+            assert divergences(expected, report.traffic_dict()) == []
         # The planner's answer is untouched: every boundary link, both ways.
         planned = plan_shards(net.controller, shards, seed=11).lookahead_s
         assert set(planned) == chain | {(dst, src) for src, dst in chain}
@@ -341,7 +338,7 @@ class TestTwoWayRoutes:
             per_shard[plan.shard_of(triple[1][0])].append(triple)
         return plan, per_shard
 
-    def _reference(self) -> str:
+    def _reference(self) -> dict:
         net, triples, end_time = self._arm()
         metrics = RunMetrics()
         digests = []
@@ -351,15 +348,13 @@ class TestTwoWayRoutes:
             )
         net.controller.loop.run_until(end_time)
         assert metrics.delivered == len(triples)
-        return _canon(
-            {
-                "metrics": metrics.to_dict(),
-                "telemetry": {
-                    "total_digests": sum(len(packet.digests) for packet in digests),
-                    "total_events": 0,
-                },
-            }
-        )
+        return {
+            "metrics": metrics.to_dict(),
+            "telemetry": {
+                "total_digests": sum(len(packet.digests) for packet in digests),
+                "total_events": 0,
+            },
+        }
 
     def _inline(self):
         net, triples, end_time = self._arm()
@@ -388,8 +383,8 @@ class TestTwoWayRoutes:
     def test_process_inline_and_single_process_agree(self):
         expected = self._reference()
         inline, process = self._inline(), self._process()
-        assert _canon(inline.traffic_dict()) == expected
-        assert _canon(process.traffic_dict()) == expected
+        assert divergences(expected, inline.traffic_dict()) == []
+        assert divergences(expected, process.traffic_dict()) == []
         assert [r.windows for r in inline.shard_results] == [
             r.windows for r in process.shard_results
         ]
@@ -408,7 +403,7 @@ class TestTwoWayRoutes:
             ),
         )
         report = self._process(chaos)
-        assert _canon(report.traffic_dict()) == self._reference()
+        assert divergences(self._reference(), report.traffic_dict()) == []
         assert report.mend.restarts == 1
         assert report.mend.crashes == [{"shard": 1, "window": 5}]
         assert all(

@@ -398,9 +398,9 @@ CASES = list(_cases())
 @pytest.mark.parametrize("label,program,kwargs", CASES, ids=[label for label, _, _ in CASES])
 def test_differential(label, program, kwargs):
     kwargs = dict(kwargs)
-    report = fastpath.differential_check(program, kwargs.pop("packets"), **kwargs)
-    assert report.ok, "\n".join(str(d) for d in report.divergences)
-    assert report.packets >= 30
+    packets = kwargs.pop("packets")
+    assert len(packets) >= 30
+    assert fastpath.differential_check(program, packets, **kwargs) == []
 
 
 def _walk(root, seen):

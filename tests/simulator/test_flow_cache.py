@@ -11,6 +11,7 @@ from repro.apps import base_infrastructure, firewall_delta
 from repro.control.p4runtime import P4RuntimeClient, TableEntry
 from repro.lang.delta import apply_delta
 from repro.lang.ir import ActionCall
+from repro.observe.report import divergences
 from repro.runtime.device import DeviceRuntime, EngineConfig
 from repro.simulator import fastpath, tables
 from repro.simulator.packet import Verdict, make_packet
@@ -34,23 +35,27 @@ def sliced_instance(fast: bool = True) -> ProgramInstance:
 
 
 def drive(instance, packets, times=None):
-    return [
-        instance.process(packet, times[index] if times is not None else 0.0)
-        for index, packet in enumerate(packets)
-    ]
+    """Process a copy of each of ``packets``; returns the ``(packet,
+    result)`` runs an observation is built from."""
+    runs = []
+    for index, packet in enumerate(packets):
+        work = copy.deepcopy(packet)
+        runs.append((work, instance.process(work, times[index] if times is not None else 0.0)))
+    return runs
 
 
-def reference_run(packets, times):
-    """The interpreter's outcomes for ``packets`` on a fresh slice."""
+def assert_agree(reference, instance, reference_runs=(), runs=()):
+    """``instance`` shows what ``reference`` shows: packet by packet
+    over the runs given, and in end state (maps and table counters)."""
+    expected = fastpath.observation(reference, reference_runs)
+    assert divergences(expected, fastpath.observation(instance, runs)) == []
+
+
+def assert_matches_interpreter(instance, runs, packets, times=None):
+    """``runs`` of ``packets`` on ``instance`` are what the interpreter
+    shows on a fresh slice."""
     reference = sliced_instance(fast=False)
-    work = [copy.deepcopy(p) for p in packets]
-    return reference, work, drive(reference, work, times)
-
-
-def assert_counters_equal(reference, instance):
-    for name, rules in reference.rules.items():
-        assert rules.hit_counts == instance.rules[name].hit_counts, name
-        assert rules.miss_count == instance.rules[name].miss_count, name
+    assert_agree(reference, instance, drive(reference, packets, times), runs)
 
 
 def remembered(instance, name):
@@ -92,27 +97,19 @@ class TestFlowCache:
         instance = sliced_instance()
         corpus = fastpath.seeded_corpus(40, seed=3)
         times = [i * 1e-4 for i in range(len(corpus))]
-        reference, ref_work, ref_results = reference_run(corpus, times)
-
-        work = [copy.deepcopy(p) for p in corpus]
-        results = drive(instance, work, times)
+        runs = drive(instance, corpus, times)
         for name in SCANNING:
             assert len(remembered(instance, name)) == 2, name  # full, never past it
-        for left, right, a, c in zip(ref_work, work, ref_results, results):
-            assert left.verdict is right.verdict
-            assert left.fields == right.fields
-            assert left.meta == right.meta
-            assert a.ops == c.ops
-        assert_counters_equal(reference, instance)
+        assert_matches_interpreter(instance, runs, corpus, times)
 
     def test_eviction_is_fifo_not_lru(self, monkeypatch):
         monkeypatch.setattr(tables, "TABLE_MEMO_CAPACITY", 2)
         instance = sliced_instance()
         a, b, c = (make_packet(1, 2), make_packet(3, 4), make_packet(5, 6))
         # The second look at ``a`` must not refresh it: first in, first out.
-        drive(instance, [copy.deepcopy(p) for p in (a, b, a, c)])
+        drive(instance, (a, b, a, c))
         assert list(remembered(instance, "acl")) == [acl_key(b), acl_key(c)]
-        drive(instance, [copy.deepcopy(a)])  # decides again, pushing ``b`` out
+        drive(instance, [a])  # decides again, pushing ``b`` out
         assert list(remembered(instance, "acl")) == [acl_key(c), acl_key(a)]
 
     def test_counter_multiplicity_exact(self):
@@ -123,41 +120,37 @@ class TestFlowCache:
             make_packet(0x0A000001, 0x0A000002) if i % 3 else make_packet(0x0A000003, 0x0A000004)
             for i in range(8)
         ]
-        drive(instance, copy.deepcopy(packets))
+        runs = drive(instance, packets)
         assert len(remembered(instance, "acl")) == 2
-        reference, _, _ = reference_run(packets, [0.0] * len(packets))
-        assert_counters_equal(reference, instance)
+        assert_matches_interpreter(instance, runs, packets)
 
     def test_rule_insert_flushes_and_counts_dropped_entries(self):
         """A rule mutation drops that table's decisions — all of them,
         and no other table's — and the counters stay the interpreter's."""
         instance, reference = sliced_instance(), sliced_instance(fast=False)
         flows = [make_packet(1, 2 + i) for i in range(4)]
-        for arm in (instance, reference):
-            drive(arm, copy.deepcopy(flows))
+        runs = [drive(arm, flows) for arm in (instance, reference)]
         assert len(remembered(instance, "acl")) == len(remembered(instance, "l3")) == 4
         for arm in (instance, reference):
             arm.rules["acl"].insert(acl_rule(src=1))
         assert not remembered(instance, "acl")
         assert len(remembered(instance, "l3")) == 4
-        for arm in (instance, reference):
-            after = [make_packet(1, 2) for _ in range(3)]
-            drive(arm, after, [1.0] * 3)
-            assert all(packet.verdict is Verdict.DROP for packet in after)
+        for arm, arm_runs in zip((instance, reference), runs):
+            after = drive(arm, [make_packet(1, 2)] * 3, [1.0] * 3)
+            assert all(packet.verdict is Verdict.DROP for packet, _ in after)
+            arm_runs += after
         assert remembered(instance, "acl")[1, 2] == (ActionCall("drop"), len(instance.rules["acl"]) - 1)
-        assert_counters_equal(reference, instance)
+        assert_agree(reference, instance, runs[1], runs[0])
 
     def test_new_instance_starts_cold(self):
         """Decisions live in the instance's own tables: a second
         instance of the same version decides for itself."""
         first, second = sliced_instance(), sliced_instance()
         packets = [make_packet(1, 2) for _ in range(3)]
-        drive(first, copy.deepcopy(packets))
+        first_runs = drive(first, packets)
         assert remembered(first, "acl") and not remembered(second, "acl")
-        drive(second, copy.deepcopy(packets))
-        reference, _, _ = reference_run(packets, [0.0] * 3)
-        assert_counters_equal(reference, first)
-        assert_counters_equal(reference, second)
+        assert_matches_interpreter(second, drive(second, packets), packets)
+        assert_matches_interpreter(first, first_runs, packets)
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +199,7 @@ class TestDeviceFlowCache:
         device, reference = device_pair()
         for i in range(30):
             assert_same_hop(device, reference, make_packet(i % 3, 50), i * 1e-4)
-        assert_counters_equal(reference.active_instance, device.active_instance)
+        assert_agree(reference.active_instance, device.active_instance)
         acl = device.active_instance.rules["acl"]
         assert sum(acl.hit_counts) + acl.miss_count == 30  # 3 decided, 27 remembered
         assert len(remembered(device.active_instance, "acl")) == 3
@@ -241,7 +234,7 @@ class TestDeviceFlowCache:
             assert arm.active_instance.rules["acl"].remove(rule)
         after = assert_same_hop(device, reference, blocked, 2e-4)
         assert after.verdict is Verdict.FORWARD
-        assert_counters_equal(reference.active_instance, device.active_instance)
+        assert_agree(reference.active_instance, device.active_instance)
 
     def test_map_write_invalidates_via_mutation_counter(self):
         """A control-plane write to a map the program *reads* shows in
@@ -301,7 +294,7 @@ class TestDeviceFlowCache:
             assert_same_hop(device, reference, packet, 1.05 + i * 0.01)
         assert not device.in_transition
         assert len(remembered(device.active_instance, "fw_block")) == 6
-        assert_counters_equal(reference.active_instance, device.active_instance)
+        assert_agree(reference.active_instance, device.active_instance)
 
     def test_engine_change_applies_to_live_instances(self):
         _, device = device_pair()

@@ -329,3 +329,34 @@ class TestScale:
         out = capsys.readouterr().out
         assert "flexscale [process] 2 shard(s)" in out
         assert "byte-identical" in out
+
+    CHAOS = ["scale", "--shards", "2", "--packets", "150", "--worker-crash", "0@2",
+             "--differential", "--json"]
+
+    def test_scale_chaos_differential(self, capsys):
+        import json
+
+        assert main(self.CHAOS) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["mend"]["restarts"] == 1
+        assert payload["differential"]["divergences"] == []
+
+    def test_scale_differential_names_the_first_divergence(self, capsys, monkeypatch):
+        from repro.scale import ScaleReport
+
+        traffic_dict = ScaleReport.traffic_dict
+
+        def one_more_delivered(report):
+            traffic = traffic_dict(report)
+            traffic["metrics"]["delivered"] += 1
+            return traffic
+
+        monkeypatch.setattr(ScaleReport, "traffic_dict", one_more_delivered)
+        assert main(self.CHAOS) == 1
+        assert "metrics.delivered: expected 150, got 151" in capsys.readouterr().out
+
+    def test_scale_rejects_a_malformed_worker_crash(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["scale", "--worker-crash", "zero"])
+        assert excinfo.value.code == 2
+        assert "expected SHARD@WINDOW" in capsys.readouterr().err
