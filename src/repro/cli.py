@@ -13,9 +13,10 @@ Usage (also ``python -m repro.cli``)::
     flexnet simulate program.fbpf [--rate 1000] [--duration 1.0]
                                   [--patch patch.delta --at 0.5] [--json]
     flexnet bench    [program.fbpf] [--fastpath] [--packets 2000] [--json]
-    flexnet chaos    [program.fbpf] [--patch patch.delta] [--trace]
+    flexnet chaos    [program.fbpf] [--patch patch.delta] [--trace] [--spread]
                      [--crash sw1@5.2] [--drop 0.01] [--no-recovery] [--json]
     flexnet chaos    --controller [--partition] [--nodes 3] [--no-fencing]
+                     [--crash DEVICE@TIME] [--drop P] [--json]
     flexnet ha       status [--nodes 3] [--failover] [--json]
     flexnet scale    [--shards 2] [--backend process|inline] [--pods 4]
                      [--packets 2000] [--rate 20000] [--worker-crash 0@4]
@@ -32,11 +33,13 @@ Programs are FlexBPF source files; patches use the delta DSL (§3.2).
 Everything runs against the standard host-NIC-switch-NIC-host slice.
 ``chaos`` runs a seeded FlexFault scenario (defaults: bundled base
 infrastructure + firewall delta) and reports consistency, convergence,
-and the write-ahead journal; with ``--controller`` the faults hit the
-replicated control plane instead (FlexHA: Raft leader crash, or a
-leader partition with ``--partition``). ``ha status`` stands up the
-replicated controller, drives one committed update (optionally through
-a ``--failover``), and prints the FlexHA status. ``trace``/``metrics``/``profile`` run the
+and the write-ahead journal; with ``--controller`` the update runs under
+the replicated control plane and the plan also faults it (FlexHA: Raft
+leader crash, or a leader partition with ``--partition``), and the
+report gains an ``ha`` section. A flag of the other mode exits 2.
+``ha status`` stands up the replicated controller, drives one committed
+update (optionally through a ``--failover``), and prints the FlexHA
+status. ``trace``/``metrics``/``profile`` run the
 same scenario as ``simulate`` with FlexScope enabled and render the
 span tree, the Prometheus-text metric export, or the per-phase profile
 table. ``scale`` partitions the E20 pod fabric across worker processes
@@ -382,12 +385,33 @@ def cmd_bench(args: argparse.Namespace) -> int:
     return 1 if divergences else 0
 
 
+_CHAOS_DEVICE_FLAGS = ("--no-recovery", "--rollback", "--monitor")
+_CHAOS_CONTROLLER_FLAGS = ("--partition", "--nodes", "--no-fencing", "--fault-at", "--heal-after")
+
+
 def cmd_chaos(args: argparse.Namespace) -> int:
-    """Run a seeded FlexFault chaos scenario; exit 0 iff the network
-    converged with zero consistency violations."""
+    """Run a seeded FlexFault chaos scenario (device faults, or with
+    ``--controller`` FlexHA controller faults as well); exit 0 iff the
+    network converged with zero consistency violations and, under
+    ``--controller``, zero stale writes applied."""
     import json as json_module
 
-    from repro.faults import ChannelFault, DeviceCrash, FaultPlan, run_chaos
+    from repro.faults import (
+        ChannelFault,
+        ControllerCrash,
+        DeviceCrash,
+        FaultPlan,
+        LeaderPartition,
+        run_chaos,
+        run_controller_chaos,
+    )
+
+    # A flag of the other mode is a usage error, not a silent no-op.
+    for flag in _CHAOS_DEVICE_FLAGS if args.controller else _CHAOS_CONTROLLER_FLAGS:
+        if getattr(args, flag[2:].replace("-", "_")) not in (None, False):
+            need = "does not apply with" if args.controller else "needs"
+            print(f"error: {flag} {need} --controller", file=sys.stderr)
+            return 2
 
     if args.program:
         program = parse_program(_read(args.program))
@@ -402,73 +426,11 @@ def cmd_chaos(args: argparse.Namespace) -> int:
 
         delta = firewall_delta()
 
-    if args.controller:
-        from repro.faults import (
-            ControllerCrash,
-            FaultPlan,
-            LeaderPartition,
-            run_controller_chaos,
-        )
-
-        fault_at = args.fault_at if args.fault_at is not None else args.at + 0.02
-        if args.partition:
-            plan = FaultPlan(
-                seed=args.seed,
-                partitions=(
-                    LeaderPartition(at_s=fault_at, heal_after_s=args.heal_after),
-                ),
-            )
-        else:
-            plan = FaultPlan(
-                seed=args.seed,
-                controller_crashes=(
-                    ControllerCrash(
-                        node="leader",
-                        at_s=fault_at,
-                        restart_after_s=args.restart_after,
-                    ),
-                ),
-            )
-        report = run_controller_chaos(
-            program,
-            delta,
-            plan,
-            node_count=args.nodes,
-            fencing=not args.no_fencing,
-            rate_pps=args.rate,
-            duration_s=args.duration,
-            update_at_s=args.at,
-            observe=args.trace,
-            observe_sample_every=args.sample_every,
-        )
-        ok = (
-            report.converged
-            and report.violations == 0
-            and report.stale_writes_applied == 0
-        )
-        if args.json:
-            print(json_module.dumps(report.to_dict(), indent=2))
-            return 0 if ok else 1
-        print("fault plan:")
-        for line in report.fault_plan:
-            print(f"  {line}")
-        print(report.summary())
-        if report.events:
-            print("events:")
-            for event in report.events:
-                detail = f" ({event['detail']})" if event["detail"] else ""
-                print(f"  t={event['time']:<8g} {event['kind']:10s} "
-                      f"{event['device']}{detail}")
-        if args.trace and report.spans:
-            from repro.observe.trace import render_span_tree
-
-            print("trace:")
-            print(render_span_tree(report.spans))
-        return 0 if ok else 1
-
-    crash_specs = args.crash if args.crash is not None else ["sw1@5.2"]
+    # The device scenario's default faults (sw1 crashes mid-window, 1%
+    # control loss); under --controller a device fault arms only if asked.
+    default_crashes, default_drop = ([], 0.0) if args.controller else (["sw1@5.2"], 0.01)
     crashes = []
-    for spec in crash_specs:
+    for spec in args.crash if args.crash is not None else default_crashes:
         if spec == "none":
             continue
         device, _, at_s = spec.partition("@")
@@ -478,14 +440,31 @@ def cmd_chaos(args: argparse.Namespace) -> int:
         crashes.append(
             DeviceCrash(device=device, at_s=float(at_s), restart_after_s=args.restart_after)
         )
+    drop = args.drop if args.drop is not None else default_drop
     channel = None
-    if args.drop or args.delay_probability:
+    if drop or args.delay_probability:
         channel = ChannelFault(
-            drop_probability=args.drop,
+            drop_probability=drop,
             delay_probability=args.delay_probability,
             delay_s=args.delay,
         )
-    plan = FaultPlan(seed=args.seed, crashes=tuple(crashes), channel=channel)
+    controller_crashes, partitions = (), ()
+    if args.controller:
+        fault_at = args.fault_at if args.fault_at is not None else args.at + 0.02
+        if args.partition:
+            heal_after = args.heal_after if args.heal_after is not None else 3.0
+            partitions = (LeaderPartition(at_s=fault_at, heal_after_s=heal_after),)
+        else:
+            controller_crashes = (
+                ControllerCrash(node="leader", at_s=fault_at, restart_after_s=args.restart_after),
+            )
+    plan = FaultPlan(
+        seed=args.seed,
+        crashes=tuple(crashes),
+        channel=channel,
+        controller_crashes=controller_crashes,
+        partitions=partitions,
+    )
 
     setup = None
     if args.spread:
@@ -495,13 +474,7 @@ def cmd_chaos(args: argparse.Namespace) -> int:
             net.controller.deploy_app("flexnet://infra/nat", nat_delta(size=512))
             net.controller.migrate_app("flexnet://infra/nat", "nic1")
 
-    report = run_chaos(
-        program,
-        delta,
-        plan,
-        recovery=not args.no_recovery,
-        resume=not args.rollback,
-        monitor=args.monitor,
+    scenario = dict(
         rate_pps=args.rate,
         duration_s=args.duration,
         update_at_s=args.at,
@@ -509,7 +482,30 @@ def cmd_chaos(args: argparse.Namespace) -> int:
         observe=args.trace,
         observe_sample_every=args.sample_every,
     )
-    ok = report.converged and report.violations == 0
+    if args.controller:
+        report = run_controller_chaos(
+            program,
+            delta,
+            plan,
+            node_count=args.nodes if args.nodes is not None else 3,
+            fencing=not args.no_fencing,
+            **scenario,
+        )
+    else:
+        report = run_chaos(
+            program,
+            delta,
+            plan,
+            recovery=not args.no_recovery,
+            resume=not args.rollback,
+            monitor=args.monitor,
+            **scenario,
+        )
+    ok = (
+        report.converged
+        and report.violations == 0
+        and (report.ha is None or report.ha["stale_writes_applied"] == 0)
+    )
     if args.json:
         print(json_module.dumps(report.to_dict(), indent=2))
         return 0 if ok else 1
@@ -518,8 +514,9 @@ def cmd_chaos(args: argparse.Namespace) -> int:
     for line in report.fault_plan:
         print(f"  {line}")
     print(report.summary())
-    print(f"  control: {report.transition['commands_dropped']} command(s) dropped, "
-          f"{report.transition['command_retries']} retried")
+    if report.transition:
+        print(f"  control: {report.transition['commands_dropped']} command(s) dropped, "
+              f"{report.transition['command_retries']} retried")
     if report.journal:
         print("journal:")
         for entry in report.journal:
@@ -882,11 +879,13 @@ def build_parser() -> argparse.ArgumentParser:
     chaos_parser.add_argument("--crash", action="append", default=None,
                               metavar="DEVICE@TIME",
                               help="crash DEVICE at virtual TIME (repeatable; "
-                                   "default sw1@5.2, 'none' to disable)")
+                                   "default sw1@5.2 without --controller, "
+                                   "'none' to disable)")
     chaos_parser.add_argument("--restart-after", type=float, default=1.0,
                               help="seconds until a crashed device restarts")
-    chaos_parser.add_argument("--drop", type=float, default=0.01,
-                              help="control-channel drop probability")
+    chaos_parser.add_argument("--drop", type=float, default=None,
+                              help="control-channel drop probability "
+                                   "(default 0.01, 0 with --controller)")
     chaos_parser.add_argument("--delay-probability", type=float, default=0.0,
                               help="control-channel delay probability")
     chaos_parser.add_argument("--delay", type=float, default=0.005,
@@ -910,22 +909,22 @@ def build_parser() -> argparse.ArgumentParser:
     chaos_parser.add_argument("--sample-every", type=int, default=64,
                               help="with --trace, sample one packet in N")
     chaos_parser.add_argument("--controller", action="store_true",
-                              help="fault the replicated control plane instead "
-                                   "(FlexHA: leader crash, or --partition)")
+                              help="run under the replicated controller and fault "
+                                   "it too (FlexHA: leader crash, or --partition)")
     chaos_parser.add_argument("--partition", action="store_true",
                               help="with --controller: partition the leader away "
                                    "instead of crashing it")
-    chaos_parser.add_argument("--nodes", type=int, default=3,
-                              help="with --controller: Raft replica count")
+    chaos_parser.add_argument("--nodes", type=int, default=None,
+                              help="with --controller: Raft replica count (default 3)")
     chaos_parser.add_argument("--no-fencing", action="store_true",
                               help="with --controller: disable fencing epochs "
                                    "(the unfenced baseline)")
     chaos_parser.add_argument("--fault-at", type=float, default=None,
                               help="with --controller: when the leader fault "
                                    "fires (default: update time + 0.02s)")
-    chaos_parser.add_argument("--heal-after", type=float, default=3.0,
+    chaos_parser.add_argument("--heal-after", type=float, default=None,
                               help="with --controller --partition: partition "
-                                   "duration in seconds")
+                                   "duration in seconds (default 3)")
     chaos_parser.set_defaults(func=cmd_chaos)
 
     ha_parser = subparsers.add_parser(

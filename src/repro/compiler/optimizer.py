@@ -23,7 +23,6 @@ from dataclasses import dataclass, replace
 
 from repro.errors import CompilationError, PlacementError
 from repro.lang import ir
-from repro.lang.analyzer import Certificate, certify
 from repro.targets.base import Target
 
 from repro.compiler.placement import NetworkSlice, Objective, ObjectiveKind, PlacementEngine
@@ -302,8 +301,3 @@ def refine(
         if not improved:
             break
     return best
-
-
-def recertify(program: ir.Program) -> Certificate:
-    """Re-run certification after a program rewrite (merges, deltas)."""
-    return certify(program)

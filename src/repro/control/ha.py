@@ -578,36 +578,42 @@ class FlexHA:
         }
 
     def summary(self) -> str:
-        status = self.status()
-        lines = [
-            f"ha: leader={status['leader'] or 'none'} epoch={status['epoch']} "
-            f"fencing={'on' if self.fencing else 'off'}",
-            f"  nodes: "
+        return "\n".join(status_lines(self.status()))
+
+
+def status_lines(status: dict) -> list[str]:
+    """A :meth:`FlexHA.status` snapshot, rendered: the body of
+    ``FlexHA.summary`` and the ``ha`` section of a controller chaos
+    report's summary."""
+    nodes = status["nodes"].values()
+    return [
+        f"ha: leader={status['leader'] or 'none'} epoch={status['epoch']} "
+        f"fencing={'on' if status['fencing'] else 'off'}",
+        "  nodes: "
+        + ", ".join(
+            f"{node_id}[{info['role']} t{info['term']}]"
+            for node_id, info in status["nodes"].items()
+        ),
+        f"  log: commit={max(i['commit_index'] for i in nodes)}, "
+        f"snapshots taken={sum(i['snapshots_taken'] for i in nodes)}, "
+        f"installed={sum(i['snapshots_installed'] for i in nodes)}",
+        f"  updates: {status['submitted']} submitted, {status['executed_updates']} executed"
+        + (f", {len(status['update_errors'])} error(s)" if status["update_errors"] else ""),
+        f"  failovers: {len(status['failovers'])}"
+        + (
+            " ("
             + ", ".join(
-                f"{node_id}[{info['role']} t{info['term']}]"
-                for node_id, info in status["nodes"].items()
-            ),
-            f"  log: commit={max(i['commit_index'] for i in status['nodes'].values())}, "
-            f"snapshots taken={sum(i['snapshots_taken'] for i in status['nodes'].values())}, "
-            f"installed={sum(i['snapshots_installed'] for i in status['nodes'].values())}",
-            f"  updates: {self.submitted} submitted, {self.executed_updates} executed"
-            + (f", {len(self.update_errors)} error(s)" if self.update_errors else ""),
-            f"  failovers: {len(self.failovers)}"
-            + (
-                " ("
-                + ", ".join(
-                    f"t{r.term}->{r.leader}"
-                    + (f" {r.downtime_s * 1000:.0f}ms" if r.downtime_s is not None else "")
-                    for r in self.failovers
-                )
-                + ")"
-                if self.failovers
-                else ""
-            ),
-            f"  resync: {self.resyncs} sweep(s), {self.devices_redriven} re-driven, "
-            f"{self.stranded_resolved} stranded resolved, "
-            f"{self.health_resyncs} health-triggered",
-            f"  fencing: {self.epoch_rejections} stale rejection(s), "
-            f"{self.stale_writes_applied} stale write(s) applied",
-        ]
-        return "\n".join(lines)
+                f"t{r['term']}->{r['leader']}"
+                + (f" {r['downtime_s'] * 1000:.0f}ms" if r["downtime_s"] is not None else "")
+                for r in status["failovers"]
+            )
+            + ")"
+            if status["failovers"]
+            else ""
+        ),
+        f"  resync: {status['resyncs']} sweep(s), {status['devices_redriven']} re-driven, "
+        f"{status['stranded_resolved']} stranded resolved, "
+        f"{status['health_resyncs']} health-triggered",
+        f"  fencing: {status['epoch_rejections']} stale rejection(s), "
+        f"{status['stale_writes_applied']} stale write(s) applied",
+    ]

@@ -13,18 +13,14 @@ migrations. This package provides both halves:
   :class:`ReconfigJournal` (write-ahead, transactional delta
   application with resume/rollback), :class:`RecoveryManager` and
   :class:`HealthMonitor` (quarantine + detour).
-* **Scenarios** — :func:`run_chaos`, the seeded scenario runner behind
-  experiment E16 and the ``flexnet chaos`` CLI, and
-  :func:`run_controller_chaos`, its FlexHA counterpart (leader crashes
-  and partitions, experiment E19 / ``flexnet chaos --controller``).
+* **Scenarios** — :func:`run_chaos` (device faults, experiment E16 /
+  ``flexnet chaos``) and :func:`run_controller_chaos` (the same scenario
+  under FlexHA with leader crashes and partitions, experiment E19 /
+  ``flexnet chaos --controller``) share one scaffold and return one
+  :class:`ChaosReport`.
 """
 
-from repro.faults.chaos import (
-    ChaosReport,
-    ControllerChaosReport,
-    run_chaos,
-    run_controller_chaos,
-)
+from repro.faults.chaos import ChaosReport, run_chaos, run_controller_chaos
 from repro.faults.journal import JournalEntry, ReconfigJournal, TxnState
 from repro.faults.plan import (
     ChannelFault,
@@ -51,7 +47,6 @@ from repro.faults.recovery import (
 __all__ = [
     "ChannelFault",
     "ChaosReport",
-    "ControllerChaosReport",
     "ControllerCrash",
     "CrashSchedule",
     "DegradedEvent",

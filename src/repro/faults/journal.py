@@ -100,11 +100,6 @@ class ReconfigJournal:
         entry.resolved_at = now
         entry.resolution = "rollback"
 
-    def devices_for(self, delta_id: int) -> set[str]:
-        """Devices that already hold a journal entry for one delta id
-        (any state) — FlexHA's idempotence check before re-driving."""
-        return {e.device for e in self.entries if e.delta_id == delta_id}
-
     def pending_for(self, device: str) -> JournalEntry | None:
         """The latest unresolved entry for a device (None when clean)."""
         for entry in reversed(self.entries):

@@ -431,13 +431,6 @@ class HeaderDef:
                 return width
         raise TypeCheckError(f"header {self.name!r} has no field {field_name!r}")
 
-    def has_field(self, field_name: str) -> bool:
-        return any(name == field_name for name, _ in self.fields)
-
-    @property
-    def total_bits(self) -> int:
-        return sum(width for _, width in self.fields)
-
 
 @dataclass(frozen=True)
 class ParserTransition:

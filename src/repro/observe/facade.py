@@ -255,9 +255,6 @@ class Observer:
 
     # -- convenience --------------------------------------------------------
 
-    def span_tree(self) -> str:
-        return self.tracer.render_tree()
-
     def to_dict(self) -> dict:
         """Everything FlexScope holds, machine-readable and deterministic
         (profiler wall-clock columns are excluded)."""

@@ -510,8 +510,3 @@ class DeviceRuntime:
         if self._transition is not None:
             busy = max(busy, self._transition.end)
         return busy
-
-    def utilization_fraction(self, interval_s: float, packets_in_interval: int) -> float:
-        """Fraction of the device's line-rate budget consumed."""
-        budget = self.target.performance.throughput_mpps * 1e6 * interval_s
-        return packets_in_interval / budget if budget else 1.0

@@ -89,10 +89,6 @@ class Network:
             raise SimulationError(f"unknown node {name!r}")
         return self._nodes[name]
 
-    @property
-    def node_names(self) -> list[str]:
-        return sorted(self._nodes)
-
     def add_link(self, source: str, destination: str, latency_s: float = 1e-6) -> None:
         self.node(source)
         self.node(destination)

@@ -8,6 +8,7 @@ import pytest
 from repro.apps import base_infrastructure, firewall_delta
 from repro.core.flexnet import FlexNet
 from repro.faults import ChannelFault, DeviceCrash, FaultPlan, run_chaos
+from repro.observe.report import divergences
 from repro.runtime.consistency import ConsistencyLevel
 
 RATE_PPS = 400.0
@@ -63,7 +64,7 @@ class TestDeterminism:
                 observe=True,
             )
 
-        assert chaos().to_dict() == chaos().to_dict()
+        assert divergences(chaos().to_dict(), chaos().to_dict()) == []
 
 
 class TestZeroCostWhenDisabled:

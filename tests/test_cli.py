@@ -189,6 +189,30 @@ class TestObservabilityVerbs:
         assert "* commit" in out
 
 
+class TestChaos:
+    CONTROLLER = ["chaos", "--controller", "--crash", "sw2@1.6", "--spread",
+                  "--rate", "300", "--duration", "3", "--at", "1.5", "--json"]
+
+    def test_controller_rejects_a_device_only_flag(self, capsys):
+        assert main(self.CONTROLLER + ["--no-recovery"]) == 2
+        assert "--no-recovery does not apply with --controller" in capsys.readouterr().err
+
+    def test_device_mode_rejects_a_controller_only_flag(self, capsys):
+        assert main(["chaos", "--partition"]) == 2
+        assert "--partition needs --controller" in capsys.readouterr().err
+
+    def test_controller_arms_the_device_fault_flags(self, capsys):
+        import json
+
+        assert main(self.CONTROLLER) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert "crash sw2 at t=1.6s, restart after 1s" in payload["fault_plan"]
+        # --spread moved the NAT app onto nic1, so the update opens a
+        # window there as well as on sw1.
+        assert sorted(entry["device"] for entry in payload["journal"]) == ["nic1", "sw1"]
+        assert len(payload["ha"]["failovers"]) == 1
+
+
 class TestBench:
     def test_bench_interpreted_only(self, capsys):
         assert main(["bench", "--packets", "60"]) == 0
