@@ -15,8 +15,8 @@ operations placement needs:
 * :class:`Residency` — the same question asked incrementally, which is
   what one placement attempt wants: it commits clusters to devices one
   after another and asks, before each, whether a device can take one
-  more. It keeps a running total per device and derives each
-  (device, element) demand once, so a question costs what the candidate
+  more. It keeps a running total per device, which a commit takes from
+  the question before it, so a question costs what the candidate
   cluster adds, not what the device already hosts.
 * :func:`fungibility_score` — a scalar in [0, 1] measuring how much of
   a device's nominally-free capacity is actually reachable by a new
@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from repro.lang.analyzer import Certificate, ElementProfile
 from repro.lang.ir import ApplyFunction, ApplyStep, ApplyTable, FieldRef, Program
 from repro.targets.base import FungibilityClass, Target
-from repro.targets.resources import ResourceVector
+from repro.targets.resources import ZERO, ResourceVector
 from repro.targets.rmt import stage_capacity
 
 from repro.compiler.plan import DeviceSpec, StagePlan
@@ -213,8 +213,15 @@ class Residency:
       sums ``used + d1 + ... + dn`` over the same list in the same
       order, and adding a candidate cluster continues that sum, so both
       reach the same floats by the same additions.
-    * each (device, element) demand and admission verdict is derived on
-      first use and kept for the attempt.
+    * a question that fits remembers the total it reached, and the
+      :meth:`commit` of the same members to the same device takes it
+      rather than adding them again: one addition per placed element.
+      On a device no other datapath uses (``spec.used`` empty) the
+      charged ``demand`` is the same additions from the same empty
+      start, so it *is* that total; otherwise it is summed apart.
+    * each (device, element) demand and admission verdict is looked up
+      on first use and kept for the attempt; the target derives it once
+      per profile for its life (:meth:`~repro.targets.base.Target.demand`).
     * a STAGE_LOCAL device still runs :class:`StagePlanner` over its
       full resident set, but apply order and the conflict pairs are
       properties of the program and are computed once.
@@ -233,8 +240,12 @@ class Residency:
         #: device name -> members committed so far, in commit order.
         self.members: dict[str, list[str]] = {d.name: [] for d in devices}
         #: device name -> demand charged by this datapath alone.
-        self.demand: dict[str, ResourceVector] = {d.name: ResourceVector() for d in devices}
+        self.demand: dict[str, ResourceVector] = {d.name: ZERO for d in devices}
         self._total: dict[str, ResourceVector] = {d.name: d.used for d in devices}
+        #: devices whose charged demand is their running total.
+        self._alone = {d.name for d in devices if not d.used}
+        #: device name -> (members, total) of its last question that fit.
+        self._asked: dict[str, tuple[tuple[str, ...], ResourceVector]] = {}
         self._sized: dict[str, dict[str, tuple[ResourceVector, bool]]] = {
             d.name: {} for d in devices
         }
@@ -246,8 +257,7 @@ class Residency:
         entry = sized.get(element)
         if entry is None:
             profile = self._certificate.profile(element)
-            demand = spec.target.demand(profile)
-            entry = sized[element] = (demand, spec.target.admits(profile, demand))
+            entry = sized[element] = (spec.target.demand(profile), spec.target.admits(profile))
         return entry
 
     def feasible(self, spec: DeviceSpec, members: Sequence[str] = ()) -> StagePlan | bool:
@@ -261,6 +271,7 @@ class Residency:
             total = total + demand
         if not total.fits_within(spec.target.capacity):
             return False
+        self._asked[spec.name] = (tuple(members), total)
         if spec.target.fungibility is not FungibilityClass.STAGE_LOCAL:
             return True
         if self._conflicts is None:
@@ -274,12 +285,26 @@ class Residency:
     def commit(self, spec: DeviceSpec, members: Sequence[str]) -> None:
         """Record ``members`` on ``spec`` (the caller found them
         :meth:`feasible` there)."""
+        name = spec.name
+        members = tuple(members)
+        asked = self._asked.pop(name, None)
+        if asked is not None and asked[0] == members:
+            total = asked[1]
+        else:
+            total = self._total[name]
+            for member in members:
+                total = total + self.sized(spec, member)[0]
+        self._total[name] = total
+        if name in self._alone:
+            self.demand[name] = total
+        else:
+            demand = self.demand[name]
+            for member in members:
+                demand = demand + self.sized(spec, member)[0]
+            self.demand[name] = demand
         for member in members:
-            demand = self.sized(spec, member)[0]
-            self.placement[member] = spec.name
-            self.members[spec.name].append(member)
-            self.demand[spec.name] = self.demand[spec.name] + demand
-            self._total[spec.name] = self._total[spec.name] + demand
+            self.placement[member] = name
+        self.members[name].extend(members)
 
 
 def fungibility_score(

@@ -22,12 +22,13 @@ first, and asks before each commit whether the device can take one
 more. All of those questions — a pin that may no longer fit, the
 candidate devices of a free cluster, the final RMT stage plans — go to
 one :class:`~repro.compiler.fungibility.Residency`, which keeps a
-running total per device and each (device, element) demand once, so an
-attempt costs what it places rather than, per question, everything
-already placed. An incremental recompile (every survivor pinned) is
-then one demand derivation and three vector additions per element (the
-question, then the two sums a commit extends), plus the search for
-whatever the delta added.
+running total per device, so an attempt costs what it places rather
+than, per question, everything already placed. A target derives each
+demand once per element profile for its life, and a commit takes the
+total its question reached. An incremental recompile (every survivor
+pinned) is then one addition per element, plus one derivation per
+target and profile the delta brought, plus the search for whatever the
+delta added.
 
 On top of feasibility, the engine optimizes an :class:`Objective`
 (latency, energy, or balanced) — the "new operating point" runtime

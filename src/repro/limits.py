@@ -31,6 +31,11 @@ RECIRCULATION_CAP = 4
 #: remembers the decision for before the oldest is forgotten.
 TABLE_MEMO_CAPACITY = 4096
 
+#: Element profiles one target (:class:`repro.targets.base.Target`)
+#: remembers the demand of before the oldest is forgotten. A slice
+#: re-places the same few dozen profiles on every update, far below this.
+DEMAND_MEMO_CAPACITY = 4096
+
 #: Distinct generated sources whose code objects one process keeps
 #: (:mod:`repro.simulator.fastpath`): instances with identical source
 #: share one ``compile()``. A fabric holds one source per distinct

@@ -30,6 +30,7 @@ from dataclasses import dataclass, field
 
 from repro.errors import CompilationError
 from repro.lang.analyzer import ElementProfile
+from repro.limits import DEMAND_MEMO_CAPACITY
 from repro.targets.resources import ResourceVector
 
 
@@ -110,6 +111,10 @@ class Target:
     max_function_ops: int | None = None
     #: Architecture-specific extras (e.g. number of RMT stages).
     params: dict = field(default_factory=dict)
+    #: profile -> (demand, admitted), derived once per profile: a
+    #: profile is a frozen value and nothing mutates a target after
+    #: construction. Oldest out past ``DEMAND_MEMO_CAPACITY`` profiles.
+    _sized: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     # -- demand model ---------------------------------------------------------
 
@@ -117,30 +122,41 @@ class Target:
         """Resource demand of one element on this target.
 
         Subclass modules override the helpers below via ``params`` rather
-        than subclassing; the generic model covers all built-ins.
+        than subclassing; the generic model covers all built-ins. Derived
+        once per profile for the life of the target (:meth:`_size`).
         """
-        if profile.kind == "table":
-            return self._table_demand(profile)
-        if profile.kind == "map":
-            return self._map_demand(profile)
-        if profile.kind == "function":
-            return self._function_demand(profile)
-        if profile.kind == "action":
-            return ResourceVector()  # actions ride along with their tables
-        raise CompilationError(f"cannot compute demand for element kind {profile.kind!r}")
+        return (self._sized.get(profile) or self._size(profile))[0]
 
-    def admits(self, profile: ElementProfile, demand: ResourceVector | None = None) -> bool:
+    def admits(self, profile: ElementProfile) -> bool:
         """Whether this target can host the element at all (independent of
-        remaining capacity). ``demand`` is ``self.demand(profile)`` when
-        the caller already derived it."""
+        remaining capacity)."""
+        try:
+            return (self._sized.get(profile) or self._size(profile))[1]
+        except CompilationError:
+            return False
+
+    def _size(self, profile: ElementProfile) -> tuple[ResourceVector, bool]:
+        """Derive and remember what :meth:`demand` and :meth:`admits`
+        answer for ``profile``."""
+        if profile.kind == "table":
+            demand = self._table_demand(profile)
+        elif profile.kind == "map":
+            demand = self._map_demand(profile)
+        elif profile.kind == "function":
+            demand = self._function_demand(profile)
+        elif profile.kind == "action":
+            demand = ResourceVector()  # actions ride along with their tables
+        else:
+            raise CompilationError(f"cannot compute demand for element kind {profile.kind!r}")
         if profile.kind == "function" and self.max_function_ops is not None:
-            return profile.max_ops <= self.max_function_ops
-        if demand is None:
-            try:
-                demand = self.demand(profile)
-            except CompilationError:
-                return False
-        return demand.fits_within(self.capacity)
+            admitted = profile.max_ops <= self.max_function_ops
+        else:
+            admitted = demand.fits_within(self.capacity)
+        sized = self._sized
+        if len(sized) >= DEMAND_MEMO_CAPACITY:
+            del sized[next(iter(sized))]
+        entry = sized[profile] = (demand, admitted)
+        return entry
 
     # -- generic demand helpers ----------------------------------------------
 

@@ -19,29 +19,6 @@ from collections.abc import Iterator, Mapping
 from repro.errors import ResourceError
 from repro.util import stable_digest
 
-#: Resource kinds understood by the built-in architectures. Targets may
-#: introduce additional kinds; these are only used for validation of the
-#: built-in models.
-KNOWN_KINDS = frozenset(
-    {
-        "sram_kb",  # exact-match / index table memory
-        "tcam_kb",  # ternary-match memory
-        "hash_tiles",  # Trident4-style hash tiles
-        "index_tiles",  # Trident4-style index tiles
-        "tcam_tiles",  # Trident4-style TCAM tiles
-        "pem_elems",  # Jericho2 programmable-elements-matrix slots
-        "stages",  # RMT pipeline stages
-        "alus",  # stateful ALUs
-        "processors",  # dRMT match/action processors
-        "parser_states",  # parser TCAM entries
-        "luts",  # FPGA lookup tables (in thousands)
-        "bram_kb",  # FPGA block RAM
-        "cpu_cores",  # SoC / host cores
-        "cpu_mhz",  # aggregate core budget for eBPF-style functions
-        "kernel_maps",  # host eBPF map slots
-    }
-)
-
 
 class ResourceVector(Mapping[str, float]):
     """An immutable mapping of resource-kind -> quantity.
@@ -49,7 +26,8 @@ class ResourceVector(Mapping[str, float]):
     Supports element-wise ``+`` / ``-``, scalar ``*``, and the
     comparison helpers used by placement (:meth:`fits_within`).
     Missing kinds are treated as zero, so vectors over different kind
-    sets combine naturally.
+    sets combine naturally. A result lists the left operand's kinds,
+    then the right operand's new ones, whatever the hash seed.
     """
 
     __slots__ = ("_amounts",)
@@ -63,6 +41,15 @@ class ResourceVector(Mapping[str, float]):
                 if quantity:
                     merged[kind] = merged.get(kind, 0.0) + float(quantity)
         self._amounts: dict[str, float] = merged
+
+    @classmethod
+    def _of(cls, amounts: dict[str, float]) -> "ResourceVector":
+        """Wrap ``amounts`` unchecked: the result of arithmetic on
+        validated vectors, whose quantities are positive floats already
+        (a sum of positive floats is neither negative nor zero)."""
+        vector = cls.__new__(cls)
+        vector._amounts = amounts
+        return vector
 
     # -- Mapping protocol -------------------------------------------------
 
@@ -81,21 +68,28 @@ class ResourceVector(Mapping[str, float]):
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other: "ResourceVector") -> "ResourceVector":
-        kinds = set(self._amounts) | set(other._amounts)
-        return ResourceVector({k: self[k] + other[k] for k in kinds})
+        amounts = self._amounts.copy()
+        get = amounts.get
+        for kind, quantity in other._amounts.items():
+            amounts[kind] = get(kind, 0.0) + quantity
+        return ResourceVector._of(amounts)
 
     def __sub__(self, other: "ResourceVector") -> "ResourceVector":
-        """Subtract, raising :class:`ResourceError` if any kind goes negative."""
-        kinds = set(self._amounts) | set(other._amounts)
-        result = {}
-        for kind in kinds:
-            remaining = self[kind] - other[kind]
+        """Subtract, raising :class:`ResourceError` if any kind goes
+        negative (a kind only the left side has cannot)."""
+        amounts = self._amounts.copy()
+        for kind, quantity in other._amounts.items():
+            available = amounts.get(kind, 0.0)
+            remaining = available - quantity
             if remaining < -1e-9:
                 raise ResourceError(
-                    f"resource {kind!r} overcommitted: {self[kind]} available, {other[kind]} requested"
+                    f"resource {kind!r} overcommitted: {available} available, {quantity} requested"
                 )
-            result[kind] = max(remaining, 0.0)
-        return ResourceVector(result)
+            if remaining > 0.0:
+                amounts[kind] = remaining
+            else:
+                amounts.pop(kind, None)
+        return ResourceVector._of(amounts)
 
     def __mul__(self, factor: float) -> "ResourceVector":
         if factor < 0:
@@ -107,8 +101,10 @@ class ResourceVector(Mapping[str, float]):
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ResourceVector):
             return NotImplemented
-        kinds = set(self._amounts) | set(other._amounts)
-        return all(abs(self[k] - other[k]) < 1e-9 for k in kinds)
+        mine, theirs = self._amounts, other._amounts
+        return all(abs(q - theirs.get(k, 0.0)) < 1e-9 for k, q in mine.items()) and all(
+            k in mine or q < 1e-9 for k, q in theirs.items()
+        )
 
     def __hash__(self) -> int:
         # Builtin hash() is process-salted; resource vectors end up in
@@ -122,14 +118,19 @@ class ResourceVector(Mapping[str, float]):
 
     def fits_within(self, capacity: "ResourceVector") -> bool:
         """True if every kind of this demand fits in ``capacity``."""
-        return all(quantity <= capacity[kind] + 1e-9 for kind, quantity in self._amounts.items())
+        available = capacity._amounts
+        for kind, quantity in self._amounts.items():
+            if quantity > available.get(kind, 0.0) + 1e-9:
+                return False
+        return True
 
     def deficit_against(self, capacity: "ResourceVector") -> dict[str, float]:
         """Per-kind shortfall of ``capacity`` against this demand (empty if it fits)."""
+        available = capacity._amounts
         return {
-            kind: quantity - capacity[kind]
+            kind: quantity - available.get(kind, 0.0)
             for kind, quantity in self._amounts.items()
-            if quantity > capacity[kind] + 1e-9
+            if quantity > available.get(kind, 0.0) + 1e-9
         }
 
     def utilization_of(self, capacity: "ResourceVector") -> float:
@@ -138,11 +139,13 @@ class ResourceVector(Mapping[str, float]):
         Kinds absent from ``capacity`` count as infinitely utilized, which
         placement treats as infeasible.
         """
+        available = capacity._amounts
         fractions = []
         for kind, quantity in self._amounts.items():
-            if capacity[kind] <= 0:
+            room = available.get(kind, 0.0)
+            if room <= 0:
                 return float("inf")
-            fractions.append(quantity / capacity[kind])
+            fractions.append(quantity / room)
         return max(fractions, default=0.0)
 
     def is_zero(self) -> bool:
