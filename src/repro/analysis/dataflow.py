@@ -49,10 +49,10 @@ __all__ = [
 def access_of_table(program: ir.Program, table: ir.TableDef) -> AccessSet:
     """Keys are reads; any action the table may run
     (:attr:`~repro.lang.ir.TableDef.invocable`) contributes its body."""
-    access = AccessSet(field_reads=frozenset(key.field for key in table.keys))
-    for name in table.invocable:
-        access = access | program.action(name).access
-    return access
+    keys = AccessSet(field_reads=frozenset(key.field for key in table.keys))
+    return AccessSet.union(
+        (keys, *(program.action(name).access for name in table.invocable))
+    )
 
 
 @dataclass(frozen=True)
@@ -88,10 +88,9 @@ class DataflowInfo:
     @property
     def program_access(self) -> AccessSet:
         """Union access set over everything reachable from apply."""
-        total = self.apply_reads
-        for _, access in self._applied_items():
-            total = total | access
-        return total
+        return AccessSet.union(
+            (self.apply_reads, *(access for _, access in self._applied_items()))
+        )
 
     def element_access(self, name: str) -> AccessSet:
         return self.elements.get(name, AccessSet())
@@ -139,10 +138,9 @@ def executed_slice(
     for function in program.functions:
         if function.name in info.applied and function.name in hosted:
             executed.add(function.name)
-    access = info.apply_reads
-    for name in sorted(executed):
-        access = access | info.element_access(name)
-    return executed, access
+    return executed, AccessSet.union(
+        (info.apply_reads, *(info.element_access(name) for name in executed))
+    )
 
 
 def analyze(

@@ -41,16 +41,14 @@ from repro.compiler.plan import DeviceSpec, StagePlan
 def ordered_elements(program: Program) -> list[str]:
     """Placeable elements in apply order (tables and functions), followed
     by maps attached after their first accessor."""
-    order: list[str] = []
+    order: dict[str, None] = {}
 
     def walk(steps: tuple[ApplyStep, ...]) -> None:
         for step in steps:
             if isinstance(step, ApplyTable):
-                if step.table not in order:
-                    order.append(step.table)
+                order.setdefault(step.table)
             elif isinstance(step, ApplyFunction):
-                if step.function not in order:
-                    order.append(step.function)
+                order.setdefault(step.function)
             else:
                 walk(step.then_steps)
                 walk(step.else_steps)
@@ -59,14 +57,10 @@ def ordered_elements(program: Program) -> list[str]:
     # Elements declared but never applied still need placement (they may
     # be activated later by a delta); append them in declaration order.
     for table in program.tables:
-        if table.name not in order:
-            order.append(table.name)
+        order.setdefault(table.name)
     for function in program.functions:
-        if function.name not in order:
-            order.append(function.name)
-    for map_def in program.maps:
-        order.append(map_def.name)
-    return order
+        order.setdefault(function.name)
+    return [*order, *(map_def.name for map_def in program.maps)]
 
 
 def element_conflicts(program: Program, certificate: Certificate) -> set[tuple[str, str]]:
@@ -225,6 +219,9 @@ class Residency:
     * a STAGE_LOCAL device still runs :class:`StagePlanner` over its
       full resident set, but apply order and the conflict pairs are
       properties of the program and are computed once.
+    * :meth:`fits_together` asks of several clusters at once what
+      :meth:`feasible` asks of each in turn, by the same additions, and
+      hands each commit the total it reaches.
     """
 
     def __init__(
@@ -282,18 +279,50 @@ class Residency:
         plan = StagePlanner(spec.target).plan(ordered, demands, self._conflicts)
         return plan if plan is not None else False
 
-    def commit(self, spec: DeviceSpec, members: Sequence[str]) -> None:
+    def fits_together(
+        self, spec: DeviceSpec, clusters: Sequence[Sequence[str]]
+    ) -> list[ResourceVector] | None:
+        """``spec``'s running total after each of ``clusters`` joins it
+        in turn — what :meth:`feasible` then :meth:`commit` reach one
+        cluster at a time — when the last total fits; None when it does
+        not, when a member is not admitted, and on a stage-local device
+        (whose question is a stage plan).
+
+        One question stands for all of them: demands are non-negative
+        and float addition is monotone, so a total that fits is never
+        below an earlier one, and every earlier total fits too."""
+        if spec.target.fungibility is FungibilityClass.STAGE_LOCAL:
+            return None
+        total = self._total[spec.name]
+        running: list[ResourceVector] = []
+        for members in clusters:
+            for member in members:
+                demand, admitted = self.sized(spec, member)
+                if not admitted:
+                    return None
+                total = total + demand
+            running.append(total)
+        return running if total.fits_within(spec.target.capacity) else None
+
+    def commit(
+        self,
+        spec: DeviceSpec,
+        members: Sequence[str],
+        total: ResourceVector | None = None,
+    ) -> None:
         """Record ``members`` on ``spec`` (the caller found them
-        :meth:`feasible` there)."""
+        :meth:`feasible` there, or :meth:`fits_together` gave ``total``,
+        the device's running total with them)."""
         name = spec.name
         members = tuple(members)
         asked = self._asked.pop(name, None)
-        if asked is not None and asked[0] == members:
-            total = asked[1]
-        else:
-            total = self._total[name]
-            for member in members:
-                total = total + self.sized(spec, member)[0]
+        if total is None:
+            if asked is not None and asked[0] == members:
+                total = asked[1]
+            else:
+                total = self._total[name]
+                for member in members:
+                    total = total + self.sized(spec, member)[0]
         self._total[name] = total
         if name in self._alone:
             self.demand[name] = total

@@ -25,10 +25,21 @@ one :class:`~repro.compiler.fungibility.Residency`, which keeps a
 running total per device, so an attempt costs what it places rather
 than, per question, everything already placed. A target derives each
 demand once per element profile for its life, and a commit takes the
-total its question reached. An incremental recompile (every survivor
-pinned) is then one addition per element, plus one derivation per
-target and profile the delta brought, plus the search for whatever the
-delta added.
+total its question reached. Each question is asked once:
+
+* a device's pinned clusters are summed in cluster order and fitted
+  with one question (demands are non-negative, so if the last total
+  fits every earlier one does); only a device where that fails, and a
+  stage-local one, is asked cluster by cluster, and a pin that no
+  longer fits is dropped;
+* a free cluster's candidates are asked in the objective's order, and
+  the first that fits is the answer, which is the ``min`` over every
+  device that fits.
+
+An incremental recompile (every survivor pinned) is then one addition
+per element and one question per hosting device, plus one derivation
+per target and profile the delta brought, plus, per cluster the delta
+added, questions up to the first device that takes it.
 
 On top of feasibility, the engine optimizes an :class:`Objective`
 (latency, energy, or balanced) — the "new operating point" runtime
@@ -93,11 +104,13 @@ class NetworkSlice:
 
 GcHook = Callable[["NetworkSlice"], bool]
 
+#: BALANCED's device preference: into the network first.
+_TIER_RANK = {"switch": 0, "nic": 1, "host": 2}
+
 
 @dataclass
 class _Cluster:
     members: list[str]
-    order_index: int
 
 
 class PlacementEngine:
@@ -196,12 +209,29 @@ class PlacementEngine:
         # Phase 1: pre-commit pinned clusters. Honouring pins *first* is
         # what "maximally adjacent" means — new/free clusters get the
         # leftover capacity and must not displace deployed elements.
+        # A device that takes all of its pinned clusters at once is
+        # asked once; on any other, each cluster is asked in turn, and
+        # one that no longer fits is left to phase 2. Commits go in
+        # cluster order either way.
+        pins = self._pins(clusters, pinned, index_by_name)
+        by_device: dict[int, list[int]] = {}
+        for position, device_index in pins.items():
+            by_device.setdefault(device_index, []).append(position)
+        totals: dict[int, ResourceVector] = {}
+        for device_index, positions in by_device.items():
+            running = residency.fits_together(
+                devices[device_index], [clusters[p].members for p in positions]
+            )
+            if running is not None:
+                totals.update(zip(positions, running))
         placed: set[int] = set()
-        for position, cluster in enumerate(clusters):
-            device_index = self._pinned_choice(cluster, pinned, index_by_name, devices, residency)
-            if device_index is not None:
-                residency.commit(devices[device_index], cluster.members)
-                placed.add(position)
+        for position, device_index in pins.items():
+            spec, members = devices[device_index], clusters[position].members
+            total = totals.get(position)
+            if total is None and residency.feasible(spec, members) is False:
+                continue
+            residency.commit(spec, members, total)
+            placed.add(position)
 
         # Phase 2: place the remaining clusters in apply order under the
         # monotone path constraint.
@@ -239,8 +269,8 @@ class PlacementEngine:
 
     def _clusters(self, order: list[str], certificate: Certificate) -> list[_Cluster]:
         """Union-find over ``order`` (the program's placeable elements
-        in apply order): a map joins each of its accessors."""
-        index_of = {name: i for i, name in enumerate(order)}
+        in apply order): a map joins each of its accessors. Members
+        keep apply order, and so do clusters, by their first member."""
         parent: dict[str, str] = {name: name for name in order}
 
         def find(name: str) -> str:
@@ -262,34 +292,32 @@ class PlacementEngine:
                 if map_name in parent:
                     union(name, map_name)
 
+        # A group opens at its first member in apply order, so the
+        # groups stand in the order of their first members.
         groups: dict[str, list[str]] = {}
         for name in order:
             groups.setdefault(find(name), []).append(name)
-        clusters = [
-            _Cluster(members=members, order_index=min(index_of[m] for m in members))
-            for members in groups.values()
-        ]
-        clusters.sort(key=lambda c: c.order_index)
-        return clusters
+        return [_Cluster(members) for members in groups.values()]
 
     # -- device choice ---------------------------------------------------------
 
-    def _pinned_choice(
-        self,
-        cluster: _Cluster,
-        pinned: dict[str, str],
-        index_by_name: dict[str, int],
-        devices: list[DeviceSpec],
-        residency: Residency,
-    ) -> int | None:
-        """Honour a pin when the whole cluster agrees and still fits."""
-        pinned_devices = {pinned[m] for m in cluster.members if m in pinned}
-        if len(pinned_devices) != 1:
-            return None
-        index = index_by_name.get(pinned_devices.pop())
-        if index is None or residency.feasible(devices[index], cluster.members) is False:
-            return None
-        return index
+    @staticmethod
+    def _pins(
+        clusters: list[_Cluster], pinned: dict[str, str], index_by_name: dict[str, int]
+    ) -> dict[int, int]:
+        """Cluster position -> slice index of the device its pinned
+        members name, for each cluster whose pins all agree on one
+        device the slice has; the others are placed as if unpinned."""
+        pins: dict[int, int] = {}
+        if not pinned:
+            return pins
+        for position, cluster in enumerate(clusters):
+            wanted = {pinned[m] for m in cluster.members if m in pinned}
+            if len(wanted) == 1:
+                index = index_by_name.get(wanted.pop())
+                if index is not None:
+                    pins[position] = index
+        return pins
 
     def _choose_device(
         self,
@@ -299,30 +327,34 @@ class PlacementEngine:
         residency: Residency,
         floor: int,
     ) -> int | None:
-        feasible = [
-            index
-            for index in range(floor, len(devices))
-            if residency.feasible(devices[index], cluster.members) is not False
-        ]
-        if not feasible:
-            return None
+        """The device at or after ``floor`` that the objective ranks
+        first (ties to path order) among those that can take
+        ``cluster``. Candidates are asked in that order, so the first
+        that fits is the answer and the rest are never asked."""
+        candidates = range(floor, len(devices))
         if self.objective.kind is ObjectiveKind.BALANCED:
             # Prefer offloading into the network (switch > NIC > host),
             # tie-breaking on path order — the "one big switch" default.
-            tier_rank = {"switch": 0, "nic": 1, "host": 2}
-            return min(
-                feasible,
-                key=lambda i: (tier_rank.get(devices[i].target.tier, 3), i),
+            ranked = sorted(
+                candidates, key=lambda i: _TIER_RANK.get(devices[i].target.tier, 3)
             )
-        ops = sum(certificate.profile(m).max_ops for m in cluster.members)
-        if self.objective.kind is ObjectiveKind.LATENCY:
-            return min(feasible, key=lambda i: ops * devices[i].target.performance.per_op_ns)
-        # ENERGY: prefer low per-op energy, charge idle activation for
-        # devices not yet hosting anything.
-        return min(
-            feasible,
-            key=lambda i: self._cluster_energy_score(ops, devices[i], residency),
-        )
+        else:
+            ops = sum(certificate.profile(m).max_ops for m in cluster.members)
+            if self.objective.kind is ObjectiveKind.LATENCY:
+                ranked = sorted(
+                    candidates, key=lambda i: ops * devices[i].target.performance.per_op_ns
+                )
+            else:
+                # ENERGY: prefer low per-op energy, charge idle
+                # activation for devices not yet hosting anything.
+                ranked = sorted(
+                    candidates,
+                    key=lambda i: self._cluster_energy_score(ops, devices[i], residency),
+                )
+        for index in ranked:
+            if residency.feasible(devices[index], cluster.members) is not False:
+                return index
+        return None
 
     def _cluster_energy_score(self, ops: int, spec: DeviceSpec, residency: Residency) -> float:
         performance = spec.target.performance

@@ -185,7 +185,10 @@ class FlexNetController:
         self._plan: CompilationPlan | None = None
         self._facts: ProgramFacts | None = None
         self._path: list[str] = []
+        #: the slice along ``_path`` and the topology revision it was
+        #: built at (:meth:`slice`).
         self._slice: NetworkSlice | None = None
+        self._slice_revision = -1
         self._apps: dict[str, AppRecord] = {}
         self._tenants: dict[str, tuple[TenantSpec, Program]] = {}
         self._last_gc_evicted: list[str] = []
@@ -228,6 +231,7 @@ class FlexNetController:
         """
         self._path = list(path)
         self._slice = self.topology.slice_along(self._path)
+        self._slice_revision = self.topology.revision
         programmable = [n for n in self._path if n in self.devices]
         # Bridge over legacy hops: accumulate underlying link latency
         # between consecutive programmable devices and materialize a
@@ -270,9 +274,15 @@ class FlexNetController:
         return self._plan
 
     def slice(self) -> NetworkSlice:
+        """The slice the datapath's route lies along. It is built once
+        per route and topology revision and shared until either
+        changes: read it, do not edit it."""
         if self._slice is None:
             raise ControlPlaneError("datapath endpoints not set")
-        return self.topology.slice_along(self._path)
+        if self._slice_revision != self.topology.revision:
+            self._slice = self.topology.slice_along(self._path)
+            self._slice_revision = self.topology.revision
+        return self._slice
 
     # -- provisioning ---------------------------------------------------------------
 

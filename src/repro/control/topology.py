@@ -48,6 +48,7 @@ class TopologyView:
     def __init__(self):
         self._graph = nx.Graph()
         self._devices: dict[str, DeviceInfo] = {}
+        self._revision = 0
 
     # -- construction ---------------------------------------------------------
 
@@ -56,18 +57,27 @@ class TopologyView:
             raise UnknownDeviceError(f"device {name!r} already exists")
         self._devices[name] = DeviceInfo(name=name, target=target, used=ResourceVector())
         self._graph.add_node(name)
+        self._revision += 1
 
     def add_link(self, a: str, b: str, latency_s: float = 1e-6) -> None:
         self.device(a)
         self.device(b)
         self._graph.add_edge(a, b, latency_s=latency_s)
+        self._revision += 1
 
     def remove_device(self, name: str) -> None:
         self.device(name)
         self._graph.remove_node(name)
         del self._devices[name]
+        self._revision += 1
 
     # -- queries --------------------------------------------------------------
+
+    @property
+    def revision(self) -> int:
+        """Bumped by every change :meth:`slice_along` can see: a device
+        added or removed, a link, a commit or a release."""
+        return self._revision
 
     def device(self, name: str) -> DeviceInfo:
         if name not in self._devices:
@@ -181,10 +191,12 @@ class TopologyView:
     def commit(self, device_name: str, demand: ResourceVector) -> None:
         info = self.device(device_name)
         info.used = info.used + demand
+        self._revision += 1
 
     def release(self, device_name: str, demand: ResourceVector) -> None:
         info = self.device(device_name)
         info.used = info.used - demand
+        self._revision += 1
 
     def utilization(self, device_name: str) -> float:
         info = self.device(device_name)

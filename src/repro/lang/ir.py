@@ -39,6 +39,8 @@ Design notes
 from __future__ import annotations
 
 import enum
+import weakref
+from collections.abc import Iterable
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import ClassVar
@@ -284,13 +286,21 @@ class AccessSet:
     map_writes: frozenset[str] = frozenset()
 
     def __or__(self, other: "AccessSet") -> "AccessSet":
-        return AccessSet(
-            field_reads=self.field_reads | other.field_reads,
-            field_writes=self.field_writes | other.field_writes,
-            meta_reads=self.meta_reads | other.meta_reads,
-            meta_writes=self.meta_writes | other.meta_writes,
-            map_reads=self.map_reads | other.map_reads,
-            map_writes=self.map_writes | other.map_writes,
+        return AccessSet.union((self, other))
+
+    @classmethod
+    def union(cls, sets: Iterable["AccessSet"]) -> "AccessSet":
+        """Everything any of ``sets`` reads or writes: one union per
+        component, where a fold of ``|`` builds an ``AccessSet`` per
+        step."""
+        sets = tuple(sets)
+        return cls(
+            field_reads=frozenset().union(*[s.field_reads for s in sets]),
+            field_writes=frozenset().union(*[s.field_writes for s in sets]),
+            meta_reads=frozenset().union(*[s.meta_reads for s in sets]),
+            meta_writes=frozenset().union(*[s.meta_writes for s in sets]),
+            map_reads=frozenset().union(*[s.map_reads for s in sets]),
+            map_writes=frozenset().union(*[s.map_writes for s in sets]),
         )
 
     @property
@@ -706,6 +716,9 @@ class Program:
     #: set on the instance by a :meth:`validate` that passed.
     #: ``dataclasses.replace`` builds a new instance without it.
     _validated: ClassVar[bool] = False
+    #: ``(weak reference to previous, answer)`` of the last
+    #: :meth:`unchanged_since`, set on the instance.
+    _unchanged: ClassVar[tuple[weakref.ref[Program], frozenset[str]] | None] = None
 
     def validate(self, previous: "Program | None" = None) -> "Program":
         """Resolve names and type-check every expression; returns self.
@@ -762,7 +775,28 @@ class Program:
         Whatever was established about such an element in ``previous``
         — its type-check verdict, its profile, its access set — is a
         function of the node and those referents alone, so it holds
-        here. Expects unique names on both sides."""
+        here. Expects unique names on both sides.
+
+        An update asks this of the same pair twice, from validation and
+        from its facts. The answer is kept on this version under a weak
+        reference to ``previous``, so no version keeps an older one
+        alive."""
+        kept = self._unchanged
+        if kept is not None and kept[0]() is previous:
+            return kept[1]
+        unchanged = self._unchanged_since(previous)
+        object.__setattr__(self, "_unchanged", (weakref.ref(previous), unchanged))
+        return unchanged
+
+    def __getstate__(self) -> dict:
+        """A copy or a pickle leaves the kept :meth:`unchanged_since`
+        answer behind: it is about this instance's own nodes, and its
+        weak reference does not pickle."""
+        state = self.__dict__.copy()
+        state.pop("_unchanged", None)
+        return state
+
+    def _unchanged_since(self, previous: "Program") -> frozenset[str]:
         changed: set[tuple[str, str]] = set()
         for kind, ours, theirs in (
             ("header", self.headers, previous.headers),

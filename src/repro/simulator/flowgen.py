@@ -9,8 +9,10 @@ Poisson tenant churn. All randomness flows through a seeded
 from __future__ import annotations
 
 import random
+from bisect import bisect
 from collections.abc import Iterator
 from dataclasses import dataclass
+from itertools import accumulate
 
 from repro.simulator.packet import Packet, make_packet
 
@@ -62,17 +64,21 @@ def poisson_flows(
 
     Flow popularity is Zipf-like (flow k gets weight 1/(k+1)), matching
     the heavy-tailed mixes datacenter monitoring literature assumes.
+    Each packet's flow is the one ``rng.choices(range(flow_count),
+    weights=probabilities)[0]`` would draw, by the same arithmetic; the
+    cumulative weights are summed once per stream, not once per packet.
     """
     rng = random.Random(seed)
     weights = [1.0 / (k + 1) for k in range(flow_count)]
     total_weight = sum(weights)
     probabilities = [w / total_weight for w in weights]
+    cumulative = list(accumulate(probabilities))
     time = start_s
     while time < start_s + duration_s:
         time += rng.expovariate(rate_pps)
         if time >= start_s + duration_s:
             break
-        flow = rng.choices(range(flow_count), weights=probabilities)[0]
+        flow = bisect(cumulative, rng.random() * (cumulative[-1] + 0.0), 0, flow_count - 1)
         yield TimedPacket(
             time=time,
             packet=make_packet(

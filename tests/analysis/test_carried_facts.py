@@ -8,6 +8,10 @@ case compares against the full path (``previous=None`` on an instance
 that was never validated), for results and for what is raised.
 """
 
+import copy
+import gc
+import pickle
+import weakref
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -20,7 +24,15 @@ from repro.apps import base_infrastructure
 from repro.errors import FlexNetError, TypeCheckError
 from repro.lang import builder as b
 from repro.lang import ir
-from repro.lang.delta import AddFunction, AddMap, ChangeSet, Delta, DeltaOp, RemoveElements
+from repro.lang.delta import (
+    AddFunction,
+    AddMap,
+    ChangeSet,
+    Delta,
+    DeltaOp,
+    RemoveElements,
+    apply_delta,
+)
 from repro.lang.types import BitsType
 
 from tests.corpus import app_deltas, delta_cases
@@ -300,3 +312,46 @@ class TestValidateOnce:
         unmarked = replace(marked)
         assert marked == unmarked and hash(marked) == hash(unmarked)
         assert repr(marked) == repr(unmarked)
+
+
+class TestUnchangedOnce:
+    """An update asks ``unchanged_since`` of one pair twice (validation,
+    then the version's facts); the answer is derived once and kept
+    without keeping either version alive."""
+
+    def test_an_update_derives_it_once(self, monkeypatch):
+        from repro.core.flexnet import FlexNet
+
+        net = FlexNet.standard()
+        net.install(base_infrastructure())
+        derived = []
+        original = ir.Program._unchanged_since
+
+        def counted(self, previous):
+            derived.append(previous)
+            return original(self, previous)
+
+        monkeypatch.setattr(ir.Program, "_unchanged_since", counted)
+        for delta in app_deltas()[:3]:
+            del derived[:]
+            live = net.controller.program
+            net.update(delta)
+            assert derived == [live], delta.name
+
+    def test_an_older_version_can_be_collected(self):
+        older = base_infrastructure()
+        newer, _ = apply_delta(older, app_deltas()[0])
+        answer = newer.unchanged_since(older)
+        assert newer.unchanged_since(older) is answer  # kept
+        gone = weakref.ref(older)
+        del older
+        gc.collect()
+        assert gone() is None
+        assert newer.unchanged_since(base_infrastructure()) == frozenset()
+
+    def test_a_copy_answers_for_its_own_nodes(self):
+        older = base_infrastructure()
+        newer, _ = apply_delta(older, app_deltas()[0])
+        assert newer.unchanged_since(older)
+        assert copy.deepcopy(newer).unchanged_since(older) == frozenset()
+        assert pickle.loads(pickle.dumps(newer)) == newer

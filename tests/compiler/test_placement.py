@@ -15,12 +15,13 @@ from repro.compiler.placement import (
     ObjectiveKind,
     PlacementEngine,
 )
+from repro.compiler.fungibility import ordered_elements
 from repro.compiler.plan import DeviceSpec
 from repro.errors import PlacementError
 from repro.lang import builder as b
 from repro.lang.analyzer import certify
 from repro.apps.base import standard_builder
-from repro.targets import drmt_switch, host
+from repro.targets import drmt_switch, host, smartnic, tiled_switch
 
 from tests.conftest import make_standard_slice
 
@@ -147,6 +148,43 @@ class TestPinning:
             base_program, base_certificate, standard_slice, pinned=pins
         )
         assert plan.placement["count_flow"] == plan.placement["flow_counts"]
+
+
+    def test_pinned_clusters_commit_in_apply_order(
+        self, base_program, base_certificate, standard_slice
+    ):
+        """Pins that alternate between two devices, against path order:
+        the plan still lists its elements cluster by cluster in apply
+        order, as an unpinned plan does, not device by device."""
+        engine = PlacementEngine()
+        unpinned = engine.compile(base_program, base_certificate, standard_slice)
+        clusters = engine._clusters(ordered_elements(base_program), base_certificate)
+        pins = {
+            member: ("sw1", "nic1")[position % 2]
+            for position, cluster in enumerate(clusters)
+            for member in cluster.members
+        }
+        plan = engine.compile(base_program, base_certificate, standard_slice, pinned=pins)
+        assert plan.placement == pins
+        assert list(plan.placement) == list(unpinned.placement)
+
+    def test_a_pin_where_the_element_is_not_admitted_is_dropped(self):
+        """A tiled switch admits no function over 96 ops, however few
+        PEM elements it would take: the pin is dropped though the
+        device has room, and the function lands where it is admitted."""
+        builder = standard_builder("pinned")
+        builder.function(
+            "big", [b.repeat(60, [b.assign("meta.x", b.binop("+", "meta.x", 1))])]
+        )
+        builder.apply("big")
+        program = builder.build()
+        certificate = certify(program)
+        tiles = tiled_switch("sw")
+        assert certificate.profile("big").max_ops > tiles.max_function_ops
+        assert tiles.demand(certificate.profile("big")).fits_within(tiles.capacity)
+        slice_ = NetworkSlice(devices=[DeviceSpec("sw", tiles), DeviceSpec("nic", smartnic("nic"))])
+        plan = PlacementEngine().compile(program, certificate, slice_, pinned={"big": "sw"})
+        assert plan.placement == {"big": "nic"}
 
 
 class TestGcLoop:

@@ -8,6 +8,7 @@ from repro.control.topology import TopologyView
 from repro.errors import PlacementError, UnknownDeviceError
 from repro.lang.delta import parse_delta
 from repro.targets import drmt_switch, host
+from repro.targets.resources import ResourceVector
 
 BIG_APP = """
 delta big {
@@ -109,3 +110,51 @@ class TestControllerDetour:
         # the big app actually processed traffic on swB
         swb = controller.devices["swB"].active_instance
         assert len(swb.maps.state("big_state")) > 0
+
+
+class TestSliceFollowsTheTopology:
+    """``FlexNetController.slice()`` is built once per route and
+    topology revision; after every change it can see it must read what
+    a fresh ``slice_along`` of the route reads."""
+
+    @staticmethod
+    def fields(network_slice):
+        return [
+            (spec.name, spec.target, dict(spec.used.items()), spec.ingress_link_ns)
+            for spec in network_slice.devices
+        ]
+
+    def assert_fresh(self, controller):
+        fresh = controller.topology.slice_along(controller.datapath_path)
+        assert self.fields(controller.slice()) == self.fields(fresh)
+        return self.fields(fresh)
+
+    def test_a_commit_and_a_release(self):
+        controller = diamond_controller()
+        before = self.assert_fresh(controller)
+        assert controller.slice() is controller.slice()
+        controller.topology.commit("swA", ResourceVector(sram_kb=100))
+        assert self.assert_fresh(controller) != before
+        controller.topology.release("swA", ResourceVector(sram_kb=100))
+        assert self.assert_fresh(controller) == before
+
+    def test_a_link_latency(self):
+        controller = diamond_controller()
+        before = self.assert_fresh(controller)
+        controller.add_link("h1", "swA", 3e-6)
+        assert self.assert_fresh(controller) != before
+
+    def test_a_device_added_off_the_route(self):
+        controller = diamond_controller()
+        before = self.assert_fresh(controller)
+        controller.add_device("swC", drmt_switch("swC"))
+        assert self.assert_fresh(controller) == before
+
+    def test_a_detour(self):
+        controller = diamond_controller()
+        before = self.assert_fresh(controller)
+        controller.deploy_app(
+            "flexnet://infrastructure/big", parse_delta(BIG_APP), allow_detour=True
+        )
+        assert controller.datapath_path == ["h1", "swB", "h2"]
+        assert self.assert_fresh(controller) != before

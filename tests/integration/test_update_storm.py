@@ -97,3 +97,68 @@ class TestFpgaInSlice:
         report = net.run_traffic(rate_pps=500, duration_s=1.5, extra_time_s=2.0)
         assert report.metrics.lost_by_infrastructure == 0
         assert net.device("fpga1").stats.processed > 0
+
+
+#: The E20 fabric's update cycle, 24 updates on the idle net; each line
+#: is one update's plan: placement in commit order, the demand charged
+#: per device, and the reconfiguration steps.
+_PLAN_SCRIPT = """
+import json
+from functools import partial
+
+from repro import apps
+from repro.runtime.consistency import ConsistencyLevel
+from repro.scale import e20_net
+
+CYCLE = ("dctcp_delta", "remove_cc_delta", "remove_probe_delta", "int_probe_delta")
+net = e20_net(pods=4)
+net.engine(fastpath=True)
+plans = []
+
+def update(index):
+    delta = getattr(apps, CYCLE[index % len(CYCLE)])()
+    outcome = net.update(delta, consistency=ConsistencyLevel.PER_PACKET_PATH)
+    plan = outcome.result.new_plan
+    plans.append({
+        "placement": [list(item) for item in plan.placement.items()],
+        "device_demand": {name: repr(v) for name, v in plan.device_demand.items()},
+        "steps": [repr(step) for step in outcome.result.reconfig.steps],
+        "duration_s": outcome.report.duration_s,
+    })
+
+start = net.loop.now + 0.5
+for index in range(24):
+    net.schedule(start + index, partial(update, index))
+net.run_traffic(packets=[], extra_time_s=25.0, collect_digests=False)
+print(json.dumps(plans))
+"""
+
+
+def test_the_update_path_does_not_depend_on_the_hash_seed():
+    """The plan each update adopts is the same in every process: the
+    device search, the pinned pass and the carried facts iterate no
+    salted set or dict order into a placement, a demand or a step."""
+    import json
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import repro
+    from repro.observe.report import divergences
+
+    source = str(Path(repro.__file__).resolve().parents[1])
+    runs = []
+    for seed in ("0", "1"):
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": source}
+        done = subprocess.run(
+            [sys.executable, "-c", _PLAN_SCRIPT],
+            env=env,
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        runs.append(json.loads(done.stdout))
+    assert len(runs[0]) == 24
+    assert any(plan["steps"] for plan in runs[0])
+    assert divergences(runs[0], runs[1]) == []

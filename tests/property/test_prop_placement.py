@@ -18,7 +18,7 @@ from repro.lang.analyzer import certify
 from repro.lang.delta import apply_delta
 from repro.compiler.plan import DeviceSpec
 from repro.scale import pod_fabric
-from repro.targets import rmt_switch, smartnic
+from repro.targets import drmt_switch, fpga, host, rmt_switch, smartnic, tiled_switch
 from repro.targets.base import FungibilityClass
 from repro.targets.resources import ResourceVector
 
@@ -158,6 +158,25 @@ def _feasible(spec, names, certificate, program):
     return result is not False and result is not None
 
 
+def _rank_key(objective, devices, committed, ops):
+    """What the objective minimises over the feasible device indices
+    (``min`` breaks ties to path order); ``committed`` lists what each
+    device already hosts from this attempt."""
+    if objective.kind is ObjectiveKind.BALANCED:
+        return lambda i: (_TIER_RANK.get(devices[i].target.tier, 3), i)
+    if objective.kind is ObjectiveKind.LATENCY:
+        return lambda i: ops * devices[i].target.performance.per_op_ns
+
+    def energy(i):
+        spec = devices[i]
+        idle = not committed[spec.name] and spec.used.is_zero()
+        return ops * spec.target.performance.per_op_nj + (
+            spec.target.performance.idle_power_w * objective.activation_weight if idle else 0.0
+        )
+
+    return energy
+
+
 def _reference_attempt(objective, program, certificate, slice_, pinned):
     devices = slice_.devices
     clusters = PlacementEngine(objective)._clusters(ordered_elements(program), certificate)
@@ -224,22 +243,7 @@ def _reference_attempt(objective, program, certificate, slice_, pinned):
                 )
                 lines.append(f"  {spec.name} ({spec.target.arch}): {reason}")
             raise PlacementError("\n".join(lines))
-        if objective.kind is ObjectiveKind.BALANCED:
-            key = lambda i: (_TIER_RANK.get(devices[i].target.tier, 3), i)  # noqa: E731
-        elif objective.kind is ObjectiveKind.LATENCY:
-            key = lambda i: ops(cluster) * devices[i].target.performance.per_op_ns  # noqa: E731
-        else:
-
-            def key(i):
-                spec = devices[i]
-                idle = not committed[spec.name] and spec.used.is_zero()
-                return ops(cluster) * spec.target.performance.per_op_nj + (
-                    spec.target.performance.idle_power_w * objective.activation_weight
-                    if idle
-                    else 0.0
-                )
-
-        floor = min(feasible, key=key)
+        floor = min(feasible, key=_rank_key(objective, devices, committed, ops(cluster)))
         commit(cluster, floor)
 
     stage_plans = {}
@@ -264,7 +268,7 @@ def _reference_attempt(objective, program, certificate, slice_, pinned):
         if ops_on[spec.name]:
             idle += performance.idle_power_w
     return {
-        "placement": placement,
+        "placement": list(placement.items()),
         "stage_plans": stage_plans,
         "encodings": encodings,
         "notes": [],
@@ -276,7 +280,7 @@ def _reference_attempt(objective, program, certificate, slice_, pinned):
 
 def _observed(plan):
     return {
-        "placement": plan.placement,
+        "placement": list(plan.placement.items()),  # in commit order
         "stage_plans": plan.stage_plans,
         "encodings": plan.encodings,
         "notes": plan.notes,
@@ -397,3 +401,119 @@ def test_compile_matches_the_whole_set_reference(slice_name, kind):
     assert compared > 3 * len(delta_cases())
     if slice_name == "tight":
         assert failures and staged  # error texts and stage plans were compared
+
+
+# ---------------------------------------------------------------------------
+# The device search and the pinned pass on generated slices
+# ---------------------------------------------------------------------------
+#
+# ``_choose_device`` asks candidates in the objective's order and stops
+# at the first that fits, and a device that takes all of its pinned
+# clusters is asked once. On slices that mix tiers, fungibility classes
+# and what other datapaths already use, both must agree with asking
+# every device and taking the ``min``, and with asking per cluster
+# (``_reference_attempt``), including the error text when a cluster
+# fits nowhere and a pin that no longer fits being dropped.
+
+_DELTA_CASES = delta_cases()
+
+
+@st.composite
+def _device_specs(draw, name):
+    kind = draw(st.sampled_from(["rmt", "tiles", "drmt", "nic", "fpga", "host"]))
+    if kind == "rmt":  # stage-local, and admits no large function
+        target = rmt_switch(
+            name,
+            stages=draw(st.integers(min_value=2, max_value=8)),
+            stage_sram_kb=draw(st.sampled_from([80.0, 160.0, 640.0])),
+        )
+    elif kind == "tiles":  # tile-typed
+        target = tiled_switch(
+            name,
+            hash_tiles=draw(st.sampled_from([4, 96])),
+            tcam_tiles=draw(st.sampled_from([1, 24])),
+        )
+    elif kind == "drmt":
+        target = drmt_switch(name, sram_mb=draw(st.sampled_from([0.5, 24.0])))
+    else:
+        target = {"nic": smartnic, "fpga": fpga, "host": host}[kind](name)
+    share = draw(st.sampled_from([0.0, 0.0, 0.3, 0.7, 0.97]))
+    return DeviceSpec(name, target, used=target.capacity * share)
+
+
+@st.composite
+def generated_slices(draw):
+    count = draw(st.integers(min_value=1, max_value=6))
+    return NetworkSlice(devices=[draw(_device_specs(f"d{i}")) for i in range(count)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    case=st.integers(min_value=0, max_value=len(_DELTA_CASES) - 1),
+    slice_=generated_slices(),
+    kind=st.sampled_from(list(ObjectiveKind)),
+    floors=st.lists(st.integers(min_value=0, max_value=5), min_size=1, max_size=8),
+)
+def test_the_first_device_that_fits_is_the_best_of_all_that_fit(case, slice_, kind, floors):
+    _, program, _ = _DELTA_CASES[case]
+    certificate = certify(program)
+    objective = Objective(kind=kind)
+    engine = PlacementEngine(objective)
+    devices = slice_.devices
+    residency = fungibility.Residency(program, certificate, devices)
+    for position, cluster in enumerate(engine._clusters(residency.order, certificate)):
+        floor = floors[position % len(floors)] % len(devices)
+        ops = sum(certificate.profile(m).max_ops for m in cluster.members)
+        feasible = [
+            index
+            for index in range(floor, len(devices))
+            if residency.feasible(devices[index], cluster.members) is not False
+        ]
+        expected = (
+            min(feasible, key=_rank_key(objective, devices, residency.members, ops))
+            if feasible
+            else None
+        )
+        assert engine._choose_device(cluster, certificate, devices, residency, floor) == expected
+        if expected is not None:
+            residency.commit(devices[expected], cluster.members)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    case=st.integers(min_value=0, max_value=len(_DELTA_CASES) - 1),
+    slice_=generated_slices(),
+    other=generated_slices(),
+    kind=st.sampled_from(list(ObjectiveKind)),
+)
+def test_compile_on_generated_slices_matches_the_per_question_reference(
+    case, slice_, other, kind
+):
+    """``other`` is different hardware under the same device names:
+    the survivors' pins there may fit in part, fail a stage plan, or
+    name a device that is not admitted or not there."""
+    label, program, delta = _DELTA_CASES[case]
+    new_program, changes = apply_delta(program, delta)
+    certificate = certify(new_program)
+    objective = Objective(kind=kind)
+    engine = PlacementEngine(objective)
+    try:
+        old_plan = engine.compile(program, certify(program), slice_)
+    except PlacementError:
+        old_plan = None
+    variants = list(_pin_variants(old_plan, changes, slice_))
+    if old_plan is not None:
+        survivors = next(pins for name, pins, _ in variants if name == "survivors")
+        variants.append(("other-hardware", survivors, other))
+    for variant, pinned, variant_slice in variants:
+        expected = _outcome(
+            lambda: _reference_attempt(
+                objective, new_program, certificate, variant_slice, pinned or {}
+            )
+        )
+        observed = _outcome(
+            lambda: _observed(
+                engine.compile(new_program, certificate, variant_slice, pinned=pinned)
+            )
+        )
+        assert observed == expected, (label, variant)

@@ -1,5 +1,9 @@
 """Traffic generator tests."""
 
+import random
+
+import pytest
+
 from repro.simulator.flowgen import (
     constant_rate,
     merge_streams,
@@ -57,6 +61,31 @@ class TestPoissonFlows:
     def test_times_within_window(self):
         packets = list(poisson_flows(100, 1.0, 5, seed=4, start_s=2.0))
         assert all(2.0 <= tp.time < 3.0 for tp in packets)
+
+    @pytest.mark.parametrize("flow_count", [1, 2, 7, 64, 300])
+    @pytest.mark.parametrize("seed", [0, 7, 2024])
+    def test_draws_the_stream_choices_draws(self, seed, flow_count):
+        """Each flow is the one ``random.choices`` picks from the same
+        generator state, so a seed names the same traffic as before
+        the cumulative weights were summed once per stream."""
+        rate, duration = 4000.0, 1.0
+        rng = random.Random(seed)
+        weights = [1.0 / (k + 1) for k in range(flow_count)]
+        probabilities = [w / sum(weights) for w in weights]
+        expected = []
+        time = 0.0
+        while True:
+            time += rng.expovariate(rate)
+            if time >= duration:
+                break
+            flow = rng.choices(range(flow_count), weights=probabilities)[0]
+            expected.append((time, 0x0A000000 | (flow + 1), 10000 + flow))
+        observed = [
+            (tp.time, tp.packet.get_field("ipv4", "src"), tp.packet.get_field("tcp", "sport"))
+            for tp in poisson_flows(rate, duration, flow_count, seed=seed)
+        ]
+        assert len(expected) > 3000
+        assert observed == expected
 
 
 class TestSynFlood:
