@@ -449,11 +449,13 @@ class FlexNet:
             ConsistencyChecker(consistency_level) if consistency_level is not None else None
         )
 
+        telemetry, loop = self.controller.telemetry, self.controller.loop
+
         def on_done(packet) -> None:
             if checker is not None:
                 checker.observe(packet)
             if collect_digests:
-                self.controller.telemetry.ingest_packet(packet, self.controller.loop.now)
+                telemetry.ingest_packet(packet, loop._now)  # noqa: SLF001 - once per packet
 
         workload = packets if packets is not None else list(
             constant_rate(rate_pps, duration_s, start_s=self.controller.loop.now)

@@ -33,6 +33,12 @@ class ConsistencyLevel(enum.Enum):
     PER_FLOW = "per_flow"
 
 
+# Module constants: an enum member read goes through the enum
+# metaclass (CPython 3.11); the report reads one per packet.
+_PER_PACKET_PER_DEVICE = ConsistencyLevel.PER_PACKET_PER_DEVICE
+_PER_FLOW = ConsistencyLevel.PER_FLOW
+
+
 @dataclass
 class ConsistencyReport:
     level: ConsistencyLevel
@@ -73,14 +79,14 @@ class ConsistencyChecker:
 
     def report(self) -> ConsistencyReport:
         result = ConsistencyReport(level=self.level)
-        if self.level is ConsistencyLevel.PER_FLOW:
+        if self.level is _PER_FLOW:
             return self._per_flow_report(result)
         for packet in self._packets:
             result.packets_checked += 1
             versions = self._scoped_versions(packet)
             if not versions:
                 continue
-            if self.level is ConsistencyLevel.PER_PACKET_PER_DEVICE:
+            if self.level is _PER_PACKET_PER_DEVICE:
                 # versions_seen maps device -> one version by construction;
                 # a violation would require a device to record two versions
                 # for one packet, which the runtime cannot produce unless

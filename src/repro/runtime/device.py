@@ -36,6 +36,11 @@ from repro.simulator.pipeline_exec import ProgramInstance
 from repro.targets.base import Target
 from repro.util import stable_hash
 
+# Module constants: an enum member read goes through the enum
+# metaclass (CPython 3.11), and these are read on every hop.
+_DROP = Verdict.DROP
+_LOST = Verdict.LOST
+
 
 @dataclass(frozen=True)
 class EngineConfig:
@@ -189,8 +194,35 @@ class DeviceRuntime:
 
     def install(self, program: Program, hosted_elements: set[str] | None = None) -> None:
         """Cold install (device provisioning, before traffic)."""
-        self._active = ProgramInstance(program, hosted_elements, fastpath=self._engine.fastpath)
+        self._active = self._instance(program, hosted_elements)
         self._transition = None
+
+    def _instance(self, program: Program, hosted_elements: set[str] | None) -> ProgramInstance:
+        """A new program version for this device. A pass-through lane
+        is priced here, once: its two results' ops, energy and latency
+        on this target (``instance.priced_lane``)."""
+        instance = ProgramInstance(program, hosted_elements, fastpath=self._engine.fastpath)
+        if instance.lane is not None:
+            start, ops = instance.lane
+            instance.priced_lane = (
+                start,
+                instance.version,
+                (ops, *self._price(ops)),
+                (0, *self._price(0)),
+            )
+        return instance
+
+    def _price(self, ops: int) -> tuple[float, float]:
+        """(energy nJ, latency s) of ``ops`` on this target, as the
+        performance model computes them, kept per op count."""
+        costs = self._op_costs.get(ops)
+        if costs is None:
+            performance = self.target.performance
+            costs = self._op_costs[ops] = (
+                performance.packet_energy_nj(ops),
+                performance.packet_latency_ns(ops) * 1e-9,
+            )
+        return costs
 
     def begin_hitless_update(
         self,
@@ -223,7 +255,7 @@ class DeviceRuntime:
                 f"device {self.name!r} already has a transition in flight "
                 f"(ends t={self._transition.end:.3f}, now t={now:.3f})"
             )
-        new_instance = ProgramInstance(program, hosted_elements, fastpath=self._engine.fastpath)
+        new_instance = self._instance(program, hosted_elements)
         self._transition = _Transition(
             old=self._active,
             new=new_instance,
@@ -250,7 +282,7 @@ class DeviceRuntime:
         downtime = model.drain_s + model.full_reflash_s + model.redeploy_s
         self._unavailable_until = max(self._unavailable_until, now) + downtime
         # cold state
-        self._active = ProgramInstance(program, hosted_elements, fastpath=self._engine.fastpath)
+        self._active = self._instance(program, hosted_elements)
         self._transition = None
         self.stats.reconfigurations += 1
         self.stats.drain_windows += 1
@@ -372,14 +404,17 @@ class DeviceRuntime:
         stats = self.stats
         service_s = self._service_s
         start = self._busy_until_s
-        if start < now:
-            start = now
         meta = packet.meta
-        meta["queue_depth"] = queue_depth = int((start - now) / service_s)
-        if queue_depth > stats.max_queue_depth:
-            stats.max_queue_depth = queue_depth
+        if start <= now:
+            # An idle queue serves the packet on arrival.
+            start = now
+            meta["queue_depth"] = queue_depth = 0
+        else:
+            meta["queue_depth"] = queue_depth = int((start - now) / service_s)
+            if queue_depth > stats.max_queue_depth:
+                stats.max_queue_depth = queue_depth
         if queue_depth >= self.queue_capacity_packets:
-            packet.verdict = Verdict.LOST
+            packet.verdict = _LOST
             stats.queue_drops += 1
             return (start - now) + service_s
         self._busy_until_s = start + service_s
@@ -391,7 +426,7 @@ class DeviceRuntime:
         # execution *route* changes — never its verdict or cost model).
         observer = self.observer
         trace = observer.begin_packet() if observer is not None else None
-        lane = instance.lane
+        lane = instance.priced_lane
         if (
             lane is not None
             and trace is None
@@ -400,32 +435,36 @@ class DeviceRuntime:
         ):
             # Pass-through lane (compiled engine only, so every
             # interpreter arm checks it): the slice hosts nothing, and
-            # nothing but the parse cost and the egress drop is left of it.
-            result = lane[1] if packet.has_header(lane[0]) else lane[2]
+            # nothing but the parse cost and the egress drop is left of
+            # it, both priced when the version was staged.
+            ops, energy_nj, latency_s = lane[2] if packet.has_header(lane[0]) else lane[3]
+            version = lane[1]
+            stats.processed += 1
+            stats.total_ops += ops
+            stats.per_version[version] = stats.per_version.get(version, 0) + 1
+            stats.energy_nj += energy_nj
             if meta.get("drop_flag"):
-                packet.verdict = Verdict.DROP
+                packet.verdict = _DROP
+                stats.dropped_by_program += 1
+            return (start - now) + latency_s
+
+        if trace is None:
+            result = instance.process(packet, now)
         else:
-            if trace is None:
-                result = instance.process(packet, now)
-            else:
-                result = instance.process(packet, now, trace=trace)
-            # Pass-through devices (hosting no element of the program) do
-            # not participate in version consistency — a packet's
-            # "version" is defined by the elements that processed it.
-            # Hosting devices also stamp the version they used so a
-            # downstream device that is still mid-window honours the
-            # upstream decision (even after the upstream device's own
-            # window has closed).
-            if instance.hosted_elements is None or instance.hosted_elements:
-                packet.versions_seen[self.name] = meta["_epoch"] = result.version
+            result = instance.process(packet, now, trace=trace)
+        # Pass-through devices (hosting no element of the program) do
+        # not participate in version consistency — a packet's
+        # "version" is defined by the elements that processed it.
+        # Hosting devices also stamp the version they used so a
+        # downstream device that is still mid-window honours the
+        # upstream decision (even after the upstream device's own
+        # window has closed).
+        if instance.hosted_elements is None or instance.hosted_elements:
+            packet.versions_seen[self.name] = meta["_epoch"] = result.version
         ops = result.ops
         costs = self._op_costs.get(ops)
         if costs is None:
-            performance = self.target.performance
-            costs = self._op_costs[ops] = (
-                performance.packet_energy_nj(ops),
-                performance.packet_latency_ns(ops) * 1e-9,
-            )
+            costs = self._price(ops)
         stats.processed += 1
         stats.total_ops += ops
         stats.per_version[result.version] = stats.per_version.get(result.version, 0) + 1
@@ -500,8 +539,8 @@ class DeviceRuntime:
     @property
     def staged_instance(self) -> ProgramInstance | None:
         """The incoming program version while a transition window is open
-        (None otherwise). The reconfiguration orchestrator uses this to
-        swing-migrate state into maps that could not be physically shared."""
+        (None otherwise). No library code calls it; it lets a caller
+        inspect the staged version, e.g. which state it shares."""
         return self._transition.new if self._transition is not None else None
 
     def busy_until(self, now: float) -> float:

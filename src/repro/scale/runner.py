@@ -149,7 +149,8 @@ def _assign_injections(
     edges of this run) beside the per-shard injections."""
     network = net.controller.network
     per_shard: dict[int, list[tuple]] = {shard: [] for shard in plan.populated_shards}
-    hops = network.path("datapath")
+    # A tuple: each shard's network keeps its route under the hop tuple.
+    hops = tuple(network.path("datapath"))
     first_shard = plan.shard_of(hops[0])
     for timed in injections:
         per_shard[first_shard].append((timed.packet, hops, timed.time))

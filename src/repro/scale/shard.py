@@ -57,6 +57,7 @@ from the single-process reference.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from repro.errors import SimulationError
@@ -179,7 +180,7 @@ class ShardEngine:
         self.digest_count += len(packet.digests)
 
     def _handoff_out(
-        self, packet: Packet, hops: list[str], index: int, at_time: float
+        self, packet: Packet, hops: Sequence[str], index: int, at_time: float
     ) -> None:
         dst = self.plan.shard_of(hops[index])
         if dst == self.shard_id:  # pragma: no cover - network owns this check
@@ -244,7 +245,7 @@ class ShardEngine:
             for handoff in ready:
                 self.network.receive(
                     handoff.packet,
-                    list(handoff.hops),
+                    handoff.hops,
                     handoff.index,
                     handoff.time,
                     self.metrics,

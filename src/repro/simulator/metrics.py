@@ -6,8 +6,11 @@ import math
 import random
 from dataclasses import dataclass, field
 
-
 from repro.simulator.packet import Packet, Verdict
+
+# Read once per packet; a module constant skips the enum metaclass.
+_FORWARD = Verdict.FORWARD
+_DROP = Verdict.DROP
 
 
 @dataclass
@@ -116,11 +119,12 @@ class RunMetrics:
         self.sent += 1
 
     def record_outcome(self, packet: Packet) -> None:
-        if packet.verdict is Verdict.FORWARD:
+        verdict = packet.verdict
+        if verdict is _FORWARD:
             self.delivered += 1
             if packet.latency_s is not None:
                 self.latency.record(packet.latency_s)
-        elif packet.verdict is Verdict.DROP:
+        elif verdict is _DROP:
             self.dropped_by_program += 1
         else:
             self.lost_by_infrastructure += 1

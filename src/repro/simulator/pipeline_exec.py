@@ -69,18 +69,20 @@ class ProgramInstance:
         #: Pass-through lane: a slice hosting *nothing* whose apply block
         #: has no top-level ``if`` (a condition is evaluated and costed
         #: even here) only parses, so its outcome is two-valued: ``(start
-        #: header, result with it, result without)``, each result shared
-        #: by every packet. None when the slice must really execute.
+        #: header, ops with it)``, and 0 ops without it. None when the
+        #: slice must really execute.
         self.lane = None
+        #: The lane priced by the device this version runs on:
+        #: ``(start header, version, (ops, energy nJ, latency s) with it,
+        #: (ops, energy nJ, latency s) without)``; None off the lane.
+        self.priced_lane = None
         if hosted_elements is not None and not hosted_elements and not any(
             isinstance(step, ir.ApplyIf) for step in program.apply
         ):
             parser = program.parser
-            start, ops = (
+            self.lane = (
                 (None, 0) if parser is None else (parser.start_header, 1 + len(parser.transitions))
             )
-            version = program.version
-            self.lane = (start, ExecutionResult(ops, version), ExecutionResult(0, version))
 
     @property
     def version(self) -> int:

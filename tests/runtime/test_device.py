@@ -484,3 +484,146 @@ class TestPassThroughLane:
         # Whichever of old/new the per-packet draw picked is the lane taken.
         assert set(lane.stats.per_version) == {base_program.version, new_program.version}
         assert not any(instance.fastpath_enabled for _, instance in calls)
+
+
+class TestQueueModelOnTheLane:
+    """The ingress queue in front of a pass-through lane: an idle queue
+    stamps depth 0, back-to-back packets queue, and a burst past the
+    capacity tail-drops with the queueing delay plus one service slot."""
+
+    @pytest.fixture
+    def device(self, base_program):
+        device = DeviceRuntime("d", drmt_switch("d"), queue_capacity_packets=4)
+        device.engine = EngineConfig(fastpath=True)
+        device.install(base_program, hosted_elements=set())
+        assert device.active_instance.priced_lane is not None
+        return device
+
+    def test_an_idle_queue_stamps_depth_zero(self, device):
+        packet = make_packet(1, 2)
+        device.process(packet, 1e-3)
+        assert packet.meta["queue_depth"] == 0
+        assert device.stats.max_queue_depth == 0
+        device.stats.max_queue_depth = 3  # what an earlier burst left
+        later = make_packet(1, 2)
+        device.process(later, 2e-3)
+        assert later.meta["queue_depth"] == 0
+        assert device.stats.max_queue_depth == 3
+
+    def test_back_to_back_packets_queue(self, device):
+        first, second = make_packet(1, 2), make_packet(1, 2)
+        device.process(first, 0.0)
+        device.process(second, 0.0)
+        assert (first.meta["queue_depth"], second.meta["queue_depth"]) == (0, 1)
+        assert device.stats.max_queue_depth == 1
+
+    def test_a_burst_past_the_capacity_tail_drops(self, device):
+        service_s = device._service_s
+        now = 0.0
+        burst = [make_packet(1, 2) for _ in range(7)]
+        latencies = [device.process(packet, now) for packet in burst]
+        assert [packet.meta["queue_depth"] for packet in burst] == [0, 1, 2, 3, 4, 4, 4]
+        assert [packet.verdict for packet in burst[4:]] == [Verdict.LOST] * 3
+        assert device.stats.queue_drops == 3
+        assert device.stats.processed == 4
+        assert device.stats.max_queue_depth == 4
+        start = now
+        for _ in range(4):
+            start = start + service_s
+        assert latencies[4:] == [(start - now) + service_s] * 3
+
+
+#: ``DeviceStats`` of every E20 pod-fabric device after 600 packets of
+#: ``e20_workload(seed=7)`` under the compiled engine: ``(processed,
+#: total_ops, energy_nj.hex(), per_version, max_queue_depth,
+#: queue_drops, dropped_by_program)``, keyed by the workload's rate.
+_PASS = {5: 600}
+POD_FABRIC_STATS = {
+    20_000.0: {
+        "h1": (600, 1800, "0x1.c200000000000p+13", _PASS, 0, 0, 0),
+        "h2": (600, 1800, "0x1.c200000000000p+13", _PASS, 0, 0, 0),
+        **{
+            f"n{pod}{side}": (600, 1800, "0x1.c200000000000p+12", _PASS, 0, 0, 0)
+            for pod in range(4)
+            for side in "ab"
+        },
+        **{f"s{pod}": (600, 54000, "0x1.a5e0000000000p+14", _PASS, 0, 0, 0) for pod in range(4)},
+    },
+}
+POD_FABRIC_STATS[2e7] = {**POD_FABRIC_STATS[20_000.0]}
+POD_FABRIC_STATS[2e7]["h1"] = (600, 1800, "0x1.c200000000000p+13", _PASS, 317, 0, 0)
+
+_VERSION_COUNTS = {f"s{pod}@v5": 600 for pod in range(4)}
+POD_FABRIC_REPORTS = {
+    20_000.0: {
+        "metrics": {
+            "delivered": 600,
+            "delivery_rate": 1.0,
+            "dropped_by_program": 0,
+            "latency": {
+                "count": 600,
+                "max_s": 0.001560602,
+                "mean_s": 0.001560514,
+                "min_s": 0.001560514,
+                "p50_s": 0.001560514,
+                "p99_s": 0.001560514,
+            },
+            "loss_rate": 0.0,
+            "lost_by_infrastructure": 0,
+            "sent": 600,
+            "version_counts": _VERSION_COUNTS,
+            "version_mixtures": 0,
+        },
+        "telemetry": {"total_digests": 2400, "total_events": 0},
+    },
+    2e7: {
+        "metrics": {
+            "delivered": 600,
+            "delivery_rate": 1.0,
+            "dropped_by_program": 0,
+            "latency": {
+                "count": 600,
+                "max_s": 0.00159226,
+                "mean_s": 0.001576545,
+                "min_s": 0.001560514,
+                "p50_s": 0.001576845,
+                "p99_s": 0.001591935,
+            },
+            "loss_rate": 0.0,
+            "lost_by_infrastructure": 0,
+            "sent": 600,
+            "version_counts": _VERSION_COUNTS,
+            "version_mixtures": 0,
+        },
+        "telemetry": {"total_digests": 2400, "total_events": 0},
+    },
+}
+
+
+@pytest.mark.parametrize("rate_pps", [20_000.0, 2e7], ids=["paced", "burst"])
+def test_pod_fabric_accounting_is_pinned(rate_pps):
+    """Golden per-device accounting on the E20 fabric: 10 of its 14
+    devices take the pass-through lane, and at the burst rate the first
+    host queues 317 deep. Every counter is pinned, and ``energy_nj`` to
+    the bit, so a hop that adds its costs in another order fails here."""
+    from repro.scale import e20_net, e20_workload
+
+    net = e20_net()
+    net.engine(fastpath=True)
+    report = net.run_traffic(
+        packets=e20_workload(600, rate_pps=rate_pps, seed=7), extra_time_s=0.01
+    )
+    stats = {}
+    for name in sorted(net.controller.devices):
+        device = net.device(name).stats
+        stats[name] = (
+            device.processed,
+            device.total_ops,
+            device.energy_nj.hex(),
+            device.per_version,
+            device.max_queue_depth,
+            device.queue_drops,
+            device.dropped_by_program,
+        )
+    assert stats == POD_FABRIC_STATS[rate_pps]
+    assert report.to_dict() == POD_FABRIC_REPORTS[rate_pps]

@@ -227,9 +227,65 @@ class TestFlight:
         net = three_hop_network()
         packet = make_packet(1, 2)
         net.inject(packet, ["a", "c"], 0.0)
-        with pytest.raises(SimulationError, match="no link 'a' -> 'c'"):
+        with pytest.raises(SimulationError, match="^no link 'a' -> 'c'$"):
             net.loop.run()
         assert packet.path == ["a"]
+        assert net.node("a").seen == [packet.packet_id] and net.node("c").seen == []
+
+
+class TestRoutes:
+    """A hop list is resolved once into a route; a topology change drops
+    it, and every error is raised where the per-hop lookup raised it."""
+
+    def test_a_relinked_latency_reaches_the_next_packet(self):
+        net, *_ = two_hop_network()
+        first = make_packet(1, 2, created_at=0.0)
+        net.inject(first, "p", 0.0)
+        net.loop.run()
+        net.add_link("a", "b", 5e-3)
+        second = make_packet(1, 2, created_at=1.0)
+        net.inject(second, "p", 1.0)
+        net.loop.run()
+        assert first.latency_s == pytest.approx(1e-3 + 2e-6)
+        assert second.latency_s == pytest.approx(5e-3 + 2e-6)
+
+    def test_a_node_added_after_an_unknown_node_failure_is_found(self):
+        net, *_ = two_hop_network()
+        net.inject(make_packet(1, 2), ["a", "c"], 0.0)
+        with pytest.raises(SimulationError, match="no link 'a' -> 'c'"):
+            net.loop.run()
+        net.inject(make_packet(1, 2), ["c"], 1.0)
+        with pytest.raises(SimulationError, match="unknown node 'c'"):
+            net.loop.run()
+        c = FakeNode("c")
+        net.add_node(c)
+        net.add_link("a", "c", 1e-3)
+        packet = make_packet(1, 2)
+        net.inject(packet, ["a", "c"], 2.0)
+        net.loop.run()
+        assert packet.path == ["a", "c"] and c.seen == [packet.packet_id]
+
+    def test_a_handed_off_hop_tuple_is_received(self):
+        """The first shard hands the packet off with its hop list; the
+        second receives it as the tuple a handoff carries and delivers
+        it at the latency one network gives."""
+        handoffs = []
+        upstream = three_hop_network(
+            owned={"a"}, on_handoff=lambda *handoff: handoffs.append(handoff)
+        )
+        downstream = three_hop_network(owned={"b", "c"})
+        reference = three_hop_network()
+        packets = [make_packet(1, 2, created_at=0.0) for _ in range(2)]
+        metrics = RunMetrics()
+        upstream.inject(packets[0], "p", 0.0)
+        upstream.loop.run()
+        reference.inject(packets[1], "p", 0.0)
+        reference.loop.run()
+        (packet, hops, index, arrival), = handoffs
+        downstream.receive(packet, tuple(hops), index, arrival, metrics)
+        downstream.loop.run()
+        assert packet.path == ["a", "b", "c"] and metrics.delivered == 1
+        assert packet.latency_s == packets[1].latency_s
 
 
 class TestMetrics:
