@@ -150,9 +150,9 @@ class CompileTimeNetwork:
         extra_time_s: float = 1.0,
     ) -> RunMetrics:
         metrics = RunMetrics()
-        last = self.loop.now
-        for timed in packets:
-            self.network.inject(timed.packet, "datapath", timed.time, metrics)
-            last = max(last, timed.time)
-        self.loop.run_until(last + extra_time_s)
+        times = [timed.time for timed in packets]
+        self.network.inject_series(
+            [timed.packet for timed in packets], ["datapath"] * len(packets), times, metrics
+        )
+        self.loop.run_until(max(times, default=self.loop.now) + extra_time_s)
         return metrics

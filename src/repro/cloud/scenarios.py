@@ -227,8 +227,6 @@ class CloudFleet:
         and check the gate's verdict against the registry: admitted
         sources must forward, evicted ones must drop. Returns
         ``(violations, probes_run)``."""
-        from repro.simulator.metrics import RunMetrics
-
         eligible = [t for t in tenants if self.home_of(t) == self.gate_device]
         if not eligible:
             return 0, 0
@@ -239,18 +237,19 @@ class CloudFleet:
         def on_done(packet) -> None:
             verdicts[packet.get_field("ipv4", "src")] = packet.dropped
 
-        metrics = RunMetrics()
-        last = start
-        for index, tenant in enumerate(eligible):
-            at = start + index * 1e-4
-            packet = make_packet(
+        times = [start + index * 1e-4 for index in range(len(eligible))]
+        packets = [
+            make_packet(
                 src_ip=self.tenant_ip(tenant),
                 dst_ip=_TENANT_SUBNET | 0xFFFE,
                 created_at=at,
             )
-            controller.network.inject(packet, "datapath", at, metrics, on_done=on_done)
-            last = max(last, at)
-        controller.loop.run_until(last + 1.0)
+            for tenant, at in zip(eligible, times)
+        ]
+        controller.network.inject_series(
+            packets, ["datapath"] * len(packets), times, on_done=on_done
+        )
+        controller.loop.run_until(times[-1] + 1.0)
         violations = 0
         for tenant in eligible:
             admitted = self.registry.get(tenant, 0) != 0

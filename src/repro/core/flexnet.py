@@ -458,15 +458,17 @@ class FlexNet:
                 telemetry.ingest_packet(packet, loop._now)  # noqa: SLF001 - once per packet
 
         workload = packets if packets is not None else list(
-            constant_rate(rate_pps, duration_s, start_s=self.controller.loop.now)
+            constant_rate(rate_pps, duration_s, start_s=loop.now)
         )
-        last = self.controller.loop.now
-        for timed in workload:
-            self.controller.network.inject(
-                timed.packet, "datapath", timed.time, metrics, on_done=on_done
-            )
-            last = max(last, timed.time)
-        self.controller.loop.run_until(last + extra_time_s)
+        times = [timed.time for timed in workload]
+        self.controller.network.inject_series(
+            [timed.packet for timed in workload],
+            ["datapath"] * len(workload),
+            times,
+            metrics,
+            on_done,
+        )
+        loop.run_until(max(times, default=loop.now) + extra_time_s)
         return TrafficReport(
             metrics=metrics,
             consistency=checker,

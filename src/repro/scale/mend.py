@@ -419,8 +419,7 @@ def _worker_main(
         # Packets created inside this worker (if any) get a per-shard id
         # namespace so ids can never collide across shards.
         reset_packet_ids(shard_id + 1)
-        for packet, hops, at_time in injections:
-            engine.inject(packet, hops, at_time)
+        engine.inject_series(injections)
         inbox = inboxes[shard_id]
         # An armed run heartbeats every round: the window of the last
         # heartbeat is where a death with no fault event is accounted.

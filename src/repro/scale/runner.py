@@ -209,8 +209,7 @@ def _engines(
         for shard in plan.populated_shards
     }
     for shard, items in per_shard.items():
-        for packet, hops, at_time in items:
-            engines[shard].inject(packet, hops, at_time)
+        engines[shard].inject_series(items)
     return engines
 
 

@@ -172,9 +172,16 @@ class ShardEngine:
 
     # -- local simulation ---------------------------------------------------
 
-    def inject(self, packet: Packet, path, at_time: float) -> None:
-        """Coordinator-assigned injection (first hop owned by this shard)."""
-        self.network.inject(packet, path, at_time, self.metrics, on_done=self._on_done)
+    def inject_series(self, injections: Sequence[tuple[Packet, Sequence[str], float]]) -> None:
+        """Coordinator-assigned ``(packet, hops, time)`` injections (first
+        hop owned by this shard), in the coordinator's order."""
+        self.network.inject_series(
+            [packet for packet, _, _ in injections],
+            [hops for _, hops, _ in injections],
+            [at_time for _, _, at_time in injections],
+            self.metrics,
+            self._on_done,
+        )
 
     def _on_done(self, packet: Packet) -> None:
         self.digest_count += len(packet.digests)
@@ -242,15 +249,14 @@ class ShardEngine:
                 key=lambda h: h.sort_key,
             )
             self._pending = [h for h in self._pending if h.time > bound]
-            for handoff in ready:
-                self.network.receive(
-                    handoff.packet,
-                    handoff.hops,
-                    handoff.index,
-                    handoff.time,
-                    self.metrics,
-                    on_done=self._on_done,
-                )
+            self.network.receive_series(
+                [handoff.packet for handoff in ready],
+                [handoff.hops for handoff in ready],
+                [handoff.index for handoff in ready],
+                [handoff.time for handoff in ready],
+                self.metrics,
+                self._on_done,
+            )
             self.loop.run_until(bound)
             self._clock = bound
             self.windows += 1

@@ -13,6 +13,15 @@ it):
   ``now + (time - now)`` float round trip), so an event handed across
   process boundaries with a precomputed absolute timestamp executes at
   a bit-identical time on any loop.
+* ``schedule_series(times, fire)`` is consecutive ``schedule_at``
+  calls, one per entry in input order, spelled once: entry ``i`` runs
+  under the ``(times[i], first + i)`` key the ``i``-th call would have
+  got, ``first`` being the counter's value when the series is
+  scheduled, and the counter moves by ``len(times)`` at once. Only the
+  earliest unfired entry sits in the heap, and it pushes the next one
+  (a stable sort by time is the ``(time, seq)`` order) when it fires.
+  Every time is checked against ``now`` before a seq is taken, and
+  :meth:`EventLoop.pending` counts the unfired entries.
 
 Callers that inject externally-produced events (the FlexScale shard
 runtime draining a handoff queue) must therefore insert them in a
@@ -27,7 +36,7 @@ from __future__ import annotations
 
 import math
 from heapq import heappop, heappush
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 
 from repro.errors import SimulationError
 
@@ -47,6 +56,8 @@ class EventLoop:
         self._heap: list[tuple[float, int, Callable[[], None]]] = []
         self._sequence = 0
         self._now = 0.0
+        #: series entries not yet in the heap (each series holds one there).
+        self._waiting = 0
 
     @property
     def now(self) -> float:
@@ -81,6 +92,25 @@ class EventLoop:
         heappush(self._heap, (time, sequence, callback))
         return sequence
 
+    def schedule_series(self, times: Sequence[float], fire: Callable[[int], None]) -> None:
+        """Schedule ``fire(i)`` at ``times[i]`` for every ``i``: the events,
+        keys and counter of one :meth:`schedule_at` per entry in input
+        order (entry ``i`` runs under ``(times[i], first + i)``, ``first``
+        being the counter's value now), holding one heap slot at a time.
+
+        Every time is checked first, so a time before ``now`` raises
+        before any sequence number is taken. The loop keeps ``times``
+        until the last entry fires; the caller must not change it.
+        """
+        now = self._now
+        if times and min(times) < now:
+            late = next(time for time in times if time < now)
+            raise SimulationError(f"cannot schedule at {late} s, before current time {now} s")
+        first = self._sequence
+        self._sequence = first + len(times)
+        if times:
+            _Series(self, times, first, fire).push_first()
+
     def _drain(self, end_time: float) -> None:
         heap = self._heap
         while heap and heap[0][0] <= end_time:
@@ -101,4 +131,42 @@ class EventLoop:
         self._drain(math.inf)
 
     def pending(self) -> int:
-        return len(self._heap)
+        """Events not yet run, unfired series entries included."""
+        return len(self._heap) + self._waiting
+
+
+class _Series:
+    """One :meth:`EventLoop.schedule_series`: the heap holds it under
+    the key of its earliest unfired entry. Firing that entry pushes the
+    next key first, so the series stays in the heap while ``fire`` runs
+    and after ``fire`` raises, as consecutive ``schedule_at`` calls
+    would have left the rest of their events."""
+
+    __slots__ = ("_loop", "_times", "_first", "_fire", "_order", "_position")
+
+    def __init__(self, loop: EventLoop, times: Sequence[float], first: int, fire):
+        self._loop = loop
+        self._times = times
+        self._first = first
+        self._fire = fire
+        # A stable sort by time is the (time, first + i) order.
+        self._order = sorted(range(len(times)), key=times.__getitem__)
+        self._position = 0
+
+    def push_first(self) -> None:
+        index = self._order[0]
+        self._loop._waiting += len(self._order) - 1
+        heappush(self._loop._heap, (self._times[index], self._first + index, self))
+
+    def __call__(self) -> None:
+        order = self._order
+        position = self._position
+        index = order[position]
+        position += 1
+        self._position = position
+        if position < len(order):
+            following = order[position]
+            loop = self._loop
+            loop._waiting -= 1
+            heappush(loop._heap, (self._times[following], self._first + following, self))
+        self._fire(index)

@@ -115,8 +115,8 @@ class RunMetrics:
     #: packet counts per (device, program version) pair.
     version_counts: dict[tuple[str, int], int] = field(default_factory=dict)
 
-    def record_sent(self) -> None:
-        self.sent += 1
+    def record_sent(self, count: int = 1) -> None:
+        self.sent += count
 
     def record_outcome(self, packet: Packet) -> None:
         verdict = packet.verdict

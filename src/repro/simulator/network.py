@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
+from itertools import compress
 from typing import Protocol
 
 from repro.errors import SimulationError
@@ -174,53 +175,105 @@ class Network:
         metrics: RunMetrics | None = None,
         on_done: Callable[[Packet], None] | None = None,
     ) -> None:
-        """Send a packet along a path, starting at ``at_time``."""
-        # A route is shared by every flight on its path: a flight only reads it.
-        key = path if isinstance(path, str) else tuple(path)
-        route = self._routes.get(key) or self._resolve(key)
-        if metrics is not None:
-            metrics.record_sent()
-        owned = self._owned
-        if owned is not None and route.hops[0] not in owned:
-            self._on_handoff(packet, route.hops, 0, at_time)
-            return
-        self._schedule_arrival(at_time, packet, route, 0, metrics, on_done)
+        """Send a packet along a path, starting at ``at_time``: the
+        one-packet :meth:`inject_series`."""
+        self.inject_series((packet,), (path,), (at_time,), metrics, on_done)
 
-    def receive(
+    def inject_series(
         self,
-        packet: Packet,
-        hops: Sequence[str],
-        index: int,
-        at_time: float,
+        packets: Sequence[Packet],
+        paths: Sequence[str | Sequence[str]],
+        times: Sequence[float],
         metrics: RunMetrics | None = None,
         on_done: Callable[[Packet], None] | None = None,
     ) -> None:
-        """Accept a handed-off packet at its exact precomputed arrival
-        time (the FlexScale shard runtime calls this after draining its
-        handoff queue in canonical order)."""
-        key = hops if isinstance(hops, tuple) else tuple(hops)
-        route = self._routes.get(key) or self._resolve(key)
-        self._schedule_arrival(at_time, packet, route, index, metrics, on_done)
+        """Send ``packets[i]`` along ``paths[i]``, starting at ``times[i]``.
+
+        The packets whose first hop this network owns arrive as one
+        :meth:`EventLoop.schedule_series`: the event keys of one
+        ``schedule_at`` per packet in input order, with a packet's flight
+        made when it arrives. The others are handed off in input order.
+        Every path is resolved and every arrival time checked before a
+        packet is counted as sent."""
+        routes = self._routes_of(paths)
+        count, owned, away = len(routes), self._owned, ()
+        here = None if owned is None else [route.hops[0] in owned for route in routes]
+        if here is not None and not all(here):
+            away = [
+                (packet, route.hops, at_time)
+                for packet, route, at_time, local in zip(packets, routes, times, here)
+                if not local
+            ]
+            packets, routes, times = (
+                list(compress(items, here)) for items in (packets, routes, times)
+            )
+        self._arrive(packets, routes, [0] * len(routes), times, metrics, on_done)
+        if metrics is not None:
+            metrics.record_sent(count)
+        for packet, hops, at_time in away:
+            self._on_handoff(packet, hops, 0, at_time)
+
+    def receive_series(
+        self,
+        packets: Sequence[Packet],
+        hops: Sequence[Sequence[str]],
+        indices: Sequence[int],
+        times: Sequence[float],
+        metrics: RunMetrics | None = None,
+        on_done: Callable[[Packet], None] | None = None,
+    ) -> None:
+        """Accept handed-off packets, ``packets[i]`` at hop ``indices[i]``
+        of ``hops[i]`` at its exact precomputed arrival time (the
+        FlexScale shard runtime calls this with its handoff queue
+        drained in canonical order, which is the input order here)."""
+        self._arrive(packets, self._routes_of(hops), indices, times, metrics, on_done)
+
+    def _routes_of(self, paths: Sequence[str | Sequence[str]]) -> list[Route]:
+        """The route of each path (a path name or a hop list)."""
+        routes = []
+        for path in paths:
+            key = path if isinstance(path, str) else tuple(path)
+            routes.append(self._routes.get(key) or self._resolve(key))
+        return routes
+
+    def _arrive(
+        self,
+        packets: Sequence[Packet],
+        routes: Sequence[Route],
+        indices: Sequence[int],
+        times: Sequence[float],
+        metrics: RunMetrics | None,
+        on_done: Callable[[Packet], None] | None,
+    ) -> None:
+        """Schedule ``packets[i]``'s arrival at hop ``indices[i]`` of
+        ``routes[i]`` at ``times[i]``, as one series of the loop (a route
+        is shared by every flight on its path: a flight only reads it)."""
+        fly = self._schedule_arrival
+
+        def arrival(index: int) -> None:
+            fly(packets[index], routes[index], indices[index], metrics, on_done)
+
+        self.loop.schedule_series(times, arrival)
 
     def _schedule_arrival(
         self,
-        at_time: float,
         packet: Packet,
         route: Route,
         index: int,
         metrics: RunMetrics | None,
         on_done: Callable[[Packet], None] | None,
     ) -> None:
-        """Put the packet in flight: one callable per packet, which runs
-        an arrival, advances its own ``index`` along the route and
-        re-schedules *itself* for the next hop (so a hop allocates
-        nothing and costs one frame above the node). It drops its
-        self-reference when it finishes or hands off, so the refcount
-        frees it with the packet. Every variable it closes over is one
-        more cell per packet for the cyclic GC to walk while the packet
-        is in flight (one cell is ~0.1-0.3 us of ``inject`` per packet on
-        ``fabric_forward``, whose 4000 flights are live at once), so the
-        route carries the hops and the loop is read off ``self`` per hop."""
+        """Run the packet's arrival at hop ``index`` now and keep it in
+        flight: one callable per packet, made here on its first arrival
+        (not when it is injected), which runs an arrival, advances its
+        own ``index`` along the route and re-schedules *itself* for the
+        next hop (so a hop allocates nothing and costs one frame above
+        the node). It drops its self-reference when it finishes or hands
+        off, so the refcount frees it with the packet. Every variable it
+        closes over is one more cell per packet for the cyclic GC to walk
+        while the packet is in flight, so the route carries the hops and
+        the loop is read off ``self`` per hop. The perf ledger's trace
+        probe (``perf/layers.py``) knows a hop by this method's name."""
 
         def flight() -> None:
             nonlocal index, flight
@@ -254,7 +307,7 @@ class Network:
             flight = None
             self._finish(packet, metrics, on_done)
 
-        self.loop.schedule_at(at_time, flight)
+        flight()
 
     def _finish(
         self,

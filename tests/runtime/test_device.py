@@ -627,3 +627,202 @@ def test_pod_fabric_accounting_is_pinned(rate_pps):
         )
     assert stats == POD_FABRIC_STATS[rate_pps]
     assert report.to_dict() == POD_FABRIC_REPORTS[rate_pps]
+
+
+#: The live-update cycle of the ``reconfig_live`` workload.
+PROBE_CYCLE = ("int_probe_delta", "remove_probe_delta", "dctcp_delta", "remove_cc_delta")
+
+
+def _live_slice(packets, rate_pps):
+    """The standard slice under traffic, with ``PROBE_CYCLE`` applied
+    live and evenly spread over it at ``PER_PACKET_PATH``; returns the
+    net, the traffic, the outcomes list (filled as the run goes) and
+    the thunk that runs the traffic."""
+    from functools import partial
+
+    from repro import apps
+    from repro.runtime.consistency import ConsistencyLevel
+    from repro.scale import e20_workload
+    from repro.simulator.packet import reset_packet_ids
+
+    level = ConsistencyLevel.PER_PACKET_PATH
+    reset_packet_ids()
+    net = FlexNet.standard()
+    net.install(base_infrastructure())
+    net.engine(fastpath=True)
+    traffic = e20_workload(packets, rate_pps=rate_pps, seed=7)
+    span = traffic[-1].time
+    outcomes = []
+
+    def update(name):
+        outcomes.append(net.update(getattr(apps, name)(), consistency=level))
+
+    for index, name in enumerate(PROBE_CYCLE):
+        net.schedule(span * (index + 1) / (len(PROBE_CYCLE) + 1), partial(update, name))
+
+    def run():
+        return net.run_traffic(packets=traffic, extra_time_s=0.5, consistency_level=level)
+
+    return net, traffic, outcomes, run
+
+
+def _stats(**changed):
+    fields = dict(
+        processed=800, dropped_by_program=0, total_ops=2400, per_version={1: 800},
+        reconfigurations=0, drain_windows=0, queue_drops=0, max_queue_depth=0,
+        crashes=0, restarts=0, stale_rejections=0,
+    )
+    return {**fields, **changed}
+
+
+LIVE_SLICE_STATS = {
+    "h1": _stats(energy_nj="0x1.2c00000000000p+14"),
+    "h2": _stats(energy_nj="0x1.2c00000000000p+14"),
+    "nic1": _stats(energy_nj="0x1.2c00000000000p+13"),
+    "nic2": _stats(
+        energy_nj="0x1.d454000000000p+17", total_ops=59946,
+        per_version={1: 539, 4: 138, 5: 123}, reconfigurations=2,
+    ),
+    "sw1": _stats(
+        energy_nj="0x1.5238000000000p+13", total_ops=21646,
+        per_version={1: 248, 2: 108, 3: 183, 4: 138, 5: 123}, reconfigurations=4,
+    ),
+}
+LIVE_SLICE_REPORT = {
+    "consistency": {
+        "holds": True, "level": "PER_PACKET_PATH", "packets_checked": 800, "violations": 0,
+    },
+    "metrics": {
+        "delivered": 800,
+        "delivery_rate": 1.0,
+        "dropped_by_program": 0,
+        "latency": {
+            "count": 800,
+            "max_s": 3.4959e-05,
+            "mean_s": 3.2196e-05,
+            "min_s": 3.1619e-05,
+            "p50_s": 3.1619e-05,
+            "p99_s": 3.4959e-05,
+        },
+        "loss_rate": 0.0,
+        "lost_by_infrastructure": 0,
+        "sent": 800,
+        "version_counts": {
+            "nic2@v4": 138, "sw1@v1": 248, "sw1@v2": 108, "sw1@v3": 183, "sw1@v4": 138,
+            "sw1@v5": 123,
+        },
+        "version_mixtures": 0,
+    },
+    "telemetry": {"total_digests": 108, "total_events": 0},
+}
+
+
+def _transition(started_at, finished_at, windows, steps):
+    return {
+        "started_at": started_at, "finished_at": finished_at, "device_windows": windows,
+        "steps_applied": steps, "migrations": [], "reflashed_devices": [],
+        "commands_dropped": 0, "command_retries": 0, "stranded_commands": [],
+        "deferred_starts": [], "migration_retries": 0, "failed_migrations": 0,
+        "stale_rejected": 0, "undispatched": [],
+    }
+
+
+LIVE_SLICE_TRANSITIONS = [
+    _transition(
+        0.37058326204835274, 0.7205832620483528,
+        {"sw1": (0.37058326204835274, 0.7205832620483528)}, 1,
+    ),
+    _transition(
+        0.7411665240967055, 0.9411665240967055,
+        {"sw1": (0.7411665240967055, 0.9411665240967055)}, 1,
+    ),
+    _transition(
+        1.1117497861450583, 1.4627497861450582,
+        {
+            "nic2": (1.1117497861450583, 1.4627497861450582),
+            "sw1": (1.1117497861450583, 1.4617497861450581),
+        },
+        3,
+    ),
+    _transition(
+        1.482333048193411, 1.683333048193411,
+        {
+            "nic2": (1.482333048193411, 1.683333048193411),
+            "sw1": (1.482333048193411, 1.682333048193411),
+        },
+        3,
+    ),
+]
+
+
+def test_live_update_run_is_pinned():
+    """Golden run of the paper's defining operation: four updates of the
+    ``reconfig_live`` cycle land on the standard slice while 800 packets
+    flow. Which packet meets which version depends on every event's
+    ``(time, seq)`` key, so the traffic report, every device's counters
+    (``energy_nj`` to the bit), the per-version counts, each update's
+    transition and a digest of every packet's arrival are pinned."""
+    import hashlib
+
+    net, traffic, outcomes, run = _live_slice(800, 400.0)
+    report = run()
+    stats = {}
+    for name in sorted(net.controller.devices):
+        device = dataclasses.asdict(net.device(name).stats)
+        device["energy_nj"] = device["energy_nj"].hex()
+        stats[name] = device
+    assert report.to_dict() == LIVE_SLICE_REPORT
+    assert stats == LIVE_SLICE_STATS
+    assert report.metrics.versions_on("sw1") == {1: 248, 2: 108, 3: 183, 4: 138, 5: 123}
+    assert [dataclasses.asdict(outcome.report) for outcome in outcomes] == LIVE_SLICE_TRANSITIONS
+    arrivals = repr(
+        [
+            (timed.packet.packet_id, timed.packet.delivered_at.hex(),
+             sorted(timed.packet.versions_seen.items()))
+            for timed in traffic
+        ]
+    )
+    assert hashlib.sha256(arrivals.encode()).hexdigest() == (
+        "0f3206c057c520066fc8d39968fb4b1534820dd0af85c1bca23e8729c2c73989"
+    )
+
+
+def test_the_heap_holds_only_what_is_in_the_air(monkeypatch):
+    """A run's injections enter the loop one at a time: at every hop of
+    a 2000-packet live run the heap holds no more than the packets in
+    flight, the control events and one injection."""
+    from repro.simulator.metrics import RunMetrics
+
+    counts = {"arrived": 0, "finished": 0, "excess": 0, "checks": 0}
+    record_outcome = RunMetrics.record_outcome
+
+    def counting(self, packet):
+        counts["finished"] += 1
+        record_outcome(self, packet)
+
+    monkeypatch.setattr(RunMetrics, "record_outcome", counting)
+    net, _, outcomes, run = _live_slice(2000, 1000.0)
+    heap = net.loop._heap
+    first = net.controller.network.path("datapath")[0]
+
+    def observing(device):
+        process = device.process
+
+        def observed(packet, now):
+            counts["arrived"] += device.name == first
+            flights = sum(getattr(event, "__name__", "") == "flight" for _, _, event in heap)
+            series = sum(type(event).__name__ == "_Series" for _, _, event in heap)
+            control = len(heap) - flights - series
+            in_flight = counts["arrived"] - counts["finished"]
+            counts["excess"] = max(counts["excess"], len(heap) - (in_flight + control + 1))
+            counts["checks"] += 1
+            return process(packet, now)
+
+        return observed
+
+    for device in net.controller.devices.values():
+        device.process = observing(device)
+    report = run()
+    assert report.metrics.delivered == counts["arrived"] == counts["finished"] == 2000
+    assert counts["checks"] == 2000 * 5 and len(outcomes) == len(PROBE_CYCLE)
+    assert counts["excess"] <= 0

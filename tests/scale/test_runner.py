@@ -19,7 +19,7 @@ from repro.faults import FaultPlan, HandoffDrop, WorkerCrash
 from repro.observe.report import divergences
 from repro.scale import plan_shards, run_sharded
 from repro.scale.mend import Supervisor
-from repro.scale.runner import _engines, _merge_results, build_engines
+from repro.scale.runner import _assign_injections, _engines, _merge_results, build_engines
 from repro.scale.shard import run_inline
 from repro.simulator.metrics import RunMetrics
 from repro.scale.workload import e20_workload, pod_fabric
@@ -218,6 +218,20 @@ class TestFailureModes:
         net, workload = _arm()
         with pytest.raises(SimulationError):
             run_sharded(net, workload, 2, backend="threads", drain_s=DRAIN_S)
+
+    def test_injections_beyond_the_horizon_are_counted(self):
+        """An unfired injection is a pending event: a shard whose
+        injections lie past the end horizon names every one of them."""
+        net, workload = _arm()
+        plan, per_shard = _assign_injections(
+            net, plan_shards(net.controller, 2, seed=11), workload
+        )
+        engines = _engines(net, plan, per_shard, end_time=workload[0].time / 2)
+        run_inline(engines)
+        source = next(shard for shard, items in per_shard.items() if items)
+        assert engines[source].loop.pending() == len(workload)
+        with pytest.raises(SimulationError, match=rf"{len(workload)} event\(s\) beyond"):
+            engines[source].result()
 
     def test_inline_engines_expose_protocol_state(self):
         net, workload = _arm()

@@ -112,3 +112,45 @@ class TestRunUntil:
         loop.run_until(5.0)
         with pytest.raises(SimulationError):
             loop.run_until(1.0)
+
+
+class TestSeries:
+    def test_entries_run_in_time_then_input_order(self):
+        loop = EventLoop()
+        order = []
+        loop.schedule_series([2.0, 1.0, 2.0, 1.0], order.append)
+        assert (loop._sequence, loop.pending()) == (4, 4)
+        # One entry in the heap at a time, under the key the i-th
+        # schedule_at call would have given it: (times[i], first + i).
+        assert [key[:2] for key in loop._heap] == [(1.0, 1)]
+        loop.run_until(1.0)
+        assert [key[:2] for key in loop._heap] == [(2.0, 0)]
+        assert loop.pending() == 2
+        loop.run()
+        assert order == [1, 3, 0, 2]
+
+    def test_an_event_scheduled_between_keeps_its_place(self):
+        loop = EventLoop()
+        order = []
+        loop.schedule_at(1.0, lambda: order.append("before"))
+        loop.schedule_series([1.0, 1.0], order.append)
+        loop.schedule_at(1.0, lambda: order.append("after"))
+        loop.run()
+        assert order == ["before", 0, 1, "after"]
+
+    def test_a_time_before_now_raises_before_anything_is_reserved(self):
+        loop = EventLoop()
+        loop.run_until(1.0)
+        fired = []
+        with pytest.raises(
+            SimulationError, match=r"^cannot schedule at 0\.5 s, before current time 1\.0 s$"
+        ):
+            loop.schedule_series([1.0, 0.5, 0.25], fired.append)
+        assert (loop._sequence, loop.pending(), loop._heap) == (0, 0, [])
+        loop.run()
+        assert fired == []
+
+    def test_an_empty_series_reserves_nothing(self):
+        loop = EventLoop()
+        loop.schedule_series([], lambda index: None)
+        assert (loop._sequence, loop.pending(), loop._heap) == (0, 0, [])

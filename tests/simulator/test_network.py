@@ -174,9 +174,12 @@ class TestFlight:
         first, second = make_packet(1, 2), make_packet(3, 4)
         net.inject(first, "p", 0.0)
         net.inject(second, "p", 0.0)
+        assert callbacks == []  # a flight is made when its packet arrives
         net.loop.run()
         assert first.path == second.path == ["a", "b", "c"]
-        assert len(callbacks) == 6  # one event per hop, as ever
+        # The first hop runs in its injection event, every later hop is
+        # one event of its own: one seq per hop, as ever.
+        assert len(callbacks) == 4 and net.loop._sequence == 6
         assert len({id(callback) for callback in callbacks}) == 2  # but no per-hop allocation
         # perf/layers.py recognises an arrival by this prefix.
         assert callbacks[0].__qualname__.startswith("Network._schedule_arrival")
@@ -198,10 +201,10 @@ class TestFlight:
         gc.disable()
         try:
             net.inject(make_packet(1, 2), "p", 0.0)
-            flight = weakref.ref(callbacks.pop())
             net.loop.run()
+            flights = [weakref.ref(callback) for callback in callbacks]
             del callbacks[:]
-            assert flight() is None
+            assert flights and all(flight() is None for flight in flights)
         finally:
             gc.enable()
         assert len(handoffs) == (ending == "handed_off")
@@ -282,10 +285,58 @@ class TestRoutes:
         reference.inject(packets[1], "p", 0.0)
         reference.loop.run()
         (packet, hops, index, arrival), = handoffs
-        downstream.receive(packet, tuple(hops), index, arrival, metrics)
+        downstream.receive_series([packet], [tuple(hops)], [index], [arrival], metrics)
         downstream.loop.run()
         assert packet.path == ["a", "b", "c"] and metrics.delivered == 1
         assert packet.latency_s == packets[1].latency_s
+
+
+class TestInjectionSeries:
+    """A run's packets enter the loop as one series: the keys, the
+    handoff order and the counts of one ``inject`` per packet."""
+
+    def test_a_time_before_now_is_not_counted_as_sent(self):
+        """Regression: a rejected injection counted as sent broke the
+        run's sent = delivered + dropped + lost."""
+        net = three_hop_network()
+        net.loop.run_until(1.0)
+        metrics = RunMetrics()
+        with pytest.raises(SimulationError, match="at 0.5 s, before current time 1.0 s"):
+            net.inject(make_packet(1, 2), "p", 0.5, metrics)
+        assert metrics.sent == 0 and net.loop._sequence == 0
+        with pytest.raises(SimulationError, match="cannot schedule at 0.5 s"):
+            net.inject_series([make_packet(1, 2)] * 2, ["p", "p"], [1.5, 0.5], metrics)
+        assert metrics.sent == 0 and net.loop._sequence == 0 and net.loop.pending() == 0
+
+    def test_a_series_is_one_inject_per_packet(self):
+        def run(as_series):
+            handoffs = []
+            net = three_hop_network(
+                owned={"a", "b"}, on_handoff=lambda *handoff: handoffs.append(handoff)
+            )
+            packets = [make_packet(1, 2, created_at=0.0) for _ in range(6)]
+            paths = ["p", ["c"], "p", ["b", "c"], ["c"], "p"]
+            times = [0.5, 0.0, 0.0, 0.5, 0.25, 0.0]
+            metrics = RunMetrics()
+            if as_series:
+                net.inject_series(packets, paths, times, metrics)
+            else:
+                for packet, path, at_time in zip(packets, paths, times):
+                    net.inject(packet, path, at_time, metrics)
+            scheduled = net.loop._sequence
+            net.loop.run()
+            return (
+                [packet.path for packet in packets],
+                [(packets.index(packet), hops, index, at) for packet, hops, index, at in handoffs],
+                scheduled,
+                net.loop._sequence,
+                metrics.sent,
+            )
+
+        assert run(True) == run(False)
+        paths, handoffs, scheduled, _, sent = run(True)
+        assert sent == 6 and scheduled == 4  # a handed-off packet takes no seq
+        assert [handoff[0] for handoff in handoffs[:2]] == [1, 4]  # in input order
 
 
 class TestMetrics:
