@@ -22,6 +22,21 @@ it):
   (a stable sort by time is the ``(time, seq)`` order) when it fires.
   Every time is checked against ``now`` before a seq is taken, and
   :meth:`EventLoop.pending` counts the unfired entries.
+* A time is a number no earlier than ``now``: a NaN, which compares
+  false with everything and would stall the loop at the heap top, is
+  rejected like a time in the past, before a seq is taken.
+* A continuation may run inline instead of being pushed: a caller that
+  would ``schedule_at(time, ...)`` an event which is certain to be the
+  loop's next pop may run it at once, without the push. It is certain
+  when ``time`` is strictly earlier than the heap top (an equal time
+  loses the tie, since the entry already in the heap has the lower
+  seq), within the end time of the drain in progress (``-inf`` outside
+  a drain) and no earlier than ``now``. The inline run takes the seq
+  the push would have taken (``_sequence += 1``) and sets the clock a
+  pop would have set (``_now = time``), so the ``(time, seq)`` order,
+  every later tie-break and the event count stay what the push gave.
+  The packet transport (:class:`repro.simulator.network.Network`) is
+  the one such caller.
 
 Callers that inject externally-produced events (the FlexScale shard
 runtime draining a handoff queue) must therefore insert them in a
@@ -56,6 +71,9 @@ class EventLoop:
         self._heap: list[tuple[float, int, Callable[[], None]]] = []
         self._sequence = 0
         self._now = 0.0
+        #: the end time of the drain in progress (``-inf`` outside one):
+        #: an event at or before it is popped by this drain.
+        self._end_time = -math.inf
         #: series entries not yet in the heap (each series holds one there).
         self._waiting = 0
 
@@ -68,7 +86,9 @@ class EventLoop:
 
         Returns the event's sequence number — the tie-break half of the
         ``(time, seq)`` ordering contract."""
-        if delay < 0:
+        if not delay >= 0:
+            if math.isnan(delay):
+                raise _refused(delay, self._now)
             raise SimulationError(f"cannot schedule {delay} s in the past")
         sequence = self._sequence
         self._sequence = sequence + 1
@@ -83,10 +103,8 @@ class EventLoop:
         trip), so cross-loop handoffs that carry absolute times stay
         bit-identical to the loop that produced them.
         """
-        if time < self._now:
-            raise SimulationError(
-                f"cannot schedule at {time} s, before current time {self._now} s"
-            )
+        if not time >= self._now:
+            raise _refused(time, self._now)
         sequence = self._sequence
         self._sequence = sequence + 1
         heappush(self._heap, (time, sequence, callback))
@@ -98,14 +116,14 @@ class EventLoop:
         order (entry ``i`` runs under ``(times[i], first + i)``, ``first``
         being the counter's value now), holding one heap slot at a time.
 
-        Every time is checked first, so a time before ``now`` raises
-        before any sequence number is taken. The loop keeps ``times``
-        until the last entry fires; the caller must not change it.
+        Every time is checked first, so a time before ``now`` (or a NaN)
+        raises before any sequence number is taken. The loop keeps
+        ``times`` until the last entry fires; the caller must not change
+        it.
         """
         now = self._now
-        if times and min(times) < now:
-            late = next(time for time in times if time < now)
-            raise SimulationError(f"cannot schedule at {late} s, before current time {now} s")
+        if not all(time >= now for time in times):
+            raise _refused(next(time for time in times if not time >= now), now)
         first = self._sequence
         self._sequence = first + len(times)
         if times:
@@ -113,9 +131,14 @@ class EventLoop:
 
     def _drain(self, end_time: float) -> None:
         heap = self._heap
-        while heap and heap[0][0] <= end_time:
-            self._now, _, callback = heappop(heap)
-            callback()
+        outer = self._end_time
+        self._end_time = end_time
+        try:
+            while heap and heap[0][0] <= end_time:
+                self._now, _, callback = heappop(heap)
+                callback()
+        finally:
+            self._end_time = outer
 
     def run_until(self, end_time: float) -> None:
         """Process events with time <= ``end_time``; advance the clock."""
@@ -133,6 +156,15 @@ class EventLoop:
     def pending(self) -> int:
         """Events not yet run, unfired series entries included."""
         return len(self._heap) + self._waiting
+
+
+def _refused(time: float, now: float) -> SimulationError:
+    """Why a loop at ``now`` refuses ``time``: a NaN (it compares false
+    with everything, so at the heap top it would stop the drain) or a
+    time in the past."""
+    if math.isnan(time):
+        return SimulationError(f"cannot schedule at {time} s: not a time")
+    return SimulationError(f"cannot schedule at {time} s, before current time {now} s")
 
 
 class _Series:

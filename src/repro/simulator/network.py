@@ -268,42 +268,63 @@ class Network:
         (not when it is injected), which runs an arrival, advances its
         own ``index`` along the route and re-schedules *itself* for the
         next hop (so a hop allocates nothing and costs one frame above
-        the node). It drops its self-reference when it finishes or hands
-        off, so the refcount frees it with the packet. Every variable it
-        closes over is one more cell per packet for the cyclic GC to walk
-        while the packet is in flight, so the route carries the hops and
-        the loop is read off ``self`` per hop. The perf ledger's trace
-        probe (``perf/layers.py``) knows a hop by this method's name."""
+        the node). A next hop that would be the loop's next pop anyway
+        (strictly earlier than the heap top, within the drain's end)
+        runs inline in the same call, under the seq and the clock the
+        pop would have given it, so a packet alone on the wire runs its
+        whole path in one event. It drops its self-reference when it
+        finishes or hands off, so the refcount frees it with the packet.
+        Every variable it closes over is one more cell per packet for
+        the cyclic GC to walk while the packet is in flight, so the route
+        carries the hops and the loop is read off ``self`` per call. The
+        perf ledger's trace probe (``perf/layers.py``) knows a pushed hop
+        by this method's name; an inlined hop is part of the event that
+        ran it."""
 
         def flight() -> None:
             nonlocal index, flight
             loop = self.loop
-            now = loop._now  # noqa: SLF001 - hot path (the ``now`` property is a frame)
-            name, node, latency_s, local = route.steps[index]
-            if node is None:
-                raise SimulationError(f"unknown node {name!r}")
-            if not node.available(now):
-                packet.verdict = _LOST
-            else:
+            heap = loop._heap  # noqa: SLF001 - the inline test reads the heap top
+            while True:
+                now = loop._now  # noqa: SLF001 - hot path (the ``now`` property is a frame)
+                name, node, latency_s, local = route.steps[index]
+                if node is None:
+                    raise SimulationError(f"unknown node {name!r}")
+                if not node.available(now):
+                    packet.verdict = _LOST
+                    break
                 processing_s = node.process(packet, now)
                 packet.path.append(name)
                 # A program drop or queue overflow goes no further.
-                if packet.verdict is _FORWARD:
-                    if local is None:
-                        packet.delivered_at = now + processing_s
-                    else:
-                        index += 1
-                        if latency_s is None:
-                            raise SimulationError(f"no link {name!r} -> {route.hops[index]!r}")
-                        arrival = now + (processing_s + latency_s)
-                        if local:
-                            loop.schedule_at(arrival, flight)
-                        else:
-                            # Cross-shard handoff: ship the exact arrival
-                            # timestamp the local schedule would have used.
-                            flight = None
-                            self._on_handoff(packet, route.hops, index, arrival)
-                        return
+                if packet.verdict is not _FORWARD:
+                    break
+                if local is None:
+                    packet.delivered_at = now + processing_s
+                    break
+                index += 1
+                if latency_s is None:
+                    raise SimulationError(f"no link {name!r} -> {route.hops[index]!r}")
+                arrival = now + (processing_s + latency_s)
+                if not local:
+                    # Cross-shard handoff: ship the exact arrival
+                    # timestamp the local schedule would have used.
+                    flight = None
+                    self._on_handoff(packet, route.hops, index, arrival)
+                    return
+                # A next hop that is the loop's next pop runs here, under
+                # the seq and the clock the pop would have given it (see
+                # the engine's ordering contract). The heap-top compare
+                # goes first: it is the one a busy fabric fails.
+                if (
+                    (not heap or arrival < heap[0][0])
+                    and arrival <= loop._end_time  # noqa: SLF001
+                    and arrival >= now
+                ):
+                    loop._sequence += 1  # noqa: SLF001
+                    loop._now = arrival  # noqa: SLF001
+                    continue
+                loop.schedule_at(arrival, flight)
+                return
             flight = None
             self._finish(packet, metrics, on_done)
 

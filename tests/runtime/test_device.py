@@ -790,7 +790,10 @@ def test_live_update_run_is_pinned():
 def test_the_heap_holds_only_what_is_in_the_air(monkeypatch):
     """A run's injections enter the loop one at a time: at every hop of
     a 2000-packet live run the heap holds no more than the packets in
-    flight, the control events and one injection."""
+    flight, the control events and one injection. A packet alone on the
+    wire runs its whole path in its injection event: its flight never
+    enters the heap."""
+    from repro.simulator import engine
     from repro.simulator.metrics import RunMetrics
 
     counts = {"arrived": 0, "finished": 0, "excess": 0, "checks": 0}
@@ -826,3 +829,15 @@ def test_the_heap_holds_only_what_is_in_the_air(monkeypatch):
     assert report.metrics.delivered == counts["arrived"] == counts["finished"] == 2000
     assert counts["checks"] == 2000 * 5 and len(outcomes) == len(PROBE_CYCLE)
     assert counts["excess"] <= 0
+
+    pushed, heappush = [], engine.heappush
+
+    def recording(heap, entry):
+        pushed.append(getattr(entry[2], "__name__", type(entry[2]).__name__))
+        heappush(heap, entry)
+
+    monkeypatch.setattr(engine, "heappush", recording)
+    lone = TimedPacket(net.loop.now + 1e-3, make_packet(1, 2))
+    report = net.run_traffic(packets=[lone], extra_time_s=0.5)
+    assert report.metrics.delivered == 1 and counts["checks"] == 2000 * 5 + 5
+    assert pushed == ["_Series"]

@@ -1,5 +1,7 @@
 """Discrete-event loop tests."""
 
+import math
+
 import pytest
 
 from repro.errors import SimulationError
@@ -67,6 +69,20 @@ class TestScheduling:
         with pytest.raises(SimulationError):
             EventLoop().schedule(-1.0, lambda: None)
 
+    @pytest.mark.parametrize("entry", ["schedule", "schedule_at"])
+    def test_a_nan_time_is_rejected_before_a_seq_is_taken(self, entry):
+        """Regression: a NaN passed the ``time < now`` check, and at the
+        heap top it stopped the drain: ``run()`` returned with events
+        still pending."""
+        loop = EventLoop()
+        fired = []
+        loop.schedule(1.0, lambda: fired.append(1))
+        with pytest.raises(SimulationError, match=r"^cannot schedule at nan s: not a time$"):
+            getattr(loop, entry)(math.nan, lambda: fired.append("nan"))
+        assert (loop._sequence, loop.pending()) == (1, 1)
+        loop.run()
+        assert fired == [1] and loop.pending() == 0
+
     def test_schedule_at_absolute(self):
         loop = EventLoop()
         loop.run_until(5.0)
@@ -107,6 +123,31 @@ class TestRunUntil:
         loop.run_until(2.0)
         assert seen == [1]
 
+    def test_a_drain_keeps_its_end_time_across_a_nested_drain(self):
+        """A flight inlines a hop only within the end time of the drain
+        in progress: a nested drain has its own, the outer one gets its
+        own back, and outside a drain (or after a raise) it is -inf."""
+        loop = EventLoop()
+        seen = []
+
+        def outer():
+            seen.append(loop._end_time)
+            loop.run_until(1.5)
+            seen.append(loop._end_time)
+
+        def inner():
+            seen.append(loop._end_time)
+            raise RuntimeError("inner")
+
+        loop.schedule_at(1.0, outer)
+        loop.schedule_at(1.25, lambda: seen.append(loop._end_time))
+        loop.run_until(2.0)
+        assert seen == [2.0, 1.5, 2.0] and loop._end_time == -math.inf
+        loop.schedule_at(3.0, inner)
+        with pytest.raises(RuntimeError):
+            loop.run()
+        assert seen[-1] == math.inf and loop._end_time == -math.inf
+
     def test_backwards_run_until_rejected(self):
         loop = EventLoop()
         loop.run_until(5.0)
@@ -146,6 +187,21 @@ class TestSeries:
             SimulationError, match=r"^cannot schedule at 0\.5 s, before current time 1\.0 s$"
         ):
             loop.schedule_series([1.0, 0.5, 0.25], fired.append)
+        assert (loop._sequence, loop.pending(), loop._heap) == (0, 0, [])
+        loop.run()
+        assert fired == []
+
+    @pytest.mark.parametrize(
+        "times", [[math.nan, 1.0, 0.5], [1.0, math.nan, 0.5], [1.0, 0.5, math.nan]]
+    )
+    def test_a_nan_time_raises_wherever_it_sits(self, times):
+        """Regression: ``min()`` over a list with a NaN depends on where
+        the NaN sits, so ``[nan, 1.0, 0.5]`` was scheduled, and ``run()``
+        then fired none of the three entries."""
+        loop = EventLoop()
+        fired = []
+        with pytest.raises(SimulationError, match=r"^cannot schedule at nan s: not a time$"):
+            loop.schedule_series(times, fired.append)
         assert (loop._sequence, loop.pending(), loop._heap) == (0, 0, [])
         loop.run()
         assert fired == []

@@ -1,7 +1,9 @@
 """Network transport tests."""
 
 import gc
+import math
 import weakref
+from types import FunctionType
 
 import pytest
 
@@ -152,6 +154,14 @@ def three_hop_network(**kwargs):
     return net
 
 
+def live_flights():
+    """The flight closures alive now (the collector tracks functions)."""
+    return sum(
+        type(thing) is FunctionType and thing.__qualname__.endswith("<locals>.flight")
+        for thing in gc.get_objects()
+    )
+
+
 def scheduled_callbacks(net):
     """Every callback handed to ``schedule_at`` from here on, in order."""
     callbacks = []
@@ -178,7 +188,8 @@ class TestFlight:
         net.loop.run()
         assert first.path == second.path == ["a", "b", "c"]
         # The first hop runs in its injection event, every later hop is
-        # one event of its own: one seq per hop, as ever.
+        # one event of its own (the other packet is due first, or at the
+        # same time, so no hop is the next pop): one seq per hop, as ever.
         assert len(callbacks) == 4 and net.loop._sequence == 6
         assert len({id(callback) for callback in callbacks}) == 2  # but no per-hop allocation
         # perf/layers.py recognises an arrival by this prefix.
@@ -188,26 +199,87 @@ class TestFlight:
     def test_flight_is_freed_with_its_packet_without_the_cyclic_gc(self, ending):
         """Regression: a self-rescheduling closure is a reference cycle;
         it must be broken when the packet finishes or leaves the shard,
-        or flights pile up until a collection (+10% peak RSS)."""
-        handoffs = []
-        net = three_hop_network(
-            owned={"a", "b"} if ending == "handed_off" else None,
-            on_handoff=lambda *handoff: handoffs.append(handoff),
-        )
-        net.node("b").drop = ending == "dropped"
-        net.node("b").down_until = 1.0 if ending == "lost" else 0.0
-        callbacks = scheduled_callbacks(net)
-        gc.collect()
-        gc.disable()
-        try:
-            net.inject(make_packet(1, 2), "p", 0.0)
+        or flights pile up until a collection (+10% peak RSS). Checked
+        for a packet alone on the wire, whose flight runs every hop
+        inline and never reaches ``schedule_at``, and for one that a
+        competing event forces through the heap."""
+        for competing in (False, True):
+            handoffs = []
+            net = three_hop_network(
+                owned={"a", "b"} if ending == "handed_off" else None,
+                on_handoff=lambda *handoff: handoffs.append(handoff),
+            )
+            net.node("b").drop = ending == "dropped"
+            net.node("b").down_until = 1.0 if ending == "lost" else 0.0
+            if competing:
+                # Due before the packet reaches b: the hop a -> b is pushed.
+                net.loop.schedule_at(0.5e-3, lambda: None)
+            alive, process = [], net.node("b").process
+
+            def counting(packet, now, process=process):
+                alive.append(live_flights())
+                return process(packet, now)
+
+            net.node("b").process = counting
+            callbacks = scheduled_callbacks(net)
+            gc.collect()
+            gc.disable()
+            try:
+                net.inject(make_packet(1, 2), "p", 0.0)
+                net.loop.run()
+                flights = [weakref.ref(callback) for callback in callbacks]
+                del callbacks[:]
+                if competing:
+                    assert flights and all(flight() is None for flight in flights)
+                else:
+                    assert flights == []  # every hop ran inline
+                    # The flight was there while the packet flew (b is
+                    # down when the packet is lost, so it counts nothing).
+                    assert alive == ([] if ending == "lost" else [1])
+                assert live_flights() == 0
+            finally:
+                gc.enable()
+            assert len(handoffs) == (ending == "handed_off")
+
+    def test_a_hop_that_is_not_the_next_pop_goes_through_the_heap(self):
+        """An event due before the next hop, or at its very time (it was
+        scheduled first, so it wins the tie), makes the flight push."""
+        for at in (0.5e-3, 1e-3 + 1e-6):
+            net = three_hop_network()
+            fired = []
+            net.loop.schedule_at(at, lambda: fired.append(net.node("b").seen[:]))
+            callbacks = scheduled_callbacks(net)
+            packet = make_packet(1, 2)
+            net.inject(packet, "p", 0.0)
             net.loop.run()
-            flights = [weakref.ref(callback) for callback in callbacks]
-            del callbacks[:]
-            assert flights and all(flight() is None for flight in flights)
-        finally:
-            gc.enable()
-        assert len(handoffs) == (ending == "handed_off")
+            assert fired == [[]] and len(callbacks) == 1  # a -> b pushed, b -> c inline
+            assert packet.path == ["a", "b", "c"] and net.loop._sequence == 4
+
+    def test_a_hop_past_the_horizon_waits_for_the_next_run(self):
+        net = three_hop_network()
+        callbacks = scheduled_callbacks(net)
+        packet = make_packet(1, 2)
+        net.inject(packet, "p", 0.0)
+        net.loop.run_until(0.5e-3)
+        assert packet.path == ["a"] and net.loop.now == 0.5e-3
+        assert (len(callbacks), net.loop._sequence, net.loop.pending()) == (1, 2, 1)
+        net.loop.run_until(2e-3)  # b runs, c is due at 3.002 ms
+        assert packet.path == ["a", "b"] and len(callbacks) == 2
+        net.loop.run()
+        assert packet.path == ["a", "b", "c"] and net.loop._sequence == 3
+        assert net.loop.now == packet.delivered_at - net.node("c").latency_s
+
+    @pytest.mark.parametrize("latency_s", [-2e-3, math.nan])
+    def test_a_hop_the_loop_cannot_take_raises_before_a_seq_is_taken(self, latency_s):
+        """Neither a hop before ``now`` nor a NaN arrival runs inline:
+        the flight hands it to ``schedule_at``, which refuses it."""
+        net = three_hop_network()
+        net.node("a").latency_s = latency_s
+        net.inject(make_packet(1, 2), "p", 0.0)
+        with pytest.raises(SimulationError, match="cannot schedule at"):
+            net.loop.run()
+        assert net.node("b").seen == [] and net.loop._sequence == 1
+        assert net.loop.now == 0.0
 
     def test_sequence_numbers_are_one_per_hop(self):
         """N packets x H hops schedule exactly N*H events, so every
