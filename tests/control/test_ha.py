@@ -4,8 +4,10 @@ from repro.apps import base_infrastructure, firewall_delta
 from repro.control.ha import FlexHA
 from repro.core.flexnet import FlexNet
 from repro.faults import FaultInjector, FaultPlan
+from repro.faults.journal import TxnState
 from repro.lang.delta import apply_delta, parse_delta
 from repro.runtime.consistency import ConsistencyLevel
+from repro.runtime.reconfig import DEFAULT_REFRESH_S
 from repro.simulator.packet import reset_packet_ids
 
 from tests.conftest import assert_live_facts_fresh
@@ -217,3 +219,37 @@ class TestRedrive:
         assert device.active_program.version == intended.version
         assert state._max_entries == 1024
         assert dict(state.items()) == {(1, 9): 7}
+
+    def redriven_with_journal(self, crash_after_s=None):
+        net, controller, ha = make_ha_net()
+        controller.attach_faults(FaultInjector(FaultPlan(seed=1)), recovery=True)
+        controller.loop.run_until(1.0)
+        device = controller.devices["sw1"]
+        intended, _ = apply_delta(
+            controller.program, parse_delta("delta shrink { resize map flow_counts 1024; }")
+        )
+        now = controller.loop.now
+        if crash_after_s is not None:
+            controller.loop.schedule(crash_after_s, lambda: device.crash(controller.loop.now))
+        assert ha._redrive(device, intended, device.active_program.version) == "redriven"
+        controller.loop.run_until(2.0)
+        (entry,) = [e for e in controller.journal.entries if e.device == "sw1"]
+        return controller, device, intended, entry, now
+
+    def test_a_redrive_commits_its_journal_entry_as_a_resync(self):
+        controller, device, intended, entry, now = self.redriven_with_journal()
+        assert entry.state is TxnState.COMMITTED
+        assert entry.resolution == "resync"
+        assert entry.resolved_at == now + DEFAULT_REFRESH_S
+        assert (entry.started_at, entry.window_end) == (now, now + DEFAULT_REFRESH_S)
+        assert entry.new_version == intended.version
+        assert device.active_program.version == intended.version
+        assert not device.in_transition
+
+    def test_a_crash_inside_a_redriven_window_leaves_the_entry_pending(self):
+        controller, device, intended, entry, now = self.redriven_with_journal(
+            crash_after_s=DEFAULT_REFRESH_S / 2
+        )
+        assert entry.state is TxnState.PENDING
+        assert controller.journal.pending_for("sw1") is entry
+        assert device.crashed
