@@ -42,7 +42,12 @@ from repro.lang.ir import Program
 from repro.runtime.consistency import ConsistencyLevel
 from repro.runtime.device import DeviceRuntime, EngineConfig
 from repro.runtime.drpc import DrpcFabric, RpcRegistry
-from repro.runtime.reconfig import ReconfigOrchestrator, TransitionReport, batched_window_s
+from repro.runtime.reconfig import (
+    DEFAULT_REFRESH_S,
+    ReconfigOrchestrator,
+    TransitionReport,
+    step_windows,
+)
 from repro.simulator.engine import EventLoop
 from repro.simulator.network import Network
 from repro.targets.base import Target
@@ -454,23 +459,20 @@ class FlexNetController:
         )
         new_plan = result.new_plan
 
-        per_device_steps: dict[str, list[float]] = {}
-        for step in result.reconfig.steps:
-            per_device_steps.setdefault(step.device, []).append(step.cost_s)
-        per_device_window = {
-            device: batched_window_s(costs)
-            for device, costs in per_device_steps.items()
-        }
-        updated_in_path = [
-            d for d in self.network.path("datapath") if d in per_device_window
-        ] or [d for d in self.network.path("datapath") if d in set(new_plan.placement.values())]
-        schedule = plan_schedule(consistency, updated_in_path, per_device_window)
+        windows = step_windows(result.reconfig.steps)
+        path = self.network.path("datapath")
+        hosting = set(new_plan.placement.values())
+        updated_in_path = [d for d in path if d in windows] or [d for d in path if d in hosting]
+        schedule = plan_schedule(consistency, updated_in_path, windows)
+        # The scheduler only stretches windows; a device it names that has
+        # no steps of its own still gets at least the apply-block refresh.
+        for device, window in schedule.window_s.items():
+            windows[device] = max(windows.get(device, DEFAULT_REFRESH_S), window)
 
         report = self._commit(
             result,
             facts,
-            stagger=schedule.stagger,
-            window_override=schedule.window_s,
+            window_override=windows,
             flow_affine=consistency is ConsistencyLevel.PER_FLOW,
             protected_maps=protected_maps or None,
             **fencing,

@@ -44,7 +44,7 @@ from repro.errors import ChannelError, ConsensusError, ControlPlaneError, FlexNe
 from repro.lang.delta import Delta, apply_delta
 from repro.limits import HEARTBEAT_INTERVAL_S
 from repro.runtime.consistency import ConsistencyLevel
-from repro.runtime.reconfig import DEFAULT_REFRESH_S
+from repro.runtime.reconfig import DEFAULT_REFRESH_S, OPEN, ControlAction, TransitionReport
 
 from repro.control.consensus import ControllerCluster, RaftNode, Role
 
@@ -458,47 +458,39 @@ class FlexHA:
             version = (
                 device.active_program.version if device.active_program else None
             )
-            if version is not None and version < plan.program.version:
-                action = self._redrive(device, plan.program, version) or action
+            action = self._redrive(device, plan.program, version) or action
         if self.fencing:
             # Stamp the new epoch even on in-sync devices: from here on
             # any write the deposed leader still has in flight bounces.
             device.admit_epoch(term)
         return action
 
-    def _redrive(self, device, intended, from_version: int) -> str | None:
-        """Open the window the dead leader never dispatched."""
+    def _redrive(self, device, intended, from_version: int | None) -> str | None:
+        """Open the window the dead leader never dispatched, if the device
+        runs an older version (``from_version``) than intended: the
+        orchestrator's ``open`` action, applied at once. It carries no
+        epoch and no span, its journal entry resolves as a resync, and
+        without a journal its close still settles the window."""
+        if from_version is None or from_version >= intended.version:
+            return None
         controller = self.controller
-        loop = controller.loop
-        now = loop.now
-        hosted = set(controller.plan.elements_on(device.name))
+        now = controller.loop.now
+        action = ControlAction(
+            OPEN,
+            device.name,
+            TransitionReport(started_at=now),
+            program=intended,
+            duration=DEFAULT_REFRESH_S,
+            hosted=set(controller.plan.elements_on(device.name)),
+            resolution="resync",
+            settle=True,
+        )
         try:
-            device.begin_hitless_update(
-                intended, now=now, duration_s=DEFAULT_REFRESH_S, hosted_elements=hosted
-            )
+            controller.orchestrator.apply_control(action)
         except FlexNetError as exc:
             self.update_errors.append(f"{type(exc).__name__}: {exc}")
             return None
         controller.orchestrator.reserve(device.name, now + DEFAULT_REFRESH_S)
-        journal = controller.journal
-        if journal is not None:
-            entry = journal.begin(
-                device.name,
-                from_version,
-                intended.version,
-                started_at=now,
-                window_end=now + DEFAULT_REFRESH_S,
-            )
-
-            def commit() -> None:
-                if device.crashed or device.stranded:
-                    return
-                device.settle(loop.now)
-                journal.commit(entry, loop.now, resolution="resync")
-
-            loop.schedule(DEFAULT_REFRESH_S, commit)
-        else:
-            loop.schedule(DEFAULT_REFRESH_S, lambda: device.settle(loop.now))
         return "redriven"
 
     def resync_device(self, name: str) -> bool:

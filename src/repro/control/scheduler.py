@@ -2,8 +2,9 @@
 
 Functional updates to a logical datapath need "application-level,
 consistent packet processing, which goes beyond controlling the order
-of rule updates". The scheduler decides *when* each device on a path
-starts its transition window so a requested consistency level holds:
+of rule updates". Every device's transition window starts when the
+transition begins; the scheduler decides how long each device on a path
+keeps it open so a requested consistency level holds:
 
 * ``PER_PACKET_PER_DEVICE`` — no coordination needed: every runtime
   programmable device guarantees old-XOR-new natively. All devices
@@ -29,18 +30,14 @@ from repro.runtime.consistency import ConsistencyLevel
 
 @dataclass(frozen=True)
 class UpdateSchedule:
-    """Per-device start offsets (seconds from transition begin) plus the
-    per-device window durations the plan charges."""
+    """The per-device window durations; every window starts when the
+    transition begins."""
 
-    stagger: dict[str, float]
     window_s: dict[str, float]
 
     @property
     def makespan_s(self) -> float:
-        return max(
-            (self.stagger[d] + self.window_s.get(d, 0.0) for d in self.stagger),
-            default=0.0,
-        )
+        return max(self.window_s.values(), default=0.0)
 
 
 def plan_schedule(
@@ -49,7 +46,7 @@ def plan_schedule(
     window_s: dict[str, float],
     guard_s: float = 0.001,
 ) -> UpdateSchedule:
-    """Compute start offsets for the devices being updated.
+    """Compute the window of each device being updated.
 
     ``path_order`` lists the updated devices in *traffic* order
     (upstream first); ``window_s`` gives each device's transition
@@ -57,7 +54,7 @@ def plan_schedule(
     to cover in-flight packets (propagation + queueing headroom).
     """
     if level is ConsistencyLevel.PER_PACKET_PER_DEVICE:
-        return UpdateSchedule(stagger={d: 0.0 for d in path_order}, window_s=dict(window_s))
+        return UpdateSchedule(window_s=dict(window_s))
 
     # Path/flow consistency via epoch stamping: every updated device holds
     # both versions for the whole transition; the *first* updated device a
@@ -72,7 +69,7 @@ def plan_schedule(
     for position, device in enumerate(path_order):
         own = window_s.get(device, 0.0)
         stretched[device] = max(own, base + position * guard_s)
-    return UpdateSchedule(stagger={d: 0.0 for d in path_order}, window_s=stretched)
+    return UpdateSchedule(window_s=stretched)
 
 
 def plan_admission_round(

@@ -89,7 +89,8 @@ class RecoveryManager:
         self.events: list[DegradedEvent] = []
         self.resumed: int = 0
         self.rolled_back: int = 0
-        #: actions (e.g. transition starts) waiting for a device restart.
+        #: control actions waiting for a device restart, each bound to
+        #: the orchestrator's entry (``partial(apply_control, action)``).
         self._deferred: dict[str, list[Callable[[], None]]] = {}
 
     def _record(self, kind: str, device: str, detail: str = "") -> None:
@@ -101,9 +102,9 @@ class RecoveryManager:
     # -- crash lifecycle -----------------------------------------------------
 
     def defer_until_restart(self, device_name: str, action: Callable[[], None]) -> None:
-        """Queue an action (typically a transition start whose target is
-        down) to run right after the device restarts and its journal is
-        resolved."""
+        """Queue an action (a window open whose device is down, bound to
+        the orchestrator's entry) to run right after the device restarts
+        and its journal is resolved."""
         self._deferred.setdefault(device_name, []).append(action)
 
     def on_crash(self, device_name: str) -> None:

@@ -14,18 +14,30 @@ instances inside the event loop:
 * MOVE steps that carry durable state trigger an in-band data-plane
   migration at the start of the window so the landing device is warm
   before it takes over.
+
+Every step on a device is a :class:`ControlAction` value the event loop
+hands to one entry, :meth:`ReconfigOrchestrator.apply_control`, so each
+control event is one inspectable thing on the loop's ``(time, seq)``
+order.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
+from functools import partial
+from typing import TYPE_CHECKING, NamedTuple
 
-from repro.compiler.plan import CompilationPlan, ReconfigPlan, StepKind
+from repro.compiler.plan import CompilationPlan, ReconfigPlan, ReconfigStep, StepKind
 from repro.errors import MigrationError, ReconfigError
 from repro.lang.ir import Program
 from repro.runtime.device import DeviceRuntime
 from repro.runtime.migration import MigrationReport, data_plane_migration
 from repro.simulator.engine import EventLoop
+
+if TYPE_CHECKING:
+    from repro.faults.journal import JournalEntry
+    from repro.observe.trace import Span
 
 #: Window charged to devices that only need an apply-block pointer swap
 #: (no structural steps of their own).
@@ -38,13 +50,18 @@ DEFAULT_REFRESH_S = 0.02
 BATCH_OVERHEAD_FRACTION = 0.2
 
 
-def batched_window_s(step_costs: list[float]) -> float:
-    """Transition window for one device given its step costs."""
-    if not step_costs:
-        return DEFAULT_REFRESH_S
-    dominant = max(step_costs)
-    rest = sum(step_costs) - dominant
-    return dominant + BATCH_OVERHEAD_FRACTION * rest
+def step_windows(steps: list[ReconfigStep]) -> dict[str, float]:
+    """The transition window of every device that has steps, in
+    first-step order: its dominant step plus the batching discount of
+    the rest."""
+    costs: dict[str, list[float]] = {}
+    for step in steps:
+        costs.setdefault(step.device, []).append(step.cost_s)
+    windows = {}
+    for device, device_costs in costs.items():
+        dominant = max(device_costs)
+        windows[device] = dominant + BATCH_OVERHEAD_FRACTION * (sum(device_costs) - dominant)
+    return windows
 
 
 @dataclass
@@ -76,6 +93,62 @@ class TransitionReport:
     @property
     def duration_s(self) -> float:
         return self.finished_at - self.started_at
+
+
+DISPATCH, OPEN, COMMIT, REFLASH, MOVE = "dispatch", "open", "commit", "reflash", "move"
+
+#: The :class:`TransitionReport` field each recorded outcome bumps: a list
+#: gets the device's name, a count one more. Other outcomes are events only.
+_REPORT_FIELDS = {
+    "dispatch_suppressed": "undispatched",
+    "stale_epoch_rejected": "stale_rejected",
+    "command_dropped": "commands_dropped",
+    "command_retry": "command_retries",
+    "stranded": "stranded_commands",
+    "deferred_start": "deferred_starts",
+}
+
+
+class ControlAction(NamedTuple):
+    """One control step on one device, applied by
+    :meth:`ReconfigOrchestrator.apply_control`. The kinds:
+
+    * ``dispatch`` — the start command crosses the control channel: the
+      dispatch gate, a lost command's retry (the same action with
+      ``attempt + 1``) or stranding, deferral while the device is down;
+      a delivered command is the ``open`` action.
+    * ``open`` — epoch fence, ``begin_hitless_update``, journal begin,
+      the close (``commit``) and protected-map migration.
+    * ``commit`` — the window closed: settle it, commit its journal entry.
+    * ``reflash`` — a non-hitless device's drain + reflash.
+    * ``move`` — in-band migration of a moved element's state.
+    """
+
+    kind: str
+    device: str  # a move's destination
+    report: TransitionReport  # every outcome is counted here
+    span: Span | None = None  # outcome events land here; None records none
+    # dispatch / open / reflash: the version, its window, what it hosts.
+    program: Program | None = None
+    duration: float = 0.0
+    hosted: set[str] | None = None
+    flow_affine: bool = False
+    protected_maps: set[str] | None = None
+    # FlexHA: the proposer's term, whether it may still dispatch, and the
+    # committed delta the window realizes.
+    epoch: int | None = None
+    dispatch_gate: Callable[[], bool] | None = None
+    delta_id: int | None = None
+    attempt: int = 1  # dispatch: which send of the start command
+    # open / commit: how the journal entry resolves at the close, whether
+    # the close settles the window when no journal is attached, the entry.
+    resolution: str = "window_closed"
+    settle: bool = False
+    entry: JournalEntry | None = None
+    # move: the element, the device it leaves and the (old, new) plans.
+    element: str | None = None
+    source: str | None = None
+    plans: tuple[CompilationPlan, CompilationPlan] | None = None
 
 
 class ReconfigOrchestrator:
@@ -136,7 +209,6 @@ class ReconfigOrchestrator:
         reconfig: ReconfigPlan,
         new_plan: CompilationPlan,
         old_plan: CompilationPlan | None = None,
-        stagger: dict[str, float] | None = None,
         window_override: dict[str, float] | None = None,
         flow_affine: bool = False,
         protected_maps: set[str] | None = None,
@@ -148,13 +220,16 @@ class ReconfigOrchestrator:
         fills in as the event loop advances (read it after run_until
         passes ``report.finished_at``).
 
-        ``stagger`` and ``window_override`` come from the controller's
-        consistency scheduler; ``flow_affine`` keys the per-packet draw
-        by flow for PER_FLOW consistency. ``protected_maps`` names maps
-        FlexCheck's race pass flagged: at each window start their state is
-        swing-migrated into the staged version whenever physical sharing
-        was impossible (a re-keyed map), so the staged version starts
-        from what the old one held when the window opened.
+        ``window_override`` gives each device's window, as the
+        controller's consistency scheduler set it (a device it leaves
+        out gets ``DEFAULT_REFRESH_S``); without it each device's window
+        is its batched steps (:func:`step_windows`). ``flow_affine``
+        keys the per-packet draw by flow for PER_FLOW consistency.
+        ``protected_maps`` names maps FlexCheck's race pass flagged: at
+        each window start their state is swing-migrated into the staged
+        version whenever physical sharing was impossible (a re-keyed
+        map), so the staged version starts from what the old one held
+        when the window opened.
 
         FlexHA threading: ``epoch`` stamps every start command with the
         proposing leader's Raft term (devices reject stale epochs);
@@ -165,9 +240,8 @@ class ReconfigOrchestrator:
         idempotent re-driving.
         """
         now = self._loop.now
-        report = TransitionReport(started_at=now)
-        stagger = stagger or {}
-        window_override = window_override or {}
+        report = TransitionReport(started_at=now, steps_applied=len(reconfig.steps))
+        windows = step_windows(reconfig.steps) if window_override is None else window_override
         observer = self.observer
         tracer = observer.tracer if observer is not None else None
         transition_span = None
@@ -181,42 +255,19 @@ class ReconfigOrchestrator:
                 flow_affine=flow_affine,
             )
 
-        per_device_steps: dict[str, list[float]] = {}
-        for step in reconfig.steps:
-            per_device_steps.setdefault(step.device, []).append(step.cost_s)
-            report.steps_applied += 1
-        per_device_cost = {
-            device: batched_window_s(costs)
-            for device, costs in per_device_steps.items()
-        }
-
-        affected = set(per_device_cost)
         # Devices hosting elements in either version also need the new
         # apply block, even without structural steps of their own.
-        for device_name in set(new_plan.placement.values()):
-            affected.add(device_name)
-        if old_plan is not None:
-            for device_name in set(old_plan.placement.values()):
-                affected.add(device_name)
-
+        old_hosts = () if old_plan is None else old_plan.placement.values()
+        affected = sorted({*windows, *new_plan.placement.values(), *old_hosts})
         finish = now
-        for device_name in sorted(affected):
+        for device_name in affected:
             device = self.device(device_name)
-            duration = max(
-                per_device_cost.get(device_name, DEFAULT_REFRESH_S),
-                window_override.get(device_name, 0.0),
-            )
-            start_offset = stagger.get(device_name, 0.0)
-            hosted = set(new_plan.elements_on(device_name))
+            duration = windows.get(device_name, DEFAULT_REFRESH_S)
             # Serialize with any transition already in flight or already
             # scheduled on this device — overlapping windows would leave
             # three live versions, which hardware cannot do.
-            start = max(
-                now + start_offset,
-                device.busy_until(now),
-                self._reserved_until.get(device_name, 0.0),
-            )
-            hitless = device.target.reconfig.hitless
+            start = max(device.busy_until(now), self._reserved_until.get(device_name, 0.0))
+            model = device.target.reconfig
             window_span = None
             if tracer is not None:
                 window_span = tracer.start_span(
@@ -225,43 +276,30 @@ class ReconfigOrchestrator:
                     start,
                     parent=transition_span,
                     device=device_name,
-                    mode="hitless" if hitless else "reflash",
+                    mode="hitless" if model.hitless else "reflash",
                     to_version=new_plan.program.version,
                 )
-            if hitless:
-                self._loop.schedule_at(
-                    start,
-                    self._hitless_starter(
-                        device,
-                        new_plan.program,
-                        duration,
-                        hosted,
-                        flow_affine,
-                        protected_maps=protected_maps,
-                        report=report,
-                        span=window_span,
-                        epoch=epoch,
-                        dispatch_gate=dispatch_gate,
-                        delta_id=delta_id,
-                    ),
-                )
-                end = start + duration
+            if model.hitless:
+                kind, end = DISPATCH, start + duration
             else:
-                self._loop.schedule_at(
-                    start,
-                    self._reflash_starter(
-                        device,
-                        new_plan.program,
-                        hosted,
-                        span=window_span,
-                        epoch=epoch,
-                        dispatch_gate=dispatch_gate,
-                        report=report,
-                    ),
-                )
-                model = device.target.reconfig
+                kind = REFLASH
                 end = start + model.drain_s + model.full_reflash_s + model.redeploy_s
                 report.reflashed_devices.append(device_name)
+            action = ControlAction(
+                kind,
+                device_name,
+                report,
+                window_span,
+                program=new_plan.program,
+                duration=duration,
+                hosted=set(new_plan.elements_on(device_name)),
+                flow_affine=flow_affine,
+                protected_maps=protected_maps,
+                epoch=epoch,
+                dispatch_gate=dispatch_gate,
+                delta_id=delta_id,
+            )
+            self._loop.schedule_at(start, partial(self.apply_control, action))
             if tracer is not None:
                 # The schedule is deterministic, so the window's close is
                 # known upfront; lifecycle moments (delivery, commit,
@@ -275,156 +313,196 @@ class ReconfigOrchestrator:
         for step in reconfig.steps:
             if step.kind is not StepKind.MOVE or not step.carries_state:
                 continue
-            self._loop.schedule_at(
-                now + stagger.get(step.device, 0.0),
-                self._state_mover(
-                    step.element, step.source_device, step.device, report,
-                    old_plan or new_plan, new_plan, span=transition_span,
-                ),
+            action = ControlAction(
+                MOVE,
+                step.device,
+                report,
+                transition_span,
+                element=step.element,
+                source=step.source_device,
+                plans=(old_plan or new_plan, new_plan),
             )
+            self._loop.schedule_at(now, partial(self.apply_control, action))
 
         if tracer is not None:
             tracer.end_span(transition_span, finish, devices=len(affected))
         report.finished_at = finish
         return report
 
-    # -- scheduled-callback factories ------------------------------------------
+    # -- the one entry ---------------------------------------------------------
 
-    def _hitless_starter(
-        self,
-        device: DeviceRuntime,
-        program: Program,
-        duration: float,
-        hosted: set[str],
-        flow_affine: bool = False,
-        protected_maps: set[str] | None = None,
-        report: TransitionReport | None = None,
-        span=None,
-        epoch: int | None = None,
-        dispatch_gate=None,
-        delta_id: int | None = None,
-    ):
-        def trace_event(name: str, **attrs) -> None:
-            if self.observer is not None:
-                self.observer.tracer.event(
-                    name, self._loop.now, span=span, device=device.name, **attrs
-                )
+    def apply_control(self, action: ControlAction) -> None:
+        """Apply one control action: every scheduled start, retry, window
+        close, state move, start resumed on a restart and FlexHA
+        re-drive comes through here."""
+        self._KINDS[action.kind](self, action)
 
-        def deliver() -> None:
-            """The start command arrived: fence, open the transition
-            window, journal the intent, and warm protected maps."""
-            now = self._loop.now
-            if not device.admit_epoch(epoch):
-                # Fenced: this start was issued by a since-deposed leader
-                # and a newer leader has already touched the device.
-                if report is not None:
-                    report.stale_rejected += 1
-                trace_event("stale_epoch_rejected", epoch=epoch)
-                return
-            trace_event("window_open")
-            old = device.active_instance
-            staged = device.begin_hitless_update(
-                program,
-                now=now,
-                duration_s=duration,
-                hosted_elements=hosted,
-                flow_affine=flow_affine,
+    def _record(self, action: ControlAction, outcome: str, **attrs) -> None:
+        """Count one outcome of ``action`` in its report and put the event
+        on its span."""
+        name = _REPORT_FIELDS.get(outcome)
+        if name is not None:
+            value = getattr(action.report, name)
+            if isinstance(value, list):
+                value.append(action.device)
+            else:
+                setattr(action.report, name, value + 1)
+        if action.span is not None and self.observer is not None:
+            self.observer.tracer.event(
+                outcome, self._loop.now, span=action.span, device=action.device, **attrs
             )
-            if self.journal is not None and old is not None:
-                entry = self.journal.begin(
-                    device.name,
-                    old.program.version,
-                    program.version,
-                    started_at=now,
-                    window_end=now + duration,
-                    delta_id=delta_id,
+
+    def _suppressed(self, action: ControlAction) -> bool:
+        # FlexHA: is the leader that planned this still the one allowed
+        # to dispatch it? A dead or deposed leader's starts are
+        # suppressed, and its successor re-drives them from the log.
+        gate = action.dispatch_gate
+        if gate is None or gate():
+            return False
+        self._record(action, "dispatch_suppressed", attempt=action.attempt)
+        return True
+
+    def _fenced(self, device: DeviceRuntime, action: ControlAction) -> bool:
+        # A since-deposed leader issued this; a newer one touched the device.
+        if device.admit_epoch(action.epoch):
+            return False
+        self._record(action, "stale_epoch_rejected", epoch=action.epoch)
+        return True
+
+    def _dispatch(self, action: ControlAction) -> None:
+        if self._suppressed(action):
+            return
+        # FlexFault: the start command crosses the control channel; a
+        # lost command is retried with backoff (recovery) or strands the
+        # device on the old program (baseline).
+        injector = self.injector
+        if injector is not None and injector.command_dropped(action.device):
+            attempt = action.attempt
+            self._record(action, "command_dropped", attempt=attempt)
+            policy = self.recovery.policy if self.recovery is not None else None
+            if policy is not None and attempt < policy.max_attempts:
+                self._record(action, "command_retry", attempt=attempt)
+                retry = action._replace(attempt=attempt + 1)
+                self._loop.schedule(policy.backoff_s(attempt), partial(self.apply_control, retry))
+            else:
+                self._record(action, "stranded")
+            return
+        opening = action._replace(kind=OPEN)
+        device = self._devices[action.device]
+        # Device down (crashed before its window opened): defer the start
+        # to the restart path, or strand without recovery.
+        if device.crashed or device.stranded:
+            if self.recovery is not None:
+                self.recovery.defer_until_restart(
+                    action.device, partial(self.apply_control, opening)
                 )
-                self._loop.schedule(duration, self._committer(device, entry, span=span))
-            if not protected_maps or old is None:
-                return
-            # Swing-state migration for race-flagged maps whose physical
-            # state could not be shared across versions (re-keyed): warm
-            # the staged copy. A re-declared map is shared until the
-            # cut-over, which carries its entries itself.
-            for map_name in sorted(protected_maps):
-                if map_name not in old.maps or map_name not in staged.maps:
-                    continue
-                old_state = old.maps.state(map_name)
-                new_state = staged.maps.state(map_name)
-                if new_state is old_state:
-                    continue  # physically shared — already consistent
+                self._record(action, "deferred_start")
+            else:
+                self._record(action, "stranded")
+            return
+        self._open(opening)
+
+    def _open(self, action: ControlAction) -> None:
+        """The start command arrived: fence, open the transition window,
+        journal the intent, schedule the close, and warm protected maps."""
+        device = self._devices[action.device]
+        if self._fenced(device, action):
+            return
+        self._record(action, "window_open")
+        now = self._loop.now
+        old = device.active_instance
+        staged = device.begin_hitless_update(
+            action.program,
+            now=now,
+            duration_s=action.duration,
+            hosted_elements=action.hosted,
+            flow_affine=action.flow_affine,
+        )
+        entry = None
+        if self.journal is not None and old is not None:
+            entry = self.journal.begin(
+                device.name,
+                old.program.version,
+                action.program.version,
+                started_at=now,
+                window_end=now + action.duration,
+                delta_id=action.delta_id,
+            )
+        if entry is not None or action.settle:
+            close = action._replace(kind=COMMIT, entry=entry)
+            self._loop.schedule(action.duration, partial(self.apply_control, close))
+        if not action.protected_maps or old is None:
+            return
+        # Swing-state migration for race-flagged maps whose physical
+        # state could not be shared across versions (re-keyed): warm the
+        # staged copy. A re-declared map is shared until the cut-over,
+        # which carries its entries itself.
+        for map_name in sorted(action.protected_maps):
+            if map_name not in old.maps or map_name not in staged.maps:
+                continue
+            old_state = old.maps.state(map_name)
+            new_state = staged.maps.state(map_name)
+            if new_state is old_state:
+                continue  # physically shared — already consistent
+            self._run_migration(
+                old_state, new_state, action.report, span=action.span, label=map_name
+            )
+
+    def _commit(self, action: ControlAction) -> None:
+        """The window closed: settle it and commit its journal entry. A
+        crashed or stranded device leaves the entry PENDING for recovery."""
+        device = self._devices[action.device]
+        if device.crashed or device.stranded:
+            return
+        now = self._loop.now
+        device.settle(now)
+        entry = action.entry
+        if entry is not None:
+            self.journal.commit(entry, now, resolution=action.resolution)
+            self._record(action, "commit", to_version=entry.new_version)
+
+    def _reflash(self, action: ControlAction) -> None:
+        if self._suppressed(action):
+            return
+        device = self._devices[action.device]
+        if self._fenced(device, action):
+            return
+        available_at = device.begin_reflash(
+            action.program, now=self._loop.now, hosted_elements=action.hosted
+        )
+        self._record(action, "reflash", available_at=round(available_at, 9))
+
+    def _move(self, action: ControlAction) -> None:
+        if action.source is None:
+            return
+        source = self.device(action.source).active_instance
+        destination = self.device(action.device).active_instance
+        if source is None or destination is None:
+            return
+        # The maps that travel are the element itself (a moved map) plus
+        # those its profile reads or writes, per the certificate of the
+        # plan the source instance runs.
+        old_plan, new_plan = action.plans
+        plan = new_plan if source.version == new_plan.program.version else old_plan
+        profile = plan.certificate.profiles.get(action.element)
+        touched = {action.element}
+        if profile is not None:
+            touched.update(profile.map_reads, profile.map_writes)
+        for map_name in source.maps.names():
+            if map_name in touched and map_name in destination.maps:
                 self._run_migration(
-                    old_state, new_state, report, span=span, label=map_name
+                    source.maps.state(map_name),
+                    destination.maps.state(map_name),
+                    action.report,
+                    span=action.span,
+                    label=map_name,
                 )
 
-        def attempt(attempt_no: int = 1) -> None:
-            # FlexHA: the dispatch gate asks "is the leader that planned
-            # this still the one allowed to dispatch it?" — a dead or
-            # deposed leader's scheduled starts are suppressed here and
-            # re-driven from the committed log by its successor.
-            if dispatch_gate is not None and not dispatch_gate():
-                if report is not None:
-                    report.undispatched.append(device.name)
-                trace_event("dispatch_suppressed", attempt=attempt_no)
-                return
-            # FlexFault: the start command crosses the control channel;
-            # a lost command is retried with backoff (recovery) or
-            # strands the device on the old program (baseline).
-            if self.injector is not None and self.injector.command_dropped(device.name):
-                if report is not None:
-                    report.commands_dropped += 1
-                trace_event("command_dropped", attempt=attempt_no)
-                policy = self.recovery.policy if self.recovery is not None else None
-                if policy is not None and attempt_no < policy.max_attempts:
-                    if report is not None:
-                        report.command_retries += 1
-                    trace_event("command_retry", attempt=attempt_no)
-                    self._loop.schedule(
-                        policy.backoff_s(attempt_no), lambda: attempt(attempt_no + 1)
-                    )
-                else:
-                    if report is not None:
-                        report.stranded_commands.append(device.name)
-                    trace_event("stranded")
-                return
-            # Device down (crashed before its window opened): defer the
-            # start to the restart path, or strand without recovery.
-            if device.crashed or device.stranded:
-                if self.recovery is not None:
-                    self.recovery.defer_until_restart(device.name, deliver)
-                    if report is not None:
-                        report.deferred_starts.append(device.name)
-                    trace_event("deferred_start")
-                else:
-                    if report is not None:
-                        report.stranded_commands.append(device.name)
-                    trace_event("stranded")
-                return
-            deliver()
+    _KINDS = {DISPATCH: _dispatch, OPEN: _open, COMMIT: _commit, REFLASH: _reflash, MOVE: _move}
 
-        return attempt
-
-    def _committer(self, device: DeviceRuntime, entry, span=None):
-        """Commit the journal entry when the window closes cleanly; a
-        crashed/stranded device leaves it PENDING for recovery."""
-
-        def commit() -> None:
-            if device.crashed or device.stranded:
-                return
-            device.settle(self._loop.now)
-            self.journal.commit(entry, self._loop.now)
-            if self.observer is not None:
-                self.observer.tracer.event(
-                    "commit",
-                    self._loop.now,
-                    span=span,
-                    device=device.name,
-                    to_version=entry.new_version,
-                )
-
-        return commit
-
-    def _run_migration(self, source_state, destination_state, report, span=None, label=""):
+    def _run_migration(
+        self, source_state, destination_state, report: TransitionReport, span=None, label=""
+    ):
         """One in-band migration under fault injection: injected failures
         are retried immediately (the stream is re-cloned) up to the
         recovery policy's budget; without recovery a failure is final."""
@@ -448,22 +526,19 @@ class ReconfigOrchestrator:
                 )
             except MigrationError:
                 if policy is not None and attempts < policy.max_attempts:
-                    if report is not None:
-                        report.migration_retries += 1
+                    report.migration_retries += 1
                     if migration_span is not None:
                         migration_span.add_event(
                             "migration_retry", self._loop.now, attempt=attempts
                         )
                     continue
-                if report is not None:
-                    report.failed_migrations += 1
+                report.failed_migrations += 1
                 if observer is not None:
                     observer.tracer.end_span(
                         migration_span, self._loop.now, status="error", attempts=attempts
                     )
                 return None
-            if report is not None:
-                report.migrations.append(migration)
+            report.migrations.append(migration)
             if observer is not None:
                 observer.tracer.end_span(
                     migration_span,
@@ -473,73 +548,3 @@ class ReconfigOrchestrator:
                     strategy=migration.strategy,
                 )
             return migration
-
-    def _reflash_starter(
-        self,
-        device: DeviceRuntime,
-        program: Program,
-        hosted: set[str],
-        span=None,
-        epoch: int | None = None,
-        dispatch_gate=None,
-        report: TransitionReport | None = None,
-    ):
-        def start() -> None:
-            if dispatch_gate is not None and not dispatch_gate():
-                if report is not None:
-                    report.undispatched.append(device.name)
-                return
-            if not device.admit_epoch(epoch):
-                if report is not None:
-                    report.stale_rejected += 1
-                return
-            available_at = device.begin_reflash(
-                program, now=self._loop.now, hosted_elements=hosted
-            )
-            if self.observer is not None:
-                self.observer.tracer.event(
-                    "reflash",
-                    self._loop.now,
-                    span=span,
-                    device=device.name,
-                    available_at=round(available_at, 9),
-                )
-
-        return start
-
-    def _state_mover(
-        self,
-        element: str,
-        source_name: str | None,
-        dest_name: str,
-        report: TransitionReport,
-        old_plan: CompilationPlan,
-        new_plan: CompilationPlan,
-        span=None,
-    ):
-        def move() -> None:
-            if source_name is None:
-                return
-            source = self.device(source_name).active_instance
-            destination = self.device(dest_name).active_instance
-            if source is None or destination is None:
-                return
-            # The maps that travel are the element itself (a moved map)
-            # plus those its profile reads or writes, per the certificate
-            # of the plan the source instance runs.
-            plan = new_plan if source.version == new_plan.program.version else old_plan
-            profile = plan.certificate.profiles.get(element)
-            touched = {element}
-            if profile is not None:
-                touched.update(profile.map_reads, profile.map_writes)
-            for map_name in source.maps.names():
-                if map_name in touched and map_name in destination.maps:
-                    self._run_migration(
-                        source.maps.state(map_name),
-                        destination.maps.state(map_name),
-                        report,
-                        span=span,
-                        label=map_name,
-                    )
-
-        return move

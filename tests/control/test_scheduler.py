@@ -13,7 +13,6 @@ class TestPerDevice:
             ["a", "b", "c"],
             {"a": 0.3, "b": 0.2, "c": 0.1},
         )
-        assert schedule.stagger == {"a": 0.0, "b": 0.0, "c": 0.0}
         assert schedule.window_s == {"a": 0.3, "b": 0.2, "c": 0.1}
 
     def test_makespan(self):
@@ -31,8 +30,6 @@ class TestPerPacketPath:
             {"a": 0.4, "b": 0.1, "c": 0.1},
             guard_s=0.01,
         )
-        # all start together
-        assert set(schedule.stagger.values()) == {0.0}
         # downstream windows outlast the decision window
         assert schedule.window_s["b"] >= 0.4 + 0.01
         assert schedule.window_s["c"] >= 0.4 + 0.02
@@ -47,7 +44,7 @@ class TestPerPacketPath:
 
     def test_empty_path(self):
         schedule = plan_schedule(ConsistencyLevel.PER_PACKET_PATH, [], {})
-        assert schedule.stagger == {}
+        assert schedule.window_s == {}
         assert schedule.makespan_s == 0.0
 
 
@@ -59,5 +56,4 @@ class TestPerFlow:
         path = plan_schedule(
             ConsistencyLevel.PER_PACKET_PATH, ["a", "b"], {"a": 0.2, "b": 0.2}
         )
-        assert flow.stagger == path.stagger
         assert flow.window_s == path.window_s

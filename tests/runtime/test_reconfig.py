@@ -68,15 +68,6 @@ class TestApply:
         assert w2[0] >= w1[1]  # second window starts after first ends
         loop.run()  # no ReconfigError raised
 
-    def test_stagger_respected(self, base_program, deployment):
-        engine, plan, slice_, loop, devices, orchestrator = deployment
-        new_program, changes = apply_delta(base_program, parse_delta(ADD_GUARD))
-        result = IncrementalCompiler(engine).recompile(plan, new_program, slice_, changes)
-        report = orchestrator.apply(
-            result.reconfig, result.new_plan, old_plan=plan, stagger={"sw1": 2.0}
-        )
-        assert report.device_windows["sw1"][0] == pytest.approx(2.0)
-
     def test_window_override_extends(self, base_program, deployment):
         engine, plan, slice_, loop, devices, orchestrator = deployment
         new_program, changes = apply_delta(base_program, parse_delta(ADD_GUARD))
