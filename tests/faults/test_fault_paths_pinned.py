@@ -3,8 +3,10 @@
 ``test_live_update_run_is_pinned`` covers the clean live update; these
 cover what happens when the start command is lost and retried, lost for
 good, deferred to a device restart, fenced by a newer epoch, suppressed
-by the dispatch gate, or turned into a drain + reflash, and what an
-in-band state move does when a migration fails. Each chaos run is pinned by a sha256 of its
+by the dispatch gate, or turned into a drain + reflash, what an
+in-band state move does when a migration fails, and how a restart
+resolves an interrupted window (resume, rollback, or under the health
+monitor). Each chaos run is pinned by a sha256 of its
 canonical ``ChaosReport.to_dict()`` (FlexScope spans included), and each
 named outcome is asserted beside it so a changed digest says which path
 moved.
@@ -54,7 +56,16 @@ def span_events(report: dict) -> list[str]:
     )
 
 
-# (extra flags, transition outcome, lifecycle events on the spans, sha256)
+def resolution(report: dict) -> dict:
+    return {
+        "journal": [(e["device"], e["state"], e["resolution"]) for e in report["journal"]],
+        "resumed": report["resumed"],
+        "rolled_back": report["rolled_back"],
+    }
+
+
+# (extra flags, transition outcome, lifecycle events on the spans,
+#  journal resolution, sha256)
 CHAOS_RUNS = [
     pytest.param(
         ("--seed", "1"),
@@ -62,6 +73,7 @@ CHAOS_RUNS = [
          "deferred_starts": []},
         ["command_dropped", "command_dropped", "command_retry", "command_retry",
          "window_open"],
+        {},
         "aa5e20e8c0c396b9759bd7928862513438be78b22de27b27a0a722f9d6209265",
         id="dropped-retried-resumed",
     ),
@@ -70,6 +82,7 @@ CHAOS_RUNS = [
         {"commands_dropped": 5, "command_retries": 4, "stranded_commands": ["sw1"],
          "deferred_starts": []},
         ["command_dropped"] * 5 + ["command_retry"] * 4 + ["stranded"],
+        {},
         "41d6dc4b2937d2a7d3233e45ae1c4b84828e6155f3979893337b81b26251bab4",
         id="retries-exhausted",
     ),
@@ -78,6 +91,7 @@ CHAOS_RUNS = [
         {"commands_dropped": 1, "command_retries": 1, "stranded_commands": [],
          "deferred_starts": ["sw1"]},
         ["command_dropped", "command_retry", "commit", "deferred_start", "window_open"],
+        {},
         "389fb403693d69326d509b31505c512cd82bc3f1338eaec55a8ca4818364ddd2",
         id="deferred-to-restart",
     ),
@@ -86,6 +100,7 @@ CHAOS_RUNS = [
         {"commands_dropped": 1, "command_retries": 0, "stranded_commands": ["sw1"],
          "deferred_starts": []},
         ["command_dropped", "stranded"],
+        {},
         "9976a8528b53a661950100afeff7d11fbccfd65e8738ccf9a4486996f56cd3a5",
         id="no-recovery",
     ),
@@ -95,6 +110,7 @@ CHAOS_RUNS = [
          "deferred_starts": []},
         ["command_dropped", "command_dropped", "command_retry", "command_retry",
          "commit"] + ["window_open"] * 5,
+        {},
         "4760211ed8d2719cf760b6395fb05f0e7b9d59a7bcfdd0f5445282a828055c2b",
         id="spread",
     ),
@@ -103,6 +119,7 @@ CHAOS_RUNS = [
         {},
         ["command_dropped", "command_dropped", "command_retry", "command_retry",
          "dispatch_suppressed"],
+        {},
         "a6e16823c4cfe63438c85e5058573089d14e535018ed9a4d772201cf85782301",
         id="controller-undispatched",
     ),
@@ -110,17 +127,39 @@ CHAOS_RUNS = [
         ("--seed", "2", "--controller", "--partition"),
         {},
         ["command_dropped"] * 5 + ["command_retry"] * 4 + ["stranded"],
+        {},
         "aea5268a4e42737113a2208ab80f46a9b8e5507c8d6c72fd9eaa70950d54f98b",
         id="controller-partition",
+    ),
+    pytest.param(
+        ("--seed", "1", "--rollback"),
+        {"commands_dropped": 2, "command_retries": 2, "stranded_commands": [],
+         "deferred_starts": []},
+        ["command_dropped", "command_dropped", "command_retry", "command_retry",
+         "window_open"],
+        {"journal": [("sw1", "rolled_back", "rollback")], "resumed": 0, "rolled_back": 1},
+        "04cafadd42db34370ba9a762302610a5d063daa5e8dce53e3ae6f0a39872d9c0",
+        id="rolled-back",
+    ),
+    pytest.param(
+        ("--seed", "1", "--monitor"),
+        {"commands_dropped": 2, "command_retries": 2, "stranded_commands": [],
+         "deferred_starts": []},
+        ["command_dropped", "command_dropped", "command_retry", "command_retry",
+         "window_open"],
+        {"journal": [("sw1", "committed", "resume")], "resumed": 1, "rolled_back": 0},
+        "7b80d5012d896ca3a232963e8d70a01cef7562ed425f3589a5c344cb10061b8e",
+        id="health-monitor",
     ),
 ]
 
 
-@pytest.mark.parametrize("args, transition, events, sha", CHAOS_RUNS)
-def test_a_chaos_fault_path_is_pinned(args, transition, events, sha):
+@pytest.mark.parametrize("args, transition, events, resolved, sha", CHAOS_RUNS)
+def test_a_chaos_fault_path_is_pinned(args, transition, events, resolved, sha):
     report = chaos(*args)
     assert {key: report["transition"][key] for key in transition} == transition
     assert span_events(report) == events
+    assert {key: resolution(report)[key] for key in resolved} == resolved
     assert digest(report) == sha
 
 
