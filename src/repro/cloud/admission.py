@@ -392,7 +392,7 @@ class ExtensionExecutor:
         batch: list[Ticket],
         *,
         epoch: int | None = None,
-        dispatch_gate=None,
+        dispatch_gate: tuple[str, int] | None = None,
     ) -> ExecutionResult:
         update_tickets = [t for t in batch if t.delta.kind == "update"]
         if update_tickets:

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from contextlib import ExitStack
 from dataclasses import dataclass, field
+from functools import partial
 
 from repro.analysis import ProgramFacts, check_changeset
 from repro.analysis.report import Finding
@@ -43,7 +44,10 @@ from repro.runtime.consistency import ConsistencyLevel
 from repro.runtime.device import DeviceRuntime, EngineConfig
 from repro.runtime.drpc import DrpcFabric, RpcRegistry
 from repro.runtime.reconfig import (
+    CRASH,
     DEFAULT_REFRESH_S,
+    RESTART,
+    ControlAction,
     ReconfigOrchestrator,
     TransitionReport,
     step_windows,
@@ -322,7 +326,7 @@ class FlexNetController:
         strict_analysis: bool = False,
         *,
         epoch: int | None = None,
-        dispatch_gate=None,
+        dispatch_gate: tuple[str, int] | None = None,
         delta_id: int | None = None,
     ) -> TransitionOutcome:
         """Incrementally recompile to ``new_program`` and orchestrate the
@@ -336,7 +340,8 @@ class FlexNetController:
         the span ids.
 
         ``epoch``/``dispatch_gate``/``delta_id`` are FlexHA's fencing
-        hooks, threaded down to the orchestrator's device windows."""
+        hooks (``dispatch_gate`` is the proposer's ``(node id, term)``),
+        threaded down to the orchestrator's device windows."""
         facts = ProgramFacts.of(new_program, previous=self._facts)
         observer = self.observer
         outcome = span = None
@@ -728,7 +733,7 @@ class FlexNetController:
         consistency: ConsistencyLevel = ConsistencyLevel.PER_PACKET_PER_DEVICE,
         ops: int | None = None,
         epoch: int | None = None,
-        dispatch_gate=None,
+        dispatch_gate: tuple[str, int] | None = None,
         delta_id: int | None = None,
     ) -> TransitionOutcome:
         """Fold a round's tenant churn into ONE composition and ONE
@@ -850,13 +855,14 @@ class FlexNetController:
     ):
         """Wire a FlexFault injector through every hook point: the
         reconfiguration orchestrator (lost start commands, journaled
-        windows), the P4Runtime hub (lossy control channel), and the
-        dRPC fabric (flaky handlers).
+        windows, and the plan's device crashes and restarts, scheduled
+        as ``crash`` / ``restart`` control actions), the P4Runtime hub
+        (lossy control channel), and the dRPC fabric (flaky handlers).
 
-        With ``recovery=True`` (the default) the full recovery stack is
-        armed: retry-with-backoff on control and dRPC calls, a
-        write-ahead journal making delta application transactional, and
-        a :class:`~repro.faults.recovery.RecoveryManager` that resolves
+        :attr:`journal` is read off the orchestrator's fresh log. With
+        ``recovery=True`` (the default) the full recovery stack is
+        armed: retry-with-backoff on control and dRPC calls, and a
+        :class:`~repro.faults.recovery.RecoveryManager` that resolves
         crash-interrupted transitions on restart (``resume=True`` rolls
         forward to the new version, ``False`` rolls back).
         ``recovery=False`` is the no-recovery baseline experiment E16
@@ -870,10 +876,12 @@ class FlexNetController:
         from repro.faults.recovery import HealthMonitor, RecoveryManager, RetryPolicy
 
         policy = policy or RetryPolicy()
+        orchestrator = self.orchestrator
         self.fault_injector = injector
-        self.journal = ReconfigJournal()
-        self.orchestrator.injector = injector
-        self.orchestrator.journal = self.journal
+        orchestrator.log = []
+        self.journal = ReconfigJournal(orchestrator.log)
+        orchestrator.injector = injector
+        orchestrator.telemetry = self.telemetry
         self.drpc.injector = injector
         self.hub.set_channel(ControlChannel(injector, retry=policy if recovery else None))
         self.recovery = None
@@ -887,7 +895,7 @@ class FlexNetController:
                 telemetry=self.telemetry,
                 resume=resume,
             )
-            self.orchestrator.recovery = self.recovery
+        orchestrator.recovery = self.recovery
         if monitor:
             self.health = HealthMonitor(
                 self.loop,
@@ -897,6 +905,12 @@ class FlexNetController:
                 on_release=self._on_health_release,
             )
             self.health.start()
+        for crash in injector.plan.crashes:
+            if crash.device in self.devices:
+                restart_at = crash.at_s + crash.restart_after_s
+                for kind, at in ((CRASH, crash.at_s), (RESTART, restart_at)):
+                    action = ControlAction(kind, crash.device)
+                    self.loop.schedule_at(at, partial(orchestrator.apply_control, action))
         return self.recovery
 
     def _on_quarantine(self, device_name: str) -> None:

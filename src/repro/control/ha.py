@@ -28,8 +28,9 @@ controller side:
   (:meth:`~repro.control.p4runtime.P4RuntimeClient.read_ground_truth`),
   diffs it against the committed log's intent, resolves stranded
   devices, re-drives devices whose windows the dead leader never
-  opened, and stamps its epoch everywhere. Commands are idempotent via
-  journaled delta ids, so re-driving a half-applied window is safe.
+  opened, and stamps its epoch everywhere. A leader skips delta ids it
+  already executed (``FlexHA._executed``), and the sweep re-drives only
+  a device on an older version with no window open or scheduled.
 
 The whole layer is deterministic in simulated time: same seed, same
 fault plan, byte-identical :meth:`FlexHA.status`.
@@ -154,6 +155,7 @@ class FlexHA:
         self.max_term = 0
 
         controller.ha = self
+        controller.orchestrator.ha = self
         self._tick()
 
     # -- replicated state machine ------------------------------------------------
@@ -251,7 +253,7 @@ class FlexHA:
                 self.cloud_apply(
                     command,
                     epoch=term if self.fencing else None,
-                    dispatch_gate=self._dispatch_gate(node_id, term),
+                    dispatch_gate=(node_id, term),
                 )
                 self.cloud_executed += 1
             except FlexNetError as exc:
@@ -269,29 +271,26 @@ class FlexHA:
                 changes,
                 command.consistency,
                 epoch=term if self.fencing else None,
-                dispatch_gate=self._dispatch_gate(node_id, term),
+                dispatch_gate=(node_id, term),
                 delta_id=command.delta_id,
             )
             self.executed_updates += 1
         except FlexNetError as exc:
             self.update_errors.append(f"{type(exc).__name__}: {exc}")
 
-    def _dispatch_gate(self, node_id: str, term: int):
+    def leads(self, node_id: str, term: int) -> bool:
         """True while the proposing leader is still alive *and* still
         the leader of the same term — the condition under which its
-        scheduled window starts may dispatch. Anything else (crashed,
-        deposed, new term) suppresses the start; the successor's resync
-        re-drives the affected devices from the committed log."""
-
-        def alive() -> bool:
-            node = self.cluster.nodes[node_id]
-            return (
-                self.cluster.bus.reachable(node_id, node_id)
-                and node.role is Role.LEADER
-                and node.current_term == term
-            )
-
-        return alive
+        scheduled window starts (gated ``(node_id, term)``) may dispatch.
+        Anything else (crashed, deposed, new term) suppresses the start;
+        the successor's resync re-drives the affected devices from the
+        committed log."""
+        node = self.cluster.nodes[node_id]
+        return (
+            self.cluster.bus.reachable(node_id, node_id)
+            and node.role is Role.LEADER
+            and node.current_term == term
+        )
 
     # -- fail-over detection + fencing leases -------------------------------------
 

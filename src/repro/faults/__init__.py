@@ -10,9 +10,9 @@ migrations. This package provides both halves:
   ``runtime.device``, ``control.p4runtime``, ``runtime.drpc``,
   ``runtime.migration`` and ``runtime.reconfig``.
 * **Recovery** — :class:`RetryPolicy` (exponential backoff),
-  :class:`ReconfigJournal` (write-ahead, transactional delta
-  application with resume/rollback), :class:`RecoveryManager` and
-  :class:`HealthMonitor` (quarantine + detour).
+  :class:`ReconfigJournal` (write-ahead, a view over the orchestrator's
+  applied-action log, resolved by resume/rollback), :class:`RecoveryManager`
+  and :class:`HealthMonitor` (quarantine + detour).
 * **Scenarios** — :func:`run_chaos` (device faults, experiment E16 /
   ``flexnet chaos``) and :func:`run_controller_chaos` (the same scenario
   under FlexHA with leader crashes and partitions, experiment E19 /
@@ -36,19 +36,12 @@ from repro.faults.plan import (
     WorkerCrash,
     WorkerStall,
 )
-from repro.faults.recovery import (
-    CrashSchedule,
-    DegradedEvent,
-    HealthMonitor,
-    RecoveryManager,
-    RetryPolicy,
-)
+from repro.faults.recovery import DegradedEvent, HealthMonitor, RecoveryManager, RetryPolicy
 
 __all__ = [
     "ChannelFault",
     "ChaosReport",
     "ControllerCrash",
-    "CrashSchedule",
     "DegradedEvent",
     "DeviceCrash",
     "DrpcFault",

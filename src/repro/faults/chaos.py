@@ -27,11 +27,11 @@ from repro.control.ha import FlexHA, status_lines
 from repro.core.flexnet import FlexNet
 from repro.errors import ChannelError, FlexNetError
 from repro.faults.plan import FaultInjector, FaultPlan
-from repro.faults.recovery import CrashSchedule
 from repro.lang.delta import Delta
 from repro.lang.ir import Program
 from repro.limits import HEARTBEAT_INTERVAL_S
 from repro.runtime.consistency import ConsistencyLevel
+from repro.runtime.reconfig import CRASH, RESTART
 from repro.simulator.packet import reset_packet_ids
 
 
@@ -177,9 +177,10 @@ def _run_scenario(
     observe_sample_every: int,
 ) -> tuple[FlexNet, ChaosReport]:
     """The scaffold both runners share: stand up the slice, install
-    ``program``, run ``setup`` and drain its windows, arm the plan's
-    device faults, let ``arm`` schedule the runner's own update, run the
-    traffic, and collect the evidence. The runner judges convergence."""
+    ``program``, run ``setup`` and drain its windows, attach the plan's
+    device faults (its crashes and restarts become control actions), let
+    ``arm`` schedule the runner's own update, run the traffic, and
+    collect the evidence. The runner judges convergence."""
     # Restart the packet id counter so the per-packet cut-over draws —
     # and therefore the sampled spans and version splits — are identical
     # across same-seed runs even within one process.
@@ -202,13 +203,6 @@ def _run_scenario(
 
     injector = FaultInjector(plan)
     manager = controller.attach_faults(injector, recovery=recovery, monitor=monitor, resume=resume)
-    schedule = CrashSchedule(
-        loop=controller.loop,
-        devices=controller.devices,
-        recovery=manager,
-        telemetry=controller.telemetry,
-    )
-    schedule.arm(plan)
     arm(net)
 
     traffic = net.run_traffic(
@@ -225,6 +219,7 @@ def _run_scenario(
 
     consistency_report = traffic.consistency.report()
     channel = controller.hub.channel
+    kinds = [applied.action.kind for applied in controller.orchestrator.log]
     return net, ChaosReport(
         seed=plan.seed,
         recovery=recovery,
@@ -240,8 +235,8 @@ def _run_scenario(
             for name, device in controller.devices.items()
         },
         stranded=sorted(name for name, device in controller.devices.items() if device.stranded),
-        crashes=schedule.crashes,
-        restarts=schedule.restarts,
+        crashes=kinds.count(CRASH),
+        restarts=kinds.count(RESTART),
         resumed=manager.resumed if manager is not None else 0,
         rolled_back=manager.rolled_back if manager is not None else 0,
         quarantined=sorted(controller.health.quarantined) if controller.health else [],

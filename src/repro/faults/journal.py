@@ -1,11 +1,13 @@
 """Write-ahead reconfiguration journal (FlexFault recovery).
 
-Transactional delta application for the controller: before a device's
-transition window opens, the orchestrator journals the *intent*
-(old version -> new version, window bounds); only once the window
-closes cleanly is the entry committed. A device that crashes mid-delta
-therefore leaves a PENDING entry behind, and the
-:class:`~repro.faults.recovery.RecoveryManager` uses it on restart to
+The journal is a read-only view over the orchestrator's applied-action
+log (:attr:`~repro.runtime.reconfig.ReconfigOrchestrator.log`), which is
+the one record of what reconfiguration did. An entry is a window
+``open`` that recorded a transaction (old version -> new version, window
+bounds); it stays PENDING until a ``commit`` (the window closed), a
+resume or a rollback (a ``restart``) names its transaction. A device
+that crashes mid-delta therefore leaves a PENDING entry behind, and the
+:class:`~repro.faults.recovery.RecoveryManager` reads it on restart to
 either **resume** (finish the cut-over to the new version) or **roll
 back** (retire the staged version) — never to leave the device in a
 mixed old/new state.
@@ -14,8 +16,9 @@ mixed old/new state.
 from __future__ import annotations
 
 import enum
-import itertools
-from dataclasses import dataclass, field
+from typing import NamedTuple
+
+from repro.runtime.reconfig import OPEN, RESTART, Applied
 
 
 class TxnState(enum.Enum):
@@ -24,22 +27,21 @@ class TxnState(enum.Enum):
     ROLLED_BACK = "rolled_back"
 
 
-@dataclass
-class JournalEntry:
+class JournalEntry(NamedTuple):
     txn_id: int
     device: str
     old_version: int
     new_version: int
     started_at: float
     window_end: float
+    #: the Raft-committed delta this window realizes (None when the
+    #: controller is unreplicated); reported, not read back.
+    delta_id: int | None = None
     state: TxnState = TxnState.PENDING
     resolved_at: float | None = None
-    #: how the entry left PENDING: "window_closed", "resume", "rollback".
+    #: how the entry left PENDING: "window_closed", "resync", "resume",
+    #: "rollback".
     resolution: str | None = None
-    #: FlexHA idempotence: the Raft-committed delta this window realizes
-    #: (None when the controller is unreplicated). A re-elected leader
-    #: re-driving the log skips delta ids already journaled here.
-    delta_id: int | None = None
 
     def to_dict(self) -> dict:
         return {
@@ -56,49 +58,40 @@ class JournalEntry:
         }
 
 
-@dataclass
 class ReconfigJournal:
-    """Per-reconfiguration write-ahead journal, one entry per device
-    window. Append-only; entries transition PENDING -> COMMITTED or
-    PENDING -> ROLLED_BACK exactly once."""
+    """The per-window transactions read off an applied-action log; each
+    resolves PENDING -> COMMITTED or PENDING -> ROLLED_BACK once, by the
+    first action that names it."""
 
-    entries: list[JournalEntry] = field(default_factory=list)
-    _ids: itertools.count = field(default_factory=itertools.count)
+    def __init__(self, log: list[Applied]):
+        self._log = log
 
-    def begin(
-        self,
-        device: str,
-        old_version: int,
-        new_version: int,
-        started_at: float,
-        window_end: float,
-        delta_id: int | None = None,
-    ) -> JournalEntry:
-        entry = JournalEntry(
-            txn_id=next(self._ids),
-            device=device,
-            old_version=old_version,
-            new_version=new_version,
-            started_at=started_at,
-            window_end=window_end,
-            delta_id=delta_id,
-        )
-        self.entries.append(entry)
-        return entry
-
-    def commit(self, entry: JournalEntry, now: float, resolution: str = "window_closed") -> None:
-        if entry.state is not TxnState.PENDING:
-            return
-        entry.state = TxnState.COMMITTED
-        entry.resolved_at = now
-        entry.resolution = resolution
-
-    def rollback(self, entry: JournalEntry, now: float) -> None:
-        if entry.state is not TxnState.PENDING:
-            return
-        entry.state = TxnState.ROLLED_BACK
-        entry.resolved_at = now
-        entry.resolution = "rollback"
+    @property
+    def entries(self) -> list[JournalEntry]:
+        entries: dict[int, JournalEntry] = {}
+        for applied in self._log:
+            txn = applied.txn
+            if txn is None:
+                continue
+            action = applied.action
+            if action.kind == OPEN:
+                entries[txn] = JournalEntry(
+                    txn,
+                    action.device,
+                    applied.old_version,
+                    action.program.version,
+                    applied.time,
+                    applied.time + action.duration,
+                    action.delta_id,
+                )
+            elif entries[txn].state is TxnState.PENDING:
+                # a restart resolves by its outcome ("resume" or "rollback")
+                how = applied.outcome if action.kind == RESTART else action.resolution
+                state = TxnState.ROLLED_BACK if how == "rollback" else TxnState.COMMITTED
+                entries[txn] = entries[txn]._replace(
+                    state=state, resolved_at=applied.time, resolution=how
+                )
+        return list(entries.values())
 
     def pending_for(self, device: str) -> JournalEntry | None:
         """The latest unresolved entry for a device (None when clean)."""
@@ -107,17 +100,9 @@ class ReconfigJournal:
                 return entry
         return None
 
-    @property
-    def pending(self) -> list[JournalEntry]:
-        return [e for e in self.entries if e.state is TxnState.PENDING]
-
     def committed_by(self) -> float | None:
         """Latest commit time across entries, or None if nothing committed."""
-        times = [
-            e.resolved_at
-            for e in self.entries
-            if e.state is TxnState.COMMITTED and e.resolved_at is not None
-        ]
+        times = [e.resolved_at for e in self.entries if e.state is TxnState.COMMITTED]
         return max(times) if times else None
 
     def to_dict(self) -> list[dict]:

@@ -5,10 +5,10 @@ Three cooperating pieces:
 * :class:`RetryPolicy` — bounded retry with exponential backoff, shared
   by the P4Runtime control channel, the dRPC fabric, and the
   orchestrator's reconfiguration commands.
-* :class:`RecoveryManager` — reacts to device crash/restart events:
-  on restart it consults the write-ahead journal
-  (:mod:`repro.faults.journal`) and resolves any interrupted transition
-  by **resume** (finish the cut-over to the new version) or
+* :class:`RecoveryManager` — the orchestrator's ``crash`` and
+  ``restart`` actions consult it: on restart it reads the write-ahead
+  journal (:mod:`repro.faults.journal`) and resolves any interrupted
+  transition by **resume** (finish the cut-over to the new version) or
   **rollback** (retire the staged version), so a device never stays
   stranded in a mixed old/new state.
 * :class:`HealthMonitor` — periodic liveness probing; devices that miss
@@ -21,7 +21,7 @@ Three cooperating pieces:
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.faults.journal import ReconfigJournal
 from repro.runtime.device import DeviceRuntime
@@ -89,9 +89,6 @@ class RecoveryManager:
         self.events: list[DegradedEvent] = []
         self.resumed: int = 0
         self.rolled_back: int = 0
-        #: control actions waiting for a device restart, each bound to
-        #: the orchestrator's entry (``partial(apply_control, action)``).
-        self._deferred: dict[str, list[Callable[[], None]]] = {}
 
     def _record(self, kind: str, device: str, detail: str = "") -> None:
         event = DegradedEvent(time=self._loop.now, kind=kind, device=device, detail=detail)
@@ -101,42 +98,33 @@ class RecoveryManager:
 
     # -- crash lifecycle -----------------------------------------------------
 
-    def defer_until_restart(self, device_name: str, action: Callable[[], None]) -> None:
-        """Queue an action (a window open whose device is down, bound to
-        the orchestrator's entry) to run right after the device restarts
-        and its journal is resolved."""
-        self._deferred.setdefault(device_name, []).append(action)
-
     def on_crash(self, device_name: str) -> None:
         pending = self.journal.pending_for(device_name)
         detail = f"mid-delta txn {pending.txn_id}" if pending is not None else "idle"
         self._record("crash", device_name, detail)
 
-    def on_restart(self, device_name: str) -> None:
-        """Resolve any interrupted transition from the journal."""
+    def on_restart(self, device_name: str) -> tuple[str, int | None]:
+        """Resolve any interrupted transition from the journal. Returns
+        the outcome ("resume", "rollback" or a clean "restart") and the
+        transaction it resolved, for the restart's log entry."""
         device = self._devices[device_name]
-        entry = self.journal.pending_for(device_name)
-        if device.stranded:
-            to_new = self.resume
-            device.resolve_interrupted(to_new=to_new)
-            if entry is not None:
-                if to_new:
-                    self.journal.commit(entry, self._loop.now, resolution="resume")
-                else:
-                    self.journal.rollback(entry, self._loop.now)
-            if to_new:
-                self.resumed += 1
-                self._record("resume", device_name, f"converged to v{device.active_program.version}")
-            else:
-                self.rolled_back += 1
-                self._record("rollback", device_name, f"back to v{device.active_program.version}")
-        else:
+        if not device.stranded:
             # Crash outside a window (or before the window opened): the
             # journal entry, if any, is still actionable by the pending
             # start command's retry loop; just note the restart.
             self._record("restart", device_name, "clean")
-        for action in self._deferred.pop(device_name, []):
-            action()
+            return "restart", None
+        entry = self.journal.pending_for(device_name)
+        device.resolve_interrupted(to_new=self.resume)
+        if self.resume:
+            outcome = "resume"
+            self.resumed += 1
+            self._record(outcome, device_name, f"converged to v{device.active_program.version}")
+        else:
+            outcome = "rollback"
+            self.rolled_back += 1
+            self._record(outcome, device_name, f"back to v{device.active_program.version}")
+        return outcome, None if entry is None else entry.txn_id
 
 
 class HealthMonitor:
@@ -202,49 +190,3 @@ class HealthMonitor:
                 if self.on_quarantine is not None:
                     self.on_quarantine(name)
         self._loop.schedule(self.probe_interval_s, self._probe)
-
-
-@dataclass
-class CrashSchedule:
-    """Arms a fault plan's device crashes on the event loop."""
-
-    loop: EventLoop
-    devices: dict[str, DeviceRuntime]
-    recovery: RecoveryManager | None = None
-    telemetry: object | None = None
-    crashes: int = 0
-    restarts: int = 0
-    events: list[DegradedEvent] = field(default_factory=list)
-
-    def arm(self, plan) -> None:
-        for spec in plan.crashes:
-            if spec.device not in self.devices:
-                continue
-            self.loop.schedule_at(spec.at_s, self._crasher(spec.device))
-            self.loop.schedule_at(
-                spec.at_s + spec.restart_after_s, self._restarter(spec.device)
-            )
-
-    def _crasher(self, name: str) -> Callable[[], None]:
-        def crash() -> None:
-            self.devices[name].crash(self.loop.now)
-            self.crashes += 1
-            self.events.append(DegradedEvent(self.loop.now, "crash", name))
-            if self.recovery is not None:
-                self.recovery.on_crash(name)
-            elif self.telemetry is not None:
-                self.telemetry.ingest_event("crash", name, self.loop.now)
-
-        return crash
-
-    def _restarter(self, name: str) -> Callable[[], None]:
-        def restart() -> None:
-            self.devices[name].restart(self.loop.now)
-            self.restarts += 1
-            self.events.append(DegradedEvent(self.loop.now, "restart", name))
-            if self.recovery is not None:
-                self.recovery.on_restart(name)
-            elif self.telemetry is not None:
-                self.telemetry.ingest_event("restart", name, self.loop.now)
-
-        return restart

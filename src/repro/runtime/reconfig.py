@@ -15,15 +15,17 @@ instances inside the event loop:
   migration at the start of the window so the landing device is warm
   before it takes over.
 
-Every step on a device is a :class:`ControlAction` value the event loop
-hands to one entry, :meth:`ReconfigOrchestrator.apply_control`, so each
-control event is one inspectable thing on the loop's ``(time, seq)``
-order.
+Every step on a device, a fault plan's crashes and restarts included,
+is a :class:`ControlAction` value the event loop hands to one entry,
+:meth:`ReconfigOrchestrator.apply_control`, so each control event is one
+inspectable thing on the loop's ``(time, seq)`` order. Once faults are
+attached the entry appends each applied action and its outcome to one
+log, :attr:`ReconfigOrchestrator.log`; the write-ahead journal
+(:class:`~repro.faults.journal.ReconfigJournal`) is a view over it.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import partial
 from typing import TYPE_CHECKING, NamedTuple
@@ -36,7 +38,6 @@ from repro.runtime.migration import MigrationReport, data_plane_migration
 from repro.simulator.engine import EventLoop
 
 if TYPE_CHECKING:
-    from repro.faults.journal import JournalEntry
     from repro.observe.trace import Span
 
 #: Window charged to devices that only need an apply-block pointer swap
@@ -96,6 +97,7 @@ class TransitionReport:
 
 
 DISPATCH, OPEN, COMMIT, REFLASH, MOVE = "dispatch", "open", "commit", "reflash", "move"
+CRASH, RESTART = "crash", "restart"
 
 #: The :class:`TransitionReport` field each recorded outcome bumps: a list
 #: gets the device's name, a count one more. Other outcomes are events only.
@@ -117,16 +119,19 @@ class ControlAction(NamedTuple):
       dispatch gate, a lost command's retry (the same action with
       ``attempt + 1``) or stranding, deferral while the device is down;
       a delivered command is the ``open`` action.
-    * ``open`` — epoch fence, ``begin_hitless_update``, journal begin,
-      the close (``commit``) and protected-map migration.
-    * ``commit`` — the window closed: settle it, commit its journal entry.
+    * ``open`` — epoch fence, ``begin_hitless_update``, the journal
+      transaction (with faults attached and an old version), the close
+      (``commit``) and protected-map migration.
+    * ``commit`` — the window closed: settle it, resolve its transaction.
     * ``reflash`` — a non-hitless device's drain + reflash.
     * ``move`` — in-band migration of a moved element's state.
+    * ``crash`` / ``restart`` — a fault plan's device crash and restart;
+      a restart resolves an interrupted window, then opens deferred starts.
     """
 
     kind: str
     device: str  # a move's destination
-    report: TransitionReport  # every outcome is counted here
+    report: TransitionReport | None = None  # every window outcome is counted here
     span: Span | None = None  # outcome events land here; None records none
     # dispatch / open / reflash: the version, its window, what it hosts.
     program: Program | None = None
@@ -134,21 +139,33 @@ class ControlAction(NamedTuple):
     hosted: set[str] | None = None
     flow_affine: bool = False
     protected_maps: set[str] | None = None
-    # FlexHA: the proposer's term, whether it may still dispatch, and the
-    # committed delta the window realizes.
+    # FlexHA: the proposer's term, the (node id, term) that must still
+    # lead when the start fires, and the committed delta the window realizes.
     epoch: int | None = None
-    dispatch_gate: Callable[[], bool] | None = None
+    gate: tuple[str, int] | None = None
     delta_id: int | None = None
     attempt: int = 1  # dispatch: which send of the start command
-    # open / commit: how the journal entry resolves at the close, whether
-    # the close settles the window when no journal is attached, the entry.
+    # open / commit: how the transaction resolves at the close, whether
+    # the close settles the window when no journal is kept, the transaction.
     resolution: str = "window_closed"
     settle: bool = False
-    entry: JournalEntry | None = None
+    txn: int | None = None
     # move: the element, the device it leaves and the (old, new) plans.
     element: str | None = None
     source: str | None = None
     plans: tuple[CompilationPlan, CompilationPlan] | None = None
+
+
+class Applied(NamedTuple):
+    """One entry of the applied-action log: an action and what came of it."""
+
+    time: float
+    action: ControlAction
+    outcome: str
+    #: the journal transaction a window ``open`` recorded, or the one a
+    #: ``commit`` or ``restart`` resolved.
+    txn: int | None = None
+    old_version: int | None = None  # a journaled open: the version it left
 
 
 class ReconfigOrchestrator:
@@ -164,12 +181,14 @@ class ReconfigOrchestrator:
         self._reserved_until: dict[str, float] = {}
         #: FlexFault wiring (all optional; attached by
         #: :meth:`~repro.control.controller.FlexNetController.attach_faults`):
-        #: the fault injector consulted per command/migration, the
-        #: write-ahead journal that makes delta application transactional,
-        #: and the recovery manager whose policy drives retries.
+        #: the fault injector consulted per command/migration, the log of
+        #: applied actions (the journal is read from it), the recovery
+        #: manager, and the telemetry that hears of crashes without it.
         self.injector = None
-        self.journal = None
+        self.log: list[Applied] | None = None
         self.recovery = None
+        self.telemetry = None
+        self.ha = None  # FlexHA: does a gated start's proposer still lead?
         #: FlexScope: set by :meth:`repro.observe.Observer.enable`; each
         #: transition gets a span tree (transition → per-device windows →
         #: migrations) with lifecycle events (delivery, commit, retries).
@@ -213,7 +232,7 @@ class ReconfigOrchestrator:
         flow_affine: bool = False,
         protected_maps: set[str] | None = None,
         epoch: int | None = None,
-        dispatch_gate=None,
+        dispatch_gate: tuple[str, int] | None = None,
         delta_id: int | None = None,
     ) -> TransitionReport:
         """Schedule the transition starting now; returns a report that
@@ -233,11 +252,11 @@ class ReconfigOrchestrator:
 
         FlexHA threading: ``epoch`` stamps every start command with the
         proposing leader's Raft term (devices reject stale epochs);
-        ``dispatch_gate`` is checked when each scheduled start fires — a
-        False verdict means the proposing leader is no longer alive to
-        dispatch, so the command is suppressed (the new leader re-drives
-        it from the committed log); ``delta_id`` is journaled for
-        idempotent re-driving.
+        ``dispatch_gate`` is the proposer's ``(node id, term)``, checked
+        when each scheduled start fires — unless FlexHA says that node
+        still leads in that term, the command is suppressed (the new
+        leader re-drives it from the committed log); ``delta_id`` names
+        the committed delta in the journal.
         """
         now = self._loop.now
         report = TransitionReport(started_at=now, steps_applied=len(reconfig.steps))
@@ -296,7 +315,7 @@ class ReconfigOrchestrator:
                 flow_affine=flow_affine,
                 protected_maps=protected_maps,
                 epoch=epoch,
-                dispatch_gate=dispatch_gate,
+                gate=dispatch_gate,
                 delta_id=delta_id,
             )
             self._loop.schedule_at(start, partial(self.apply_control, action))
@@ -333,13 +352,16 @@ class ReconfigOrchestrator:
 
     def apply_control(self, action: ControlAction) -> None:
         """Apply one control action: every scheduled start, retry, window
-        close, state move, start resumed on a restart and FlexHA
-        re-drive comes through here."""
-        self._KINDS[action.kind](self, action)
+        close, state move, crash, restart, start resumed on a restart and
+        FlexHA re-drive comes through here. With faults attached, what
+        came of it is appended to :attr:`log`."""
+        applied = self._KINDS[action.kind](self, action)
+        if self.log is not None:
+            self.log.append(applied)
 
-    def _record(self, action: ControlAction, outcome: str, **attrs) -> None:
-        """Count one outcome of ``action`` in its report and put the event
-        on its span."""
+    def _record(self, action: ControlAction, outcome: str, **attrs) -> Applied:
+        """Count one outcome of ``action`` in its report, put the event
+        on its span, and return it as a log entry."""
         name = _REPORT_FIELDS.get(outcome)
         if name is not None:
             value = getattr(action.report, name)
@@ -351,27 +373,27 @@ class ReconfigOrchestrator:
             self.observer.tracer.event(
                 outcome, self._loop.now, span=action.span, device=action.device, **attrs
             )
+        return Applied(self._loop.now, action, outcome)
 
-    def _suppressed(self, action: ControlAction) -> bool:
+    def _suppressed(self, action: ControlAction) -> Applied | None:
         # FlexHA: is the leader that planned this still the one allowed
         # to dispatch it? A dead or deposed leader's starts are
         # suppressed, and its successor re-drives them from the log.
-        gate = action.dispatch_gate
-        if gate is None or gate():
-            return False
-        self._record(action, "dispatch_suppressed", attempt=action.attempt)
-        return True
+        gate = action.gate
+        if gate is None or (self.ha is not None and self.ha.leads(*gate)):
+            return None
+        return self._record(action, "dispatch_suppressed", attempt=action.attempt)
 
-    def _fenced(self, device: DeviceRuntime, action: ControlAction) -> bool:
+    def _fenced(self, device: DeviceRuntime, action: ControlAction) -> Applied | None:
         # A since-deposed leader issued this; a newer one touched the device.
         if device.admit_epoch(action.epoch):
-            return False
-        self._record(action, "stale_epoch_rejected", epoch=action.epoch)
-        return True
+            return None
+        return self._record(action, "stale_epoch_rejected", epoch=action.epoch)
 
-    def _dispatch(self, action: ControlAction) -> None:
-        if self._suppressed(action):
-            return
+    def _dispatch(self, action: ControlAction) -> Applied:
+        suppressed = self._suppressed(action)
+        if suppressed is not None:
+            return suppressed
         # FlexFault: the start command crosses the control channel; a
         # lost command is retried with backoff (recovery) or strands the
         # device on the old program (baseline).
@@ -380,34 +402,29 @@ class ReconfigOrchestrator:
             attempt = action.attempt
             self._record(action, "command_dropped", attempt=attempt)
             policy = self.recovery.policy if self.recovery is not None else None
-            if policy is not None and attempt < policy.max_attempts:
-                self._record(action, "command_retry", attempt=attempt)
-                retry = action._replace(attempt=attempt + 1)
-                self._loop.schedule(policy.backoff_s(attempt), partial(self.apply_control, retry))
-            else:
-                self._record(action, "stranded")
-            return
-        opening = action._replace(kind=OPEN)
+            if policy is None or attempt >= policy.max_attempts:
+                return self._record(action, "stranded")
+            applied = self._record(action, "command_retry", attempt=attempt)
+            retry = action._replace(attempt=attempt + 1)
+            self._loop.schedule(policy.backoff_s(attempt), partial(self.apply_control, retry))
+            return applied
         device = self._devices[action.device]
-        # Device down (crashed before its window opened): defer the start
-        # to the restart path, or strand without recovery.
+        # Device down (crashed before its window opened): the restart
+        # opens it (recovery), or the device strands (baseline).
         if device.crashed or device.stranded:
-            if self.recovery is not None:
-                self.recovery.defer_until_restart(
-                    action.device, partial(self.apply_control, opening)
-                )
-                self._record(action, "deferred_start")
-            else:
-                self._record(action, "stranded")
-            return
-        self._open(opening)
+            return self._record(
+                action, "deferred_start" if self.recovery is not None else "stranded"
+            )
+        self.apply_control(action._replace(kind=OPEN))
+        return Applied(self._loop.now, action, "delivered")
 
-    def _open(self, action: ControlAction) -> None:
+    def _open(self, action: ControlAction) -> Applied:
         """The start command arrived: fence, open the transition window,
-        journal the intent, schedule the close, and warm protected maps."""
+        record its transaction, schedule the close, and warm protected maps."""
         device = self._devices[action.device]
-        if self._fenced(device, action):
-            return
+        fenced = self._fenced(device, action)
+        if fenced is not None:
+            return fenced
         self._record(action, "window_open")
         now = self._loop.now
         old = device.active_instance
@@ -418,21 +435,14 @@ class ReconfigOrchestrator:
             hosted_elements=action.hosted,
             flow_affine=action.flow_affine,
         )
-        entry = None
-        if self.journal is not None and old is not None:
-            entry = self.journal.begin(
-                device.name,
-                old.program.version,
-                action.program.version,
-                started_at=now,
-                window_end=now + action.duration,
-                delta_id=action.delta_id,
-            )
-        if entry is not None or action.settle:
-            close = action._replace(kind=COMMIT, entry=entry)
+        applied = Applied(now, action, "window_open")
+        if self.log is not None and old is not None:
+            applied = applied._replace(txn=self._next_txn(), old_version=old.program.version)
+        if applied.txn is not None or action.settle:
+            close = action._replace(kind=COMMIT, txn=applied.txn)
             self._loop.schedule(action.duration, partial(self.apply_control, close))
         if not action.protected_maps or old is None:
-            return
+            return applied
         # Swing-state migration for race-flagged maps whose physical
         # state could not be shared across versions (re-keyed): warm the
         # staged copy. A re-declared map is shared until the cut-over,
@@ -447,38 +457,46 @@ class ReconfigOrchestrator:
             self._run_migration(
                 old_state, new_state, action.report, span=action.span, label=map_name
             )
+        return applied
 
-    def _commit(self, action: ControlAction) -> None:
-        """The window closed: settle it and commit its journal entry. A
-        crashed or stranded device leaves the entry PENDING for recovery."""
+    def _next_txn(self) -> int:
+        """The id the next journaled window gets: one past the last one."""
+        for applied in reversed(self.log):
+            if applied.action.kind == OPEN and applied.txn is not None:
+                return applied.txn + 1
+        return 0
+
+    def _commit(self, action: ControlAction) -> Applied:
+        """The window closed: settle it and resolve its transaction. A
+        crashed or stranded device leaves the transaction pending for
+        recovery."""
         device = self._devices[action.device]
-        if device.crashed or device.stranded:
-            return
         now = self._loop.now
+        if device.crashed or device.stranded:
+            return Applied(now, action, "frozen")
         device.settle(now)
-        entry = action.entry
-        if entry is not None:
-            self.journal.commit(entry, now, resolution=action.resolution)
-            self._record(action, "commit", to_version=entry.new_version)
+        if action.txn is not None:
+            self._record(action, "commit", to_version=action.program.version)
+        return Applied(now, action, "commit", action.txn)
 
-    def _reflash(self, action: ControlAction) -> None:
-        if self._suppressed(action):
-            return
+    def _reflash(self, action: ControlAction) -> Applied:
         device = self._devices[action.device]
-        if self._fenced(device, action):
-            return
+        refused = self._suppressed(action) or self._fenced(device, action)
+        if refused is not None:
+            return refused
         available_at = device.begin_reflash(
             action.program, now=self._loop.now, hosted_elements=action.hosted
         )
-        self._record(action, "reflash", available_at=round(available_at, 9))
+        return self._record(action, "reflash", available_at=round(available_at, 9))
 
-    def _move(self, action: ControlAction) -> None:
+    def _move(self, action: ControlAction) -> Applied:
+        applied = Applied(self._loop.now, action, "move")
         if action.source is None:
-            return
+            return applied
         source = self.device(action.source).active_instance
         destination = self.device(action.device).active_instance
         if source is None or destination is None:
-            return
+            return applied
         # The maps that travel are the element itself (a moved map) plus
         # those its profile reads or writes, per the certificate of the
         # plan the source instance runs.
@@ -497,8 +515,51 @@ class ReconfigOrchestrator:
                     span=action.span,
                     label=map_name,
                 )
+        return applied
 
-    _KINDS = {DISPATCH: _dispatch, OPEN: _open, COMMIT: _commit, REFLASH: _reflash, MOVE: _move}
+    def _crash(self, action: ControlAction) -> Applied:
+        name = action.device
+        now = self._loop.now
+        self._devices[name].crash(now)
+        if self.recovery is not None:
+            self.recovery.on_crash(name)
+        elif self.telemetry is not None:
+            self.telemetry.ingest_event(CRASH, name, now)
+        return Applied(now, action, CRASH)
+
+    def _restart(self, action: ControlAction) -> Applied:
+        """Power the device back on; with recovery, resolve its
+        interrupted window, then open the starts deferred while it was
+        down, in the order they were deferred."""
+        name = action.device
+        now = self._loop.now
+        self._devices[name].restart(now)
+        if self.recovery is None:
+            if self.telemetry is not None:
+                self.telemetry.ingest_event(RESTART, name, now)
+            return Applied(now, action, RESTART)
+        outcome, txn = self.recovery.on_restart(name)
+        deferred = []
+        for applied in reversed(self.log):
+            if applied.action.device != name:
+                continue
+            if applied.action.kind == RESTART:
+                break
+            if applied.outcome == "deferred_start":
+                deferred.append(applied.action)
+        for start in reversed(deferred):
+            self.apply_control(start._replace(kind=OPEN))
+        return Applied(now, action, outcome, txn)
+
+    _KINDS = {
+        DISPATCH: _dispatch,
+        OPEN: _open,
+        COMMIT: _commit,
+        REFLASH: _reflash,
+        MOVE: _move,
+        CRASH: _crash,
+        RESTART: _restart,
+    }
 
     def _run_migration(
         self, source_state, destination_state, report: TransitionReport, span=None, label=""

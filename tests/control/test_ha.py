@@ -251,5 +251,5 @@ class TestRedrive:
             crash_after_s=DEFAULT_REFRESH_S / 2
         )
         assert entry.state is TxnState.PENDING
-        assert controller.journal.pending_for("sw1") is entry
+        assert controller.journal.pending_for("sw1") == entry
         assert device.crashed

@@ -19,6 +19,7 @@ import dataclasses
 import hashlib
 import io
 import json
+import pickle
 
 import pytest
 
@@ -27,6 +28,7 @@ from repro.cli import main
 from repro.core.flexnet import FlexNet
 from repro.faults import FaultInjector, FaultPlan, MigrationFault
 from repro.lang.delta import apply_delta, parse_delta
+from repro.runtime.reconfig import ReconfigOrchestrator
 from repro.simulator.packet import reset_packet_ids
 
 from tests.control.test_controller import TWO_MAP_DELTA
@@ -163,6 +165,34 @@ def test_a_chaos_fault_path_is_pinned(args, transition, events, resolved, sha):
     assert digest(report) == sha
 
 
+@pytest.mark.parametrize(
+    "args, kinds",
+    [
+        (("--seed", "1"), {"commit", "crash", "dispatch", "open", "restart"}),
+        (("--seed", "3", "--crash", "sw1@1.4", "--restart-after", "0.5"),
+         {"commit", "crash", "dispatch", "open", "restart"}),
+        # every start carries FlexHA's gate, and every one is suppressed
+        (("--seed", "1", "--controller"), {"crash", "dispatch", "restart"}),
+    ],
+    ids=["dropped-retried-resumed", "deferred-to-restart", "controller-undispatched"],
+)
+def test_every_applied_action_pickles(args, kinds, monkeypatch):
+    """An action is a value: each one a chaos run applies survives a
+    pickle round trip and compares equal."""
+    applied = []
+    apply_control = ReconfigOrchestrator.apply_control
+
+    def capture(orchestrator, action):
+        applied.append(action)
+        apply_control(orchestrator, action)
+
+    monkeypatch.setattr(ReconfigOrchestrator, "apply_control", capture)
+    chaos(*args)
+    assert {action.kind for action in applied} == kinds
+    for action in applied:
+        assert pickle.loads(pickle.dumps(action)) == action
+
+
 def state_move_run(seed: int) -> dict:
     """Two stateful elements leave nic2 for sw1 under a migration-failure
     fault with recovery on: failed migrations are retried, and one map
@@ -230,10 +260,11 @@ def test_a_stale_epoch_start_is_pinned():
 
 
 def test_an_undispatched_start_is_pinned():
-    """The proposing leader is gone when the starts fire: every one is
-    suppressed and the fleet stays on the old version."""
+    """The proposing leader is gone when the starts fire (no FlexHA is
+    attached, so node n1 leads in no term): every one is suppressed and
+    the fleet stays on the old version."""
     net = fenced_net()
-    run = run_fenced(net, epoch=1, dispatch_gate=lambda: False)
+    run = run_fenced(net, epoch=1, dispatch_gate=("n1", 1))
     transition = run["outcome"]["transition"]
     assert transition["undispatched"] == sorted(transition["device_windows"])
     assert digest(run) == "6751c0859f52d512126bac3c55834632cf47aa590876c351f7532b51491f787d"
@@ -260,7 +291,7 @@ def test_a_reflash_update_is_pinned():
 
 def test_a_fenced_or_undispatched_reflash_is_pinned():
     stale = reflash_outcome(watermark=5, epoch=3)
-    undispatched = reflash_outcome(epoch=1, dispatch_gate=lambda: False)
+    undispatched = reflash_outcome(epoch=1, dispatch_gate=("n1", 1))
     assert stale["transition"]["stale_rejected"] == len(stale["transition"]["device_windows"])
     assert undispatched["transition"]["undispatched"] == sorted(
         undispatched["transition"]["device_windows"]

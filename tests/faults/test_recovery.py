@@ -1,36 +1,29 @@
-"""RetryPolicy, RecoveryManager, HealthMonitor and CrashSchedule."""
+"""RetryPolicy, RecoveryManager, HealthMonitor, and a fault plan's
+crashes and restarts as control actions."""
 
 import pytest
 
+from repro.core.flexnet import FlexNet
 from repro.faults import (
-    CrashSchedule,
     DeviceCrash,
+    FaultInjector,
     FaultPlan,
     HealthMonitor,
-    ReconfigJournal,
-    RecoveryManager,
     RetryPolicy,
     TxnState,
 )
-from repro.lang.delta import apply_delta, parse_delta
 from repro.runtime.device import DeviceRuntime
+from repro.runtime.reconfig import CRASH, DISPATCH, OPEN, RESTART
 from repro.simulator.engine import EventLoop
 from repro.targets import drmt_switch
 
-from tests.faults.test_device_faults import ADD_GUARD
+from tests.faults.test_journal import Fleet
 
 
 def make_device(base_program, name="sw1"):
     device = DeviceRuntime(name, drmt_switch(name))
     device.install(base_program)
     return device
-
-
-def strand(device, base_program, crash_at=0.4):
-    new_program, _ = apply_delta(base_program, parse_delta(ADD_GUARD))
-    device.begin_hitless_update(new_program, now=0.0, duration_s=1.0)
-    device.crash(crash_at)
-    return new_program
 
 
 class TestRetryPolicy:
@@ -51,98 +44,113 @@ class TestRetryPolicy:
 
 
 class TestRecoveryManager:
-    def make_manager(self, device, resume=True):
-        loop = EventLoop()
-        journal = ReconfigJournal()
-        manager = RecoveryManager(
-            loop, {device.name: device}, journal, resume=resume
-        )
-        return loop, journal, manager
+    def strand(self, fleet):
+        """A window on sw1 from 0.0 to 1.0, crashed at 0.4."""
+        fleet.open(0.0, duration=1.0)
+        fleet.at(0.4, CRASH)
 
     def test_restart_resumes_stranded_device(self, base_program):
-        device = make_device(base_program)
-        loop, journal, manager = self.make_manager(device)
-        new_program = strand(device, base_program)
-        entry = journal.begin(device.name, base_program.version, new_program.version,
-                              started_at=0.0, window_end=1.0)
-        manager.on_crash(device.name)
-        device.restart(1.4)
-        manager.on_restart(device.name)
+        fleet = Fleet(base_program)
+        self.strand(fleet)
+        fleet.at(1.4, RESTART)
+        fleet.run(2.0)
+        device = fleet.devices["sw1"]
         assert not device.stranded
-        assert device.active_program.version == new_program.version
-        assert manager.resumed == 1
+        assert device.active_program.version == fleet.new_program.version
+        assert fleet.recovery.resumed == 1
+        (entry,) = fleet.journal.entries
         assert entry.state is TxnState.COMMITTED
         assert entry.resolution == "resume"
 
     def test_restart_rolls_back_when_configured(self, base_program):
-        device = make_device(base_program)
-        loop, journal, manager = self.make_manager(device, resume=False)
-        new_program = strand(device, base_program)
-        entry = journal.begin(device.name, base_program.version, new_program.version,
-                              started_at=0.0, window_end=1.0)
-        device.restart(1.4)
-        manager.on_restart(device.name)
+        fleet = Fleet(base_program, resume=False)
+        self.strand(fleet)
+        fleet.at(1.4, RESTART)
+        fleet.run(2.0)
+        device = fleet.devices["sw1"]
         assert not device.stranded
         assert device.active_program.version == base_program.version
-        assert manager.rolled_back == 1
+        assert fleet.recovery.rolled_back == 1
+        (entry,) = fleet.journal.entries
         assert entry.state is TxnState.ROLLED_BACK
 
     def test_crash_event_carries_mid_delta_detail(self, base_program):
-        device = make_device(base_program)
-        loop, journal, manager = self.make_manager(device)
-        new_program = strand(device, base_program)
-        journal.begin(device.name, base_program.version, new_program.version,
-                      started_at=0.0, window_end=1.0)
-        manager.on_crash(device.name)
-        assert "mid-delta" in manager.events[-1].detail
+        fleet = Fleet(base_program)
+        self.strand(fleet)
+        fleet.run(0.5)
+        assert fleet.recovery.events[-1].detail == "mid-delta txn 0"
 
     def test_idle_crash_restart_is_clean(self, base_program):
-        device = make_device(base_program)
-        loop, journal, manager = self.make_manager(device)
-        device.crash(1.0)
-        manager.on_crash(device.name)
-        device.restart(2.0)
-        manager.on_restart(device.name)
-        assert manager.events[-1].kind == "restart"
-        assert manager.resumed == 0 and manager.rolled_back == 0
+        fleet = Fleet(base_program)
+        fleet.at(1.0, CRASH)
+        fleet.at(2.0, RESTART)
+        fleet.run(3.0)
+        assert fleet.recovery.events[-1].kind == "restart"
+        assert fleet.recovery.resumed == 0 and fleet.recovery.rolled_back == 0
+        assert fleet.kinds() == [(CRASH, CRASH), (RESTART, "restart")]
 
     def test_deferred_actions_run_after_restart(self, base_program):
-        device = make_device(base_program)
-        loop, journal, manager = self.make_manager(device)
-        fired = []
-        manager.defer_until_restart(device.name, lambda: fired.append(True))
-        assert fired == []
-        device.crash(1.0)
-        device.restart(2.0)
-        manager.on_restart(device.name)
-        assert fired == [True]
+        """A start that reaches a crashed device is deferred, and its
+        restart opens it; another device's start is delivered."""
+        fleet = Fleet(base_program, names=("sw1", "nic1"))
+        fleet.at(1.0, CRASH)
+        fleet.at(1.2, DISPATCH, program=fleet.new_program, duration=0.5)
+        fleet.at(1.3, DISPATCH, device="nic1", program=fleet.new_program, duration=0.5)
+        fleet.run(1.5)
+        assert fleet.kinds()[1:] == [
+            (DISPATCH, "deferred_start"), (OPEN, "window_open"), (DISPATCH, "delivered"),
+        ]
+        assert not fleet.devices["sw1"].in_transition
+        fleet.at(2.0, RESTART)
+        fleet.run(2.1)
+        assert fleet.kinds()[-2:] == [(OPEN, "window_open"), (RESTART, "restart")]
+        assert fleet.devices["sw1"].in_transition
+        assert fleet.journal.pending_for("sw1").started_at == 2.0
+
+    def test_without_recovery_a_deferred_start_strands(self, base_program):
+        fleet = Fleet(base_program, resume=None)
+        fleet.at(1.0, CRASH)
+        fleet.at(1.2, DISPATCH, program=fleet.new_program, duration=0.5)
+        fleet.at(2.0, RESTART)
+        fleet.run(3.0)
+        assert fleet.kinds() == [(CRASH, CRASH), (DISPATCH, "stranded"), (RESTART, RESTART)]
+        assert fleet.devices["sw1"].active_program.version == base_program.version
 
 
 class TestCrashSchedule:
+    """``attach_faults`` schedules a plan's crashes and restarts as
+    ``crash`` / ``restart`` control actions."""
+
+    def armed(self, base_program, *crashes):
+        net = FlexNet.standard()
+        net.install(base_program)
+        controller = net.controller
+        before = controller.loop.pending()
+        controller.attach_faults(FaultInjector(FaultPlan(seed=1, crashes=crashes)))
+        return controller, controller.loop.pending() - before
+
     def test_arm_crashes_and_restarts_on_schedule(self, base_program):
-        loop = EventLoop()
-        device = make_device(base_program)
-        schedule = CrashSchedule(loop, {device.name: device})
-        plan = FaultPlan(
-            seed=1,
-            crashes=(DeviceCrash(device="sw1", at_s=1.0, restart_after_s=0.5),),
+        controller, scheduled = self.armed(
+            base_program, DeviceCrash(device="sw1", at_s=1.0, restart_after_s=0.5)
         )
-        schedule.arm(plan)
-        loop.run_until(1.2)
+        assert scheduled == 2
+        device = controller.devices["sw1"]
+        controller.loop.run_until(1.2)
         assert device.crashed
-        loop.run_until(2.0)
+        controller.loop.run_until(2.0)
         assert not device.crashed
-        assert schedule.crashes == 1 and schedule.restarts == 1
+        log = controller.orchestrator.log
+        assert [(a.time, a.action.kind, a.action.device) for a in log] == [
+            (1.0, CRASH, "sw1"), (1.5, RESTART, "sw1"),
+        ]
 
     def test_unknown_device_is_skipped(self, base_program):
-        loop = EventLoop()
-        schedule = CrashSchedule(loop, {})
-        plan = FaultPlan(
-            seed=1, crashes=(DeviceCrash(device="ghost", at_s=1.0, restart_after_s=0.5),)
+        controller, scheduled = self.armed(
+            base_program, DeviceCrash(device="ghost", at_s=1.0, restart_after_s=0.5)
         )
-        schedule.arm(plan)
-        loop.run_until(3.0)
-        assert schedule.crashes == 0
+        assert scheduled == 0
+        controller.loop.run_until(3.0)
+        assert controller.orchestrator.log == []
 
 
 class TestHealthMonitor:
