@@ -24,6 +24,7 @@ from repro.lang.analyzer import certify
 from repro.lang.delta import Delta, apply_delta
 from repro.lang.ir import Program
 from repro.runtime.device import DeviceRuntime
+from repro.scale.shard import run_one_shard
 from repro.simulator.engine import EventLoop
 from repro.simulator.flowgen import TimedPacket
 from repro.simulator.metrics import RunMetrics
@@ -149,10 +150,4 @@ class CompileTimeNetwork:
         packets: list[TimedPacket],
         extra_time_s: float = 1.0,
     ) -> RunMetrics:
-        metrics = RunMetrics()
-        times = [timed.time for timed in packets]
-        self.network.inject_series(
-            [timed.packet for timed in packets], ["datapath"] * len(packets), times, metrics
-        )
-        self.loop.run_until(max(times, default=self.loop.now) + extra_time_s)
-        return metrics
+        return run_one_shard(self.network, packets, extra_time_s).metrics

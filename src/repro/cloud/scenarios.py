@@ -45,6 +45,8 @@ from repro.errors import ChannelError, StaleEpochError
 from repro.lang import builder as b
 from repro.lang.ir import Program
 from repro.limits import ADMISSION_ROUND_BUDGET, ADMISSION_ROUND_S
+from repro.scale.shard import run_one_shard
+from repro.simulator.flowgen import TimedPacket
 from repro.simulator.packet import make_packet, reset_packet_ids
 from repro.util import stable_digest
 
@@ -237,19 +239,12 @@ class CloudFleet:
         def on_done(packet) -> None:
             verdicts[packet.get_field("ipv4", "src")] = packet.dropped
 
-        times = [start + index * 1e-4 for index in range(len(eligible))]
-        packets = [
-            make_packet(
-                src_ip=self.tenant_ip(tenant),
-                dst_ip=_TENANT_SUBNET | 0xFFFE,
-                created_at=at,
-            )
-            for tenant, at in zip(eligible, times)
-        ]
-        controller.network.inject_series(
-            packets, ["datapath"] * len(packets), times, on_done=on_done
-        )
-        controller.loop.run_until(times[-1] + 1.0)
+        workload = []
+        for index, tenant in enumerate(eligible):
+            at = start + index * 1e-4
+            packet = make_packet(self.tenant_ip(tenant), _TENANT_SUBNET | 0xFFFE, created_at=at)
+            workload.append(TimedPacket(at, packet))
+        run_one_shard(controller.network, workload, 1.0, on_done)
         violations = 0
         for tenant in eligible:
             admitted = self.registry.get(tenant, 0) != 0

@@ -441,10 +441,15 @@ class FlexNet:
         """Inject traffic over the datapath and drain the event loop.
 
         Custom workloads pass ``packets``; otherwise a constant-rate
-        flow is generated. Any updates scheduled on the controller's
-        loop run interleaved with the traffic.
+        flow is generated. It is the one driver's one-shard run
+        (:func:`repro.scale.shard.run_one_shard`) on the controller's
+        loop, so scheduled updates interleave with the traffic. Horizon
+        rule: it ends ``extra_time_s`` after the last injection (or
+        now); a packet still in flight there raises, a control event
+        pending past it does not.
         """
-        metrics = RunMetrics()
+        from repro.scale.shard import run_one_shard
+
         checker = (
             ConsistencyChecker(consistency_level) if consistency_level is not None else None
         )
@@ -460,22 +465,11 @@ class FlexNet:
         workload = packets if packets is not None else list(
             constant_rate(rate_pps, duration_s, start_s=loop.now)
         )
-        times = [timed.time for timed in workload]
-        self.controller.network.inject_series(
-            [timed.packet for timed in workload],
-            ["datapath"] * len(workload),
-            times,
-            metrics,
-            on_done,
-        )
-        loop.run_until(max(times, default=loop.now) + extra_time_s)
+        engine = run_one_shard(self.controller.network, workload, extra_time_s, on_done)
         return TrafficReport(
-            metrics=metrics,
+            metrics=engine.metrics,
             consistency=checker,
-            telemetry=TelemetrySnapshot(
-                total_digests=self.controller.telemetry.total_digests,
-                total_events=self.controller.telemetry.total_events,
-            ),
+            telemetry=TelemetrySnapshot(telemetry.total_digests, telemetry.total_events),
         )
 
     def scale(
@@ -493,11 +487,14 @@ class FlexNet:
         """Run traffic sharded across worker processes (FlexScale).
 
         Partitions the fabric with :func:`repro.scale.plan.plan_shards`
-        (vet-gated placement) and drives the conservative lookahead
-        protocol; the returned
+        (vet-gated placement) and runs the one driver,
+        :class:`~repro.scale.shard.ShardEngine`, per shard over the
+        conservative lookahead protocol; the returned
         :class:`~repro.scale.runner.ScaleReport`'s ``traffic`` section
-        is byte-identical to what :meth:`run_traffic` reports for the
-        same workload. Like ``run_traffic`` this mutates device state.
+        is byte-identical to what :meth:`run_traffic` (its one-shard
+        run) reports for the same workload, under the same horizon rule
+        with ``drain_s`` for ``extra_time_s``. Like ``run_traffic`` this
+        mutates device state.
 
         Under the process backend any worker death is recovered: the
         FlexMend supervisor forks the shard afresh and re-executes it

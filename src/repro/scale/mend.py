@@ -409,17 +409,10 @@ def _worker_main(
         transport = MendTransport(
             shard_id, inboxes, injector, in_neighbors=plan.in_neighbors(shard_id)
         )
-        engine = ShardEngine(
-            shard_id,
-            plan,
-            net.controller.devices,
-            end_time,
-            topology=net.controller.network,
-        )
         # Packets created inside this worker (if any) get a per-shard id
         # namespace so ids can never collide across shards.
         reset_packet_ids(shard_id + 1)
-        engine.inject_series(injections)
+        engine = ShardEngine.private(shard_id, plan, net, end_time, injections)
         inbox = inboxes[shard_id]
         # An armed run heartbeats every round: the window of the last
         # heartbeat is where a death with no fault event is accounted.

@@ -20,7 +20,7 @@ protocol:
 Either way the coordinator merges per-shard :class:`RunMetrics`,
 telemetry digest counts, and frozen FlexScope registries into one
 :class:`ScaleReport` whose ``traffic`` section is byte-identical to the
-``TrafficReport`` of a same-seed single-process run (E20's differential
+``TrafficReport`` of the same-seed one-shard run (E20's differential
 acceptance check — and E23's, which holds it *through* injected worker
 crashes). The variable parts — windows, handoff counts, per-shard
 breakdowns, supervision outcomes — live in separate report sections so
@@ -32,12 +32,13 @@ from __future__ import annotations
 import multiprocessing
 from dataclasses import dataclass, field
 
+from repro.core.flexnet import TelemetrySnapshot, TrafficReport
 from repro.errors import SimulationError
 from repro.faults.plan import FaultPlan
 from repro.observe.metrics import MetricsRegistry
 from repro.scale.mend import MendReport, Supervisor
 from repro.scale.plan import ShardPlan, plan_shards
-from repro.scale.shard import ShardEngine, ShardResult, run_inline
+from repro.scale.shard import ShardEngine, ShardResult, horizon, run_inline
 from repro.simulator.flowgen import TimedPacket
 from repro.simulator.metrics import RunMetrics
 
@@ -46,8 +47,9 @@ from repro.simulator.metrics import RunMetrics
 class ScaleReport:
     """Outcome of a sharded run (FlexScope Reportable protocol).
 
-    ``traffic`` (via :meth:`traffic_dict`) is the byte-identical
-    section; ``sharding`` carries the protocol/shape diagnostics that
+    ``traffic`` is the byte-identical section, the
+    :class:`~repro.core.flexnet.TrafficReport` a one-shard run gives;
+    ``sharding`` carries the protocol/shape diagnostics that
     legitimately vary with the shard count. ``plan`` is the plan the
     run executed: its ``lookahead_s`` (and so
     ``to_dict()["sharding"]["plan"]["lookahead_s"]``) lists only the
@@ -57,12 +59,19 @@ class ScaleReport:
     plan: ShardPlan
     backend: str
     end_time_s: float
-    metrics: RunMetrics
-    total_digests: int
+    traffic: TrafficReport
     registry: MetricsRegistry
     shard_results: list[ShardResult] = field(default_factory=list)
     #: FlexMend supervision outcome (process backend only).
     mend: MendReport | None = None
+
+    @property
+    def metrics(self) -> RunMetrics:
+        return self.traffic.metrics
+
+    @property
+    def total_digests(self) -> int:
+        return self.traffic.telemetry.total_digests
 
     @property
     def windows(self) -> int:
@@ -86,12 +95,7 @@ class ScaleReport:
         return max(values) if values else None
 
     def traffic_dict(self) -> dict:
-        """Exactly the shape ``TrafficReport.to_dict()`` produces for
-        the same workload on the single-process engine."""
-        return {
-            "metrics": self.metrics.to_dict(),
-            "telemetry": {"total_digests": self.total_digests, "total_events": 0},
-        }
+        return self.traffic.to_dict()
 
     def to_dict(self) -> dict:
         out = {
@@ -141,12 +145,12 @@ class ScaleReport:
 
 
 def _assign_injections(
-    net, plan: ShardPlan, injections: list[TimedPacket]
-) -> tuple[ShardPlan, dict[int, list[tuple]]]:
+    net, plan: ShardPlan, injections: list[TimedPacket], drain_s: float
+) -> tuple[ShardPlan, dict[int, list[tuple]], float]:
     """Resolve each injection's hop list and hand it to the shard that
     owns the first hop; returns the plan narrowed to the shard pairs
     those hop lists cross (:meth:`ShardPlan.routed` — the protocol
-    edges of this run) beside the per-shard injections."""
+    edges of this run), the per-shard injections and the end horizon."""
     network = net.controller.network
     per_shard: dict[int, list[tuple]] = {shard: [] for shard in plan.populated_shards}
     # A tuple: each shard's network keeps its route under the hop tuple.
@@ -154,12 +158,8 @@ def _assign_injections(
     first_shard = plan.shard_of(hops[0])
     for timed in injections:
         per_shard[first_shard].append((timed.packet, hops, timed.time))
-    return plan.routed([hops] if injections else []), per_shard
-
-
-def _end_time(injections: list[TimedPacket], drain_s: float) -> float:
-    last = max((timed.time for timed in injections), default=0.0)
-    return last + drain_s
+    end_time = horizon([timed.time for timed in injections], net.controller.loop.now, drain_s)
+    return plan.routed([hops] if injections else []), per_shard, end_time
 
 
 def _merge_results(
@@ -171,24 +171,20 @@ def _merge_results(
     extra_registry: MetricsRegistry | None = None,
 ) -> ScaleReport:
     results = sorted(results, key=lambda result: result.shard_id)
-    metrics_parts = [result.metrics for result in results]
-    merged = (
-        metrics_parts[0].merge(*metrics_parts[1:])
-        if len(metrics_parts) > 1
-        else metrics_parts[0]
-    )
+    first, *rest = [result.metrics for result in results]
+    merged = first.merge(*rest) if rest else first
     registry = MetricsRegistry()
     for result in results:
         if result.registry is not None:
             registry.merge(result.registry)
     if extra_registry is not None:
         registry.merge(extra_registry)
+    digests = sum(result.digest_count for result in results)
     return ScaleReport(
         plan=plan,
         backend=backend,
         end_time_s=end_time,
-        metrics=merged,
-        total_digests=sum(result.digest_count for result in results),
+        traffic=TrafficReport(merged, telemetry=TelemetrySnapshot(total_digests=digests)),
         registry=registry,
         shard_results=results,
         mend=mend,
@@ -201,16 +197,10 @@ def _merge_results(
 def _engines(
     net, plan: ShardPlan, per_shard: dict[int, list[tuple]], end_time: float
 ) -> dict[int, ShardEngine]:
-    devices = net.controller.devices
-    engines = {
-        shard: ShardEngine(
-            shard, plan, devices, end_time, topology=net.controller.network
-        )
+    return {
+        shard: ShardEngine.private(shard, plan, net, end_time, per_shard.get(shard, ()))
         for shard in plan.populated_shards
     }
-    for shard, items in per_shard.items():
-        engines[shard].inject_series(items)
-    return engines
 
 
 def build_engines(
@@ -221,8 +211,7 @@ def build_engines(
     need to instrument worker state before driving the protocol). The
     engines run the plan narrowed to the routes of ``injections``, as
     :func:`run_sharded` does for either backend."""
-    plan, per_shard = _assign_injections(net, plan, injections)
-    return _engines(net, plan, per_shard, _end_time(injections, drain_s))
+    return _engines(net, *_assign_injections(net, plan, injections, drain_s))
 
 
 # -- entry point ------------------------------------------------------------
@@ -242,11 +231,11 @@ def run_sharded(
     """Partition ``net`` and run ``injections`` across shards.
 
     ``drain_s`` sets the quiet horizon after the last injection; every
-    packet must finish inside it or the run fails loudly (no silent
-    truncation). Like ``run_traffic``, the run mutates device state.
-    Consistency checking is not supported under sharding (the checker
-    is an observer of the single loop); use ``run_traffic`` for
-    consistency experiments.
+    packet must finish inside it or the run fails loudly (the horizon
+    rule of :mod:`repro.scale.shard`). Like ``run_traffic``, the run
+    mutates device state. The one-shard run (``run_traffic``) carries
+    the consistency checker; N shards do not yet (ROADMAP item 5), so
+    use ``run_traffic`` for consistency experiments.
 
     ``chaos`` arms FlexMend worker-fault injection (``WorkerCrash`` /
     ``WorkerStall`` / ``HandoffDrop`` / ``HandoffDup`` specs from a
@@ -259,8 +248,7 @@ def run_sharded(
         plan = plan_shards(net.controller, shards, seed=seed)
     # One protocol for both backends: the edges are those the routes of
     # this run cross, not every shard boundary a link happens to span.
-    plan, per_shard = _assign_injections(net, plan, injections)
-    end_time = _end_time(injections, drain_s)
+    plan, per_shard, end_time = _assign_injections(net, plan, injections, drain_s)
     if backend == "inline":
         if chaos is not None:
             raise SimulationError(

@@ -46,23 +46,28 @@ messages, no global barrier):
   the execution order inside a window never depends on queue
   interleaving.
 
-Termination: the driver passes a fixed end horizon chosen past all
-activity; guarantees advance by at least one lookahead per window, so
-every shard's clock crosses the horizon in finitely many windows. If
-any event or handoff outlives the horizon the run *fails loudly*
-(:class:`~repro.errors.SimulationError`) rather than silently diverging
-from the single-process reference.
+One driver: the single loop is the one-shard run of this engine
+(:func:`run_one_shard`: the caller's network, loop and completion hook,
+no edges), and each shard of an N-shard run is one on a private loop
+(:meth:`ShardEngine.private`). The horizon rule is the same for every
+driver: a run ends at ``max(times, default=loop.now) + drain_s``
+(:func:`horizon`), which every shard's clock crosses in finitely many
+windows. A packet or handoff still in flight there *fails the run
+loudly* (:class:`~repro.errors.SimulationError`); a control event may
+outlive it (a health monitor's probe re-arms itself forever).
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
-from dataclasses import dataclass, field
+from collections.abc import Callable, Sequence
+from dataclasses import dataclass
 
 from repro.errors import SimulationError
 from repro.observe.metrics import MetricsRegistry, export_device_counters
+from repro.scale.plan import ShardPlan
 from repro.simulator.engine import EventLoop
+from repro.simulator.flowgen import TimedPacket
 from repro.simulator.metrics import LatencyStats, RunMetrics
 from repro.simulator.network import Network
 from repro.simulator.packet import Packet
@@ -119,7 +124,8 @@ class ShardResult:
 
 
 class ShardEngine:
-    """One shard's devices, loop, and protocol state.
+    """One shard's protocol state over the network and loop it is handed,
+    with ``on_done`` per finished packet (by default, counting digests).
 
     Transport-agnostic: the inline backend calls :meth:`deliver`
     directly, the process backend feeds it messages drained from an
@@ -132,33 +138,26 @@ class ShardEngine:
         self,
         shard_id: int,
         plan,
-        devices: dict,
+        network: Network,
         end_time: float,
-        topology: Network | None = None,
+        metrics: RunMetrics | None = None,
+        on_done: Callable[[Packet], None] | None = None,
     ):
         self.shard_id = shard_id
         self.plan = plan
         self.end_time = end_time
-        self.loop = EventLoop()
-        self.owned = set(plan.devices_on(shard_id))
-        self.network = Network(
-            loop=self.loop,
-            owned=self.owned,
-            on_handoff=self._handoff_out,
-        )
-        if topology is not None:
-            self.network.adopt_topology(topology)
-        for name in sorted(self.owned):
-            self.network.add_node(devices[name])
-        self._devices = {name: devices[name] for name in self.owned}
-        self.metrics = RunMetrics(
+        self.network = network
+        self.loop = network.loop
+        self.metrics = metrics if metrics is not None else RunMetrics(
             latency=LatencyStats(seed=plan.shard_seed(shard_id))
         )
+        self._on_done = on_done if on_done is not None else self._count_digests
         self.digest_count = 0
         self.windows = 0
         self.handoffs_in = 0
         self.handoffs_out = 0
-        self._clock = 0.0
+        self._clock = self.loop.now
+        self._first_seq = self.loop._sequence  # noqa: SLF001 - diagnostic only
         self._pending: list[Handoff] = []
         #: what this shard promises each out-edge past its clock.
         self._lookahead: dict[int, float] = {
@@ -170,20 +169,27 @@ class ShardEngine:
             src: 0.0 for src in plan.in_neighbors(shard_id)
         }
 
+    @classmethod
+    def private(cls, shard_id: int, plan, net, end_time: float, injections) -> "ShardEngine":
+        """A shard of an N-shard run: its devices of ``net`` on a private
+        loop, fed its ``(packet, hops, time)`` injections in order."""
+        network = Network(loop=EventLoop(), owned=set(plan.devices_on(shard_id)))
+        network.adopt_topology(net.controller.network)
+        for name in plan.devices_on(shard_id):
+            network.add_node(net.controller.devices[name])
+        engine = cls(shard_id, plan, network, end_time)
+        network.on_handoff = engine._handoff_out
+        if injections:
+            engine.inject_series(*zip(*injections))
+        return engine
+
     # -- local simulation ---------------------------------------------------
 
-    def inject_series(self, injections: Sequence[tuple[Packet, Sequence[str], float]]) -> None:
-        """Coordinator-assigned ``(packet, hops, time)`` injections (first
-        hop owned by this shard), in the coordinator's order."""
-        self.network.inject_series(
-            [packet for packet, _, _ in injections],
-            [hops for _, hops, _ in injections],
-            [at_time for _, _, at_time in injections],
-            self.metrics,
-            self._on_done,
-        )
+    def inject_series(self, packets: Sequence[Packet], paths, times: Sequence[float]) -> None:
+        """:meth:`Network.inject_series` into this shard's run."""
+        self.network.inject_series(packets, paths, times, self.metrics, self._on_done)
 
-    def _on_done(self, packet: Packet) -> None:
+    def _count_digests(self, packet: Packet) -> None:
         self.digest_count += len(packet.digests)
 
     def _handoff_out(
@@ -288,8 +294,8 @@ class ShardEngine:
         exports, so merged fleet output is indistinguishable from a
         single-process scrape), frozen for cross-process shipping."""
         registry = MetricsRegistry()
-        for name in sorted(self._devices):
-            export_device_counters(registry, name, self._devices[name])
+        for name in self.plan.devices_on(self.shard_id):
+            export_device_counters(registry, name, self.network.node(name))
         registry.counter(
             "flexnet_telemetry_digests_total",
             help="digest records ever ingested",
@@ -308,20 +314,21 @@ class ShardEngine:
         registry.detach_collectors()
         return registry
 
+    def check_horizon(self) -> None:
+        """Raise if a packet (a handoff to this shard included) is still
+        in flight at the end horizon; control events may be."""
+        m = self.metrics
+        finished = m.delivered + m.dropped_by_program + m.lost_by_infrastructure
+        in_flight = m.sent + self.handoffs_in - self.handoffs_out - finished
+        if in_flight:
+            raise SimulationError(
+                f"shard {self.shard_id}: {in_flight} event(s) beyond the end horizon "
+                f"{self.end_time} s (packets in flight) — increase drain_s"
+            )
+
     def result(self) -> ShardResult:
-        """Validate quiescence and package the shard's contribution."""
-        if self._pending:
-            worst = max(h.time for h in self._pending)
-            raise SimulationError(
-                f"shard {self.shard_id}: {len(self._pending)} handoff(s) beyond "
-                f"the end horizon {self.end_time} s (latest {worst} s) — "
-                f"increase drain_s so every packet finishes inside the run"
-            )
-        if self.loop.pending():
-            raise SimulationError(
-                f"shard {self.shard_id}: {self.loop.pending()} event(s) beyond "
-                f"the end horizon {self.end_time} s — increase drain_s"
-            )
+        """Check the horizon and package the shard's contribution."""
+        self.check_horizon()
         return ShardResult(
             shard_id=self.shard_id,
             metrics=self.metrics,
@@ -329,9 +336,32 @@ class ShardEngine:
             windows=self.windows,
             handoffs_in=self.handoffs_in,
             handoffs_out=self.handoffs_out,
-            events_executed=self.loop._sequence,  # noqa: SLF001 - diagnostic only
+            events_executed=self.loop._sequence - self._first_seq,  # noqa: SLF001
             registry=self._collect_registry(),
         )
+
+
+def horizon(times: Sequence[float], now: float, drain_s: float) -> float:
+    """The end horizon: the last injection (``now`` without one) + ``drain_s``."""
+    return max(times, default=now) + drain_s
+
+
+def run_one_shard(
+    network: Network, injections: Sequence[TimedPacket], drain_s: float, on_done=None
+) -> ShardEngine:
+    """The single loop: ``injections`` along ``datapath`` as the one shard
+    of ``network`` (every node, no edges, no placement) on its loop:
+    inject the series, advance once to the horizon, check it."""
+    names = tuple(sorted(network._nodes))  # noqa: SLF001 - the one shard owns every node
+    assignment = dict.fromkeys(names, 0)
+    plan = ShardPlan(shards=1, seed=0, assignment=assignment, units=(names,), constraints=())
+    times = [timed.time for timed in injections]
+    end_time = horizon(times, network.loop.now, drain_s)
+    engine = ShardEngine(0, plan, network, end_time, RunMetrics(), on_done)
+    engine.inject_series([timed.packet for timed in injections], ["datapath"] * len(times), times)
+    engine.advance()
+    engine.check_horizon()
+    return engine
 
 
 def step_inline(engines: dict[int, "ShardEngine"]) -> None:

@@ -96,7 +96,7 @@ class Network:
         self._paths: dict[str, list[str]] = {}
         self._routes: dict[str | tuple[str, ...], Route] = {}
         self._owned = set(owned) if owned is not None else None
-        self._on_handoff = on_handoff
+        self.on_handoff = on_handoff
 
     def adopt_topology(self, other: "Network") -> None:
         """Copy link latencies and named paths from another network
@@ -211,7 +211,7 @@ class Network:
         if metrics is not None:
             metrics.record_sent(count)
         for packet, hops, at_time in away:
-            self._on_handoff(packet, hops, 0, at_time)
+            self.on_handoff(packet, hops, 0, at_time)
 
     def receive_series(
         self,
@@ -309,7 +309,7 @@ class Network:
                     # Cross-shard handoff: ship the exact arrival
                     # timestamp the local schedule would have used.
                     flight = None
-                    self._on_handoff(packet, route.hops, index, arrival)
+                    self.on_handoff(packet, route.hops, index, arrival)
                     return
                 # A next hop that is the loop's next pop runs here, under
                 # the seq and the clock the pop would have given it (see

@@ -15,13 +15,13 @@ import pytest
 from repro import limits
 from repro.apps import base_infrastructure
 from repro.errors import SimulationError
-from repro.faults import FaultPlan, HandoffDrop, WorkerCrash
+from repro.faults import FaultPlan, HandoffDrop, HealthMonitor, WorkerCrash
 from repro.observe.report import divergences
 from repro.scale import plan_shards, run_sharded
 from repro.scale.mend import Supervisor
 from repro.scale.runner import _assign_injections, _engines, _merge_results, build_engines
 from repro.scale.shard import run_inline
-from repro.simulator.metrics import RunMetrics
+from repro.simulator.metrics import LatencyStats, RunMetrics
 from repro.scale.workload import e20_workload, pod_fabric
 from repro.simulator.fastpath import seeded_rules
 from repro.simulator.packet import reset_packet_ids
@@ -223,8 +223,8 @@ class TestFailureModes:
         """An unfired injection is a pending event: a shard whose
         injections lie past the end horizon names every one of them."""
         net, workload = _arm()
-        plan, per_shard = _assign_injections(
-            net, plan_shards(net.controller, 2, seed=11), workload
+        plan, per_shard, _ = _assign_injections(
+            net, plan_shards(net.controller, 2, seed=11), workload, DRAIN_S
         )
         engines = _engines(net, plan, per_shard, end_time=workload[0].time / 2)
         run_inline(engines)
@@ -242,6 +242,59 @@ class TestFailureModes:
         total_out = sum(engine.handoffs_out for engine in engines.values())
         total_in = sum(engine.handoffs_in for engine in engines.values())
         assert total_out == total_in > 0
+
+
+class TestHorizonRule:
+    """One horizon rule for every driver: a run ends at its last
+    injection (now without one) plus its drain; a packet still in
+    flight there fails the run, a control event pending past it does
+    not."""
+
+    #: shorter than the fabric's ~541 µs path: the last packets are in flight.
+    SHORT_DRAIN_S = 3e-4
+
+    def test_a_packet_past_the_horizon_raises_the_same_error_on_both_paths(self):
+        net, workload = _arm()
+        with pytest.raises(SimulationError, match=r"event\(s\) beyond the end horizon") as single:
+            net.run_traffic(packets=workload, extra_time_s=self.SHORT_DRAIN_S)
+        net, workload = _arm()
+        with pytest.raises(SimulationError) as one_shard:
+            run_sharded(net, workload, 1, backend="inline", drain_s=self.SHORT_DRAIN_S)
+        assert str(single.value) == str(one_shard.value)
+        net, workload = _arm()
+        with pytest.raises(SimulationError, match=r"event\(s\) beyond the end horizon"):
+            run_sharded(net, workload, 2, backend="inline", drain_s=self.SHORT_DRAIN_S)
+
+    def test_a_health_probe_pending_past_the_horizon_does_not_raise(self):
+        expected = _reference()
+        for sharded in (False, True):
+            net, workload = _arm()
+            loop = net.controller.loop
+            HealthMonitor(loop, net.controller.devices, probe_interval_s=1e-3).start()
+            if sharded:
+                report = run_sharded(net, workload, 2, backend="inline", drain_s=DRAIN_S)
+                traffic = report.traffic_dict()
+            else:
+                traffic = net.run_traffic(packets=workload, extra_time_s=DRAIN_S).to_dict()
+                assert loop.pending() == 1 and loop._heap[0][0] > loop.now
+            assert divergences(expected, traffic) == []
+
+    def test_an_empty_run_ends_its_drain_after_now(self):
+        net, _ = _arm()
+        net.run_traffic(packets=[], extra_time_s=0.25)
+        assert net.loop.now == 0.25
+        report = run_sharded(net, [], 2, backend="inline", drain_s=0.5)
+        assert report.end_time_s == 0.75
+
+    def test_the_one_shard_run_places_nothing_and_keeps_the_default_seed(self, monkeypatch):
+        def placement(*args, **kwargs):
+            raise AssertionError("the one-shard run ran placement")
+
+        monkeypatch.setattr("repro.scale.runner.plan_shards", placement)
+        monkeypatch.setattr("repro.scale.plan.plan_shards", placement)
+        net, workload = _arm()
+        report = net.run_traffic(packets=workload, extra_time_s=DRAIN_S)
+        assert report.metrics.latency.seed == LatencyStats().seed
 
 
 class TestProtocolShape:
