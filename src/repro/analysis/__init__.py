@@ -33,7 +33,6 @@ from repro.analysis.lints import check_lints
 from repro.analysis.overcommit import check_overcommit
 from repro.analysis.races import check_reconfig
 from repro.analysis.report import Finding, Report, Severity
-from repro.analysis.selfcheck import AuditFinding, AuditReport, run_selfcheck
 from repro.analysis.vet import StateClass, VetReport, vet
 from repro.lang import ir
 from repro.lang.analyzer import Certificate, ElementProfile, certify
@@ -43,8 +42,6 @@ from repro.targets.base import Target
 
 __all__ = [
     "AccessSet",
-    "AuditFinding",
-    "AuditReport",
     "DataflowInfo",
     "Finding",
     "ProgramFacts",
@@ -58,7 +55,6 @@ __all__ = [
     "check_overcommit",
     "check_reconfig",
     "check_tenants",
-    "run_selfcheck",
     "vet",
 ]
 

@@ -3,7 +3,7 @@
 Checks a Certificate's demand vectors against target budgets *before*
 placement, so infeasible programs are rejected with a readable
 diagnostic at admission time instead of failing deep inside
-:mod:`repro.compiler.binpack` after compilation work has been done.
+:mod:`repro.compiler.placement` after compilation work has been done.
 
 Two checks per target set:
 

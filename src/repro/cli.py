@@ -7,7 +7,6 @@ Usage (also ``python -m repro.cli``)::
     flexnet check    --builtin                    # FlexCheck all bundled programs
     flexnet vet      program.fbpf [--json]        # FlexVet parallelism classes
     flexnet vet      --builtin                    # FlexVet all bundled programs
-    flexnet vet      --self [--update-baseline]   # determinism self-audit
     flexnet compile  program.fbpf [--arch drmt] [--objective latency|energy] [--json]
     flexnet delta    program.fbpf patch.delta [--json]  # apply a patch, show changes
     flexnet simulate program.fbpf [--rate 1000] [--duration 1.0]
@@ -157,32 +156,9 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 def cmd_vet(args: argparse.Namespace) -> int:
-    """Run FlexVet. With a program (or --builtin), print the parallelism
-    classification; with --self, audit the source tree for
-    nondeterminism and exit 1 on findings missing from the baseline."""
+    """Run FlexVet: print the parallelism classification of a program,
+    or of every bundled program with --builtin."""
     import json as json_module
-    from pathlib import Path
-
-    from repro.observe.report import emit
-
-    if args.self_audit:
-        from repro.analysis.selfcheck import (
-            default_baseline_path,
-            run_selfcheck,
-            write_baseline,
-        )
-
-        baseline = Path(args.baseline) if args.baseline else default_baseline_path()
-        report = run_selfcheck(baseline_path=baseline)
-        if args.update_baseline:
-            write_baseline(baseline, list(report.findings))
-            print(
-                f"baseline updated: {len(report.findings)} finding(s) "
-                f"pinned to {baseline}"
-            )
-            return 0
-        emit(report, as_json=args.json)
-        return 0 if report.clean else 1
 
     from repro import analysis
 
@@ -193,7 +169,7 @@ def cmd_vet(args: argparse.Namespace) -> int:
     else:
         if not args.program:
             print(
-                "error: provide a program file, --builtin, or --self",
+                "error: provide a program file or --builtin",
                 file=sys.stderr,
             )
             return 2
@@ -807,18 +783,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     vet_parser = subparsers.add_parser(
         "vet",
-        help="run FlexVet: parallelism classification, or --self determinism audit",
+        help="run FlexVet: parallelism-safety classification",
         parents=[json_parent],
     )
     vet_parser.add_argument("program", nargs="?", default=None)
     vet_parser.add_argument("--builtin", action="store_true",
                             help="vet every bundled app/example program")
-    vet_parser.add_argument("--self", dest="self_audit", action="store_true",
-                            help="audit the repro source tree for nondeterminism")
-    vet_parser.add_argument("--baseline", default=None,
-                            help="baseline file for --self (default: the committed one)")
-    vet_parser.add_argument("--update-baseline", action="store_true",
-                            help="with --self: pin current findings as the new baseline")
     vet_parser.set_defaults(func=cmd_vet)
 
     compile_parser = subparsers.add_parser("compile", help="compile onto the standard slice", parents=[json_parent])

@@ -191,7 +191,7 @@ class IncrementalCompiler:
             parser_devices = sorted(
                 {
                     device
-                    for device in set(new_plan.placement.values())
+                    for device in new_plan.placement.values()
                     if network_slice.device(device).target.tier == "switch"
                 }
             ) or new_plan.devices_used[:1]

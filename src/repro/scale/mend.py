@@ -398,8 +398,7 @@ def _worker_main(
         sys.setswitchinterval(limits.SCALE_WORKER_SWITCH_INTERVAL_S)
         # CPU-seconds measurement only — it feeds the E20 capacity
         # metric (aggregate pps = packets / max shard CPU) and never
-        # touches simulation state or any deterministic export, so the
-        # wall-clock read is baselined in vet_baseline.json.
+        # touches simulation state or any deterministic export.
         cpu_start = time.process_time()
         injector = (
             WorkerFaultInjector(chaos, shard_id, fired_faults)
@@ -437,7 +436,7 @@ def _worker_main(
                 batch: list = list(outbox.get(dst, ()))
                 batch.append(guarantees[dst])
                 transport.send(dst, batch)
-            # Wall-clock pacing only — baselined in vet_baseline.json.
+            # Wall-clock pacing only; never touches simulation state.
             now = time.monotonic()
             if armed or now >= hb_due:
                 events_queue.put(("hb", shard_id, engine.windows))
@@ -649,7 +648,7 @@ class Supervisor:
         worker.start()
         self._procs[shard] = worker
         # Wall-clock pacing only (stall detection); never touches
-        # simulation state — baselined in vet_baseline.json.
+        # simulation state.
         self._last_hb[shard] = (time.monotonic(), 0)
 
     def _drain_events(

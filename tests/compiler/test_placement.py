@@ -1,13 +1,6 @@
 """Placement engine tests."""
 
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import pytest
-
-import repro
 
 from repro.compiler.placement import (
     NetworkSlice,
@@ -24,6 +17,29 @@ from repro.apps.base import standard_builder
 from repro.targets import drmt_switch, host, smartnic, tiled_switch
 
 from tests.conftest import make_standard_slice
+
+#: A placement failure and a vector deficit: the text every process
+#: must print the same, whatever its hash seed.
+DEFICIT_SCRIPT = """
+from repro.apps.base import base_infrastructure
+from repro.compiler.placement import NetworkSlice, PlacementEngine
+from repro.compiler.plan import DeviceSpec
+from repro.errors import PlacementError
+from repro.lang.analyzer import certify
+from repro.targets import fpga, host, smartnic
+from repro.targets.resources import ResourceVector as V
+
+print((V(sram_kb=10, alus=2, tcam_kb=3) + V(processors=1, stages=2, cpu_mhz=5)).deficit_against(
+    V(sram_kb=1, alus=1, tcam_kb=1, processors=0.5, stages=1, cpu_mhz=1)))
+program = base_infrastructure()
+devices = [DeviceSpec(m.__name__, m(m.__name__)) for m in (host, fpga, smartnic)]
+for spec in devices:
+    spec.used = spec.target.capacity  # full: the deficit is the whole demand
+try:
+    PlacementEngine().compile(program, certify(program), NetworkSlice(devices=devices))
+except PlacementError as exc:
+    print(exc)
+"""
 
 
 class TestBasicPlacement:
@@ -243,35 +259,11 @@ class TestDiagnostics:
         deficit text (and a subtraction's "overcommitted" kind) is the
         same in every process. Walking a set union, it came out in a
         per-process salted order."""
-        script = """
-from repro.apps.base import base_infrastructure
-from repro.compiler.placement import NetworkSlice, PlacementEngine
-from repro.compiler.plan import DeviceSpec
-from repro.errors import PlacementError
-from repro.lang.analyzer import certify
-from repro.targets import fpga, host, smartnic
-from repro.targets.resources import ResourceVector as V
+        # Imported here: tests.test_determinism imports DEFICIT_SCRIPT
+        # from this module.
+        from tests.test_determinism import under_two_hash_seeds
 
-print((V(sram_kb=10, alus=2, tcam_kb=3) + V(processors=1, stages=2, cpu_mhz=5)).deficit_against(
-    V(sram_kb=1, alus=1, tcam_kb=1, processors=0.5, stages=1, cpu_mhz=1)))
-program = base_infrastructure()
-devices = [DeviceSpec(m.__name__, m(m.__name__)) for m in (host, fpga, smartnic)]
-for spec in devices:
-    spec.used = spec.target.capacity  # full: the deficit is the whole demand
-try:
-    PlacementEngine().compile(program, certify(program), NetworkSlice(devices=devices))
-except PlacementError as exc:
-    print(exc)
-"""
-        source = str(Path(repro.__file__).resolve().parents[1])
-        texts = set()
-        for seed in ("1", "2", "3"):
-            env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": source}
-            done = subprocess.run(
-                [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
-            )
-            texts.add(done.stdout)
-        assert len(texts) == 1
-        (text,) = texts
+        text, diffs = under_two_hash_seeds("-c", DEFICIT_SCRIPT)
+        assert diffs == []
         assert "'sram_kb': 9.0, 'alus': 1.0, 'tcam_kb': 2.0, 'processors': 0.5" in text
         assert "deficit {'sram_kb': 12.0, 'cpu_mhz': 1.5}" in text

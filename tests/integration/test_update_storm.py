@@ -138,27 +138,9 @@ def test_the_update_path_does_not_depend_on_the_hash_seed():
     """The plan each update adopts is the same in every process: the
     device search, the pinned pass and the carried facts iterate no
     salted set or dict order into a placement, a demand or a step."""
-    import json
-    import os
-    import subprocess
-    import sys
-    from pathlib import Path
+    from tests.test_determinism import under_two_hash_seeds
 
-    import repro
-    from repro.observe.report import divergences
-
-    source = str(Path(repro.__file__).resolve().parents[1])
-    runs = []
-    for seed in ("0", "1"):
-        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": source}
-        done = subprocess.run(
-            [sys.executable, "-c", _PLAN_SCRIPT],
-            env=env,
-            capture_output=True,
-            text=True,
-            check=True,
-        )
-        runs.append(json.loads(done.stdout))
-    assert len(runs[0]) == 24
-    assert any(plan["steps"] for plan in runs[0])
-    assert divergences(runs[0], runs[1]) == []
+    plans, diffs = under_two_hash_seeds("-c", _PLAN_SCRIPT)
+    assert len(plans) == 24
+    assert any(plan["steps"] for plan in plans)
+    assert diffs == []

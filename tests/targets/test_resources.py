@@ -81,8 +81,9 @@ class TestComparisons:
     def test_hash_is_process_stable(self):
         """Pinned values: the digest must not depend on PYTHONHASHSEED
         (builtin hash() of the kind strings is salted per process, which
-        would make placement digests diverge across runs — the first
-        real bug FlexVet's self-audit caught)."""
+        would make placement digests diverge across runs — the one real
+        bug the static source audit caught before tests/test_determinism.py
+        replaced it)."""
         assert hash(ResourceVector(sram_kb=1)) == 7848347961845804144
         assert hash(ResourceVector(sram_kb=1.5, stages=2)) == 1324567763127070160
         assert hash(ResourceVector()) == hash(ResourceVector(alus=0))

@@ -304,26 +304,11 @@ class TestVet:
         assert main(["vet"]) == 2
         assert "error:" in capsys.readouterr().err
 
-    def test_vet_self_clean_against_committed_baseline(self, capsys):
-        assert main(["vet", "--self"]) == 0
-        out = capsys.readouterr().out
-        assert "0 new" in out
-
-    def test_vet_self_fails_without_baseline(self, tmp_path, capsys):
-        # The committed tree has accepted findings (bench/profiler wall
-        # clocks); against an empty baseline they all count as new.
-        empty = tmp_path / "empty.json"
-        assert main(["vet", "--self", "--baseline", str(empty)]) == 1
-        out = capsys.readouterr().out
-        assert "NEW" in out
-
-    def test_vet_self_update_baseline_roundtrip(self, tmp_path, capsys):
-        fresh = tmp_path / "fresh.json"
-        assert main(["vet", "--self", "--baseline", str(fresh),
-                     "--update-baseline"]) == 0
-        assert main(["vet", "--self", "--baseline", str(fresh)]) == 0
-        out = capsys.readouterr().out
-        assert "baseline updated" in out
+    def test_vet_has_no_source_audit_flag(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["vet", "--self"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --self" in capsys.readouterr().err
 
 
 class TestScale:
