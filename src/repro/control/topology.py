@@ -4,10 +4,11 @@
 view of the topology and traffic patterns, as well as the locations and
 resource requirements of the network apps."
 
-Built on networkx: vertices are devices (with their target models and
-tiers), edges carry link latency. The view answers the two questions
-placement needs: *which path* connects two endpoints, and *what slice*
-(ordered DeviceSpec list) lies along it. It also tracks mixed
+The view is an adjacency dict: each device maps its neighbours, in the
+order their links were added, to the link latency. It answers the two
+questions placement needs: *which path* connects two endpoints (the
+least total latency, found by :func:`_least_latency_path`), and *what
+slice* (ordered DeviceSpec list) lies along it. It also tracks mixed
 deployments — runtime programmable, compile-time programmable, and
 non-programmable elements — which §3.4 says network control must be
 aware of.
@@ -15,9 +16,9 @@ aware of.
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass
-
-import networkx as nx
+from itertools import count
 
 from repro.compiler.plan import DeviceSpec
 from repro.compiler.placement import NetworkSlice
@@ -42,11 +43,71 @@ class DeviceInfo:
         return self.target is not None and self.target.reconfig.hitless
 
 
+def _least_latency_path(
+    adjacency: dict[str, dict[str, float]],
+    source: str,
+    target: str,
+    avoid: set[str] | frozenset[str] = frozenset(),
+) -> list[str] | None:
+    """The least-latency path ``source`` -> ``target`` that enters no
+    node of ``avoid``, or None when there is none.
+
+    Bidirectional Dijkstra. Of several paths of equal cost it returns
+    the one the reference search of ``tests/property/
+    test_prop_topology.py`` returns, because it searches in the same
+    order: the two directions take turns, forward first; each frontier
+    pops by ``(distance, push counter)``; neighbours are relaxed in
+    link-insertion order; and the meeting node is the first one whose
+    two-sided distance is strictly the least seen. A frontier
+    is a sorted list rather than a heap: it pops in the same order, and
+    the event loop keeps the one heap in ``src/``.
+    """
+    if source == target:
+        return [source]
+    done = ({}, {})  # settled distance, per direction
+    seen = ({source: 0}, {target: 0})  # best tentative distance
+    preds = ({source: None}, {target: None})
+    fringe = ([(0, 0, source)], [(0, 1, target)])
+    ticket = count(2)
+    best = meet = None
+    direction = 1
+    while fringe[0] and fringe[1]:
+        direction = 1 - direction
+        dist, _, node = fringe[direction].pop(0)
+        if node in done[direction]:
+            continue
+        done[direction][node] = dist
+        if node in done[1 - direction]:
+            return _walk(meet, preds[0])[::-1] + _walk(preds[1][meet], preds[1])
+        for neighbour, latency in adjacency[node].items():
+            if neighbour in avoid or neighbour in done[direction]:
+                continue
+            length = dist + latency
+            if neighbour not in seen[direction] or length < seen[direction][neighbour]:
+                seen[direction][neighbour] = length
+                insort(fringe[direction], (length, next(ticket), neighbour))
+                preds[direction][neighbour] = node
+                if neighbour in seen[1 - direction]:
+                    total = length + seen[1 - direction][neighbour]
+                    if best is None or best > total:
+                        best, meet = total, neighbour
+    return None
+
+
+def _walk(step: str | None, preds: dict) -> list[str]:
+    hops = []
+    while step is not None:
+        hops.append(step)
+        step = preds[step]
+    return hops
+
+
 class TopologyView:
     """Mutable global topology + resource ledger."""
 
     def __init__(self):
-        self._graph = nx.Graph()
+        #: device -> {neighbour: link latency}, neighbours in link order.
+        self._adjacency: dict[str, dict[str, float]] = {}
         self._devices: dict[str, DeviceInfo] = {}
         self._revision = 0
 
@@ -56,18 +117,23 @@ class TopologyView:
         if name in self._devices:
             raise UnknownDeviceError(f"device {name!r} already exists")
         self._devices[name] = DeviceInfo(name=name, target=target, used=ResourceVector())
-        self._graph.add_node(name)
+        self._adjacency[name] = {}
         self._revision += 1
 
     def add_link(self, a: str, b: str, latency_s: float = 1e-6) -> None:
         self.device(a)
         self.device(b)
-        self._graph.add_edge(a, b, latency_s=latency_s)
+        if latency_s < 0:
+            raise ValueError(f"link {a!r} -- {b!r} has negative latency {latency_s}")
+        self._adjacency[a][b] = latency_s
+        self._adjacency[b][a] = latency_s
         self._revision += 1
 
     def remove_device(self, name: str) -> None:
         self.device(name)
-        self._graph.remove_node(name)
+        for neighbour in self._adjacency.pop(name):
+            if neighbour != name:
+                del self._adjacency[neighbour][name]
         del self._devices[name]
         self._revision += 1
 
@@ -85,10 +151,6 @@ class TopologyView:
         return self._devices[name]
 
     @property
-    def device_names(self) -> list[str]:
-        return sorted(self._devices)
-
-    @property
     def runtime_programmable_devices(self) -> list[str]:
         return sorted(n for n, d in self._devices.items() if d.runtime_programmable)
 
@@ -98,20 +160,18 @@ class TopologyView:
         return sorted(n for n, d in self._devices.items() if not d.runtime_programmable)
 
     def link_latency(self, a: str, b: str) -> float:
-        data = self._graph.get_edge_data(a, b)
-        if data is None:
+        neighbours = self._adjacency.get(a, {})
+        if b not in neighbours:
             raise UnknownDeviceError(f"no link {a!r} -- {b!r}")
-        return data["latency_s"]
+        return neighbours[b]
 
     def shortest_path(self, source: str, destination: str) -> list[str]:
         self.device(source)
         self.device(destination)
-        try:
-            return nx.shortest_path(
-                self._graph, source, destination, weight="latency_s"
-            )
-        except nx.NetworkXNoPath as exc:
-            raise UnknownDeviceError(f"no path {source!r} -> {destination!r}") from exc
+        path = _least_latency_path(self._adjacency, source, destination)
+        if path is None:
+            raise UnknownDeviceError(f"no path {source!r} -> {destination!r}")
+        return path
 
     def path_avoiding(self, source: str, destination: str, avoid: set[str]) -> list[str]:
         """Shortest path that skips the ``avoid`` devices entirely —
@@ -123,13 +183,12 @@ class TopologyView:
             raise UnknownDeviceError(
                 f"cannot route around an endpoint ({sorted(avoid & {source, destination})})"
             )
-        view = nx.restricted_view(self._graph, avoid & set(self._graph.nodes), set())
-        try:
-            return nx.shortest_path(view, source, destination, weight="latency_s")
-        except (nx.NetworkXNoPath, nx.NodeNotFound) as exc:
+        path = _least_latency_path(self._adjacency, source, destination, avoid)
+        if path is None:
             raise UnknownDeviceError(
                 f"no path {source!r} -> {destination!r} avoiding {sorted(avoid)}"
-            ) from exc
+            )
+        return path
 
     def detour_path(self, source: str, destination: str, via: str) -> list[str]:
         """Shortest path forced through ``via`` (§3.3: "routing detours
@@ -144,19 +203,6 @@ class TopologyView:
                 f"detour via {via!r} revisits {sorted(revisited)}; no loop-free route"
             )
         return first_leg + second_leg[1:]
-
-    def programmable_path(self, source: str, destination: str) -> list[str]:
-        """Shortest path preferring programmable hops: non-programmable
-        devices get a heavy weight so detours through programmable
-        elements win when they exist (the paper's routing co-design)."""
-
-        def weight(u: str, v: str, data: dict) -> float:
-            penalty = 0.0
-            if not self._devices[v].programmable:
-                penalty += 1.0  # 1 virtual second ~ "avoid if possible"
-            return data["latency_s"] + penalty
-
-        return nx.shortest_path(self._graph, source, destination, weight=weight)
 
     # -- slices ----------------------------------------------------------------
 
@@ -181,10 +227,6 @@ class TopologyView:
             )
             previous = name
         return NetworkSlice(devices=specs)
-
-    def slice_between(self, source: str, destination: str) -> tuple[list[str], NetworkSlice]:
-        path = self.shortest_path(source, destination)
-        return path, self.slice_along(path)
 
     # -- resource ledger ---------------------------------------------------------
 

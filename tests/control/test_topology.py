@@ -81,38 +81,64 @@ class TestPaths:
         with pytest.raises(UnknownDeviceError):
             view.shortest_path("h1", "island")
 
-    def test_programmable_path_detours(self):
-        view = TopologyView()
-        view.add_device("a", host("a"))
-        view.add_device("legacy", None)
-        view.add_device("sw", drmt_switch("sw"))
-        view.add_device("b", host("b"))
-        view.add_link("a", "legacy", 1e-6)
-        view.add_link("legacy", "b", 1e-6)
-        view.add_link("a", "sw", 5e-6)
-        view.add_link("sw", "b", 5e-6)
-        assert view.shortest_path("a", "b") == ["a", "legacy", "b"]
-        assert view.programmable_path("a", "b") == ["a", "sw", "b"]
+    def test_equal_cost_arms_break_ties_by_link_order(self):
+        # The least-latency path between the corners of a diamond whose
+        # two arms cost the same. Which arm wins depends on the order
+        # the links were added in, and on the direction of the search.
+        def diamond(links):
+            view = TopologyView()
+            for name in ("a", "left", "right", "b"):
+                view.add_device(name, None)
+            for x, y in links:
+                view.add_link(x, y, 1e-6)
+            return view
+
+        view = diamond([("a", "left"), ("a", "right"), ("left", "b"), ("right", "b")])
+        assert view.shortest_path("a", "b") == ["a", "left", "b"]
+        assert view.path_avoiding("a", "b", set()) == ["a", "left", "b"]
+        view = diamond([("a", "right"), ("a", "left"), ("right", "b"), ("left", "b")])
+        assert view.shortest_path("a", "b") == ["a", "right", "b"]
+        view = diamond([("right", "b"), ("left", "b"), ("a", "left"), ("a", "right")])
+        assert view.shortest_path("a", "b") == ["a", "right", "b"]
+        assert view.shortest_path("b", "a") == ["b", "left", "a"]
+        assert view.detour_path("left", "right", "b") == ["left", "b", "right"]
+
+    def test_path_avoiding_skips_the_avoided_devices(self):
+        view = linear_topology()
+        view.add_device("bypass", None)
+        view.add_link("sw1", "bypass", 5e-6)
+        view.add_link("bypass", "sw2", 5e-6)
+        assert view.path_avoiding("h1", "h2", {"legacy1"}) == [
+            "h1", "nic1", "sw1", "bypass", "sw2", "h2"
+        ]
+        with pytest.raises(UnknownDeviceError, match="avoiding"):
+            view.path_avoiding("h1", "h2", {"legacy1", "bypass"})
+
+    def test_negative_latency_rejected(self):
+        view = linear_topology()
+        with pytest.raises(ValueError):
+            view.add_link("h1", "h2", -1e-6)
 
 
 class TestSlices:
     def test_slice_skips_nonprogrammable(self):
         view = linear_topology()
-        path, network_slice = view.slice_between("h1", "h2")
+        path = view.shortest_path("h1", "h2")
+        network_slice = view.slice_along(path)
         assert "legacy1" in path
         assert "legacy1" not in network_slice.names
         assert network_slice.names == ["h1", "nic1", "sw1", "sw2", "h2"]
 
     def test_slice_ingress_latency_from_links(self):
         view = linear_topology()
-        _, network_slice = view.slice_between("h1", "h2")
+        network_slice = view.slice_along(view.shortest_path("h1", "h2"))
         nic = network_slice.device("nic1")
         assert nic.ingress_link_ns == pytest.approx(1e-6 * 1e9)
 
     def test_slice_reflects_used_resources(self):
         view = linear_topology()
         view.commit("sw1", ResourceVector(sram_kb=100))
-        _, network_slice = view.slice_between("h1", "h2")
+        network_slice = view.slice_along(view.shortest_path("h1", "h2"))
         assert network_slice.device("sw1").used["sram_kb"] == 100
 
 
