@@ -94,9 +94,6 @@ class Report:
         """True when no finding blocks admission."""
         return not self.errors
 
-    def by_pass(self, pass_name: str) -> tuple[Finding, ...]:
-        return tuple(f for f in self.findings if f.pass_name == pass_name)
-
     def sorted_findings(self) -> tuple[Finding, ...]:
         return tuple(
             sorted(self.findings, key=lambda f: (f.severity.rank, f.code, f.element or ""))

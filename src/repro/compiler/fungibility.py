@@ -340,7 +340,6 @@ def fungibility_score(
     target: Target,
     resident_profiles: list[ElementProfile],
     probe: ElementProfile,
-    certificate_like_demand=None,
 ) -> float:
     """Fraction of probes of shape ``probe`` that fit the device's free
     capacity, accounting for architecture fragmentation.

@@ -10,8 +10,7 @@ One logically centralized controller object owns:
   through app-level operations (deploy / remove / scale / migrate) that
   the controller translates into deltas, incremental compilations, and
   orchestrated hitless transitions;
-* the element-level P4Runtime bindings, the dRPC fabric, telemetry, and
-  the replication manager.
+* the element-level P4Runtime bindings and telemetry.
 
 The compiler's GC hook is implemented here: when placement fails, the
 controller retires apps whose SLA marks them removable, frees their
@@ -42,7 +41,6 @@ from repro.lang.delta import (
 from repro.lang.ir import Program
 from repro.runtime.consistency import ConsistencyLevel
 from repro.runtime.device import DeviceRuntime, EngineConfig
-from repro.runtime.drpc import DrpcFabric, RpcRegistry
 from repro.runtime.reconfig import (
     CRASH,
     DEFAULT_REFRESH_S,
@@ -58,7 +56,6 @@ from repro.targets.base import Target
 
 from repro.control.apps_api import AppRecord, AppSla, AppUri
 from repro.control.p4runtime import P4RuntimeHub
-from repro.control.replication import ReplicationManager
 from repro.control.scheduler import plan_schedule
 from repro.control.telemetry import TelemetryCollector
 from repro.control.topology import TopologyView
@@ -161,9 +158,6 @@ class FlexNetController:
         self.incremental = IncrementalCompiler(self.engine)
         self.hub = P4RuntimeHub()
         self.telemetry = TelemetryCollector()
-        self.replication = ReplicationManager(self.loop)
-        self.rpc_registry = RpcRegistry()
-        self.drpc = DrpcFabric(self.rpc_registry)
 
         self.devices: dict[str, DeviceRuntime] = {}
         #: the fleet's execution-engine configuration (set through
@@ -215,7 +209,6 @@ class FlexNetController:
         self.devices[name] = runtime
         self.network.add_node(runtime)
         self.hub.bind(runtime)
-        self.drpc.set_device_speed(name, target.performance.per_op_ns)
         if self.observer is not None:
             self.observer.attach_device(runtime)
         return runtime
@@ -734,7 +727,6 @@ class FlexNetController:
         ops: int | None = None,
         epoch: int | None = None,
         dispatch_gate: tuple[str, int] | None = None,
-        delta_id: int | None = None,
     ) -> TransitionOutcome:
         """Fold a round's tenant churn into ONE composition and ONE
         hitless transition (FlexCloud's coalesced reconfiguration
@@ -751,9 +743,9 @@ class FlexNetController:
         window sequence lands on a program *byte-identical* to serial
         per-delta admission of the same deltas.
 
-        ``epoch``/``dispatch_gate``/``delta_id`` thread FlexHA's fencing
-        hooks down to the transition, letting a replicated admission
-        queue drain through fenced windows.
+        ``epoch``/``dispatch_gate`` thread FlexHA's fencing hooks down
+        to the transition, letting a replicated admission queue drain
+        through fenced windows.
         """
         admits = list(admits)
         evicts = list(evicts)
@@ -790,7 +782,6 @@ class FlexNetController:
             consistency=consistency,
             epoch=epoch,
             dispatch_gate=dispatch_gate,
-            delta_id=delta_id,
         )
         self._tenants = new_tenants
         for name in evicts:
@@ -849,19 +840,23 @@ class FlexNetController:
         self,
         injector,
         recovery: bool = True,
-        policy=None,
         monitor: bool = False,
         resume: bool = True,
     ):
         """Wire a FlexFault injector through every hook point: the
         reconfiguration orchestrator (lost start commands, journaled
         windows, and the plan's device crashes and restarts, scheduled
-        as ``crash`` / ``restart`` control actions), the P4Runtime hub
-        (lossy control channel), and the dRPC fabric (flaky handlers).
+        as ``crash`` / ``restart`` control actions) and the P4Runtime hub
+        (lossy control channel).
+
+        The controller drives no dRPC fabric, so a plan with ``drpc``
+        faults is rejected with :class:`~repro.errors.ControlPlaneError`
+        (they act only on a :class:`~repro.runtime.drpc.DrpcFabric` the
+        caller builds and hands the injector).
 
         :attr:`journal` is read off the orchestrator's fresh log. With
         ``recovery=True`` (the default) the full recovery stack is
-        armed: retry-with-backoff on control and dRPC calls, and a
+        armed: retry-with-backoff on P4Runtime commands, and a
         :class:`~repro.faults.recovery.RecoveryManager` that resolves
         crash-interrupted transitions on restart (``resume=True`` rolls
         forward to the new version, ``False`` rolls back).
@@ -875,14 +870,18 @@ class FlexNetController:
         from repro.faults.journal import ReconfigJournal
         from repro.faults.recovery import HealthMonitor, RecoveryManager, RetryPolicy
 
-        policy = policy or RetryPolicy()
+        if injector.plan.drpc:
+            raise ControlPlaneError(
+                f"fault plan has {len(injector.plan.drpc)} dRPC fault(s), but the "
+                "controller drives no dRPC fabric: they could never fire"
+            )
+        policy = RetryPolicy()
         orchestrator = self.orchestrator
         self.fault_injector = injector
         orchestrator.log = []
         self.journal = ReconfigJournal(orchestrator.log)
         orchestrator.injector = injector
         orchestrator.telemetry = self.telemetry
-        self.drpc.injector = injector
         self.hub.set_channel(ControlChannel(injector, retry=policy if recovery else None))
         self.recovery = None
         self.health = None

@@ -13,7 +13,7 @@ controller side:
   executed by the apply callback on whichever node currently leads.
   Raft snapshots compact the log and catch lagging replicas up fast.
 
-* **Fencing epochs** — every P4Runtime/dRPC mutation and every
+* **Fencing epochs** — every P4Runtime mutation and every
   orchestrated window start carries the proposing leader's term as a
   fencing epoch. Devices ratchet a per-device watermark
   (:meth:`~repro.runtime.device.DeviceRuntime.admit_epoch`) and reject

@@ -43,7 +43,6 @@ from repro.runtime.device import EngineConfig
 from repro.simulator.metrics import RunMetrics
 from repro.simulator.flowgen import TimedPacket, constant_rate
 from repro.targets import drmt_switch, fpga, host, rmt_switch, smartnic, tiled_switch
-from repro.targets.base import Target
 
 from repro.core.datapath import FungibleDatapath
 from repro.core.slo import Slo
@@ -192,9 +191,6 @@ class FlexNet:
     def add_legacy(self, name: str) -> None:
         """A non-programmable element (forwards, hosts nothing)."""
         self.controller.add_device(name, None)
-
-    def add_custom(self, name: str, target: Target) -> None:
-        self.controller.add_device(name, target)
 
     def connect(self, a: str, b: str, latency_s: float = 1e-6) -> None:
         self.controller.add_link(a, b, latency_s)

@@ -3,10 +3,10 @@
 :func:`run_chaos` is the scenario runner behind experiment E16 and the
 ``flexnet chaos`` CLI. It stands up the canonical 5-hop FlexNet slice,
 installs a program, arms a :class:`~repro.faults.plan.FaultPlan`
-(device crashes, lossy control channel, flaky dRPC, stalled
-migrations), applies a delta mid-traffic, and reports what survived:
-delivery, consistency, per-device convergence, the write-ahead journal,
-and every degraded-mode event.
+(device crashes, lossy control channel, stalled migrations), applies a
+delta mid-traffic, and reports what survived: delivery, consistency,
+per-device convergence, the write-ahead journal, and every
+degraded-mode event.
 
 :func:`run_controller_chaos` (experiment E19, ``flexnet chaos
 --controller``) runs the same scenario under FlexHA, where the plan's

@@ -3,8 +3,8 @@
 Three cooperating pieces:
 
 * :class:`RetryPolicy` — bounded retry with exponential backoff, shared
-  by the P4Runtime control channel, the dRPC fabric, and the
-  orchestrator's reconfiguration commands.
+  by the P4Runtime control channel and the orchestrator's
+  reconfiguration commands.
 * :class:`RecoveryManager` — the orchestrator's ``crash`` and
   ``restart`` actions consult it: on restart it reads the write-ahead
   journal (:mod:`repro.faults.journal`) and resolves any interrupted

@@ -3,8 +3,8 @@
 One façade — :class:`Observer`, exposed as ``net.observe`` — bundles:
 
 * structured tracing (:mod:`repro.observe.trace`): hierarchical spans
-  over sim time covering reconfiguration windows, dRPC calls, fault
-  injections, and sampled per-packet data-plane execution;
+  over sim time covering reconfiguration windows, fault injections,
+  and sampled per-packet data-plane execution;
 * metrics (:mod:`repro.observe.metrics`): a labelled
   counter/gauge/histogram registry with deterministic Prometheus-text
   and JSON exporters;

@@ -4,8 +4,8 @@ An :class:`Observer` bundles the tracer, the metrics registry, and the
 profiler, and knows how to wire them through a
 :class:`~repro.control.controller.FlexNetController`: device runtimes
 (sampled packet traces), the reconfiguration orchestrator (window
-spans), the dRPC fabric (call spans), the telemetry collector (event
-feed), and the placement engine (compile profiling).
+spans), the telemetry collector (event feed), and the placement engine
+(compile profiling).
 
 **Strictly zero-cost when disabled.** Until :meth:`enable` runs, no
 component holds a reference to the observer — every hook site guards on
@@ -38,7 +38,6 @@ class Observer:
         self.metrics = MetricsRegistry()
         self.profiler = Profiler()
         self.sample_every = sample_every
-        self.trace_packets = True
         self._controller = None
         self._collector_registered = False
         #: observer-local sample counter — deliberately NOT the global
@@ -57,7 +56,6 @@ class Observer:
     def enable(
         self,
         sample_every: int | None = None,
-        trace_packets: bool = True,
         sink=None,
     ) -> "Observer":
         """Install every hook. ``sample_every=N`` traces one packet in N
@@ -67,17 +65,15 @@ class Observer:
             raise RuntimeError("Observer.bind(controller) must run before enable()")
         if sample_every is not None:
             self.sample_every = sample_every
-        self.trace_packets = trace_packets
         if sink is not None:
             self.tracer.sink = sink
         self.enabled = True
         controller = self._controller
         controller.observer = self
         controller.orchestrator.observer = self
-        controller.drpc.observer = self
         controller.telemetry.observer = self
         controller.engine.profiler = self.profiler
-        if trace_packets and self.sample_every > 0:
+        if self.sample_every > 0:
             for device in controller.devices.values():
                 device.observer = self
         if not self._collector_registered:
@@ -93,7 +89,6 @@ class Observer:
         if controller is not None:
             controller.observer = None
             controller.orchestrator.observer = None
-            controller.drpc.observer = None
             controller.telemetry.observer = None
             controller.engine.profiler = None
             for device in controller.devices.values():
@@ -102,7 +97,7 @@ class Observer:
 
     def attach_device(self, device) -> None:
         """Hook a device added after :meth:`enable` (controller calls this)."""
-        if self.enabled and self.trace_packets and self.sample_every > 0:
+        if self.enabled and self.sample_every > 0:
             device.observer = self
 
     # -- packet sampling ----------------------------------------------------
@@ -208,18 +203,6 @@ class Observer:
             registry.counter("flexnet_channel_retries_total").set(channel.retries)
             registry.counter("flexnet_channel_delays_total").set(channel.delays)
             registry.counter("flexnet_channel_failures_total").set(channel.failures)
-        for service in sorted(controller.drpc.stats):
-            stats = controller.drpc.stats[service]
-            registry.counter("flexnet_drpc_calls_total", service=service).set(stats.calls)
-            registry.counter("flexnet_drpc_failures_total", service=service).set(
-                stats.failures
-            )
-            registry.counter("flexnet_drpc_retries_total", service=service).set(
-                stats.retries
-            )
-            registry.counter(
-                "flexnet_drpc_latency_seconds_total", service=service
-            ).set(round(stats.total_latency_s, 9))
         telemetry = controller.telemetry
         registry.counter(
             "flexnet_telemetry_digests_total",

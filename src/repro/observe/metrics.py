@@ -8,7 +8,7 @@ same scenario export byte-identical text, which is what makes metric
 snapshots regression-testable.
 
 Hot paths never push here. Fast-moving sources (device stats, the
-P4Runtime channel, dRPC stats) already keep their own cheap counters;
+P4Runtime channel, telemetry) already keep their own cheap counters;
 the registry *pulls* them through registered collector callbacks at
 export time. Control-path sources (the scheduler, the recovery
 manager, transitions) push directly — they run a handful of times per
@@ -64,9 +64,6 @@ class Gauge:
 
     def inc(self, amount: float = 1.0) -> None:
         self.value += amount
-
-    def dec(self, amount: float = 1.0) -> None:
-        self.value -= amount
 
 
 @dataclass

@@ -1,8 +1,8 @@
 """FlexScope structured tracing: hierarchical spans over sim time.
 
 A :class:`Span` is one timed region of the system's life — a runtime
-update, one device's transition window, an in-band migration, a dRPC
-invocation, or the execution of one sampled packet. Spans carry an
+update, one device's transition window, an in-band migration, or the
+execution of one sampled packet. Spans carry an
 explicit ``parent_id`` so the full tree can be reconstructed offline,
 and every timestamp is the event loop's monotonic *virtual* clock, so
 two seeded runs of the same scenario produce byte-identical trees.

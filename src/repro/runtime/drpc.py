@@ -54,9 +54,6 @@ class RpcStats:
     calls: int = 0
     total_latency_s: float = 0.0
     failures: int = 0
-    #: failed attempts that were retried (and the backoff they cost).
-    retries: int = 0
-    backoff_s: float = 0.0
 
     @property
     def mean_latency_s(self) -> float:
@@ -117,14 +114,6 @@ class DrpcFabric:
         #: optional FlexFault injector: when set, calls may fail at the
         #: handler (modelling a flaky in-band service).
         self.injector = None
-        #: FlexScope: set by :meth:`repro.observe.Observer.enable`; each
-        #: call becomes one span (failures end with status="error").
-        self.observer = None
-        #: FlexHA fencing: when set, every call carrying an ``epoch``
-        #: runs ``epoch_gate(serving_device, epoch) -> bool`` before the
-        #: handler; a False verdict (stale epoch) raises RpcError and
-        #: the handler never runs.
-        self.epoch_gate: Callable[[str, int], bool] | None = None
 
     def set_device_speed(self, device: str, per_op_ns: float) -> None:
         self.device_per_op_ns[device] = per_op_ns
@@ -136,58 +125,14 @@ class DrpcFabric:
         caller_device: str,
         now: float = 0.0,
         hops: int = 1,
-        epoch: int | None = None,
     ) -> tuple[tuple[int, ...], float]:
-        """In-band invocation; returns (result, latency_seconds).
-
-        ``epoch`` is the caller's fencing epoch (FlexHA): when the
-        fabric has an ``epoch_gate`` installed, a stale epoch is
-        rejected at the serving device before the handler runs.
-        """
-        observer = self.observer
-        if observer is None:
-            return self._call(service_name, args, caller_device, now, hops, epoch)
-        span = observer.tracer.start_span(
-            f"drpc:{service_name}",
-            "drpc",
-            now,
-            service=service_name,
-            caller=caller_device,
-            hops=hops,
-        )
-        try:
-            result, latency = self._call(service_name, args, caller_device, now, hops, epoch)
-        except RpcError as exc:
-            observer.tracer.end_span(span, now, status="error", error=str(exc))
-            raise
-        observer.tracer.end_span(span, now + latency, latency_s=round(latency, 9))
-        return result, latency
-
-    def _call(
-        self,
-        service_name: str,
-        args: tuple[int, ...],
-        caller_device: str,
-        now: float,
-        hops: int,
-        epoch: int | None = None,
-    ) -> tuple[tuple[int, ...], float]:
+        """In-band invocation; returns (result, latency_seconds)."""
         stats = self.stats.setdefault(service_name, RpcStats())
         try:
             service = self._registry.lookup(service_name, now=now, hops_from_provider=hops)
         except RpcError:
             stats.failures += 1
             raise
-        if (
-            epoch is not None
-            and self.epoch_gate is not None
-            and not self.epoch_gate(service.device, epoch)
-        ):
-            stats.failures += 1
-            raise RpcError(
-                f"service {service_name!r} on {service.device!r} rejected "
-                f"stale fencing epoch {epoch}"
-            )
         per_op_ns = self.device_per_op_ns.get(service.device, 2.0)
         handler_s = service.ops * per_op_ns * 1e-9
         latency = 2 * hops * self._link_latency_s + handler_s
@@ -198,63 +143,13 @@ class DrpcFabric:
             result = service.handler(args)
         except (FlexNetError, ValueError, TypeError, ArithmeticError, LookupError) as exc:
             # Expected handler failures (bad args, missing state, domain
-            # errors) become RpcErrors the caller can retry; genuine bugs
+            # errors) become RpcErrors the caller can handle; genuine bugs
             # (AttributeError, RuntimeError, ...) propagate unmasked.
             stats.failures += 1
             raise RpcError(f"service {service_name!r} handler failed: {exc}") from exc
         stats.calls += 1
         stats.total_latency_s += latency
         return result, latency
-
-    def call_with_retry(
-        self,
-        service_name: str,
-        args: tuple[int, ...],
-        caller_device: str,
-        now: float = 0.0,
-        hops: int = 1,
-        policy=None,
-        epoch: int | None = None,
-    ) -> tuple[tuple[int, ...], float]:
-        """In-band invocation with FlexFault's recovery semantics:
-        failed calls are retried under an exponential-backoff
-        :class:`~repro.faults.recovery.RetryPolicy`; the backoff spent
-        is added to the reported latency. Raises the final
-        :class:`~repro.errors.RpcError` once attempts are exhausted."""
-        if policy is None:
-            from repro.faults.recovery import RetryPolicy
-
-            policy = RetryPolicy()
-        stats = self.stats.setdefault(service_name, RpcStats())
-        waited = 0.0
-        for attempt in range(1, policy.max_attempts + 1):
-            try:
-                result, latency = self.call(
-                    service_name,
-                    args,
-                    caller_device,
-                    now=now + waited,
-                    hops=hops,
-                    epoch=epoch,
-                )
-            except RpcError:
-                if attempt >= policy.max_attempts:
-                    raise
-                backoff = policy.backoff_s(attempt)
-                stats.retries += 1
-                stats.backoff_s += backoff
-                waited += backoff
-                if self.observer is not None:
-                    self.observer.tracer.event(
-                        "drpc_retry",
-                        now + waited,
-                        service=service_name,
-                        attempt=attempt,
-                        backoff_s=round(backoff, 9),
-                    )
-                continue
-            return result, latency + waited
-        raise RpcError(f"service {service_name!r}: retry budget exhausted")  # unreachable
 
     def call_via_controller(
         self,

@@ -225,7 +225,6 @@ def run_sharded(
     backend: str = "process",
     seed: int = 2024,
     drain_s: float = 1.0,
-    plan: ShardPlan | None = None,
     chaos: FaultPlan | None = None,
 ) -> ScaleReport:
     """Partition ``net`` and run ``injections`` across shards.
@@ -244,8 +243,7 @@ def run_sharded(
     Under the process backend any worker death, injected or not, is
     recovered by re-execution within ``limits.MEND_MAX_RESTARTS``.
     """
-    if plan is None:
-        plan = plan_shards(net.controller, shards, seed=seed)
+    plan = plan_shards(net.controller, shards, seed=seed)
     # One protocol for both backends: the edges are those the routes of
     # this run cross, not every shard boundary a link happens to span.
     plan, per_shard, end_time = _assign_injections(net, plan, injections, drain_s)

@@ -63,9 +63,6 @@ class ProgramInstance:
         #: rules and maps).
         self.fastpath_enabled = fastpath
         self._compiled = None
-        #: FlexVet: lazily computed parallelism classification of the
-        #: hosted slice (see :meth:`vet`).
-        self._vet = None
         #: Pass-through lane: a slice hosting *nothing* whose apply block
         #: has no top-level ``if`` (a condition is evaluated and costed
         #: even here) only parses, so its outcome is two-valued: ``(start
@@ -87,16 +84,6 @@ class ProgramInstance:
     @property
     def version(self) -> int:
         return self.program.version
-
-    def vet(self):
-        """The FlexVet :class:`~repro.analysis.vet.VetReport` for the
-        slice this instance hosts — the static parallelism contract the
-        FlexScale partitioner consults at install time. Computed once per instance (the program is immutable)."""
-        if self._vet is None:
-            from repro.analysis.vet import vet
-
-            self._vet = vet(self.program, self.hosted_elements)
-        return self._vet
 
     def hosts(self, element: str) -> bool:
         return self.hosted_elements is None or element in self.hosted_elements

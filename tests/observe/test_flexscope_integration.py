@@ -74,7 +74,6 @@ class TestZeroCostWhenDisabled:
         controller = net.controller
         assert controller.observer is None
         assert controller.orchestrator.observer is None
-        assert controller.drpc.observer is None
         assert controller.telemetry.observer is None
         assert controller.engine.profiler is None
         assert all(d.observer is None for d in controller.devices.values())
@@ -86,12 +85,29 @@ class TestZeroCostWhenDisabled:
         controller = net.controller
         assert controller.observer is None
         assert controller.orchestrator.observer is None
-        assert controller.drpc.observer is None
         assert controller.telemetry.observer is None
         assert controller.engine.profiler is None
         assert all(d.observer is None for d in controller.devices.values())
         net.install(base_infrastructure())
         assert net.observe.tracer.total_spans == 0
+
+    def test_sample_every_zero_traces_no_packet_but_keeps_control_spans(self):
+        """``sample_every=0`` is the one switch that turns packet
+        sampling off: no device holds the observer, not even one added
+        after enable, while the update span is still recorded."""
+        net = FlexNet.standard()
+        net.observe.enable(sample_every=0)
+        net.add_switch("late")
+        controller = net.controller
+        assert controller.observer is net.observe
+        assert "late" in controller.devices
+        assert all(d.observer is None for d in controller.devices.values())
+        net.install(base_infrastructure())
+        net.schedule(UPDATE_AT_S, lambda: net.update(firewall_delta()))
+        net.run_traffic(rate_pps=RATE_PPS, duration_s=DURATION_S, extra_time_s=2.0)
+        tracer = net.observe.tracer
+        assert tracer.spans("packet") == []
+        assert [span.name for span in tracer.spans("update")] == ["update"]
 
     def test_disabled_run_matches_observed_run_outcomes(self):
         """Tracing must not perturb the simulation: same traffic, same

@@ -165,60 +165,6 @@ class TestFailurePaths:
         assert result == (7,)
 
 
-class TestRetry:
-    def test_retry_eventually_succeeds(self, fabric):
-        from repro.faults import DrpcFault, FaultInjector, FaultPlan
-        from repro.faults.recovery import RetryPolicy
-
-        registry, drpc = fabric
-        registry.register(ServiceSpec("svc", "sw1", 8, lambda a: a))
-        # With p=0.5 and 5 attempts some seed always gets through; pick
-        # one where the first attempt fails so the retry path is real.
-        injector = FaultInjector(
-            FaultPlan(seed=2, drpc=(DrpcFault(service_pattern="svc", fail_probability=0.5),))
-        )
-        drpc.injector = injector
-        result, latency = drpc.call_with_retry(
-            "svc", (3,), caller_device="h1", now=1.0, policy=RetryPolicy()
-        )
-        assert result == (3,)
-        assert drpc.stats["svc"].retries > 0
-        assert drpc.stats["svc"].backoff_s > 0
-        # the waited backoff is charged to the caller's latency
-        assert latency >= drpc.stats["svc"].backoff_s
-
-    def test_retry_budget_exhausted_raises(self, fabric):
-        from repro.faults import DrpcFault, FaultInjector, FaultPlan
-        from repro.faults.recovery import RetryPolicy
-
-        registry, drpc = fabric
-        registry.register(ServiceSpec("svc", "sw1", 8, lambda a: a))
-        drpc.injector = FaultInjector(
-            FaultPlan(seed=1, drpc=(DrpcFault(service_pattern="svc", fail_probability=1.0),))
-        )
-        policy = RetryPolicy(max_attempts=3)
-        with pytest.raises(RpcError, match="injected fault"):
-            drpc.call_with_retry("svc", (), caller_device="h1", now=1.0, policy=policy)
-        assert drpc.stats["svc"].failures == 3
-        assert drpc.stats["svc"].retries == 2  # final attempt is not a retry
-
-    def test_retry_heals_gossip_visibility(self, fabric):
-        """A service registered moments ago becomes visible *during* the
-        backoff: the retry call advances virtual time past the gossip
-        horizon, so the retried lookup succeeds."""
-        from repro.faults.recovery import RetryPolicy
-
-        registry, drpc = fabric
-        registry.register(ServiceSpec("svc", "sw1", 8, lambda a: a), now=1.0)
-        # 3 hops -> visible at 1.15; first attempt at 1.1 fails.
-        policy = RetryPolicy(max_attempts=5, base_backoff_s=0.02)
-        result, _ = drpc.call_with_retry(
-            "svc", (9,), caller_device="h1", now=1.1, hops=3, policy=policy
-        )
-        assert result == (9,)
-        assert drpc.stats["svc"].retries > 0
-
-
 class TestStandardServices:
     def test_state_read(self, fabric):
         registry, drpc = fabric

@@ -174,6 +174,18 @@ class TestObservabilityVerbs:
         payload = json.loads(capsys.readouterr().out)
         assert payload["flexnet_device_packets_total"]["type"] == "counter"
 
+    def test_metrics_export_is_pinned(self, program_file, patch_file, capsys):
+        """The whole metric registry of an observed run with a live
+        update, pinned to the byte: a family added, dropped or relabelled
+        moves the sha."""
+        import hashlib
+
+        assert main(["metrics", program_file, "--patch", patch_file, "--json"]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "ed5d00631f27469169d01e376bed28adf9a034d84f5c01450d168bd8f4f39650"
+        )
+
     def test_profile_table(self, program_file, patch_file, capsys):
         assert main(["profile", program_file, "--rate", "200", "--duration", "0.5",
                      "--patch", patch_file, "--at", "0.3"]) == 0
