@@ -42,7 +42,6 @@ __all__ = [
     "access_of_body",
     "access_of_table",
     "analyze",
-    "executed_slice",
 ]
 
 
@@ -112,32 +111,6 @@ def _applied_elements(program: ir.Program) -> tuple[frozenset[str], AccessSet]:
 
     walk(program.apply)
     return frozenset(reached), collector.freeze()
-
-
-def executed_slice(
-    program: ir.Program, info: DataflowInfo, hosted_elements: set[str] | None
-) -> tuple[set[str], AccessSet]:
-    """The elements one device actually executes, plus their union access.
-
-    ``hosted_elements`` is the placement model's hosting set: a device
-    hosts a subset of tables/functions (apply-if conditions always run).
-    Hosting a table implies executing its actions. ``None`` hosts the
-    whole program. This is what FlexVet means by "this device runs".
-    """
-    if hosted_elements is None:
-        return set(info.applied), info.program_access
-    hosted = frozenset(hosted_elements)
-    executed: set[str] = set()
-    for table in program.tables:
-        if table.name in info.applied and table.name in hosted:
-            executed.add(table.name)
-            executed.update(table.invocable)
-    for function in program.functions:
-        if function.name in info.applied and function.name in hosted:
-            executed.add(function.name)
-    return executed, AccessSet.union(
-        (info.apply_reads, *(info.element_access(name) for name in executed))
-    )
 
 
 def analyze(

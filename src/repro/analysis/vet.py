@@ -1,11 +1,10 @@
 """FlexVet front 1: static parallelism-safety classification.
 
-FlexScale (sharded multi-process simulation) and the batched/vectorized
-packet engine both need to know, *before any process is forked*, which
-program state can be partitioned, which must be co-located, and which
-forbids reordering packets at all. This pass answers that with an
-abstract interpretation over the FlexBPF IR that assigns every map (and
-every stage that touches one) a state class:
+FlexScale (sharded multi-process simulation) and tenant admission
+need to know, *before any process is forked*, which program state can
+be partitioned and which must be co-located. This pass answers that
+with an abstract interpretation over the FlexBPF IR that assigns every
+map (and every stage that touches one) a state class:
 
 * ``stateless`` — the map is never mutated from the data path (reads of
   control-plane-populated state are fine: such maps replicate to every
@@ -25,21 +24,11 @@ every stage that touches one) a state class:
   dst)``), or partition fields the program itself rewrites (NAT
   rewrites ``ipv4.src``, so nothing downstream can shard by it).
 
-From the per-map classes the pass derives:
-
-* **batch-safety** — a program is ``batch_safe`` when reordering
-  packets of *different* flows cannot change any outcome: every
-  data-plane-mutated map is ``per_flow`` and all of them share at least
-  one common partition field (the ``flow_key``). A vectorized
-  struct-of-arrays backend may then sub-batch by the flow key and
-  process groups in any order, preserving order only within a group.
-  A slice that mutates no map is stateless, and batch-safe with an
-  empty flow key.
-* **shard-affinity** — data-plane-mutated maps co-accessed by one
-  element must live on one shard; affinity groups are the connected
-  components of that relation. A group is shardable when its members
-  are all per-flow with a nonempty common partition field set,
-  otherwise it is pinned to a single shard.
+From the per-map classes the pass derives **shard-affinity**:
+data-plane-mutated maps co-accessed by one element must live on one
+shard; affinity groups are the connected components of that relation.
+A group is shardable when its members are all per-flow with a nonempty
+common partition field set, otherwise it is pinned to a single shard.
 
 Like every FlexCheck pass this is a sound over-approximation: the
 property tests in ``tests/property/test_prop_vet.py`` execute the
@@ -52,7 +41,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from repro.analysis.dataflow import analyze, executed_slice
+from repro.analysis.dataflow import analyze
 from repro.lang import ir
 
 
@@ -222,15 +211,15 @@ def _assigned_names(body: tuple[ir.Stmt, ...]) -> set[str]:
 
 
 def _collect_accesses(
-    program: ir.Program, executed: set[str]
+    program: ir.Program, applied: frozenset[str]
 ) -> list[_Access]:
-    """Every syntactic map access in the executed slice, attributed to
+    """Every syntactic map access the applied elements make, attributed to
     the applied table/function that performs it (actions fold into each
     table listing them; apply-if condition reads get ``<apply>``)."""
     scanner = _Scanner()
 
     for table in program.tables:
-        if table.name not in executed:
+        if table.name not in applied:
             continue
         for action_name in sorted(table.invocable):
             action = program.action(action_name)
@@ -241,7 +230,7 @@ def _collect_accesses(
             scanner.body(action.body, env, table.name)
 
     for function in program.functions:
-        if function.name not in executed:
+        if function.name not in applied:
             continue
         scanner.body(function.body, {}, function.name)
 
@@ -328,7 +317,7 @@ class AffinityGroup:
 
 @dataclass(frozen=True)
 class VetReport:
-    """The FlexVet classification of one program (or hosted slice).
+    """The FlexVet classification of one program.
 
     Implements the FlexScope :class:`~repro.observe.report.Reportable`
     protocol (``summary()``/``to_dict()``) so the CLI renders it through
@@ -337,19 +326,12 @@ class VetReport:
 
     program_name: str
     program_version: int
-    #: sorted hosted element names, or None for the whole program.
-    hosted: tuple[str, ...] | None
     maps: tuple[MapVet, ...]
     elements: tuple[ElementVet, ...]
     groups: tuple[AffinityGroup, ...]
-    #: True when no data-plane map mutation exists in the slice
-    #: (trivially batch-safe).
+    #: True when the data path mutates no map (no affinity group, so
+    #: nothing constrains where a device runs).
     stateless: bool
-    batch_safe: bool
-    batch_reasons: tuple[str, ...]
-    #: sorted common partition fields a batched backend may group by
-    #: (empty for stateless programs — any grouping works).
-    flow_key: tuple[str, ...]
 
     # -- lookups ----------------------------------------------------------
 
@@ -381,11 +363,7 @@ class VetReport:
         return {
             "program": self.program_name,
             "version": self.program_version,
-            "hosted": list(self.hosted) if self.hosted is not None else None,
-            "batch_safe": self.batch_safe,
-            "batch_reasons": list(self.batch_reasons),
             "stateless": self.stateless,
-            "flow_key": list(self.flow_key),
             "maps": [v.to_dict() for v in self.maps],
             "elements": [v.to_dict() for v in self.elements],
             "affinity_groups": [g.to_dict() for g in self.groups],
@@ -395,12 +373,9 @@ class VetReport:
         counts = {cls: 0 for cls in StateClass}
         for verdict in self.maps:
             counts[verdict.state_class] += 1
-        scope = "" if self.hosted is None else f" [hosted: {', '.join(self.hosted)}]"
         lines = [
-            f"flexvet {self.program_name!r} (version {self.program_version}){scope}: "
-            f"batch_safe={'yes' if self.batch_safe else 'no'}"
-            + (f" flow_key=({', '.join(self.flow_key)})" if self.flow_key else "")
-            + f" — {counts[StateClass.PER_FLOW]} per-flow, "
+            f"flexvet {self.program_name!r} (version {self.program_version}): "
+            f"{counts[StateClass.PER_FLOW]} per-flow, "
             f"{counts[StateClass.CROSS_FLOW]} cross-flow, "
             f"{counts[StateClass.STATELESS]} stateless map(s)"
         ]
@@ -437,8 +412,6 @@ class VetReport:
                 lines.append(
                     f"    group {index}: {{{', '.join(group.maps)}}} {detail}"
                 )
-        for reason in self.batch_reasons:
-            lines.append(f"  batch: {reason}")
         return "\n".join(lines)
 
 
@@ -451,7 +424,7 @@ def _classify_map(
     name: str,
     accesses: list[_Access],
     written: bool,
-    slice_field_writes: set[str],
+    field_writes: set[str],
 ) -> tuple[StateClass, tuple[str, ...], tuple[str, ...]]:
     """(class, partition fields, reasons) for one accessed map."""
     if not written:
@@ -488,7 +461,7 @@ def _classify_map(
     if not reasons and not partition:
         reasons.append("keyed only by constants (one global entry set)")
     for field in partition:
-        if field in slice_field_writes:
+        if field in field_writes:
             reasons.append(
                 f"partition field {field} is rewritten by the data path "
                 f"(no longer identifies the ingress flow)"
@@ -498,14 +471,13 @@ def _classify_map(
     return StateClass.PER_FLOW, tuple(partition), ()
 
 
-def vet(program: ir.Program, hosted_elements: set[str] | None = None) -> VetReport:
-    """Classify every map and stage of ``program`` (or the slice one
-    device hosts) and derive batch-safety and shard-affinity."""
+def vet(program: ir.Program) -> VetReport:
+    """Classify every map and stage of ``program`` and derive its
+    shard-affinity groups."""
     info = analyze(program)
-    executed, access = executed_slice(program, info, hosted_elements)
-    accesses = _collect_accesses(program, executed)
+    accesses = _collect_accesses(program, info.applied)
 
-    slice_field_writes = {str(ref) for ref in access.field_writes}
+    field_writes = {str(ref) for ref in info.program_access.field_writes}
     by_map: dict[str, list[_Access]] = {}
     for item in accesses:
         by_map.setdefault(item.map_name, []).append(item)
@@ -525,7 +497,7 @@ def vet(program: ir.Program, hosted_elements: set[str] | None = None) -> VetRepo
             state_class, partition, reasons = StateClass.STATELESS, (), ()
         else:
             state_class, partition, reasons = _classify_map(
-                name, sites, name in written_maps, slice_field_writes
+                name, sites, name in written_maps, field_writes
             )
         readers = sorted(
             {a.element for a in sites if a.kind == "read" and a.element in stage_names | {APPLY_ELEMENT}}
@@ -556,7 +528,7 @@ def vet(program: ir.Program, hosted_elements: set[str] | None = None) -> VetRepo
         ("function", [f.name for f in program.functions]),
     ):
         for name in sorted(names):
-            if name not in executed:
+            if name not in info.applied:
                 continue
             element_access = info.element_access(name)
             touched = (
@@ -647,36 +619,11 @@ def vet(program: ir.Program, hosted_elements: set[str] | None = None) -> VetRepo
                 )
             )
 
-    # -- batch safety ------------------------------------------------------
-    batch_reasons: list[str] = []
-    flow_key: tuple[str, ...] = ()
-    if stateful:
-        for verdict in map_verdicts:
-            if verdict.state_class is StateClass.CROSS_FLOW:
-                why = verdict.reasons[0] if verdict.reasons else "cross-flow"
-                batch_reasons.append(
-                    f"map {verdict.name!r} is cross-flow: {why}"
-                )
-        if not batch_reasons:
-            common = set(partition_by_map[sorted(stateful)[0]])
-            for name in sorted(stateful):
-                common &= set(partition_by_map[name])
-            if common:
-                flow_key = tuple(sorted(common))
-            else:
-                batch_reasons.append(
-                    "per-flow maps share no common partition field to batch by"
-                )
-
     return VetReport(
         program_name=program.name,
         program_version=program.version,
-        hosted=tuple(sorted(hosted_elements)) if hosted_elements is not None else None,
         maps=tuple(map_verdicts),
         elements=tuple(element_verdicts),
         groups=tuple(groups),
         stateless=not stateful,
-        batch_safe=not batch_reasons,
-        batch_reasons=tuple(batch_reasons),
-        flow_key=flow_key,
     )

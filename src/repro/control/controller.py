@@ -849,11 +849,6 @@ class FlexNetController:
         as ``crash`` / ``restart`` control actions) and the P4Runtime hub
         (lossy control channel).
 
-        The controller drives no dRPC fabric, so a plan with ``drpc``
-        faults is rejected with :class:`~repro.errors.ControlPlaneError`
-        (they act only on a :class:`~repro.runtime.drpc.DrpcFabric` the
-        caller builds and hands the injector).
-
         :attr:`journal` is read off the orchestrator's fresh log. With
         ``recovery=True`` (the default) the full recovery stack is
         armed: retry-with-backoff on P4Runtime commands, and a
@@ -870,11 +865,6 @@ class FlexNetController:
         from repro.faults.journal import ReconfigJournal
         from repro.faults.recovery import HealthMonitor, RecoveryManager, RetryPolicy
 
-        if injector.plan.drpc:
-            raise ControlPlaneError(
-                f"fault plan has {len(injector.plan.drpc)} dRPC fault(s), but the "
-                "controller drives no dRPC fabric: they could never fire"
-            )
         policy = RetryPolicy()
         orchestrator = self.orchestrator
         self.fault_injector = injector

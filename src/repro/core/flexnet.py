@@ -262,8 +262,8 @@ class FlexNet:
         """Run FlexVet against a program (default: the live one) and
         return its :class:`~repro.analysis.vet.VetReport` — the static
         parallelism classification (stateless / per-flow / cross-flow,
-        batch safety, shard affinity) the FlexScale partitioner consults
-        before forking any work."""
+        shard affinity) the FlexScale partitioner consults before
+        forking any work."""
         subject = program if program is not None else self.controller.program
         if subject is None:
             raise ControlPlaneError("no program installed to vet")

@@ -2,13 +2,13 @@
 
 The paper's promise — hitless, packet-consistent reconfiguration piloted
 by distributed controllers — must survive the unhappy path: devices
-crashing mid-delta, lossy control channels, failed dRPC calls, stalled
+crashing mid-delta, lossy control channels, failed or stalled state
 migrations. This package provides both halves:
 
 * **Injection** — :class:`FaultPlan` (seeded, declarative) +
   :class:`FaultInjector`, consulted by hooks woven through
-  ``runtime.device``, ``control.p4runtime``, ``runtime.drpc``,
-  ``runtime.migration`` and ``runtime.reconfig``.
+  ``control.p4runtime``, ``runtime.migration`` and
+  ``runtime.reconfig``.
 * **Recovery** — :class:`RetryPolicy` (exponential backoff),
   :class:`ReconfigJournal` (write-ahead, a view over the orchestrator's
   applied-action log, resolved by resume/rollback), :class:`RecoveryManager`
@@ -26,7 +26,6 @@ from repro.faults.plan import (
     ChannelFault,
     ControllerCrash,
     DeviceCrash,
-    DrpcFault,
     FaultInjector,
     FaultPlan,
     HandoffDrop,
@@ -44,7 +43,6 @@ __all__ = [
     "ControllerCrash",
     "DegradedEvent",
     "DeviceCrash",
-    "DrpcFault",
     "FaultInjector",
     "FaultPlan",
     "HandoffDrop",

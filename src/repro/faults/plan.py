@@ -2,13 +2,11 @@
 
 A :class:`FaultPlan` describes *what goes wrong* during a scenario —
 device crashes at fixed virtual times, a lossy/slow control channel,
-flaky dRPC handlers, stalling state migrations — and a single seed that
-makes every probabilistic draw reproducible. The plan itself is inert
-data; a :class:`FaultInjector` turns it into deterministic per-call
-decisions that the runtime hooks consult
-(:mod:`repro.runtime.device`, :mod:`repro.control.p4runtime`,
-:mod:`repro.runtime.drpc`, :mod:`repro.runtime.migration`,
-:mod:`repro.runtime.reconfig`).
+stalling state migrations — and a single seed that makes every
+probabilistic draw reproducible. The plan itself is inert data; a
+:class:`FaultInjector` turns it into deterministic per-call decisions
+that the runtime hooks consult (:mod:`repro.control.p4runtime`,
+:mod:`repro.runtime.migration`, :mod:`repro.runtime.reconfig`).
 
 Determinism: each fault category gets its own RNG stream seeded from
 ``stable_hash((seed, category))``, so the sequence of draws one hook
@@ -21,7 +19,7 @@ from __future__ import annotations
 
 import fnmatch
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.util import stable_hash
 
@@ -73,17 +71,6 @@ class ChannelFault:
 
     def applies_to(self, device: str) -> bool:
         return fnmatch.fnmatchcase(device, self.device_pattern)
-
-
-@dataclass(frozen=True)
-class DrpcFault:
-    """Handler-level dRPC failures for matching services."""
-
-    service_pattern: str = "*"
-    fail_probability: float = 0.0
-
-    def applies_to(self, service: str) -> bool:
-        return fnmatch.fnmatchcase(service, self.service_pattern)
 
 
 @dataclass(frozen=True)
@@ -150,7 +137,6 @@ class FaultPlan:
     seed: int = 0
     crashes: tuple[DeviceCrash, ...] = ()
     channel: ChannelFault | None = None
-    drpc: tuple[DrpcFault, ...] = ()
     migration: tuple[MigrationFault, ...] = ()
     #: FlexHA controller-side faults (replica crashes, leader partitions).
     controller_crashes: tuple[ControllerCrash, ...] = ()
@@ -184,8 +170,6 @@ class FaultPlan:
                 f"drop p={self.channel.drop_probability:g}, "
                 f"delay p={self.channel.delay_probability:g} (+{self.channel.delay_s:g}s)"
             )
-        for spec in self.drpc:
-            lines.append(f"dRPC [{spec.service_pattern}]: fail p={spec.fail_probability:g}")
         for spec in self.migration:
             lines.append(
                 f"migration [{spec.map_pattern}]: stall p={spec.stall_probability:g} "
@@ -218,7 +202,6 @@ class InjectionStats:
     commands_dropped: int = 0
     writes_dropped: int = 0
     writes_delayed: int = 0
-    drpc_failures: int = 0
     migration_stalls: int = 0
     migration_failures: int = 0
 
@@ -227,7 +210,6 @@ class InjectionStats:
             "commands_dropped": self.commands_dropped,
             "writes_dropped": self.writes_dropped,
             "writes_delayed": self.writes_delayed,
-            "drpc_failures": self.drpc_failures,
             "migration_stalls": self.migration_stalls,
             "migration_failures": self.migration_failures,
         }
@@ -236,7 +218,7 @@ class InjectionStats:
 class FaultInjector:
     """Deterministic decision oracle over a :class:`FaultPlan`.
 
-    Every hook question ("does this write drop?", "does this handler
+    Every hook question ("does this write drop?", "does this migration
     fail?") is answered from a category-local RNG stream, so decisions
     are reproducible per scenario and independent across categories.
     """
@@ -282,16 +264,6 @@ class FaultInjector:
         elif delay:
             self.stats.writes_delayed += 1
         return dropped, delay
-
-    # -- dRPC ---------------------------------------------------------------
-
-    def drpc_failure(self, service: str) -> bool:
-        for spec in self.plan.drpc:
-            if spec.applies_to(service):
-                if self._rng("drpc").random() < spec.fail_probability:
-                    self.stats.drpc_failures += 1
-                    return True
-        return False
 
     # -- migration ----------------------------------------------------------
 

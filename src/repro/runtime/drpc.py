@@ -111,9 +111,6 @@ class DrpcFabric:
         #: per-op handler speed per device (ns); callers set this from
         #: their targets when wiring the fabric.
         self.device_per_op_ns: dict[str, float] = {}
-        #: optional FlexFault injector: when set, calls may fail at the
-        #: handler (modelling a flaky in-band service).
-        self.injector = None
 
     def set_device_speed(self, device: str, per_op_ns: float) -> None:
         self.device_per_op_ns[device] = per_op_ns
@@ -136,9 +133,6 @@ class DrpcFabric:
         per_op_ns = self.device_per_op_ns.get(service.device, 2.0)
         handler_s = service.ops * per_op_ns * 1e-9
         latency = 2 * hops * self._link_latency_s + handler_s
-        if self.injector is not None and self.injector.drpc_failure(service_name):
-            stats.failures += 1
-            raise RpcError(f"service {service_name!r} handler failed: injected fault")
         try:
             result = service.handler(args)
         except (FlexNetError, ValueError, TypeError, ArithmeticError, LookupError) as exc:

@@ -88,19 +88,6 @@ class ProgramInstance:
     def hosts(self, element: str) -> bool:
         return self.hosted_elements is None or element in self.hosted_elements
 
-    def adopt_state(self, previous: "ProgramInstance") -> None:
-        """Carry map state and table rules over from the prior version
-        (same-name, same-shape elements keep their contents across a
-        hitless reconfiguration). Runtime artifacts configured through
-        P4Runtime — the table meter, per-rule hit counters, and the miss
-        count — travel with the rules, so e.g. an active rate limiter is
-        not silently disabled by an unrelated delta."""
-        self.maps.adopt(previous.maps)
-        for name, old_rules in previous.rules.items():
-            if name not in self.rules:
-                continue
-            self.rules[name].adopt_from(old_rules)
-
     # -- execution ------------------------------------------------------------
 
     def process(self, packet: Packet, now: float = 0.0, trace=None) -> ExecutionResult:

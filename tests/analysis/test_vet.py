@@ -32,9 +32,10 @@ class TestBaseProgram:
             assert report.element_vet(name).state_class is StateClass.STATELESS
 
     def test_batch_safe_with_flow_key(self):
+        # The id predates the batch-safety verdict's removal; what it
+        # pins is the partition key a shard of the base program owns.
         report = vet(base_program())
-        assert report.batch_safe
-        assert report.flow_key == ("ipv4.dst", "ipv4.src")
+        assert [g.partition_fields for g in report.groups] == [("ipv4.dst", "ipv4.src")]
         assert not report.stateless
 
     def test_single_affinity_group_shardable(self):
@@ -55,7 +56,6 @@ class TestCorpusClassification:
         verdict = report.map_vet("fw_conns")
         assert verdict.state_class is StateClass.CROSS_FLOW
         assert any("disagrees" in reason for reason in verdict.reasons)
-        assert not report.batch_safe
 
     def test_hash_bucket_is_cross_flow(self):
         report = vet(corpus("loadbalancer"))
@@ -70,17 +70,22 @@ class TestCorpusClassification:
         verdict = report.map_vet("flow_counts")
         assert verdict.state_class is StateClass.CROSS_FLOW
         assert any("rewritten" in reason for reason in verdict.reasons)
-        assert not report.batch_safe
 
     def test_syn_defense_flow_key_narrows_to_common_field(self):
-        # flow_counts partitions by (src, dst), syn_counts by (dst,);
-        # the batchable key is their intersection.
+        # flow_counts partitions by (src, dst), syn_counts by (dst,): no
+        # stage touches both, so each is its own shardable group with
+        # its own partition key.
         report = vet(corpus("ddos:syn_defense"))
-        assert report.batch_safe
-        assert report.flow_key == ("ipv4.dst",)
+        keys = {g.maps: g.partition_fields for g in report.groups if g.shardable}
+        assert keys == {
+            ("flow_counts",): ("ipv4.dst", "ipv4.src"),
+            ("syn_counts",): ("ipv4.dst",),
+        }
 
     def test_expected_batch_safety_across_corpus(self):
-        expected_unsafe = {
+        # A pinned affinity group is what admission and the shard
+        # planner read as "this state cannot be split".
+        expected_pinned = {
             "firewall",
             "loadbalancer",
             "nat",
@@ -89,29 +94,14 @@ class TestCorpusClassification:
         }
         for label, program in bundled_programs():
             report = vet(program)
-            assert report.batch_safe == (label not in expected_unsafe), label
+            pinned = any(not group.shardable for group in report.groups)
+            assert pinned == (label in expected_pinned), label
 
     def test_sketch_rows_pinned_together(self):
         report = vet(corpus("sketch:count_min"))
         pinned = [g for g in report.groups if not g.shardable]
         pinned_maps = {name for group in pinned for name in group.maps}
         assert {"cms_row0", "cms_row1", "cms_row2"} <= pinned_maps
-
-
-class TestHostedSlice:
-    def test_stateless_slice_of_stateful_program(self):
-        # A device hosting only the ACL slice never touches flow_counts.
-        report = vet(base_program(), hosted_elements={"acl"})
-        assert report.stateless
-        assert report.batch_safe
-        assert report.flow_key == ()
-        assert report.hosted == ("acl",)
-        assert report.map_vet("flow_counts").state_class is StateClass.STATELESS
-
-    def test_stateful_slice_keeps_classification(self):
-        report = vet(base_program(), hosted_elements={"count_flow"})
-        assert report.map_vet("flow_counts").state_class is StateClass.PER_FLOW
-        assert report.batch_safe
 
 
 class TestDemotionRules:
@@ -151,7 +141,7 @@ class TestDemotionRules:
         )
         report = vet(program)
         assert report.map_vet("policy").state_class is StateClass.STATELESS
-        assert report.stateless and report.batch_safe
+        assert report.stateless
 
 
 class TestReportProtocol:
@@ -159,11 +149,8 @@ class TestReportProtocol:
         report = vet(base_program())
         assert isinstance(report, VetReport)
         text = report.summary()
-        assert "batch_safe=yes" in text
         assert "flow_counts" in text
         payload = json.loads(json.dumps(report.to_dict()))
-        assert payload["batch_safe"] is True
-        assert payload["flow_key"] == ["ipv4.dst", "ipv4.src"]
         assert payload["maps"][0]["name"] == "flow_counts"
 
     def test_lookup_errors(self):

@@ -76,7 +76,7 @@ CHAOS_RUNS = [
         ["command_dropped", "command_dropped", "command_retry", "command_retry",
          "window_open"],
         {},
-        "aa5e20e8c0c396b9759bd7928862513438be78b22de27b27a0a722f9d6209265",
+        "87e9f02771ef2223ed18cff94f444d9456d396fb9bd1db24183b7dce5dbd8c07",
         id="dropped-retried-resumed",
     ),
     pytest.param(
@@ -85,7 +85,7 @@ CHAOS_RUNS = [
          "deferred_starts": []},
         ["command_dropped"] * 5 + ["command_retry"] * 4 + ["stranded"],
         {},
-        "41d6dc4b2937d2a7d3233e45ae1c4b84828e6155f3979893337b81b26251bab4",
+        "162632368445f5761083a97bcd134e3e07dc1f8a678ff467e86759772795e9c2",
         id="retries-exhausted",
     ),
     pytest.param(
@@ -94,7 +94,7 @@ CHAOS_RUNS = [
          "deferred_starts": ["sw1"]},
         ["command_dropped", "command_retry", "commit", "deferred_start", "window_open"],
         {},
-        "389fb403693d69326d509b31505c512cd82bc3f1338eaec55a8ca4818364ddd2",
+        "9f7e367c6ec98f521e7098f68b475251396dd971c444d311bcb4f7971e5ff50e",
         id="deferred-to-restart",
     ),
     pytest.param(
@@ -103,7 +103,7 @@ CHAOS_RUNS = [
          "deferred_starts": []},
         ["command_dropped", "stranded"],
         {},
-        "9976a8528b53a661950100afeff7d11fbccfd65e8738ccf9a4486996f56cd3a5",
+        "4fce2ab8c1d82705c37c1d2c83a7fe0ff2d1dbaefebdea3cddf6f3d0f3271e28",
         id="no-recovery",
     ),
     pytest.param(
@@ -113,7 +113,7 @@ CHAOS_RUNS = [
         ["command_dropped", "command_dropped", "command_retry", "command_retry",
          "commit"] + ["window_open"] * 5,
         {},
-        "4760211ed8d2719cf760b6395fb05f0e7b9d59a7bcfdd0f5445282a828055c2b",
+        "d5d7cac5e3de1abcdd3da5461c830f64e38274194d4e9d12ac1402fee7389b69",
         id="spread",
     ),
     pytest.param(
@@ -122,7 +122,7 @@ CHAOS_RUNS = [
         ["command_dropped", "command_dropped", "command_retry", "command_retry",
          "dispatch_suppressed"],
         {},
-        "a6e16823c4cfe63438c85e5058573089d14e535018ed9a4d772201cf85782301",
+        "09a00d5c81a4ffdc9e1847302a9209781b1dda10559349607efd7406584cbea5",
         id="controller-undispatched",
     ),
     pytest.param(
@@ -130,7 +130,7 @@ CHAOS_RUNS = [
         {},
         ["command_dropped"] * 5 + ["command_retry"] * 4 + ["stranded"],
         {},
-        "aea5268a4e42737113a2208ab80f46a9b8e5507c8d6c72fd9eaa70950d54f98b",
+        "3b575fc22062e0a5afacb316e88fbdc05e07f1a2b08e2dfbcbef9b1e45a26986",
         id="controller-partition",
     ),
     pytest.param(
@@ -140,7 +140,7 @@ CHAOS_RUNS = [
         ["command_dropped", "command_dropped", "command_retry", "command_retry",
          "window_open"],
         {"journal": [("sw1", "rolled_back", "rollback")], "resumed": 0, "rolled_back": 1},
-        "04cafadd42db34370ba9a762302610a5d063daa5e8dce53e3ae6f0a39872d9c0",
+        "3247fb9a5ae8a3894a20310cee9a5412e5f40107b6407127bb84347a6e0f87f2",
         id="rolled-back",
     ),
     pytest.param(
@@ -150,7 +150,7 @@ CHAOS_RUNS = [
         ["command_dropped", "command_dropped", "command_retry", "command_retry",
          "window_open"],
         {"journal": [("sw1", "committed", "resume")], "resumed": 1, "rolled_back": 0},
-        "7b80d5012d896ca3a232963e8d70a01cef7562ed425f3589a5c344cb10061b8e",
+        "b7666d6f234da439b400e1f4b55531681987d458bdc9587cf67c2415c49c0544",
         id="health-monitor",
     ),
 ]

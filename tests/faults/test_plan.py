@@ -3,7 +3,6 @@
 from repro.faults import (
     ChannelFault,
     DeviceCrash,
-    DrpcFault,
     FaultInjector,
     FaultPlan,
     MigrationFault,
@@ -18,7 +17,6 @@ def full_plan(seed: int = 5) -> FaultPlan:
             drop_probability=0.3, delay_probability=0.3, delay_s=0.01,
             device_pattern="sw*",
         ),
-        drpc=(DrpcFault(service_pattern="state_*", fail_probability=0.4),),
         migration=(
             MigrationFault(
                 map_pattern="fw_*", stall_probability=0.5, stall_s=0.1,
@@ -37,9 +35,6 @@ class TestDeterminism:
         assert [a.channel_outcome("sw1") for _ in range(50)] == [
             b.channel_outcome("sw1") for _ in range(50)
         ]
-        assert [a.drpc_failure("state_read") for _ in range(50)] == [
-            b.drpc_failure("state_read") for _ in range(50)
-        ]
 
     def test_different_seeds_diverge(self):
         a = FaultInjector(full_plan(seed=5))
@@ -55,8 +50,8 @@ class TestDeterminism:
         a, b = FaultInjector(full_plan()), FaultInjector(full_plan())
         for _ in range(25):  # extra channel traffic on a only
             a.channel_outcome("sw1")
-        draws_a = [a.drpc_failure("state_read") for _ in range(20)]
-        draws_b = [b.drpc_failure("state_read") for _ in range(20)]
+        draws_a = [a.migration_fails("fw_conns") for _ in range(20)]
+        draws_b = [b.migration_fails("fw_conns") for _ in range(20)]
         assert draws_a == draws_b
 
 
@@ -68,11 +63,6 @@ class TestScoping:
             injector.channel_outcome("nic1") == (False, 0.0) for _ in range(50)
         )
 
-    def test_drpc_pattern(self):
-        injector = FaultInjector(full_plan())
-        assert not any(injector.drpc_failure("migrate_chunk") for _ in range(50))
-        assert any(injector.drpc_failure("state_write") for _ in range(50))
-
     def test_migration_pattern(self):
         injector = FaultInjector(full_plan())
         assert not any(injector.migration_fails("lb_pool") for _ in range(50))
@@ -82,7 +72,6 @@ class TestScoping:
         injector = FaultInjector(FaultPlan(seed=9))
         assert not injector.command_dropped("sw1")
         assert injector.channel_outcome("sw1") == (False, 0.0)
-        assert not injector.drpc_failure("anything")
         assert not injector.migration_fails("m")
         assert injector.migration_stall_s("m") == 0.0
 
@@ -92,12 +81,10 @@ class TestAccounting:
         injector = FaultInjector(full_plan())
         for _ in range(200):
             injector.channel_outcome("sw1")
-            injector.drpc_failure("state_read")
             injector.migration_fails("fw_conns")
             injector.migration_stall_s("fw_conns")
         stats = injector.stats.to_dict()
         assert stats["writes_dropped"] > 0
-        assert stats["drpc_failures"] > 0
         assert stats["migration_failures"] > 0
         assert stats["migration_stalls"] > 0
 
@@ -106,5 +93,4 @@ class TestAccounting:
         assert "seed 5" in text
         assert "crash sw1" in text
         assert "drop p=0.3" in text
-        assert "state_*" in text
         assert "fw_*" in text

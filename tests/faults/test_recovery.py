@@ -4,10 +4,8 @@ crashes and restarts as control actions."""
 import pytest
 
 from repro.core.flexnet import FlexNet
-from repro.errors import ControlPlaneError
 from repro.faults import (
     DeviceCrash,
-    DrpcFault,
     FaultInjector,
     FaultPlan,
     HealthMonitor,
@@ -153,18 +151,6 @@ class TestCrashSchedule:
         assert scheduled == 0
         controller.loop.run_until(3.0)
         assert controller.orchestrator.log == []
-
-    def test_drpc_faults_are_rejected(self, base_program):
-        """The controller drives no dRPC fabric, so a plan's dRPC faults
-        could never fire: attaching them is an error, not a fault plan
-        that reports faults it never armed."""
-        net = FlexNet.standard()
-        net.install(base_program)
-        plan = FaultPlan(seed=1, drpc=(DrpcFault(service_pattern="*", fail_probability=1.0),))
-        with pytest.raises(ControlPlaneError, match="dRPC.*no dRPC fabric"):
-            net.controller.attach_faults(FaultInjector(plan))
-        assert net.controller.fault_injector is None
-        assert net.controller.orchestrator.log is None
 
 
 class TestHealthMonitor:

@@ -8,9 +8,11 @@ every bundled program the dynamics must be contained in the statics:
 * for a ``per_flow`` map, every runtime access key is built from the
   claimed partition fields of the packet being processed (the property
   a FlexScale shard relies on to own a slice of the field space);
-* every ``batch_safe=True`` program is reorder-safe across flow
-  groups: regrouping a run's packets by their ``flow_key`` values
-  changes no per-packet outcome and no end state.
+* every shardable affinity group is reorder-safe across its partition
+  key: regrouping a run's packets by the group's ``partition_fields``
+  values leaves the group's maps as the arrival order leaves them and,
+  when every other group's key contains this group's, changes no
+  per-packet outcome and no end state.
 """
 
 from __future__ import annotations
@@ -131,12 +133,12 @@ def test_per_flow_keys_are_the_claimed_partition_fields(label, program):
         assert checked, f"{label}: no per-flow accesses exercised"
 
 
-def reorder_divergences(program, key_fields):
+def reorder_divergences(program, key_fields, maps=None):
     """Run the interpreter over a tiled flow mix in arrival order and
     again stably regrouped by the packets' ``key_fields`` values (each
     packet keeping its own arrival time); returns where the regrouped
     run's observation, packets by index, diverges from the arrival
-    run's."""
+    run's — only in the end state of ``maps`` when they are given."""
     # A few flows interleaved, so every flow-keyed map entry is touched
     # repeatedly and regrouping moves almost every packet.
     flows = fastpath.seeded_corpus(8, seed=21)
@@ -154,21 +156,43 @@ def reorder_divergences(program, key_fields):
         for index in order:
             packet = copy.deepcopy(packets[index])
             outcomes[index] = (packet, instance.process(packet, index * 1e-4))
-        return fastpath.observation(instance, [outcomes[i] for i in range(len(packets))])
+        seen = fastpath.observation(instance, [outcomes[i] for i in range(len(packets))])
+        return seen if maps is None else {name: seen["maps"][name] for name in maps}
 
     return divergences(observed(range(len(packets))), observed(regrouped))
 
 
+def whole_observation_holds(group, groups) -> bool:
+    """Whether regrouping by ``group``'s key keeps every other group's
+    order: it does when each other group's partition fields contain
+    this group's, since a stable sort by a coarser key keeps arrival
+    order within every finer one (a pinned group has none)."""
+    own = set(group.partition_fields)
+    return all(
+        own <= set(other.partition_fields) for other in groups if other is not group
+    )
+
+
 @pytest.mark.parametrize("label,program", PROGRAMS, ids=PROGRAM_IDS)
 def test_batch_safe_programs_pass_differential_check(label, program):
-    """The differential is arrival order against flow-group order, both
-    on the interpreter: the reordering ``batch_safe`` promises is safe."""
-    report = vet(program)
-    if not report.batch_safe:
-        pytest.skip(f"{label} is not batch-safe")
-    assert report.flow_key, f"{label}: nothing to regroup by"
-    found = reorder_divergences(program, [field_key(f) for f in report.flow_key])
-    assert not found, "\n".join(str(d) for d in found[:5])
+    """The differential is arrival order against the order one shard of
+    a shardable affinity group sees (packets grouped by the group's
+    partition fields), both on the interpreter: the split the planner
+    and admission rely on is safe. Where the regrouping keeps every
+    other group's order too, every packet's outcome and all end state
+    are compared; otherwise only this group's own maps."""
+    groups = vet(program).groups
+    shardable = [group for group in groups if group.shardable]
+    if not shardable:
+        pytest.skip(f"{label} has no shardable affinity group")
+    for group in shardable:
+        assert group.partition_fields, f"{label}: nothing to regroup by"
+        found = reorder_divergences(
+            program,
+            [field_key(f) for f in group.partition_fields],
+            maps=None if whole_observation_holds(group, groups) else group.maps,
+        )
+        assert not found, "\n".join(str(d) for d in found[:5])
 
 
 def test_reordering_a_cross_flow_program_is_caught():
@@ -187,7 +211,7 @@ def test_reordering_a_cross_flow_program_is_caught():
     )
     builder.apply("stamp")
     program = builder.build()
-    assert not vet(program).batch_safe
+    assert not any(group.shardable for group in vet(program).groups)
     found = reorder_divergences(program, [("ipv4", "src")])
     assert found
     assert {d.path.partition(".")[2] for d in found} == {"meta.arrival"}

@@ -139,31 +139,6 @@ class TestFailurePaths:
         assert drpc.stats["svc"].calls == 0
         assert drpc.stats["svc"].mean_latency_s == 0.0
 
-    def test_injected_fault_raises_and_counts(self, fabric):
-        from repro.faults import DrpcFault, FaultInjector, FaultPlan
-
-        registry, drpc = fabric
-        registry.register(ServiceSpec("svc", "sw1", 8, lambda a: a))
-        drpc.injector = FaultInjector(
-            FaultPlan(seed=1, drpc=(DrpcFault(service_pattern="svc", fail_probability=1.0),))
-        )
-        with pytest.raises(RpcError, match="injected fault"):
-            drpc.call("svc", (), caller_device="h1", now=1.0)
-        assert drpc.stats["svc"].failures == 1
-        assert drpc.injector.stats.drpc_failures == 1
-
-    def test_injected_fault_pattern_scoped(self, fabric):
-        from repro.faults import DrpcFault, FaultInjector, FaultPlan
-
-        registry, drpc = fabric
-        registry.register(ServiceSpec("svc", "sw1", 8, lambda a: a))
-        registry.register(ServiceSpec("other", "sw1", 8, lambda a: a))
-        drpc.injector = FaultInjector(
-            FaultPlan(seed=1, drpc=(DrpcFault(service_pattern="svc", fail_probability=1.0),))
-        )
-        result, _ = drpc.call("other", (7,), caller_device="h1", now=1.0)
-        assert result == (7,)
-
 
 class TestStandardServices:
     def test_state_read(self, fabric):

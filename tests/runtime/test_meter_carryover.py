@@ -4,21 +4,22 @@ A rate limiter is pure element-level state: the policing rule, the
 table meter, and the per-rule hit counters are all configured through
 P4Runtime, not the program text. An *unrelated* structural delta (e.g.
 injecting the firewall) must not silently disable it — the bug this
-pins down was ``adopt_state``/``adopt_from`` dropping meters and
-counters, so a policed customer went unpoliced after any reconfig.
+pins down was the state carry-over (``TableRules.adopt_from``) dropping
+meters and counters, so a policed customer went unpoliced after any
+reconfig.
 """
 
+from dataclasses import replace
 
 from repro.apps import firewall_delta
 from repro.apps.ratelimit import RateLimiter, rate_limit_delta
 from repro.control.p4runtime import P4RuntimeClient
-from repro.lang.delta import apply_delta
+from repro.lang.delta import AddTableActions, Delta, apply_delta
 from repro.lang.ir import ActionCall, MatchKind, TableDef, TableKey
 from repro.lang import builder as b
 from repro.runtime.device import DeviceRuntime
 from repro.simulator.meters import Meter, MeterConfig
 from repro.simulator.packet import Verdict, make_packet
-from repro.simulator.pipeline_exec import ProgramInstance
 from repro.simulator.tables import Rule, TableRules, exact
 from repro.targets import drmt_switch
 
@@ -135,19 +136,32 @@ class TestAdoptFrom:
 
 class TestAdoptState:
     def test_instance_adopt_carries_runtime_artifacts(self, base_program):
+        """The meter, the per-rule hit counts and a map entry of one
+        version are the next version's after a hitless update and its
+        cut-over, also when the update shrinks the table's action set so
+        that :meth:`DeviceRuntime._share_state` adopts the rules into a
+        new table instead of sharing the old one."""
         program, _ = apply_delta(base_program, rate_limit_delta())
-        old = ProgramInstance(program)
+        wide, _ = apply_delta(
+            program, Delta("wide", (AddTableActions("rl_classify", ("drop",)),))
+        )
+        device = DeviceRuntime("sw1", drmt_switch("sw1"))
+        device.install(wide)
+        old = device.active_instance
         old.rules["rl_classify"].insert(
             Rule(matches=(exact(POLICED),), action=ActionCall("rl_mark"))
         )
         old.rules["rl_classify"].lookup((POLICED,))
-        old.rules["rl_classify"].meter = Meter(
-            MeterConfig(rate_pps=10.0, burst_packets=5.0)
-        )
+        meter = Meter(MeterConfig(rate_pps=10.0, burst_packets=5.0))
+        old.rules["rl_classify"].meter = meter
         old.maps.state("flow_counts").put((1, 2), 7)
 
-        new = ProgramInstance(program)
-        new.adopt_state(old)
+        narrow = replace(program, version=wide.version + 1)
+        device.begin_hitless_update(narrow, now=1.0, duration_s=0.5)
+        device.settle(now=2.0)
+        new = device.active_instance
+        assert new is not old and new.version == narrow.version
+        assert new.rules["rl_classify"] is not old.rules["rl_classify"]
         assert new.rules["rl_classify"].hit_counts == [1]
-        assert new.rules["rl_classify"].meter is old.rules["rl_classify"].meter
+        assert new.rules["rl_classify"].meter is meter
         assert new.maps.state("flow_counts").get((1, 2)) == 7

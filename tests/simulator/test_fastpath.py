@@ -8,7 +8,6 @@ import copy
 import pytest
 
 from repro.analysis.corpus import bundled_programs
-from repro.analysis.dataflow import analyze, executed_slice
 from repro.apps import base_infrastructure, firewall_delta
 from repro.lang.delta import apply_delta
 from repro.lang.ir import ActionCall
@@ -150,37 +149,6 @@ class TestCompiledInstance:
         blocked = copy.deepcopy(packet)
         instance.process(blocked, 1e-4)
         assert blocked.verdict is Verdict.DROP
-
-
-# ---------------------------------------------------------------------------
-# Which slices write state
-# ---------------------------------------------------------------------------
-
-
-def map_writes(program, hosted=None):
-    _, access = executed_slice(program, analyze(program), hosted)
-    return access.map_writes
-
-
-class TestCacheability:
-    """The class name predates the flow memo's removal; what it pins is
-    the dataflow fact the hosted-slice tests pick their slice by."""
-
-    def test_whole_program_with_map_write_rejected(self):
-        program = base_infrastructure()  # count_flow writes flow_counts
-        assert map_writes(program) == {"flow_counts"}
-        assert "count_flow" not in map_free_slice(program)
-
-    def test_stateless_hosted_slice_cacheable(self):
-        program, _ = apply_delta(base_infrastructure(), firewall_delta())
-        hosted = map_free_slice(program)
-        assert {"acl", "fw_block", "l2", "l3", "ttl_guard"} <= hosted
-        assert not map_writes(program, hosted)
-
-    def test_slice_including_map_writer_rejected(self):
-        program, _ = apply_delta(base_infrastructure(), firewall_delta())
-        hosted = map_free_slice(program) | {"fw_track"}
-        assert map_writes(program, hosted) == {"fw_conns"}
 
 
 class TestFlexNetFacade:
