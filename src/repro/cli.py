@@ -61,6 +61,7 @@ from repro.errors import FlexNetError
 from repro.lang.analyzer import certify
 from repro.lang.delta import apply_delta, parse_delta
 from repro.lang.parser import parse_program
+from repro.simulator.packet import reset_packet_ids
 
 
 def _read(path: str) -> str:
@@ -272,6 +273,9 @@ def cmd_export(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    # Packet ids pick each packet's version inside a transition window:
+    # restart them so the run reads the same in any process.
+    reset_packet_ids()
     program = parse_program(_read(args.program))
     net = FlexNet.standard(switch_arch=args.arch)
     net.install(program)
@@ -522,7 +526,6 @@ def cmd_ha(args: argparse.Namespace) -> int:
     from repro.control.ha import FlexHA
     from repro.limits import HEARTBEAT_INTERVAL_S
     from repro.runtime.consistency import ConsistencyLevel
-    from repro.simulator.packet import reset_packet_ids
 
     reset_packet_ids()
     net = FlexNet.standard("drmt")
@@ -586,7 +589,6 @@ def cmd_scale(args: argparse.Namespace) -> int:
     from repro.faults.plan import FaultPlan, HandoffDrop, HandoffDup
     from repro.observe.report import divergences
     from repro.scale import e20_net, e20_workload, run_sharded
-    from repro.simulator.packet import reset_packet_ids
 
     chaos = None
     if args.worker_crash or args.handoff_drop or args.handoff_dup:
@@ -683,7 +685,9 @@ def cmd_cloud(args: argparse.Namespace) -> int:
 
 def _observed_run(args: argparse.Namespace, sink=None) -> FlexNet:
     """Run the ``simulate`` scenario with FlexScope enabled; shared by
-    the ``trace``/``metrics``/``profile`` verbs."""
+    the ``trace``/``metrics``/``profile`` verbs; packet ids restart, as
+    in ``simulate``."""
+    reset_packet_ids()
     program = parse_program(_read(args.program))
     net = FlexNet.standard(switch_arch=args.arch)
     net.observe.enable(sample_every=args.sample_every, sink=sink)

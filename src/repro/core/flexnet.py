@@ -41,7 +41,7 @@ from repro.observe import Observer
 from repro.runtime.consistency import ConsistencyChecker, ConsistencyLevel
 from repro.runtime.device import EngineConfig
 from repro.simulator.metrics import RunMetrics
-from repro.simulator.flowgen import TimedPacket, constant_rate
+from repro.simulator.flowgen import ConstantRate, TimedPacket, constant_rate
 from repro.targets import drmt_switch, fpga, host, rmt_switch, smartnic, tiled_switch
 
 from repro.core.datapath import FungibleDatapath
@@ -437,12 +437,17 @@ class FlexNet:
         """Inject traffic over the datapath and drain the event loop.
 
         Custom workloads pass ``packets``; otherwise a constant-rate
-        flow is generated. It is the one driver's one-shard run
-        (:func:`repro.scale.shard.run_one_shard`) on the controller's
-        loop, so scheduled updates interleave with the traffic. Horizon
-        rule: it ends ``extra_time_s`` after the last injection (or
-        now); a packet still in flight there raises, a control event
-        pending past it does not.
+        flow is generated as a
+        :class:`~repro.simulator.flowgen.ConstantRate`: each packet is
+        built when it is sent, with the id and time the list
+        ``constant_rate`` gives would have held, so the run holds only
+        the packets in flight. The consistency checker judges each
+        packet as it is delivered and keeps none. It is the one
+        driver's one-shard run (:func:`repro.scale.shard.run_one_shard`)
+        on the controller's loop, so scheduled updates interleave with
+        the traffic. Horizon rule: it ends ``extra_time_s`` after the
+        last injection (or now); a packet still in flight there raises,
+        a control event pending past it does not.
         """
         from repro.scale.shard import run_one_shard
 
@@ -458,8 +463,8 @@ class FlexNet:
             if collect_digests:
                 telemetry.ingest_packet(packet, loop._now)  # noqa: SLF001 - once per packet
 
-        workload = packets if packets is not None else list(
-            constant_rate(rate_pps, duration_s, start_s=loop.now)
+        workload = packets if packets is not None else ConstantRate(
+            rate_pps, duration_s, start_s=loop.now
         )
         engine = run_one_shard(self.controller.network, workload, extra_time_s, on_done)
         return TrafficReport(

@@ -13,15 +13,15 @@ levels of consistency guarantees". We model three levels:
 * ``PER_FLOW`` — all packets of one flow see one version (needs
   flow-affine cut-over).
 
-Checkers consume delivered packets and report violations; the scheduler
-in :mod:`repro.control.scheduler` is responsible for orchestrating
-device updates so the requested level actually holds.
+Checkers fold each delivered packet into a verdict as it arrives and
+report violations; the scheduler in :mod:`repro.control.scheduler` is
+responsible for orchestrating device updates so the requested level
+actually holds.
 """
 
 from __future__ import annotations
 
 import enum
-from collections import defaultdict
 from dataclasses import dataclass, field
 
 from repro.simulator.packet import FiveTuple, Packet
@@ -34,7 +34,7 @@ class ConsistencyLevel(enum.Enum):
 
 
 # Module constants: an enum member read goes through the enum
-# metaclass (CPython 3.11); the report reads one per packet.
+# metaclass (CPython 3.11); ``observe`` reads one per packet.
 _PER_PACKET_PER_DEVICE = ConsistencyLevel.PER_PACKET_PER_DEVICE
 _PER_FLOW = ConsistencyLevel.PER_FLOW
 
@@ -53,7 +53,10 @@ class ConsistencyReport:
 
 
 class ConsistencyChecker:
-    """Accumulates delivered packets and verifies a consistency level.
+    """Verifies a consistency level over delivered packets by folding
+    each one into the verdict as it is delivered: the checker keeps
+    counts, the first few example ids and, for ``PER_FLOW``, one small
+    record per flow, never the packets themselves.
 
     A device that was *not* updated during the run trivially reports a
     single version; the interesting signal is packets that crossed a
@@ -65,68 +68,63 @@ class ConsistencyChecker:
         #: restrict path/flow checks to devices actually being updated;
         #: None means every device on the packet's path.
         self._scope = devices_in_update
-        self._packets: list[Packet] = []
+        self._checked = 0
+        #: packets that saw more than one version in scope, and the ids
+        #: of the first five of them in delivery order.
+        self._mixed = 0
+        self._mixed_examples: list[int] = []
+        #: ``PER_FLOW``: flow -> ``[last version, went backwards, id of
+        #: its first single-version packet]``, in order of that packet.
+        self._flows: dict[FiveTuple, list] = {}
 
     def observe(self, packet: Packet) -> None:
-        self._packets.append(packet)
-
-    def _scoped_versions(self, packet: Packet) -> list[int]:
-        return [
+        """Fold one delivered packet into the verdict."""
+        self._checked += 1
+        if self.level is _PER_PACKET_PER_DEVICE:
+            # versions_seen maps device -> one version by construction;
+            # a violation would require a device to record two versions
+            # for one packet, which the runtime cannot produce unless
+            # a partially-applied program leaked through. We verify the
+            # invariant holds structurally.
+            return
+        scope = self._scope
+        versions = {
             version
             for device, version in packet.versions_seen.items()
-            if self._scope is None or device in self._scope
-        ]
+            if scope is None or device in scope
+        }
+        if len(versions) > 1:
+            self._mixed += 1
+            if len(self._mixed_examples) < 5:
+                self._mixed_examples.append(packet.packet_id)
+        elif versions and self.level is _PER_FLOW:
+            # Per-flow consistency: each flow crosses the update exactly
+            # once, so its versions in delivery order never go down; a
+            # flow that flaps old -> new -> old saw an inconsistent
+            # cut-over.
+            (version,) = versions
+            flow = FiveTuple.of(packet)
+            state = self._flows.get(flow)
+            if state is None:
+                self._flows[flow] = [version, False, packet.packet_id]
+            else:
+                if version < state[0]:
+                    state[1] = True
+                state[0] = version
 
     def report(self) -> ConsistencyReport:
-        result = ConsistencyReport(level=self.level)
-        if self.level is _PER_FLOW:
-            return self._per_flow_report(result)
-        for packet in self._packets:
-            result.packets_checked += 1
-            versions = self._scoped_versions(packet)
-            if not versions:
-                continue
-            if self.level is _PER_PACKET_PER_DEVICE:
-                # versions_seen maps device -> one version by construction;
-                # a violation would require a device to record two versions
-                # for one packet, which the runtime cannot produce unless
-                # a partially-applied program leaked through. We verify the
-                # invariant holds structurally.
-                continue
-            if len(set(versions)) > 1:
-                result.violations += 1
-                if len(result.examples) < 5:
-                    result.examples.append(packet.packet_id)
-        return result
-
-    def _per_flow_report(self, result: ConsistencyReport) -> ConsistencyReport:
-        """Per-flow consistency: each flow crosses the update exactly once
-        — its version sequence (in delivery order) must be monotone
-        non-decreasing, and each individual packet must be path-consistent.
-        A flow that flaps old -> new -> old saw an inconsistent cut-over.
-        """
-        flow_sequences: dict[FiveTuple, list[int]] = defaultdict(list)
-        flow_example: dict[FiveTuple, int] = {}
-        for packet in self._packets:
-            result.packets_checked += 1
-            versions = self._scoped_versions(packet)
-            if not versions:
-                continue
-            flow = FiveTuple.of(packet)
-            if len(set(versions)) > 1:
-                # mixed versions within one packet: immediate violation
-                result.violations += 1
-                if len(result.examples) < 5:
-                    result.examples.append(packet.packet_id)
-                continue
-            flow_sequences[flow].append(versions[0])
-            flow_example.setdefault(flow, packet.packet_id)
-        for flow, sequence in flow_sequences.items():
-            if sequence != sorted(sequence):
-                result.violations += 1
-                if len(result.examples) < 5:
-                    result.examples.append(flow_example[flow])
-        return result
+        """The verdict so far: every packet with mixed versions is one
+        violation, and so (``PER_FLOW``) is every flow whose versions
+        went backwards. The examples are the first mixed packets, then
+        each such flow's first packet, five at most."""
+        backwards = [first for _, went_back, first in self._flows.values() if went_back]
+        examples = (self._mixed_examples + backwards)[:5]
+        return ConsistencyReport(
+            level=self.level,
+            packets_checked=self._checked,
+            violations=self._mixed + len(backwards),
+            examples=examples,
+        )
 
 
 def version_split(packets: list[Packet], device: str) -> dict[int, int]:

@@ -67,7 +67,7 @@ from repro.errors import SimulationError
 from repro.observe.metrics import MetricsRegistry, export_device_counters
 from repro.scale.plan import ShardPlan
 from repro.simulator.engine import EventLoop
-from repro.simulator.flowgen import TimedPacket
+from repro.simulator.flowgen import ConstantRate, TimedPacket
 from repro.simulator.metrics import LatencyStats, RunMetrics
 from repro.simulator.network import Network
 from repro.simulator.packet import Packet
@@ -347,18 +347,27 @@ def horizon(times: Sequence[float], now: float, drain_s: float) -> float:
 
 
 def run_one_shard(
-    network: Network, injections: Sequence[TimedPacket], drain_s: float, on_done=None
+    network: Network,
+    injections: Sequence[TimedPacket] | ConstantRate,
+    drain_s: float,
+    on_done=None,
 ) -> ShardEngine:
     """The single loop: ``injections`` along ``datapath`` as the one shard
     of ``network`` (every node, no edges, no placement) on its loop:
-    inject the series, advance once to the horizon, check it."""
+    inject the series, advance once to the horizon, check it. A
+    :class:`~repro.simulator.flowgen.ConstantRate` is injected as its
+    columns, so each packet is built when it is sent."""
     names = tuple(sorted(network._nodes))  # noqa: SLF001 - the one shard owns every node
     assignment = dict.fromkeys(names, 0)
     plan = ShardPlan(shards=1, seed=0, assignment=assignment, units=(names,), constraints=())
-    times = [timed.time for timed in injections]
+    if isinstance(injections, ConstantRate):
+        times, packets = injections.times, injections.packets
+    else:
+        times = [timed.time for timed in injections]
+        packets = [timed.packet for timed in injections]
     end_time = horizon(times, network.loop.now, drain_s)
     engine = ShardEngine(0, plan, network, end_time, RunMetrics(), on_done)
-    engine.inject_series([timed.packet for timed in injections], ["datapath"] * len(times), times)
+    engine.inject_series(packets, "datapath", times)
     engine.advance()
     engine.check_horizon()
     return engine

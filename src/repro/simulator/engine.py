@@ -20,7 +20,10 @@ it):
   scheduled, and the counter moves by ``len(times)`` at once. Only the
   earliest unfired entry sits in the heap, and it pushes the next one
   (a stable sort by time is the ``(time, seq)`` order) when it fires.
-  Every time is checked against ``now`` before a seq is taken, and
+  Times that never decrease are that order already: the series fires
+  them by position and keeps no index list, so ``times`` may be a
+  sequence computed on read and the series holds O(1). Every time is
+  checked against ``now`` before a seq is taken, and
   :meth:`EventLoop.pending` counts the unfired entries.
 * A time is a number no earlier than ``now``: a NaN, which compares
   false with everything and would stall the loop at the heap top, is
@@ -50,8 +53,10 @@ ramps are all just scheduled callbacks.
 from __future__ import annotations
 
 import math
-from heapq import heappop, heappush
 from collections.abc import Callable, Sequence
+from heapq import heappop, heappush
+from itertools import islice
+from operator import le
 
 from repro.errors import SimulationError
 
@@ -122,12 +127,19 @@ class EventLoop:
         it.
         """
         now = self._now
-        if not all(time >= now for time in times):
-            raise _refused(next(time for time in times if not time >= now), now)
+        # Times that never decrease (every pair compares, so none is a
+        # NaN) are already in (time, seq) order: the series fires them
+        # by position, and only the earliest is checked against ``now``.
+        ordered = all(map(le, times, islice(times, 1, None)))
+        checked = (times[0],) if ordered and times else times
+        if not all(time >= now for time in checked):
+            raise _refused(next(time for time in checked if not time >= now), now)
         first = self._sequence
         self._sequence = first + len(times)
         if times:
-            _Series(self, times, first, fire).push_first()
+            positions = range(len(times))
+            order = positions if ordered else sorted(positions, key=times.__getitem__)
+            _Series(self, times, first, fire, order).push_first()
 
     def _drain(self, end_time: float) -> None:
         heap = self._heap
@@ -176,13 +188,16 @@ class _Series:
 
     __slots__ = ("_loop", "_times", "_first", "_fire", "_order", "_position")
 
-    def __init__(self, loop: EventLoop, times: Sequence[float], first: int, fire):
+    def __init__(
+        self, loop: EventLoop, times: Sequence[float], first: int, fire, order: Sequence[int]
+    ):
         self._loop = loop
         self._times = times
         self._first = first
         self._fire = fire
-        # A stable sort by time is the (time, first + i) order.
-        self._order = sorted(range(len(times)), key=times.__getitem__)
+        #: the entries in (time, first + i) order: a stable sort by
+        #: time, or ``range(len(times))`` when the times never decrease.
+        self._order = order
         self._position = 0
 
     def push_first(self) -> None:

@@ -10,14 +10,14 @@ from __future__ import annotations
 
 import random
 from bisect import bisect
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from itertools import accumulate
 
-from repro.simulator.packet import Packet, make_packet
+from repro.simulator.packet import Packet, make_packet, reserve_packet_ids
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TimedPacket:
     time: float
     packet: Packet
@@ -33,12 +33,7 @@ def constant_rate(
     dst_port: int = 80,
 ) -> Iterator[TimedPacket]:
     """One flow at a fixed packet rate."""
-    if rate_pps <= 0:
-        return
-    interval = 1.0 / rate_pps
-    count = int(duration_s * rate_pps)
-    for index in range(count):
-        time = start_s + index * interval
+    for time in RateTimes(rate_pps, duration_s, start_s):
         yield TimedPacket(
             time=time,
             packet=make_packet(
@@ -48,6 +43,75 @@ def constant_rate(
                 dst_port=dst_port,
                 created_at=time,
             ),
+        )
+
+
+class RateTimes(Sequence[float]):
+    """The send times of one flow at a fixed rate, computed when read:
+    ``start_s + i * (1 / rate_pps)`` for ``0 <= i < int(duration_s *
+    rate_pps)`` (none at a rate that is not positive)."""
+
+    __slots__ = ("_start_s", "_interval", "_count")
+
+    def __init__(self, rate_pps: float, duration_s: float, start_s: float = 0.0):
+        positive = rate_pps > 0
+        self._start_s = start_s
+        self._interval = 1.0 / rate_pps if positive else 0.0
+        self._count = max(int(duration_s * rate_pps), 0) if positive else 0
+
+    def __len__(self) -> int:
+        return self._count
+
+    def __getitem__(self, index: int) -> float:
+        if not 0 <= index < self._count:
+            raise IndexError(index)
+        return self._start_s + index * self._interval
+
+    def __iter__(self) -> Iterator[float]:
+        start_s, interval = self._start_s, self._interval
+        return (start_s + index * interval for index in range(self._count))
+
+
+class ConstantRate:
+    """``list(constant_rate(rate_pps, duration_s, start_s=start_s))``
+    taken now, as two columns computed when read: ``times[i]`` and
+    ``packets[i]`` are its ``i``-th time and packet, ids included, and a
+    read of ``packets[i]`` builds the packet. A run that injects it
+    holds only the packets in flight."""
+
+    def __init__(self, rate_pps: float, duration_s: float, start_s: float = 0.0):
+        self.times = RateTimes(rate_pps, duration_s, start_s)
+        # The first item, taken now, takes the first id of the block;
+        # the rest of the block is set aside with it.
+        first = next(constant_rate(rate_pps, duration_s, start_s=start_s), None)
+        if first is not None:
+            reserve_packet_ids(len(self.times) - 1)
+        self.packets = _Copies(self.times, first.packet if first is not None else None)
+
+
+class _Copies(Sequence[Packet]):
+    """Packet ``i`` of one flow at ``times``, built when read: the
+    headers of ``template``, created at ``times[i]``, with the ``i``-th
+    id counted from the template's."""
+
+    __slots__ = ("_times", "_template")
+
+    def __init__(self, times: RateTimes, template: Packet | None):
+        self._times = times
+        self._template = template
+
+    def __len__(self) -> int:
+        return len(self._times)
+
+    def __getitem__(self, index: int) -> Packet:
+        time = self._times[index]
+        template = self._template
+        return Packet(
+            fields=dict(template.fields),
+            meta=dict(template.meta),
+            size_bytes=template.size_bytes,
+            created_at=time,
+            packet_id=template.packet_id + index,
         )
 
 

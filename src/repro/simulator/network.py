@@ -182,19 +182,31 @@ class Network:
     def inject_series(
         self,
         packets: Sequence[Packet],
-        paths: Sequence[str | Sequence[str]],
+        paths: str | Sequence[str | Sequence[str]],
         times: Sequence[float],
         metrics: RunMetrics | None = None,
         on_done: Callable[[Packet], None] | None = None,
     ) -> None:
-        """Send ``packets[i]`` along ``paths[i]``, starting at ``times[i]``.
+        """Send ``packets[i]`` along ``paths[i]`` (along ``paths`` when it
+        is one path name for every packet), starting at ``times[i]``.
 
         The packets whose first hop this network owns arrive as one
         :meth:`EventLoop.schedule_series`: the event keys of one
         ``schedule_at`` per packet in input order, with a packet's flight
-        made when it arrives. The others are handed off in input order.
-        Every path is resolved and every arrival time checked before a
-        packet is counted as sent."""
+        made when it arrives, and ``packets[i]`` read then. The others
+        are handed off in input order. Every path is resolved and every
+        arrival time checked before a packet is counted as sent."""
+        if isinstance(paths, str):
+            if self._owned is None and len(packets):
+                # Every packet from the first hop of one route, on a
+                # network that owns every node: no per-packet list, so
+                # lazy columns stay lazy.
+                route = self._routes.get(paths) or self._resolve(paths)
+                self._arrive(packets, route, (), times, metrics, on_done)
+                if metrics is not None:
+                    metrics.record_sent(len(packets))
+                return
+            paths = [paths] * len(packets)
         routes = self._routes_of(paths)
         count, owned, away = len(routes), self._owned, ()
         here = None if owned is None else [route.hops[0] in owned for route in routes]
@@ -239,19 +251,27 @@ class Network:
     def _arrive(
         self,
         packets: Sequence[Packet],
-        routes: Sequence[Route],
+        routes: Route | Sequence[Route],
         indices: Sequence[int],
         times: Sequence[float],
         metrics: RunMetrics | None,
         on_done: Callable[[Packet], None] | None,
     ) -> None:
         """Schedule ``packets[i]``'s arrival at hop ``indices[i]`` of
-        ``routes[i]`` at ``times[i]``, as one series of the loop (a route
-        is shared by every flight on its path: a flight only reads it)."""
+        ``routes[i]`` (at the first hop of ``routes`` when it is one
+        route) at ``times[i]``, as one series of the loop (a route is
+        shared by every flight on its path: a flight only reads it)."""
         fly = self._schedule_arrival
 
-        def arrival(index: int) -> None:
-            fly(packets[index], routes[index], indices[index], metrics, on_done)
+        if isinstance(routes, Route):
+
+            def arrival(index: int) -> None:
+                fly(packets[index], routes, 0, metrics, on_done)
+
+        else:
+
+            def arrival(index: int) -> None:
+                fly(packets[index], routes[index], indices[index], metrics, on_done)
 
         self.loop.schedule_series(times, arrival)
 

@@ -50,15 +50,24 @@ def reset_packet_ids(shard: int = 0) -> None:
     _packet_ids = itertools.count((shard << PACKET_ID_SHARD_SHIFT) + 1)
 
 
+def reserve_packet_ids(count: int) -> None:
+    """Set the next ``count`` packet ids aside, for a stream that builds
+    its packets only when they are sent: they get the ids they would
+    have got had they all been built now, whatever else takes ids
+    meanwhile."""
+    global _packet_ids
+    _packet_ids = itertools.count(next(_packet_ids) + count)
+
+
 class Verdict(enum.Enum):
     FORWARD = "forward"
     DROP = "drop"  # program decision (e.g. ACL deny)
     LOST = "lost"  # infrastructure loss (drain, queue overflow)
 
 
-@dataclass
+@dataclass(slots=True)
 class Packet:
-    """One simulated packet."""
+    """One simulated packet (a slotted record: no per-instance dict)."""
 
     fields: dict[tuple[str, str], int]
     meta: dict[str, int] = field(default_factory=dict)

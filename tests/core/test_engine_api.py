@@ -142,7 +142,7 @@ def spelled_arm(**engine):
     return json.dumps(report.to_dict(), sort_keys=True), stats, remembered_keys(net)
 
 
-class TestMemoSpellingsAgree:
+class TestEngineSpellingsAgree:
     def test_fastpath_and_batch_runs_are_identical(self):
         """``engine(fastpath=True)`` and ``engine(batch=True)`` are one
         state: identical reports, device stats and table decisions."""

@@ -10,6 +10,8 @@ from repro.lang.builder import ProgramBuilder
 from repro.lang.delta import parse_delta
 from repro.apps.base import base_infrastructure
 from repro.runtime.consistency import ConsistencyLevel
+from repro.simulator.flowgen import constant_rate
+from repro.simulator.packet import make_packet, reset_packet_ids
 
 
 class TestTopologySugar:
@@ -84,6 +86,38 @@ class TestInstallAndTraffic:
         )
         assert report.consistency is not None
         assert report.consistency.report().holds
+
+
+class TestGeneratedTraffic:
+    """The generated constant-rate flow is built packet by packet as it
+    is sent, and runs as the list ``constant_rate`` gives would have."""
+
+    @staticmethod
+    def arm(generated: bool):
+        reset_packet_ids()
+        net = FlexNet.standard()
+        net.install(base_infrastructure())
+        delta = parse_delta("delta d { resize table acl 2048; }")
+        net.schedule(0.2, lambda: net.update(delta))
+        # A packet made while the run is under way takes the id after
+        # the run's whole block, as it did when the list was built first.
+        made = []
+        net.schedule(0.3, lambda: made.append(make_packet(1, 2).packet_id))
+        level = ConsistencyLevel.PER_PACKET_PATH
+        if generated:
+            report = net.run_traffic(rate_pps=1000, duration_s=0.5, consistency_level=level)
+        else:
+            packets = list(constant_rate(1000, 0.5, start_s=net.loop.now))
+            report = net.run_traffic(packets=packets, consistency_level=level)
+        stats = {name: device.stats for name, device in net.controller.devices.items()}
+        return report.to_dict(), report.consistency.report(), stats, made, net.loop._sequence
+
+    def test_same_report_keys_and_ids_as_the_list(self):
+        generated = self.arm(generated=True)
+        assert generated == self.arm(generated=False)
+        report = generated[0]
+        # The window split the traffic, so the ids chose versions.
+        assert len([key for key in report["metrics"]["version_counts"] if "sw1" in key]) == 2
 
 
 class TestExportProgram:

@@ -87,10 +87,10 @@ class TestDifferentialIdentity:
         assert divergences(expected, report.traffic_dict()) == []
 
 
-class TestBatchedSharding:
+class TestCompiledSharding:
     """The compiled engine under FlexScale, tables populated so repeat
-    flows are answered from what each shard's tables remember (the ids
-    date from the flow memo): what a table remembers is exact at any
+    flows are answered from what each shard's tables remember (the test
+    names date from the flow memo): what a table remembers is exact at any
     boundary, so a sharded run stays byte-identical to the unsharded
     reference, compiled or interpreted."""
 

@@ -1,16 +1,21 @@
 """Traffic generator tests."""
 
+import pickle
 import random
 
 import pytest
 
 from repro.simulator.flowgen import (
+    ConstantRate,
+    RateTimes,
+    TimedPacket,
     constant_rate,
     merge_streams,
     poisson_flows,
     syn_flood,
     tenant_churn,
 )
+from repro.simulator.packet import make_packet, reset_packet_ids
 
 
 class TestConstantRate:
@@ -37,6 +42,56 @@ class TestConstantRate:
         packet = next(iter(constant_rate(10, 1.0, vlan_id=9, dst_port=443))).packet
         assert packet.meta["vlan_id"] == 9
         assert packet.get_field("tcp", "dport") == 443
+
+
+class TestConstantRateColumns:
+    """``ConstantRate`` is ``list(constant_rate(...))`` taken when it is
+    made, computed on read."""
+
+    @pytest.mark.parametrize(
+        "rate,duration,start", [(100, 2.0, 0.0), (7, 3.0, 1.25), (0, 1.0, 0.0)]
+    )
+    def test_the_columns_are_the_list(self, rate, duration, start):
+        reset_packet_ids()
+        stream = ConstantRate(rate, duration, start_s=start)
+        after_stream = make_packet(1, 2).packet_id
+        reset_packet_ids()
+        listed = list(constant_rate(rate, duration, start_s=start))
+        assert make_packet(1, 2).packet_id == after_stream
+        assert list(stream.times) == [timed.time for timed in listed]
+        assert len(stream.packets) == len(listed)
+        assert list(stream.packets) == [timed.packet for timed in listed]
+
+    def test_the_block_is_reserved_when_made(self):
+        """Ids taken between making the stream and reading it do not
+        shift the stream's ids."""
+        reset_packet_ids()
+        stream = ConstantRate(10, 1.0)
+        interloper = make_packet(1, 2)
+        assert [packet.packet_id for packet in stream.packets] == list(range(1, 11))
+        assert interloper.packet_id == 11
+
+    def test_each_read_builds_a_new_packet(self):
+        stream = ConstantRate(10, 1.0)
+        first, again = stream.packets[3], stream.packets[3]
+        assert first == again and first is not again
+        first.fields[("ipv4", "ttl")] = 1
+        first.meta["drop_flag"] = 1
+        assert stream.packets[4].get_field("ipv4", "ttl") == 64
+        assert stream.packets[4].meta["drop_flag"] == 0
+
+    def test_out_of_range_reads_raise(self):
+        times = RateTimes(10, 1.0)
+        for index in (-1, 10):
+            with pytest.raises(IndexError):
+                times[index]
+        assert len(RateTimes(-5, 1.0)) == len(RateTimes(5, -1.0)) == 0
+
+
+def test_a_timed_packet_is_a_slotted_record_that_round_trips():
+    timed = TimedPacket(0.5, make_packet(1, 2))
+    assert not hasattr(timed, "__dict__") and not hasattr(timed.packet, "__dict__")
+    assert pickle.loads(pickle.dumps(timed)) == timed
 
 
 class TestPoissonFlows:

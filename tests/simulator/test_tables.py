@@ -148,9 +148,9 @@ class TestMatchesKeyArity:
 MISS = ActionCall(action="allow")
 
 
-class TestEpoch:
+class TestRememberedDecisions:
     """What a non-exact table remembers, and what makes it forget (the
-    class and its ids predate the mutation epoch's removal)."""
+    test names predate the mutation epoch's removal)."""
 
     @staticmethod
     def decided_table():
