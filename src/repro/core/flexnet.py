@@ -23,6 +23,7 @@ composer. Rejections raise before any device is touched.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from contextlib import ExitStack
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
@@ -41,7 +42,7 @@ from repro.observe import Observer
 from repro.runtime.consistency import ConsistencyChecker, ConsistencyLevel
 from repro.runtime.device import EngineConfig
 from repro.simulator.metrics import RunMetrics
-from repro.simulator.flowgen import ConstantRate, TimedPacket, constant_rate
+from repro.simulator.flowgen import ConstantRate, TimedPacket
 from repro.targets import drmt_switch, fpga, host, rmt_switch, smartnic, tiled_switch
 
 from repro.core.datapath import FungibleDatapath
@@ -429,24 +430,28 @@ class FlexNet:
         self,
         rate_pps: float = 1000.0,
         duration_s: float = 1.0,
-        packets: list[TimedPacket] | None = None,
+        packets: Sequence[TimedPacket] | None = None,
         consistency_level: ConsistencyLevel | None = None,
         collect_digests: bool = True,
         extra_time_s: float = 1.0,
     ) -> TrafficReport:
         """Inject traffic over the datapath and drain the event loop.
 
-        Custom workloads pass ``packets``; otherwise a constant-rate
-        flow is generated as a
-        :class:`~repro.simulator.flowgen.ConstantRate`: each packet is
-        built when it is sent, with the id and time the list
-        ``constant_rate`` gives would have held, so the run holds only
-        the packets in flight. The consistency checker judges each
-        packet as it is delivered and keeps none. It is the one
-        driver's one-shard run (:func:`repro.scale.shard.run_one_shard`)
-        on the controller's loop, so scheduled updates interleave with
-        the traffic. Horizon rule: it ends ``extra_time_s`` after the
-        last injection (or now); a packet still in flight there raises,
+        Custom workloads pass ``packets``: a list of timed packets or a
+        :class:`~repro.simulator.flowgen.Series`; otherwise a
+        constant-rate flow is generated as a
+        :class:`~repro.simulator.flowgen.ConstantRate`. A generated
+        series builds each packet when it is sent, with the id and time
+        the eager list would have held, so the run holds only the
+        packets in flight. It builds a fresh packet on every read: a
+        caller who wants to inspect the processed packets after the run
+        passes ``list(workload)`` and keeps that list. The consistency
+        checker judges each packet as it is delivered and keeps none.
+        It is the one driver's one-shard run
+        (:func:`repro.scale.shard.run_one_shard`) on the controller's
+        loop, so scheduled updates interleave with the traffic. Horizon
+        rule: it ends ``extra_time_s`` after the last injection (or
+        now); a packet still in flight there raises,
         a control event pending past it does not.
         """
         from repro.scale.shard import run_one_shard
@@ -480,7 +485,7 @@ class FlexNet:
         backend: str = "process",
         rate_pps: float = 1000.0,
         duration_s: float = 1.0,
-        packets: list[TimedPacket] | None = None,
+        packets: Sequence[TimedPacket] | None = None,
         seed: int = 2024,
         drain_s: float = 1.0,
         chaos=None,
@@ -495,7 +500,10 @@ class FlexNet:
         is byte-identical to what :meth:`run_traffic` (its one-shard
         run) reports for the same workload, under the same horizon rule
         with ``drain_s`` for ``extra_time_s``. Like ``run_traffic`` this
-        mutates device state.
+        mutates device state, and takes ``packets`` (or generates a
+        :class:`~repro.simulator.flowgen.ConstantRate`) the same way: a
+        series builds a fresh packet on every read, so a caller who wants
+        to inspect the processed packets keeps ``list(workload)``.
 
         Under the process backend any worker death is recovered: the
         FlexMend supervisor forks the shard afresh and re-executes it
@@ -509,8 +517,8 @@ class FlexNet:
         """
         from repro.scale.runner import run_sharded
 
-        workload = packets if packets is not None else list(
-            constant_rate(rate_pps, duration_s, start_s=self.controller.loop.now)
+        workload = packets if packets is not None else ConstantRate(
+            rate_pps, duration_s, start_s=self.controller.loop.now
         )
         return run_sharded(
             self,

@@ -22,11 +22,12 @@ Any worker death, injected by chaos or not, is recovered by
 re-execution, not restore. Why that is exact: a worker is a pure
 function of the net it forked from, the plan, its injections and its
 inbound frames, released round by round in sequence order. The
-supervisor's net is one no worker ever touched (each mutates its own
-copy-on-write image), so a fresh fork from it, fed the replayed
-stream, re-runs rounds 1..k identically and re-sends byte-identical
-batches under the *same* seqs, which neighbors that already saw them
-drop as duplicates. The merged ``traffic`` section is therefore
+supervisor's net and injections are ones no worker ever touched (each
+mutates its own copy-on-write image, and a generated series builds
+every packet afresh when it is read), so a fresh fork from them, fed
+the replayed stream, re-runs rounds 1..k identically and re-sends
+byte-identical batches under the *same* seqs, which neighbors that
+already saw them drop as duplicates. The merged ``traffic`` section is therefore
 byte-identical to the fault-free run (experiment E23). No device state
 is listed by hand, so none can be forgotten; the cost is replay time
 that grows with the window the worker died at.
@@ -46,7 +47,7 @@ from repro import limits
 from repro.errors import SimulationError
 from repro.faults.plan import FaultPlan
 from repro.observe.metrics import MetricsRegistry
-from repro.scale.shard import ShardEngine, ShardResult
+from repro.scale.shard import Injections, ShardEngine, ShardResult
 from repro.simulator.packet import reset_packet_ids
 from repro.util import stable_hash
 
@@ -360,7 +361,7 @@ def _worker_main(
     shard_id: int,
     plan,
     net,
-    injections: list[tuple],
+    injections: Injections | None,
     end_time: float,
     inboxes: dict,
     events_queue,
@@ -604,7 +605,7 @@ class Supervisor:
         self,
         net,
         plan,
-        per_shard_injections: dict[int, list[tuple]],
+        per_shard_injections: dict[int, Injections],
         end_time: float,
         chaos: FaultPlan | None = None,
     ):
@@ -636,7 +637,7 @@ class Supervisor:
                 shard,
                 self.plan,
                 self.net,
-                self.per_shard.get(shard, []),
+                self.per_shard.get(shard),
                 self.end_time,
                 self.inboxes,
                 self.events_queue,

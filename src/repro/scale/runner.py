@@ -30,6 +30,7 @@ the identity check can compare the invariant part exactly.
 from __future__ import annotations
 
 import multiprocessing
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from repro.core.flexnet import TelemetrySnapshot, TrafficReport
@@ -38,8 +39,8 @@ from repro.faults.plan import FaultPlan
 from repro.observe.metrics import MetricsRegistry
 from repro.scale.mend import MendReport, Supervisor
 from repro.scale.plan import ShardPlan, plan_shards
-from repro.scale.shard import ShardEngine, ShardResult, horizon, run_inline
-from repro.simulator.flowgen import TimedPacket
+from repro.scale.shard import Injections, ShardEngine, ShardResult, horizon, run_inline
+from repro.simulator.flowgen import Series, TimedPacket
 from repro.simulator.metrics import RunMetrics
 
 
@@ -145,21 +146,21 @@ class ScaleReport:
 
 
 def _assign_injections(
-    net, plan: ShardPlan, injections: list[TimedPacket], drain_s: float
-) -> tuple[ShardPlan, dict[int, list[tuple]], float]:
-    """Resolve each injection's hop list and hand it to the shard that
-    owns the first hop; returns the plan narrowed to the shard pairs
-    those hop lists cross (:meth:`ShardPlan.routed` — the protocol
-    edges of this run), the per-shard injections and the end horizon."""
-    network = net.controller.network
-    per_shard: dict[int, list[tuple]] = {shard: [] for shard in plan.populated_shards}
+    net, plan: ShardPlan, injections: Sequence[TimedPacket], drain_s: float
+) -> tuple[ShardPlan, dict[int, Injections], float]:
+    """Hand the shard that owns the first hop of ``datapath`` the
+    injections' columns (:meth:`~repro.simulator.flowgen.Series.of`) and
+    that one hop tuple; returns the plan narrowed to the shard pairs the
+    hop tuple crosses (:meth:`ShardPlan.routed` — the protocol edges of
+    this run), the per-shard injections and the end horizon."""
+    series = Series.of(injections)
     # A tuple: each shard's network keeps its route under the hop tuple.
-    hops = tuple(network.path("datapath"))
-    first_shard = plan.shard_of(hops[0])
-    for timed in injections:
-        per_shard[first_shard].append((timed.packet, hops, timed.time))
-    end_time = horizon([timed.time for timed in injections], net.controller.loop.now, drain_s)
-    return plan.routed([hops] if injections else []), per_shard, end_time
+    hops = tuple(net.controller.network.path("datapath"))
+    end_time = horizon(series.times, net.controller.loop.now, drain_s)
+    if not series:
+        return plan.routed([]), {}, end_time
+    per_shard = {plan.shard_of(hops[0]): (hops, series.times, series.packets)}
+    return plan.routed([hops]), per_shard, end_time
 
 
 def _merge_results(
@@ -195,16 +196,16 @@ def _merge_results(
 
 
 def _engines(
-    net, plan: ShardPlan, per_shard: dict[int, list[tuple]], end_time: float
+    net, plan: ShardPlan, per_shard: dict[int, Injections], end_time: float
 ) -> dict[int, ShardEngine]:
     return {
-        shard: ShardEngine.private(shard, plan, net, end_time, per_shard.get(shard, ()))
+        shard: ShardEngine.private(shard, plan, net, end_time, per_shard.get(shard))
         for shard in plan.populated_shards
     }
 
 
 def build_engines(
-    net, plan: ShardPlan, injections: list[TimedPacket], drain_s: float = 1.0
+    net, plan: ShardPlan, injections: Sequence[TimedPacket], drain_s: float = 1.0
 ) -> dict[int, ShardEngine]:
     """Instantiate one engine per populated shard over the net's live
     device objects (inline backend; also used directly by tests that
@@ -219,7 +220,7 @@ def build_engines(
 
 def run_sharded(
     net,
-    injections: list[TimedPacket],
+    injections: Sequence[TimedPacket],
     shards: int,
     *,
     backend: str = "process",
@@ -228,6 +229,12 @@ def run_sharded(
     chaos: FaultPlan | None = None,
 ) -> ScaleReport:
     """Partition ``net`` and run ``injections`` across shards.
+
+    ``injections`` is a list of timed packets or a
+    :class:`~repro.simulator.flowgen.Series`. A generated series
+    (``e20_workload``, ``ConstantRate``) builds a fresh packet on every
+    read, so a caller who wants to inspect the processed packets after
+    the run passes ``list(workload)`` and keeps that list.
 
     ``drain_s`` sets the quiet horizon after the last injection; every
     packet must finish inside it or the run fails loudly (the horizon

@@ -67,10 +67,14 @@ from repro.errors import SimulationError
 from repro.observe.metrics import MetricsRegistry, export_device_counters
 from repro.scale.plan import ShardPlan
 from repro.simulator.engine import EventLoop
-from repro.simulator.flowgen import ConstantRate, TimedPacket
+from repro.simulator.flowgen import Series, TimedPacket
 from repro.simulator.metrics import LatencyStats, RunMetrics
 from repro.simulator.network import Network
 from repro.simulator.packet import Packet
+
+#: What a shard of an N-shard run injects: ``packets[i]`` along the hop
+#: tuple ``hops`` from ``times[i]`` (``(hops, times, packets)``).
+Injections = tuple[tuple[str, ...], Sequence[float], Sequence[Packet]]
 
 #: Smallest guarantee increment enforced per window; a zero-lookahead
 #: shard pair would never make progress (the planner's co-location rule
@@ -170,24 +174,31 @@ class ShardEngine:
         }
 
     @classmethod
-    def private(cls, shard_id: int, plan, net, end_time: float, injections) -> "ShardEngine":
+    def private(
+        cls, shard_id: int, plan, net, end_time: float, injections: Injections | None = None
+    ) -> "ShardEngine":
         """A shard of an N-shard run: its devices of ``net`` on a private
-        loop, fed its ``(packet, hops, time)`` injections in order."""
+        loop, fed its ``(hops, times, packets)`` injections: ``packets[i]``
+        along the hop tuple ``hops`` from ``times[i]``, in order."""
         network = Network(loop=EventLoop(), owned=set(plan.devices_on(shard_id)))
         network.adopt_topology(net.controller.network)
         for name in plan.devices_on(shard_id):
             network.add_node(net.controller.devices[name])
         engine = cls(shard_id, plan, network, end_time)
         network.on_handoff = engine._handoff_out
-        if injections:
-            engine.inject_series(*zip(*injections))
+        if injections is not None:
+            hops, times, packets = injections
+            engine.inject_series(packets, hops, times)
         return engine
 
     # -- local simulation ---------------------------------------------------
 
-    def inject_series(self, packets: Sequence[Packet], paths, times: Sequence[float]) -> None:
-        """:meth:`Network.inject_series` into this shard's run."""
-        self.network.inject_series(packets, paths, times, self.metrics, self._on_done)
+    def inject_series(
+        self, packets: Sequence[Packet], path: str | tuple[str, ...], times: Sequence[float]
+    ) -> None:
+        """:meth:`Network.inject_series` of every packet along one path
+        (a path name or a hop tuple) into this shard's run."""
+        self.network.inject_series(packets, path, times, self.metrics, self._on_done)
 
     def _count_digests(self, packet: Packet) -> None:
         self.digest_count += len(packet.digests)
@@ -348,26 +359,23 @@ def horizon(times: Sequence[float], now: float, drain_s: float) -> float:
 
 def run_one_shard(
     network: Network,
-    injections: Sequence[TimedPacket] | ConstantRate,
+    injections: Sequence[TimedPacket],
     drain_s: float,
     on_done=None,
 ) -> ShardEngine:
     """The single loop: ``injections`` along ``datapath`` as the one shard
     of ``network`` (every node, no edges, no placement) on its loop:
-    inject the series, advance once to the horizon, check it. A
-    :class:`~repro.simulator.flowgen.ConstantRate` is injected as its
-    columns, so each packet is built when it is sent."""
+    inject the series, advance once to the horizon, check it. The
+    injections are injected as their columns
+    (:meth:`~repro.simulator.flowgen.Series.of`), so a generated series
+    builds each packet when it is sent."""
     names = tuple(sorted(network._nodes))  # noqa: SLF001 - the one shard owns every node
     assignment = dict.fromkeys(names, 0)
     plan = ShardPlan(shards=1, seed=0, assignment=assignment, units=(names,), constraints=())
-    if isinstance(injections, ConstantRate):
-        times, packets = injections.times, injections.packets
-    else:
-        times = [timed.time for timed in injections]
-        packets = [timed.packet for timed in injections]
-    end_time = horizon(times, network.loop.now, drain_s)
+    series = Series.of(injections)
+    end_time = horizon(series.times, network.loop.now, drain_s)
     engine = ShardEngine(0, plan, network, end_time, RunMetrics(), on_done)
-    engine.inject_series(packets, "datapath", times)
+    engine.inject_series(series.packets, "datapath", series.times)
     engine.advance()
     engine.check_horizon()
     return engine

@@ -18,7 +18,7 @@ exact (see the tie-breaking note in :mod:`repro.simulator.engine`).
 
 from __future__ import annotations
 
-from repro.simulator.flowgen import TimedPacket, poisson_flows
+from repro.simulator.flowgen import PoissonFlows
 
 #: Intra-pod link latency (fused by the planner's co-location rule).
 INTRA_POD_LATENCY_S = 2e-6
@@ -97,13 +97,11 @@ def e20_net(pods: int = 4, switch_arch: str = "drmt"):
 
 def e20_workload(
     packets: int, rate_pps: float = 20_000.0, flows: int = 64, seed: int = 2024
-) -> list[TimedPacket]:
-    """Seeded Poisson multi-flow workload, truncated to ``packets``."""
-    workload: list[TimedPacket] = []
+) -> PoissonFlows:
+    """Seeded Poisson multi-flow workload, truncated to ``packets``: a
+    :class:`~repro.simulator.flowgen.Series` that builds each packet when
+    it is read (a caller that inspects the packets after a run keeps
+    ``list(e20_workload(...))`` and passes that)."""
     # Poisson duration is open-ended; generate generously and truncate.
     duration_s = (packets / rate_pps) * 4 + 1.0
-    for timed in poisson_flows(rate_pps, duration_s, flow_count=flows, seed=seed):
-        workload.append(timed)
-        if len(workload) >= packets:
-            break
-    return workload
+    return PoissonFlows(rate_pps, duration_s, flow_count=flows, seed=seed, limit=packets)

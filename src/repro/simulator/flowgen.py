@@ -9,12 +9,17 @@ Poisson tenant churn. All randomness flows through a seeded
 from __future__ import annotations
 
 import random
+from array import array
 from bisect import bisect
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, islice
 
-from repro.simulator.packet import Packet, make_packet, reserve_packet_ids
+from repro.simulator.packet import Packet, make_packet, reserve_packet_ids, standard_headers
+
+
+#: the size :func:`make_packet` gives a packet.
+_SIZE_BYTES = 256
 
 
 @dataclass(frozen=True, slots=True)
@@ -23,11 +28,15 @@ class TimedPacket:
     packet: Packet
 
 
+#: the addresses of :func:`constant_rate`'s flow unless it is given others.
+_RATE_SRC_IP, _RATE_DST_IP = 0x0A000001, 0x0A000002
+
+
 def constant_rate(
     rate_pps: float,
     duration_s: float,
-    src_ip: int = 0x0A000001,
-    dst_ip: int = 0x0A000002,
+    src_ip: int = _RATE_SRC_IP,
+    dst_ip: int = _RATE_DST_IP,
     start_s: float = 0.0,
     vlan_id: int = 0,
     dst_port: int = 80,
@@ -72,63 +81,132 @@ class RateTimes(Sequence[float]):
         return (start_s + index * interval for index in range(self._count))
 
 
-class ConstantRate:
-    """``list(constant_rate(rate_pps, duration_s, start_s=start_s))``
-    taken now, as two columns computed when read: ``times[i]`` and
-    ``packets[i]`` are its ``i``-th time and packet, ids included, and a
-    read of ``packets[i]`` builds the packet. A run that injects it
+class Series(Sequence[TimedPacket]):
+    """A workload as two columns: ``times[i]`` is when packet
+    ``packets[i]`` is sent. Item ``i`` is ``TimedPacket(times[i],
+    packets[i])``, so a series reads as the list of its items (``len``,
+    negative indices, iteration). Every driver takes this one shape
+    (:meth:`of` turns a list into it), and injects the columns as they
+    are: a generated series builds each packet when it is read, so a run
     holds only the packets in flight."""
 
+    __slots__ = ("times", "packets")
+
+    def __init__(self, times: Sequence[float], packets: Sequence[Packet]):
+        self.times = times
+        self.packets = packets
+
+    @classmethod
+    def of(cls, workload: Sequence[TimedPacket]) -> "Series":
+        """``workload`` itself if it is a series, else its two columns
+        (the caller's own packets, read back as they are)."""
+        if isinstance(workload, Series):
+            return workload
+        return cls([timed.time for timed in workload], [timed.packet for timed in workload])
+
+    def __len__(self) -> int:
+        return len(self.times)
+
+    def __getitem__(self, index: int) -> TimedPacket:
+        count = len(self.times)
+        if index < 0:
+            index += count
+        if not 0 <= index < count:
+            raise IndexError(index)
+        return TimedPacket(self.times[index], self.packets[index])
+
+    def __iter__(self) -> Iterator[TimedPacket]:
+        return map(TimedPacket, self.times, self.packets)
+
+
+class ConstantRate(Series):
+    """The items ``constant_rate(rate_pps, duration_s,
+    start_s=start_s)`` would yield if drained now, as a series computed
+    when read: ``times`` is its :class:`RateTimes`, and a read of
+    ``packets[i]`` builds its ``i``-th packet, id included."""
+
+    __slots__ = ()
+
     def __init__(self, rate_pps: float, duration_s: float, start_s: float = 0.0):
-        self.times = RateTimes(rate_pps, duration_s, start_s)
-        # The first item, taken now, takes the first id of the block;
-        # the rest of the block is set aside with it.
-        first = next(constant_rate(rate_pps, duration_s, start_s=start_s), None)
-        if first is not None:
-            reserve_packet_ids(len(self.times) - 1)
-        self.packets = _Copies(self.times, first.packet if first is not None else None)
+        times = RateTimes(rate_pps, duration_s, start_s)
+        fields, meta = standard_headers(_RATE_SRC_IP, _RATE_DST_IP)
+        template = (fields, meta, _SIZE_BYTES)
+        super().__init__(times, _Copies(times, (template,), None, reserve_packet_ids(len(times))))
+
+
+class PoissonFlows(Series):
+    """``list(islice(poisson_flows(...), limit))`` taken now, as a
+    series: the times and each packet's flow are drawn now (the same
+    draws, kept as two arrays), and a read of ``packets[i]`` builds the
+    ``i``-th packet from its flow's headers, id included."""
+
+    __slots__ = ()
+
+    def __init__(
+        self,
+        rate_pps: float,
+        duration_s: float,
+        flow_count: int,
+        seed: int = 7,
+        start_s: float = 0.0,
+        vlan_id: int = 0,
+        subnet: int = 0x0A000000,
+        limit: int | None = None,
+    ):
+        times, flows, templates = array("d"), array("L"), {}
+        draws = _poisson_draws(rate_pps, duration_s, flow_count, seed, start_s)
+        for time, flow in islice(draws, limit):
+            times.append(time)
+            flows.append(flow)
+            if flow not in templates:
+                fields, meta = _flow_headers(flow, vlan_id, subnet)
+                templates[flow] = (fields, meta, _SIZE_BYTES)
+        super().__init__(times, _Copies(times, templates, flows, reserve_packet_ids(len(times))))
 
 
 class _Copies(Sequence[Packet]):
-    """Packet ``i`` of one flow at ``times``, built when read: the
-    headers of ``template``, created at ``times[i]``, with the ``i``-th
-    id counted from the template's."""
+    """Packet ``i`` of a series, built when read: a copy of the headers
+    of its flow's template (``templates[flows[i]]``; the one template
+    when ``flows`` is None), created at ``times[i]``, with id ``first +
+    i``. Each read builds a new packet."""
 
-    __slots__ = ("_times", "_template")
+    __slots__ = ("_times", "_templates", "_flows", "_first", "_count")
 
-    def __init__(self, times: RateTimes, template: Packet | None):
+    def __init__(
+        self,
+        times: Sequence[float],
+        templates,
+        flows: Sequence[int] | None,
+        first: int,
+    ):
         self._times = times
-        self._template = template
+        self._templates = templates
+        self._flows = flows
+        self._first = first
+        self._count = len(times)
 
     def __len__(self) -> int:
-        return len(self._times)
+        return self._count
 
     def __getitem__(self, index: int) -> Packet:
-        time = self._times[index]
-        template = self._template
+        if not 0 <= index < self._count:
+            raise IndexError(index)
+        flows = self._flows
+        fields, meta, size_bytes = self._templates[0 if flows is None else flows[index]]
         return Packet(
-            fields=dict(template.fields),
-            meta=dict(template.meta),
-            size_bytes=template.size_bytes,
-            created_at=time,
-            packet_id=template.packet_id + index,
+            fields.copy(), meta.copy(), size_bytes, self._times[index], self._first + index
         )
 
 
-def poisson_flows(
-    rate_pps: float,
-    duration_s: float,
-    flow_count: int,
-    seed: int = 7,
-    start_s: float = 0.0,
-    vlan_id: int = 0,
-    subnet: int = 0x0A000000,
-) -> Iterator[TimedPacket]:
-    """Poisson packet arrivals spread over ``flow_count`` flows.
+def _poisson_draws(
+    rate_pps: float, duration_s: float, flow_count: int, seed: int, start_s: float
+) -> Iterator[tuple[float, int]]:
+    """The ``(time, flow)`` of each arrival of :func:`poisson_flows`, in
+    order, drawn from ``random.Random(seed)``.
 
     Flow popularity is Zipf-like (flow k gets weight 1/(k+1)), matching
     the heavy-tailed mixes datacenter monitoring literature assumes.
-    Each packet's flow is the one ``rng.choices(range(flow_count),
+    Each flow is the one ``rng.choices(range(flow_count),
     weights=probabilities)[0]`` would draw, by the same arithmetic; the
     cumulative weights are summed once per stream, not once per packet.
     """
@@ -142,17 +220,31 @@ def poisson_flows(
         time += rng.expovariate(rate_pps)
         if time >= start_s + duration_s:
             break
-        flow = bisect(cumulative, rng.random() * (cumulative[-1] + 0.0), 0, flow_count - 1)
-        yield TimedPacket(
-            time=time,
-            packet=make_packet(
-                src_ip=subnet | (flow + 1),
-                dst_ip=subnet | 0xFFFE,
-                src_port=10000 + flow,
-                vlan_id=vlan_id,
-                created_at=time,
-            ),
-        )
+        yield time, bisect(cumulative, rng.random() * (cumulative[-1] + 0.0), 0, flow_count - 1)
+
+
+def _flow_headers(flow: int, vlan_id: int, subnet: int):
+    """The headers of every packet of flow ``flow`` of :func:`poisson_flows`."""
+    return standard_headers(
+        src_ip=subnet | (flow + 1), dst_ip=subnet | 0xFFFE, src_port=10000 + flow, vlan_id=vlan_id
+    )
+
+
+def poisson_flows(
+    rate_pps: float,
+    duration_s: float,
+    flow_count: int,
+    seed: int = 7,
+    start_s: float = 0.0,
+    vlan_id: int = 0,
+    subnet: int = 0x0A000000,
+) -> Iterator[TimedPacket]:
+    """Poisson packet arrivals spread over ``flow_count`` flows, with
+    Zipf-like flow popularity (the draws of :func:`_poisson_draws`).
+    :class:`PoissonFlows` is the same stream as a series."""
+    for time, flow in _poisson_draws(rate_pps, duration_s, flow_count, seed, start_s):
+        fields, meta = _flow_headers(flow, vlan_id, subnet)
+        yield TimedPacket(time=time, packet=Packet(fields=fields, meta=meta, created_at=time))
 
 
 def syn_flood(

@@ -177,18 +177,19 @@ class Network:
     ) -> None:
         """Send a packet along a path, starting at ``at_time``: the
         one-packet :meth:`inject_series`."""
-        self.inject_series((packet,), (path,), (at_time,), metrics, on_done)
+        self.inject_series((packet,), [path], (at_time,), metrics, on_done)
 
     def inject_series(
         self,
         packets: Sequence[Packet],
-        paths: str | Sequence[str | Sequence[str]],
+        paths: str | tuple[str, ...] | list[str | Sequence[str]],
         times: Sequence[float],
         metrics: RunMetrics | None = None,
         on_done: Callable[[Packet], None] | None = None,
     ) -> None:
         """Send ``packets[i]`` along ``paths[i]`` (along ``paths`` when it
-        is one path name for every packet), starting at ``times[i]``.
+        is one route key for every packet: a path name or a hop tuple),
+        starting at ``times[i]``.
 
         The packets whose first hop this network owns arrive as one
         :meth:`EventLoop.schedule_series`: the event keys of one
@@ -196,16 +197,17 @@ class Network:
         made when it arrives, and ``packets[i]`` read then. The others
         are handed off in input order. Every path is resolved and every
         arrival time checked before a packet is counted as sent."""
-        if isinstance(paths, str):
-            if self._owned is None and len(packets):
-                # Every packet from the first hop of one route, on a
-                # network that owns every node: no per-packet list, so
-                # lazy columns stay lazy.
+        if isinstance(paths, (str, tuple)):
+            if len(packets):
                 route = self._routes.get(paths) or self._resolve(paths)
-                self._arrive(packets, route, (), times, metrics, on_done)
-                if metrics is not None:
-                    metrics.record_sent(len(packets))
-                return
+                if self._owned is None or route.hops[0] in self._owned:
+                    # Every packet from the first hop of one route, which
+                    # this network owns: no per-packet list, so lazy
+                    # columns stay lazy.
+                    self._arrive(packets, route, (), times, metrics, on_done)
+                    if metrics is not None:
+                        metrics.record_sent(len(packets))
+                    return
             paths = [paths] * len(packets)
         routes = self._routes_of(paths)
         count, owned, away = len(routes), self._owned, ()

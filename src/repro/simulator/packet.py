@@ -50,13 +50,15 @@ def reset_packet_ids(shard: int = 0) -> None:
     _packet_ids = itertools.count((shard << PACKET_ID_SHARD_SHIFT) + 1)
 
 
-def reserve_packet_ids(count: int) -> None:
+def reserve_packet_ids(count: int) -> int:
     """Set the next ``count`` packet ids aside, for a stream that builds
     its packets only when they are sent: they get the ids they would
     have got had they all been built now, whatever else takes ids
-    meanwhile."""
+    meanwhile. Returns the first id of the block."""
     global _packet_ids
-    _packet_ids = itertools.count(next(_packet_ids) + count)
+    first = next(_packet_ids)
+    _packet_ids = itertools.count(first + count)
+    return first
 
 
 class Verdict(enum.Enum):
@@ -120,6 +122,24 @@ def make_packet(
 ) -> Packet:
     """Build a standard ethernet/ipv4/tcp packet matching the header
     layouts used throughout the library's example programs."""
+    fields, meta = standard_headers(
+        src_ip, dst_ip, proto, src_port, dst_port, vlan_id, ttl, tcp_flags
+    )
+    return Packet(fields=fields, meta=meta, size_bytes=size_bytes, created_at=created_at)
+
+
+def standard_headers(
+    src_ip: int,
+    dst_ip: int,
+    proto: int = 6,
+    src_port: int = 12345,
+    dst_port: int = 80,
+    vlan_id: int = 0,
+    ttl: int = 64,
+    tcp_flags: int = 0x10,
+) -> tuple[dict[tuple[str, str], int], dict[str, int]]:
+    """The header fields and metadata :func:`make_packet` gives a packet,
+    without taking a packet id."""
     fields = {
         ("ethernet", "dst"): 0x0000AABBCCDD,
         ("ethernet", "src"): 0x0000DDCCBBAA,
@@ -133,7 +153,7 @@ def make_packet(
         ("tcp", "flags"): tcp_flags,
     }
     meta = {"vlan_id": vlan_id, "ingress_port": 0, "drop_flag": 0, "egress_port": 0}
-    return Packet(fields=fields, meta=meta, size_bytes=size_bytes, created_at=created_at)
+    return fields, meta
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,14 @@
-"""A run holds only what is in flight: the default ``run_traffic`` (a
-generated constant-rate flow, the ``PER_PACKET_PATH`` checker on) must
-not grow its peak memory, nor slow down per packet, with the number of
-packets it sends.
+"""A run holds only what is in flight: a run must not grow its peak
+memory, nor slow down per packet, with the number of packets it sends.
+Three runs are gated, each with the ``PER_PACKET_PATH`` checker where
+the driver has one:
+
+- ``constant``: the default ``run_traffic`` (a generated constant-rate
+  flow) on the standard slice;
+- ``e20``: ``e20_workload`` traffic (a Poisson multi-flow series)
+  through ``run_traffic`` on the standard slice;
+- ``e20-scale``: the same traffic through ``scale(backend="inline")``
+  on a two-pod fabric, which the planner splits into two shards.
 
 Each run is a fresh interpreter that reads its own peak resident set
 after the run. That is ``VmHWM``, the peak of the process's own memory
@@ -11,7 +18,7 @@ process (this test runner, ~80 MB) into ``ru_maxrss`` across the
 would slow the run about eightfold, so it is not used. Host speed drifts
 by ±20% over seconds on a shared machine, so the two sizes alternate
 three times and their median walls per packet are compared. Slow:
-~1 min (``python -m pytest -m slow``).
+~5 min for the three (``python -m pytest -m slow``).
 """
 
 from __future__ import annotations
@@ -34,24 +41,29 @@ import gc, json, sys, time
 from repro import FlexNet
 from repro.apps import base_infrastructure
 from repro.runtime.consistency import ConsistencyLevel
+from repro.scale import e20_workload, pod_fabric
 
-packets, rate = int(sys.argv[1]), 2000.0
-net = FlexNet.standard()
+packets, arm, rate = int(sys.argv[1]), sys.argv[2], 2000.0
+level = ConsistencyLevel.PER_PACKET_PATH
+net = pod_fabric(2) if arm == "e20-scale" else FlexNet.standard()
 net.install(base_infrastructure())
+workload = e20_workload(packets, rate_pps=rate, seed=7) if arm != "constant" else None
 gc.collect()
 collections = gc.get_stats()[2]["collections"]
 started = time.perf_counter()
-report = net.run_traffic(
-    rate_pps=rate,
-    duration_s=packets / rate,
-    consistency_level=ConsistencyLevel.PER_PACKET_PATH,
-)
+if arm == "constant":
+    report = net.run_traffic(rate_pps=rate, duration_s=packets / rate, consistency_level=level)
+elif arm == "e20":
+    report = net.run_traffic(packets=workload, consistency_level=level)
+else:
+    report = net.scale(backend="inline", packets=workload)
 wall_s = time.perf_counter() - started
 with open("/proc/self/status") as status:
     peak_kib = next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
+checker = getattr(report, "consistency", None)
 print(json.dumps({
     "delivered": report.metrics.delivered,
-    "holds": report.consistency.report().holds,
+    "holds": checker is None or checker.report().holds,
     "peak_kib": peak_kib,
     "wall_s": wall_s,
     "gen2": gc.get_stats()[2]["collections"] - collections,
@@ -65,10 +77,10 @@ MAX_BYTES_PER_PACKET = 100
 MAX_WALL_RATIO = 1.10
 
 
-def run(packets: int) -> dict:
+def run(packets: int, arm: str) -> dict:
     path = os.pathsep.join(filter(None, (SOURCE, os.environ.get("PYTHONPATH"))))
     done = subprocess.run(
-        [sys.executable, "-c", RUN, str(packets)],
+        [sys.executable, "-c", RUN, str(packets), arm],
         env=dict(os.environ, PYTHONPATH=path),
         capture_output=True,
         text=True,
@@ -81,11 +93,12 @@ def run(packets: int) -> dict:
 
 @pytest.mark.slow
 @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc")
-def test_peak_memory_and_wall_per_packet_do_not_grow_with_the_run():
+@pytest.mark.parametrize("arm", ["constant", "e20", "e20-scale"])
+def test_peak_memory_and_wall_per_packet_do_not_grow_with_the_run(arm):
     runs = {SMALL: [], LARGE: []}
     for _ in range(3):
         for packets in runs:
-            runs[packets].append(run(packets))
+            runs[packets].append(run(packets, arm))
     growth = (
         (max(r["peak_kib"] for r in runs[LARGE]) - min(r["peak_kib"] for r in runs[SMALL]))
         * 1024

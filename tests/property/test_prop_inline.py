@@ -148,7 +148,9 @@ def live_run(loop_type, packets, rate_pps, update_at):
     assert type(net.loop) is loop_type
     net.install(base_infrastructure())
     net.engine(fastpath=True)
-    traffic = e20_workload(packets, rate_pps=rate_pps, seed=7)
+    # A list: ``arrivals`` reads the processed packets after the run,
+    # and a series builds a fresh packet on every read.
+    traffic = list(e20_workload(packets, rate_pps=rate_pps, seed=7))
     level = ConsistencyLevel.PER_PACKET_PATH
     # An update due exactly when a packet is injected: scheduled before
     # the traffic, it wins the tie with the injection and with any hop.

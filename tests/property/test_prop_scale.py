@@ -65,14 +65,20 @@ class _Recorder:
 def _two_way_engines(net, plan, workload, drain_s: float):
     """Engines fed explicit hop lists, a third of them reversed — the
     narrowed plan keeps both directions of the shard boundary."""
-    forward = net.controller.network.path("datapath")
+    forward = tuple(net.controller.network.path("datapath"))
     backward = forward[::-1]
     plan = plan.routed([forward, backward])
     assert set(plan.lookahead_s) == {(0, 1), (1, 0)}
-    per_shard: dict = {shard: [] for shard in plan.populated_shards}
+    columns: dict = {forward: ([], []), backward: ([], [])}
     for index, timed in enumerate(workload):
-        hops = backward if index % 3 == 0 else forward
-        per_shard[plan.shard_of(hops[0])].append((timed.packet, hops, timed.time))
+        times, packets = columns[backward if index % 3 == 0 else forward]
+        times.append(timed.time)
+        packets.append(timed.packet)
+    # One hop tuple per shard: each starts on the shard that injects it.
+    per_shard = {
+        plan.shard_of(hops[0]): (hops, times, packets)
+        for hops, (times, packets) in columns.items()
+    }
     return _engines(net, plan, per_shard, workload[-1].time + drain_s)
 
 

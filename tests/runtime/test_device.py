@@ -650,7 +650,9 @@ def _live_slice(packets, rate_pps):
     net = FlexNet.standard()
     net.install(base_infrastructure())
     net.engine(fastpath=True)
-    traffic = e20_workload(packets, rate_pps=rate_pps, seed=7)
+    # A list: the test reads the processed packets after the run, and a
+    # series builds a fresh packet on every read.
+    traffic = list(e20_workload(packets, rate_pps=rate_pps, seed=7))
     span = traffic[-1].time
     outcomes = []
 

@@ -24,6 +24,7 @@ from repro.scale.shard import run_inline
 from repro.simulator.metrics import LatencyStats, RunMetrics
 from repro.scale.workload import e20_workload, pod_fabric
 from repro.simulator.fastpath import seeded_rules
+from repro.simulator.flowgen import Series
 from repro.simulator.packet import reset_packet_ids
 
 DRAIN_S = 0.05
@@ -206,6 +207,32 @@ class TestFlexNetFacade:
         assert len(report.plan.populated_shards) == 2
 
 
+class TestSeriesIdentity:
+    """A generated series and the list it reads as run alike: the E20
+    workload passed as a series (each packet built when it is sent) and
+    as ``list(series)`` gives the same traffic report through every
+    driver."""
+
+    def test_a_series_and_its_list_run_byte_identical(self):
+        expected = _reference()
+        for backend in ("inline", "process"):
+            for listed in (False, True):
+                net, workload = _arm()
+                assert isinstance(workload, Series)
+                report = run_sharded(
+                    net,
+                    list(workload) if listed else workload,
+                    2,
+                    backend=backend,
+                    seed=11,
+                    drain_s=DRAIN_S,
+                )
+                assert divergences(expected, report.traffic_dict()) == [], (backend, listed)
+        net, workload = _arm()
+        listed = net.run_traffic(packets=list(workload), extra_time_s=DRAIN_S).to_dict()
+        assert divergences(expected, listed) == []
+
+
 class TestFailureModes:
     def test_drain_too_small_fails_loudly(self):
         net, workload = _arm()
@@ -361,8 +388,8 @@ class TestProtocolShape:
         net, workload = _arm()
         plan = plan_shards(net.controller, 2, seed=11).routed([])
         end_time = workload[-1].time + DRAIN_S
-        hops = net.controller.network.path("datapath")
-        per_shard = {0: [(timed.packet, hops, timed.time) for timed in workload]}
+        hops = tuple(net.controller.network.path("datapath"))
+        per_shard = {0: (hops, workload.times, workload.packets)}
         engines = _engines(net, plan, per_shard, end_time)
         with pytest.raises(SimulationError, match="not an out-edge"):
             run_inline(engines)
@@ -382,12 +409,14 @@ class TestTwoWayRoutes:
     cycle, every shard waits for its neighbor every round (the
     lock-step run), and null messages are what keeps it from
     deadlocking. ``run_sharded`` resolves only ``datapath``, so the
-    arms are built from explicit ``(packet, hops, time)`` triples."""
+    arms are built from explicit ``(packet, hops, time)`` triples: a
+    third of the packets run the datapath backwards, from the other
+    shard."""
 
     @staticmethod
     def _arm():
         net, workload = _arm()
-        forward = net.controller.network.path("datapath")
+        forward = tuple(net.controller.network.path("datapath"))
         backward = forward[::-1]
         triples = [
             (timed.packet, backward if index % 3 == 0 else forward, timed.time)
@@ -397,12 +426,19 @@ class TestTwoWayRoutes:
 
     @staticmethod
     def _sharded(net, triples):
+        """Each shard injects the packets whose hop tuple starts on it:
+        one hop tuple per shard here, in input order."""
         plan = plan_shards(net.controller, 2, seed=11).routed(
             hops for _, hops, _ in triples
         )
-        per_shard: dict = {shard: [] for shard in plan.populated_shards}
-        for triple in triples:
-            per_shard[plan.shard_of(triple[1][0])].append(triple)
+        routes: dict = {}
+        for packet, hops, at_time in triples:
+            routes.setdefault(hops, []).append((at_time, packet))
+        per_shard = {
+            plan.shard_of(hops[0]): (hops, *map(list, zip(*items)))
+            for hops, items in routes.items()
+        }
+        assert len(per_shard) == len(routes) == 2
         return plan, per_shard
 
     def _reference(self) -> dict:

@@ -2,12 +2,17 @@
 
 import pickle
 import random
+from itertools import islice
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.simulator.flowgen import (
     ConstantRate,
+    PoissonFlows,
     RateTimes,
+    Series,
     TimedPacket,
     constant_rate,
     merge_streams,
@@ -61,6 +66,12 @@ class TestConstantRateColumns:
         assert list(stream.times) == [timed.time for timed in listed]
         assert len(stream.packets) == len(listed)
         assert list(stream.packets) == [timed.packet for timed in listed]
+        assert len(stream) == len(listed) and list(stream) == listed
+        if listed:
+            assert stream[-1] == listed[-1]
+        for index in (len(listed), -len(listed) - 1):
+            with pytest.raises(IndexError):
+                stream[index]
 
     def test_the_block_is_reserved_when_made(self):
         """Ids taken between making the stream and reading it do not
@@ -86,6 +97,19 @@ class TestConstantRateColumns:
             with pytest.raises(IndexError):
                 times[index]
         assert len(RateTimes(-5, 1.0)) == len(RateTimes(5, -1.0)) == 0
+
+
+def test_a_listed_series_reads_back_the_callers_packets():
+    """``Series.of`` takes a list's columns once: the caller's own
+    packets, read as the list reads (so they can be inspected after a
+    run), and a series passes through as it is."""
+    listed = list(constant_rate(10, 1.0))
+    series = Series.of(listed)
+    assert Series.of(series) is series and list(series) == listed
+    assert all(series[index].packet is listed[index].packet for index in (0, 3, -1))
+    for index in (10, -11):
+        with pytest.raises(IndexError):
+            series[index]
 
 
 def test_a_timed_packet_is_a_slotted_record_that_round_trips():
@@ -141,6 +165,51 @@ class TestPoissonFlows:
         ]
         assert len(expected) > 3000
         assert observed == expected
+
+
+class TestPoissonFlowsSeries:
+    """``PoissonFlows`` is ``list(islice(poisson_flows(...), limit))``
+    taken when it is made, with each packet built when it is read."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        rate=st.sampled_from([50.0, 1_000.0, 20_000.0]),
+        flow_count=st.integers(1, 80),
+        start=st.sampled_from([0.0, 0.125, 3.0]),
+        limit=st.one_of(st.none(), st.integers(0, 300)),
+        interloper=st.booleans(),
+    )
+    def test_the_series_is_the_eager_list(self, seed, rate, flow_count, start, limit, interloper):
+        duration = 0.2
+        reset_packet_ids()
+        series = PoissonFlows(rate, duration, flow_count, seed=seed, start_s=start, limit=limit)
+        # Ids taken between making the series and reading it shift nothing.
+        after_series = make_packet(1, 2).packet_id if interloper else None
+        items = list(series)
+        if not interloper:
+            after_series = make_packet(1, 2).packet_id
+        reset_packet_ids()
+        listed = list(islice(poisson_flows(rate, duration, flow_count, seed=seed, start_s=start), limit))
+        assert make_packet(1, 2).packet_id == after_series
+        assert items == listed
+        assert [timed.packet.packet_id for timed in items] == [
+            timed.packet.packet_id for timed in listed
+        ]
+        # As a list reads: length, negative indices, iteration.
+        assert len(series) == len(listed) == len(series.times) == len(series.packets)
+        if listed:
+            assert series[-1] == listed[-1] and series[-len(listed)] == listed[0]
+            index = len(listed) // 2
+            first, again = series[index], series[index]
+            assert first == again == listed[index]
+            assert first.packet is not again.packet
+            first.packet.fields[("ipv4", "ttl")] = 1
+            first.packet.meta["drop_flag"] = 1
+            assert series[index].packet == listed[index].packet
+        for index in (len(listed), -len(listed) - 1):
+            with pytest.raises(IndexError):
+                series[index]
 
 
 class TestSynFlood:
