@@ -437,7 +437,7 @@ class DeviceRuntime:
             # interpreter arm checks it): the slice hosts nothing, and
             # nothing but the parse cost and the egress drop is left of
             # it, both priced when the version was staged.
-            ops, energy_nj, latency_s = lane[2] if packet.has_header(lane[0]) else lane[3]
+            ops, energy_nj, latency_s = lane[2] if lane[0] in packet.headers else lane[3]
             version = lane[1]
             stats.processed += 1
             stats.total_ops += ops

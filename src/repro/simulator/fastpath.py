@@ -283,7 +283,7 @@ class _Generator:
 
     def _parse(self) -> list[str]:
         parser = self._program.parser
-        lines = ["present = {key[0] for key in fields}"]
+        lines = ["present = packet.headers"]
         if parser is None:
             # No parser: every declared header the packet carries is visible.
             return lines + [

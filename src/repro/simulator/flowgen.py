@@ -15,7 +15,13 @@ from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from itertools import accumulate, islice
 
-from repro.simulator.packet import Packet, make_packet, reserve_packet_ids, standard_headers
+from repro.simulator.packet import (
+    Packet,
+    carried_headers,
+    make_packet,
+    reserve_packet_ids,
+    standard_headers,
+)
 
 
 #: the size :func:`make_packet` gives a packet.
@@ -164,11 +170,17 @@ class PoissonFlows(Series):
         super().__init__(times, _Copies(times, templates, flows, reserve_packet_ids(len(times))))
 
 
+#: the headers :func:`standard_headers` gives a packet, derived once.
+_STANDARD_CARRIED = carried_headers(standard_headers(0, 0)[0])
+
+
 class _Copies(Sequence[Packet]):
     """Packet ``i`` of a series, built when read: a copy of the headers
     of its flow's template (``templates[flows[i]]``; the one template
     when ``flows`` is None), created at ``times[i]``, with id ``first +
-    i``. Each read builds a new packet."""
+    i``. Each read builds a new packet. Every template holds
+    :func:`standard_headers`, so every packet shares the one set of
+    carried headers ``_STANDARD_CARRIED``."""
 
     __slots__ = ("_times", "_templates", "_flows", "_first", "_count")
 
@@ -194,7 +206,12 @@ class _Copies(Sequence[Packet]):
         flows = self._flows
         fields, meta, size_bytes = self._templates[0 if flows is None else flows[index]]
         return Packet(
-            fields.copy(), meta.copy(), size_bytes, self._times[index], self._first + index
+            fields.copy(),
+            meta.copy(),
+            size_bytes,
+            self._times[index],
+            self._first + index,
+            headers=_STANDARD_CARRIED,
         )
 
 

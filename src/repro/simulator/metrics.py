@@ -43,8 +43,12 @@ class LatencyStats:
     def record(self, value: float) -> None:
         self.count += 1
         self.total += value
-        self.minimum = min(self.minimum, value)
-        self.maximum = max(self.maximum, value)
+        # What min() / max() would keep, NaN and -0.0 included: the
+        # stored bound unless ``value`` is strictly beyond it.
+        if value < self.minimum:
+            self.minimum = value
+        if value > self.maximum:
+            self.maximum = value
         if len(self.samples) < self.reservoir_size:
             self.samples.append(value)
             self._sorted = None
@@ -122,8 +126,9 @@ class RunMetrics:
         verdict = packet.verdict
         if verdict is _FORWARD:
             self.delivered += 1
-            if packet.latency_s is not None:
-                self.latency.record(packet.latency_s)
+            delivered_at = packet.delivered_at
+            if delivered_at is not None:
+                self.latency.record(delivered_at - packet.created_at)
         elif verdict is _DROP:
             self.dropped_by_program += 1
         else:

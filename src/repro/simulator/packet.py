@@ -1,8 +1,9 @@
 """Packets and flows for the simulated data plane.
 
 A :class:`Packet` carries header fields as a ``(header, field) -> int``
-mapping plus a metadata dict mirroring the datapath metadata FlexBPF
-exposes (``ingress_port``, ``vlan_id``, ``drop_flag``...). Packets also
+mapping, the set of headers it carries (P4's validity bits), and a
+metadata dict mirroring the datapath metadata FlexBPF exposes
+(``ingress_port``, ``vlan_id``, ``drop_flag``...). Packets also
 record which program version processed them on each device — the raw
 material for the paper's per-packet consistency check ("packets are
 either processed by the new program or old one in a consistent
@@ -13,7 +14,7 @@ from __future__ import annotations
 
 import enum
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 #: Packet ids are namespaced: the low bits hold a process-local counter
 #: and the bits at and above this shift hold the allocating shard's id.
@@ -61,41 +62,127 @@ def reserve_packet_ids(count: int) -> int:
     return first
 
 
+def carried_headers(fields: dict[tuple[str, str], int]) -> frozenset[str]:
+    """The headers ``fields`` holds a field of: a packet's validity bits.
+    The one place they are derived from the field dict."""
+    return frozenset([key[0] for key in fields])
+
+
 class Verdict(enum.Enum):
     FORWARD = "forward"
     DROP = "drop"  # program decision (e.g. ACL deny)
     LOST = "lost"  # infrastructure loss (drain, queue overflow)
 
 
-@dataclass(slots=True)
 class Packet:
-    """One simulated packet (a slotted record: no per-instance dict)."""
+    """One simulated packet (a slotted record: no per-instance dict).
 
-    fields: dict[tuple[str, str], int]
-    meta: dict[str, int] = field(default_factory=dict)
-    size_bytes: int = 256
-    created_at: float = 0.0
-    packet_id: int = field(default_factory=lambda: next(_packet_ids))
-    #: device name -> program version that processed this packet there.
-    versions_seen: dict[str, int] = field(default_factory=dict)
-    #: device names traversed, in order.
-    path: list[str] = field(default_factory=list)
-    verdict: Verdict = Verdict.FORWARD
-    delivered_at: float | None = None
-    #: digests emitted toward the controller while processing.
-    digests: list[tuple[str, tuple[int, ...]]] = field(default_factory=list)
+    ``headers`` is the frozenset of headers the packet carries, P4's
+    validity bits: every parse, compiled or interpreted, and the
+    pass-through lane read header presence from it and never rescan
+    ``fields``. It is derived from ``fields`` when the packet is built
+    (a generated series passes one set it derived once, and every packet
+    it builds shares it), and it never goes stale: assigning ``fields``
+    derives it again, and :meth:`set_field` of a header the packet
+    lacks adds it, as P4's ``setValid`` does. A
+    program cannot add a header: the interpreter and the generated
+    function ignore a write to a header the parse did not find. Adding
+    a key of a new header to the ``fields`` dict in place bypasses the
+    set, so code outside a program adds one through :meth:`set_field`.
+    Equality and ``repr`` leave ``headers`` out: ``fields`` decides it.
+    """
+
+    __slots__ = (
+        "_fields",
+        "headers",
+        "meta",
+        "size_bytes",
+        "created_at",
+        "packet_id",
+        "versions_seen",
+        "path",
+        "verdict",
+        "delivered_at",
+        "digests",
+    )
+
+    def __init__(
+        self,
+        fields: dict[tuple[str, str], int],
+        meta: dict[str, int] | None = None,
+        size_bytes: int = 256,
+        created_at: float = 0.0,
+        packet_id: int | None = None,
+        versions_seen: dict[str, int] | None = None,
+        path: list[str] | None = None,
+        verdict: Verdict = Verdict.FORWARD,
+        delivered_at: float | None = None,
+        digests: list[tuple[str, tuple[int, ...]]] | None = None,
+        *,
+        headers: frozenset[str] | None = None,
+    ):
+        self._fields = fields
+        self.headers = carried_headers(fields) if headers is None else headers
+        self.meta = {} if meta is None else meta
+        self.size_bytes = size_bytes
+        self.created_at = created_at
+        self.packet_id = next(_packet_ids) if packet_id is None else packet_id
+        #: device name -> program version that processed this packet there.
+        self.versions_seen = {} if versions_seen is None else versions_seen
+        #: device names traversed, in order.
+        self.path = [] if path is None else path
+        self.verdict = verdict
+        self.delivered_at = delivered_at
+        #: digests emitted toward the controller while processing.
+        self.digests = [] if digests is None else digests
+
+    @property
+    def fields(self) -> dict[tuple[str, str], int]:
+        return self._fields
+
+    @fields.setter
+    def fields(self, fields: dict[tuple[str, str], int]) -> None:
+        self._fields = fields
+        self.headers = carried_headers(fields)
+
+    def _values(self) -> tuple:
+        return (
+            self._fields,
+            self.meta,
+            self.size_bytes,
+            self.created_at,
+            self.packet_id,
+            self.versions_seen,
+            self.path,
+            self.verdict,
+            self.delivered_at,
+            self.digests,
+        )
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    __hash__ = None  # mutable
+
+    def __repr__(self) -> str:
+        names = ("fields", *self.__slots__[2:])
+        return "Packet(" + ", ".join(
+            f"{name}={value!r}" for name, value in zip(names, self._values())
+        ) + ")"
 
     def get_field(self, header: str, field_name: str) -> int:
-        return self.fields.get((header, field_name), 0)
+        return self._fields.get((header, field_name), 0)
 
     def set_field(self, header: str, field_name: str, value: int) -> None:
-        self.fields[(header, field_name)] = value
+        self._fields[(header, field_name)] = value
+        if header not in self.headers:
+            self.headers = self.headers | {header}
 
     def has_header(self, header: str) -> bool:
-        for key in self.fields:
-            if key[0] == header:
-                return True
-        return False
+        """Whether the packet carries ``header`` (its validity bit)."""
+        return header in self.headers
 
     @property
     def dropped(self) -> bool:

@@ -144,21 +144,22 @@ class _Interpreter:
     def _run_parser(self) -> None:
         self._visible_headers.clear()
         parser = self._program.parser
+        present = self._packet.headers
         if parser is None:
             # No parser: every declared header the packet carries is visible.
             self._visible_headers.update(
                 header.name
                 for header in self._program.headers
-                if self._packet.has_header(header.name)
+                if header.name in present
             )
             return
-        if not self._packet.has_header(parser.start_header):
+        if parser.start_header not in present:
             return
         self._visible_headers.add(parser.start_header)
         self._ops += 1
         for transition in parser.transitions:
             self._ops += 1
-            if not self._packet.has_header(transition.next_header):
+            if transition.next_header not in present:
                 continue
             if transition.select_field is not None:
                 if transition.select_field.header not in self._visible_headers:

@@ -21,11 +21,19 @@ from repro.apps import base_infrastructure, firewall_delta
 from repro.lang import builder as b
 from repro.lang.delta import apply_delta
 from repro.lang.ir import ActionCall, MatchKind, TableDef, TableKey
-from repro.limits import TABLE_MEMO_CAPACITY
+from repro.limits import RECIRCULATION_CAP, TABLE_MEMO_CAPACITY
+from repro.observe.report import divergences
+from repro.simulator import fastpath
 from repro.simulator.meters import Meter, MeterConfig
 from repro.simulator.packet import make_packet
 from repro.simulator.pipeline_exec import ProgramInstance
 from repro.simulator.tables import Rule, TableRules, exact, lpm, rng, ternary
+
+from tests.simulator.test_fastpath_parity import (
+    parserless_program,
+    reparse_program,
+    unvalidated_program,
+)
 
 u16 = st.integers(min_value=0, max_value=2**16 - 1)
 u32 = st.integers(min_value=0, max_value=2**32 - 1)
@@ -67,6 +75,41 @@ def test_compiled_matches_interpreter(src, dst, sport, dport, ttl, flags):
     assert mine.meta == theirs.meta
     assert a.ops == c.ops
     assert a.recirculations == c.recirculations
+
+
+#: a parser over ethernet/ipv4/tcp, no parser (every carried header is
+#: visible, vxlan among them), writes to a header that may be unparsed,
+#: and a re-parse per recirculation that shows or hides tcp.
+HEADER_PROGRAMS = (PROGRAM, parserless_program(), unvalidated_program(), reparse_program())
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=len(HEADER_PROGRAMS) - 1),
+    st.sets(st.sampled_from(("ethernet", "ipv4", "tcp", "vxlan"))),
+    st.sampled_from((0x0800, 0x86DD)),
+    st.sampled_from((6, 17)),
+    u32,
+    small,
+)
+def test_any_header_subset_parses_alike_and_keeps_the_set_exact(
+    which, carried, ethertype, proto, src, a
+):
+    """Over any subset of carried headers (vxlan made valid the way
+    ``setValid`` would), the compiled arm matches the interpreter, and
+    afterwards each packet's header set is what its fields hold."""
+    program = HEADER_PROGRAMS[which]
+    packet = make_packet(src, 2, proto=proto)
+    packet.set_field("ethernet", "ethertype", ethertype)
+    packet.set_field("vxlan", "vni", src & 0xFFFFFF)
+    packet.fields = {key: value for key, value in packet.fields.items() if key[0] in carried}
+    packet.meta.update(a=a, b=a % 3, bounces=0, limit=RECIRCULATION_CAP)
+    arms = ((ProgramInstance(program), []), (ProgramInstance(program, fastpath=True), []))
+    for instance, runs in arms:
+        work = copy.deepcopy(packet)
+        runs.append((work, instance.process(work, 0.0)))
+        assert work.headers == {key[0] for key in work.fields}
+    assert divergences(*(fastpath.observation(instance, runs) for instance, runs in arms)) == []
 
 
 def table_def(kinds):

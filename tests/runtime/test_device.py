@@ -389,9 +389,9 @@ class TestPassThroughLane:
     The interpreter engine never takes the lane, which makes it the
     reference every lane hop is checked against."""
 
-    # The second id dates from the flow memo's arm; it now reaches the
-    # compiled engine by a live switch instead of at construction.
-    @pytest.mark.parametrize("live_switch", [False, True], ids=["compiled", "memo"])
+    # The second arm reaches the compiled engine by a live switch
+    # instead of at construction.
+    @pytest.mark.parametrize("live_switch", [False, True], ids=["compiled", "live-switch"])
     @pytest.mark.parametrize("label,program", PROGRAMS, ids=[label for label, _ in PROGRAMS])
     def test_lane_matches_the_interpreter(self, label, program, live_switch):
         reference, lane = lane_arms(host_nothing(program), live_switch)

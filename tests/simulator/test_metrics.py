@@ -9,6 +9,7 @@ exact percentile values so any change to the merge math is visible.
 
 from __future__ import annotations
 
+import math
 import random
 
 from repro.simulator.metrics import LatencyStats, RunMetrics
@@ -20,6 +21,36 @@ def _stats(values, seed=2024, reservoir_size=4096):
     for value in values:
         stats.record(value)
     return stats
+
+
+class TestLatencyStatsRecord:
+    def test_bounds_are_what_min_and_max_keep(self):
+        """The running bounds equal a fold of the ``min`` / ``max``
+        builtins, bit for bit: NaN never replaces a bound it meets
+        second, and the first of 0.0 / -0.0 stays."""
+        nan = float("nan")
+        for values in (
+            [0.0, -0.0, 1.0],
+            [-0.0, 0.0],
+            [nan, 2.0, 1.0],
+            [2.0, nan, 3.0],
+            [0.5, 0.25, 0.75],
+            [],
+        ):
+            stats, minimum, maximum = _stats(values), math.inf, 0.0
+            for value in values:
+                minimum, maximum = min(minimum, value), max(maximum, value)
+            assert repr(stats.minimum) == repr(minimum), values
+            assert repr(stats.maximum) == repr(maximum), values
+
+    def test_a_delivered_packet_records_its_latency(self):
+        metrics = RunMetrics()
+        packet = make_packet(1, 2, created_at=0.25)
+        packet.delivered_at = 1.0
+        metrics.record_outcome(packet)
+        metrics.record_outcome(make_packet(1, 2))  # forwarded, never delivered
+        assert metrics.delivered == 2
+        assert metrics.latency.count == 1 and metrics.latency.total == 0.75
 
 
 class TestLatencyStatsMerge:

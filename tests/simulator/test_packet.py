@@ -1,7 +1,11 @@
 """Packet model tests."""
 
+import copy
+import pickle
+
 import pytest
 
+from repro.simulator.flowgen import ConstantRate, PoissonFlows
 from repro.simulator.packet import (
     PACKET_ID_SHARD_SHIFT,
     FiveTuple,
@@ -46,6 +50,69 @@ class TestPacket:
         packet = make_packet(1, 2, vlan_id=7)
         assert packet.meta["vlan_id"] == 7
         assert packet.meta["drop_flag"] == 0
+
+
+def derived(packet):
+    """The headers ``packet.fields`` holds, by a rescan."""
+    return frozenset(key[0] for key in packet.fields)
+
+
+class TestCarriedHeaders:
+    """``Packet.headers`` is the packet's validity bits: derived once
+    when it is built, and never stale after."""
+
+    def test_after_construction(self):
+        packet = make_packet(1, 2)
+        assert packet.headers == frozenset({"ethernet", "ipv4", "tcp"}) == derived(packet)
+        assert Packet(fields={}).headers == frozenset()
+        assert not Packet(fields={}).has_header("ethernet")
+
+    def test_replacing_fields_derives_it_again(self):
+        packet = make_packet(1, 2)
+        packet.fields = {key: value for key, value in packet.fields.items() if key[0] != "tcp"}
+        assert packet.headers == frozenset({"ethernet", "ipv4"}) == derived(packet)
+        assert not packet.has_header("tcp")
+        packet.fields = {}
+        assert packet.headers == frozenset()
+
+    def test_set_field_of_a_new_header_makes_it_valid(self):
+        packet = make_packet(1, 2)
+        before = packet.headers
+        packet.set_field("ipv4", "ttl", 3)
+        assert packet.headers is before  # a carried header: nothing to add
+        packet.set_field("vxlan", "vni", 42)
+        assert packet.has_header("vxlan")
+        assert packet.headers == before | {"vxlan"} == derived(packet)
+        assert "vxlan" not in before  # the old set is not mutated: copies may share it
+
+    def test_a_pickle_round_trip_keeps_it(self):
+        packet = make_packet(1, 2)
+        packet.fields = {key: value for key, value in packet.fields.items() if key[0] != "tcp"}
+        for clone in (pickle.loads(pickle.dumps(packet)), copy.deepcopy(packet)):
+            assert clone == packet
+            assert clone.headers == packet.headers == derived(clone)
+            clone.set_field("tcp", "flags", 2)
+            assert clone.headers == derived(clone)
+        assert packet.headers == frozenset({"ethernet", "ipv4"})
+
+    def test_a_series_shares_one_set(self):
+        rate = ConstantRate(1000.0, 0.005)
+        flows = PoissonFlows(5000.0, 0.02, flow_count=4, seed=3)
+        shared = rate.packets[0].headers
+        for packet in [*rate.packets, *flows.packets]:
+            assert packet.headers is shared
+            assert packet.headers == derived(packet)
+
+    def test_equality_and_repr_read_the_record(self):
+        packet = make_packet(1, 2, created_at=0.5)
+        twin = pickle.loads(pickle.dumps(packet))
+        assert packet == twin and packet != make_packet(1, 2)
+        twin.verdict = Verdict.DROP
+        assert packet != twin
+        assert repr(packet).startswith("Packet(fields={('ethernet', 'dst'): ")
+        assert f"packet_id={packet.packet_id}," in repr(packet)
+        with pytest.raises(TypeError):
+            hash(packet)
 
 
 class TestPacketIdNamespaces:
