@@ -109,8 +109,8 @@ class Report:
             "findings": [f.to_dict() for f in self.sorted_findings()],
         }
 
-    def to_json(self, indent: int | None = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2)
 
     def summary(self) -> str:
         """FlexScope :class:`~repro.observe.report.Reportable` alias of

@@ -335,18 +335,6 @@ class VetReport:
 
     # -- lookups ----------------------------------------------------------
 
-    def map_vet(self, name: str) -> MapVet:
-        for verdict in self.maps:
-            if verdict.name == name:
-                return verdict
-        raise KeyError(f"no map {name!r} in vet report")
-
-    def element_vet(self, name: str) -> ElementVet:
-        for verdict in self.elements:
-            if verdict.name == name:
-                return verdict
-        raise KeyError(f"no element {name!r} in vet report")
-
     def maps_of_class(self, state_class: StateClass) -> tuple[str, ...]:
         return tuple(v.name for v in self.maps if v.state_class is state_class)
 

@@ -19,9 +19,9 @@ STANDARD_HEADERS: dict[str, dict[str, int]] = {
 }
 
 
-def standard_builder(name: str, owner: str = "infrastructure") -> b.ProgramBuilder:
+def standard_builder(name: str) -> b.ProgramBuilder:
     """A builder pre-loaded with the standard headers and parse graph."""
-    program = b.ProgramBuilder(name, owner=owner)
+    program = b.ProgramBuilder(name)
     for header, fields in STANDARD_HEADERS.items():
         program.header(header, **fields)
     program.parser(

@@ -31,7 +31,7 @@ from repro.lang.delta import (
 from repro.lang.types import BitsType
 
 
-def dctcp_delta(ecn_threshold: int = 20, anchor: str | None = None) -> Delta:
+def dctcp_delta(ecn_threshold: int = 20) -> Delta:
     """DCTCP-style: binary ECN mark when queue depth exceeds threshold."""
     mark = ir.FunctionDef(
         name="ecn_mark",
@@ -47,15 +47,13 @@ def dctcp_delta(ecn_threshold: int = 20, anchor: str | None = None) -> Delta:
         AddMap(_window_map()),
         AddFunction(mark),
         AddFunction(window),
-        InsertApply(element="ecn_mark", position="after", anchor=anchor)
-        if anchor
-        else InsertApply(element="ecn_mark"),
+        InsertApply(element="ecn_mark"),
         InsertApply(element="cc_window", position="after", anchor="ecn_mark"),
     )
     return Delta(name="cc_dctcp", ops=ops)
 
 
-def hpcc_delta(anchor: str | None = None) -> Delta:
+def hpcc_delta() -> Delta:
     """HPCC-style: stamp the precise queue depth for host-side control."""
     mark = ir.FunctionDef(
         name="ecn_mark",
@@ -71,9 +69,7 @@ def hpcc_delta(anchor: str | None = None) -> Delta:
         AddMap(_window_map()),
         AddFunction(mark),
         AddFunction(window),
-        InsertApply(element="ecn_mark", position="after", anchor=anchor)
-        if anchor
-        else InsertApply(element="ecn_mark"),
+        InsertApply(element="ecn_mark"),
         InsertApply(element="cc_window", position="after", anchor="ecn_mark"),
     )
     return Delta(name="cc_hpcc", ops=ops)

@@ -34,7 +34,7 @@ MONITOR_URI = "flexnet://infrastructure/syn-monitor"
 SYN_FLAG = 0x02
 
 
-def syn_monitor_delta(anchor: str | None = None) -> Delta:
+def syn_monitor_delta() -> Delta:
     """Always-on monitor: emit a digest (dst, src) for every SYN."""
     monitor = ir.FunctionDef(
         name="synmon",
@@ -47,14 +47,13 @@ def syn_monitor_delta(anchor: str | None = None) -> Delta:
     )
     return Delta(
         name="syn_monitor",
-        ops=(AddFunction(monitor), InsertApply(element="synmon", position="after", anchor=anchor)),
+        ops=(AddFunction(monitor), InsertApply(element="synmon")),
     )
 
 
 def syn_defense_delta(
     threshold: int = 64,
     counter_entries: int = 4096,
-    anchor: str | None = None,
 ) -> Delta:
     """The summoned defense: count SYNs per destination and drop above
     ``threshold`` within the counter's lifetime window. Counters are
@@ -88,9 +87,7 @@ def syn_defense_delta(
         ops=(
             AddMap(counters),
             AddFunction(defense),
-            InsertApply(element="syn_defense", position="before", anchor=anchor)
-            if anchor
-            else InsertApply(element="syn_defense"),
+            InsertApply(element="syn_defense"),
         ),
     )
 

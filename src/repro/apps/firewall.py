@@ -20,13 +20,13 @@ from repro.lang import ir
 from repro.simulator.tables import ternary
 
 
-def firewall_delta(
-    protected_prefix: int = 0x0A000000,
-    prefix_mask: int = 0xFF000000,
-    conn_entries: int = 16384,
-    block_size: int = 1024,
-    anchor: str = "acl",
-) -> Delta:
+#: the prefix the firewall protects (10.0.0.0/8), as address and mask.
+_PROTECTED_PREFIX, _PREFIX_MASK = 0x0A000000, 0xFF000000
+#: entries of the connection tracker ``fw_conns`` and rules of ``fw_block``.
+_CONN_ENTRIES, _BLOCK_SIZE = 16384, 1024
+
+
+def firewall_delta() -> Delta:
     """Build the runtime firewall injection delta.
 
     The connection tracker is keyed by (src, dst); outbound traffic from
@@ -40,7 +40,7 @@ def firewall_delta(
         name="fw_conns",
         key_fields=(b.field("ipv4.src"), b.field("ipv4.dst")),
         value_type=BitsType(8),
-        max_entries=conn_entries,
+        max_entries=_CONN_ENTRIES,
     )
     track = ir.FunctionDef(
         name="fw_track",
@@ -48,8 +48,8 @@ def firewall_delta(
             b.if_(
                 b.binop(
                     "==",
-                    b.binop("&", "ipv4.src", prefix_mask),
-                    protected_prefix,
+                    b.binop("&", "ipv4.src", _PREFIX_MASK),
+                    _PROTECTED_PREFIX,
                 ),
                 # Outbound: register the reverse flow.
                 [b.map_put("fw_conns", "ipv4.dst", "ipv4.src", 1)],
@@ -60,8 +60,8 @@ def firewall_delta(
                             "&&",
                             b.binop(
                                 "==",
-                                b.binop("&", "ipv4.dst", prefix_mask),
-                                protected_prefix,
+                                b.binop("&", "ipv4.dst", _PREFIX_MASK),
+                                _PROTECTED_PREFIX,
                             ),
                             b.binop(
                                 "==", b.map_get("fw_conns", "ipv4.src", "ipv4.dst"), 0
@@ -81,7 +81,7 @@ def firewall_delta(
             TableKey(field=b.field("ipv4.dst"), match_kind=MatchKind.TERNARY),
         ),
         actions=("fw_drop", "nop"),
-        size=block_size,
+        size=_BLOCK_SIZE,
         default_action=ir.ActionCall(action="nop"),
     )
     return Delta(
@@ -91,7 +91,7 @@ def firewall_delta(
             AddAction(block_drop),
             AddFunction(track),
             AddTable(block),
-            InsertApply(element="fw_block", position="before", anchor=anchor),
+            InsertApply(element="fw_block", position="before", anchor="acl"),
             InsertApply(element="fw_track", position="after", anchor="fw_block"),
         ),
     )
@@ -103,10 +103,10 @@ class FirewallManager:
     def __init__(self, client: P4RuntimeClient):
         self._client = client
 
-    def block_source(self, src_ip: int, mask: int = 0xFFFFFFFF) -> TableEntry:
+    def block_source(self, src_ip: int) -> TableEntry:
         entry = TableEntry(
             table="fw_block",
-            matches=(ternary(src_ip, mask), ternary(0, 0)),
+            matches=(ternary(src_ip, 0xFFFFFFFF), ternary(0, 0)),
             action="fw_drop",
             priority=10,
         )

@@ -16,7 +16,7 @@ from repro.lang.types import BitsType
 from repro.simulator.tables import exact
 
 
-def load_balancer_delta(path_count: int = 4, anchor: str | None = None) -> Delta:
+def load_balancer_delta(path_count: int = 4) -> Delta:
     """Inject hash-based path selection plus per-path load counters.
 
     The selector function computes ``meta.lb_bucket``; the ``lb_paths``
@@ -65,9 +65,7 @@ def load_balancer_delta(path_count: int = 4, anchor: str | None = None) -> Delta
             AddAction(set_path),
             AddFunction(selector),
             AddTable(paths),
-            InsertApply(element="lb_select", position="after", anchor=anchor)
-            if anchor
-            else InsertApply(element="lb_select"),
+            InsertApply(element="lb_select"),
             InsertApply(element="lb_paths", position="after", anchor="lb_select"),
         ),
     )

@@ -47,7 +47,7 @@ class QuerySpec:
         return stable_digest(self.name, row, 0xBEEF) % (1 << 32)
 
 
-def query_delta(spec: QuerySpec, anchor: str | None = None) -> Delta:
+def query_delta(spec: QuerySpec) -> Delta:
     """Build the runtime delta for one query: per-row hashed counters
     plus the update function."""
     ops: list = []
@@ -73,7 +73,7 @@ def query_delta(spec: QuerySpec, anchor: str | None = None) -> Delta:
             )
         )
     ops.append(AddFunction(ir.FunctionDef(name=f"q_{spec.name}", body=tuple(body))))
-    ops.append(InsertApply(element=f"q_{spec.name}", position="after", anchor=anchor))
+    ops.append(InsertApply(element=f"q_{spec.name}"))
     return Delta(name=f"query_{spec.name}", ops=tuple(ops))
 
 

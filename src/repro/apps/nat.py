@@ -16,7 +16,7 @@ from repro.lang.types import BitsType
 from repro.simulator.tables import exact
 
 
-def nat_delta(size: int = 2048, anchor: str | None = None) -> Delta:
+def nat_delta(size: int = 2048) -> Delta:
     """Inject NAT rewrite tables (egress snat + ingress dnat)."""
     snat = ir.ActionDef(
         name="nat_rewrite_src",
@@ -49,9 +49,7 @@ def nat_delta(size: int = 2048, anchor: str | None = None) -> Delta:
             AddAction(dnat),
             AddTable(ingress),
             AddTable(egress),
-            InsertApply(element="nat_ingress", position="before", anchor=anchor)
-            if anchor
-            else InsertApply(element="nat_ingress"),
+            InsertApply(element="nat_ingress"),
             InsertApply(element="nat_egress", position="after", anchor="nat_ingress"),
         ),
     )

@@ -16,7 +16,11 @@ from repro.lang.delta import AddAction, AddFunction, AddTable, Delta, InsertAppl
 from repro.simulator.tables import exact
 
 
-def rate_limit_delta(size: int = 1024, anchor: str | None = None) -> Delta:
+#: rules the policing table ``rl_classify`` holds.
+_CLASSIFY_SIZE = 1024
+
+
+def rate_limit_delta() -> Delta:
     """Inject the policing table + RED-drop function."""
     classify_action = ir.ActionDef(
         name="rl_mark", params=(), body=(b.assign("meta.rl_hit", 1),)
@@ -25,7 +29,7 @@ def rate_limit_delta(size: int = 1024, anchor: str | None = None) -> Delta:
         name="rl_classify",
         keys=(ir.TableKey(field=b.field("ipv4.src"), match_kind=ir.MatchKind.EXACT),),
         actions=("rl_mark", "nop"),
-        size=size,
+        size=_CLASSIFY_SIZE,
         default_action=ir.ActionCall(action="nop"),
     )
     police = ir.FunctionDef(
@@ -47,9 +51,7 @@ def rate_limit_delta(size: int = 1024, anchor: str | None = None) -> Delta:
             AddAction(classify_action),
             AddTable(classify),
             AddFunction(police),
-            InsertApply(element="rl_classify", position="before", anchor=anchor)
-            if anchor
-            else InsertApply(element="rl_classify"),
+            InsertApply(element="rl_classify"),
             InsertApply(element="rl_police", position="after", anchor="rl_classify"),
         ),
     )

@@ -22,6 +22,10 @@ from repro.lang.types import BitsType
 from repro.util import stable_hash
 
 
+#: the field every row of the sketch counts by.
+_KEY_FIELD = "ipv4.src"
+
+
 def row_map_name(row: int) -> str:
     return f"cms_row{row}"
 
@@ -29,8 +33,6 @@ def row_map_name(row: int) -> str:
 def count_min_delta(
     rows: int = 3,
     width: int = 4096,
-    key_field: str = "ipv4.src",
-    anchor: str | None = None,
 ) -> Delta:
     """Build the count-min sketch injection delta.
 
@@ -50,7 +52,7 @@ def count_min_delta(
             AddMap(
                 ir.MapDef(
                     name=row_map_name(row),
-                    key_fields=(b.field(key_field),),
+                    key_fields=(b.field(_KEY_FIELD),),
                     value_type=BitsType(64),
                     max_entries=width,
                     persistence=ir.Persistence.DURABLE,
@@ -58,7 +60,7 @@ def count_min_delta(
             )
         )
         salt = stable_hash((row, 0xC0FFEE)) % (1 << 32)
-        index = b.hash_of(key_field, salt, modulus=width)
+        index = b.hash_of(_KEY_FIELD, salt, modulus=width)
         body.append(b.let(f"i{row}", "u32", index))
         body.append(
             b.map_put(
@@ -68,7 +70,7 @@ def count_min_delta(
             )
         )
     ops.append(AddFunction(ir.FunctionDef(name="cms_update", body=tuple(body))))
-    ops.append(InsertApply(element="cms_update", position="after", anchor=anchor))
+    ops.append(InsertApply(element="cms_update"))
     return Delta(name="count_min_sketch", ops=tuple(ops))
 
 

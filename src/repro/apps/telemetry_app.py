@@ -17,7 +17,7 @@ from repro.lang import ir
 from repro.lang.delta import AddFunction, Delta, InsertApply, RemoveElements
 
 
-def int_probe_delta(sample_shift: int = 0, anchor: str | None = None) -> Delta:
+def int_probe_delta(sample_shift: int = 0) -> Delta:
     """Emit a digest for every 2^-sample_shift-th packet (0 = all)."""
     if sample_shift:
         body: tuple[ir.Stmt, ...] = (
@@ -37,9 +37,7 @@ def int_probe_delta(sample_shift: int = 0, anchor: str | None = None) -> Delta:
         name="int_probe",
         ops=(
             AddFunction(probe),
-            InsertApply(element="int_probe", position="after", anchor=anchor)
-            if anchor
-            else InsertApply(element="int_probe"),
+            InsertApply(element="int_probe"),
         ),
     )
 

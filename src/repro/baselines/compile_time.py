@@ -32,6 +32,9 @@ from repro.simulator.network import Network
 from repro.targets import host, rmt_switch, smartnic
 from repro.targets.base import Target
 
+#: the latency of every link of the baseline's path.
+_LINK_LATENCY_S = 2e-6
+
 
 @dataclass
 class ReflashEvent:
@@ -68,9 +71,9 @@ class CompileTimeNetwork:
         self.network.add_node(runtime)
         self.path_names.append(name)
 
-    def finalize_path(self, link_latency_s: float = 2e-6) -> None:
+    def finalize_path(self) -> None:
         for a, b in zip(self.path_names, self.path_names[1:]):
-            self.network.add_link(a, b, link_latency_s)
+            self.network.add_link(a, b, _LINK_LATENCY_S)
         self.network.define_path("datapath", self.path_names)
 
     @classmethod

@@ -9,8 +9,8 @@ match/action stages, and interpreter tables inflate memory.
 
 The published evaluation reports roughly 6-9x more tables/stages and a
 corresponding latency/throughput penalty versus native programs; this
-model exposes both knobs (``op_overhead``, ``memory_overhead``) with
-defaults in that range.
+model charges both (``OP_OVERHEAD``, ``MEMORY_OVERHEAD``) at values in
+that range.
 """
 
 from __future__ import annotations
@@ -21,9 +21,9 @@ from repro.lang.analyzer import Certificate
 from repro.targets.base import Target
 from repro.targets.resources import ResourceVector
 
-#: Defaults calibrated to the HyPer4 paper's reported overheads.
-DEFAULT_OP_OVERHEAD = 7.0
-DEFAULT_MEMORY_OVERHEAD = 6.0
+#: Calibrated to the HyPer4 paper's reported overheads.
+OP_OVERHEAD = 7.0
+MEMORY_OVERHEAD = 6.0
 #: Installing a logical program = populating interpreter tables.
 RULE_INSTALL_S_PER_ELEMENT = 0.01
 
@@ -48,15 +48,8 @@ class EmulationReport:
 class Hyper4Device:
     """A device running the HyPer4-style interpreter."""
 
-    def __init__(
-        self,
-        target: Target,
-        op_overhead: float = DEFAULT_OP_OVERHEAD,
-        memory_overhead: float = DEFAULT_MEMORY_OVERHEAD,
-    ):
+    def __init__(self, target: Target):
         self.target = target
-        self.op_overhead = op_overhead
-        self.memory_overhead = memory_overhead
         #: memory permanently consumed by the interpreter scaffolding.
         self.interpreter_overhead = ResourceVector(
             sram_kb=target.capacity["sram_kb"] * 0.15,
@@ -75,9 +68,9 @@ class Hyper4Device:
         """Deploy a logical program onto the interpreter (rule installs,
         no reflash)."""
         native_ops = certificate.max_packet_ops
-        emulated_ops = int(native_ops * self.op_overhead)
+        emulated_ops = int(native_ops * OP_OVERHEAD)
         native_memory = self._memory_kb(certificate)
-        emulated_memory = native_memory * self.memory_overhead
+        emulated_memory = native_memory * MEMORY_OVERHEAD
 
         used = self.interpreter_overhead
         for report in self.deployed.values():

@@ -583,12 +583,13 @@ class CloudEngine:
             self._emit_round_metrics()
         return resolved
 
-    def drain_until_idle(self, now: float | None = None, max_rounds: int = 10_000) -> int:
+    def drain_until_idle(self, now: float | None = None) -> int:
         """Drain rounds back-to-back until the queue and the in-flight
-        set are empty (the synchronous wrapper path)."""
+        set are empty (the synchronous wrapper path), at most 10 000
+        rounds."""
         now = self._clock() if now is None else now
         total = 0
-        for _ in range(max_rounds):
+        for _ in range(10_000):
             if not len(self.queue) and not self._inflight:
                 break
             before = len(self.queue) + len(self._inflight)

@@ -72,9 +72,7 @@ _TENANT_SUBNET = 0x0A000000
 _SLA_MIX = (("gold", 1), ("silver", 3), ("bronze", 6))
 
 
-def cloud_base_program(
-    max_tenants: int = 1 << 17, *, gate: bool = True, name: str | None = None
-) -> Program:
+def cloud_base_program(max_tenants: int = 1 << 17, *, gate: bool = True) -> Program:
     """The admission-directory program. With ``gate=True`` (the ingress
     instance) packets from unadmitted sources drop; with ``gate=False``
     (rack instances) the map is a pure directory slice — rack devices
@@ -83,7 +81,7 @@ def cloud_base_program(
     edge)."""
     from repro.apps.base import standard_builder
 
-    program = standard_builder(name or ("cloud_base" if gate else "cloud_rack"))
+    program = standard_builder("cloud_base" if gate else "cloud_rack")
     program.map(
         "tenant_acl", keys=["ipv4.src"], value_type="u32", max_entries=max_tenants
     )
@@ -115,14 +113,12 @@ def cloud_base_program(
 class CloudFleet:
     """The rack fabric plus the sharded admission directory over it."""
 
-    def __init__(
-        self, racks: int = 4, switch_arch: str = "drmt", max_tenants: int = 1 << 17
-    ):
+    def __init__(self, racks: int = 4, max_tenants: int = 1 << 17):
         from repro.scale.workload import pod_fabric
 
         self.racks = racks
         self.max_tenants = max_tenants
-        self.net = pod_fabric(racks, switch_arch=switch_arch)
+        self.net = pod_fabric(racks)
         self.net.install(cloud_base_program(max_tenants, gate=True))
         controller = self.net.controller
         #: the enforcement point: wherever the plan placed the gate map.
@@ -353,15 +349,15 @@ def _sorted(events: list[CloudEvent]) -> list[CloudEvent]:
 
 def flash_crowd(
     tenants: int = 100_000,
-    start_s: float = 0.5,
     ramp_s: float = 20.0,
     seed: int = 2026,
 ) -> list[CloudEvent]:
-    """Every tenant arrives within one ramp — the thundering herd."""
+    """Every tenant arrives within one ramp, starting at 0.5 s — the
+    thundering herd."""
     rng = random.Random(seed)
     events = [
         CloudEvent(
-            time=start_s + rng.random() * ramp_s,
+            time=0.5 + rng.random() * ramp_s,
             kind="admit",
             tenant=str(index),
             sla_class=_sla_for(rng),
@@ -401,17 +397,13 @@ def diurnal(
     return _sorted(events)
 
 
-def ddos_defense(
-    tenants: int = 20_000,
-    attack_at_s: float = 10.0,
-    attacker_fraction: float = 0.05,
-    seed: int = 2026,
-) -> list[CloudEvent]:
+def ddos_defense(tenants: int = 20_000, seed: int = 2026) -> list[CloudEvent]:
     """The §1.1 security story at fleet scale: a baseline population is
-    admitted, then at ``attack_at_s`` the operator *summons the
-    defense* — suspected attackers are evicted (quarantined) and every
-    gold tenant's entry is flipped to the hardened profile (value 2) in
-    one burst of high-priority deltas."""
+    admitted, then at 10 s the operator *summons the defense* — the
+    suspected attackers (5% of tenants) are evicted (quarantined) and
+    every gold tenant's entry is flipped to the hardened profile
+    (value 2) in one burst of high-priority deltas."""
+    attack_at_s, attacker_fraction = 10.0, 0.05
     rng = random.Random(seed)
     events: list[CloudEvent] = []
     slas: dict[str, str] = {}
@@ -455,15 +447,11 @@ def ddos_defense(
     return _sorted(events)
 
 
-def canary_rollout(
-    tenants: int = 20_000,
-    waves: tuple[float, ...] = (0.01, 0.1, 1.0),
-    wave_gap_s: float = 5.0,
-    seed: int = 2026,
-) -> list[CloudEvent]:
+def canary_rollout(tenants: int = 20_000, seed: int = 2026) -> list[CloudEvent]:
     """Admit the fleet, then roll a new profile (value 2) out in
-    canary waves: each wave updates a seeded, growing prefix of the
-    population, 1% → 10% → 100% by default."""
+    canary waves 5 s apart: each wave updates a seeded, growing prefix
+    of the population, 1% → 10% → 100%."""
+    waves, wave_gap_s = (0.01, 0.1, 1.0), 5.0
     rng = random.Random(seed)
     events: list[CloudEvent] = []
     slas: dict[str, str] = {}

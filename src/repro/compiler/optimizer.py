@@ -271,17 +271,17 @@ def refine(
     plan: CompilationPlan,
     network_slice: NetworkSlice,
     objective: Objective,
-    max_rounds: int = 4,
 ) -> CompilationPlan:
     """Local search: recompile under the objective with pins relaxed one
-    cluster at a time, keeping any strictly improving plan."""
+    cluster at a time, keeping any strictly improving plan (at most four
+    passes over the clusters)."""
     engine = PlacementEngine(objective)
     certificate = plan.certificate
     best = plan
     best_score = plan_score(plan, objective)
     element_names = list(plan.placement)
 
-    for _ in range(max_rounds):
+    for _ in range(4):
         improved = False
         for relaxed in element_names:
             pins = {e: d for e, d in best.placement.items() if e != relaxed}

@@ -139,10 +139,6 @@ class ReconfigPlan:
         return sum(1 for s in self.steps if s.kind is StepKind.ADD)
 
     @property
-    def removed_elements(self) -> int:
-        return sum(1 for s in self.steps if s.kind is StepKind.REMOVE)
-
-    @property
     def total_cost_s(self) -> float:
         return sum(s.cost_s for s in self.steps)
 

@@ -32,6 +32,9 @@ from repro.limits import ELECTION_TIMEOUT_RANGE_S, HEARTBEAT_INTERVAL_S
 from repro.simulator.engine import EventLoop
 from repro.util import stable_hash
 
+#: one message's delay on the controller replicas' bus.
+_MESSAGE_LATENCY_S = 0.005
+
 __all__ = [
     "ELECTION_TIMEOUT_RANGE_S",
     "HEARTBEAT_INTERVAL_S",
@@ -138,12 +141,11 @@ class SnapshotReply:
 
 
 class MessageBus:
-    """Delivers messages between nodes with latency; supports crashes
-    and partitions."""
+    """Delivers messages between nodes with latency (5 ms a message);
+    supports crashes and partitions."""
 
-    def __init__(self, loop: EventLoop, latency_s: float = 0.005):
+    def __init__(self, loop: EventLoop):
         self._loop = loop
-        self.latency_s = latency_s
         self._nodes: dict[str, "RaftNode"] = {}
         self._crashed: set[str] = set()
         self._partitions: list[set[str]] = []
@@ -184,7 +186,7 @@ class MessageBus:
         if node is None:
             return
         self._loop.schedule(
-            self.latency_s, lambda: node.receive(source, message) if destination not in self._crashed else None
+            _MESSAGE_LATENCY_S, lambda: node.receive(source, message) if destination not in self._crashed else None
         )
 
     @property
@@ -574,8 +576,6 @@ class ControllerCluster:
         self,
         loop: EventLoop,
         node_count: int = 3,
-        apply_callback: Callable[[object], None] | None = None,
-        latency_s: float = 0.005,
         seed: int = 0,
         apply_factory: Callable[[str], Callable[[object], None]] | None = None,
         snapshot_threshold: int | None = None,
@@ -583,14 +583,14 @@ class ControllerCluster:
         if node_count < 1:
             raise ConsensusError("need at least one controller node")
         self.loop = loop
-        self.bus = MessageBus(loop, latency_s=latency_s)
+        self.bus = MessageBus(loop)
         node_ids = [f"ctl{i}" for i in range(node_count)]
         self.nodes = {
             node_id: RaftNode(
                 node_id,
                 node_ids,
                 self.bus,
-                apply_factory(node_id) if apply_factory is not None else apply_callback,
+                apply_factory(node_id) if apply_factory is not None else None,
                 seed=seed,
                 snapshot_threshold=snapshot_threshold,
             )

@@ -26,7 +26,7 @@ from functools import partial
 from repro.analysis import ProgramFacts, check_changeset
 from repro.analysis.report import Finding
 from repro.compiler.incremental import IncrementalCompiler, IncrementalResult, diff_programs
-from repro.compiler.placement import NetworkSlice, Objective, PlacementEngine
+from repro.compiler.placement import NetworkSlice, PlacementEngine
 from repro.compiler.plan import CompilationPlan
 from repro.errors import ControlPlaneError, UnknownAppError
 from repro.lang.composition import Composer, TenantSpec
@@ -146,15 +146,11 @@ class TransitionOutcome:
 class FlexNetController:
     """See module docstring."""
 
-    def __init__(
-        self,
-        loop: EventLoop | None = None,
-        objective: Objective | None = None,
-    ):
-        self.loop = loop or EventLoop()
+    def __init__(self):
+        self.loop = EventLoop()
         self.network = Network(self.loop)
         self.topology = TopologyView()
-        self.engine = PlacementEngine(objective)
+        self.engine = PlacementEngine()
         self.incremental = IncrementalCompiler(self.engine)
         self.hub = P4RuntimeHub()
         self.telemetry = TelemetryCollector()
@@ -514,15 +510,13 @@ class FlexNetController:
         uri: str,
         delta: Delta,
         sla: AppSla | None = None,
-        consistency: ConsistencyLevel = ConsistencyLevel.PER_PACKET_PER_DEVICE,
-        max_gc_rounds: int = 3,
         allow_detour: bool = False,
     ) -> TransitionOutcome:
         """Inject an app (expressed as a delta over the current program).
 
         Implements the §3.3 compile loop: if placement fails, garbage-
         collect one removable app and *replay the delta against the
-        trimmed program*, up to ``max_gc_rounds`` times. With
+        trimmed program*, up to three times. With
         ``allow_detour`` the controller additionally co-designs routing
         and placement: when GC cannot free enough, it searches for a
         loop-free detour route through an off-path runtime programmable
@@ -541,10 +535,10 @@ class FlexNetController:
             new_program, changes = apply_delta(self.program, delta)
             facts = ProgramFacts.of(new_program, previous=self._facts)
             try:
-                outcome = self.transition_to(facts, changes, consistency)
+                outcome = self.transition_to(facts, changes)
                 break
             except PlacementError:
-                if not detoured and attempts > max_gc_rounds:
+                if not detoured and attempts > 3:
                     raise
                 if self._gc_once():
                     continue
@@ -564,11 +558,7 @@ class FlexNetController:
         self._apps[uri] = record
         return outcome
 
-    def remove_app(
-        self,
-        uri: str,
-        consistency: ConsistencyLevel = ConsistencyLevel.PER_PACKET_PER_DEVICE,
-    ) -> TransitionOutcome:
+    def remove_app(self, uri: str) -> TransitionOutcome:
         """Retire an app and release its resources."""
         record = self.app(uri)
         ops = [
@@ -582,7 +572,7 @@ class FlexNetController:
             raise ControlPlaneError(f"app {uri!r} has no removable elements")
         delta = Delta(name=f"remove:{record.uri.name}", ops=tuple(ops))
         new_program, changes = apply_delta(self.program, delta)
-        outcome = self.transition_to(new_program, changes, consistency)
+        outcome = self.transition_to(new_program, changes)
         del self._apps[uri]
         return outcome
 
@@ -696,27 +686,18 @@ class FlexNetController:
         self._composer = composer
         return _with_version(composed, self.program.version + 1)
 
-    def admit_tenant(
-        self,
-        tenant: TenantSpec,
-        extension: Program,
-        consistency: ConsistencyLevel = ConsistencyLevel.PER_PACKET_PER_DEVICE,
-    ) -> TransitionOutcome:
+    def admit_tenant(self, tenant: TenantSpec, extension: Program) -> TransitionOutcome:
         """Validate, compose, and inject a tenant extension (§3 scenario).
 
         A one-element batch: FlexCloud coalesces queued tenant deltas
         into :meth:`admit_tenants_batch` windows, and the synchronous
         path goes through the same code so there is exactly one
         admission path through the controller."""
-        return self.admit_tenants_batch([(tenant, extension)], (), consistency=consistency)
+        return self.admit_tenants_batch([(tenant, extension)], ())
 
-    def evict_tenant(
-        self,
-        tenant_name: str,
-        consistency: ConsistencyLevel = ConsistencyLevel.PER_PACKET_PER_DEVICE,
-    ) -> TransitionOutcome:
+    def evict_tenant(self, tenant_name: str) -> TransitionOutcome:
         """Tenant departure: trim its extension and release resources."""
-        return self.admit_tenants_batch((), [tenant_name], consistency=consistency)
+        return self.admit_tenants_batch((), [tenant_name])
 
     def admit_tenants_batch(
         self,
@@ -967,20 +948,6 @@ class FlexNetController:
         del self._apps[victim_uri]
         self._last_gc_evicted.append(victim_uri)
         return True
-
-    # -- reporting ---------------------------------------------------------------------
-
-    def device_utilization(self) -> dict[str, float]:
-        if self._plan is None:
-            return {}
-        usage: dict[str, float] = {}
-        for spec in self.slice().devices:
-            demand = self._plan.device_demand.get(spec.name)
-            if demand is None:
-                usage[spec.name] = 0.0
-            else:
-                usage[spec.name] = demand.utilization_of(spec.target.capacity)
-        return usage
 
 
 def _with_version(program: Program, version: int) -> Program:

@@ -106,9 +106,7 @@ class FlexHA:
         controller,
         node_count: int = 3,
         seed: int = 0,
-        snapshot_threshold: int | None = 8,
         fencing: bool = True,
-        latency_s: float = 0.005,
     ):
         self.controller = controller
         self.fencing = fencing
@@ -117,8 +115,7 @@ class FlexHA:
             node_count=node_count,
             seed=seed,
             apply_factory=self._apply_factory,
-            snapshot_threshold=snapshot_threshold,
-            latency_s=latency_s,
+            snapshot_threshold=8,
         )
         self._delta_ids = itertools.count(1)
         #: delta ids already executed against the network — the

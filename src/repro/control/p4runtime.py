@@ -271,13 +271,6 @@ class P4RuntimeClient:
         self._read()
         return instance.maps.state(map_name).get(key)
 
-    def write_map_entry(self, map_name: str, key: tuple[int, ...], value: int) -> None:
-        instance = self._instance()
-        if map_name not in instance.maps:
-            raise ControlPlaneError(f"no map {map_name!r}")
-        self._write()
-        instance.maps.state(map_name).put(key, value)
-
     def write_map_entries(
         self, map_name: str, entries: dict[tuple[int, ...], int]
     ) -> int:
@@ -377,7 +370,3 @@ class P4RuntimeHub:
         if device_name not in self.clients:
             raise ControlPlaneError(f"no P4Runtime binding for {device_name!r}")
         return self.clients[device_name]
-
-    @property
-    def total_control_time_s(self) -> float:
-        return sum(c.stats.control_time_s for c in self.clients.values())

@@ -117,7 +117,3 @@ class TelemetryCollector:
             return None
         key = max(rates, key=lambda k: rates[k])
         return key, rates[key]
-
-    def total_rate(self, now: float) -> float:
-        self._evict(now)
-        return len(self._digests) / self.window_s

@@ -69,8 +69,5 @@ class FungibleDatapath:
             encodings={m: e.value for m, e in plan.encodings.items()},
         )
 
-    def components_on(self, device: str) -> list[str]:
-        return self.require_plan().elements_on(device)
-
     def device_of(self, component: str) -> str:
         return self.require_plan().device_of(component)

@@ -43,7 +43,7 @@ from repro.runtime.consistency import ConsistencyChecker, ConsistencyLevel
 from repro.runtime.device import EngineConfig
 from repro.simulator.metrics import RunMetrics
 from repro.simulator.flowgen import ConstantRate, TimedPacket
-from repro.targets import drmt_switch, fpga, host, rmt_switch, smartnic, tiled_switch
+from repro.targets import drmt_switch, host, rmt_switch, smartnic, tiled_switch
 
 from repro.core.datapath import FungibleDatapath
 from repro.core.slo import Slo
@@ -185,13 +185,6 @@ class FlexNet:
         if arch not in factories:
             raise ControlPlaneError(f"unknown switch architecture {arch!r}")
         self.controller.add_device(name, factories[arch](name, **kwargs))
-
-    def add_fpga(self, name: str, **kwargs) -> None:
-        self.controller.add_device(name, fpga(name, **kwargs))
-
-    def add_legacy(self, name: str) -> None:
-        """A non-programmable element (forwards, hosts nothing)."""
-        self.controller.add_device(name, None)
 
     def connect(self, a: str, b: str, latency_s: float = 1e-6) -> None:
         self.controller.add_link(a, b, latency_s)
@@ -381,8 +374,6 @@ class FlexNet:
         self,
         tenant: TenantSpec,
         extension: Program,
-        *,
-        consistency: ConsistencyLevel = ConsistencyLevel.PER_PACKET_PER_DEVICE,
     ) -> TransitionOutcome:
         """Admit a tenant extension synchronously.
 
@@ -398,25 +389,15 @@ class FlexNet:
                 sla_class="gold",
                 spec=tenant,
                 extension=extension,
-                consistency=consistency,
             )
         )
         return self._resolve(ticket)
 
-    def evict_tenant(
-        self,
-        name: str,
-        *,
-        consistency: ConsistencyLevel = ConsistencyLevel.PER_PACKET_PER_DEVICE,
-    ) -> TransitionOutcome:
+    def evict_tenant(self, name: str) -> TransitionOutcome:
         """Evict a tenant synchronously (wrapper over :meth:`submit`)."""
         from repro.cloud.admission import TenantDelta
 
-        ticket = self.submit(
-            TenantDelta(
-                kind="evict", tenant=name, sla_class="gold", consistency=consistency
-            )
-        )
+        ticket = self.submit(TenantDelta(kind="evict", tenant=name, sla_class="gold"))
         return self._resolve(ticket)
 
     def _refresh(self) -> None:
@@ -539,13 +520,6 @@ class FlexNet:
     @property
     def program(self) -> Program:
         return self.controller.program
-
-    def export_program(self) -> str:
-        """The live composed program as normalized FlexBPF source —
-        what an operator reviews after a chain of runtime changes."""
-        from repro.lang.printer import print_program
-
-        return print_program(self.controller.program)
 
     def device(self, name: str):
         return self.controller.devices[name]

@@ -114,9 +114,8 @@ class Analyzer:
     admission to the network.
     """
 
-    def __init__(self, max_packet_ops: int = MAX_PACKET_OPS, max_map_entries: int = MAX_MAP_ENTRIES):
+    def __init__(self, max_packet_ops: int = MAX_PACKET_OPS):
         self._max_packet_ops = max_packet_ops
-        self._max_map_entries = max_map_entries
 
     def certify(
         self,
@@ -174,10 +173,10 @@ class Analyzer:
             )
 
         total_entries = sum(m.max_entries for m in program.maps)
-        if total_entries > self._max_map_entries:
+        if total_entries > MAX_MAP_ENTRIES:
             raise AnalysisError(
                 f"program {program.name!r} declares {total_entries} map entries, "
-                f"over the {self._max_map_entries} admission bound"
+                f"over the {MAX_MAP_ENTRIES} admission bound"
             )
 
         _check_well_behaved(program)

@@ -304,19 +304,12 @@ class AccessSet:
         )
 
     @property
-    def reads_anything(self) -> bool:
-        return bool(self.field_reads or self.meta_reads or self.map_reads)
-
-    @property
     def writes_anything(self) -> bool:
         return bool(self.field_writes or self.meta_writes or self.map_writes)
 
     @property
     def maps(self) -> frozenset[str]:
         return self.map_reads | self.map_writes
-
-    def touches_map(self, map_name: str) -> bool:
-        return map_name in self.map_reads or map_name in self.map_writes
 
     @property
     def referents(self) -> frozenset[tuple[str, str]]:

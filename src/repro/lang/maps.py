@@ -40,9 +40,6 @@ class MapSnapshot:
     def __len__(self) -> int:
         return len(self.entries)
 
-    def as_dict(self) -> dict[Key, int]:
-        return dict(self.entries)
-
 
 class MapState:
     """Mutable per-device contents of one logical map."""

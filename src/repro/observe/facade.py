@@ -28,13 +28,9 @@ DEFAULT_SAMPLE_EVERY = 64
 class Observer:
     """See module docstring."""
 
-    def __init__(
-        self,
-        ring_capacity: int = 65536,
-        sample_every: int = DEFAULT_SAMPLE_EVERY,
-    ):
+    def __init__(self, sample_every: int = DEFAULT_SAMPLE_EVERY):
         self.enabled = False
-        self.tracer = Tracer(capacity=ring_capacity)
+        self.tracer = Tracer()
         self.metrics = MetricsRegistry()
         self.profiler = Profiler()
         self.sample_every = sample_every

@@ -275,8 +275,8 @@ class MetricsRegistry:
             out[name] = {"type": family.kind, "series": series_list}
         return out
 
-    def to_json(self, indent: int | None = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
 
 def export_device_counters(registry: MetricsRegistry, name: str, device) -> None:

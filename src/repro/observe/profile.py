@@ -51,15 +51,11 @@ class Profiler:
             stat.calls += 1
             stat.wall_s += time.perf_counter() - start
 
-    def add_sim(self, name: str, sim_s: float, ops: int = 0) -> None:
+    def add_sim(self, name: str, sim_s: float) -> None:
         """Charge virtual (event-loop) seconds to a phase."""
         stat = self.stat(name)
         stat.calls += 1
         stat.sim_s += sim_s
-        stat.ops += ops
-
-    def add_ops(self, name: str, ops: int) -> None:
-        self.stat(name).ops += ops
 
     def clear(self) -> None:
         self.phases.clear()

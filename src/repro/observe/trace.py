@@ -146,13 +146,13 @@ class Tracer:
                 self._span, end, status="error" if exc_type else "ok"
             )
 
-    def span(self, name: str, kind: str, now, parent=None, end_time=None, **attrs):
+    def span(self, name: str, kind: str, now, end_time=None, **attrs):
         """Context manager for synchronous control-path regions. ``now``
         and ``end_time`` may be callables (e.g. ``lambda: loop.now``) so
         control-path work that advances virtual time is timed correctly;
         ``end_time`` defaults to ``now``."""
         start = now() if callable(now) else now
-        span = self.start_span(name, kind, start, parent=parent, **attrs)
+        span = self.start_span(name, kind, start, **attrs)
         return Tracer._SpanContext(self, span, end_time if end_time is not None else now)
 
     @property
@@ -184,10 +184,6 @@ class Tracer:
             if span.span_id == span_id:
                 return span
         return None
-
-    def children_of(self, span: Span | int) -> list[Span]:
-        parent_id = span.span_id if isinstance(span, Span) else span
-        return [s for s in self._spans if s.parent_id == parent_id]
 
     def clear(self) -> None:
         self._spans.clear()

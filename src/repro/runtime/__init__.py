@@ -20,7 +20,6 @@ from repro.runtime.migration import (
     control_plane_migration,
     data_plane_migration,
     minimum_copy_rate_for_convergence,
-    rounds_to_converge,
 )
 from repro.runtime.reconfig import ReconfigOrchestrator, TransitionReport
 
@@ -42,6 +41,5 @@ __all__ = [
     "make_state_read_service",
     "make_state_write_service",
     "minimum_copy_rate_for_convergence",
-    "rounds_to_converge",
     "version_split",
 ]

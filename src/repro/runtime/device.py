@@ -536,13 +536,6 @@ class DeviceRuntime:
     def in_transition(self) -> bool:
         return self._transition is not None
 
-    @property
-    def staged_instance(self) -> ProgramInstance | None:
-        """The incoming program version while a transition window is open
-        (None otherwise). No library code calls it; it lets a caller
-        inspect the staged version, e.g. which state it shares."""
-        return self._transition.new if self._transition is not None else None
-
     def busy_until(self, now: float) -> float:
         """Earliest time a new transition may start on this device."""
         busy = max(self._unavailable_until, now)

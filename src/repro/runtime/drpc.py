@@ -55,10 +55,6 @@ class RpcStats:
     total_latency_s: float = 0.0
     failures: int = 0
 
-    @property
-    def mean_latency_s(self) -> float:
-        return self.total_latency_s / self.calls if self.calls else 0.0
-
 
 class RpcRegistry:
     """In-network service registry with gossip-style propagation.
@@ -79,10 +75,6 @@ class RpcRegistry:
             raise RpcError(f"service {service.name!r} already registered")
         self._services[service.name] = service
         self._registered_at[service.name] = now
-
-    def unregister(self, name: str) -> None:
-        self._services.pop(name, None)
-        self._registered_at.pop(name, None)
 
     def lookup(self, name: str, now: float = 0.0, hops_from_provider: int = 0) -> ServiceSpec:
         if name not in self._services:
@@ -173,7 +165,7 @@ def make_state_read_service(device: str, map_state, name: str = "state_read") ->
     return ServiceSpec(name=name, device=device, ops=8, handler=handler)
 
 
-def make_state_write_service(device: str, map_state, name: str = "state_write") -> ServiceSpec:
+def make_state_write_service(device: str, map_state) -> ServiceSpec:
     """Write one (key..., value) into a device-resident map."""
 
     def handler(args: tuple[int, ...]) -> tuple[int, ...]:
@@ -183,10 +175,10 @@ def make_state_write_service(device: str, map_state, name: str = "state_write") 
         map_state.put(tuple(key), value)
         return (1,)
 
-    return ServiceSpec(name=name, device=device, ops=10, handler=handler)
+    return ServiceSpec(name="state_write", device=device, ops=10, handler=handler)
 
 
-def make_migrate_service(device: str, source_state, name: str = "migrate_chunk") -> ServiceSpec:
+def make_migrate_service(device: str, source_state) -> ServiceSpec:
     """Stream a chunk of map entries (app-migration primitive): args are
     (offset, limit); returns a flattened (k..., v) sequence."""
 
@@ -203,4 +195,4 @@ def make_migrate_service(device: str, source_state, name: str = "migrate_chunk")
             flat.append(value)
         return tuple(flat)
 
-    return ServiceSpec(name=name, device=device, ops=32, handler=handler)
+    return ServiceSpec(name="migrate_chunk", device=device, ops=32, handler=handler)

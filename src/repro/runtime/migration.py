@@ -13,7 +13,7 @@ Both strategies are modelled over the logical map representation:
   round copies the currently dirty entries at the controller's copy
   rate, while the data plane keeps dirtying entries at the workload's
   update rate. Converges only when the copy rate exceeds the update
-  rate; otherwise gives up after ``max_rounds`` with residual dirt.
+  rate; otherwise gives up after 12 rounds with residual dirt.
 * :func:`data_plane_migration` — in-band transfer: entries piggyback on
   cloned packets at line rate; updates during the transfer are routed
   to *both* instances (swing), so convergence is a single pass and no
@@ -22,13 +22,19 @@ Both strategies are modelled over the logical map representation:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from repro.errors import MigrationError
 from repro.lang.maps import MapState
 from repro.targets.base import StateEncoding
 from repro.compiler.state_encoding import convert
+
+#: A control-plane migration's copy loop: one controller round trip per
+#: round, at most this many rounds, and the final atomic freeze once the
+#: dirty set is down to this many entries.
+_COPY_ROUND_RTT_S = 0.001
+_MAX_COPY_ROUNDS = 12
+_FREEZE_THRESHOLD_ENTRIES = 64
 
 
 @dataclass(frozen=True)
@@ -52,19 +58,15 @@ def control_plane_migration(
     destination: MapState,
     update_rate_per_s: float,
     copy_rate_entries_per_s: float = 10_000.0,
-    rtt_s: float = 0.001,
-    max_rounds: int = 12,
-    dirty_fraction_cap: float = 1.0,
-    freeze_threshold_entries: int = 64,
 ) -> MigrationReport:
     """Iteratively copy ``source`` into ``destination`` via the controller.
 
     Round *i* copies the dirty set left by round *i-1*; while it runs,
     the workload dirties ``update_rate * round_duration`` further entries
     (capped at the map size). Once the dirty set shrinks to
-    ``freeze_threshold_entries`` the migration finishes with one brief
+    ``_FREEZE_THRESHOLD_ENTRIES`` the migration finishes with one brief
     atomic freeze that copies the stragglers. It fails after
-    ``max_rounds`` — the dirty set never contracted — in which case the
+    ``_MAX_COPY_ROUNDS`` — the dirty set never contracted — in which case the
     migration must freeze the live app indefinitely (losing updates) or
     abort.
     """
@@ -74,21 +76,17 @@ def control_plane_migration(
     rounds = 0
     map_capacity = max(source.definition.max_entries, 1)
 
-    while dirty > freeze_threshold_entries and rounds < max_rounds:
+    while dirty > _FREEZE_THRESHOLD_ENTRIES and rounds < _MAX_COPY_ROUNDS:
         rounds += 1
-        round_duration = dirty / copy_rate_entries_per_s + rtt_s
+        round_duration = dirty / copy_rate_entries_per_s + _COPY_ROUND_RTT_S
         elapsed += round_duration
-        dirty = min(
-            update_rate_per_s * round_duration,
-            map_capacity * dirty_fraction_cap,
-            float(map_capacity),
-        )
+        dirty = min(update_rate_per_s * round_duration, float(map_capacity))
 
-    converged = dirty <= freeze_threshold_entries
+    converged = dirty <= _FREEZE_THRESHOLD_ENTRIES
     if converged and dirty > 0:
         # Final atomic freeze over the residual dirty set.
         rounds += 1
-        elapsed += dirty / copy_rate_entries_per_s + rtt_s
+        elapsed += dirty / copy_rate_entries_per_s + _COPY_ROUND_RTT_S
         dirty = 0.0
     # Whatever is still dirty when we give up is lost to the copy.
     updates_lost = int(dirty) if not converged else 0
@@ -165,27 +163,10 @@ def data_plane_migration(
     )
 
 
-def minimum_copy_rate_for_convergence(update_rate_per_s: float, safety: float = 1.25) -> float:
+def minimum_copy_rate_for_convergence(update_rate_per_s: float) -> float:
     """Copy rate a control-plane migration needs to converge.
 
     The dirty recursion ``d' = u * (d / c + rtt)`` contracts only when
-    ``u / c < 1``; the safety factor keeps round counts reasonable.
+    ``u / c < 1``; a safety factor of 1.25 keeps round counts reasonable.
     """
-    return update_rate_per_s * safety
-
-
-def rounds_to_converge(
-    entries: int, update_rate_per_s: float, copy_rate_entries_per_s: float, rtt_s: float = 0.001
-) -> int | None:
-    """Closed-form round estimate for control-plane migration, or None
-    when the recursion does not contract."""
-    ratio = update_rate_per_s / copy_rate_entries_per_s
-    if ratio >= 1.0:
-        return None
-    dirty = float(entries)
-    floor = update_rate_per_s * rtt_s / (1 - ratio)
-    if dirty <= max(floor, 1.0):
-        return 1
-    shrink_per_round = math.log(1.0 / ratio)
-    rounds = math.log(dirty / max(floor, 1.0)) / shrink_per_round if shrink_per_round else 1
-    return max(int(math.ceil(rounds)), 1)
+    return update_rate_per_s * 1.25

@@ -398,12 +398,11 @@ def step_inline(engines: dict[int, "ShardEngine"]) -> None:
             engines[dst].deliver(guarantee)
 
 
-def run_inline(engines: dict[int, "ShardEngine"], max_windows: int = 1_000_000) -> None:
-    """Drive inline shards to quiescence at the end horizon."""
-    for _ in range(max_windows):
+def run_inline(engines: dict[int, "ShardEngine"]) -> None:
+    """Drive inline shards to quiescence at the end horizon (within a
+    million windows)."""
+    for _ in range(1_000_000):
         if all(engine.finished() for engine in engines.values()):
             return
         step_inline(engines)
-    raise SimulationError(
-        f"inline shard run did not quiesce within {max_windows} windows"
-    )
+    raise SimulationError("inline shard run did not quiesce within 1000000 windows")

@@ -669,9 +669,10 @@ def seeded_corpus(count: int, seed: int = 2024) -> list[Packet]:
     return packets
 
 
-def seeded_rules(program: ir.Program, instance, seed: int = 99, per_table: int = 6):
+def seeded_rules(program: ir.Program, instance, seed: int = 99):
     """Install a deterministic rule set compatible with every table of
-    ``program`` (same rules for every instance given the same seed)."""
+    ``program``, up to six rules a table (same rules for every instance
+    given the same seed)."""
     from repro.simulator.tables import exact, lpm, rng as range_match, ternary
 
     rand = random.Random(seed)
@@ -679,7 +680,7 @@ def seeded_rules(program: ir.Program, instance, seed: int = 99, per_table: int =
         rules = instance.rules[table.name]
         if not table.actions:
             continue
-        for _ in range(min(per_table, table.size)):
+        for _ in range(min(6, table.size)):
             matches = []
             for key in table.keys:
                 width = program.field_width(key.field)

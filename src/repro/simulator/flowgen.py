@@ -16,8 +16,8 @@ from dataclasses import dataclass
 from itertools import accumulate, islice
 
 from repro.simulator.packet import (
+    STANDARD_CARRIED,
     Packet,
-    carried_headers,
     make_packet,
     reserve_packet_ids,
     standard_headers,
@@ -108,7 +108,11 @@ class Series(Sequence[TimedPacket]):
         (the caller's own packets, read back as they are)."""
         if isinstance(workload, Series):
             return workload
-        return cls([timed.time for timed in workload], [timed.packet for timed in workload])
+        times, packets = [], []
+        for timed in workload:  # read once: ``workload`` may be a generator
+            times.append(timed.time)
+            packets.append(timed.packet)
+        return cls(times, packets)
 
     def __len__(self) -> int:
         return len(self.times)
@@ -155,8 +159,6 @@ class PoissonFlows(Series):
         flow_count: int,
         seed: int = 7,
         start_s: float = 0.0,
-        vlan_id: int = 0,
-        subnet: int = 0x0A000000,
         limit: int | None = None,
     ):
         times, flows, templates = array("d"), array("L"), {}
@@ -165,13 +167,9 @@ class PoissonFlows(Series):
             times.append(time)
             flows.append(flow)
             if flow not in templates:
-                fields, meta = _flow_headers(flow, vlan_id, subnet)
+                fields, meta = _flow_headers(flow)
                 templates[flow] = (fields, meta, _SIZE_BYTES)
         super().__init__(times, _Copies(times, templates, flows, reserve_packet_ids(len(times))))
-
-
-#: the headers :func:`standard_headers` gives a packet, derived once.
-_STANDARD_CARRIED = carried_headers(standard_headers(0, 0)[0])
 
 
 class _Copies(Sequence[Packet]):
@@ -180,7 +178,7 @@ class _Copies(Sequence[Packet]):
     when ``flows`` is None), created at ``times[i]``, with id ``first +
     i``. Each read builds a new packet. Every template holds
     :func:`standard_headers`, so every packet shares the one set of
-    carried headers ``_STANDARD_CARRIED``."""
+    carried headers ``STANDARD_CARRIED``."""
 
     __slots__ = ("_times", "_templates", "_flows", "_first", "_count")
 
@@ -211,7 +209,7 @@ class _Copies(Sequence[Packet]):
             size_bytes,
             self._times[index],
             self._first + index,
-            headers=_STANDARD_CARRIED,
+            headers=STANDARD_CARRIED,
         )
 
 
@@ -240,10 +238,14 @@ def _poisson_draws(
         yield time, bisect(cumulative, rng.random() * (cumulative[-1] + 0.0), 0, flow_count - 1)
 
 
-def _flow_headers(flow: int, vlan_id: int, subnet: int):
+#: the /8 every flow of :func:`poisson_flows` is addressed in.
+_FLOW_SUBNET = 0x0A000000
+
+
+def _flow_headers(flow: int):
     """The headers of every packet of flow ``flow`` of :func:`poisson_flows`."""
     return standard_headers(
-        src_ip=subnet | (flow + 1), dst_ip=subnet | 0xFFFE, src_port=10000 + flow, vlan_id=vlan_id
+        src_ip=_FLOW_SUBNET | (flow + 1), dst_ip=_FLOW_SUBNET | 0xFFFE, src_port=10000 + flow
     )
 
 
@@ -253,15 +255,14 @@ def poisson_flows(
     flow_count: int,
     seed: int = 7,
     start_s: float = 0.0,
-    vlan_id: int = 0,
-    subnet: int = 0x0A000000,
 ) -> Iterator[TimedPacket]:
     """Poisson packet arrivals spread over ``flow_count`` flows, with
     Zipf-like flow popularity (the draws of :func:`_poisson_draws`).
     :class:`PoissonFlows` is the same stream as a series."""
     for time, flow in _poisson_draws(rate_pps, duration_s, flow_count, seed, start_s):
-        fields, meta = _flow_headers(flow, vlan_id, subnet)
-        yield TimedPacket(time=time, packet=Packet(fields=fields, meta=meta, created_at=time))
+        fields, meta = _flow_headers(flow)
+        packet = Packet(fields, meta, created_at=time, headers=STANDARD_CARRIED)
+        yield TimedPacket(time=time, packet=packet)
 
 
 def syn_flood(

@@ -74,6 +74,9 @@ class Verdict(enum.Enum):
     LOST = "lost"  # infrastructure loss (drain, queue overflow)
 
 
+_FORWARD = Verdict.FORWARD
+
+
 class Packet:
     """One simulated packet (a slotted record: no per-instance dict).
 
@@ -81,8 +84,9 @@ class Packet:
     validity bits: every parse, compiled or interpreted, and the
     pass-through lane read header presence from it and never rescan
     ``fields``. It is derived from ``fields`` when the packet is built
-    (a generated series passes one set it derived once, and every packet
-    it builds shares it), and it never goes stale: assigning ``fields``
+    (a packet built from :func:`standard_headers`, by :func:`make_packet`
+    or a generated series, shares the one set ``STANDARD_CARRIED``), and
+    it never goes stale: assigning ``fields``
     derives it again, and :meth:`set_field` of a header the packet
     lacks adds it, as P4's ``setValid`` does. A
     program cannot add a header: the interpreter and the generated
@@ -113,11 +117,6 @@ class Packet:
         size_bytes: int = 256,
         created_at: float = 0.0,
         packet_id: int | None = None,
-        versions_seen: dict[str, int] | None = None,
-        path: list[str] | None = None,
-        verdict: Verdict = Verdict.FORWARD,
-        delivered_at: float | None = None,
-        digests: list[tuple[str, tuple[int, ...]]] | None = None,
         *,
         headers: frozenset[str] | None = None,
     ):
@@ -128,13 +127,13 @@ class Packet:
         self.created_at = created_at
         self.packet_id = next(_packet_ids) if packet_id is None else packet_id
         #: device name -> program version that processed this packet there.
-        self.versions_seen = {} if versions_seen is None else versions_seen
+        self.versions_seen: dict[str, int] = {}
         #: device names traversed, in order.
-        self.path = [] if path is None else path
-        self.verdict = verdict
-        self.delivered_at = delivered_at
+        self.path: list[str] = []
+        self.verdict = _FORWARD
+        self.delivered_at: float | None = None
         #: digests emitted toward the controller while processing.
-        self.digests = [] if digests is None else digests
+        self.digests: list[tuple[str, tuple[int, ...]]] = []
 
     @property
     def fields(self) -> dict[tuple[str, str], int]:
@@ -180,10 +179,6 @@ class Packet:
         if header not in self.headers:
             self.headers = self.headers | {header}
 
-    def has_header(self, header: str) -> bool:
-        """Whether the packet carries ``header`` (its validity bit)."""
-        return header in self.headers
-
     @property
     def dropped(self) -> bool:
         return self.verdict is not Verdict.FORWARD
@@ -202,7 +197,6 @@ def make_packet(
     src_port: int = 12345,
     dst_port: int = 80,
     vlan_id: int = 0,
-    size_bytes: int = 256,
     created_at: float = 0.0,
     ttl: int = 64,
     tcp_flags: int = 0x10,
@@ -212,7 +206,7 @@ def make_packet(
     fields, meta = standard_headers(
         src_ip, dst_ip, proto, src_port, dst_port, vlan_id, ttl, tcp_flags
     )
-    return Packet(fields=fields, meta=meta, size_bytes=size_bytes, created_at=created_at)
+    return Packet(fields, meta, created_at=created_at, headers=STANDARD_CARRIED)
 
 
 def standard_headers(
@@ -241,6 +235,11 @@ def standard_headers(
     }
     meta = {"vlan_id": vlan_id, "ingress_port": 0, "drop_flag": 0, "egress_port": 0}
     return fields, meta
+
+
+#: the headers :func:`standard_headers` gives every packet, derived once
+#: and shared by every packet built from them.
+STANDARD_CARRIED = carried_headers(standard_headers(0, 0)[0])
 
 
 @dataclass(frozen=True)

@@ -19,16 +19,12 @@ from repro.targets.base import (
 from repro.targets.resources import ResourceVector
 
 
-def fpga(
-    name: str,
-    kilo_luts: float = 1200.0,
-    bram_mb: float = 48.0,
-    regions: int = 8,
-) -> Target:
-    """Build an FPGA target with ``regions`` partial-reconfiguration slots."""
+def fpga(name: str) -> Target:
+    """Build an FPGA target: 1200 kLUTs, 48 MB of BRAM and eight
+    partial-reconfiguration slots."""
     capacity = ResourceVector(
-        luts=kilo_luts,
-        bram_kb=bram_mb * 1024.0,
+        luts=1200.0,
+        bram_kb=48.0 * 1024.0,
     )
     reconfig = ReconfigCostModel(
         add_table_s=0.08,  # partial reconfiguration of one region
@@ -55,5 +51,5 @@ def fpga(
         encodings=(StateEncoding.REGISTER, StateEncoding.SOC_MEMORY),
         tier="nic",
         max_function_ops=None,
-        params={"regions": regions},
+        params={"regions": 8},
     )

@@ -23,17 +23,15 @@ from repro.targets.resources import ResourceVector
 def tiled_switch(
     name: str,
     hash_tiles: int = 96,
-    index_tiles: int = 48,
     tcam_tiles: int = 24,
-    pem_elems: int = 64,
-    tile_kb: float = 64.0,
 ) -> Target:
-    """Build a Trident4/Jericho2-like tiled switch target."""
+    """Build a Trident4/Jericho2-like tiled switch target (48 index
+    tiles, 64 PEM elements, 64 KB tiles)."""
     capacity = ResourceVector(
         hash_tiles=hash_tiles,
-        index_tiles=index_tiles,
+        index_tiles=48,
         tcam_tiles=tcam_tiles,
-        pem_elems=pem_elems,
+        pem_elems=64,
         parser_states=224,
     )
     reconfig = ReconfigCostModel(
@@ -61,5 +59,5 @@ def tiled_switch(
         encodings=(StateEncoding.STATEFUL_TABLE,),
         tier="switch",
         max_function_ops=96,  # PEM elements host moderate bodies
-        params={"tile_kb": tile_kb},
+        params={"tile_kb": 64.0},
     )

@@ -72,8 +72,8 @@ class TestAccessSet:
     def test_union_and_predicates(self):
         a = AccessSet(map_reads=frozenset({"m"}))
         c = a | AccessSet(meta_writes=frozenset({"k"}))
-        assert c.reads_anything and c.writes_anything
-        assert c.touches_map("m") and not c.touches_map("x")
+        assert c.map_reads == {"m"} and c.meta_writes == {"k"}
+        assert c.writes_anything and c.maps == {"m"}
 
     def test_to_dict_is_sorted_strings(self):
         access = AccessSet(

@@ -2,12 +2,15 @@
 
 import json
 
-import pytest
-
 from repro.analysis.corpus import bundled_programs
 from repro.analysis.vet import StateClass, VetReport, vet
 from repro.apps.base import base_infrastructure as base_program
 from repro.lang import builder as b
+
+
+def verdict_of(verdicts, name):
+    """The verdict on element or map ``name``."""
+    return next(verdict for verdict in verdicts if verdict.name == name)
 
 
 def corpus(label):
@@ -20,16 +23,16 @@ def corpus(label):
 class TestBaseProgram:
     def test_flow_counts_is_per_flow(self):
         report = vet(base_program())
-        verdict = report.map_vet("flow_counts")
+        verdict = verdict_of(report.maps, "flow_counts")
         assert verdict.state_class is StateClass.PER_FLOW
         assert verdict.partition_fields == ("ipv4.src", "ipv4.dst")
         assert verdict.writers == ("count_flow",)
 
     def test_element_classes(self):
         report = vet(base_program())
-        assert report.element_vet("count_flow").state_class is StateClass.PER_FLOW
+        assert verdict_of(report.elements, "count_flow").state_class is StateClass.PER_FLOW
         for name in ("acl", "l2", "l3", "ttl_guard"):
-            assert report.element_vet(name).state_class is StateClass.STATELESS
+            assert verdict_of(report.elements, name).state_class is StateClass.STATELESS
 
     def test_batch_safe_with_flow_key(self):
         # The id predates the batch-safety verdict's removal; what it
@@ -53,13 +56,13 @@ class TestCorpusClassification:
         # directions of one connection alias a single entry, so no
         # field partition separates its writers from its readers.
         report = vet(corpus("firewall"))
-        verdict = report.map_vet("fw_conns")
+        verdict = verdict_of(report.maps, "fw_conns")
         assert verdict.state_class is StateClass.CROSS_FLOW
         assert any("disagrees" in reason for reason in verdict.reasons)
 
     def test_hash_bucket_is_cross_flow(self):
         report = vet(corpus("loadbalancer"))
-        verdict = report.map_vet("lb_load")
+        verdict = verdict_of(report.maps, "lb_load")
         assert verdict.state_class is StateClass.CROSS_FLOW
         assert any("hash bucket" in reason for reason in verdict.reasons)
 
@@ -67,7 +70,7 @@ class TestCorpusClassification:
         # NAT rewrites ipv4.src/ipv4.dst, so a map keyed by them no
         # longer partitions by the *ingress* flow.
         report = vet(corpus("nat"))
-        verdict = report.map_vet("flow_counts")
+        verdict = verdict_of(report.maps, "flow_counts")
         assert verdict.state_class is StateClass.CROSS_FLOW
         assert any("rewritten" in reason for reason in verdict.reasons)
 
@@ -125,7 +128,7 @@ class TestDemotionRules:
             .build()
         )
         report = vet(program)
-        verdict = report.map_vet("global_count")
+        verdict = verdict_of(report.maps, "global_count")
         assert verdict.state_class is StateClass.CROSS_FLOW
         assert any("constants" in reason for reason in verdict.reasons)
 
@@ -140,7 +143,7 @@ class TestDemotionRules:
             .build()
         )
         report = vet(program)
-        assert report.map_vet("policy").state_class is StateClass.STATELESS
+        assert verdict_of(report.maps, "policy").state_class is StateClass.STATELESS
         assert report.stateless
 
 
@@ -152,13 +155,6 @@ class TestReportProtocol:
         assert "flow_counts" in text
         payload = json.loads(json.dumps(report.to_dict()))
         assert payload["maps"][0]["name"] == "flow_counts"
-
-    def test_lookup_errors(self):
-        report = vet(base_program())
-        with pytest.raises(KeyError):
-            report.map_vet("ghost")
-        with pytest.raises(KeyError):
-            report.element_vet("ghost")
 
     def test_maps_of_class_and_stateful(self):
         report = vet(corpus("firewall"))

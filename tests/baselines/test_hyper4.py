@@ -3,6 +3,7 @@
 import pytest
 
 from repro.apps.base import base_infrastructure
+from repro.baselines import hyper4
 from repro.baselines.hyper4 import Hyper4Device
 from repro.lang.analyzer import certify
 from repro.targets import drmt_switch
@@ -16,13 +17,13 @@ def device():
 class TestEmulation:
     def test_op_overhead_applied(self, device, base_certificate):
         report = device.deploy(base_certificate)
-        assert report.emulated_ops == int(report.native_ops * device.op_overhead)
+        assert report.emulated_ops == int(report.native_ops * hyper4.OP_OVERHEAD)
         assert report.emulated_latency_ns > report.native_latency_ns
 
     def test_memory_inflation(self, device, base_certificate):
         report = device.deploy(base_certificate)
         assert report.emulated_memory_kb == pytest.approx(
-            report.native_memory_kb * device.memory_overhead
+            report.native_memory_kb * hyper4.MEMORY_OVERHEAD
         )
 
     def test_deploy_is_rule_install_speed(self, device, base_certificate):

@@ -58,7 +58,7 @@ class TestEncodeDecode:
         original = snapshot(50)
         encoded = encode(original, encoding)
         decoded = decode(encoded, version=1)
-        assert decoded.as_dict() == original.as_dict()
+        assert dict(decoded.entries) == dict(original.entries)
 
     def test_register_encoding_hashes_keys(self):
         encoded = encode(snapshot(10), StateEncoding.REGISTER, register_slots=4096)
@@ -80,7 +80,7 @@ class TestConversion:
         )
         assert report.lossless
         assert report.entries_out == 20
-        assert arrived.as_dict() == snapshot(20).as_dict()
+        assert dict(arrived.entries) == dict(snapshot(20).entries)
 
     def test_associative_to_register_not_lossless_flagged(self):
         _, report = convert(
@@ -103,4 +103,4 @@ class TestConversion:
         )
         assert report.entries_out == 10
         # keys are now indexes, not original sources
-        assert set(arrived.as_dict().values()) == {i * 100 for i in range(1, 11)}
+        assert set(dict(arrived.entries).values()) == {i * 100 for i in range(1, 11)}

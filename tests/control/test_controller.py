@@ -159,7 +159,7 @@ class TestAppLifecycle:
         walk_counts.clear()
         controller.loop.run_until(outcome.report.finished_at)
         assert {m.map_name for m in outcome.report.migrations} == {"by_src", "by_dst"}
-        assert controller.devices["sw1"].staged_instance.maps.state("by_src").get((10,)) == 7
+        assert controller.devices["sw1"]._transition.new.maps.state("by_src").get((10,)) == 7
         assert walk_counts["certify"] == 0
 
     def test_migrate_to_unknown_device_rejected(self, controller):
@@ -284,10 +284,3 @@ class TestGcLoop:
         assert not controller.program.has_map("cache")
         assert controller.plan.placement["need"] == "sw1"
         assert_live_facts_fresh(controller)
-
-
-class TestReporting:
-    def test_device_utilization_nonzero_on_host_device(self, controller):
-        utilization = controller.device_utilization()
-        assert utilization["sw1"] > 0
-        assert utilization["h1"] == 0

@@ -76,7 +76,7 @@ class TestMapAccess:
 
     def test_write_map_entry(self, bound):
         device, client = bound
-        client.write_map_entry("flow_counts", (7, 7), 55)
+        client.write_map_entries("flow_counts", {(7, 7): 55})
         assert device.active_instance.maps.state("flow_counts").get((7, 7)) == 55
 
     def test_unknown_map_rejected(self, bound):
@@ -107,6 +107,6 @@ class TestHub:
     def test_total_control_time(self, base_program):
         device = DeviceRuntime("sw1", drmt_switch("sw1"))
         device.install(base_program)
-        hub = P4RuntimeHub()
-        hub.bind(device).table_size("acl")
-        assert hub.total_control_time_s > 0
+        client = P4RuntimeHub().bind(device)
+        client.table_size("acl")
+        assert client.stats.control_time_s > 0

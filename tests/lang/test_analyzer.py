@@ -218,7 +218,8 @@ class TestATablesDefaultActionIsOneItMayRun:
         facts = ProgramFacts.of(program)
         assert facts.dataflow.element_access("acl").map_writes == {"flow_counts"}
         assert set(facts.certificate.profile("acl").map_writes) == {"flow_counts"}
-        assert "acl" in vet(program).map_vet("flow_counts").writers
+        verdicts = {verdict.name: verdict for verdict in vet(program).maps}
+        assert "acl" in verdicts["flow_counts"].writers
 
     def test_placement_and_the_optimizer_see_its_field_writes(self):
         base = base_infrastructure()

@@ -96,7 +96,7 @@ class TestSnapshots:
         source.put((1,), 10)
         snapshot = source.snapshot()
         source.put((1,), 99)
-        assert snapshot.as_dict()[(1,)] == 10
+        assert dict(snapshot.entries)[(1,)] == 10
 
     def test_restore_wrong_map_rejected(self):
         other = MapState(

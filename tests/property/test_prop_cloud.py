@@ -16,6 +16,7 @@ from repro.core.flexnet import FlexNet
 from repro.lang import builder as b
 from repro.lang.builder import ProgramBuilder
 from repro.lang.composition import Permission, TenantSpec
+from repro.lang.printer import print_program
 from repro.observe.report import divergences
 from repro.runtime.consistency import ConsistencyLevel
 from repro.simulator.packet import reset_packet_ids
@@ -88,7 +89,7 @@ def run_churn(program, coalesce):
             state.name: tuple(sorted(state.items())) for state in instance.maps
         }
     return {
-        "source": net.export_program(),
+        "source": print_program(net.program),
         "version": net.program.version,
         "decisions": [(t.delta.tenant, t.state) for t in tickets],
         "metrics": report.metrics.to_dict(),

@@ -11,7 +11,6 @@ from repro.runtime.migration import (
     control_plane_migration,
     data_plane_migration,
     minimum_copy_rate_for_convergence,
-    rounds_to_converge,
 )
 from repro.targets.base import StateEncoding
 
@@ -134,18 +133,3 @@ class TestDataPlane:
 class TestClosedForms:
     def test_minimum_copy_rate(self):
         assert minimum_copy_rate_for_convergence(1000.0) == pytest.approx(1250.0)
-
-    def test_rounds_none_when_divergent(self):
-        assert rounds_to_converge(1000, 20_000.0, 10_000.0) is None
-
-    def test_rounds_positive_when_convergent(self):
-        rounds = rounds_to_converge(100_000, 1_000.0, 50_000.0)
-        assert rounds is not None and rounds >= 1
-
-    def test_rounds_match_simulation_roughly(self):
-        estimate = rounds_to_converge(1000, 100.0, 10_000.0)
-        report = control_plane_migration(
-            make_state(1000), make_state(0), update_rate_per_s=100.0,
-            copy_rate_entries_per_s=10_000.0,
-        )
-        assert abs(report.rounds - estimate) <= 2

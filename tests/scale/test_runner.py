@@ -232,6 +232,21 @@ class TestSeriesIdentity:
         listed = net.run_traffic(packets=list(workload), extra_time_s=DRAIN_S).to_dict()
         assert divergences(expected, listed) == []
 
+    def test_a_generator_runs_as_the_list_it_yields(self):
+        """A one-shot iterable is read once: a generator workload gives
+        the traffic report of its list through ``run_traffic`` and
+        through ``scale``."""
+        net, workload = _arm()
+        expected = net.run_traffic(packets=list(workload), extra_time_s=DRAIN_S).to_dict()
+        net, workload = _arm()
+        generated = (timed for timed in workload)
+        report = net.run_traffic(packets=generated, extra_time_s=DRAIN_S)
+        assert divergences(expected, report.to_dict()) == []
+        net, workload = _arm()
+        generated = (timed for timed in workload)
+        scaled = net.scale(2, backend="inline", packets=generated, seed=11, drain_s=DRAIN_S)
+        assert divergences(expected, scaled.traffic_dict()) == []
+
 
 class TestFailureModes:
     def test_drain_too_small_fails_loudly(self):

@@ -79,7 +79,7 @@ def acl_rule(src=0xBAD):
 # ---------------------------------------------------------------------------
 
 
-class TestFlowCache:
+class TestRepeatFlowsOnAnInstance:
     def test_batch_groups_and_hits(self):
         """Flow-mates share one decision per table: the first scans,
         the rest probe, and every one of them is counted."""
@@ -282,11 +282,11 @@ class TestDeviceFlowCache:
         for arm in (device, reference):
             arm.begin_hitless_update(patched, now=1.0, duration_s=0.2,
                                      hosted_elements=set(new_hosted))
-        assert device.staged_instance.fastpath_enabled
+        assert device._transition.new.fastpath_enabled
         # Both versions run over one physical ``acl``: what it remembers
         # depends on its rules alone, so the open window keeps it.
-        assert device.staged_instance.rules["acl"] is device.active_instance.rules["acl"]
-        assert len(remembered(device.staged_instance, "acl")) == 6
+        assert device._transition.new.rules["acl"] is device.active_instance.rules["acl"]
+        assert len(remembered(device._transition.new, "acl")) == 6
 
         # During and after the window the two devices agree packet for
         # packet, the new version's ``fw_block`` included.

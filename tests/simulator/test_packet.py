@@ -8,9 +8,11 @@ import pytest
 from repro.simulator.flowgen import ConstantRate, PoissonFlows
 from repro.simulator.packet import (
     PACKET_ID_SHARD_SHIFT,
+    STANDARD_CARRIED,
     FiveTuple,
     Packet,
     Verdict,
+    carried_headers,
     make_packet,
     reset_packet_ids,
 )
@@ -21,8 +23,8 @@ class TestPacket:
         packet = make_packet(src_ip=1, dst_ip=2, proto=6)
         assert packet.get_field("ipv4", "src") == 1
         assert packet.get_field("ipv4", "dst") == 2
-        assert packet.has_header("ethernet")
-        assert packet.has_header("tcp")
+        assert "ethernet" in packet.headers
+        assert "tcp" in packet.headers
 
     def test_unique_ids(self):
         assert make_packet(1, 2).packet_id != make_packet(1, 2).packet_id
@@ -65,13 +67,13 @@ class TestCarriedHeaders:
         packet = make_packet(1, 2)
         assert packet.headers == frozenset({"ethernet", "ipv4", "tcp"}) == derived(packet)
         assert Packet(fields={}).headers == frozenset()
-        assert not Packet(fields={}).has_header("ethernet")
+        assert "ethernet" not in Packet(fields={}).headers
 
     def test_replacing_fields_derives_it_again(self):
         packet = make_packet(1, 2)
         packet.fields = {key: value for key, value in packet.fields.items() if key[0] != "tcp"}
         assert packet.headers == frozenset({"ethernet", "ipv4"}) == derived(packet)
-        assert not packet.has_header("tcp")
+        assert "tcp" not in packet.headers
         packet.fields = {}
         assert packet.headers == frozenset()
 
@@ -81,7 +83,7 @@ class TestCarriedHeaders:
         packet.set_field("ipv4", "ttl", 3)
         assert packet.headers is before  # a carried header: nothing to add
         packet.set_field("vxlan", "vni", 42)
-        assert packet.has_header("vxlan")
+        assert "vxlan" in packet.headers
         assert packet.headers == before | {"vxlan"} == derived(packet)
         assert "vxlan" not in before  # the old set is not mutated: copies may share it
 
@@ -94,6 +96,15 @@ class TestCarriedHeaders:
             clone.set_field("tcp", "flags", 2)
             assert clone.headers == derived(clone)
         assert packet.headers == frozenset({"ethernet", "ipv4"})
+
+    def test_make_packet_shares_the_standard_set(self):
+        packet, other = make_packet(1, 2), make_packet(3, 4, proto=17, vlan_id=5)
+        assert packet.headers is STANDARD_CARRIED is other.headers
+        assert STANDARD_CARRIED == carried_headers(packet.fields)
+        packet.set_field("vxlan", "vni", 7)
+        assert "vxlan" in packet.headers
+        assert other.headers is STANDARD_CARRIED
+        assert STANDARD_CARRIED == frozenset({"ethernet", "ipv4", "tcp"})
 
     def test_a_series_shares_one_set(self):
         rate = ConstantRate(1000.0, 0.005)
