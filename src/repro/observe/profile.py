@@ -1,4 +1,4 @@
-"""FlexScope profiling: per-phase wall/sim/op-cost accounting.
+"""FlexScope profiling: per-phase wall/sim accounting.
 
 The profiler answers "where does a runtime change spend its time":
 compile (placement, stage bin-packing), analysis, scheduling, and the
@@ -23,7 +23,6 @@ class PhaseStat:
     calls: int = 0
     wall_s: float = 0.0
     sim_s: float = 0.0
-    ops: int = 0
 
     @property
     def mean_wall_s(self) -> float:
@@ -66,7 +65,7 @@ class Profiler:
         out: dict = {}
         for name in sorted(self.phases):
             stat = self.phases[name]
-            entry: dict = {"calls": stat.calls, "sim_s": round(stat.sim_s, 9), "ops": stat.ops}
+            entry: dict = {"calls": stat.calls, "sim_s": round(stat.sim_s, 9)}
             if include_wall:
                 entry["wall_s"] = round(stat.wall_s, 6)
             out[name] = entry
@@ -84,13 +83,12 @@ class Profiler:
                     f"{stat.wall_s * 1e3:.2f}",
                     f"{stat.mean_wall_s * 1e3:.3f}",
                     f"{stat.sim_s:.4f}",
-                    stat.ops,
                 ]
             )
         return rows
 
     def render(self) -> str:
-        headers = ["phase", "calls", "wall ms", "mean ms", "sim s", "ops"]
+        headers = ["phase", "calls", "wall ms", "mean ms", "sim s"]
         rows = self.rows()
         widths = [
             max(len(str(headers[i])), *(len(str(r[i])) for r in rows)) if rows else len(headers[i])

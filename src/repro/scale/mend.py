@@ -9,8 +9,9 @@ giving up determinism. Two mechanisms compose (DESIGN.md §4l):
   window; handoffs inside it are identified by ``(packet_id,
   hop_index)`` — so the effective dedup key is
   ``(packet_id, hop_index, window)``), and NACK gaps. Senders retain
-  every batch they send for the whole run, so a receiver's inbound
-  stream can always be replayed from its first frame.
+  every batch they send for the whole run, as the bytes it was encoded
+  to, so a receiver's inbound stream can always be replayed from its
+  first frame.
 * **A supervisor** — the coordinator detects death via process
   sentinels and heartbeats (one per round while chaos is armed, one
   per poll interval otherwise), forks a fresh worker for the dead shard
@@ -47,7 +48,13 @@ from repro import limits
 from repro.errors import SimulationError
 from repro.faults.plan import FaultPlan
 from repro.observe.metrics import MetricsRegistry
-from repro.scale.shard import Injections, ShardEngine, ShardResult
+from repro.scale.shard import (
+    Injections,
+    ShardEngine,
+    ShardResult,
+    decode_frame,
+    encode_frame,
+)
 from repro.simulator.packet import reset_packet_ids
 from repro.util import stable_hash
 
@@ -172,8 +179,12 @@ class MendTransport:
 
     Wire frames (first element is the kind):
 
-    * ``("batch", src, seq, messages)`` — one round's handoffs +
-      guarantee from ``src`` under per-edge sequence ``seq``.
+    * ``("batch", src, seq, messages)`` — one round's messages from
+      ``src`` under per-edge sequence ``seq``. The transport never
+      looks inside them: a worker sends one message, the round's
+      handoffs and guarantee encoded as one ``bytes`` payload
+      (:func:`~repro.scale.shard.encode_frame`), so what it retains
+      and replays is bytes.
     * ``("nack", requester, seq)`` — receiver is missing a seq; resend.
     * ``("replay", requester)`` — supervisor-initiated: ``requester``
       was re-forked; resend every batch ever sent to it, from seq 1.
@@ -390,12 +401,12 @@ def _worker_main(
     """
     try:
         _pin_to_own_cpu(plan.populated_shards.index(shard_id))
-        # This process computes on its main thread while the mp queues'
-        # feeder threads only pickle and write frames. At the default
-        # 5 ms switch interval a frame put just before a window's
-        # advance sits out the whole advance waiting for the GIL, the
-        # neighbor idles, and the fleet flips between running in
-        # parallel and in turns depending on who blocked first.
+        # This process computes (and pickles its frames) on its main
+        # thread while the mp queues' feeder threads only write bytes.
+        # At the default 5 ms switch interval a frame put just before a
+        # window's advance sits out the whole advance waiting for the
+        # GIL, the neighbor idles, and the fleet flips between running
+        # in parallel and in turns depending on who blocked first.
         sys.setswitchinterval(limits.SCALE_WORKER_SWITCH_INTERVAL_S)
         # CPU-seconds measurement only — it feeds the E20 capacity
         # metric (aggregate pps = packets / max shard CPU) and never
@@ -414,6 +425,11 @@ def _worker_main(
         reset_packet_ids(shard_id + 1)
         engine = ShardEngine.private(shard_id, plan, net, end_time, injections)
         inbox = inboxes[shard_id]
+
+        def deliver_frame(payload: bytes) -> None:
+            for message in decode_frame(payload):
+                engine.deliver(message)
+
         # An armed run heartbeats every round: the window of the last
         # heartbeat is where a death with no fault event is accounted.
         # Otherwise heartbeats only feed the stall detector, and one per
@@ -429,14 +445,14 @@ def _worker_main(
             outbox = engine.take_outbox()
             guarantees = engine.guarantees_out()
             # One frame per out-neighbor per round — the handoffs
-            # followed by the guarantee covering them. Handoffs stay in
-            # per-producer FIFO order (the window-completeness invariant)
-            # and the constant frame-per-edge-per-round rate is what
-            # lets sequence numbers double as round numbers.
+            # followed by the guarantee covering them, encoded here as
+            # one payload (the transport retains and replays the bytes).
+            # Handoffs stay in per-producer FIFO order (the
+            # window-completeness invariant) and the constant
+            # frame-per-edge-per-round rate is what lets sequence
+            # numbers double as round numbers.
             for dst in sorted(guarantees):
-                batch: list = list(outbox.get(dst, ()))
-                batch.append(guarantees[dst])
-                transport.send(dst, batch)
+                transport.send(dst, [encode_frame(outbox.get(dst, ()), guarantees[dst])])
             # Wall-clock pacing only; never touches simulation state.
             now = time.monotonic()
             if armed or now >= hb_due:
@@ -498,7 +514,7 @@ def _worker_main(
                     continue
                 if transport.ingest(frame) in ("poison", "shutdown"):
                     return
-            transport.release(round_no, engine.deliver)
+            transport.release(round_no, deliver_frame)
         shard_result = engine.result()
         shard_result.cpu_s = time.process_time() - cpu_start
         shard_result.mend = {

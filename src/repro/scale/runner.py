@@ -9,7 +9,8 @@ protocol:
 * ``process`` — one OS worker per populated shard, forked so device
   objects and FlexPath's generated functions are inherited without pickling;
   handoffs and guarantees flow over per-shard ``multiprocessing``
-  queues (sequenced by the FlexMend transport), results come back on a
+  queues as one encoded frame per edge per round (sequenced by the
+  FlexMend transport), results come back on a
   shared result queue as picklable
   :class:`~repro.scale.shard.ShardResult` snapshots. The coordinator
   side is the FlexMend :class:`~repro.scale.mend.Supervisor`: it

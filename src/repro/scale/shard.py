@@ -60,6 +60,7 @@ outlive it (a health monitor's probe re-arms itself forever).
 from __future__ import annotations
 
 import math
+import pickle
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
@@ -70,7 +71,7 @@ from repro.simulator.engine import EventLoop
 from repro.simulator.flowgen import Series, TimedPacket
 from repro.simulator.metrics import LatencyStats, RunMetrics
 from repro.simulator.network import Network
-from repro.simulator.packet import Packet
+from repro.simulator.packet import Packet, packet_from_record
 
 #: What a shard of an N-shard run injects: ``packets[i]`` along the hop
 #: tuple ``hops`` from ``times[i]`` (``(hops, times, packets)``).
@@ -82,20 +83,55 @@ Injections = tuple[tuple[str, ...], Sequence[float], Sequence[Packet]]
 MIN_LOOKAHEAD_S = 1e-9
 
 
-@dataclass(frozen=True)
 class Handoff:
-    """A packet crossing a shard boundary at an exact absolute time."""
+    """A packet crossing a shard boundary at an exact absolute time: it
+    arrives at ``hops[index]`` at ``time`` (a slotted record).
 
-    time: float
-    packet: Packet
-    hops: tuple[str, ...]
-    index: int
-    src_shard: int
+    It pickles as a flat wire record: the time, the hop tuple, the index
+    and the packet's record (:meth:`Packet.record`) without ``path``,
+    which is rebuilt as ``hops[:index]``, the hops the packet has
+    traversed (a packet starts with an empty path and appends each hop
+    it runs). The source shard is not in it: the frame that carries it
+    names its source."""
+
+    __slots__ = ("time", "packet", "hops", "index")
+
+    def __init__(self, time: float, packet: Packet, hops: tuple[str, ...], index: int):
+        self.time = time
+        self.packet = packet
+        self.hops = hops
+        self.index = index
 
     @property
     def sort_key(self) -> tuple[float, int, int]:
         """Canonical integration order within a window."""
         return (self.time, self.packet.packet_id, self.index)
+
+    def __reduce__(self):
+        return _handoff, (self.time, self.hops, self.index, self.packet.record()[:-1])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not Handoff:
+            return NotImplemented
+        return (self.time, self.packet, self.hops, self.index) == (
+            other.time,
+            other.packet,
+            other.hops,
+            other.index,
+        )
+
+    __hash__ = None  # mutable
+
+    def __repr__(self) -> str:
+        return (
+            f"Handoff(time={self.time!r}, packet={self.packet.packet_id}, "
+            f"hops={self.hops!r}, index={self.index})"
+        )
+
+
+def _handoff(time: float, hops: tuple[str, ...], index: int, record: tuple) -> Handoff:
+    """The handoff of a wire record (:meth:`Handoff.__reduce__`)."""
+    return Handoff(time, packet_from_record(*record, list(hops[:index])), hops, index)
 
 
 @dataclass(frozen=True)
@@ -104,6 +140,19 @@ class Guarantee:
 
     src_shard: int
     time: float
+
+
+def encode_frame(handoffs: Sequence[Handoff], guarantee: Guarantee) -> bytes:
+    """One round's frame on one edge as one payload: the handoffs, then
+    the guarantee covering them. Pickled here, on the caller's thread,
+    so a queue's feeder thread only writes the bytes, and a sender that
+    keeps the frame keeps bytes, not packets."""
+    return pickle.dumps((*handoffs, guarantee), pickle.HIGHEST_PROTOCOL)
+
+
+def decode_frame(payload: bytes) -> tuple[Handoff | Guarantee, ...]:
+    """The messages of an :func:`encode_frame` payload, in order."""
+    return pickle.loads(payload)
 
 
 @dataclass
@@ -217,15 +266,7 @@ class ShardEngine:
                 f"toward shard {dst} ({hops[index]!r}), which is not an "
                 f"out-edge of the plan (edges follow the routes of the run)"
             )
-        self._outbox[dst].append(
-            Handoff(
-                time=at_time,
-                packet=packet,
-                hops=tuple(hops),
-                index=index,
-                src_shard=self.shard_id,
-            )
-        )
+        self._outbox[dst].append(Handoff(at_time, packet, tuple(hops), index))
         self.handoffs_out += 1
 
     # -- protocol -----------------------------------------------------------

@@ -31,12 +31,14 @@ rewrite their pipelines — into the *source text of one Python function*
 * a suite nested deeper than Python compiles becomes a closure of
   ``process``: there is no other executor to fall to.
 
-Identical source compiles once per process: what tells two instances
-apart (rule and map stores, version, program name) lives in the
-function's namespace, not its text, and the code object is memoized on
-the source string. Likewise every generated function hashes through one
-process-wide memo of ``stable_hash`` keyed on the input tuple, so a
-sketch row pays the hash once per flow, not once per packet.
+A program shape is generated and compiled once per process: what
+tells two instances apart (rule and map stores, version, program name)
+lives in the function's namespace, not its text, so the source and its
+code object are memoized on the program with its name and version
+blanked plus the set of elements hosted. Likewise every generated
+function hashes through one process-wide memo of ``stable_hash`` keyed
+on the input tuple, so a sketch row pays the hash once per flow, not
+once per packet.
 
 The function holds no per-flow state of its own. What repeats per
 flow is the table decision, and the table keeps that: a non-exact
@@ -50,8 +52,10 @@ nothing to replay and nothing to admit.
 from __future__ import annotations
 
 import copy
+import dataclasses
 import functools
 import random
+from types import CodeType
 
 from repro.errors import SimulationError
 from repro.lang import ir
@@ -193,7 +197,8 @@ def _display(parts: list[str]) -> str:
 
 
 class _Generator:
-    """Emits the source of ``process`` for one :class:`ProgramInstance`.
+    """Emits the source of ``process`` for one program shape: a program
+    and the set of elements an instance of it hosts (None: all).
 
     Expression methods return ``(source, static ops)`` and statement
     methods append lines and return their static ops: the caller owns
@@ -201,9 +206,11 @@ class _Generator:
     FlexBPF locals assigned on every path to the point being generated.
     """
 
-    def __init__(self, instance):
-        self._instance = instance
-        self._program = program = instance.program
+    def __init__(self, program: ir.Program, hosted: frozenset[str] | None):
+        self._program = program
+        #: the elements the instance hosts (None: every element)
+        self._hosted = hosted
+        self._maps = frozenset(map_def.name for map_def in program.maps)
         parser = program.parser
         parsed = (
             [header.name for header in program.headers]
@@ -233,6 +240,9 @@ class _Generator:
         """A Python identifier for a FlexBPF name, which need not be one."""
         plain = name.isascii() and name.isidentifier()
         return f"{prefix}_{name}" if plain else f"{prefix}{index}"
+
+    def _hosts(self, element: str) -> bool:
+        return self._hosted is None or element in self._hosted
 
     def _local(self, name: str) -> str:
         if name not in self._locals:
@@ -343,11 +353,11 @@ class _Generator:
         for step in steps:
             # Hosting is immutable per instance: filter at generation time.
             if isinstance(step, ir.ApplyTable):
-                if self._instance.hosts(step.table):
+                if self._hosts(step.table):
                     lines += self._table(self._program.table(step.table), depth)
                     static += 1
             elif isinstance(step, ir.ApplyFunction):
-                if self._instance.hosts(step.function):
+                if self._hosts(step.function):
                     body = self._program.function(step.function).body
                     opening, (body_lines, ops) = self._fresh_scope(
                         lambda: self._stmts(body, set(), depth)
@@ -464,7 +474,7 @@ class _Generator:
         if isinstance(stmt, ir.MapPut):
             key, key_ops = self._tuple(stmt.key, bound)
             value, value_ops = self._int(stmt.value, bound)
-            if stmt.map_name in self._instance.maps:
+            if stmt.map_name in self._maps:
                 lines += [
                     f"state = S[{stmt.map_name!r}]",
                     "entries = state._entries",
@@ -477,7 +487,7 @@ class _Generator:
             return 4 + key_ops + value_ops
         if isinstance(stmt, ir.MapDelete):
             key, key_ops = self._tuple(stmt.key, bound)
-            if stmt.map_name in self._instance.maps:
+            if stmt.map_name in self._maps:
                 lines.append(f"S[{stmt.map_name!r}].delete({key})")
             else:
                 lines.append(key)  # no state, still evaluated
@@ -561,7 +571,7 @@ class _Generator:
             return f"mget({expr.key!r}, 0)", 1
         if isinstance(expr, ir.MapGet):
             key, ops = self._tuple(expr.key, bound)
-            if expr.map_name in self._instance.maps:
+            if expr.map_name in self._maps:
                 return f"S[{expr.map_name!r}]._entries.get({key}, 0)", 4 + ops
             return f"({key}, 0)[1]", 4 + ops
         if isinstance(expr, ir.HashExpr):
@@ -597,9 +607,13 @@ class _Generator:
 
 
 @functools.lru_cache(maxsize=FLEXPATH_CODE_MEMO_CAPACITY)
-def _code(source: str):
-    """``compile()`` once per distinct source text per process."""
-    return compile(source, "<flexpath>", "exec")
+def _code(shape: ir.Program, hosted: frozenset[str] | None) -> tuple[str, CodeType]:
+    """The generated source of a program shape and its code object:
+    generated and ``compile()``d once per shape per process. A shape is
+    the program with its name and version blanked (the text holds
+    neither) and the set of elements hosted."""
+    source = _Generator(shape, hosted).source()
+    return source, compile(source, "<flexpath>", "exec")
 
 
 class CompiledProgram:
@@ -617,7 +631,11 @@ class CompiledProgram:
     def __init__(self, instance):
         program = instance.program
         self.version = program.version
-        self.source = _Generator(instance).source()
+        hosted = instance.hosted_elements
+        self.source, code = _code(
+            dataclasses.replace(program, name="", version=0),
+            None if hosted is None else frozenset(hosted),
+        )
         namespace = {
             **_NAMESPACE,
             "R": instance.rules,
@@ -626,7 +644,7 @@ class CompiledProgram:
             "VERSION": program.version,
             "DONE": {},
         }
-        exec(_code(self.source), namespace)  # noqa: S102 - generated from the IR, no packet data
+        exec(code, namespace)  # noqa: S102 - generated from the IR, no packet data
         self.process = namespace["process"]
 
 

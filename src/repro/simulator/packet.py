@@ -75,6 +75,9 @@ class Verdict(enum.Enum):
 
 
 _FORWARD = Verdict.FORWARD
+#: the verdicts by position: a packet's wire record carries the index.
+_VERDICTS = tuple(Verdict)
+_VERDICT_INDEX = {verdict: index for index, verdict in enumerate(_VERDICTS)}
 
 
 class Packet:
@@ -94,6 +97,12 @@ class Packet:
     a key of a new header to the ``fields`` dict in place bypasses the
     set, so code outside a program adds one through :meth:`set_field`.
     Equality and ``repr`` leave ``headers`` out: ``fields`` decides it.
+
+    A packet pickles (and copies) as its wire record
+    (:meth:`record`): its slots by position, the verdict as an index
+    and ``headers`` as ``None`` when it is the shared
+    ``STANDARD_CARRIED``, so loading one calls no enum and builds no
+    set, and a copy shares the standard set as the original did.
     """
 
     __slots__ = (
@@ -158,6 +167,28 @@ class Packet:
             self.digests,
         )
 
+    def record(self) -> tuple:
+        """The wire record :func:`packet_from_record` loads. ``path``
+        comes last, so a carrier that can rebuild it ships
+        ``record()[:-1]``."""
+        headers = self.headers
+        return (
+            self._fields,
+            None if headers is STANDARD_CARRIED else headers,
+            self.meta,
+            self.size_bytes,
+            self.created_at,
+            self.packet_id,
+            self.versions_seen,
+            _VERDICT_INDEX[self.verdict],
+            self.delivered_at,
+            self.digests,
+            self.path,
+        )
+
+    def __reduce__(self):
+        return packet_from_record, self.record()
+
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
@@ -188,6 +219,35 @@ class Packet:
         if self.delivered_at is None:
             return None
         return self.delivered_at - self.created_at
+
+
+def packet_from_record(
+    fields: dict[tuple[str, str], int],
+    headers: frozenset[str] | None,
+    meta: dict[str, int],
+    size_bytes: int,
+    created_at: float,
+    packet_id: int,
+    versions_seen: dict[str, int],
+    verdict: int,
+    delivered_at: float | None,
+    digests: list[tuple[str, tuple[int, ...]]],
+    path: list[str],
+) -> Packet:
+    """The packet of a wire record (:meth:`Packet.record`)."""
+    packet = object.__new__(Packet)
+    packet._fields = fields
+    packet.headers = STANDARD_CARRIED if headers is None else headers
+    packet.meta = meta
+    packet.size_bytes = size_bytes
+    packet.created_at = created_at
+    packet.packet_id = packet_id
+    packet.versions_seen = versions_seen
+    packet.path = path
+    packet.verdict = _VERDICTS[verdict]
+    packet.delivered_at = delivered_at
+    packet.digests = digests
+    return packet
 
 
 def make_packet(

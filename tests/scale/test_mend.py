@@ -12,6 +12,7 @@ end-to-end hash.
 
 from __future__ import annotations
 
+import gc
 import os
 import queue
 import sys
@@ -30,11 +31,12 @@ from repro.faults import (
     WorkerStall,
 )
 from repro.observe.report import divergences
-from repro.scale import run_sharded
+from repro.scale import plan_shards, run_sharded
 from repro.scale.mend import MendTransport, WorkerFaultInjector, _pin_to_own_cpu
-from repro.scale.shard import ShardEngine
+from repro.scale.runner import build_engines
+from repro.scale.shard import Handoff, ShardEngine, decode_frame, encode_frame
 from repro.scale.workload import e20_workload, pod_fabric
-from repro.simulator.packet import reset_packet_ids
+from repro.simulator.packet import Packet, reset_packet_ids
 
 DRAIN_S = 0.05
 
@@ -185,6 +187,72 @@ class TestMendTransport:
         _, _, receiver = _transports()
         with pytest.raises(SimulationError):
             receiver.ingest(("gossip", 0, 1, ()))
+
+
+# -- wire frames ---------------------------------------------------------------
+
+
+def _reaches(root, kind) -> bool:
+    """Whether an instance of ``kind`` is reachable from ``root``."""
+    seen, stack = set(), [root]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, kind):
+            return True
+        stack.extend(gc.get_referents(obj))
+    return False
+
+
+class TestWireFrames:
+    """A round's frame on an edge is one ``bytes`` payload: the handoffs
+    and the guarantee, pickled by the sender as flat records."""
+
+    def test_an_inline_run_through_the_codec_matches_the_reference(self):
+        # Every frame of the run goes through encode/decode: the decoded
+        # handoffs equal the originals in the same sort_key order, and
+        # the path each packet carries is the one its record rebuilds.
+        expected = _reference()
+        net, workload = _arm()
+        engines = build_engines(net, plan_shards(net.controller, 2, seed=11), workload, DRAIN_S)
+        frames = handed = 0
+        while not all(engine.finished() for engine in engines.values()):
+            for shard in sorted(engines):
+                engines[shard].advance()
+            for shard in sorted(engines):
+                outbox = engines[shard].take_outbox()
+                for dst, guarantee in sorted(engines[shard].guarantees_out().items()):
+                    handoffs = outbox.get(dst, [])
+                    for handoff in handoffs:
+                        assert handoff.packet.path == list(handoff.hops[: handoff.index])
+                    *decoded, last = decode_frame(encode_frame(handoffs, guarantee))
+                    assert decoded == handoffs and last == guarantee
+                    assert [h.sort_key for h in decoded] == [h.sort_key for h in handoffs]
+                    assert all(type(h) is Handoff for h in decoded)
+                    for message in (*decoded, last):
+                        engines[dst].deliver(message)
+                    frames += 1
+                    handed += len(handoffs)
+        assert frames == engines[0].windows and handed == engines[1].handoffs_in > 0
+        delivered = sum(engine.result().metrics.delivered for engine in engines.values())
+        assert delivered == expected["metrics"]["delivered"] == len(workload)
+
+    def test_a_sent_frame_retains_no_packet(self):
+        net, workload = _arm()
+        engines = build_engines(net, plan_shards(net.controller, 2, seed=11), workload, DRAIN_S)
+        source = engines[0]
+        while not source._outbox[1]:  # noqa: SLF001 - a round with handoffs
+            source.advance()
+        handoffs = source.take_outbox()[1]
+        guarantee = source.guarantees_out()[1]
+        _, sender, _ = _transports()
+        sender.send(1, [encode_frame(handoffs, guarantee)])
+        assert not _reaches(sender.retained, Packet)
+        assert not _reaches(sender.retained, Handoff)
+        sender.send(1, [*handoffs, guarantee])  # the check can see one
+        assert _reaches(sender.retained, Packet)
 
 
 # -- supervised recovery (process backend, end-to-end) -----------------------

@@ -126,6 +126,58 @@ class TestCarriedHeaders:
             hash(packet)
 
 
+def _copies(packet):
+    """``packet`` through pickle (the oldest protocol a reduce serves and
+    the newest) and through ``copy.deepcopy``."""
+    protocols = (2, pickle.HIGHEST_PROTOCOL)
+    pickled = [pickle.loads(pickle.dumps(packet, protocol)) for protocol in protocols]
+    return [*pickled, copy.deepcopy(packet)]
+
+
+class TestWireRecord:
+    """A packet pickles and copies as its record: slots by position, the
+    verdict as an index and the shared header set by reference."""
+
+    @pytest.mark.parametrize("verdict", list(Verdict))
+    def test_a_run_record_survives(self, verdict):
+        packet = make_packet(1, 2, created_at=0.25)
+        packet.verdict = verdict
+        packet.delivered_at = 0.75
+        packet.versions_seen.update(sw1=3, sw2=4)
+        packet.path.extend(["sw1", "sw2"])
+        packet.digests.append(("infra", (1, 2, 3)))
+        for clone in _copies(packet):
+            assert clone == packet
+            assert clone.verdict is verdict
+            assert clone.headers is STANDARD_CARRIED
+            assert clone.latency_s == packet.latency_s
+            assert clone.versions_seen is not packet.versions_seen
+
+    def test_a_grown_header_set_is_exact(self):
+        packet = make_packet(1, 2)
+        packet.set_field("vxlan", "vni", 42)
+        for clone in _copies(packet):
+            assert clone == packet
+            assert clone.headers == frozenset({"ethernet", "ipv4", "tcp", "vxlan"})
+            assert clone.headers is not STANDARD_CARRIED
+            assert clone.headers == derived(clone)
+
+    def test_a_hand_built_packet_keeps_its_own_set(self):
+        packet = Packet(fields={("ipv4", "src"): 1}, meta={"ingress_port": 3}, size_bytes=64)
+        for clone in _copies(packet):
+            assert clone == packet
+            assert clone.headers == frozenset({"ipv4"})
+            assert (clone.size_bytes, clone.meta) == (64, {"ingress_port": 3})
+
+    def test_the_record_loads_without_an_enum_call_or_a_set(self):
+        packet = make_packet(1, 2)
+        record = packet.record()
+        assert record[1] is None  # the shared set, by reference
+        assert record[7] == list(Verdict).index(packet.verdict)
+        assert record[-1] is packet.path
+        assert b"Verdict" not in pickle.dumps(packet, pickle.HIGHEST_PROTOCOL)
+
+
 class TestPacketIdNamespaces:
     def test_reset_restarts_default_namespace_at_one(self):
         reset_packet_ids()

@@ -280,10 +280,16 @@ class TestBench:
         """The generated function's copies of the lookup (hash index and
         remembered scan), broken so that they forget every rule: the
         differential check must say so."""
+        import functools
+
         from repro.simulator import fastpath
 
         forget = ["rules.miss_count += 1", "call = rules.definition.default_action"]
         monkeypatch.setattr(fastpath, "_LOOKUP", dict.fromkeys((True, False), forget))
+        # The source memo is keyed by program shape, not by the generator:
+        # an empty one for this test generates with the broken lookup and
+        # is dropped with it, so no later test runs its code.
+        monkeypatch.setattr(fastpath, "_code", functools.lru_cache(fastpath._code.__wrapped__))
         assert main(["bench", "--fastpath", "--packets", "120"]) == 1
         assert "diverged" in capsys.readouterr().out
 
