@@ -5,7 +5,7 @@ placement, so infeasible programs are rejected with a readable
 diagnostic at admission time instead of failing deep inside
 :mod:`repro.compiler.placement` after compilation work has been done.
 
-Two checks per target set:
+Three checks per target set:
 
 * ``RES-ELEMENT-UNPLACEABLE`` (ERROR) — some element fits on *no*
   supplied target even with the device empty (e.g. a ternary table
@@ -26,7 +26,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from repro.analysis.report import Finding, Severity
-from repro.lang.analyzer import Certificate
+from repro.lang.analyzer import Certificate, ElementProfile
 from repro.targets.base import Target
 from repro.targets.resources import ResourceVector
 
@@ -37,7 +37,13 @@ NEAR_CAPACITY_FRACTION = 0.9
 def check_overcommit(
     certificate: Certificate, targets: Sequence[Target]
 ) -> list[Finding]:
-    """Prove (or refute) that ``targets`` can jointly host the program."""
+    """Prove (or refute) that ``targets`` can jointly host the program.
+
+    What a device admits and demands is a property of its model
+    (:meth:`Target.same_model`), so each element is sized once per
+    model, on the model's first device in ``targets``; the capacity
+    sum and the unplaceable diagnostic still cover every device.
+    """
     findings: list[Finding] = []
     if not targets:
         return findings
@@ -45,28 +51,17 @@ def check_overcommit(
     total_capacity = ResourceVector()
     for target in targets:
         total_capacity = total_capacity + target.capacity
+    models, model_of = _device_models(targets)
 
     min_demand = ResourceVector()
     for name, profile in sorted(certificate.profiles.items()):
         if profile.kind == "action":
             continue  # actions ride along with their tables
-        feasible: list[tuple[Target, ResourceVector]] = []
-        for target in targets:
-            if target.admits(profile):
-                feasible.append((target, target.demand(profile)))
+        feasible = [model.demand(profile) for model in models if model.admits(profile)]
         if not feasible:
+            why = [_refusal(model, profile) for model in models]
             per_target = "; ".join(
-                f"{t.name}({t.arch}): "
-                + (
-                    ", ".join(
-                        f"{kind} short {short:g}"
-                        for kind, short in sorted(
-                            t.demand(profile).deficit_against(t.capacity).items()
-                        )
-                    )
-                    or "element kind unsupported"
-                )
-                for t in targets
+                f"{t.name}({t.arch}): {why[index]}" for t, index in zip(targets, model_of)
             )
             findings.append(
                 Finding(
@@ -84,11 +79,9 @@ def check_overcommit(
             )
             continue
         # Cheapest feasible demand is a lower bound on what any placement
-        # must spend on this element.
-        cheapest = min(
-            (demand for _, demand in feasible),
-            key=lambda d: d.utilization_of(total_capacity),
-        )
+        # must spend on this element. Models keep their devices' order of
+        # first appearance, so the first minimum is the same vector.
+        cheapest = min(feasible, key=lambda d: d.utilization_of(total_capacity))
         min_demand = min_demand + cheapest
 
     deficit = min_demand.deficit_against(total_capacity)
@@ -133,6 +126,33 @@ def check_overcommit(
                 )
 
     return findings
+
+
+def _device_models(targets: Sequence[Target]) -> tuple[list[Target], list[int]]:
+    """The first device of each model in ``targets``, in order of first
+    appearance, and the index of each device's model in that list."""
+    models: list[Target] = []
+    model_of: list[int] = []
+    for target in targets:
+        index = next((i for i, model in enumerate(models) if model.same_model(target)), None)
+        if index is None:
+            index = len(models)
+            models.append(target)
+        model_of.append(index)
+    return models, model_of
+
+
+def _refusal(target: Target, profile: ElementProfile) -> str:
+    """Why ``target`` cannot host ``profile`` even when empty: the
+    function-size ceiling it exceeds, then each resource kind it is
+    short of."""
+    reasons = []
+    ceiling = target.max_function_ops
+    if profile.kind == "function" and ceiling is not None and profile.max_ops > ceiling:
+        reasons.append(f"ops {profile.max_ops} > max_function_ops {ceiling}")
+    deficit = target.demand(profile).deficit_against(target.capacity)
+    reasons.extend(f"{kind} short {short:g}" for kind, short in sorted(deficit.items()))
+    return ", ".join(reasons)
 
 
 def _shrink_hint(kind: str, name: str) -> str:

@@ -14,6 +14,7 @@ from bisect import bisect
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from itertools import accumulate, islice
+from math import log
 
 from repro.simulator.packet import (
     STANDARD_CARRIED,
@@ -163,9 +164,10 @@ class PoissonFlows(Series):
     ):
         times, flows, templates = array("d"), array("L"), {}
         draws = _poisson_draws(rate_pps, duration_s, flow_count, seed, start_s)
+        add_time, add_flow = times.append, flows.append
         for time, flow in islice(draws, limit):
-            times.append(time)
-            flows.append(flow)
+            add_time(time)
+            add_flow(flow)
             if flow not in templates:
                 fields, meta = _flow_headers(flow)
                 templates[flow] = (fields, meta, _SIZE_BYTES)
@@ -230,12 +232,14 @@ def _poisson_draws(
     total_weight = sum(weights)
     probabilities = [w / total_weight for w in weights]
     cumulative = list(accumulate(probabilities))
+    end, top, last, draw = start_s + duration_s, cumulative[-1] + 0.0, flow_count - 1, rng.random
     time = start_s
-    while time < start_s + duration_s:
-        time += rng.expovariate(rate_pps)
-        if time >= start_s + duration_s:
+    while time < end:
+        # rng.expovariate(rate_pps), spelled as CPython computes it.
+        time += -log(1.0 - draw()) / rate_pps
+        if time >= end:
             break
-        yield time, bisect(cumulative, rng.random() * (cumulative[-1] + 0.0), 0, flow_count - 1)
+        yield time, bisect(cumulative, draw() * top, 0, last)
 
 
 #: the /8 every flow of :func:`poisson_flows` is addressed in.

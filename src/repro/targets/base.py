@@ -26,7 +26,7 @@ the simulator, they are not measurements of real silicon.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from repro.errors import CompilationError
 from repro.lang.analyzer import ElementProfile
@@ -115,6 +115,19 @@ class Target:
     #: profile is a frozen value and nothing mutates a target after
     #: construction. Oldest out past ``DEMAND_MEMO_CAPACITY`` profiles.
     _sized: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def same_model(self, other: "Target") -> bool:
+        """Whether ``other`` is another device of this one's model: the
+        same class, equal in every compared field but ``name``, capacity
+        to the bit. Such a device answers :meth:`demand` and
+        :meth:`admits` alike for every profile."""
+        if type(other) is not type(self) or not self.capacity.identical(other.capacity):
+            return False
+        return all(
+            getattr(self, f.name) == getattr(other, f.name)
+            for f in fields(self)
+            if f.compare and f.name not in ("name", "capacity")
+        )
 
     # -- demand model ---------------------------------------------------------
 

@@ -114,6 +114,10 @@ class ResourceVector(Mapping[str, float]):
             tuple(sorted((k, round(float(v), 9)) for k, v in self._amounts.items() if v))
         )
 
+    def identical(self, other: "ResourceVector") -> bool:
+        """Equal kind for kind to the bit (``==`` forgives 1e-9)."""
+        return self._amounts == other._amounts
+
     # -- placement helpers ---------------------------------------------------
 
     def fits_within(self, capacity: "ResourceVector") -> bool:

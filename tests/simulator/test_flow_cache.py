@@ -1,7 +1,7 @@
-"""What a non-exact table remembers per key (the file and class names
-predate the per-device flow memo's removal): one decision per flow,
-bounded and first-in-first-out, dropped by a mutation of that table's
-rules and by nothing else, with per-rule counters exact under repeated
+"""What a non-exact table remembers per key (the file name predates
+the per-device flow memo's removal): one decision per flow, bounded
+and first-in-first-out, dropped by a mutation of that table's rules
+and by nothing else, with per-rule counters exact under repeated
 flows — on a bare instance, and behind ``DeviceRuntime.process`` under
 ``EngineConfig(fastpath=True)`` against the interpreter device."""
 
@@ -185,7 +185,7 @@ def assert_same_hop(device, reference, packet, now):
     return mine
 
 
-class TestDeviceFlowCache:
+class TestRepeatFlowsBehindADevice:
     def test_hits_and_identical_outcomes(self):
         device, plain = device_pair()
         flows = [make_packet(i % 8, 100 + i % 8) for i in range(64)]

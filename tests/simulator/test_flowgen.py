@@ -2,7 +2,8 @@
 
 import pickle
 import random
-from itertools import islice
+from bisect import bisect
+from itertools import accumulate, islice
 
 import pytest
 from hypothesis import given, settings
@@ -165,6 +166,37 @@ class TestPoissonFlows:
         ]
         assert len(expected) > 3000
         assert observed == expected
+
+    @pytest.mark.parametrize("start", [0.0, 0.375])
+    @pytest.mark.parametrize("seed", [0, 7, 2024, 31337, 2**32 - 1])
+    def test_draws_are_expovariate_then_a_bisected_random(self, seed, start):
+        """Each arrival is ``expovariate(rate)`` after the last, then the
+        flow whose cumulative weight a ``random()`` falls under: the
+        generator, the series and its columns all read those draws."""
+        rate, duration, flow_count = 20_000.0, 0.1, 64
+        rng = random.Random(seed)
+        weights = [1.0 / (k + 1) for k in range(flow_count)]
+        cumulative = list(accumulate(w / sum(weights) for w in weights))
+        expected = []
+        time = start
+        while True:
+            time += rng.expovariate(rate)
+            if time >= start + duration:
+                break
+            flow = bisect(cumulative, rng.random() * cumulative[-1], 0, flow_count - 1)
+            expected.append((time, 10000 + flow))
+        assert len(expected) > 1500
+
+        streamed = [
+            (timed.time, timed.packet.get_field("tcp", "sport"))
+            for timed in poisson_flows(rate, duration, flow_count, seed=seed, start_s=start)
+        ]
+        series = PoissonFlows(rate, duration, flow_count, seed=seed, start_s=start)
+        columns = [
+            (series.times[i], series.packets[i].get_field("tcp", "sport"))
+            for i in range(len(series))
+        ]
+        assert streamed == columns == expected
 
 
 class TestPoissonFlowsSeries:
