@@ -27,13 +27,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
+from repro import _lazy_exports
 from repro.analysis.dataflow import AccessSet, DataflowInfo, analyze
-from repro.analysis.interference import check_tenants
 from repro.analysis.lints import check_lints
 from repro.analysis.overcommit import check_overcommit
 from repro.analysis.races import check_reconfig
 from repro.analysis.report import Finding, Report, Severity
-from repro.analysis.vet import StateClass, VetReport, vet
 from repro.lang import ir
 from repro.lang.analyzer import Certificate, ElementProfile, certify
 from repro.lang.composition import TenantSpec
@@ -57,6 +56,16 @@ __all__ = [
     "check_tenants",
     "vet",
 ]
+
+# The passes every install runs are imported above; the tenant pass and
+# FlexVet load on first use.
+__getattr__ = _lazy_exports(
+    __name__,
+    {
+        "interference": ("check_tenants",),
+        "vet": ("StateClass", "VetReport", "vet"),
+    },
+)
 
 
 @dataclass(frozen=True)
@@ -179,6 +188,8 @@ def check(
         )
 
     if tenants:
+        from repro.analysis.interference import check_tenants
+
         passes.append("tenant")
         findings.extend(check_tenants(program, tenants))
 

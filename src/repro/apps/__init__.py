@@ -6,22 +6,7 @@ Every §1.1 use case has a concrete app here: real-time security
 and tenant-style extensions (:mod:`nat`, :mod:`loadbalancer`).
 """
 
-from repro.apps.base import base_infrastructure, standard_builder, STANDARD_HEADERS
-from repro.apps.cc import dctcp_delta, hpcc_delta, remove_cc_delta, swap_cc_delta
-from repro.apps.ddos import (
-    DdosDefender,
-    DefenderConfig,
-    scale_defense_delta,
-    syn_defense_delta,
-    syn_monitor_delta,
-)
-from repro.apps.firewall import FirewallManager, firewall_delta
-from repro.apps.loadbalancer import LoadBalancerManager, load_balancer_delta
-from repro.apps.monitoring import QueryManager, QuerySpec, query_delta
-from repro.apps.nat import NatManager, nat_delta
-from repro.apps.ratelimit import RateLimiter, rate_limit_delta
-from repro.apps.sketch import SketchReader, count_min_delta, row_map_name
-from repro.apps.telemetry_app import int_probe_delta, remove_probe_delta
+from repro import _lazy_exports
 
 __all__ = [
     "DdosDefender",
@@ -53,3 +38,25 @@ __all__ = [
     "syn_defense_delta",
     "syn_monitor_delta",
 ]
+
+__getattr__ = _lazy_exports(
+    __name__,
+    {
+        "base": ("base_infrastructure", "standard_builder", "STANDARD_HEADERS"),
+        "cc": ("dctcp_delta", "hpcc_delta", "remove_cc_delta", "swap_cc_delta"),
+        "ddos": (
+            "DdosDefender",
+            "DefenderConfig",
+            "scale_defense_delta",
+            "syn_defense_delta",
+            "syn_monitor_delta",
+        ),
+        "firewall": ("FirewallManager", "firewall_delta"),
+        "loadbalancer": ("LoadBalancerManager", "load_balancer_delta"),
+        "monitoring": ("QueryManager", "QuerySpec", "query_delta"),
+        "nat": ("NatManager", "nat_delta"),
+        "ratelimit": ("RateLimiter", "rate_limit_delta"),
+        "sketch": ("SketchReader", "count_min_delta", "row_map_name"),
+        "telemetry_app": ("int_probe_delta", "remove_probe_delta"),
+    },
+)

@@ -1,8 +1,6 @@
 """The systems the paper positions FlexNet against."""
 
-from repro.baselines.compile_time import CompileTimeNetwork, ReflashEvent
-from repro.baselines.hyper4 import EmulationReport, Hyper4Device
-from repro.baselines.mantis import ActivationResult, MantisDevice, ProvisionedSlot
+from repro import _lazy_exports
 
 __all__ = [
     "ActivationResult",
@@ -13,3 +11,12 @@ __all__ = [
     "ProvisionedSlot",
     "ReflashEvent",
 ]
+
+__getattr__ = _lazy_exports(
+    __name__,
+    {
+        "compile_time": ("CompileTimeNetwork", "ReflashEvent"),
+        "hyper4": ("EmulationReport", "Hyper4Device"),
+        "mantis": ("ActivationResult", "MantisDevice", "ProvisionedSlot"),
+    },
+)

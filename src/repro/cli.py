@@ -59,8 +59,8 @@ import sys
 from repro.core.flexnet import FlexNet
 from repro.errors import FlexNetError
 from repro.lang.analyzer import certify
-from repro.lang.delta import apply_delta, parse_delta
-from repro.lang.parser import parse_program
+from repro.lang.delta import apply_delta
+from repro.lang.parser import parse_delta, parse_program
 from repro.simulator.packet import reset_packet_ids
 
 

@@ -10,30 +10,7 @@ ROADMAP item 3. Two halves:
   a sharded admission directory spanning 10⁴–10⁶ tenants.
 """
 
-from repro.cloud.admission import (
-    AdmissionOutcome,
-    AdmissionQueue,
-    CloudEngine,
-    Coalescer,
-    ExecutionResult,
-    ExtensionExecutor,
-    ShedReason,
-    TenantDelta,
-    Ticket,
-)
-from repro.cloud.scenarios import (
-    SCENARIOS,
-    CloudEvent,
-    CloudFleet,
-    CloudReport,
-    EntryExecutor,
-    canary_rollout,
-    cloud_base_program,
-    ddos_defense,
-    diurnal,
-    flash_crowd,
-    run_scenario,
-)
+from repro import _lazy_exports
 
 __all__ = [
     "SCENARIOS",
@@ -57,3 +34,33 @@ __all__ = [
     "flash_crowd",
     "run_scenario",
 ]
+
+__getattr__ = _lazy_exports(
+    __name__,
+    {
+        "admission": (
+            "AdmissionOutcome",
+            "AdmissionQueue",
+            "CloudEngine",
+            "Coalescer",
+            "ExecutionResult",
+            "ExtensionExecutor",
+            "ShedReason",
+            "TenantDelta",
+            "Ticket",
+        ),
+        "scenarios": (
+            "SCENARIOS",
+            "CloudEvent",
+            "CloudFleet",
+            "CloudReport",
+            "EntryExecutor",
+            "canary_rollout",
+            "cloud_base_program",
+            "ddos_defense",
+            "diurnal",
+            "flash_crowd",
+            "run_scenario",
+        ),
+    },
+)

@@ -1,28 +1,7 @@
 """The FlexNet compiler: placement, fungibility, optimization, and
 incremental recompilation of fungible datapaths (§3.3)."""
 
-from repro.compiler.incremental import (
-    IncrementalCompiler,
-    IncrementalResult,
-    diff_programs,
-    full_recompile_plan,
-)
-from repro.compiler.optimizer import MergeCandidate, MergeEvaluation, TableMerger, refine
-from repro.compiler.placement import (
-    NetworkSlice,
-    Objective,
-    ObjectiveKind,
-    PlacementEngine,
-)
-from repro.compiler.plan import (
-    CompilationPlan,
-    DeviceSpec,
-    ReconfigPlan,
-    ReconfigStep,
-    StagePlan,
-    StepKind,
-)
-from repro.compiler.state_encoding import convert, decode, encode, select_encoding
+from repro import _lazy_exports
 
 __all__ = [
     "CompilationPlan",
@@ -48,3 +27,26 @@ __all__ = [
     "refine",
     "select_encoding",
 ]
+
+__getattr__ = _lazy_exports(
+    __name__,
+    {
+        "incremental": (
+            "IncrementalCompiler",
+            "IncrementalResult",
+            "diff_programs",
+            "full_recompile_plan",
+        ),
+        "optimizer": ("MergeCandidate", "MergeEvaluation", "TableMerger", "refine"),
+        "placement": ("NetworkSlice", "Objective", "ObjectiveKind", "PlacementEngine"),
+        "plan": (
+            "CompilationPlan",
+            "DeviceSpec",
+            "ReconfigPlan",
+            "ReconfigStep",
+            "StagePlan",
+            "StepKind",
+        ),
+        "state_encoding": ("convert", "decode", "encode", "select_encoding"),
+    },
+)

@@ -1,25 +1,6 @@
 """Real-time network control: the FlexNet controller and its services."""
 
-from repro.control.apps_api import AppRecord, AppSla, AppUri
-from repro.control.consensus import (
-    ControllerCluster,
-    MessageBus,
-    RaftNode,
-    RaftSnapshot,
-    Role,
-)
-from repro.control.controller import FlexNetController, TransitionOutcome
-from repro.control.ha import FailoverRecord, FlexHA, HACommand
-from repro.control.p4runtime import (
-    DeviceGroundTruth,
-    P4RuntimeClient,
-    P4RuntimeHub,
-    TableEntry,
-)
-from repro.control.replication import ReplicationGroup, ReplicationManager
-from repro.control.scheduler import UpdateSchedule
-from repro.control.telemetry import DigestRecord, TelemetryCollector
-from repro.control.topology import DeviceInfo, TopologyView
+from repro import _lazy_exports
 
 __all__ = [
     "AppRecord",
@@ -47,3 +28,18 @@ __all__ = [
     "TransitionOutcome",
     "UpdateSchedule",
 ]
+
+__getattr__ = _lazy_exports(
+    __name__,
+    {
+        "apps_api": ("AppRecord", "AppSla", "AppUri"),
+        "consensus": ("ControllerCluster", "MessageBus", "RaftNode", "RaftSnapshot", "Role"),
+        "controller": ("FlexNetController", "TransitionOutcome"),
+        "ha": ("FailoverRecord", "FlexHA", "HACommand"),
+        "p4runtime": ("DeviceGroundTruth", "P4RuntimeClient", "P4RuntimeHub", "TableEntry"),
+        "replication": ("ReplicationGroup", "ReplicationManager"),
+        "scheduler": ("UpdateSchedule",),
+        "telemetry": ("DigestRecord", "TelemetryCollector"),
+        "topology": ("DeviceInfo", "TopologyView"),
+    },
+)

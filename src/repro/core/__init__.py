@@ -1,8 +1,6 @@
 """FlexNet core: the fungible datapath and the network facade."""
 
-from repro.core.datapath import DatapathStatus, FungibleDatapath
-from repro.core.flexnet import FlexNet, InstallOutcome, TelemetrySnapshot, TrafficReport
-from repro.core.slo import BEST_EFFORT, Slo
+from repro import _lazy_exports
 
 __all__ = [
     "BEST_EFFORT",
@@ -14,3 +12,12 @@ __all__ = [
     "TelemetrySnapshot",
     "TrafficReport",
 ]
+
+__getattr__ = _lazy_exports(
+    __name__,
+    {
+        "datapath": ("DatapathStatus", "FungibleDatapath"),
+        "flexnet": ("FlexNet", "InstallOutcome", "TelemetrySnapshot", "TrafficReport"),
+        "slo": ("BEST_EFFORT", "Slo"),
+    },
+)

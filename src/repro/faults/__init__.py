@@ -20,22 +20,7 @@ migrations. This package provides both halves:
   :class:`ChaosReport`.
 """
 
-from repro.faults.chaos import ChaosReport, run_chaos, run_controller_chaos
-from repro.faults.journal import JournalEntry, ReconfigJournal, TxnState
-from repro.faults.plan import (
-    ChannelFault,
-    ControllerCrash,
-    DeviceCrash,
-    FaultInjector,
-    FaultPlan,
-    HandoffDrop,
-    HandoffDup,
-    LeaderPartition,
-    MigrationFault,
-    WorkerCrash,
-    WorkerStall,
-)
-from repro.faults.recovery import DegradedEvent, HealthMonitor, RecoveryManager, RetryPolicy
+from repro import _lazy_exports
 
 __all__ = [
     "ChannelFault",
@@ -60,3 +45,25 @@ __all__ = [
     "run_chaos",
     "run_controller_chaos",
 ]
+
+__getattr__ = _lazy_exports(
+    __name__,
+    {
+        "chaos": ("ChaosReport", "run_chaos", "run_controller_chaos"),
+        "journal": ("JournalEntry", "ReconfigJournal", "TxnState"),
+        "plan": (
+            "ChannelFault",
+            "ControllerCrash",
+            "DeviceCrash",
+            "FaultInjector",
+            "FaultPlan",
+            "HandoffDrop",
+            "HandoffDup",
+            "LeaderPartition",
+            "MigrationFault",
+            "WorkerCrash",
+            "WorkerStall",
+        ),
+        "recovery": ("DegradedEvent", "HealthMonitor", "RecoveryManager", "RetryPolicy"),
+    },
+)

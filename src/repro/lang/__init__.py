@@ -5,18 +5,12 @@ Public surface:
 * :func:`repro.lang.parser.parse_program` — parse FlexBPF source.
 * :class:`repro.lang.builder.ProgramBuilder` — programmatic construction.
 * :func:`repro.lang.analyzer.certify` — bounded-execution certification.
-* :func:`repro.lang.delta.parse_delta` / :func:`repro.lang.delta.apply_delta`
+* :func:`repro.lang.parser.parse_delta` / :func:`repro.lang.delta.apply_delta`
   — the incremental change DSL.
 * :class:`repro.lang.composition.Composer` — tenant datapath composition.
 """
 
-from repro.lang.analyzer import Analyzer, Certificate, certify
-from repro.lang.builder import ProgramBuilder
-from repro.lang.delta import ChangeSet, Delta, apply_delta, parse_delta
-from repro.lang.composition import Composer, Permission, TenantSpec
-from repro.lang.ir import Program
-from repro.lang.parser import parse_program
-from repro.lang.printer import print_program
+from repro import _lazy_exports
 
 __all__ = [
     "Analyzer",
@@ -34,3 +28,16 @@ __all__ = [
     "parse_program",
     "print_program",
 ]
+
+__getattr__ = _lazy_exports(
+    __name__,
+    {
+        "analyzer": ("Analyzer", "Certificate", "certify"),
+        "builder": ("ProgramBuilder",),
+        "composition": ("Composer", "Permission", "TenantSpec"),
+        "delta": ("ChangeSet", "Delta", "apply_delta"),
+        "ir": ("Program",),
+        "parser": ("parse_delta", "parse_program"),
+        "printer": ("print_program",),
+    },
+)

@@ -32,8 +32,10 @@ before a program or extension enters the network.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from operator import attrgetter
 from types import MappingProxyType
+from typing import ClassVar
 
 from repro.errors import AnalysisError
 from repro.lang import ir
@@ -79,6 +81,28 @@ class ElementProfile:
     key_bits: int = 0
     is_ternary: bool = False
     is_stateful: bool = False
+
+    #: The hash of the field tuple, kept on first use: every
+    #: ``Target.admits`` / ``demand`` memo lookup hashes the profile.
+    _hash: ClassVar[int | None] = None
+
+    def __hash__(self) -> int:
+        value = self._hash
+        if value is None:
+            value = hash(_profile_fields(self))
+            object.__setattr__(self, "_hash", value)
+        return value
+
+    def __getstate__(self) -> dict:
+        """A copy or a pickle leaves the kept hash behind: another
+        interpreter hashes the name strings differently."""
+        state = self.__dict__.copy()
+        state.pop("_hash", None)
+        return state
+
+
+#: A profile's fields as one tuple, the value its hash is the hash of.
+_profile_fields = attrgetter(*(spec.name for spec in fields(ElementProfile)))
 
 
 @dataclass(frozen=True)

@@ -21,13 +21,31 @@ Statements and expressions follow C-like syntax with ``let``,
 bounded ``repeat N { }`` loops, ``map_get``/``map_put``/``map_delete``
 map operations, and a fixed set of datapath primitives.
 
-Use :func:`parse_program` for a full validated :class:`~repro.lang.ir.Program`.
+Use :func:`parse_program` for a full validated :class:`~repro.lang.ir.Program`,
+and :func:`parse_delta` for the textual form of a
+:class:`~repro.lang.delta.Delta`, which reuses the declaration grammar.
 """
 
 from __future__ import annotations
 
 from repro.errors import ParseError
 from repro.lang import ir
+from repro.lang.delta import (
+    AddAction,
+    AddFunction,
+    AddHeader,
+    AddMap,
+    AddParserTransition,
+    AddTable,
+    AddTableActions,
+    Delta,
+    DeltaOp,
+    InsertApply,
+    RemoveElements,
+    RemoveParserTransition,
+    SetMapEntries,
+    SetTableSize,
+)
 from repro.lang.lexer import Token, TokenKind, parse_int, tokenize
 from repro.lang.types import BitsType, parse_type
 
@@ -493,3 +511,134 @@ def parse_program(source: str) -> ir.Program:
     tokens = tokenize(source)
     program = _Parser(tokens).parse_program()
     return program.validate()
+
+
+# ---------------------------------------------------------------------------
+# The delta DSL's textual form (repro.lang.delta holds its operations)
+# ---------------------------------------------------------------------------
+
+
+class _DeltaParser(_Parser):
+    """Parses the textual delta DSL::
+
+        delta add_ddos {
+          add map syn_counts { key: ipv4.src; value: u32; max_entries: 4096; }
+          add action drop2() { mark_drop(); }
+          add table syn_filter { key: ipv4.src; actions: drop2; size: 512; }
+          insert syn_filter before acl;
+          remove table old_*;
+          resize table acl 2048;
+          resize map flow_counts 131072;
+          attach drop2 to fw_*;
+        }
+
+    Added elements reuse the FlexBPF declaration grammar verbatim.
+    """
+
+    def parse_delta(self) -> Delta:
+        self._expect("delta")
+        name = self._expect_ident()
+        self._expect("{")
+        ops: list[DeltaOp] = []
+        while not self._accept("}"):
+            keyword = self._expect_ident()
+            if keyword == "add":
+                ops.append(self._parse_add())
+            elif keyword == "remove":
+                ops.append(self._parse_remove())
+            elif keyword == "insert":
+                ops.append(self._parse_insert())
+            elif keyword == "resize":
+                ops.append(self._parse_resize())
+            elif keyword == "attach":
+                ops.append(self._parse_attach())
+            else:
+                raise ParseError(f"unknown delta operation {keyword!r}", self._current.line)
+        return Delta(name=name, ops=tuple(ops))
+
+    def _parse_add(self) -> DeltaOp:
+        kind = self._current.text
+        if kind == "header":
+            return AddHeader(self._parse_header())
+        if kind == "map":
+            return AddMap(self._parse_map())
+        if kind == "action":
+            return AddAction(self._parse_action())
+        if kind == "table":
+            return AddTable(self._parse_table())
+        if kind == "func":
+            return AddFunction(self._parse_function())
+        if kind == "transition":
+            self._advance()
+            self._expect("on")
+            select = self._parse_field_ref()
+            self._expect("==")
+            value = self._expect_number()
+            self._expect("extract")
+            next_header = self._expect_ident()
+            self._expect(";")
+            return AddParserTransition(
+                ir.ParserTransition(
+                    next_header=next_header, select_field=select, select_value=value
+                )
+            )
+        raise ParseError(f"cannot add a {kind!r}", self._current.line)
+
+    def _parse_pattern(self) -> str:
+        # A pattern is an identifier possibly containing '*' punctuation.
+        parts = [self._expect_ident() if self._current.kind is TokenKind.IDENT else ""]
+        if not parts[0]:
+            self._expect("*")
+            parts[0] = "*"
+        while self._current.text == "*":
+            self._advance()
+            parts.append("*")
+            if self._current.kind is TokenKind.IDENT:
+                parts.append(self._expect_ident())
+        return "".join(parts)
+
+    def _parse_remove(self) -> DeltaOp:
+        kind = self._expect_ident()
+        if kind == "transition":
+            next_header = self._expect_ident()
+            self._expect(";")
+            return RemoveParserTransition(next_header=next_header)
+        if kind not in ("table", "func", "map"):
+            raise ParseError(f"cannot remove a {kind!r}", self._current.line)
+        pattern = self._parse_pattern()
+        self._expect(";")
+        kind_name = "function" if kind == "func" else kind
+        return RemoveElements(pattern=pattern, kind=kind_name)
+
+    def _parse_insert(self) -> DeltaOp:
+        element = self._expect_ident()
+        position = "after"
+        anchor = None
+        if self._current.text in ("before", "after"):
+            position = self._advance().text
+            anchor = self._expect_ident()
+        self._expect(";")
+        return InsertApply(element=element, position=position, anchor=anchor)
+
+    def _parse_resize(self) -> DeltaOp:
+        kind = self._expect_ident()
+        pattern = self._parse_pattern()
+        size = self._expect_number()
+        self._expect(";")
+        if kind == "table":
+            return SetTableSize(pattern=pattern, size=size)
+        if kind == "map":
+            return SetMapEntries(pattern=pattern, max_entries=size)
+        raise ParseError(f"cannot resize a {kind!r}", self._current.line)
+
+    def _parse_attach(self) -> DeltaOp:
+        action = self._expect_ident()
+        self._expect("to")
+        pattern = self._parse_pattern()
+        self._expect(";")
+        return AddTableActions(pattern=pattern, actions=(action,))
+
+
+def parse_delta(source: str) -> Delta:
+    """Parse textual delta DSL into a :class:`Delta`."""
+    return _DeltaParser(tokenize(source)).parse_delta()

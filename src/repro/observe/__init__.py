@@ -18,23 +18,7 @@ Disabled observability is strictly zero-cost: no component holds an
 observer reference until :meth:`Observer.enable` wires one in.
 """
 
-from repro.observe.facade import DEFAULT_SAMPLE_EVERY, Observer
-from repro.observe.metrics import (
-    DEFAULT_BUCKETS,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-)
-from repro.observe.profile import PhaseStat, Profiler
-from repro.observe.report import Reportable, emit
-from repro.observe.trace import (
-    PacketTrace,
-    Span,
-    SpanEvent,
-    Tracer,
-    render_span_tree,
-)
+from repro import _lazy_exports
 
 __all__ = [
     "DEFAULT_BUCKETS",
@@ -54,3 +38,14 @@ __all__ = [
     "emit",
     "render_span_tree",
 ]
+
+__getattr__ = _lazy_exports(
+    __name__,
+    {
+        "facade": ("DEFAULT_SAMPLE_EVERY", "Observer"),
+        "metrics": ("DEFAULT_BUCKETS", "Counter", "Gauge", "Histogram", "MetricsRegistry"),
+        "profile": ("PhaseStat", "Profiler"),
+        "report": ("Reportable", "emit"),
+        "trace": ("PacketTrace", "Span", "SpanEvent", "Tracer", "render_span_tree"),
+    },
+)

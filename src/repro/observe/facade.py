@@ -17,9 +17,14 @@ disabled, execute identical instruction streams through the data plane.
 
 from __future__ import annotations
 
+from functools import cached_property
+from typing import TYPE_CHECKING
+
 from repro.observe.metrics import MetricsRegistry, export_device_counters
-from repro.observe.profile import Profiler
 from repro.observe.trace import PacketTrace, Tracer
+
+if TYPE_CHECKING:
+    from repro.observe.profile import Profiler
 
 #: Default packet sampling period: one traced packet per N processed.
 DEFAULT_SAMPLE_EVERY = 64
@@ -32,7 +37,6 @@ class Observer:
         self.enabled = False
         self.tracer = Tracer()
         self.metrics = MetricsRegistry()
-        self.profiler = Profiler()
         self.sample_every = sample_every
         self._controller = None
         self._collector_registered = False
@@ -40,6 +44,14 @@ class Observer:
         #: packet id (which never resets within a process), so two
         #: identical seeded runs sample identical packets.
         self._sample_seq = 0
+
+    @cached_property
+    def profiler(self) -> Profiler:
+        """Per-phase wall / sim / op-cost accounting, made on first use:
+        a run that never enables the observer never loads it."""
+        from repro.observe.profile import Profiler
+
+        return Profiler()
 
     # -- wiring -------------------------------------------------------------
 

@@ -1,27 +1,6 @@
 """Device runtimes, hitless reconfiguration, state migration, and dRPC."""
 
-from repro.runtime.consistency import (
-    ConsistencyChecker,
-    ConsistencyLevel,
-    ConsistencyReport,
-    version_split,
-)
-from repro.runtime.device import DeviceRuntime, DeviceStats
-from repro.runtime.drpc import (
-    DrpcFabric,
-    RpcRegistry,
-    ServiceSpec,
-    make_migrate_service,
-    make_state_read_service,
-    make_state_write_service,
-)
-from repro.runtime.migration import (
-    MigrationReport,
-    control_plane_migration,
-    data_plane_migration,
-    minimum_copy_rate_for_convergence,
-)
-from repro.runtime.reconfig import ReconfigOrchestrator, TransitionReport
+from repro import _lazy_exports
 
 __all__ = [
     "ConsistencyChecker",
@@ -43,3 +22,31 @@ __all__ = [
     "minimum_copy_rate_for_convergence",
     "version_split",
 ]
+
+__getattr__ = _lazy_exports(
+    __name__,
+    {
+        "consistency": (
+            "ConsistencyChecker",
+            "ConsistencyLevel",
+            "ConsistencyReport",
+            "version_split",
+        ),
+        "device": ("DeviceRuntime", "DeviceStats"),
+        "drpc": (
+            "DrpcFabric",
+            "RpcRegistry",
+            "ServiceSpec",
+            "make_migrate_service",
+            "make_state_read_service",
+            "make_state_write_service",
+        ),
+        "migration": (
+            "MigrationReport",
+            "control_plane_migration",
+            "data_plane_migration",
+            "minimum_copy_rate_for_convergence",
+        ),
+        "reconfig": ("ReconfigOrchestrator", "TransitionReport"),
+    },
+)

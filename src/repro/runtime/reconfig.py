@@ -34,11 +34,11 @@ from repro.compiler.plan import CompilationPlan, ReconfigPlan, ReconfigStep, Ste
 from repro.errors import MigrationError, ReconfigError
 from repro.lang.ir import Program
 from repro.runtime.device import DeviceRuntime
-from repro.runtime.migration import MigrationReport, data_plane_migration
 from repro.simulator.engine import EventLoop
 
 if TYPE_CHECKING:
     from repro.observe.trace import Span
+    from repro.runtime.migration import MigrationReport
 
 #: Window charged to devices that only need an apply-block pointer swap
 #: (no structural steps of their own).
@@ -567,6 +567,8 @@ class ReconfigOrchestrator:
         """One in-band migration under fault injection: injected failures
         are retried immediately (the stream is re-cloned) up to the
         recovery policy's budget; without recovery a failure is final."""
+        from repro.runtime.migration import data_plane_migration
+
         attempts = 0
         policy = self.recovery.policy if self.recovery is not None else None
         observer = self.observer

@@ -15,16 +15,7 @@ stays byte-identical even under injected worker crashes (experiment
 E23).
 """
 
-from repro.scale.mend import (
-    MendReport,
-    MendTransport,
-    Supervisor,
-    WorkerFaultInjector,
-)
-from repro.scale.plan import ShardPlan, plan_shards
-from repro.scale.runner import ScaleReport, run_sharded
-from repro.scale.shard import Guarantee, Handoff, ShardEngine, ShardResult
-from repro.scale.workload import e20_net, e20_workload, pod_fabric
+from repro import _lazy_exports
 
 __all__ = [
     "Guarantee",
@@ -43,3 +34,14 @@ __all__ = [
     "pod_fabric",
     "run_sharded",
 ]
+
+__getattr__ = _lazy_exports(
+    __name__,
+    {
+        "mend": ("MendReport", "MendTransport", "Supervisor", "WorkerFaultInjector"),
+        "plan": ("ShardPlan", "plan_shards"),
+        "runner": ("ScaleReport", "run_sharded"),
+        "shard": ("Guarantee", "Handoff", "ShardEngine", "ShardResult"),
+        "workload": ("e20_net", "e20_workload", "pod_fabric"),
+    },
+)

@@ -30,19 +30,24 @@ the identity check can compare the invariant part exactly.
 
 from __future__ import annotations
 
-import multiprocessing
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from repro.core.flexnet import TelemetrySnapshot, TrafficReport
 from repro.errors import SimulationError
-from repro.faults.plan import FaultPlan
 from repro.observe.metrics import MetricsRegistry
-from repro.scale.mend import MendReport, Supervisor
 from repro.scale.plan import ShardPlan, plan_shards
 from repro.scale.shard import Injections, ShardEngine, ShardResult, horizon, run_inline
 from repro.simulator.flowgen import Series, TimedPacket
 from repro.simulator.metrics import RunMetrics
+
+# The process backend's machinery (``multiprocessing``, FlexMend and
+# its fault plan) loads when a run takes that backend, not with the
+# planner every run reads.
+if TYPE_CHECKING:
+    from repro.faults.plan import FaultPlan
+    from repro.scale.mend import MendReport
 
 
 @dataclass
@@ -266,6 +271,10 @@ def run_sharded(
         results = [engine.result() for engine in engines.values()]
         return _merge_results(plan, "inline", end_time, results)
     if backend == "process":
+        import multiprocessing
+
+        from repro.scale.mend import Supervisor
+
         if multiprocessing.get_start_method(allow_none=False) != "fork" and (
             "fork" not in multiprocessing.get_all_start_methods()
         ):

@@ -1,12 +1,6 @@
 """Discrete-event data plane simulator (the hardware substitution)."""
 
-from repro.simulator.engine import EventLoop
-from repro.simulator.meters import Meter, MeterColor, MeterConfig
-from repro.simulator.metrics import LatencyStats, RunMetrics
-from repro.simulator.network import Link, Network, PacketProcessor
-from repro.simulator.packet import FiveTuple, Packet, Verdict, make_packet
-from repro.simulator.pipeline_exec import ExecutionResult, ProgramInstance
-from repro.simulator.tables import Rule, TableRules, exact, lpm, rng, ternary
+from repro import _lazy_exports
 
 __all__ = [
     "EventLoop",
@@ -31,3 +25,16 @@ __all__ = [
     "rng",
     "ternary",
 ]
+
+__getattr__ = _lazy_exports(
+    __name__,
+    {
+        "engine": ("EventLoop",),
+        "meters": ("Meter", "MeterColor", "MeterConfig"),
+        "metrics": ("LatencyStats", "RunMetrics"),
+        "network": ("Link", "Network", "PacketProcessor"),
+        "packet": ("FiveTuple", "Packet", "Verdict", "make_packet"),
+        "pipeline_exec": ("ExecutionResult", "ProgramInstance"),
+        "tables": ("Rule", "TableRules", "exact", "lpm", "rng", "ternary"),
+    },
+)

@@ -56,6 +56,7 @@ import dataclasses
 import functools
 import random
 from types import CodeType
+from typing import TYPE_CHECKING
 
 from repro.errors import SimulationError
 from repro.lang import ir
@@ -65,10 +66,12 @@ from repro.limits import (
     FLEXPATH_HASH_MEMO_CAPACITY,
     RECIRCULATION_CAP,
 )
-from repro.observe.report import Divergence, divergences
 from repro.simulator.packet import Packet, Verdict, make_packet
 from repro.simulator.pipeline_exec import ExecutionResult, ProgramInstance
 from repro.util import stable_hash
+
+if TYPE_CHECKING:
+    from repro.observe.report import Divergence
 
 _MASK64 = (1 << 64) - 1
 _MASK128 = (1 << 128) - 1
@@ -777,6 +780,8 @@ def differential_check(
     interpreter's (empty: none). ``mutate(reference, fast, index)`` —
     when given — runs before each packet on both instances, which is
     how the mid-run tests attach a meter or insert a rule."""
+    from repro.observe.report import divergences
+
     reference = ProgramInstance(program, hosted_elements)
     fast = ProgramInstance(program, hosted_elements, fastpath=True)
     if setup is not None:

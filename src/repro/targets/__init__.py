@@ -1,19 +1,6 @@
 """Device architecture models for every target class the paper surveys."""
 
-from repro.targets.base import (
-    FungibilityClass,
-    PerformanceModel,
-    ReconfigCostModel,
-    StateEncoding,
-    Target,
-)
-from repro.targets.drmt import drmt_switch
-from repro.targets.fpga import fpga
-from repro.targets.host import host
-from repro.targets.resources import ResourceVector, total
-from repro.targets.rmt import rmt_switch, stage_capacity
-from repro.targets.smartnic import smartnic
-from repro.targets.tiles import tiled_switch
+from repro import _lazy_exports
 
 __all__ = [
     "FungibilityClass",
@@ -31,3 +18,23 @@ __all__ = [
     "tiled_switch",
     "total",
 ]
+
+__getattr__ = _lazy_exports(
+    __name__,
+    {
+        "base": (
+            "FungibilityClass",
+            "PerformanceModel",
+            "ReconfigCostModel",
+            "StateEncoding",
+            "Target",
+        ),
+        "drmt": ("drmt_switch",),
+        "fpga": ("fpga",),
+        "host": ("host",),
+        "resources": ("ResourceVector", "total"),
+        "rmt": ("rmt_switch", "stage_capacity"),
+        "smartnic": ("smartnic",),
+        "tiles": ("tiled_switch",),
+    },
+)

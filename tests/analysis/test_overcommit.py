@@ -4,6 +4,7 @@ per-device loop reaches, field for field."""
 
 import collections
 import dataclasses
+import pickle
 
 import pytest
 
@@ -12,6 +13,7 @@ from repro.analysis.overcommit import NEAR_CAPACITY_FRACTION, check_overcommit
 from repro.analysis.report import Severity
 from repro.apps.base import base_infrastructure, standard_builder
 from repro.apps.cc import dctcp_delta
+from repro.lang import analyzer
 from repro.lang import builder as b
 from repro.lang.analyzer import certify
 from repro.lang.delta import apply_delta
@@ -238,6 +240,40 @@ class TestOneSizingPerModel:
         assert "overcommit" in report.passes_run
         assert len(net.controller.slice().devices) == 14 and elements == 16
         assert sized == {"h1": 16, "n0a": 16, "s0": 16}
+
+
+class TestAProfileHashesOnce:
+    """Every ``Target.admits`` / ``demand`` memo lookup hashes the
+    profile. The hash is the field tuple's, walked once per profile."""
+
+    def test_the_hash_and_equality_are_the_field_tuple_s(self):
+        for profile in certify(composed_program()).profiles.values():
+            fields = tuple(getattr(profile, f.name) for f in dataclasses.fields(profile))
+            assert hash(profile) == hash(fields)
+            twin = dataclasses.replace(profile)
+            assert twin == profile and hash(twin) == hash(profile)
+            assert dataclasses.replace(profile, max_ops=profile.max_ops + 1) != profile
+            # A pickle carries the fields, not the hash this process took.
+            copied = pickle.loads(pickle.dumps(profile))
+            assert "_hash" not in vars(copied)
+            assert copied == profile and hash(copied) == hash(profile)
+
+    def test_warm_passes_walk_each_profile_once(self, monkeypatch):
+        certificate = certify(composed_program())
+        targets = [spec.target for spec in pod_fabric(4).controller.slice().devices]
+        walked = collections.Counter()
+        original = analyzer._profile_fields
+
+        def spy(profile):
+            walked[profile.name] += 1
+            return original(profile)
+
+        monkeypatch.setattr(analyzer, "_profile_fields", spy)
+        for _ in range(200):
+            check_overcommit(certificate, targets)
+        placed = [name for name, p in certificate.profiles.items() if p.kind != "action"]
+        assert len(placed) == 16
+        assert walked == {name: 1 for name in placed}
 
 
 class TestAnUnplaceableFunctionNamesTheCeiling:
